@@ -5,8 +5,7 @@ All numeric output is exact: rationals are rendered as "num/den" strings.
 Exit codes: 0 success / all certified, 1 violations or failed certification,
 2 usage errors.
 
-Environment overrides: PADIC_SR_TRUNCATION (series truncation length),
-PADIC_SR_HENSEL_DEPTH (unit-power test depth).
+Environment override: PADIC_SR_TRUNCATION (series truncation length).
 """
 
 from __future__ import annotations

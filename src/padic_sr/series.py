@@ -6,30 +6,49 @@ The cover y^(p^n) = c x^a (x-1)^b is restricted to the disk x = d + e t with
 the normalization c = d^(-a) (d-1)^(-b), so the restricted equation reads
 y^(p^n) = g(d + e t) / g(d) = sum c_l t^l with c_0 = 1 and
 
-    c_l = e^l * sum_{j=0..l} C(a, l-j) C(b, j) d^(j-l) (d-1)^(-j)
+    c_l = e^l * h_l,   h_l = sum_{j=0..l} C(a, l-j) C(b, j) d^(j-l) (d-1)^(-j)
 
-with falling-factorial binomials (exact integers for integer a, b).
+with falling-factorial binomials (exact integers for integer a, b), i.e. h_l
+is the t^l coefficient of h(t) = (1 + t/d)^a (1 + t/(d-1))^b.
+
+Expansion.  From h'/h = a/(d+t) + b/(d-1+t), the series h satisfies
+(d+t)(d-1+t) h' = (a(d-1+t) + b(d+t)) h; comparing t^l coefficients gives the
+exact three-term recurrence
+
+    d(d-1)(l+1) h_{l+1} = (a(d-1) + b d - (2d-1) l) h_l + (a+b-l+1) h_{l-1}
+
+with h_0 = 1, h_{-1} = 0.  `expand_disk` runs it with one tower inverse,
+1/(d(d-1)), and O(L) tower operations for the whole expansion.
+
+Tail bound.  The j-th term of c_l has valuation at least l v(e) when j = 0
+and l v(e) + (n-s) - v_p(j) - j(n-s) when j >= 1 (C(a, k) is an integer,
+C(b, j) = (b/j) C(b-1, j-1), v(d) = 0, v(d-1) = v(b) = n - s).  The minimum
+over 0 <= j <= l has a closed form in integers.  With k = floor(log_p l):
+
+* n = s: every j >= 1 term is l v(e) - v_p(j), and v_p(j) <= k with equality
+  at j = p^k, so the minimum is l v(e) - k.
+* n > s: the j = l term is at most the j = 0 term, and any term j < l
+  exceeds it by (n-s)(l-j) + v_p(l) - v_p(j) >= (l-j) - k, because
+  v_p(j) <= log_p l.  Only j in [max(1, l - k), l] can undercut it, so the
+  minimum runs over those at most k + 1 candidates.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     CenterOnBranchLocus,
     ConvergenceViolated,
     PrecisionExhausted,
-    ZeroElement,
 )
 from .jsonutil import ratstr
 from .tower import TowerElement, vp_rational
 
-#: l index beyond which the closed-form tail bound takes over from the exact
-#: per-term minimization
+#: l index beyond which a single linear bound takes over from the per-l
+#: minimum `tail_bound`
 _EXACT_TAIL_HORIZON = 64
 
 
@@ -119,47 +138,52 @@ def expand_disk(spec, d, e, L: int | None = None) -> DiskExpansion:
     if e.is_zero():
         coeffs.extend(tower.zero() for _ in range(L))
         return DiskExpansion(spec, d, e, coeffs, L)
-    inv_d = d.inverse()
-    inv_dm1 = (d - 1).inverse()
-    # powers of the inverses up to L
-    pow_inv_d = [tower.one()]
-    pow_inv_dm1 = [tower.one()]
-    for _ in range(L):
-        pow_inv_d.append(pow_inv_d[-1] * inv_d)
-        pow_inv_dm1.append(pow_inv_dm1[-1] * inv_dm1)
-    e_pow = tower.one()
     a, b = spec.a, spec.b
-    for l in range(1, L + 1):
+    # h_{l+1} = (A_l h_l + (a+b-l+1) h_{l-1}) / (d(d-1)(l+1)), with
+    # A_l = a(d-1) + b d - (2d-1) l
+    inv_dd = (d * (d - 1)).inverse()
+    a0 = a * (d - 1) + b * d
+    step = 2 * d - 1
+    h_prev, h = tower.zero(), tower.one()
+    e_pow = tower.one()
+    for l in range(L):
+        h_prev, h = h, ((a0 - step * l) * h + (a + b - l + 1) * h_prev) \
+            * inv_dd * Fraction(1, l + 1)
         e_pow = e_pow * e
-        acc = tower.zero()
-        for j in range(l + 1):
-            ca = binom_falling(a, l - j)
-            cb = binom_falling(b, j)
-            if ca == 0 or cb == 0:
-                continue
-            acc = acc + (ca * cb) * pow_inv_d[l - j] * pow_inv_dm1[j]
-        coeffs.append(e_pow * acc)
+        coeffs.append(e_pow * h)
     return DiskExpansion(spec, d, e, coeffs, L)
 
 
 # -- rigorous tail bound -----------------------------------------------------
 
-def _term_lower_bound(p, n, s, v_e, l, j):
-    """Exact lower bound for v of the j-th term of c_l, using that C(a, k) is
-    an integer and C(b, j) = (b/j) C(b-1, j-1) with v(b) = n - s."""
-    bound = l * v_e
-    if j >= 1:
-        bound += (n - s) - vp_rational(Fraction(j), p)
-        bound -= j * (n - s)
-    return bound
+def _log_floor(x: int, p: int) -> int:
+    """floor(log_p x) for an integer x >= 1, exactly."""
+    k, q = 0, p
+    while q <= x:
+        q *= p
+        k += 1
+    return k
+
+
+def _vp_int(j: int, p: int) -> int:
+    """v_p(j) for an integer j >= 1."""
+    v = 0
+    while j % p == 0:
+        j //= p
+        v += 1
+    return v
 
 
 def tail_bound(spec, v_e, l):
-    """Rigorous lower bound for v(c_l), any l >= 1."""
+    """Rigorous lower bound for v(c_l), any l >= 1: the minimum over
+    0 <= j <= l of the per-term bounds, in closed form (module docstring)."""
     p, n, s = spec.p, spec.n, spec.s
-    return min(
-        _term_lower_bound(p, n, s, v_e, l, j) for j in range(l + 1)
-    )
+    k = _log_floor(l, p)
+    if n == s:
+        return l * v_e - k
+    m = n - s
+    return l * v_e + min(m - _vp_int(j, p) - j * m
+                         for j in range(max(1, l - k), l + 1))
 
 
 def _check_tail_premises(exp):
@@ -179,10 +203,10 @@ def _check_tail_premises(exp):
 def check_tail_dominated(spec, v_e, L, threshold, strict=True):
     """Certify v(c_l) > threshold (or >= when strict=False) for every l > L.
 
-    Exact per-term minimization up to the horizon; beyond it, every term obeys
-    l*m1 + m0 - log_p(l) with m1 >= 1/2, which is increasing and already above
-    the threshold at the horizon.  Raises PrecisionExhausted when this cannot
-    be certified.
+    The exact per-l minimum `tail_bound` up to the horizon; beyond it, every
+    term obeys l*m1 + m0 - log_p(l) with m1 >= 1/2, which is increasing and
+    already above the threshold at the horizon.  Raises PrecisionExhausted
+    when this cannot be certified.
     """
     p, n, s = spec.p, spec.n, spec.s
     horizon = max(_EXACT_TAIL_HORIZON, 2 * L)
@@ -203,7 +227,7 @@ def check_tail_dominated(spec, v_e, L, threshold, strict=True):
         raise PrecisionExhausted("tail slope is not positive")
     # between l and p*l the bound grows by at least m1*(p-1)*l - 1 > 0, so
     # checking the horizon value suffices
-    log_term = math.floor(math.log(horizon + 1, p)) + 1
+    log_term = _log_floor(horizon + 1, p) + 1
     closed = (horizon + 1) * m1 - log_term
     if not (closed > threshold):
         raise PrecisionExhausted("closed-form tail bound too weak")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (
     IrreducibilityUnverified,
@@ -74,11 +74,6 @@ class RatVal:
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
-
-    def uniformizer_normalized(self, ram_index: int) -> Fraction:
-        """The same valuation in units where a uniformizer of a field with the
-        given ramification index has valuation 1 (the v_l views)."""
-        return self.value * ram_index
 
     def __lt__(self, other):
         return self.value < _val_of(other)
@@ -230,7 +225,7 @@ class Tower:
     """A certified radical/cyclotomic extension tower of Q with prime p."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.steps: list[Step] = []

@@ -114,6 +114,15 @@ def test_certify_p2():
     assert (v.kind, v.count, v.conductor) == ("SplitsZ4", 1, 1)
 
 
+@pytest.mark.parametrize("p,n,a,b", [(97, 1, 1, 1), (61, 2, 1, 61)])
+def test_scaling_points_certify(p, n, a, b):
+    """Large-p covers (truncation L = 2p over a degree-2(p-1) tower)
+    certify end to end."""
+    report = analyze(p, n, a, b)
+    assert report["certified"] is True
+    assert report["certificate"]["kind"] == "SplitsArtinSchreier"
+
+
 # -- inseparable tails -------------------------------------------------------
 
 def test_inseparable_tails_cases():

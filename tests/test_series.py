@@ -1,5 +1,6 @@
 """Disk expansions and torsor-reduction classification: frozen oracle
-values, the independent sympy expansion oracle, and the classifier's
+values, the independent sympy expansion oracle, brute-force oracles for the
+expansion recurrence and the closed-form tail bound, and the classifier's
 certified verdicts."""
 
 import random
@@ -20,11 +21,36 @@ from padic_sr.series import (
     expand_disk,
     tail_bound,
 )
-from padic_sr.tower import Tower, make_tower
+from padic_sr.tower import Tower, make_tower, vp_rational
 
 
 def _spec(p, n, a, b, s):
     return SimpleNamespace(p=p, n=n, a=a, b=b, s=s)
+
+
+def _reference_expansion(spec, d, e, L):
+    """c_0..c_L by the defining double sum
+    c_l = e^l sum_j C(a, l-j) C(b, j) d^(j-l) (d-1)^(-j)."""
+    tower = d.tower
+    e = tower.coerce(e)
+    inv_d, inv_dm1 = d.inverse(), (d - 1).inverse()
+    coeffs = [tower.one()]
+    for l in range(1, L + 1):
+        acc = tower.zero()
+        for j in range(l + 1):
+            cc = binom_falling(spec.a, l - j) * binom_falling(spec.b, j)
+            if cc:
+                acc = acc + cc * inv_d ** (l - j) * inv_dm1 ** j
+        coeffs.append(e ** l * acc)
+    return coeffs
+
+
+def _reference_tail_bound(p, n, s, v_e, l, vp_table):
+    """Minimum over every 0 <= j <= l of the per-term lower bound: l v_e for
+    j = 0, l v_e + (n-s) - v_p(j) - j(n-s) for j >= 1 (the common l v_e is
+    added once, so the minimum itself runs over integers)."""
+    return l * v_e + min([0] + [(n - s) - vp_table[j] - j * (n - s)
+                                for j in range(1, l + 1)])
 
 
 def test_default_truncation_env(monkeypatch):
@@ -179,6 +205,47 @@ def test_tail_bound_is_a_true_lower_bound():
         if v is None:
             continue
         assert v >= tail_bound(spec, locus.v_e, l)
+
+
+@pytest.mark.parametrize("p,n,a,b,case", [
+    (5, 2, 3, 10, "rational"), (13, 1, 1, 1, "rational"),
+    (11, 1, 3, -7, "rational"), (3, 3, 1, -6, "rational"),
+    (3, 2, 1, 3, "p3s1"), (3, 2, 2, -3, "p3s1"), (3, 2, 4, 6, "p3s1"),
+    (2, 3, 1, 6, "p2"), (2, 4, 3, -8, "p2"), (2, 3, 1, -2, "p2"),
+])
+def test_expansion_matches_double_sum(p, n, a, b, case):
+    """The recurrence gives exactly the coordinates of the double sum at the
+    default truncation, for every new-tail locus case."""
+    spec = branch_signature(p, n, a, b)
+    locus = new_tail_locus(spec)
+    assert locus.case == case
+    L = default_truncation(p)
+    exp = expand_disk(spec, locus.d, locus.e)
+    want = _reference_expansion(spec, locus.d, locus.e, L)
+    assert len(exp.coeffs) == L + 1
+    assert [c.coords for c in exp.coeffs] == [c.coords for c in want]
+    # e = 0: the constant expansion on both paths
+    zero = expand_disk(spec, locus.d, locus.tower.zero())
+    want = _reference_expansion(spec, locus.d, locus.tower.zero(), L)
+    assert [c.coords for c in zero.coeffs] == [c.coords for c in want]
+
+
+def test_tail_bound_closed_form_matches_minimum():
+    """tail_bound equals the minimum of the per-term bounds over every j,
+    with v_e as new_tail_locus sets it."""
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13, 97):
+        vp_table = [None] + [int(vp_rational(Fraction(j), p))
+                             for j in range(1, 129)]
+        for n in range(1, 7):
+            for s in range(1, n + 1):
+                v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
+                spec = _spec(p, n, None, None, s)
+                for l in range(1, 129):
+                    assert tail_bound(spec, v_e, l) == _reference_tail_bound(
+                        p, n, s, v_e, l, vp_table), (p, n, s, l)
+                    cases += 1
+    assert cases == 7 * 21 * 128
 
 
 def test_binomial_root_series():

@@ -1,0 +1,64 @@
+"""Static check of the package source: the certification path has no floats.
+
+Every module of padic_sr is parsed with ast; float literals, float(...)
+calls, float-valued math functions and fractional powers are refused.
+"""
+
+import ast
+from pathlib import Path
+
+import padic_sr
+
+#: math functions that return floats
+FLOAT_MATH = {"log", "log2", "log10", "log1p", "sqrt", "exp", "pow"}
+
+SOURCES = sorted(Path(padic_sr.__file__).parent.glob("*.py"))
+
+
+def _float_uses(tree):
+    for node in ast.walk(tree):
+        where = getattr(node, "lineno", "?")
+        if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                         (float, complex)):
+            yield where, f"float literal {node.value!r}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            yield where, "float(...) call"
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "math"):
+            yield where, f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name in FLOAT_MATH:
+                    yield where, f"from math import {alias.name}"
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.right, ast.Constant)
+              and isinstance(node.right.value, float)):
+            yield where, f"** {node.right.value!r}"
+
+
+def test_sources_found():
+    names = {path.name for path in SOURCES}
+    assert {"tower.py", "series.py", "analyzer.py"} <= names
+
+
+def test_no_floats_in_source():
+    found = [f"{path.name}:{line}: {what}"
+             for path in SOURCES
+             for line, what in _float_uses(ast.parse(path.read_text(),
+                                                     str(path)))]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_each_float_form():
+    src = ("import math\nfrom math import sqrt\nx = 1.5\ny = float(3)\n"
+           "z = math.log(8, 2)\nw = 7 ** 0.5\n")
+    kinds = [what for _, what in _float_uses(ast.parse(src))]
+    assert "from math import sqrt" in kinds
+    assert "float literal 1.5" in kinds
+    assert "float(...) call" in kinds
+    assert "math.log" in kinds
+    assert "** 0.5" in kinds
+    assert not list(_float_uses(ast.parse("from math import gcd, isqrt\n"
+                                          "k = isqrt(10) ** 2\n")))
