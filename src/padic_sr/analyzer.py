@@ -10,8 +10,9 @@ and infinity and ramified of index p^s above 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     CertificationFailed,
@@ -105,6 +106,51 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
     return CoverSpec(p, n, a, b, s, indices, tuple(swaps), original)
 
 
+# -- the stable-model case split ----------------------------------------------
+
+def _stable_case(p: int, n: int, s: int) -> str:
+    """The case (i)-(v) of the cover, tabulated in stab_field_tower; every
+    construction that depends on the case dispatches on this label."""
+    if p == 2:
+        if s == n:
+            raise UnsupportedCase("p = 2 covers cannot have three totally "
+                                  "ramified points")
+        return "v"
+    if s == n:
+        return "i"
+    if p > 3:
+        return "ii"
+    return "iii" if s == 1 else "iv"
+
+
+def _cube_radicand(n: int, s: int, b: int) -> Fraction:
+    """3^(2(n-s)+3) C(b,3), of valuation 3(n-s)+2: the cube-root radicand of
+    d' in case (iv) and, at s = 1, of the new-tail centre in case (iii)."""
+    return Fraction(3 ** (2 * (n - s) + 3)) * binom_falling(b, 3)
+
+
+@lru_cache(maxsize=1)
+def _p2_center(n: int, s: int, a: int, b: int, j: int):
+    """(tower, d_j) for the case (v) centre d_j = a/(a+b) + sqrt(2^(n-j) b i)
+    / (a+b)^2.  The square root is (1+i)^k w with k = 2n - s - j and
+    w^2 = (-i)^k b' i, b' = b/2^(n-s) odd, as (1+i)^2 = 2i; the tower is
+    Q_2(i), with w adjoined unless w^2 = +-1.  The memo lets conductor_bound
+    reuse the d_0 tower that new_tail_locus built for the same cover."""
+    t = Tower(2).adjoin_radical(2, -1, "i")
+    i = t.gen(0)
+    k = 2 * n - s - j
+    unit = ((-i) ** k) * (b // 2 ** (n - s)) * i
+    if (unit - 1).is_zero():
+        w = t.rational(1)
+    elif (unit + 1).is_zero():
+        w = i
+    else:
+        t = t.adjoin_radical(2, unit, "w")
+        w = t.gen(1)
+    root = ((1 + t.gen(0)) ** k) * w
+    return t, t.rational(Fraction(a, a + b)) + root * Fraction(1, (a + b) ** 2)
+
+
 # -- the new etale tail ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -117,61 +163,31 @@ class NewTailLocus:
     description: str
 
 
-def _p2_sqrt_tower(p2spec, j: int):
-    """Tower containing sqrt(2^(n-j) b i) for the given cover, realized as
-    (1+i)^(2n-s-j) * w with w^2 a certified non-square unit of Q_2(i)."""
-    p, n, s, b = p2spec.p, p2spec.n, p2spec.s, p2spec.b
-    if p != 2:
-        raise UnsupportedCase("p = 2 construction requested for odd p")
-    b_odd = b // (2 ** (n - s))
-    t = Tower(2).adjoin_radical(2, -1, "i")
-    i = t.gen(0)
-    k = 2 * n - s - j
-    # sqrt(2^(n-j) b i) = (1+i)^k * w with w^2 = (-i)^k * b_odd * i,
-    # since ((1+i)^k)^2 = 2^k i^k and 2^k * b_odd = 2^(n-j) b / i^k * ...
-    unit = ((-i) ** k) * b_odd * i
-    # b_odd = +/-1 degenerates the radicand to +/-1, whose square root is
-    # already in Q_2(i); adjoin a generator only in the genuine case
-    if (unit - 1).is_zero():
-        t2, w = t, t.rational(1)
-    elif (unit + 1).is_zero():
-        t2, w = t, i
-    else:
-        t2 = t.adjoin_radical(2, unit, "w")
-        w = t2.gen(1)
-    root = ((1 + t2.gen(0)) ** k) * w
-    return t2, root
-
-
 def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     """Center d and radius valuation v(e) = (2n - s + 1/(p-1))/2 of the disk
     of the unique new etale tail, with the case-correct center."""
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
     v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
-    if p == 2:
-        tower, root = _p2_sqrt_tower(spec, 0)
-        d = tower.rational(Fraction(a, a + b)) + root * Fraction(1, (a + b) ** 2)
+    case = _stable_case(p, n, s)
+    if case == "v":
+        tower, d = _p2_center(n, s, a, b, 0)
         # v(e) = (2n - s + 1)/2; realized as a power of (1+i), v(1+i) = 1/2
         e = (1 + tower.gen(0)) ** (2 * n - s + 1)
         return NewTailLocus("p2", tower, d, e, v_e,
                             "a/(a+b) + sqrt(2^n b i)/(a+b)^2")
-    if p == 3 and s == 1 and n > 1:
-        # d = a/(a+b) + cbrt(3^(2n+1) C(b,3))/(a+b)
-        rad = Fraction(3 ** (2 * n + 1)) * binom_falling(b, 3)
-        t1 = Tower(3).adjoin_radical(4, 3, "pi")
-        tower = t1.adjoin_radical(3, rad, "t")
+    if case == "iii":
+        tower = Tower(3).adjoin_radical(4, 3, "pi").adjoin_radical(
+            3, _cube_radicand(n, s, b), "t")
         d = tower.rational(Fraction(a, a + b)) + \
             tower.gen(1) * Fraction(1, a + b)
         e = tower.gen(0) ** (4 * n - 1)
         return NewTailLocus("p3s1", tower, d, e, v_e,
                             "a/(a+b) + cbrt(3^(2n+1) binom(b,3))/(a+b)")
-    # p > 3, or p = 3 with s > 1 or s = n = 1: rational center
-    D = 2 * (p - 1)
-    k = (2 * n - s) * (p - 1) + 1
-    tower = Tower(p).adjoin_radical(D, p, "pi")
-    d = tower.rational(Fraction(a, a + b))
-    e = tower.gen(0) ** k
-    return NewTailLocus("rational", tower, d, e, v_e, "a/(a+b)")
+    # cases (i), (ii) and (iv): rational center; v(pi) = 1/(2(p-1))
+    tower = Tower(p).adjoin_radical(2 * (p - 1), p, "pi")
+    e = tower.gen(0) ** ((2 * n - s) * (p - 1) + 1)
+    return NewTailLocus("rational", tower, tower.rational(Fraction(a, a + b)),
+                        e, v_e, "a/(a+b)")
 
 
 def certify_tail(spec: CoverSpec, L: int | None = None) -> ReductionVerdict:
@@ -200,15 +216,16 @@ def inseparable_tails(spec: CoverSpec):
     """The inseparable tails forced by the structure results: the x = 1 tail
     whenever s < n, plus the small-prime extra tails."""
     p, n, s = spec.p, spec.n, spec.s
-    if s == n:
+    case = _stable_case(p, n, s)
+    if case == "i":
         return []
     out = [InsepTail(s, "1", n - s + Fraction(1, p - 1), "primitive")]
-    if p == 3 and s >= 2:
+    if case == "iv":
         out.append(InsepTail(
             s - 1,
             "d' = a/(a+b) + cbrt(3^(2(n-s)+3) binom(b,3))/(a+b)",
             Fraction(n - s) + Fraction(2, 3), "new"))
-    if p == 2:
+    if case == "v":
         for j in range(1, s):
             out.append(InsepTail(
                 j, f"d_{j} = a/(a+b) + sqrt(2^(n-{j}) b i)/(a+b)^2",
@@ -218,19 +235,19 @@ def inseparable_tails(spec: CoverSpec):
 
 # -- the decorated graph -----------------------------------------------------
 
-def _upstairs(spec, inertia: int, has_larger_neighbor: bool):
+def _upstairs(spec, case: str, inertia: int, has_larger_neighbor: bool):
     """(count, genus, conductor, note) of the covering curve over a
-    p^inertia-component."""
+    p^inertia-component of a cover in the given case."""
     p, n, s = spec.p, spec.n, spec.s
     i = inertia
     if not has_larger_neighbor:
         return p ** (n - i), 0, None, "radicial"
-    if p == 2:
+    if case == "v":
         if i == 0:
             return (2 ** (n - 2), None, None,
                     "mu_4-torsors, first upper jump 1")
         return 2 ** (n - i - 1), None, None, "p = 2 covering structure"
-    cond = 1 if (s < n and i >= s) else 2
+    cond = 1 if (case != "i" and i >= s) else 2
     genus = (cond - 1) * (p - 1) // 2
     return p ** (n - i - 1), genus, cond, ""
 
@@ -243,6 +260,7 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
     lower-confidence in the signature table.
     """
     p, n, s = spec.p, spec.n, spec.s
+    case = _stable_case(p, n, s)
     q = Fraction(1, p - 1)
     comps = []
     edges = []  # (source, target, epaisseur)
@@ -250,14 +268,12 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
 
     def add(cid, inertia, kind, tail_kind="none", radius=None, center=None,
             sigma_b=None, branch_points=None):
-        comps.append(dict(id=cid, inertia=inertia, kind=kind,
-                          tail_kind=tail_kind, radius=radius, center=center,
-                          sigma_b=sigma_b, branch_points=branch_points or {}))
+        comps.append(Component(
+            id=cid, inertia_exponent=inertia, kind=kind, tail_kind=tail_kind,
+            branch_points=branch_points or {}, disk_center=center,
+            radius_valuation=radius, sigma_b=sigma_b))
 
-    if s == n:
-        if p == 2:
-            raise UnsupportedCase("p = 2 covers cannot have three totally "
-                                  "ramified points")
+    if case == "i":
         # chain: X_i has inertia p^(n-i) at radius valuation (i + 1/(p-1))/2
         add("X0", n, "original", radius=Fraction(0), center="d",
             branch_points={"0": n, "1": n, "inf": n})
@@ -278,7 +294,7 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
             branch_points={"0": n, "inf": n})
         prev = "X0"
         prev_r = Fraction(0)
-        chain_lo = s + 2 if p == 2 else s + 1
+        chain_lo = s + 2 if case == "v" else s + 1
         for i in range(n - 1, chain_lo - 1, -1):
             r = n - i + q
             add(f"X{n - i}", i, "interior", radius=r, center="d")
@@ -294,9 +310,8 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
         edges.append(("Xstar", "Xdagger", q))
         # the d-branch out to the new etale tail
         prev, prev_r = "Xstar", r_star
-        branch_is = list(range(s, -1, -1))
-        for i in branch_is:
-            if p == 2 or i < s:
+        for i in range(s, -1, -1):
+            if case == "v" or i < s:
                 r = Fraction(2 * n - s - i + q, 2)
             else:  # i = s, p odd: the quotient Y/Q_s argument fixes the disk
                 r = n - s + q
@@ -307,14 +322,14 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
             edges.append((prev, f"X{n - i}", r - prev_r))
             prev, prev_r = f"X{n - i}", r
         wild_on = {"0bar": "X0", "1bar": "Xdagger", "infbar": "X0"}
-        if p == 3 and s >= 2:
+        if case == "iv":
             r = Fraction(n - s) + Fraction(2, 3)
             add("Xdprime", s - 1, "tail", "new", radius=r, center="d'",
                 sigma_b=Fraction(2))
             edges.append((f"X{n - s}", "Xdprime", r - (n - s + q)))
             flags.append("p = 3 with 1 < s < n: graph shape beyond the "
                          "certified tails is lower-confidence")
-        if p == 2:
+        if case == "v":
             for j in range(1, s):
                 r = Fraction(2 * n - s - j + 1, 2)
                 add(f"Xd{j}", j, "tail", "new", radius=r, center=f"d_{j}",
@@ -324,23 +339,18 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
                          "lower-confidence")
 
     # upstairs decorations
-    inertia_of = {c["id"]: c["inertia"] for c in comps}
-    neigh = {c["id"]: [] for c in comps}
+    inertia_of = {c.id: c.inertia_exponent for c in comps}
+    neigh = {c.id: [] for c in comps}
     for u, v, _ in edges:
         neigh[u].append(v)
         neigh[v].append(u)
     components = []
     for c in comps:
-        larger = any(inertia_of[nb] > c["inertia"] for nb in neigh[c["id"]])
-        count, genus, cond, note = _upstairs(spec, c["inertia"], larger)
-        components.append(Component(
-            id=c["id"], inertia_exponent=c["inertia"], genus=0,
-            kind=c["kind"], tail_kind=c["tail_kind"],
-            branch_points=c["branch_points"], disk_center=c["center"],
-            radius_valuation=c["radius"], sigma_b=c["sigma_b"],
-            upstairs_count=count, upstairs_genus=genus,
-            upstairs_conductor=cond, note=note,
-        ))
+        i = c.inertia_exponent
+        larger = any(inertia_of[nb] > i for nb in neigh[c.id])
+        cnt, genus, cond, note = _upstairs(spec, case, i, larger)
+        components.append(replace(c, upstairs_count=cnt, upstairs_genus=genus,
+                                  upstairs_conductor=cond, note=note))
     for wid in wild_on:
         components.append(Component(id=wid, kind="augmented",
                                     note="wild branch point"))
@@ -381,171 +391,136 @@ def quotient_spec(spec: CoverSpec, j: int) -> CoverSpec:
 # -- stable-model field tower ------------------------------------------------
 
 def stab_field_tower(spec: CoverSpec) -> FieldTower:
+    """The field of definition of the stable model as a tower over K_0, by
+    the case that _stable_case decides (d', d_j: see inseparable_tails):
+
+    case  condition         adjoined to K_n = K_0(zeta_{p^n}), then a tame step
+    i     s = n             nothing
+    ii    p > 3, s < n      (a/(a+b))^(1/p^(n-s))
+    iii   p = 3, s = 1 < n  cbrt(3^(2n+1) C(b,3)), (a/(a+b))^(1/3^(n-1))
+    iv    p = 3, 1 < s < n  cbrt(3^(2(n-s)+3) C(b,3)) (gives d'),
+                            (a/(a+b))^(1/3^(n-s)), and the 3^(n-s+1)-th root
+                            of (d')^a (d'-1)^b / (a^a b^b (a+b)^-(a+b))
+    v     p = 2 (so s < n)  d_0^(1/2^(n-1)), (d_0 - 1)^(1/2^(s-1)) if s >= 2,
+                            and d_j^(1/2^(n-j)), (d_j - 1)^(1/2^(s-j)), 0<j<s
+
+    meta["case"] records the case for conductor_bound.
+    """
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
-    meta = [("a", a), ("b", b), ("n", n), ("s", s)]
+    case = _stable_case(p, n, s)
     steps = [TowerStep("cyclotomic", level=n)]
-    if s == n:
-        case = "i"
-    elif p > 3:
-        case = "ii"
-        steps.append(TowerStep("kummer", exponent=p ** (n - s),
-                               radicand="a/(a+b)"))
-    elif p == 3 and s == 1:
-        case = "iii"
-        steps.append(TowerStep("kummer", exponent=3,
-                               radicand="3^(2n+1) binom(b,3)"))
-        steps.append(TowerStep("kummer", exponent=3 ** (n - 1),
-                               radicand="a/(a+b)"))
-    elif p == 3:
-        case = "iv"
-        steps.append(TowerStep("kummer", exponent=3,
-                               radicand="3^(2(n-s)+3) binom(b,3)  [gives d']"))
-        steps.append(TowerStep("kummer", exponent=3 ** (n - s),
-                               radicand="a/(a+b)"))
-        steps.append(TowerStep(
-            "kummer", exponent=3 ** (n - s + 1),
-            radicand="(d')^a (d'-1)^b / (a^a b^b (a+b)^-(a+b))"))
-    else:
-        case = "v"
-        steps.append(TowerStep("kummer", exponent=2 ** (n - 1),
-                               radicand="d_0"))
+
+    def kummer(exponent, radicand):
+        steps.append(TowerStep("kummer", exponent=exponent, radicand=radicand))
+
+    if case == "iii":
+        kummer(3, "3^(2n+1) binom(b,3)")
+    elif case == "iv":
+        kummer(3, "3^(2(n-s)+3) binom(b,3)  [gives d']")
+    if case in ("ii", "iii", "iv"):
+        kummer(p ** (n - s), "a/(a+b)")
+    if case == "iv":
+        kummer(3 ** (n - s + 1), "(d')^a (d'-1)^b / (a^a b^b (a+b)^-(a+b))")
+    elif case == "v":
+        kummer(2 ** (n - 1), "d_0")
         if s >= 2:
-            steps.append(TowerStep("kummer", exponent=2 ** (s - 1),
-                                   radicand="d_0 - 1"))
+            kummer(2 ** (s - 1), "d_0 - 1")
         for j in range(1, s):
-            steps.append(TowerStep("kummer", exponent=2 ** (n - j),
-                                   radicand=f"d_{j}"))
-            if s - j >= 1:
-                steps.append(TowerStep("kummer", exponent=2 ** (s - j),
-                                       radicand=f"d_{j} - 1"))
+            kummer(2 ** (n - j), f"d_{j}")
+            kummer(2 ** (s - j), f"d_{j} - 1")
     steps.append(TowerStep("tame"))
-    meta.append(("case", case))
-    return FieldTower(p, tuple(steps), tuple(sorted(meta)))
+    meta = {"a": a, "b": b, "n": n, "s": s, "case": case}
+    return FieldTower(p, tuple(steps), tuple(sorted(meta.items())))
 
 
 # -- conductor certificate ---------------------------------------------------
 
-def _unit_radicand_fact(a: int, b: int, p: int):
-    if vp_rational(Fraction(a, a + b), p) != 0:
-        raise CertificationFailed("v(a/(a+b)) = 0 fails")
-    return "v(a/(a+b)) = 0 verified; p^k-th root of a unit over K_n has " \
-           "conductor < n"
-
-
 def conductor_bound(ft: FieldTower, n: int) -> dict:
     """Certify that the n-th upper-numbering ramification group of the
     stable-model field over the base vanishes, from exactly verified
-    valuation facts.  Returns {vanishes_at_n, conductor, detail}."""
+    valuation facts of the steps stab_field_tower lists for meta["case"].
+    Returns {vanishes_at_n, conductor, detail}; the conductor is exact in
+    case (i) and a bound otherwise."""
     meta = ft.meta_dict()
-    p = ft.prime
-    case = meta["case"]
-    a, b, s = meta["a"], meta["b"], meta["s"]
+    case, a, b, s = meta["case"], meta["a"], meta["b"], meta["s"]
     detail = [f"K_{n}/K_0 is cyclotomic: conductor exactly {n - 1} < {n}"]
     parts = [Fraction(n - 1)]
-    exact = True
 
-    if case == "i":
-        pass
-    elif case == "ii":
-        detail.append(_unit_radicand_fact(a, b, p))
-        exact = False
-    elif case == "iii":
-        rad = Fraction(3 ** (2 * n + 1)) * binom_falling(b, 3)
-        v = vp_rational(rad, 3)
-        if v != 3 * n - 1:
-            raise CertificationFailed(
-                f"v_3(3^(2n+1) binom(b,3)) = {v}, expected {3 * n - 1}"
-            )
-        detail.append(f"cube-root radicand valuation {3 * n - 1} verified")
-        K1 = cyclotomic_tower(3, 1)
-        cv = kummer_step_conductor(K1, rad, 3)
-        # single wild jump: upper = lower for L/K_1; lower numbering is
-        # subgroup-invariant, so phi_{L/K_0} converts it
-        lowL = Filtration(((Fraction(0), 3), (cv.value, 1)), 6, "lower")
-        h = herbrand_phi(lowL, cv.value)
-        detail.append(f"conductor of K_1(cbrt)/K_0 is {ratstr(h)} "
-                      f"({cv.kind}) < {n}")
-        if not h < n:
-            raise CertificationFailed("cube-root part does not vanish at n")
-        parts.append(h)
-        detail.append(_unit_radicand_fact(a, b, p))
-        exact = exact and cv.kind == "exact"
-    elif case == "iv":
-        rad = Fraction(3 ** (2 * (n - s) + 3)) * binom_falling(b, 3)
+    if case in ("iii", "iv"):
+        # L = K_1(cbrt(rad)) has one wild jump over K_1 (upper = lower), and
+        # lower numbering is subgroup-invariant: phi_{L/K_0} converts it
+        s = 1 if case == "iii" else s  # (iii) is the s = 1 instance of (iv)
+        rad = _cube_radicand(n, s, b)
         v = vp_rational(rad, 3)
         if v != 3 * (n - s) + 2:
             raise CertificationFailed(
-                f"v_3(d' radicand) = {v}, expected {3 * (n - s) + 2}"
+                f"v_3(3^(2(n-s)+3) binom(b,3)) = {v}, expected "
+                f"{3 * (n - s) + 2}"
             )
-        # verify v(d'' - 1) = n - s + 2/3 on the actual tower
-        t1 = Tower(3).adjoin_radical(3, rad, "t")
-        r = t1.gen(0) * Fraction(1, a)
-        if t1.val(r) != Fraction(n - s) + Fraction(2, 3):
-            raise CertificationFailed("v(d''-1) = n-s+2/3 fails")
-        detail.append("v(d''-1) = n-s+2/3 verified")
         K1 = cyclotomic_tower(3, 1)
         cv = kummer_step_conductor(K1, rad, 3)
         lowL = Filtration(((Fraction(0), 3), (cv.value, 1)), 6, "lower")
-        hL = herbrand_phi(lowL, cv.value)
-        detail.append(f"conductor of L/K_0 is {ratstr(hL)} with "
-                      f"L/K_1 conductor {ratstr(cv.value)} ({cv.kind})")
-        # M/L is one more cube root over L (e = 6): certified cap bound
-        L_tower = K1.adjoin_radical(3, rad, "t")
-        capM = Fraction(3 * L_tower.ram_index, 2)
-        detail.append(f"conductor of M/L is at most {ratstr(capM)}")
-        hM = max(hL, herbrand_phi(lowL, capM))
-        detail.append(f"conductor of M/K_0 is at most {ratstr(hM)} < {n}")
-        if not hM < n:
-            raise CertificationFailed("d' part does not vanish at n")
-        parts.append(hM)
-        detail.append(_unit_radicand_fact(a, b, p))
-        exact = False
+        h = herbrand_phi(lowL, cv.value)
+        if case == "iii":
+            detail += [f"cube-root radicand valuation {v} verified",
+                       f"conductor of K_1(cbrt)/K_0 is {ratstr(h)} "
+                       f"({cv.kind}) < {n}"]
+        else:
+            # d'' - 1 = cbrt(rad)/a lies in L; M/L is one more cube root
+            # over L (e = 6), bounded by its cap
+            L_tower = K1.adjoin_radical(3, rad, "t")
+            if L_tower.val(L_tower.gen() * Fraction(1, a)) != \
+                    Fraction(n - s) + Fraction(2, 3):
+                raise CertificationFailed("v(d''-1) = n-s+2/3 fails")
+            capM = Fraction(3 * L_tower.ram_index, 2)
+            hL, h = h, max(h, herbrand_phi(lowL, capM))
+            detail += ["v(d''-1) = n-s+2/3 verified",
+                       f"conductor of L/K_0 is {ratstr(hL)} with L/K_1 "
+                       f"conductor {ratstr(cv.value)} ({cv.kind})",
+                       f"conductor of M/L is at most {ratstr(capM)}",
+                       f"conductor of M/K_0 is at most {ratstr(h)} < {n}"]
+        if not h < n:
+            raise CertificationFailed(
+                f"cube-root part: conductor {ratstr(h)} is not < {n}")
+        parts.append(h)
     elif case == "v":
-        spec = CoverSpec(2, n, a, b, s, (2 ** n, 2 ** s, 2 ** n))
         for j in range(0, s):
-            dv = 2 ** (n - j) * b
-            cls = square_class_K2_K3(dv)
+            cls = square_class_K2_K3(2 ** (n - j) * b)
             ell = 2 if (s + j) % 2 == 1 else 3
             ok = cls["di_square_K2"] if ell == 2 else (
                 cls["di_square_K3"] and not cls["di_square_K2"])
             if not ok:
-                raise CertificationFailed(
-                    f"square class of 2^(n-{j}) b i disagrees with "
-                    f"l({j}) = {ell}"
-                )
-            tw, root = _p2_sqrt_tower(spec, j)
-            dj = tw.rational(Fraction(a, a + b)) + \
-                root * Fraction(1, (a + b) ** 2)
+                raise CertificationFailed(f"square class of 2^(n-{j}) b i "
+                                          f"disagrees with l({j}) = {ell}")
+            tw, dj = _p2_center(n, s, a, b, j)
+            vt, va = Fraction(2 * n - s - j, 2), Fraction(s - j, 2)
             if tw.val(dj - 1) != n - s:
                 raise CertificationFailed(f"v(d_{j} - 1) = n - s fails")
-            tj = dj * Fraction(a + b, a) - 1
-            if tw.val(tj) != Fraction(2 * n - s - j, 2):
+            if tw.val(dj * Fraction(a + b, a) - 1) != vt:
+                raise CertificationFailed(f"v(t_{j}) = n - (s+{j})/2 fails")
+            if tw.val((dj - 1) * Fraction(a + b, -b) - 1) != va:
                 raise CertificationFailed(
-                    f"v(t_{j}) = n - (s+{j})/2 fails"
-                )
-            alpha = (dj - 1) * Fraction(a + b, -b) - 1
-            if tw.val(alpha) != Fraction(s - j, 2):
-                raise CertificationFailed(
-                    f"v(alpha'_{j} - 1) = (s-{j})/2 fails"
-                )
-            detail.append(
-                f"d_{j}: l({j}) = {ell}, v(d_{j}-1) = {n - s}, "
-                f"v(t_{j}) = {ratstr(Fraction(2 * n - s - j, 2))}, "
-                f"v(alpha'_{j}-1) = {ratstr(Fraction(s - j, 2))} verified"
-            )
+                    f"v(alpha'_{j} - 1) = (s-{j})/2 fails")
+            detail.append(f"d_{j}: l({j}) = {ell}, v(d_{j}-1) = {n - s}, "
+                          f"v(t_{j}) = {ratstr(vt)}, "
+                          f"v(alpha'_{j}-1) = {ratstr(va)} verified")
         if vp_rational(Fraction(-b, a + b), 2) != n - s:
             raise CertificationFailed("v(b/(a+b)) = n - s fails")
         detail.append("square classes and unit levels match the certified "
                       "p = 2 table; conductor of K/K_0 is < n")
-        exact = False
-    else:
+    elif case not in ("i", "ii"):
         raise ValueError(f"unknown tower case {case!r}")
+    if case in ("ii", "iii", "iv"):
+        # the p^(n-s)-th root of the unit a/(a+b)
+        if vp_rational(Fraction(a, a + b), ft.prime) != 0:
+            raise CertificationFailed("v(a/(a+b)) = 0 fails")
+        detail.append("v(a/(a+b)) = 0 verified; p^k-th root of a unit over "
+                      "K_n has conductor < n")
 
-    value = compositum_conductor(parts)
     return {
         "vanishes_at_n": True,
-        "conductor": ConductorValue("exact" if exact and case == "i"
-                                    else "bound", value),
+        "conductor": ConductorValue("exact" if case == "i" else "bound",
+                                    compositum_conductor(parts)),
         "detail": detail,
     }
 

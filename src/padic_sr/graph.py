@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     Disconnected,
@@ -147,6 +148,35 @@ class DecoratedGraph:
 
     # -- basic structure -----------------------------------------------------
 
+    # the tree maps are computed once per graph (the graph is frozen)
+
+    @cached_property
+    def _parent(self) -> dict:
+        root = self.root()
+        parent = {root.id: None}
+        queue = [root.id]
+        while queue:
+            cur = queue.pop(0)
+            for nb in self.neighbors(cur):
+                if nb == parent[cur]:
+                    continue
+                if nb in parent:
+                    raise Disconnected("graph contains a cycle")
+                parent[nb] = cur
+                queue.append(nb)
+        missing = [c.id for c in self.components if c.id not in parent]
+        if missing:
+            raise Disconnected(f"unreachable components: {missing}")
+        return parent
+
+    @cached_property
+    def _children(self) -> dict:
+        kids = {c.id: [] for c in self.components}
+        for cid, par in self._parent.items():
+            if par is not None:
+                kids[par].append(cid)
+        return kids
+
     def component(self, cid: str) -> Component:
         for c in self.components:
             if c.id == cid:
@@ -178,34 +208,14 @@ class DecoratedGraph:
         """Map component id -> parent id (None at the root), computed by
         breadth-first search from the original component; raises Disconnected
         if the graph is not a tree rooted there."""
-        root = self.root()
-        parent = {root.id: None}
-        queue = [root.id]
-        while queue:
-            cur = queue.pop(0)
-            for nb in self.neighbors(cur):
-                if nb == parent[cur]:
-                    continue
-                if nb in parent:
-                    raise Disconnected("graph contains a cycle")
-                parent[nb] = cur
-                queue.append(nb)
-        missing = [c.id for c in self.components if c.id not in parent]
-        if missing:
-            raise Disconnected(f"unreachable components: {missing}")
-        return parent
+        return dict(self._parent)
 
     def children(self) -> dict:
-        parent = self.parents()
-        kids = {c.id: [] for c in self.components}
-        for cid, par in parent.items():
-            if par is not None:
-                kids[par].append(cid)
-        return kids
+        return {cid: list(kids) for cid, kids in self._children.items()}
 
     def subtree(self, cid: str):
         """All component ids at-or-outward of cid."""
-        kids = self.children()
+        kids = self._children
         out = []
         stack = [cid]
         while stack:
@@ -215,8 +225,7 @@ class DecoratedGraph:
         return out
 
     def outward_edge(self, source: str, target: str) -> GraphEdge:
-        parent = self.parents()
-        if parent.get(target) != source:
+        if self._parent.get(target) != source:
             raise EdgeNotOutward(f"{source} -> {target} is not outward")
         for e in self.edges:
             if {e.source, e.target} == {source, target}:
@@ -266,7 +275,7 @@ def validate_structure(g: DecoratedGraph):
     violations (code, detail)."""
     violations = []
     try:
-        parent = g.parents()
+        parent = g._parent
     except Disconnected as exc:
         return [("tree", str(exc))]
 
@@ -413,7 +422,7 @@ def effective_different_profile(g: DecoratedGraph) -> dict:
         raise NegativeDifferent("original component must be inseparable")
     seed = Fraction(r - 1) + Fraction(p, p - 1)
     profile = {root.id: seed}
-    kids = g.children()
+    kids = g._children
     stack = [root.id]
     while stack:
         cur = stack.pop()

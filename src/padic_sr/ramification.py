@@ -340,7 +340,8 @@ def kummer_step_conductor(level, u, m: int) -> ConductorValue:
 
     Degree-p steps are computed from the unit-filtration position of the
     radicand; higher p-powers and radicands outside the cyclotomic field get
-    certified bounds.  Values are tagged exact or bound, never guessed.
+    certified bounds.  Values are tagged exact or bound, never guessed; a
+    tower whose ramification index is not exact raises SearchInconclusive.
     """
     if isinstance(level, Tower):
         tower = level
@@ -361,7 +362,8 @@ def kummer_step_conductor(level, u, m: int) -> ConductorValue:
     if mm != 1 or k < 1:
         raise ValueError("m must be a positive power of p")
     if not tower.ram_exact:
-        return ConductorValue("bound", Fraction(0))  # unreachable in practice
+        raise SearchInconclusive(
+            "conductor needs an exact ramification index")
     e = tower.ram_index
     cap = p * e // (p - 1) if (p * e) % (p - 1) == 0 else None
     cap_frac = Fraction(p * e, p - 1)

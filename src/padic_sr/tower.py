@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from .errors import (
@@ -727,6 +728,12 @@ def is_square_unramified_closure(tower: Tower, alpha: TowerElement) -> bool:
         u = u * ((1 + pi ** (j // 2)).inverse() ** 2)
 
 
+@cache
+def _k2_k3():
+    """K_2 = Q_2(i) and K_3 = Q_2(zeta_8) (x^4 = -1), built once."""
+    return make_tower(2, [(2, -1)]), make_tower(2, [(4, -1)])
+
+
 def square_class_K2_K3(d, choice_of_i: int = 1):
     """Square classes of d*i and d in K_2 = Q_2(i) and K_3 = Q_2(zeta_8),
     over the unramified closure (residue field algebraically closed).
@@ -738,10 +745,9 @@ def square_class_K2_K3(d, choice_of_i: int = 1):
         raise ZeroElement("d must be nonzero")
     if choice_of_i not in (1, -1):
         raise ValueError("choice_of_i must be +1 or -1")
-    k2 = make_tower(2, [(2, -1)])
+    k2, k3 = _k2_k3()
     i2 = k2.gen() * choice_of_i
-    k3 = make_tower(2, [(4, -1)])  # x^4 = -1: a primitive 8th root of unity
-    i3 = (k3.gen() ** 2) * choice_of_i
+    i3 = (k3.gen() ** 2) * choice_of_i  # zeta_8^2 = i
     report = {
         "di_square_K2": is_square_unramified_closure(k2, i2 * d),
         "di_square_K3": is_square_unramified_closure(k3, i3 * d),

@@ -250,6 +250,82 @@ def test_conductor_certification_failure_detected():
         conductor_bound(bad, 3)
 
 
+def _doctored(args, **meta):
+    """The field tower of the cover `args` with some meta facts replaced."""
+    ft = stab_field_tower(branch_signature(*args))
+    doc = dict(ft.meta_dict(), **meta)
+    return FieldTower(ft.prime, ft.steps, tuple(sorted(doc.items())))
+
+
+@pytest.mark.parametrize("meta,match", [
+    ({"b": 9}, "v_3"),  # radicand valuation 6, expected 5
+    ({"a": 3}, r"v\(d''-1\) = n-s\+2/3 fails"),
+])
+def test_conductor_certification_failure_detected_case_iv(meta, match):
+    bad = _doctored((3, 3, 1, 3), **meta)
+    assert bad.meta_dict()["case"] == "iv"
+    with pytest.raises(CertificationFailed, match=match):
+        conductor_bound(bad, 3)
+
+
+def test_conductor_certification_failure_detected_case_v():
+    bad = _doctored((2, 3, 1, 6), b=12)
+    assert bad.meta_dict()["case"] == "v"
+    with pytest.raises(CertificationFailed,
+                       match=r"square class of 2\^\(n-0\) b i disagrees "
+                             r"with l\(0\) = 3"):
+        conductor_bound(bad, 3)
+
+
+#: conductor_bound output of one cover per case (i)-(v): kind, value, detail
+GOLDEN_CONDUCTORS = {
+    (5, 2, 1, 1): ("i", "exact", Fraction(1), [
+        "K_2/K_0 is cyclotomic: conductor exactly 1 < 2",
+    ]),
+    (5, 2, 3, 10): ("ii", "bound", Fraction(1), [
+        "K_2/K_0 is cyclotomic: conductor exactly 1 < 2",
+        "v(a/(a+b)) = 0 verified; p^k-th root of a unit over K_n has "
+        "conductor < n",
+    ]),
+    (3, 2, 1, 3): ("iii", "bound", Fraction(3, 2), [
+        "K_2/K_0 is cyclotomic: conductor exactly 1 < 2",
+        "cube-root radicand valuation 5 verified",
+        "conductor of K_1(cbrt)/K_0 is 3/2 (exact) < 2",
+        "v(a/(a+b)) = 0 verified; p^k-th root of a unit over K_n has "
+        "conductor < n",
+    ]),
+    (3, 3, 1, 3): ("iv", "bound", Fraction(5, 2), [
+        "K_3/K_0 is cyclotomic: conductor exactly 2 < 3",
+        "v(d''-1) = n-s+2/3 verified",
+        "conductor of L/K_0 is 3/2 with L/K_1 conductor 3 (exact)",
+        "conductor of M/L is at most 9",
+        "conductor of M/K_0 is at most 5/2 < 3",
+        "v(a/(a+b)) = 0 verified; p^k-th root of a unit over K_n has "
+        "conductor < n",
+    ]),
+    (2, 3, 1, 6): ("v", "bound", Fraction(2), [
+        "K_3/K_0 is cyclotomic: conductor exactly 2 < 3",
+        "d_0: l(0) = 3, v(d_0-1) = 1, v(t_0) = 2, v(alpha'_0-1) = 1 "
+        "verified",
+        "d_1: l(1) = 2, v(d_1-1) = 1, v(t_1) = 3/2, v(alpha'_1-1) = 1/2 "
+        "verified",
+        "square classes and unit levels match the certified p = 2 table; "
+        "conductor of K/K_0 is < n",
+    ]),
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_CONDUCTORS))
+def test_conductor_bound_golden(args):
+    case, kind, value, detail = GOLDEN_CONDUCTORS[args]
+    ft = stab_field_tower(branch_signature(*args))
+    assert ft.meta_dict()["case"] == case
+    cb = conductor_bound(ft, args[1])
+    assert cb["vanishes_at_n"] is True
+    assert (cb["conductor"].kind, cb["conductor"].value) == (kind, value)
+    assert cb["detail"] == detail
+
+
 # -- quotient compatibility --------------------------------------------------
 
 def _assert_quotient_embeds(spec, j):

@@ -10,6 +10,7 @@ import pytest
 
 from padic_sr.analyzer import analyze, branch_signature, build_stable_graph
 from padic_sr.errors import (
+    Disconnected,
     EdgeNotOutward,
     MissingSigma,
     NegativeDifferent,
@@ -123,6 +124,29 @@ def test_mutated_fixture_rejected(name, code):
         g = DecoratedGraph.from_json(json.load(fh))
     codes = [c for c, _ in validate_structure(g) + tail_invariant_checks(g)]
     assert code in codes
+
+
+def test_tree_maps_match_edges(emitted):
+    spec, g = emitted
+    parent = g.parents()
+    assert {frozenset((e.source, e.target)) for e in g.edges} == {
+        frozenset((cid, par)) for cid, par in parent.items() if par}
+    parent.clear()  # a caller's copy: the graph's own tree is unchanged
+    kids = g.children()
+    assert sorted(g.subtree(g.root().id)) == sorted(
+        c.id for c in g.components)
+    for cid, par in g.parents().items():
+        assert (par is None) == (cid == g.root().id)
+        assert par is None or cid in kids[par]
+
+
+def test_not_a_tree_raises_on_every_call():
+    with open(os.path.join(FIXTURES, "not_a_tree.json")) as fh:
+        g = DecoratedGraph.from_json(json.load(fh))
+    for _ in range(2):
+        with pytest.raises(Disconnected):
+            g.parents()
+        assert [c for c, _ in validate_structure(g)] == ["tree"]
 
 
 def test_missing_sigma_raises():

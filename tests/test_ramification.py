@@ -12,6 +12,7 @@ from padic_sr.errors import (
     ConductorDivisibleByP,
     EmptyList,
     MalformedFiltration,
+    SearchInconclusive,
     TermDegreeDivisibleByP,
 )
 from padic_sr.ramification import (
@@ -236,6 +237,17 @@ def test_kummer_step_conductor_facts():
     cv = kummer_step_conductor(K1, 5, 9)
     assert cv.kind == "bound"
     assert cv.value == Fraction(6)
+
+
+def test_kummer_step_conductor_needs_exact_ramification():
+    # Q_5(sqrt 2) is unramified, but the tower does not know its index
+    # exactly; 3^(1/5) is wildly ramified over it (3^4 != 1 mod 25), so no
+    # bound may be quoted
+    K = Tower(5).adjoin_radical(2, 2)
+    assert not K.ram_exact
+    with pytest.raises(SearchInconclusive,
+                       match="conductor needs an exact ramification index"):
+        kummer_step_conductor(K, 3, 5)
 
 
 def test_conductor_over_base():

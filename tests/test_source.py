@@ -5,6 +5,8 @@ calls, float-valued math functions and fractional powers are refused.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import padic_sr
@@ -13,6 +15,9 @@ import padic_sr
 FLOAT_MATH = {"log", "log2", "log10", "log1p", "sqrt", "exp", "pow"}
 
 SOURCES = sorted(Path(padic_sr.__file__).parent.glob("*.py"))
+
+#: the benchmark's tracer, which wraps package functions by name
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _float_uses(tree):
@@ -62,3 +67,19 @@ def test_checker_flags_each_float_form():
     assert "** 0.5" in kinds
     assert not list(_float_uses(ast.parse("from math import gcd, isqrt\n"
                                           "k = isqrt(10) ** 2\n")))
+
+
+def test_benchmark_tracer_targets_exist():
+    """Every (module, class, attribute) the benchmark tracer wraps exists,
+    so a rename cannot silently break the traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, module, cls, attr in tracer.STAGES + tracer.COUNTED:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if not hasattr(owner, attr):
+            missing.append(f"{module}.{cls + '.' if cls else ''}{attr}")
+    assert not missing, missing
