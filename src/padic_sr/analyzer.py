@@ -38,7 +38,7 @@ from .series import (
     classify_torsor_reduction,
     expand_disk,
 )
-from .tower import Tower, square_class_K2_K3, vp_rational
+from .tower import Tower, _di_square, vp_rational
 
 
 def _vp_int(x: int, p: int) -> int:
@@ -439,18 +439,26 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
     """Certify that the n-th upper-numbering ramification group of the
     stable-model field over the base vanishes, from exactly verified
     valuation facts of the steps stab_field_tower lists for meta["case"].
-    Returns {vanishes_at_n, conductor, detail}; the conductor is exact in
-    case (i) and a bound otherwise."""
+    A meta whose n is not the n asked for, or whose case is not the case of
+    (p, n, s), is refused.  Returns {vanishes_at_n, conductor, detail}; the
+    conductor is exact in case (i) and a bound otherwise."""
     meta = ft.meta_dict()
     case, a, b, s = meta["case"], meta["a"], meta["b"], meta["s"]
+    if meta["n"] != n:
+        raise CertificationFailed(f"tower built for n = {meta['n']}, "
+                                  f"certified at n = {n}")
+    expected = _stable_case(ft.prime, n, s)
+    if case != expected:
+        raise CertificationFailed(f"case {case!r} is not the case "
+                                  f"{expected!r} of p = {ft.prime}, n = {n}, "
+                                  f"s = {s}")
     detail = [f"K_{n}/K_0 is cyclotomic: conductor exactly {n - 1} < {n}"]
     parts = [Fraction(n - 1)]
 
     if case in ("iii", "iv"):
         # L = K_1(cbrt(rad)) has one wild jump over K_1 (upper = lower), and
         # lower numbering is subgroup-invariant: phi_{L/K_0} converts it
-        s = 1 if case == "iii" else s  # (iii) is the s = 1 instance of (iv)
-        rad = _cube_radicand(n, s, b)
+        rad = _cube_radicand(n, s, b)  # (iii) is the s = 1 instance of (iv)
         v = vp_rational(rad, 3)
         if v != 3 * (n - s) + 2:
             raise CertificationFailed(
@@ -485,10 +493,10 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
         parts.append(h)
     elif case == "v":
         for j in range(0, s):
-            cls = square_class_K2_K3(2 ** (n - j) * b)
+            d = Fraction(2 ** (n - j) * b)
             ell = 2 if (s + j) % 2 == 1 else 3
-            ok = cls["di_square_K2"] if ell == 2 else (
-                cls["di_square_K3"] and not cls["di_square_K2"])
+            ok = _di_square(d, 2) if ell == 2 else (
+                _di_square(d, 3) and not _di_square(d, 2))
             if not ok:
                 raise CertificationFailed(f"square class of 2^(n-{j}) b i "
                                           f"disagrees with l({j}) = {ell}")
@@ -508,8 +516,6 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
             raise CertificationFailed("v(b/(a+b)) = n - s fails")
         detail.append("square classes and unit levels match the certified "
                       "p = 2 table; conductor of K/K_0 is < n")
-    elif case not in ("i", "ii"):
-        raise ValueError(f"unknown tower case {case!r}")
     if case in ("ii", "iii", "iv"):
         # the p^(n-s)-th root of the unit a/(a+b)
         if vp_rational(Fraction(a, a + b), ft.prime) != 0:

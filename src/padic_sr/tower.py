@@ -11,7 +11,11 @@ construction:
       the step degree (Eisenstein-type, possibly after a small shift of the
       generator), or
   (b) the radicand is a unit and the Hensel q-th power test is false for every
-      prime q dividing the step degree.
+      prime q dividing the step degree.  The test lifts a root p-adic digit
+      by digit over the integer span of the monomial basis: each surviving
+      truncation is extended by the p^D digit vectors of the next level, and
+      a truncation is dropped once no extension of it can pass, so it tries
+      at most p^D candidates per surviving class per p-adic level.
 
 Either certificate guarantees the step polynomial is irreducible over the
 p-adic completion, so the valuation extends uniquely and
@@ -357,8 +361,8 @@ class Tower:
         if hit is not None:
             return hit
         if len(elem.coords) == 1:
-            # monomial: invert coefficient and generator powers directly when
-            # every generator power can be flipped via g^-1 = g^(d-1)/g^d
+            # a constant inverts to its reciprocal; every other element,
+            # monomials included, solves elem * x = 1 below
             (exps, c), = elem.coords.items()
             if all(e == 0 for e in exps):
                 return self.rational(1 / c)
@@ -642,10 +646,29 @@ def is_mth_power(u, m: int, p: int | None = None) -> bool:
 def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
     """Is the unit u a q-th power in the completion of the tower at p?
 
-    Over Q this is the spec'd rational test.  Over an extension we brute-force
-    residues modulo pi^(2 v_pi(q) + 1); candidates run over integer
-    combinations of the monomial basis, which spans the residue ring for the
-    towers built here (all generators are integral over Z_p).
+    Over Q this is the spec'd rational test.  Over an extension the witnesses
+    are the candidates x = sum a_b b, with b over the monomial basis and
+    integers 0 <= a_b < p^depth, and u counts as a q-th power when some
+    candidate has v(x^q - u) >= threshold = (2 v_pi(q) + 1)/e.  The basis
+    spans the residue ring for the towers built here.
+
+    The coordinates are fixed one p-adic digit at a time.  A truncation x_k
+    (digits 0..k) is extended by every c p^(k+1), c in {0..p-1}^D.  Each
+    candidate is x_k + p^(k+1) y for one of its truncations, with y an
+    integer combination of basis monomials, so v(x_k), v(y) >= m0, the least
+    valuation of a monomial (0 for integral generators, negative for e.g.
+    sqrt(1/2)).  As q is prime, p^v_p(q) divides every C(q, j) with 0 < j < q,
+    so the binomial expansion of (x_k + p^(k+1) y)^q gives
+
+        v(x^q - x_k^q) >= min(v_p(q) + k + 1, q (k + 1)) + q m0 =: T_k.
+
+    A candidate that reaches the threshold therefore has v(x_k^q - u) >=
+    min(threshold, T_k) at every level k, and a truncation below that bound
+    is dropped with all its extensions.  A truncation that reaches the
+    threshold is itself a candidate (higher digits zero), and the last level
+    asks for the threshold exactly, so the answer is the one the search over
+    all p^(depth D) candidates gives, after at most p^D powers per surviving
+    truncation and level.
     """
     p = tower.p
     if not tower.steps:
@@ -655,25 +678,34 @@ def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
             "q-th power test needs an exact ramification index"
         )
     R = tower.ram_index
-    v_pi_q = R * (1 if q == p else 0)
-    levels = 2 * v_pi_q + 1  # in pi-units
+    v_p_q = 1 if q == p else 0
+    levels = 2 * R * v_p_q + 1  # in pi-units
     # p-power depth covering pi^levels, one extra level of slack
     depth = -(-levels // R) + 1
     threshold = Fraction(levels, R)
     basis, _ = tower._basis()
-    span = p ** depth
-    # iterate candidates x = sum a_b * basis monomial
-    for coeffs in itertools.product(range(span), repeat=len(basis)):
-        coords = {}
-        for b, a in zip(basis, coeffs):
-            if a:
-                coords[b] = Fraction(a)
-        x = TowerElement(tower, coords)
-        diff = x ** q - u
-        if diff.is_zero():
-            return True
-        if tower.val(diff) >= threshold:
-            return True
+    gv = tower._gen_vals()
+    m0 = min(sum((e * g for e, g in zip(b, gv)), Fraction(0)) for b in basis)
+    survivors = [(0,) * len(basis)]
+    for k in range(depth):
+        need = threshold if k == depth - 1 else min(
+            threshold, min(v_p_q + k + 1, q * (k + 1)) + q * m0)
+        scale = p ** k
+        kept = []
+        for base in survivors:
+            for digits in itertools.product(range(p), repeat=len(basis)):
+                coeffs = tuple(a + c * scale for a, c in zip(base, digits))
+                x = TowerElement(tower, {b: Fraction(a)
+                                         for b, a in zip(basis, coeffs) if a})
+                diff = x ** q - u
+                if diff.is_zero():
+                    return True
+                v = tower.val(diff)
+                if v >= threshold:
+                    return True
+                if v >= need:
+                    kept.append(coeffs)
+        survivors = kept
     return False
 
 
@@ -746,15 +778,22 @@ def square_class_K2_K3(d, choice_of_i: int = 1):
     if choice_of_i not in (1, -1):
         raise ValueError("choice_of_i must be +1 or -1")
     k2, k3 = _k2_k3()
-    i2 = k2.gen() * choice_of_i
-    i3 = (k3.gen() ** 2) * choice_of_i  # zeta_8^2 = i
-    report = {
-        "di_square_K2": is_square_unramified_closure(k2, i2 * d),
-        "di_square_K3": is_square_unramified_closure(k3, i3 * d),
+    return {
+        "di_square_K2": _di_square(d, 2, choice_of_i),
+        "di_square_K3": _di_square(d, 3, choice_of_i),
         "d_square_K2": is_square_unramified_closure(k2, k2.rational(d)),
         "d_square_K3": is_square_unramified_closure(k3, k3.rational(d)),
     }
-    return report
+
+
+def _di_square(d: Fraction, ell: int, choice_of_i: int = 1) -> bool:
+    """Is d*i a square in K_ell (K_2 = Q_2(i), K_3 = Q_2(zeta_8)) over the
+    unramified closure?  d is a nonzero rational."""
+    k2, k3 = _k2_k3()
+    if ell == 2:
+        return is_square_unramified_closure(k2, k2.gen() * choice_of_i * d)
+    i3 = (k3.gen() ** 2) * choice_of_i  # zeta_8^2 = i
+    return is_square_unramified_closure(k3, i3 * d)
 
 
 # -- exact linear algebra ----------------------------------------------------

@@ -277,6 +277,19 @@ def test_conductor_certification_failure_detected_case_v():
         conductor_bound(bad, 3)
 
 
+@pytest.mark.parametrize("meta,n,match", [
+    ({"s": 2}, 3, r"case 'iii' is not the case 'iv' of p = 3, n = 3, s = 2"),
+    ({"n": 5}, 3, r"tower built for n = 5, certified at n = 3"),
+    ({}, 5, r"tower built for n = 3, certified at n = 5"),
+])
+def test_conductor_bound_refuses_inconsistent_meta(meta, n, match):
+    """The (3,3,1,9) tower (case iii) with a meta that disagrees with its case
+    or with the n asked for certified with bound 2 before this check."""
+    bad = _doctored((3, 3, 1, 9), **meta)
+    with pytest.raises(CertificationFailed, match=match):
+        conductor_bound(bad, n)
+
+
 #: conductor_bound output of one cover per case (i)-(v): kind, value, detail
 GOLDEN_CONDUCTORS = {
     (5, 2, 1, 1): ("i", "exact", Fraction(1), [

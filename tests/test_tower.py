@@ -1,15 +1,19 @@
 """Exact-valuation tower: frozen oracle values, certificate behavior, and
 arithmetic/valuation properties checked against independent oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
+from padic_sr.analyzer import _p2_center, branch_signature, new_tail_locus
 from padic_sr.errors import IrreducibilityUnverified, ZeroElement, ZeroRadicand
 from padic_sr.tower import (
     Tower,
+    TowerElement,
+    _is_qth_power_local,
     is_mth_power,
     make_tower,
     square_class_K2_K3,
@@ -198,3 +202,111 @@ def test_inverse_and_division():
     assert ((x * x.inverse()) - 1).is_zero()
     assert ((x / x) - 1).is_zero()
     assert t.val(x ** -2) == -2 * t.val(x)
+
+
+# -- the local q-th power test -----------------------------------------------
+
+def _brute_qth_power(tower, u, q):
+    """Reference: try every candidate sum a_b b, 0 <= a_b < p^depth, over the
+    monomial basis b (the search the digit lifting replaces)."""
+    p, R = tower.p, tower.ram_index
+    levels = 2 * R * (1 if q == p else 0) + 1
+    depth = -(-levels // R) + 1
+    threshold = Fraction(levels, R)
+    basis, _ = tower._basis()
+    for coeffs in itertools.product(range(p ** depth), repeat=len(basis)):
+        x = TowerElement(tower, {b: Fraction(a)
+                                 for b, a in zip(basis, coeffs) if a})
+        diff = x ** q - u
+        if diff.is_zero() or tower.val(diff) >= threshold:
+            return True
+    return False
+
+
+def _random_unit(rng, tower):
+    basis, _ = tower._basis()
+    while True:
+        x = tower.rational(0)
+        for b in basis:
+            c = Fraction(rng.randint(-40, 40), rng.choice([1, 1, 3, 5, 7]))
+            x = x + TowerElement(tower, {b: c} if c else {})
+        if not x.is_zero() and tower.val(x) == 0:
+            return x
+
+
+def _centre_radicands(n, s, b):
+    """(Q_2(i), [(-i)^k b' i for each centre d_j]), k = 2n - s - j and
+    b' = b/2^(n-s): the radicands of the case (v) square-root steps."""
+    t = Tower(2).adjoin_radical(2, -1, "i")
+    i = t.gen(0)
+    return t, [((-i) ** (2 * n - s - j)) * (b // 2 ** (n - s)) * i
+               for j in range(s)]
+
+
+#: (tower, primes q): q = p = 3 over Q_3(sqrt 3) is too slow for the reference
+QTH_POWER_TOWERS = [
+    (lambda: Tower(2).adjoin_radical(2, -1), (2, 3)),
+    (lambda: Tower(2).adjoin_radical(2, 2), (2, 3)),
+    (lambda: Tower(2).adjoin_radical(2, -2), (2, 3)),
+    (lambda: Tower(3).adjoin_radical(2, 3), (2,)),
+    # a non-integral generator, sqrt(1/2): monomials of valuation -1/2
+    (lambda: Tower(2).adjoin_radical(2, Fraction(1, 2)), (2, 3)),
+]
+
+
+@pytest.mark.parametrize("build,qs", QTH_POWER_TOWERS,
+                         ids=["Q2(i)", "Q2(sqrt2)", "Q2(sqrt-2)", "Q3(sqrt3)",
+                              "Q2(sqrt(1/2))"])
+def test_qth_power_lifting_matches_brute_force(build, qs):
+    t = build()
+    rng = random.Random(20261018 + t.p * 10 + len(t._basis()[0]))
+    for q in qs:
+        units = [_random_unit(rng, t) for _ in range(12)]
+        units += [x ** q for x in (_random_unit(rng, t) for _ in range(12))]
+        for u in units:
+            assert _is_qth_power_local(t, u, q) == _brute_qth_power(t, u, q)
+
+
+@pytest.mark.parametrize("args,square", [
+    ((2, 3, 1, 6), False),  # b' = 3: the step w^2 = (-i)^k 3 i is adjoined
+    ((2, 4, 1, 56), True),  # b' = 7: the radicand is a square in Q_2(i)
+])
+def test_qth_power_lifting_on_centre_radicands(args, square):
+    spec = branch_signature(*args)
+    t, radicands = _centre_radicands(spec.n, spec.s, spec.b)
+    answers = [_is_qth_power_local(t, u, 2) for u in radicands]
+    assert answers == [_brute_qth_power(t, u, 2) for u in radicands]
+    assert answers[0] is square
+
+
+@pytest.mark.parametrize("args,square", [((2, 3, 1, 6), False),
+                                         ((2, 4, 1, 56), True)])
+def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
+    """Timing-free guard on the Q_2(i) radicand of new_tail_locus: the search
+    over all 16^2 candidates tries 256 powers on (2,3,1,6) and 17 on
+    (2,4,1,56); digit lifting tries at most p^D = 4 per surviving class and
+    p-adic level."""
+    counts, calls = [0], []
+    original_pow = TowerElement.__pow__
+
+    def counting_pow(self, k):
+        counts[0] += 1
+        return original_pow(self, k)
+
+    def counted_test(t, u, q):
+        counts[0] = 0
+        result = _is_qth_power_local(t, u, q)
+        calls.append((t.degree, result, counts[0]))
+        return result
+
+    monkeypatch.setattr(TowerElement, "__pow__", counting_pow)
+    monkeypatch.setattr("padic_sr.tower._is_qth_power_local", counted_test)
+    _p2_center.cache_clear()  # build the centre tower afresh
+    spec = branch_signature(*args)
+    if square:
+        with pytest.raises(IrreducibilityUnverified):
+            new_tail_locus(spec)
+    else:
+        assert new_tail_locus(spec).tower.degree == 4
+    assert calls[-1][:2] == (2, square)  # the radicand test over Q_2(i)
+    assert all(n <= 16 for _, _, n in calls), calls
