@@ -38,7 +38,7 @@ from .series import (
     classify_torsor_reduction,
     expand_disk,
 )
-from .tower import Tower, _di_square, vp_rational
+from .tower import Tower, _di_square, check_prime, vp_rational
 
 
 def _vp_int(x: int, p: int) -> int:
@@ -74,6 +74,7 @@ class CoverSpec:
 def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
     """Ramification indices of y^(p^n) = x^a (x-1)^b above 0, 1, infinity,
     normalized (by Moebius swaps) so 0 and infinity are totally ramified."""
+    check_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if p == 2 and n < 2:

@@ -31,6 +31,7 @@ from .graph import (
     validate_structure,
 )
 from .metacyclic import MetacyclicSpec, signature_solver
+from .tower import check_prime
 
 
 def _echo_json(doc, path=None):
@@ -47,13 +48,30 @@ def _fail(exc: ArtifactError):
     sys.exit(1)
 
 
+def _prime(ctx, param, value):
+    """Option callback: a --p that is not a prime is a usage error."""
+    try:
+        check_prime(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from None
+    return value
+
+
+def _check_truncation(p, truncation):
+    """A --truncation below p + 1 is a usage error (the expansion needs c_p)."""
+    if truncation is not None and truncation < p + 1:
+        raise click.BadParameter(
+            f"{truncation} is below p + 1 = {p + 1}",
+            click.get_current_context(), param_hint="'--truncation'")
+
+
 @click.group()
 def main():
     """Stable reduction of three-point cyclic p^n-covers of the line."""
 
 
 @main.command("analyze")
-@click.option("--p", type=int, required=True)
+@click.option("--p", type=int, required=True, callback=_prime)
 @click.option("--n", type=int, required=True)
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
@@ -65,6 +83,7 @@ def main():
               default=None, help="write the reduction graph in DOT format")
 def analyze_cmd(p, n, a, b, truncation, json_path, dot_path):
     """Full self-certifying report for y^(p^n) = x^a (x-1)^b."""
+    _check_truncation(p, truncation)
     try:
         report = analyze(p, n, a, b, truncation)
     except ArtifactError as exc:
@@ -81,13 +100,14 @@ def analyze_cmd(p, n, a, b, truncation, json_path, dot_path):
 
 
 @main.command("certify")
-@click.option("--p", type=int, required=True)
+@click.option("--p", type=int, required=True, callback=_prime)
 @click.option("--n", type=int, required=True)
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
 @click.option("--truncation", type=int, default=None)
 def certify_cmd(p, n, a, b, truncation):
     """Certify the reduction type of the new etale tail only."""
+    _check_truncation(p, truncation)
     try:
         spec = branch_signature(p, n, a, b)
         verdict = certify_tail(spec, truncation)
@@ -119,7 +139,7 @@ def validate_graph_cmd(file):
 
 
 @main.command("conductor")
-@click.option("--p", type=int, required=True)
+@click.option("--p", type=int, required=True, callback=_prime)
 @click.option("--n", type=int, required=True)
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
@@ -171,11 +191,12 @@ def _batch_pairs(p, n):
 
 
 @main.command("batch")
-@click.option("--p", type=int, required=True)
+@click.option("--p", type=int, required=True, callback=_prime)
 @click.option("--n-max", type=int, required=True)
 @click.option("--truncation", type=int, default=None)
 def batch_cmd(p, n_max, truncation):
     """Analyze a grid of covers and print a summary table."""
+    _check_truncation(p, truncation)
     rows = []
     all_ok = True
     n_min = 2 if p == 2 else 1

@@ -17,8 +17,35 @@ exact three-term recurrence
 
     d(d-1)(l+1) h_{l+1} = (a(d-1) + b d - (2d-1) l) h_l + (a+b-l+1) h_{l-1}
 
-with h_0 = 1, h_{-1} = 0.  `expand_disk` runs it with one tower inverse,
-1/(d(d-1)), and O(L) tower operations for the whole expansion.
+with h_0 = 1, h_{-1} = 0.  `expand_disk` runs it fraction-free, in the ring
+of the centre.  Let N be the least common denominator of the coordinates of
+d, delta = N d and delta' = delta - N = N(d-1).  Multiplying the defining sum
+by d^l (d-1)^l N^l gives
+
+    h_l = N^l K_l / (delta delta')^l,
+    K_l = sum_{j=0..l} C(a, l-j) C(b, j) delta^j delta'^(l-j),
+
+and substituting h_l into the recurrence above and multiplying through by
+(delta delta')^l / N^(l-1) gives
+
+    (l+1) K_{l+1} = (a delta' + b delta - (2 delta - N) l) K_l
+                    + (a+b-l+1) delta delta' K_{l-1},
+
+with K_0 = 1, K_{-1} = 0.  No inverse is needed.  When d is a rational
+constant, delta and delta' are integers and so is every C(a, k) C(b, j), so
+the sum makes K_l an integer: the recurrence runs on Python integers and its
+division by l+1 is exact (checked, never floored).  Otherwise delta is a
+tower element with integer coordinates and the recurrence runs in the tower.
+
+Valuations and coefficients.  With c_l = e^l h_l = r^l K_l, r = N e /
+(delta delta'), valuations are multiplicative, so
+
+    v(c_l) = l (v(e) + v(N) - v(delta) - v(delta')) + v(K_l),
+
+and c_l = 0 exactly when K_l = 0 (e, d and d-1 are nonzero).  The valuation
+profile is read off the K_l, one v_p of an integer per l for a rational
+centre; a coefficient c_l is built only when it is read, from r, which is
+computed at most once per expansion.
 
 Tail bound.  The j-th term of c_l has valuation at least l v(e) when j = 0
 and l v(e) + (n-s) - v_p(j) - j(n-s) when j >= 1 (C(a, k) is an integer,
@@ -36,8 +63,10 @@ over 0 <= j <= l has a closed form in integers.  With k = floor(log_p l):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import (
     CenterOnBranchLocus,
@@ -45,7 +74,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .jsonutil import ratstr
-from .tower import TowerElement, vp_rational
+from .tower import vp_rational
 
 #: l index beyond which a single linear bound takes over from the per-l
 #: minimum `tail_bound`
@@ -72,25 +101,66 @@ def binom_falling(x, k: int) -> Fraction:
     return num / den
 
 
-@dataclass
 class DiskExpansion:
-    """Coefficients of the cover equation restricted to the disk x = d + e t."""
+    """Coefficients c_0 .. c_L of the cover equation restricted to the disk
+    x = d + e t.
 
-    spec: object  # anything with fields p, n, a, b, s
-    d: TowerElement
-    e: TowerElement
-    coeffs: list  # c_0 .. c_L, TowerElements
-    truncation: int
-    _profile: list = field(default=None, repr=False)
+    An expansion from `expand_disk` keeps the recurrence values K_l of the
+    module docstring and builds no coefficient: `profile()` reads v(c_l) off
+    the K_l, and c_l = r^l K_l is built the first time `coeff(l)` or
+    `coeffs` reads it, with r = N e / (delta delta') computed once.  An
+    expansion made from a list, DiskExpansion(spec, d, e, coeffs,
+    truncation), reads its coefficients and their valuations from the list.
+    """
+
+    def __init__(self, spec, d, e, coeffs, truncation):
+        self.spec = spec  # anything with fields p, n, a, b, s
+        self.d = d
+        self.e = e
+        self.truncation = truncation
+        self._coeffs = list(coeffs)  # TowerElements; None until built
+        self._profile = None
+        self._recurrence = None  # (N, delta, delta', [K_0 .. K_L])
+
+    @classmethod
+    def _from_recurrence(cls, spec, d, e, truncation, recurrence):
+        exp = cls(spec, d, e, [d.tower.one()] + [None] * truncation,
+                  truncation)
+        exp._recurrence = recurrence
+        return exp
+
+    @cached_property
+    def _r(self):
+        """r = N e / (delta delta'), so that c_l = r^l K_l."""
+        N, delta, delta1, _ = self._recurrence
+        return self.e * (Fraction(N) / (delta * delta1))
+
+    def coeff(self, l):
+        """c_l, built on its first read."""
+        c = self._coeffs[l]
+        if c is None:
+            c = self._coeffs[l] = self._r ** l * self._recurrence[3][l]
+        return c
+
+    @property
+    def coeffs(self):
+        """The list c_0 .. c_L, every coefficient built."""
+        return [self.coeff(l) for l in range(len(self._coeffs))]
 
     def profile(self):
-        """[(l, v(c_l))] with None for zero coefficients (valuation +inf)."""
+        """[v(c_l)] for l = 0 .. L, with None for zero coefficients
+        (valuation +inf)."""
         if self._profile is None:
-            out = []
             tower = self.d.tower
-            for l, c in enumerate(self.coeffs):
-                out.append(None if c.is_zero() else tower.val(c))
-            self._profile = out
+            if self._recurrence is None:
+                self._profile = [None if c.is_zero() else tower.val(c)
+                                 for c in self._coeffs]
+            else:
+                N, delta, delta1, ks = self._recurrence
+                slope = (tower.val(self.e) + _val(N, tower)
+                         - _val(delta, tower) - _val(delta1, tower))
+                self._profile = [None if k == 0 else l * slope + _val(k, tower)
+                                 for l, k in enumerate(ks)]
         return self._profile
 
     def profile_json(self):
@@ -98,6 +168,24 @@ class DiskExpansion:
             [l, "inf" if v is None else ratstr(v)]
             for l, v in enumerate(self.profile())
         ]
+
+
+def _val(x, tower):
+    """v(x) for a nonzero integer or element of `tower`."""
+    if isinstance(x, int):
+        return Fraction(_vp_int(x, tower.p))
+    return tower.val(x)
+
+
+def _exact_quotient(x, m: int):
+    """x / m for an integer or tower element x; an integer x must be a
+    multiple of m."""
+    if isinstance(x, int):
+        q, rem = divmod(x, m)
+        if rem:
+            raise ArithmeticError(f"{x} is not divisible by {m}")
+        return q
+    return x * Fraction(1, m)
 
 
 @dataclass(frozen=True)
@@ -124,7 +212,9 @@ class ReductionVerdict:
 
 
 def expand_disk(spec, d, e, L: int | None = None) -> DiskExpansion:
-    """Expand the normalized cover equation on the disk x = d + e t up to t^L."""
+    """Expand the normalized cover equation on the disk x = d + e t up to t^L
+    by the fraction-free recurrence of the module docstring, in integers
+    when d is a rational constant and in d's tower otherwise."""
     p = spec.p
     if L is None:
         L = default_truncation(p)
@@ -134,24 +224,29 @@ def expand_disk(spec, d, e, L: int | None = None) -> DiskExpansion:
     e = tower.coerce(e)
     if d.is_zero() or (d - 1).is_zero():
         raise CenterOnBranchLocus("disk center lies on the branch locus")
-    coeffs = [tower.one()]
     if e.is_zero():
-        coeffs.extend(tower.zero() for _ in range(L))
-        return DiskExpansion(spec, d, e, coeffs, L)
+        return DiskExpansion(spec, d, e,
+                             [tower.one()] + [tower.zero()] * L, L)
+    N = lcm(*(c.denominator for c in d.coords.values()))
+    if d.coords.keys() == {(0,) * len(tower.steps)}:
+        delta = next(iter(d.coords.values())).numerator
+    else:
+        delta = d * N
+    delta1 = delta - N
     a, b = spec.a, spec.b
-    # h_{l+1} = (A_l h_l + (a+b-l+1) h_{l-1}) / (d(d-1)(l+1)), with
-    # A_l = a(d-1) + b d - (2d-1) l
-    inv_dd = (d * (d - 1)).inverse()
-    a0 = a * (d - 1) + b * d
-    step = 2 * d - 1
-    h_prev, h = tower.zero(), tower.one()
-    e_pow = tower.one()
+    # (l+1) K_{l+1} = A_l K_l + (a+b-l+1) P K_{l-1}, with
+    # A_l = a delta' + b delta - S l and P = delta delta'
+    A = a * delta1 + b * delta
+    S = 2 * delta - N
+    P = delta * delta1
+    ks = [1]
+    k_prev, k = 0, 1
     for l in range(L):
-        h_prev, h = h, ((a0 - step * l) * h + (a + b - l + 1) * h_prev) \
-            * inv_dd * Fraction(1, l + 1)
-        e_pow = e_pow * e
-        coeffs.append(e_pow * h)
-    return DiskExpansion(spec, d, e, coeffs, L)
+        k_prev, k = k, _exact_quotient(
+            A * k + (a + b - l + 1) * P * k_prev, l + 1)
+        A = A - S
+        ks.append(k)
+    return DiskExpansion._from_recurrence(spec, d, e, L, (N, delta, delta1, ks))
 
 
 # -- rigorous tail bound -----------------------------------------------------
@@ -242,7 +337,7 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     p, n = spec.p, spec.n
     tower = exp.d.tower
     prof = exp.profile()
-    if not exp.coeffs or not (exp.coeffs[0] - 1).is_zero():
+    if not exp._coeffs or not (exp.coeff(0) - 1).is_zero():
         raise ValueError("expansion is not normalized to c_0 = 1")
     witness = tuple((l, v) for l, v in enumerate(prof))
     if exp.e.is_zero():
@@ -292,7 +387,7 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
                for l in range(2 * p, exp.truncation + 1, p)):
         reasons.append("v(c_i) <= n + 1/(p-1) at an index i > p divisible by p")
     if not reasons:
-        c1, cp = exp.coeffs[1], exp.coeffs[p]
+        c1, cp = exp.coeff(1), exp.coeff(p)
         corr = cp - c1 ** p * Fraction(1, p ** ((p - 1) * n + 1))
         if corr.is_zero() or tower.val(corr) > tau:
             h = max(l for l, val in rest if val == tau)
@@ -346,7 +441,7 @@ def _classify_p2(exp: DiskExpansion, witness, v_e):
         return ReductionVerdict(
             "NotCertified", reason="tower contains no sqrt(-1)",
             witness=witness)
-    c1, c2 = exp.coeffs[1], exp.coeffs[2]
+    c1, c2 = exp.coeff(1), exp.coeff(2)
     lhs = c1 * c1 * c2.inverse()
     ok_choice = None
     for sign in (1, -1):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, isqrt
 
 from .errors import (
@@ -55,6 +55,17 @@ def vp_rational(q: Fraction, p: int) -> Fraction:
         den //= p
         v -= 1
     return Fraction(v)
+
+
+@lru_cache(maxsize=64)  # asked once per cover and once per tower step
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime number."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
 
 
 def _prime_factors(m: int):
@@ -230,8 +241,7 @@ class Tower:
     """A certified radical/cyclotomic extension tower of Q with prime p."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-            raise ValueError(f"p = {p} is not prime")
+        check_prime(p)
         self.p = p
         self.steps: list[Step] = []
         self.ram_index = 1  # exact when ram_exact

@@ -61,6 +61,16 @@ def test_signature_errors():
         branch_signature(5, 1, 1, -1)  # a + b = 0: unramified above infinity
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_non_prime_p_refused(p):
+    """A non-prime p is refused before any p-adic valuation is taken (p = 1
+    used to loop forever in v_p, p = 0 to divide by zero)."""
+    with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
+        branch_signature(p, 2, 1, 1)
+    with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
+        analyze(p, 1, 1, 1)
+
+
 def test_p2_always_partial():
     s = branch_signature(2, 3, 1, 6)
     assert s.s == 2 and s.s < s.n

@@ -116,3 +116,30 @@ def test_truncation_flag(runner):
     res = runner.invoke(main, ["certify", "--p", "5", "--n", "1", "--a", "1",
                                "--b", "1", "--truncation", "12"])
     assert res.exit_code == 0
+
+
+@pytest.mark.parametrize("args,message", [
+    (["analyze", "--p", "4", "--n", "1", "--a", "1", "--b", "1"],
+     "Invalid value for '--p': p = 4 is not prime"),
+    (["analyze", "--p", "1", "--n", "1", "--a", "1", "--b", "1"],
+     "Invalid value for '--p': p = 1 is not prime"),
+    (["certify", "--p", "5", "--n", "1", "--a", "1", "--b", "1",
+      "--truncation", "3"],
+     "Invalid value for '--truncation': 3 is below p + 1 = 6"),
+    (["analyze", "--truncation", "5", "--p", "5", "--n", "1", "--a", "1",
+      "--b", "1"],
+     "Invalid value for '--truncation': 5 is below p + 1 = 6"),
+    (["conductor", "--p", "0", "--n", "2", "--a", "1", "--b", "1"],
+     "Invalid value for '--p': p = 0 is not prime"),
+    (["batch", "--p", "-3", "--n-max", "2"],
+     "Invalid value for '--p': p = -3 is not prime"),
+])
+def test_bad_parameters_are_usage_errors(runner, args, message):
+    """A non-prime --p and a --truncation below p + 1 exit 2 with one error
+    line, not a traceback."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    errors = [line for line in res.output.splitlines()
+              if line.startswith("Error:")]
+    assert errors == [f"Error: {message}"]

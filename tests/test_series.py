@@ -230,6 +230,97 @@ def test_expansion_matches_double_sum(p, n, a, b, case):
     assert [c.coords for c in zero.coeffs] == [c.coords for c in want]
 
 
+DOUBLE_SUM_CASES = [
+    (5, 2, 3, 10), (13, 1, 1, 1), (11, 1, 3, -7), (3, 3, 1, -6), (3, 2, 1, 3),
+    (3, 2, 2, -3), (3, 2, 4, 6), (2, 3, 1, 6), (2, 4, 3, -8), (2, 3, 1, -2),
+]
+
+
+def _eager_profile(tower, coeffs):
+    return [None if c.is_zero() else tower.val(c) for c in coeffs]
+
+
+def _check_against_reference(spec, d, e, L):
+    """profile(), single reads coeff(l) and the full list coeffs all agree
+    with the double sum, read in that order from one fresh expansion."""
+    want = _reference_expansion(spec, d, e, L)
+    exp = expand_disk(spec, d, e, L)
+    assert exp.profile() == _eager_profile(d.tower, want)
+    for l in (L, 1, spec.p, 0):
+        assert exp.coeff(l).coords == want[l].coords
+    assert [c.coords for c in exp.coeffs] == [c.coords for c in want]
+    assert exp.profile() == _eager_profile(d.tower, exp.coeffs)
+
+
+@pytest.mark.parametrize("p,n,a,b", DOUBLE_SUM_CASES)
+def test_profile_matches_eager_valuations(p, n, a, b):
+    """The profile read off the recurrence values K_l equals the valuations
+    of the eagerly built coefficients, on every new-tail locus case."""
+    spec = branch_signature(p, n, a, b)
+    locus = new_tail_locus(spec)
+    _check_against_reference(spec, locus.d, locus.e, default_truncation(p))
+
+
+def test_profile_matches_eager_valuations_off_locus():
+    """The same oracle at seeded random centres that are not a/(a+b):
+    rationals whose numerator, denominator or d - 1 may be divisible by p
+    (so v(N), v(d) and v(d-1) all enter the valuation slope), and tower
+    centres with a non-integral generator coordinate."""
+    rng = random.Random(5)
+    checked = 0
+    for p in (3, 5, 7):
+        tower = Tower(p).adjoin_radical(2 * (p - 1), p, "pi")
+        pi = tower.gen(0)
+        for _ in range(6):
+            d = Fraction(rng.randint(-30, 30) * rng.choice((1, p)),
+                         rng.randint(1, 30) * rng.choice((1, p)))
+            if d in (0, 1):
+                continue
+            spec = _spec(p, 2, rng.randint(1, 6), rng.randint(-9, 12), 1)
+            e = pi ** rng.randint(0, 4 * (p - 1))
+            _check_against_reference(spec, tower.rational(d), e, p + 3)
+            centre = tower.rational(d) + Fraction(rng.randint(1, 9),
+                                                  rng.randint(1, 9)) * pi
+            if p < 7:
+                _check_against_reference(spec, centre, e, p + 1)
+            checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("p,n,a,b", [(37, 1, 13, 57), (5, 2, 3, 10)])
+def test_rational_centre_needs_no_tower_arithmetic(monkeypatch, p, n, a, b):
+    """On a rational centre the recurrence runs in integers and no
+    coefficient is built that the classifier does not read: expanding and
+    classifying takes at most 2 tower multiplications and no inverse."""
+    spec = branch_signature(p, n, a, b)
+    locus = new_tail_locus(spec)
+    assert locus.case == "rational"
+    calls = {"mul": 0, "inverse": 0}
+    mul, inverse = Tower._mul_coords, Tower.inverse
+
+    def counted_mul(self, *args):
+        calls["mul"] += 1
+        return mul(self, *args)
+
+    def counted_inverse(self, *args):
+        calls["inverse"] += 1
+        return inverse(self, *args)
+
+    monkeypatch.setattr(Tower, "_mul_coords", counted_mul)
+    monkeypatch.setattr(Tower, "inverse", counted_inverse)
+    verdict = classify_torsor_reduction(expand_disk(spec, locus.d, locus.e))
+    assert verdict.kind == "SplitsArtinSchreier"
+    assert calls["mul"] <= 2 and calls["inverse"] == 0, calls
+
+
+def test_integer_recurrence_division_is_checked():
+    """The integer recurrence divides exactly or raises; it never floors."""
+    from padic_sr.series import _exact_quotient
+    assert _exact_quotient(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(7, 2)
+
+
 def test_tail_bound_closed_form_matches_minimum():
     """tail_bound equals the minimum of the per-term bounds over every j,
     with v_e as new_tail_locus sets it."""
