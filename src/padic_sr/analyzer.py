@@ -10,7 +10,7 @@ and infinity and ramified of index p^s above 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +20,7 @@ from .errors import (
     NotThreePoint,
     UnsupportedCase,
 )
-from .graph import Component, DecoratedGraph, GraphEdge, sigma_eff_outward
+from .graph import Component, DecoratedGraph, GraphEdge, sigma_eff_by_edge
 from .jsonutil import ratstr
 from .ramification import (
     ConductorValue,
@@ -38,17 +38,7 @@ from .series import (
     classify_torsor_reduction,
     expand_disk,
 )
-from .tower import Tower, _di_square, check_prime, vp_rational
-
-
-def _vp_int(x: int, p: int) -> int:
-    if x == 0:
-        raise ZeroDivisionError("v(0)")
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+from .tower import Tower, _di_square, check_prime, vp_int, vp_rational
 
 
 @dataclass(frozen=True)
@@ -83,7 +73,7 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
     exps = {"0": a, "1": b, "inf": -(a + b)}
     vals = {}
     for key, ex in exps.items():
-        vals[key] = n if ex == 0 else min(_vp_int(ex, p), n)
+        vals[key] = n if ex == 0 else min(vp_int(ex, p), n)
     if sum(1 for v in vals.values() if v == 0) < 2:
         raise Disconnected(
             "fewer than two of a, b, a+b are prime to p; the cover is "
@@ -96,12 +86,12 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
         # x -> 1 - x exchanges 0 and 1
         a, b = b, a
         swaps.append("x -> 1 - x")
-    if _vp_int(a + b, p) > 0:
+    if vp_int(a + b, p) > 0:
         # x -> x/(x-1) fixes 0 and exchanges 1 and infinity;
         # the exponent above the new x = 1 is the old exponent at infinity
         b = -(a + b)
         swaps.append("x -> x/(x-1)")
-    s = n - _vp_int(b, p)
+    s = n - vp_int(b, p)
     indices = (p ** (n - vals["0"]), p ** (n - vals["1"]),
                p ** (n - vals["inf"]))
     return CoverSpec(p, n, a, b, s, indices, tuple(swaps), original)
@@ -263,13 +253,13 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
     p, n, s = spec.p, spec.n, spec.s
     case = _stable_case(p, n, s)
     q = Fraction(1, p - 1)
-    comps = []
+    comps = []  # Component fields, before the upstairs decorations
     edges = []  # (source, target, epaisseur)
     flags = []
 
     def add(cid, inertia, kind, tail_kind="none", radius=None, center=None,
             sigma_b=None, branch_points=None):
-        comps.append(Component(
+        comps.append(dict(
             id=cid, inertia_exponent=inertia, kind=kind, tail_kind=tail_kind,
             branch_points=branch_points or {}, disk_center=center,
             radius_valuation=radius, sigma_b=sigma_b))
@@ -340,18 +330,19 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
                          "lower-confidence")
 
     # upstairs decorations
-    inertia_of = {c.id: c.inertia_exponent for c in comps}
-    neigh = {c.id: [] for c in comps}
+    inertia_of = {c["id"]: c["inertia_exponent"] for c in comps}
+    neigh = {c["id"]: [] for c in comps}
     for u, v, _ in edges:
         neigh[u].append(v)
         neigh[v].append(u)
     components = []
     for c in comps:
-        i = c.inertia_exponent
-        larger = any(inertia_of[nb] > i for nb in neigh[c.id])
+        i = c["inertia_exponent"]
+        larger = any(inertia_of[nb] > i for nb in neigh[c["id"]])
         cnt, genus, cond, note = _upstairs(spec, case, i, larger)
-        components.append(replace(c, upstairs_count=cnt, upstairs_genus=genus,
-                                  upstairs_conductor=cond, note=note))
+        components.append(Component(**c, upstairs_count=cnt,
+                                    upstairs_genus=genus,
+                                    upstairs_conductor=cond, note=note))
     for wid in wild_on:
         components.append(Component(id=wid, kind="augmented",
                                     note="wild branch point"))
@@ -371,13 +362,12 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
     draft = DecoratedGraph(p, n, tuple(components), tuple(graph_edges),
                            mG=1, signatures=tuple(signatures))
     # fill sigma_eff on every component edge from the decorations
-    final_edges = []
-    for e in draft.edges:
-        if draft.component(e.target).kind == "augmented":
-            final_edges.append(e)
-            continue
-        sig = sigma_eff_outward(draft, e.source, e.target)
-        final_edges.append(GraphEdge(e.source, e.target, e.epaisseur, sig))
+    sigma = sigma_eff_by_edge(draft)
+    final_edges = [
+        e if draft.component(e.target).kind == "augmented"
+        else GraphEdge(e.source, e.target, e.epaisseur,
+                       sigma[e.source, e.target])
+        for e in draft.edges]
     return DecoratedGraph(p, n, tuple(components), tuple(final_edges),
                           mG=1, signatures=tuple(signatures))
 

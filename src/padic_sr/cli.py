@@ -5,12 +5,14 @@ All numeric output is exact: rationals are rendered as "num/den" strings.
 Exit codes: 0 success / all certified, 1 violations or failed certification,
 2 usage errors.
 
-Environment override: PADIC_SR_TRUNCATION (series truncation length).
+Environment override: PADIC_SR_TRUNCATION (series truncation length, used
+when --truncation is not given).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -58,11 +60,25 @@ def _prime(ctx, param, value):
 
 
 def _check_truncation(p, truncation):
-    """A --truncation below p + 1 is a usage error (the expansion needs c_p)."""
-    if truncation is not None and truncation < p + 1:
-        raise click.BadParameter(
-            f"{truncation} is below p + 1 = {p + 1}",
-            click.get_current_context(), param_hint="'--truncation'")
+    """The series truncation: --truncation, else PADIC_SR_TRUNCATION, else
+    None (the default).  One that is not an integer or is below p + 1 (the
+    expansion needs c_p) is a usage error."""
+    ctx = click.get_current_context()
+    hint = "'--truncation'"
+    if truncation is None:
+        env = os.environ.get("PADIC_SR_TRUNCATION")
+        if not env:
+            return None
+        hint = "PADIC_SR_TRUNCATION"
+        try:
+            truncation = int(env)
+        except ValueError:
+            raise click.BadParameter(f"{env!r} is not an integer", ctx,
+                                     param_hint=hint) from None
+    if truncation < p + 1:
+        raise click.BadParameter(f"{truncation} is below p + 1 = {p + 1}",
+                                 ctx, param_hint=hint)
+    return truncation
 
 
 @click.group()
@@ -72,7 +88,7 @@ def main():
 
 @main.command("analyze")
 @click.option("--p", type=int, required=True, callback=_prime)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
 @click.option("--truncation", type=int, default=None,
@@ -83,7 +99,7 @@ def main():
               default=None, help="write the reduction graph in DOT format")
 def analyze_cmd(p, n, a, b, truncation, json_path, dot_path):
     """Full self-certifying report for y^(p^n) = x^a (x-1)^b."""
-    _check_truncation(p, truncation)
+    truncation = _check_truncation(p, truncation)
     try:
         report = analyze(p, n, a, b, truncation)
     except ArtifactError as exc:
@@ -101,13 +117,13 @@ def analyze_cmd(p, n, a, b, truncation, json_path, dot_path):
 
 @main.command("certify")
 @click.option("--p", type=int, required=True, callback=_prime)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
 @click.option("--truncation", type=int, default=None)
 def certify_cmd(p, n, a, b, truncation):
     """Certify the reduction type of the new etale tail only."""
-    _check_truncation(p, truncation)
+    truncation = _check_truncation(p, truncation)
     try:
         spec = branch_signature(p, n, a, b)
         verdict = certify_tail(spec, truncation)
@@ -121,11 +137,10 @@ def certify_cmd(p, n, a, b, truncation):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def validate_graph_cmd(file):
     """Check the structural rules on a decorated graph JSON file."""
-    with open(file) as fh:
-        doc = json.load(fh)
     try:
-        g = DecoratedGraph.from_json(doc)
-    except (KeyError, ValueError) as exc:
+        with open(file) as fh:
+            g = DecoratedGraph.from_json(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         click.echo(f"error: malformed graph file: {exc}", err=True)
         sys.exit(1)
     violations = validate_structure(g) + tail_invariant_checks(g)
@@ -140,7 +155,7 @@ def validate_graph_cmd(file):
 
 @main.command("conductor")
 @click.option("--p", type=int, required=True, callback=_prime)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
 def conductor_cmd(p, n, a, b):
@@ -161,8 +176,8 @@ def conductor_cmd(p, n, a, b):
 
 
 @main.command("signature")
-@click.option("--p", type=int, required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--p", type=int, required=True, callback=_prime)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--m", type=int, required=True)
 @click.option("--a1", type=int, required=True)
 @click.option("--a2", type=int, required=True)
@@ -192,11 +207,11 @@ def _batch_pairs(p, n):
 
 @main.command("batch")
 @click.option("--p", type=int, required=True, callback=_prime)
-@click.option("--n-max", type=int, required=True)
+@click.option("--n-max", type=click.IntRange(min=1), required=True)
 @click.option("--truncation", type=int, default=None)
 def batch_cmd(p, n_max, truncation):
     """Analyze a grid of covers and print a summary table."""
-    _check_truncation(p, truncation)
+    truncation = _check_truncation(p, truncation)
     rows = []
     all_ok = True
     n_min = 2 if p == 2 else 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import (
     Disconnected,
@@ -148,7 +149,33 @@ class DecoratedGraph:
 
     # -- basic structure -----------------------------------------------------
 
-    # the tree maps are computed once per graph (the graph is frozen)
+    # the indices and tree maps are computed once per graph (it is frozen)
+
+    @cached_property
+    def _by_id(self) -> dict:
+        """Component id -> component (the first, if an id repeats)."""
+        out = {}
+        for c in self.components:
+            out.setdefault(c.id, c)
+        return out
+
+    @cached_property
+    def _adjacency(self) -> dict:
+        """Component id -> [(neighbour id, edge)], in edge order."""
+        adj = {}
+        for e in self.edges:
+            adj.setdefault(e.source, []).append((e.target, e))
+            if e.target != e.source:
+                adj.setdefault(e.target, []).append((e.source, e))
+        return adj
+
+    @cached_property
+    def _edge_by_pair(self) -> dict:
+        """Unordered pair of ids -> edge (the first, if edges repeat)."""
+        out = {}
+        for e in self.edges:
+            out.setdefault(frozenset((e.source, e.target)), e)
+        return out
 
     @cached_property
     def _parent(self) -> dict:
@@ -167,6 +194,9 @@ class DecoratedGraph:
         missing = [c.id for c in self.components if c.id not in parent]
         if missing:
             raise Disconnected(f"unreachable components: {missing}")
+        unknown = [cid for cid in parent if cid not in self._by_id]
+        if unknown:
+            raise Disconnected(f"edges name unknown components: {unknown}")
         return parent
 
     @cached_property
@@ -178,10 +208,7 @@ class DecoratedGraph:
         return kids
 
     def component(self, cid: str) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._by_id[cid]
 
     @property
     def cyclic(self) -> bool:
@@ -196,13 +223,7 @@ class DecoratedGraph:
         return originals[0]
 
     def neighbors(self, cid: str):
-        out = []
-        for e in self.edges:
-            if e.source == cid:
-                out.append(e.target)
-            elif e.target == cid:
-                out.append(e.source)
-        return out
+        return [nb for nb, _ in self._adjacency.get(cid, ())]
 
     def parents(self) -> dict:
         """Map component id -> parent id (None at the root), computed by
@@ -227,10 +248,7 @@ class DecoratedGraph:
     def outward_edge(self, source: str, target: str) -> GraphEdge:
         if self._parent.get(target) != source:
             raise EdgeNotOutward(f"{source} -> {target} is not outward")
-        for e in self.edges:
-            if {e.source, e.target} == {source, target}:
-                return e
-        raise KeyError((source, target))
+        return self._edge_by_pair[frozenset((source, target))]
 
     def signed_sigma_eff(self, vertex: str, e: GraphEdge) -> Fraction | None:
         """sigma_eff of e oriented away from vertex; antisymmetric under
@@ -373,17 +391,16 @@ def check_local_vanishing(g: DecoratedGraph) -> dict:
     for c in g.components:
         if c.kind == "augmented" or c.inertia_exponent == 0:
             continue
+        incident = g._adjacency.get(c.id, ())
         acc = Fraction(0)
-        for e in g.edges:
-            if c.id not in (e.source, e.target):
-                continue
+        for _, e in incident:
             s = g.signed_sigma_eff(c.id, e)
             if s is None:
                 raise MissingSigmaEff(
                     f"edge {e.source}-{e.target} has no sigma_eff"
                 )
-            acc += s - 1
-        residuals[c.id] = acc - (2 * c.genus - 2)
+            acc += s
+        residuals[c.id] = acc - len(incident) - (2 * c.genus - 2)
     return residuals
 
 
@@ -408,6 +425,36 @@ def sigma_eff_outward(g: DecoratedGraph, source: str, target: str) -> Fraction:
             if a >= 1:
                 acc -= 1
     return acc
+
+
+def sigma_eff_by_edge(g: DecoratedGraph) -> dict:
+    """`sigma_eff_outward` of every edge of g, keyed by (source, target),
+    from one post-order pass over the tree instead of one subtree walk per
+    edge; raises EdgeNotOutward on an edge stored against the tree.  The
+    sums run in integers scaled by D, the lcm of the sigma_b denominators."""
+    tails = [c for c in g.components if c.is_tail and c.etale]
+    for c in tails:
+        if c.sigma_b is None:
+            raise MissingSigma(f"etale tail {c.id} has no sigma_b")
+    D = lcm(*(c.sigma_b.denominator for c in tails))
+    kids = g._children
+    below = {}  # cid -> D * (sum of the contributions at-or-outward of cid)
+    for cid in reversed(g.subtree(g.root().id)):  # children first
+        c = g.component(cid)
+        acc = sum(below[k] for k in kids[cid])
+        if c.kind != "augmented":
+            if c.is_tail and c.etale:
+                acc += c.sigma_b.numerator * (D // c.sigma_b.denominator) - D
+            acc -= D * sum(1 for a in c.branch_points.values() if a >= 1)
+        below[cid] = acc
+    out = {}
+    for e in g.edges:
+        if g._parent.get(e.target) != e.source:
+            raise EdgeNotOutward(f"{e.source} -> {e.target} is not outward")
+        out[e.source, e.target] = (
+            Fraction(0) if g.component(e.target).kind == "augmented"
+            else Fraction(D + below[e.target], D))
+    return out
 
 
 def effective_different_profile(g: DecoratedGraph) -> dict:

@@ -23,6 +23,7 @@ from .graph import (
 )
 from .jsonutil import ratstr
 from .ramification import compositum_conductor, tame_top_conductor
+from .tower import check_prime
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,9 @@ class MetacyclicSpec:
     exponents: tuple  # (a_1, a_2, a_3), taken mod m
 
     def __post_init__(self):
+        check_prime(self.p)
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.m < 2:
             raise NoSolution("m must be >= 2; m = 1 is the cyclic case")
         if len(self.exponents) != 3:

@@ -58,6 +58,26 @@ over 0 <= j <= l has a closed form in integers.  With k = floor(log_p l):
   exceeds it by (n-s)(l-j) + v_p(l) - v_p(j) >= (l-j) - k, because
   v_p(j) <= log_p l.  Only j in [max(1, l - k), l] can undercut it, so the
   minimum runs over those at most k + 1 candidates.
+
+Checking the tail.  `check_tail_dominated` must show that this bound clears
+the threshold at every l from L + 1 to the horizon, and it needs only
+O(log_p L) of those l.  Let m = n - s.  Every term of the minimum is at
+least
+
+    g(l) = l (v_e - m) + m - k:
+
+the j >= 1 terms because v_p(j) <= k and j <= l, and the j = 0 term l v_e
+because m (1 - l) <= 0 <= k.  So tail_bound(l) >= g(l), with equality when
+n = s and when l is a power of p (the j = l term).  The slope v_e - m is
+positive on the locus, and k is constant between consecutive powers of p,
+so g increases on each such piece and its minimum over [L + 1, horizon] is
+at l = L + 1 or at a power of p in the interval.  When g clears the
+threshold at those candidates, every tail_bound(l) does; the comparison runs
+in integers, with v_e and the threshold scaled by the lcm of their
+denominators.  When a candidate fails (g may lie below tail_bound at L + 1)
+or the slope is not positive, the check falls back to the loop over every l.
+That loop is the complete check, so the fallback decides exactly what the
+loop alone would, and raises the same message at the same first failing l.
 """
 
 from __future__ import annotations
@@ -74,7 +94,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .jsonutil import ratstr
-from .tower import vp_rational
+from .tower import vp_int, vp_rational
 
 #: l index beyond which a single linear bound takes over from the per-l
 #: minimum `tail_bound`
@@ -106,11 +126,16 @@ class DiskExpansion:
     x = d + e t.
 
     An expansion from `expand_disk` keeps the recurrence values K_l of the
-    module docstring and builds no coefficient: `profile()` reads v(c_l) off
-    the K_l, and c_l = r^l K_l is built the first time `coeff(l)` or
+    module docstring and builds no coefficient: `scaled_profile()` reads
+    v(c_l) off the K_l, and c_l = r^l K_l is built the first time `coeff(l)` or
     `coeffs` reads it, with r = N e / (delta delta') computed once.  An
     expansion made from a list, DiskExpansion(spec, d, e, coeffs,
     truncation), reads its coefficients and their valuations from the list.
+
+    Profiles are kept scaled by E = `scale`, as the integers E v(c_l) of
+    `scaled_profile()`: every valuation in the tower and the classifier's
+    threshold n + 1/(p-1) lie in (1/E)Z, so the classifier compares
+    integers.  `profile()` builds the Fractions v(c_l) from that list.
     """
 
     def __init__(self, spec, d, e, coeffs, truncation):
@@ -119,7 +144,7 @@ class DiskExpansion:
         self.e = e
         self.truncation = truncation
         self._coeffs = list(coeffs)  # TowerElements; None until built
-        self._profile = None
+        self._scaled = None
         self._recurrence = None  # (N, delta, delta', [K_0 .. K_L])
 
     @classmethod
@@ -147,21 +172,44 @@ class DiskExpansion:
         """The list c_0 .. c_L, every coefficient built."""
         return [self.coeff(l) for l in range(len(self._coeffs))]
 
+    @cached_property
+    def scale(self) -> int:
+        """E: the tower's ramification index (its degree when the index is
+        not exactly known), times what makes 1/(p-1) a multiple of 1/E."""
+        tower = self.d.tower
+        e = tower.ram_index if tower.ram_exact else tower.degree
+        return lcm(e, self.spec.p - 1)
+
+    @cached_property
+    def v_e(self) -> Fraction:
+        """v(e), computed once for the profile and the classifier."""
+        return self.d.tower.val(self.e)
+
+    def scaled_profile(self):
+        """[E v(c_l)] for l = 0 .. L as integers, E = `scale`, with None for
+        zero coefficients (valuation +inf)."""
+        if self._scaled is None:
+            tower, E = self.d.tower, self.scale
+            if self._recurrence is None:
+                self._scaled = [None if c.is_zero()
+                                else _scaled(tower.val(c), E)
+                                for c in self._coeffs]
+            else:
+                N, delta, delta1, ks = self._recurrence
+                slope = (_scaled(self.v_e, E) + _scaled_val(N, tower, E)
+                         - _scaled_val(delta, tower, E)
+                         - _scaled_val(delta1, tower, E))
+                self._scaled = [None if k == 0
+                                else l * slope + _scaled_val(k, tower, E)
+                                for l, k in enumerate(ks)]
+        return self._scaled
+
     def profile(self):
         """[v(c_l)] for l = 0 .. L, with None for zero coefficients
         (valuation +inf)."""
-        if self._profile is None:
-            tower = self.d.tower
-            if self._recurrence is None:
-                self._profile = [None if c.is_zero() else tower.val(c)
-                                 for c in self._coeffs]
-            else:
-                N, delta, delta1, ks = self._recurrence
-                slope = (tower.val(self.e) + _val(N, tower)
-                         - _val(delta, tower) - _val(delta1, tower))
-                self._profile = [None if k == 0 else l * slope + _val(k, tower)
-                                 for l, k in enumerate(ks)]
-        return self._profile
+        E = self.scale
+        return [None if v is None else Fraction(v, E)
+                for v in self.scaled_profile()]
 
     def profile_json(self):
         return [
@@ -170,11 +218,19 @@ class DiskExpansion:
         ]
 
 
-def _val(x, tower):
-    """v(x) for a nonzero integer or element of `tower`."""
+def _scaled(v: Fraction, E: int) -> int:
+    """E v as an integer; v must lie in (1/E)Z."""
+    q, r = divmod(v.numerator * E, v.denominator)
+    if r:
+        raise AssertionError("valuation outside the value group")
+    return q
+
+
+def _scaled_val(x, tower, E: int) -> int:
+    """E v(x) for a nonzero integer or element of `tower`."""
     if isinstance(x, int):
-        return Fraction(_vp_int(x, tower.p))
-    return tower.val(x)
+        return E * vp_int(x, tower.p)
+    return _scaled(tower.val(x), E)
 
 
 def _exact_quotient(x, m: int):
@@ -260,15 +316,6 @@ def _log_floor(x: int, p: int) -> int:
     return k
 
 
-def _vp_int(j: int, p: int) -> int:
-    """v_p(j) for an integer j >= 1."""
-    v = 0
-    while j % p == 0:
-        j //= p
-        v += 1
-    return v
-
-
 def tail_bound(spec, v_e, l):
     """Rigorous lower bound for v(c_l), any l >= 1: the minimum over
     0 <= j <= l of the per-term bounds, in closed form (module docstring)."""
@@ -277,7 +324,7 @@ def tail_bound(spec, v_e, l):
     if n == s:
         return l * v_e - k
     m = n - s
-    return l * v_e + min(m - _vp_int(j, p) - j * m
+    return l * v_e + min(m - vp_int(j, p) - j * m
                          for j in range(max(1, l - k), l + 1))
 
 
@@ -298,58 +345,79 @@ def _check_tail_premises(exp):
 def check_tail_dominated(spec, v_e, L, threshold, strict=True):
     """Certify v(c_l) > threshold (or >= when strict=False) for every l > L.
 
-    The exact per-l minimum `tail_bound` up to the horizon; beyond it, every
-    term obeys l*m1 + m0 - log_p(l) with m1 >= 1/2, which is increasing and
-    already above the threshold at the horizon.  Raises PrecisionExhausted
-    when this cannot be certified.
+    Up to the horizon, the lower bound g(l) <= `tail_bound(l)` is checked at
+    the O(log_p L) candidates of the module docstring, and `tail_bound` at
+    every l only when a candidate fails; beyond the horizon, every term obeys
+    l*m1 + m0 - log_p(l) with m1 >= 1/2, which is increasing and already
+    above the threshold at the horizon.  Everything is compared in integers
+    scaled by D, the lcm of the denominators of v_e and the threshold.
+    Raises PrecisionExhausted when this cannot be certified.
     """
     p, n, s = spec.p, spec.n, spec.s
+    m = n - s
     horizon = max(_EXACT_TAIL_HORIZON, 2 * L)
-    for l in range(L + 1, horizon + 1):
-        bnd = tail_bound(spec, v_e, l)
-        if bnd > threshold or (not strict and bnd >= threshold):
-            continue
-        raise PrecisionExhausted(
-            f"tail coefficient l={l}: bound {bnd} does not clear threshold "
-            f"{threshold}"
-        )
+    D = lcm(v_e.denominator, threshold.denominator)
+    ve = v_e.numerator * (D // v_e.denominator)
+    thr = threshold.numerator * (D // threshold.denominator)
+
+    def clears(bound):
+        return bound > thr or (not strict and bound >= thr)
+
+    # D g(l) at l = L + 1 and at each power of p up to the horizon
+    slope = ve - D * m
+    k = _log_floor(L + 1, p)
+    ok = m >= 0 and slope > 0 and clears((L + 1) * slope + D * (m - k))
+    q = p ** (k + 1)
+    while ok and q <= horizon:
+        k += 1
+        ok = clears(q * slope + D * (m - k))
+        q *= p
+    if not ok:
+        for l in range(L + 1, horizon + 1):
+            bnd = tail_bound(spec, v_e, l)
+            if bnd > threshold or (not strict and bnd >= threshold):
+                continue
+            raise PrecisionExhausted(
+                f"tail coefficient l={l}: bound {bnd} does not clear "
+                f"threshold {threshold}"
+            )
     # closed form beyond the horizon: worst term has
     #   v >= l * (v_e - (n - s)) + (n - s) - v_p(l)   (j = l corner)
     #   v >= l * v_e - v_p(l)                          (j = 0 corner)
     # both slopes are >= s/2 >= 1/2 for admissible specs; v_p(l) <= log_p(l)
-    m1 = min(v_e, v_e - (n - s))
+    m1 = min(ve, ve - D * m)  # D min(v_e, v_e - (n - s))
     if m1 <= 0:
         raise PrecisionExhausted("tail slope is not positive")
     # between l and p*l the bound grows by at least m1*(p-1)*l - 1 > 0, so
     # checking the horizon value suffices
     log_term = _log_floor(horizon + 1, p) + 1
-    closed = (horizon + 1) * m1 - log_term
-    if not (closed > threshold):
+    if not ((horizon + 1) * m1 - D * log_term > thr):
         raise PrecisionExhausted("closed-form tail bound too weak")
-    if m1 * (p - 1) * (horizon + 1) <= 1:
+    if m1 * (p - 1) * (horizon + 1) <= D:
         raise PrecisionExhausted("closed-form tail bound not monotone")
 
 
 # -- classification ----------------------------------------------------------
 
 def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
+    """Reduction type of the torsor from the valuation profile, compared as
+    integers scaled by E = exp.scale against E tau, tau = n + 1/(p-1)."""
     spec = exp.spec
     p, n = spec.p, spec.n
     tower = exp.d.tower
-    prof = exp.profile()
+    prof = exp.scaled_profile()
+    E = exp.scale
     if not exp._coeffs or not (exp.coeff(0) - 1).is_zero():
         raise ValueError("expansion is not normalized to c_0 = 1")
-    witness = tuple((l, v) for l, v in enumerate(prof))
+    witness = tuple(enumerate(exp.profile()))
     if exp.e.is_zero():
         return ReductionVerdict("NotCertified", reason="constant expansion",
                                 witness=witness)
-    v_e = tower.val(exp.e)
+    v_e = exp.v_e
     if p == 2:
         return _classify_p2(exp, witness, v_e)
     tau = n + Fraction(1, p - 1)
-
-    def v(l):
-        return prof[l]  # None = +inf
+    T, En = E * n + E // (p - 1), E * n  # E tau, E n
 
     finite = [(l, prof[l]) for l in range(1, exp.truncation + 1)
               if prof[l] is not None]
@@ -361,13 +429,14 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     check_tail_dominated(spec, v_e, exp.truncation, tau, strict=True)
     minv = min(val for _, val in finite)
 
-    # condition (i): min_i v(c_i) = tau, strict above tau at p-divisible i
-    def p_indices_above():
-        return all(prof[l] is None or prof[l] > tau
-                   for l in range(p, exp.truncation + 1, p))
+    def p_indices_above(start):
+        # v(c_i) > tau at every i >= start divisible by p
+        return all(prof[l] is None or prof[l] > T
+                   for l in range(start, exp.truncation + 1, p))
 
-    if minv == tau and p_indices_above():
-        h = max(l for l, val in finite if val == tau)
+    # condition (i): min_i v(c_i) = tau, strict above tau at p-divisible i
+    if minv == T and p_indices_above(p):
+        h = max(l for l, val in finite if val == T)
         return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
                                 conductor=h, witness=witness,
                                 notes=("condition (i)",))
@@ -376,26 +445,25 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     reasons = []
     v1 = prof[1]
     vp_ = prof[p]
-    if not (v1 is None or v1 > n):
+    if not (v1 is None or v1 > En):
         reasons.append("v(c_1) <= n")
-    if not (vp_ is None or vp_ > n):
+    if not (vp_ is None or vp_ > En):
         reasons.append("v(c_p) <= n")
     rest = [(l, val) for l, val in finite if l not in (1, p)]
-    if not rest or min(val for _, val in rest) != tau:
+    if not rest or min(val for _, val in rest) != T:
         reasons.append("min over i != 1, p is not n + 1/(p-1)")
-    if not all(prof[l] is None or prof[l] > tau
-               for l in range(2 * p, exp.truncation + 1, p)):
+    if not p_indices_above(2 * p):
         reasons.append("v(c_i) <= n + 1/(p-1) at an index i > p divisible by p")
     if not reasons:
         c1, cp = exp.coeff(1), exp.coeff(p)
         corr = cp - c1 ** p * Fraction(1, p ** ((p - 1) * n + 1))
         if corr.is_zero() or tower.val(corr) > tau:
-            h = max(l for l, val in rest if val == tau)
+            h = max(l for l, val in rest if val == T)
             return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
                                     conductor=h, witness=witness,
                                     notes=("condition (ii)",))
         reasons.append("v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
-    if minv == tau:
+    if minv == T:
         # name the clause the way the nearest condition fails
         bad = [l for l, val in finite if val == minv and l % p == 0]
         if bad and all(val > minv for l, val in finite if l % p != 0):
@@ -411,17 +479,19 @@ def _classify_p2(exp: DiskExpansion, witness, v_e):
     spec = exp.spec
     n = spec.n
     tower = exp.d.tower
-    prof = exp.profile()
+    prof = exp.scaled_profile()
+    E = exp.scale
     if n < 2:
         return ReductionVerdict("NotCertified",
                                 reason="p = 2 requires n >= 2",
                                 witness=witness)
     tau = Fraction(n + 1)  # n + 1/(p-1) with p = 2
+    T = E * (n + 1)
     reasons = []
-    if prof[2] != Fraction(n):
+    if prof[2] != E * n:
         reasons.append("v(c_2) != n")
     for l in range(3, exp.truncation + 1):
-        if prof[l] is not None and prof[l] < tau:
+        if prof[l] is not None and prof[l] < T:
             reasons.append(f"v(c_{l}) < n + 1")
             break
     try:

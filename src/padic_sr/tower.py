@@ -41,31 +41,42 @@ from .jsonutil import parse_rat, ratstr
 INF = object()  # sentinel for v(0); public API raises ZeroElement instead
 
 
+@lru_cache(maxsize=64)  # asked once per v_p and once per tower step
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
+#: every v_p checks its prime, so the usual ones are a set lookup
+_SMALL_PRIMES = frozenset(q for q in range(2, 256) if _is_prime(q))
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime number."""
+    if p not in _SMALL_PRIMES and not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
+def vp_int(x: int, p: int) -> int:
+    """v_p(x) of a nonzero integer x, for a prime p.
+
+    Raises ZeroElement on x = 0 and ValueError when p is not prime, so no
+    input can make the division loop run forever."""
+    if x == 0:
+        raise ZeroElement("v(0) is +infinity")
+    check_prime(p)
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def vp_rational(q: Fraction, p: int) -> Fraction:
     """p-adic valuation of a nonzero rational, as a Fraction."""
     q = Fraction(q)
     if q == 0:
         raise ZeroElement("v(0) is +infinity")
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return Fraction(v)
-
-
-@lru_cache(maxsize=64)  # asked once per cover and once per tower step
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
-
-
-def check_prime(p: int) -> None:
-    """Raise ValueError unless p is a prime number."""
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    return Fraction(vp_int(q.numerator, p) - vp_int(q.denominator, p))
 
 
 def _prime_factors(m: int):

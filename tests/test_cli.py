@@ -133,13 +133,65 @@ def test_truncation_flag(runner):
      "Invalid value for '--p': p = 0 is not prime"),
     (["batch", "--p", "-3", "--n-max", "2"],
      "Invalid value for '--p': p = -3 is not prime"),
+    (["signature", "--p", "4", "--n", "1", "--m", "2", "--a1", "1", "--a2",
+      "1", "--a3", "0"],
+     "Invalid value for '--p': p = 4 is not prime"),
+    (["analyze", "--p", "5", "--n", "0", "--a", "1", "--b", "1"],
+     "Invalid value for '--n': 0 is not in the range x>=1."),
+    (["certify", "--p", "5", "--n", "-1", "--a", "1", "--b", "1"],
+     "Invalid value for '--n': -1 is not in the range x>=1."),
+    (["conductor", "--p", "5", "--n", "0", "--a", "1", "--b", "1"],
+     "Invalid value for '--n': 0 is not in the range x>=1."),
+    (["signature", "--p", "5", "--n", "0", "--m", "2", "--a1", "1", "--a2",
+      "1", "--a3", "0"],
+     "Invalid value for '--n': 0 is not in the range x>=1."),
+    (["batch", "--p", "5", "--n-max", "0"],
+     "Invalid value for '--n-max': 0 is not in the range x>=1."),
 ])
 def test_bad_parameters_are_usage_errors(runner, args, message):
-    """A non-prime --p and a --truncation below p + 1 exit 2 with one error
-    line, not a traceback."""
+    """A non-prime --p, an --n or --n-max below 1 and a --truncation below
+    p + 1 exit 2 with one error line, not a traceback."""
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     errors = [line for line in res.output.splitlines()
               if line.startswith("Error:")]
     assert errors == [f"Error: {message}"]
+
+
+COVER_COMMANDS = (
+    ["analyze", "--p", "5", "--n", "1", "--a", "1", "--b", "1"],
+    ["certify", "--p", "5", "--n", "1", "--a", "1", "--b", "1"],
+    ["batch", "--p", "5", "--n-max", "1"],
+)
+
+
+@pytest.mark.parametrize("env,message", [
+    ("3", "3 is below p + 1 = 6"),
+    ("x", "'x' is not an integer"),
+    ("1.5", "'1.5' is not an integer"),
+])
+def test_bad_truncation_env_is_usage_error(runner, env, message):
+    """A PADIC_SR_TRUNCATION that is not an integer or is below p + 1 exits
+    2 on every command that expands a series; --truncation overrides it."""
+    for args in COVER_COMMANDS:
+        res = runner.invoke(main, args, env={"PADIC_SR_TRUNCATION": env})
+        assert res.exit_code == 2, res.output
+        errors = [line for line in res.output.splitlines()
+                  if line.startswith("Error:")]
+        assert errors == [
+            f"Error: Invalid value for PADIC_SR_TRUNCATION: {message}"]
+        res = runner.invoke(main, args + ["--truncation", "12"],
+                            env={"PADIC_SR_TRUNCATION": env})
+        assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("text", ["not json", "[]", '{"prime": 5}',
+                                  '{"prime": 5, "n": 1, "components": [1], '
+                                  '"edges": []}'])
+def test_validate_graph_malformed_file(runner, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    res = runner.invoke(main, ["validate-graph", str(path)])
+    assert res.exit_code == 1, res.output
+    assert "malformed graph file" in res.output

@@ -23,6 +23,7 @@ from padic_sr.graph import (
     check_vanishing_cycles,
     effective_different_profile,
     export_graph,
+    sigma_eff_by_edge,
     sigma_eff_outward,
     tail_invariant_checks,
     validate_structure,
@@ -59,11 +60,15 @@ def test_sigma_eff_antisymmetry(emitted):
 
 
 def test_sigma_eff_matches_decorations(emitted):
+    """The emitted sigma_eff, and the one-pass sigma_eff_by_edge on every
+    edge, equal the per-edge subtree sum sigma_eff_outward."""
     spec, g = emitted
+    by_edge = sigma_eff_by_edge(g)
     for e in g.edges:
-        if g.component(e.target).kind == "augmented":
-            continue
-        assert e.sigma_eff == sigma_eff_outward(g, e.source, e.target)
+        want = sigma_eff_outward(g, e.source, e.target)
+        assert by_edge[e.source, e.target] == want
+        if g.component(e.target).kind != "augmented":
+            assert e.sigma_eff == want
 
 
 def test_effective_different_telescoping(emitted):
@@ -147,6 +152,16 @@ def test_not_a_tree_raises_on_every_call():
         with pytest.raises(Disconnected):
             g.parents()
         assert [c for c, _ in validate_structure(g)] == ["tree"]
+
+
+def test_edge_to_unknown_component_is_a_tree_violation():
+    g = build_stable_graph(branch_signature(5, 2, 3, 10))
+    dropped = DecoratedGraph(g.prime, g.n,
+                             [c for c in g.components if c.id != "Xstar"],
+                             g.edges, g.mG, g.signatures)
+    violations = validate_structure(dropped)
+    assert violations == [
+        ("tree", "edges name unknown components: ['Xstar']")]
 
 
 def test_missing_sigma_raises():

@@ -37,6 +37,12 @@ def test_solver_oracles():
     assert sol.sigmas() == (Fraction(1, 3), Fraction(2, 3), Fraction(0))
 
 
+@pytest.mark.parametrize("p,n", [(4, 1), (1, 1), (9, 2), (5, 0)])
+def test_spec_refuses_non_prime_p_and_n_below_1(p, n):
+    with pytest.raises(ValueError):
+        MetacyclicSpec(p, n, 2, (1, 1, 0))
+
+
 def test_all_zero_rejected():
     with pytest.raises(NoSolution):
         MetacyclicSpec(5, 1, 2, (0, 0, 0))

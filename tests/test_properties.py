@@ -1,12 +1,18 @@
-"""Property test: on random admissible covers, analyze is total over the
-domain errors and deterministic."""
+"""Property tests: on random admissible covers, analyze is total over the
+domain errors and deterministic; on bounded integer parameters, every CLI
+subcommand ends in exit 0, 1 or 2 and never in a traceback."""
 
+import copy
+import functools
 import json
+import traceback
 
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padic_sr.analyzer import analyze, branch_signature
+from padic_sr.cli import main
 from padic_sr.errors import ArtifactError, Disconnected, NotThreePoint
 
 
@@ -36,3 +42,83 @@ def _outcome(args):
 @given(covers())
 def test_analyze_is_total_and_deterministic(args):
     assert _outcome(args) == _outcome(args)
+
+
+# -- the command line ---------------------------------------------------------
+
+SMALL = st.integers(-2, 13)  # p, n, m: zero, negatives and non-primes too
+EXPONENT = st.integers(-12, 12)
+TRUNCATION = st.one_of(st.none(), st.integers(-2, 40))
+#: PADIC_SR_TRUNCATION: unset, an integer in the truncation range, or junk
+TRUNCATION_ENV = st.one_of(st.none(), st.integers(-2, 40).map(str),
+                           st.sampled_from(("", "x", "1.5")))
+GRAPH_EDITS = ("none", "drop-edge", "drop-component", "inertia", "not-json",
+               "list", "empty-object")
+
+
+@functools.cache
+def _graph_doc(p, n, a, b):
+    return analyze(p, n, a, b)["graph"]
+
+
+def _graph_text(edit, pick, value):
+    """A graph file for validate-graph: an emitted graph, edited."""
+    if edit == "not-json":
+        return "not json"
+    if edit == "list":
+        return "[]"
+    if edit == "empty-object":
+        return "{}"
+    doc = copy.deepcopy(_graph_doc(5, 2, 3, 10))
+    if edit == "drop-edge":
+        del doc["edges"][pick % len(doc["edges"])]
+    elif edit == "drop-component":
+        del doc["components"][pick % len(doc["components"])]
+    elif edit == "inertia":
+        doc["components"][pick % len(doc["components"])][
+            "inertia_exponent"] = value
+    return json.dumps(doc)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, PADIC_SR_TRUNCATION, graph file text) of one padic-sr call."""
+    cmd = draw(st.sampled_from(("analyze", "certify", "conductor",
+                                "signature", "batch", "validate-graph")))
+    env = draw(TRUNCATION_ENV)
+    if cmd == "validate-graph":
+        text = _graph_text(draw(st.sampled_from(GRAPH_EDITS)),
+                           draw(st.integers(0, 20)), draw(EXPONENT))
+        return [cmd, "graph.json"], env, text
+    p, n = draw(SMALL), draw(SMALL)
+    if cmd == "batch":
+        args = ["--p", p, "--n-max", n]
+    elif cmd == "signature":
+        args = ["--p", p, "--n", n, "--m", draw(SMALL), "--a1",
+                draw(EXPONENT), "--a2", draw(EXPONENT), "--a3", draw(EXPONENT)]
+    else:
+        args = ["--p", p, "--n", n, "--a", draw(EXPONENT), "--b",
+                draw(EXPONENT)]
+    if cmd in ("analyze", "certify", "batch"):
+        truncation = draw(TRUNCATION)
+        if truncation is not None:
+            args += ["--truncation", truncation]
+    return [cmd] + [str(x) for x in args], env, None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cli_calls())
+def test_cli_exits_cleanly(call):
+    """Every subcommand, on bounded integer parameters, exits 0, 1 or 2
+    without letting any exception but SystemExit escape."""
+    argv, env, text = call
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        if text is not None:
+            with open("graph.json", "w") as fh:
+                fh.write(text)
+        res = runner.invoke(main, argv, env={"PADIC_SR_TRUNCATION": env})
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        argv, env, res.output,
+        "".join(traceback.format_exception(res.exception)))
+    assert res.exit_code in (0, 1, 2), (argv, env, res.output)

@@ -11,11 +11,22 @@ import pytest
 import sympy as sp
 
 from padic_sr.analyzer import branch_signature, certify_tail, new_tail_locus
-from padic_sr.errors import CenterOnBranchLocus, ConvergenceViolated
+from padic_sr.errors import (
+    ArtifactError,
+    CenterOnBranchLocus,
+    ConvergenceViolated,
+    PrecisionExhausted,
+)
 from padic_sr.series import (
+    _EXACT_TAIL_HORIZON,
     DiskExpansion,
+    ReductionVerdict,
+    _check_tail_premises,
+    _find_i,
+    _log_floor,
     binom_falling,
     binomial_root_series,
+    check_tail_dominated,
     classify_torsor_reduction,
     default_truncation,
     expand_disk,
@@ -352,3 +363,265 @@ def test_binomial_root_series():
     # wrong valuation refused
     with pytest.raises(ConvergenceViolated):
         binomial_root_series([t.one(), t.gen(0)], 5, 2)
+
+
+# -- reference implementations of the integer fast paths ----------------------
+
+def _reference_check_tail_dominated(spec, v_e, L, threshold, strict=True):
+    """check_tail_dominated as a loop over every l up to the horizon, then
+    the closed form, all in Fractions."""
+    p, n, s = spec.p, spec.n, spec.s
+    horizon = max(_EXACT_TAIL_HORIZON, 2 * L)
+    for l in range(L + 1, horizon + 1):
+        bnd = tail_bound(spec, v_e, l)
+        if bnd > threshold or (not strict and bnd >= threshold):
+            continue
+        raise PrecisionExhausted(
+            f"tail coefficient l={l}: bound {bnd} does not clear "
+            f"threshold {threshold}"
+        )
+    m1 = min(v_e, v_e - (n - s))
+    if m1 <= 0:
+        raise PrecisionExhausted("tail slope is not positive")
+    log_term = _log_floor(horizon + 1, p) + 1
+    closed = (horizon + 1) * m1 - log_term
+    if not (closed > threshold):
+        raise PrecisionExhausted("closed-form tail bound too weak")
+    if m1 * (p - 1) * (horizon + 1) <= 1:
+        raise PrecisionExhausted("closed-form tail bound not monotone")
+
+
+def _reference_classify(exp):
+    """classify_torsor_reduction on the Fraction profile, with the reference
+    tail check."""
+    spec = exp.spec
+    p, n = spec.p, spec.n
+    tower = exp.d.tower
+    prof = exp.profile()
+    if not (exp.coeff(0) - 1).is_zero():
+        raise ValueError("expansion is not normalized to c_0 = 1")
+    witness = tuple((l, v) for l, v in enumerate(prof))
+    if exp.e.is_zero():
+        return ReductionVerdict("NotCertified", reason="constant expansion",
+                                witness=witness)
+    v_e = tower.val(exp.e)
+    if p == 2:
+        return _reference_classify_p2(exp, prof, witness, v_e)
+    tau = n + Fraction(1, p - 1)
+    L = exp.truncation
+    finite = [(l, prof[l]) for l in range(1, L + 1) if prof[l] is not None]
+    if not finite:
+        return ReductionVerdict("NotCertified",
+                                reason="all coefficients vanish",
+                                witness=witness)
+    _check_tail_premises(exp)
+    _reference_check_tail_dominated(spec, v_e, L, tau, strict=True)
+    minv = min(val for _, val in finite)
+
+    def above(start):
+        return all(prof[l] is None or prof[l] > tau
+                   for l in range(start, L + 1, p))
+
+    if minv == tau and above(p):
+        h = max(l for l, val in finite if val == tau)
+        return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
+                                conductor=h, witness=witness,
+                                notes=("condition (i)",))
+    reasons = []
+    if not (prof[1] is None or prof[1] > n):
+        reasons.append("v(c_1) <= n")
+    if not (prof[p] is None or prof[p] > n):
+        reasons.append("v(c_p) <= n")
+    rest = [(l, val) for l, val in finite if l not in (1, p)]
+    if not rest or min(val for _, val in rest) != tau:
+        reasons.append("min over i != 1, p is not n + 1/(p-1)")
+    if not above(2 * p):
+        reasons.append("v(c_i) <= n + 1/(p-1) at an index i > p divisible by p")
+    if not reasons:
+        c1, cp = exp.coeff(1), exp.coeff(p)
+        corr = cp - c1 ** p * Fraction(1, p ** ((p - 1) * n + 1))
+        if corr.is_zero() or tower.val(corr) > tau:
+            h = max(l for l, val in rest if val == tau)
+            return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
+                                    conductor=h, witness=witness,
+                                    notes=("condition (ii)",))
+        reasons.append("v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
+    if minv == tau:
+        bad = [l for l, val in finite if val == minv and l % p == 0]
+        if bad and all(val > minv for l, val in finite if l % p != 0):
+            return ReductionVerdict(
+                "NotCertified", reason="minimum at index divisible by p",
+                witness=witness)
+    return ReductionVerdict("NotCertified", reason="; ".join(reasons) or
+                            "minimum valuation is not n + 1/(p-1)",
+                            witness=witness)
+
+
+def _reference_classify_p2(exp, prof, witness, v_e):
+    spec = exp.spec
+    n = spec.n
+    tower = exp.d.tower
+    if n < 2:
+        return ReductionVerdict("NotCertified",
+                                reason="p = 2 requires n >= 2",
+                                witness=witness)
+    tau = Fraction(n + 1)
+    reasons = []
+    if prof[2] != Fraction(n):
+        reasons.append("v(c_2) != n")
+    for l in range(3, exp.truncation + 1):
+        if prof[l] is not None and prof[l] < tau:
+            reasons.append(f"v(c_{l}) < n + 1")
+            break
+    try:
+        _check_tail_premises(exp)
+        _reference_check_tail_dominated(spec, v_e, exp.truncation, tau,
+                                        strict=False)
+    except PrecisionExhausted as exc:
+        reasons.append(str(exc))
+    if reasons:
+        return ReductionVerdict("NotCertified", reason="; ".join(reasons),
+                                witness=witness)
+    notes = ["sqrt(c_2) adjoined on demand"]
+    i_elem = _find_i(tower)
+    if i_elem is None:
+        return ReductionVerdict(
+            "NotCertified", reason="tower contains no sqrt(-1)",
+            witness=witness)
+    c1, c2 = exp.coeff(1), exp.coeff(2)
+    lhs = c1 * c1 * c2.inverse()
+    for sign in (1, -1):
+        diff = lhs - (2 ** (n + 1)) * (i_elem * sign)
+        if diff.is_zero() or tower.val(diff) >= n + 2:
+            notes.append(
+                f"congruence holds with i -> {'+' if sign == 1 else '-'}i")
+            return ReductionVerdict("SplitsZ4", count=2 ** (n - 2),
+                                    conductor=1, witness=witness,
+                                    notes=tuple(notes))
+    return ReductionVerdict(
+        "NotCertified",
+        reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i",
+        witness=witness)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except PrecisionExhausted as exc:
+        return "raised", str(exc)
+
+
+def _oracle_grid():
+    """Every admissible cover with p <= 13, n <= 3, 1 <= a <= 2 and
+    -4 <= b <= 6 whose new-tail locus is built: p = 2, n = s and n > s."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(2 if p == 2 else 1, 4):
+            for a in (1, 2):
+                for b in range(-4, 7):
+                    try:
+                        spec = branch_signature(p, n, a, b)
+                        locus = new_tail_locus(spec)
+                    except ArtifactError:
+                        continue
+                    yield spec, locus
+
+
+def test_classifier_matches_fraction_reference():
+    """The integer classifier gives the same verdict, every field of it
+    (kind, count, conductor, reason, witness, notes), as the Fraction
+    classifier on the oracle grid, at the default truncation and at the
+    smallest one, and on disks too narrow for the tail check, where both
+    must fail the same way."""
+    kinds = set()
+    for spec, locus in _oracle_grid():
+        p = spec.p
+        narrow = locus.tower.gen(0)  # v(e) far below the locus radius
+        for e, L in ((locus.e, None), (locus.e, p + 1), (narrow, p + 1)):
+            fast = _outcome(classify_torsor_reduction,
+                            expand_disk(spec, locus.d, e, L))
+            ref = _outcome(_reference_classify,
+                           expand_disk(spec, locus.d, e, L))
+            assert fast == ref, (spec, e, L)
+            kinds.add((p == 2, spec.n == spec.s, fast[0],
+                       fast[1].kind if fast[0] == "ok" else None))
+    # the grid reaches both primes' verdicts and the failing tail check
+    assert (False, True, "ok", "SplitsArtinSchreier") in kinds
+    assert (False, False, "ok", "SplitsArtinSchreier") in kinds
+    assert (True, False, "ok", "SplitsZ4") in kinds
+    assert (True, False, "ok", "NotCertified") in kinds
+    assert any(k[2] == "raised" for k in kinds)
+
+
+def test_classifier_matches_fraction_reference_on_crafted_profiles():
+    """The same agreement on expansions made from lists of monomials
+    u pi^k, whose valuations land on, just above and just below n and
+    n + 1/(p-1) at every index."""
+    rng = random.Random(11)
+    t = make_tower(5, [(8, 5)])
+    pi = t.gen(0)
+    d, e = t.rational(Fraction(1, 2)), pi ** 5
+    verdicts = set()
+    for n in (1, 2):
+        spec = _spec(5, n, 1, 1, n)
+        for _ in range(150):
+            coeffs = [t.one()] + [
+                rng.choice((1, 2, -1)) * pi ** rng.randint(8 * n - 1,
+                                                           8 * n + 4)
+                if rng.randrange(4) else t.zero()
+                for _ in range(10)]
+            fast = _outcome(classify_torsor_reduction,
+                            DiskExpansion(spec, d, e, coeffs, 10))
+            ref = _outcome(_reference_classify,
+                           DiskExpansion(spec, d, e, coeffs, 10))
+            assert fast == ref, (n, coeffs)
+            verdicts.add(fast[1].reason or fast[1].notes)
+    assert len(verdicts) >= 6, verdicts
+
+
+def test_tail_check_matches_per_l_reference():
+    """The candidate check passes or raises exactly as the loop over every
+    l, with the same message, for thresholds at, just above and just below
+    the bound at each l past the truncation, both strictnesses, and radii
+    whose slope v_e - (n - s) is positive, zero or negative; and where the
+    closed form beyond the horizon fails for a slope near 0."""
+    def agree(*args):
+        fast = _outcome(check_tail_dominated, *args)
+        assert fast == _outcome(_reference_check_tail_dominated, *args), args
+        return fast[0] == "raised"
+
+    checked = failed = 0
+    for p in (2, 3, 5, 7):
+        for n in range(1, 4):
+            for s in range(1, n + 1):
+                spec = _spec(p, n, None, None, s)
+                E = 2 * (p - 1)
+                v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
+                for ve in (v_e, Fraction(n - s), Fraction(n - s, 2) +
+                           Fraction(1, E)):
+                    for L in (p + 1, 2 * p, 70):
+                        bounds = {tail_bound(spec, ve, l)
+                                  for l in range(L + 1, L + p + 3)}
+                        for b in bounds:
+                            for thr in (b, b - Fraction(1, E),
+                                        b + Fraction(1, E)):
+                                for strict in (True, False):
+                                    failed += agree(spec, ve, L, thr, strict)
+                                    checked += 1
+                tiny = n - s + Fraction(1, 1000)
+                for thr in (Fraction(-100), Fraction(0)):
+                    failed += agree(spec, tiny, p + 1, thr, True)
+                    checked += 1
+    assert failed and failed < checked
+
+
+def test_tail_check_on_the_locus_needs_no_per_l_bound(monkeypatch):
+    """At the locus radius the candidates clear the threshold, so the
+    per-l fallback never runs: no tail_bound call per cover."""
+    import padic_sr.series as series
+    calls = []
+    monkeypatch.setattr(series, "tail_bound",
+                        lambda *args: calls.append(args) or tail_bound(*args))
+    for args in ((5, 1, 1, 1), (5, 2, 3, 10), (37, 1, 13, 57), (3, 2, 1, 3),
+                 (2, 3, 1, 6), (7, 3, 2, 7)):
+        certify_tail(branch_signature(*args))
+    assert calls == []

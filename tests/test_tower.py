@@ -18,6 +18,7 @@ from padic_sr.tower import (
     make_tower,
     square_class_K2_K3,
     valuation,
+    vp_int,
     vp_rational,
 )
 
@@ -65,6 +66,19 @@ def test_valuation_of_zero_raises():
     t = make_tower(5, [])
     with pytest.raises(ZeroElement):
         t.val(t.rational(0))
+
+
+def test_vp_int_refuses_zero_and_non_primes():
+    """v_p of an integer is exact on nonzero integers; 0 and a non-prime p
+    raise named errors instead of looping forever."""
+    assert vp_int(-250, 5) == 3
+    assert vp_int(7, 5) == 0
+    assert vp_int(2 ** 40, 2) == 40
+    with pytest.raises(ZeroElement):
+        vp_int(0, 5)
+    for p in (1, 4, 0, -3):
+        with pytest.raises(ValueError, match="is not prime"):
+            vp_int(12, p)
 
 
 def test_zero_radicand_rejected():
