@@ -129,6 +129,9 @@ def psolvable_quotient(p: int, n: int, m_G: int) -> dict:
     """Structure of the relevant quotient of a p-solvable group with cyclic
     p-Sylow Z/p^n: the semidirect product Z/p^n x| Z/m_G with faithful
     conjugation action."""
+    check_prime(p)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _check_faithful(p, n, m_G)
     if m_G == 1:
         return {"quotient": f"Z/{p}^{n}", "m_G": 1,

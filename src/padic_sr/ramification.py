@@ -20,7 +20,7 @@ from .errors import (
     TermDegreeDivisibleByP,
 )
 from .jsonutil import parse_rat, ratstr
-from .tower import Tower, TowerElement
+from .tower import Tower, TowerElement, unit_level
 
 
 @dataclass(frozen=True)
@@ -292,48 +292,6 @@ class FieldTower:
 
 # -- Kummer step conductors --------------------------------------------------
 
-def _unit_level_maximize(tower: Tower, u: TowerElement, cap: int):
-    """Maximize j = v_pi(u w^(-p) - 1) over p-th powers w.
-
-    Greedy over the documented search set {1} and 1 + c pi^(j/p) corrections
-    with integer residues c (the residue field of the cyclotomic tower is
-    F_p).  Returns the achieved level, possibly cap when u is a p-th power.
-    """
-    p = tower.p
-    R = tower.ram_index
-    pi = tower.uniformizer()
-    cur = u
-    while True:
-        w = cur - 1
-        if w.is_zero():
-            return cap
-        j = tower.val(w) * R
-        if j.denominator != 1:
-            raise SearchInconclusive("level outside the value group")
-        j = int(j)
-        if j >= cap:
-            return cap
-        if j % p != 0:
-            return j
-        # p | j: try to push the level with w = 1 + c pi^(j/p); the leading
-        # residue r satisfies c^p = r with c = r in F_p
-        improved = False
-        for c in range(1, p):
-            cand = cur * ((1 + c * pi ** (j // p)).inverse() ** p)
-            cw = cand - 1
-            if cw.is_zero():
-                return cap
-            jj = tower.val(cw) * R
-            if jj.denominator == 1 and int(jj) > j:
-                cur = cand
-                improved = True
-                break
-        if not improved:
-            raise SearchInconclusive(
-                f"cannot raise the unit level past {j} (divisible by p)"
-            )
-
-
 def kummer_step_conductor(level, u, m: int) -> ConductorValue:
     """Conductor of K(u^(1/m))/K for K = Q_p(zeta_{p^level}) (or an explicit
     Tower), m a p-power, in the standard upper numbering of K.
@@ -386,7 +344,7 @@ def kummer_step_conductor(level, u, m: int) -> ConductorValue:
         return ConductorValue("bound", cap_frac)
     unit = uu * (pi.inverse() ** v)
     try:
-        j = _unit_level_maximize(tower, unit, cap if cap is not None else 0)
+        j = unit_level(tower, unit, cap if cap is not None else 0)
     except SearchInconclusive:
         return ConductorValue("bound", cap_frac)
     if cap is not None and j >= cap:

@@ -37,15 +37,28 @@ the sum makes K_l an integer: the recurrence runs on Python integers and its
 division by l+1 is exact (checked, never floored).  Otherwise delta is a
 tower element with integer coordinates and the recurrence runs in the tower.
 
-Valuations and coefficients.  With c_l = e^l h_l = r^l K_l, r = N e /
-(delta delta'), valuations are multiplicative, so
+Valuations without coefficients.  With c_l = e^l h_l = r^l K_l and
+r = N e / (delta delta'), valuations are multiplicative.  Scaled by E (the
+profile scale of `DiskExpansion`, which puts every valuation in Z),
 
-    v(c_l) = l (v(e) + v(N) - v(delta) - v(delta')) + v(K_l),
+    E v(c_l) = l slope + E v(K_l),
+    slope = E v(r) = E (v(e) + v(N) - v(delta) - v(delta')),
 
-and c_l = 0 exactly when K_l = 0 (e, d and d-1 are nonzero).  The valuation
-profile is read off the K_l, one v_p of an integer per l for a rational
-centre; a coefficient c_l is built only when it is read, from r, which is
-computed at most once per expansion.
+and c_l = 0 exactly when K_l = 0 (e, d and d-1 are nonzero).  The classifiers
+read only the K_l and the slope: they build no c_l and invert nothing, and
+for a rational centre every valuation is one v_p of an integer.  The two
+tests that compare coefficients, not just valuations, carry the same power
+of r on both sides, so r enters only through the slope (tau = n + 1/(p-1)):
+
+* Condition (ii), M = (p-1) n + 1: c_p - c_1^p / p^M = r^p p^(-M) Y with
+  Y = p^M K_p - K_1^p, so v(c_p - c_1^p / p^M) > tau exactly when Y = 0 or
+  p slope + E v(Y) - E M > E tau.
+* The p = 2 congruence c_1^2 / c_2 = 2^(n+1) i mod 2^(n+2), once v(c_2) = n
+  is checked: c_1^2 / c_2 - 2^(n+1) i = X / K_2 with X = K_1^2 - 2^(n+1) i K_2
+  and E v(K_2) = E n - 2 slope, so the congruence holds exactly when X = 0
+  or E v(X) + 2 slope >= E (2n + 2).  The other choice -i of the root of -1
+  moves the right side by 2^(n+2) i, so the congruence holds for both
+  choices or for neither, and i alone is tested.
 
 Tail bound.  The j-th term of c_l has valuation at least l v(e) when j = 0
 and l v(e) + (n-s) - v_p(j) - j(n-s) when j >= 1 (C(a, k) is an integer,
@@ -82,7 +95,6 @@ loop alone would, and raises the same message at the same first failing l.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -93,7 +105,6 @@ from .errors import (
     ConvergenceViolated,
     PrecisionExhausted,
 )
-from .jsonutil import ratstr
 from .tower import vp_int, vp_rational
 
 #: l index beyond which a single linear bound takes over from the per-l
@@ -102,9 +113,7 @@ _EXACT_TAIL_HORIZON = 64
 
 
 def default_truncation(p: int) -> int:
-    env = os.environ.get("PADIC_SR_TRUNCATION")
-    if env:
-        return int(env)
+    """The series truncation L used when none is given."""
     return max(p + 1, 2 * p)
 
 
@@ -122,55 +131,38 @@ def binom_falling(x, k: int) -> Fraction:
 
 
 class DiskExpansion:
-    """Coefficients c_0 .. c_L of the cover equation restricted to the disk
-    x = d + e t.
+    """The cover equation restricted to the disk x = d + e t, as the values
+    K_0 .. K_L with c_l = r^l K_l (module docstring).
 
-    An expansion from `expand_disk` keeps the recurrence values K_l of the
-    module docstring and builds no coefficient: `scaled_profile()` reads
-    v(c_l) off the K_l, and c_l = r^l K_l is built the first time `coeff(l)` or
-    `coeffs` reads it, with r = N e / (delta delta') computed once.  An
-    expansion made from a list, DiskExpansion(spec, d, e, coeffs,
-    truncation), reads its coefficients and their valuations from the list.
+    `expand_disk` passes r_factors = (N, delta, delta'), so that r = N e /
+    (delta delta') and the K_l are the recurrence values, integers for a
+    rational centre.  An expansion made from a list, DiskExpansion(spec, d,
+    e, coeffs, truncation), has K_l = c_l and r = 1.
 
-    Profiles are kept scaled by E = `scale`, as the integers E v(c_l) of
-    `scaled_profile()`: every valuation in the tower and the classifier's
-    threshold n + 1/(p-1) lie in (1/E)Z, so the classifier compares
-    integers.  `profile()` builds the Fractions v(c_l) from that list.
+    Profiles are kept scaled by E = `scale`, as the integers E v(c_l) =
+    l `slope` + E v(K_l) of `scaled_profile()`: every valuation in the tower
+    and the classifier's threshold n + 1/(p-1) lie in (1/E)Z, so the
+    classifiers compare integers.  `profile()` builds the Fractions v(c_l)
+    from that list, and `coeffs` builds the c_l themselves.
     """
 
-    def __init__(self, spec, d, e, coeffs, truncation):
+    def __init__(self, spec, d, e, coeffs, truncation, r_factors=None):
         self.spec = spec  # anything with fields p, n, a, b, s
         self.d = d
         self.e = e
         self.truncation = truncation
-        self._coeffs = list(coeffs)  # TowerElements; None until built
+        self.ks = list(coeffs)  # K_0 .. K_L: integers or elements of d's tower
+        self.r_factors = r_factors  # (N, delta, delta'), or None for r = 1
         self._scaled = None
-        self._recurrence = None  # (N, delta, delta', [K_0 .. K_L])
-
-    @classmethod
-    def _from_recurrence(cls, spec, d, e, truncation, recurrence):
-        exp = cls(spec, d, e, [d.tower.one()] + [None] * truncation,
-                  truncation)
-        exp._recurrence = recurrence
-        return exp
-
-    @cached_property
-    def _r(self):
-        """r = N e / (delta delta'), so that c_l = r^l K_l."""
-        N, delta, delta1, _ = self._recurrence
-        return self.e * (Fraction(N) / (delta * delta1))
-
-    def coeff(self, l):
-        """c_l, built on its first read."""
-        c = self._coeffs[l]
-        if c is None:
-            c = self._coeffs[l] = self._r ** l * self._recurrence[3][l]
-        return c
 
     @property
     def coeffs(self):
-        """The list c_0 .. c_L, every coefficient built."""
-        return [self.coeff(l) for l in range(len(self._coeffs))]
+        """The list c_0 .. c_L, built from r on each read."""
+        if self.r_factors is None:
+            return list(self.ks)
+        N, delta, delta1 = self.r_factors
+        r = self.e * (Fraction(N) / (delta * delta1))
+        return [r ** l * k for l, k in enumerate(self.ks)]
 
     @cached_property
     def scale(self) -> int:
@@ -185,23 +177,24 @@ class DiskExpansion:
         """v(e), computed once for the profile and the classifier."""
         return self.d.tower.val(self.e)
 
+    @cached_property
+    def slope(self) -> int:
+        """E v(r) = E (v(e) + v(N) - v(delta) - v(delta')), 0 when r = 1."""
+        if self.r_factors is None:
+            return 0
+        tower, E = self.d.tower, self.scale
+        N, delta, delta1 = self.r_factors
+        return (_scaled(self.v_e, E) + _scaled_val(N, tower, E)
+                - _scaled_val(delta, tower, E) - _scaled_val(delta1, tower, E))
+
     def scaled_profile(self):
         """[E v(c_l)] for l = 0 .. L as integers, E = `scale`, with None for
         zero coefficients (valuation +inf)."""
         if self._scaled is None:
-            tower, E = self.d.tower, self.scale
-            if self._recurrence is None:
-                self._scaled = [None if c.is_zero()
-                                else _scaled(tower.val(c), E)
-                                for c in self._coeffs]
-            else:
-                N, delta, delta1, ks = self._recurrence
-                slope = (_scaled(self.v_e, E) + _scaled_val(N, tower, E)
-                         - _scaled_val(delta, tower, E)
-                         - _scaled_val(delta1, tower, E))
-                self._scaled = [None if k == 0
-                                else l * slope + _scaled_val(k, tower, E)
-                                for l, k in enumerate(ks)]
+            tower, E, slope = self.d.tower, self.scale, self.slope
+            self._scaled = [None if k == 0
+                            else l * slope + _scaled_val(k, tower, E)
+                            for l, k in enumerate(self.ks)]
         return self._scaled
 
     def profile(self):
@@ -210,12 +203,6 @@ class DiskExpansion:
         E = self.scale
         return [None if v is None else Fraction(v, E)
                 for v in self.scaled_profile()]
-
-    def profile_json(self):
-        return [
-            [l, "inf" if v is None else ratstr(v)]
-            for l, v in enumerate(self.profile())
-        ]
 
 
 def _scaled(v: Fraction, E: int) -> int:
@@ -250,7 +237,6 @@ class ReductionVerdict:
     count: int | None = None
     conductor: int | None = None  # h for Artin-Schreier; first upper jump for Z4
     reason: str | None = None
-    witness: tuple = ()  # the valuation profile used, ((l, Fraction|None), ...)
     notes: tuple = ()
 
     def to_json(self):
@@ -302,7 +288,7 @@ def expand_disk(spec, d, e, L: int | None = None) -> DiskExpansion:
             A * k + (a + b - l + 1) * P * k_prev, l + 1)
         A = A - S
         ks.append(k)
-    return DiskExpansion._from_recurrence(spec, d, e, L, (N, delta, delta1, ks))
+    return DiskExpansion(spec, d, e, ks, L, r_factors=(N, delta, delta1))
 
 
 # -- rigorous tail bound -----------------------------------------------------
@@ -401,21 +387,19 @@ def check_tail_dominated(spec, v_e, L, threshold, strict=True):
 
 def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     """Reduction type of the torsor from the valuation profile, compared as
-    integers scaled by E = exp.scale against E tau, tau = n + 1/(p-1)."""
+    integers scaled by E = exp.scale against E tau, tau = n + 1/(p-1).  Reads
+    the K_l and exp.slope only (module docstring): no coefficient is built and
+    nothing is inverted."""
     spec = exp.spec
     p, n = spec.p, spec.n
-    tower = exp.d.tower
+    if not exp.ks or exp.ks[0] != 1:
+        raise ValueError("expansion is not normalized to c_0 = 1")
+    if exp.e.is_zero():
+        return ReductionVerdict("NotCertified", reason="constant expansion")
+    if p == 2:
+        return _classify_p2(exp)
     prof = exp.scaled_profile()
     E = exp.scale
-    if not exp._coeffs or not (exp.coeff(0) - 1).is_zero():
-        raise ValueError("expansion is not normalized to c_0 = 1")
-    witness = tuple(enumerate(exp.profile()))
-    if exp.e.is_zero():
-        return ReductionVerdict("NotCertified", reason="constant expansion",
-                                witness=witness)
-    v_e = exp.v_e
-    if p == 2:
-        return _classify_p2(exp, witness, v_e)
     tau = n + Fraction(1, p - 1)
     T, En = E * n + E // (p - 1), E * n  # E tau, E n
 
@@ -423,10 +407,9 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
               if prof[l] is not None]
     if not finite:
         return ReductionVerdict("NotCertified",
-                                reason="all coefficients vanish",
-                                witness=witness)
+                                reason="all coefficients vanish")
     _check_tail_premises(exp)
-    check_tail_dominated(spec, v_e, exp.truncation, tau, strict=True)
+    check_tail_dominated(spec, exp.v_e, exp.truncation, tau, strict=True)
     minv = min(val for _, val in finite)
 
     def p_indices_above(start):
@@ -438,8 +421,7 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     if minv == T and p_indices_above(p):
         h = max(l for l, val in finite if val == T)
         return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
-                                conductor=h, witness=witness,
-                                notes=("condition (i)",))
+                                conductor=h, notes=("condition (i)",))
 
     # condition (ii)
     reasons = []
@@ -455,27 +437,26 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     if not p_indices_above(2 * p):
         reasons.append("v(c_i) <= n + 1/(p-1) at an index i > p divisible by p")
     if not reasons:
-        c1, cp = exp.coeff(1), exp.coeff(p)
-        corr = cp - c1 ** p * Fraction(1, p ** ((p - 1) * n + 1))
-        if corr.is_zero() or tower.val(corr) > tau:
+        # c_p - c_1^p / p^M = r^p p^(-M) Y
+        M = (p - 1) * n + 1
+        y = p ** M * exp.ks[p] - exp.ks[1] ** p
+        if y == 0 or (p * exp.slope + _scaled_val(y, exp.d.tower, E)
+                      - E * M > T):
             h = max(l for l, val in rest if val == T)
             return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
-                                    conductor=h, witness=witness,
-                                    notes=("condition (ii)",))
+                                    conductor=h, notes=("condition (ii)",))
         reasons.append("v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
     if minv == T:
         # name the clause the way the nearest condition fails
         bad = [l for l, val in finite if val == minv and l % p == 0]
         if bad and all(val > minv for l, val in finite if l % p != 0):
             return ReductionVerdict(
-                "NotCertified", reason="minimum at index divisible by p",
-                witness=witness)
+                "NotCertified", reason="minimum at index divisible by p")
     return ReductionVerdict("NotCertified", reason="; ".join(reasons) or
-                            "minimum valuation is not n + 1/(p-1)",
-                            witness=witness)
+                            "minimum valuation is not n + 1/(p-1)")
 
 
-def _classify_p2(exp: DiskExpansion, witness, v_e):
+def _classify_p2(exp: DiskExpansion):
     spec = exp.spec
     n = spec.n
     tower = exp.d.tower
@@ -483,8 +464,7 @@ def _classify_p2(exp: DiskExpansion, witness, v_e):
     E = exp.scale
     if n < 2:
         return ReductionVerdict("NotCertified",
-                                reason="p = 2 requires n >= 2",
-                                witness=witness)
+                                reason="p = 2 requires n >= 2")
     tau = Fraction(n + 1)  # n + 1/(p-1) with p = 2
     T = E * (n + 1)
     reasons = []
@@ -496,37 +476,30 @@ def _classify_p2(exp: DiskExpansion, witness, v_e):
             break
     try:
         _check_tail_premises(exp)
-        check_tail_dominated(spec, v_e, exp.truncation, tau, strict=False)
+        check_tail_dominated(spec, exp.v_e, exp.truncation, tau, strict=False)
     except PrecisionExhausted as exc:
         reasons.append(str(exc))
     if reasons:
-        return ReductionVerdict("NotCertified", reason="; ".join(reasons),
-                                witness=witness)
+        return ReductionVerdict("NotCertified", reason="; ".join(reasons))
     # c_2 is a square in R: a square root exists over an at-most-quadratic
     # extension of K, which the construction permits (adjoined on demand)
     notes = ["sqrt(c_2) adjoined on demand"]
-    # congruence c_1^2 / c_2 = 2^(n+1) i mod 2^(n+2), either choice of i
+    # congruence c_1^2 / c_2 = 2^(n+1) i mod 2^(n+2), as X = K_1^2 -
+    # 2^(n+1) i K_2 (module docstring); it holds for both choices of i or
+    # for neither
     i_elem = _find_i(tower)
     if i_elem is None:
         return ReductionVerdict(
-            "NotCertified", reason="tower contains no sqrt(-1)",
-            witness=witness)
-    c1, c2 = exp.coeff(1), exp.coeff(2)
-    lhs = c1 * c1 * c2.inverse()
-    ok_choice = None
-    for sign in (1, -1):
-        diff = lhs - (2 ** (n + 1)) * (i_elem * sign)
-        if diff.is_zero() or tower.val(diff) >= n + 2:
-            ok_choice = sign
-            break
-    if ok_choice is None:
+            "NotCertified", reason="tower contains no sqrt(-1)")
+    x = exp.ks[1] * exp.ks[1] - 2 ** (n + 1) * (i_elem * exp.ks[2])
+    if not (x == 0 or (_scaled_val(x, tower, E) + 2 * exp.slope
+                       >= E * (2 * n + 2))):
         return ReductionVerdict(
             "NotCertified",
-            reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i",
-            witness=witness)
-    notes.append(f"congruence holds with i -> {'+' if ok_choice == 1 else '-'}i")
+            reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i")
+    notes.append("congruence holds with i -> +i")
     return ReductionVerdict("SplitsZ4", count=2 ** (n - 2), conductor=1,
-                            witness=witness, notes=tuple(notes))
+                            notes=tuple(notes))
 
 
 def _find_i(tower):

@@ -32,6 +32,7 @@ from math import gcd, isqrt
 
 from .errors import (
     IrreducibilityUnverified,
+    SearchInconclusive,
     WrongPrime,
     ZeroElement,
     ZeroRadicand,
@@ -730,6 +731,47 @@ def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
     return False
 
 
+# -- unit levels --------------------------------------------------------------
+
+def unit_level(tower: Tower, u: TowerElement, cap: int) -> int:
+    """The level j = v_pi(u w^(-p) - 1) of the unit u, pushed up by dividing
+    u by p-th powers w^p = (1 + c pi^(j/p))^p while p divides j and j < cap.
+
+    The corrections have integer residues c = 1 .. p-1 (the residue field of
+    the towers searched here is F_p), and the first c that raises the level
+    is kept.  Below the cap, (1 + c pi^(j/p))^p = 1 + c^p pi^j up to higher
+    levels and c^p = c in F_p, so c = the leading residue of (u - 1)/pi^j
+    raises the level.  Returns cap once the level reaches it (u is a p-th
+    power times an element of U^cap), else the first level prime to p.  A
+    level outside the value group, or one divisible by p that no c raises,
+    raises SearchInconclusive.
+    """
+    p, R = tower.p, tower.ram_index
+    pi = tower.uniformizer()
+
+    def level(x):  # v_pi(x - 1), cap when x = 1
+        w = x - 1
+        if w.is_zero():
+            return cap
+        j = tower.val(w) * R
+        if j.denominator != 1:
+            raise SearchInconclusive("level outside the value group")
+        return int(j)
+
+    j = level(u)
+    while j < cap and j % p == 0:
+        for c in range(1, p):
+            cand = u * ((1 + c * pi ** (j // p)).inverse() ** p)
+            jj = level(cand)
+            if jj > j:
+                u, j = cand, jj
+                break
+        else:
+            raise SearchInconclusive(
+                f"cannot raise the unit level past {j} (divisible by p)")
+    return min(j, cap)
+
+
 # -- squares in the unramified closure (p = 2) -------------------------------
 
 def is_square_unramified_closure(tower: Tower, alpha: TowerElement) -> bool:
@@ -740,7 +782,7 @@ def is_square_unramified_closure(tower: Tower, alpha: TowerElement) -> bool:
     Obstructions are exactly: odd pi-valuation, and a principal-unit level
     that is odd and below 2 v_pi(2); levels >= 2 v_pi(2) are killed by the
     Artin-Schreier equation z^2 + z = t, solvable over the closed residue
-    field with unit derivative.
+    field with unit derivative.  The level is `unit_level` capped there.
     """
     if tower.p != 2:
         raise WrongPrime("square-class analysis is specific to p = 2")
@@ -758,27 +800,8 @@ def is_square_unramified_closure(tower: Tower, alpha: TowerElement) -> bool:
     k = int(k)
     if k % 2 != 0:
         return False
-    u = alpha * pi.inverse() ** k
     as_level = 2 * R  # v_pi(4)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > as_level + 8:
-            raise AssertionError("square reduction failed to terminate")
-        w = u - 1
-        if w.is_zero():
-            return True
-        j = tower.val(w) * R
-        if j.denominator != 1:
-            raise AssertionError("valuation outside the value group")
-        j = int(j)
-        if j >= as_level:
-            return True
-        if j % 2 != 0:
-            return False
-        # residue field of exact elements is F_2, so the leading residue is 1
-        # and dividing by (1 + pi^(j/2))^2 strictly raises the level
-        u = u * ((1 + pi ** (j // 2)).inverse() ** 2)
+    return unit_level(tower, alpha * pi.inverse() ** k, as_level) == as_level
 
 
 @cache

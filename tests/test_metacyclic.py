@@ -117,6 +117,14 @@ def test_psolvable_quotient():
     assert psolvable_quotient(3, 2, 6)["faithful"]
 
 
+@pytest.mark.parametrize("p,n", [(4, 1), (1, 1), (0, 2), (9, 2), (5, 0),
+                                 (3, -1)])
+def test_psolvable_quotient_refuses_non_prime_p_and_n_below_1(p, n):
+    """As MetacyclicSpec does: no Z/4^1 x| Z/3 or Z/1^1 x| Z/3 answer."""
+    with pytest.raises(ValueError):
+        psolvable_quotient(p, n, 3)
+
+
 def test_tails_graph_satisfies_vanishing_cycles():
     for m, a in [(2, (1, 1, 0)), (4, (3, 3, 2)), (6, (1, 2, 3))]:
         p, n = _p_for(m)

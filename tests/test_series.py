@@ -65,10 +65,16 @@ def _reference_tail_bound(p, n, s, v_e, l, vp_table):
 
 
 def test_default_truncation_env(monkeypatch):
+    """The library's default is max(p + 1, 2p) whatever the environment
+    says; PADIC_SR_TRUNCATION is resolved by the CLI alone."""
     assert default_truncation(5) == 10
     assert default_truncation(2) == 4
-    monkeypatch.setenv("PADIC_SR_TRUNCATION", "17")
-    assert default_truncation(5) == 17
+    for value in ("17", "junk", "3"):
+        monkeypatch.setenv("PADIC_SR_TRUNCATION", value)
+        assert default_truncation(5) == 10
+        assert expand_disk(_spec(5, 1, 1, 1, 1),
+                           make_tower(5, []).rational(Fraction(1, 2)),
+                           Fraction(1, 5)).truncation == 10
 
 
 def test_binom_falling():
@@ -198,6 +204,16 @@ def test_not_certified_min_at_p_index():
     assert verdict.reason == "minimum at index divisible by p"
 
 
+def test_classifier_refuses_unnormalized_expansion():
+    """c_0 must be 1, read as K_0 == 1 of the expansion."""
+    t = make_tower(5, [(8, 5)])
+    d, e = t.rational(Fraction(1, 2)), t.gen(0) ** 5
+    for coeffs in ([], [t.rational(2)] + [t.zero()] * 6):
+        exp = DiskExpansion(_spec(5, 1, 1, 1, 1), d, e, coeffs, 6)
+        with pytest.raises(ValueError, match="normalized to c_0 = 1"):
+            classify_torsor_reduction(exp)
+
+
 def test_verdict_json_keys():
     spec = branch_signature(2, 3, 1, 6)
     verdict = certify_tail(spec)
@@ -252,13 +268,11 @@ def _eager_profile(tower, coeffs):
 
 
 def _check_against_reference(spec, d, e, L):
-    """profile(), single reads coeff(l) and the full list coeffs all agree
-    with the double sum, read in that order from one fresh expansion."""
+    """profile() and the list coeffs both agree with the double sum, read in
+    that order from one fresh expansion."""
     want = _reference_expansion(spec, d, e, L)
     exp = expand_disk(spec, d, e, L)
     assert exp.profile() == _eager_profile(d.tower, want)
-    for l in (L, 1, spec.p, 0):
-        assert exp.coeff(l).coords == want[l].coords
     assert [c.coords for c in exp.coeffs] == [c.coords for c in want]
     assert exp.profile() == _eager_profile(d.tower, exp.coeffs)
 
@@ -306,6 +320,31 @@ def test_rational_centre_needs_no_tower_arithmetic(monkeypatch, p, n, a, b):
     spec = branch_signature(p, n, a, b)
     locus = new_tail_locus(spec)
     assert locus.case == "rational"
+    calls = _count_tower_calls(monkeypatch)
+    verdict = classify_torsor_reduction(expand_disk(spec, locus.d, locus.e))
+    assert verdict.kind == "SplitsArtinSchreier"
+    assert calls["mul"] <= 2 and calls["inverse"] == 0, calls
+
+
+@pytest.mark.parametrize("args,case,note", [
+    ((3, 2, 1, 3), "p3s1", "condition (ii)"),
+    ((2, 3, 1, 6), "p2", "congruence holds with i -> +i"),
+])
+def test_tower_centre_needs_no_inverse(monkeypatch, args, case, note):
+    """On a tower centre the classifiers read the recurrence values K_l and
+    the slope E v(r), so expanding and classifying inverts nothing: not for
+    condition (ii) of case (iii), not for the p = 2 congruence."""
+    spec = branch_signature(*args)
+    locus = new_tail_locus(spec)
+    assert locus.case == case
+    calls = _count_tower_calls(monkeypatch)
+    verdict = classify_torsor_reduction(expand_disk(spec, locus.d, locus.e))
+    assert note in verdict.notes
+    assert calls["inverse"] == 0, calls
+
+
+def _count_tower_calls(monkeypatch):
+    """Count Tower multiplications and inverses from now on."""
     calls = {"mul": 0, "inverse": 0}
     mul, inverse = Tower._mul_coords, Tower.inverse
 
@@ -319,9 +358,7 @@ def test_rational_centre_needs_no_tower_arithmetic(monkeypatch, p, n, a, b):
 
     monkeypatch.setattr(Tower, "_mul_coords", counted_mul)
     monkeypatch.setattr(Tower, "inverse", counted_inverse)
-    verdict = classify_torsor_reduction(expand_disk(spec, locus.d, locus.e))
-    assert verdict.kind == "SplitsArtinSchreier"
-    assert calls["mul"] <= 2 and calls["inverse"] == 0, calls
+    return calls
 
 
 def test_integer_recurrence_division_is_checked():
@@ -398,22 +435,20 @@ def _reference_classify(exp):
     p, n = spec.p, spec.n
     tower = exp.d.tower
     prof = exp.profile()
-    if not (exp.coeff(0) - 1).is_zero():
+    coeffs = exp.coeffs
+    if not (coeffs[0] - 1).is_zero():
         raise ValueError("expansion is not normalized to c_0 = 1")
-    witness = tuple((l, v) for l, v in enumerate(prof))
     if exp.e.is_zero():
-        return ReductionVerdict("NotCertified", reason="constant expansion",
-                                witness=witness)
+        return ReductionVerdict("NotCertified", reason="constant expansion")
     v_e = tower.val(exp.e)
     if p == 2:
-        return _reference_classify_p2(exp, prof, witness, v_e)
+        return _reference_classify_p2(exp, coeffs, prof, v_e)
     tau = n + Fraction(1, p - 1)
     L = exp.truncation
     finite = [(l, prof[l]) for l in range(1, L + 1) if prof[l] is not None]
     if not finite:
         return ReductionVerdict("NotCertified",
-                                reason="all coefficients vanish",
-                                witness=witness)
+                                reason="all coefficients vanish")
     _check_tail_premises(exp)
     _reference_check_tail_dominated(spec, v_e, L, tau, strict=True)
     minv = min(val for _, val in finite)
@@ -425,8 +460,7 @@ def _reference_classify(exp):
     if minv == tau and above(p):
         h = max(l for l, val in finite if val == tau)
         return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
-                                conductor=h, witness=witness,
-                                notes=("condition (i)",))
+                                conductor=h, notes=("condition (i)",))
     reasons = []
     if not (prof[1] is None or prof[1] > n):
         reasons.append("v(c_1) <= n")
@@ -438,33 +472,29 @@ def _reference_classify(exp):
     if not above(2 * p):
         reasons.append("v(c_i) <= n + 1/(p-1) at an index i > p divisible by p")
     if not reasons:
-        c1, cp = exp.coeff(1), exp.coeff(p)
+        c1, cp = coeffs[1], coeffs[p]
         corr = cp - c1 ** p * Fraction(1, p ** ((p - 1) * n + 1))
         if corr.is_zero() or tower.val(corr) > tau:
             h = max(l for l, val in rest if val == tau)
             return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
-                                    conductor=h, witness=witness,
-                                    notes=("condition (ii)",))
+                                    conductor=h, notes=("condition (ii)",))
         reasons.append("v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
     if minv == tau:
         bad = [l for l, val in finite if val == minv and l % p == 0]
         if bad and all(val > minv for l, val in finite if l % p != 0):
             return ReductionVerdict(
-                "NotCertified", reason="minimum at index divisible by p",
-                witness=witness)
+                "NotCertified", reason="minimum at index divisible by p")
     return ReductionVerdict("NotCertified", reason="; ".join(reasons) or
-                            "minimum valuation is not n + 1/(p-1)",
-                            witness=witness)
+                            "minimum valuation is not n + 1/(p-1)")
 
 
-def _reference_classify_p2(exp, prof, witness, v_e):
+def _reference_classify_p2(exp, coeffs, prof, v_e):
     spec = exp.spec
     n = spec.n
     tower = exp.d.tower
     if n < 2:
         return ReductionVerdict("NotCertified",
-                                reason="p = 2 requires n >= 2",
-                                witness=witness)
+                                reason="p = 2 requires n >= 2")
     tau = Fraction(n + 1)
     reasons = []
     if prof[2] != Fraction(n):
@@ -480,15 +510,13 @@ def _reference_classify_p2(exp, prof, witness, v_e):
     except PrecisionExhausted as exc:
         reasons.append(str(exc))
     if reasons:
-        return ReductionVerdict("NotCertified", reason="; ".join(reasons),
-                                witness=witness)
+        return ReductionVerdict("NotCertified", reason="; ".join(reasons))
     notes = ["sqrt(c_2) adjoined on demand"]
     i_elem = _find_i(tower)
     if i_elem is None:
         return ReductionVerdict(
-            "NotCertified", reason="tower contains no sqrt(-1)",
-            witness=witness)
-    c1, c2 = exp.coeff(1), exp.coeff(2)
+            "NotCertified", reason="tower contains no sqrt(-1)")
+    c1, c2 = coeffs[1], coeffs[2]
     lhs = c1 * c1 * c2.inverse()
     for sign in (1, -1):
         diff = lhs - (2 ** (n + 1)) * (i_elem * sign)
@@ -496,12 +524,10 @@ def _reference_classify_p2(exp, prof, witness, v_e):
             notes.append(
                 f"congruence holds with i -> {'+' if sign == 1 else '-'}i")
             return ReductionVerdict("SplitsZ4", count=2 ** (n - 2),
-                                    conductor=1, witness=witness,
-                                    notes=tuple(notes))
+                                    conductor=1, notes=tuple(notes))
     return ReductionVerdict(
         "NotCertified",
-        reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i",
-        witness=witness)
+        reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i")
 
 
 def _outcome(fn, *args, **kwargs):
@@ -528,7 +554,7 @@ def _oracle_grid():
 
 def test_classifier_matches_fraction_reference():
     """The integer classifier gives the same verdict, every field of it
-    (kind, count, conductor, reason, witness, notes), as the Fraction
+    (kind, count, conductor, reason, notes), as the Fraction
     classifier on the oracle grid, at the default truncation and at the
     smallest one, and on disks too narrow for the tail check, where both
     must fail the same way."""
@@ -576,6 +602,25 @@ def test_classifier_matches_fraction_reference_on_crafted_profiles():
             assert fast == ref, (n, coeffs)
             verdicts.add(fast[1].reason or fast[1].notes)
     assert len(verdicts) >= 6, verdicts
+
+
+def test_condition_ii_close_to_its_threshold():
+    """Condition (ii) reads only K_1, K_p and the slope E v(r).  At the
+    centre a/(a+b) + ... + 9 of the (3, 2, 1, 3) new-tail disk (v(9) = 2 >=
+    v(e) = 7/4, so the same disk), E v(c_3 - c_1^3 / 3^5) clears E tau by
+    exactly the slope, so a classifier that lost one power of r there would
+    refuse the cover.  It agrees with the Fraction reference, which builds
+    the c_l, and certifies by condition (ii)."""
+    spec = branch_signature(3, 2, 1, 3)
+    locus = new_tail_locus(spec)
+    exp = expand_disk(spec, locus.d + 9, locus.e)
+    coeffs = exp.coeffs
+    corr = coeffs[3] - coeffs[1] ** 3 * Fraction(1, 3 ** 5)
+    tau = 2 + Fraction(1, 2)
+    assert exp.scale * (locus.tower.val(corr) - tau) == exp.slope > 0
+    verdict = classify_torsor_reduction(exp)
+    assert verdict == _reference_classify(exp)
+    assert verdict.notes == ("condition (ii)",)
 
 
 def test_tail_check_matches_per_l_reference():

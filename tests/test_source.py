@@ -83,3 +83,33 @@ def test_benchmark_tracer_targets_exist():
         if not hasattr(owner, attr):
             missing.append(f"{module}.{cls + '.' if cls else ''}{attr}")
     assert not missing, missing
+
+
+#: the os names that read the process environment
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """Lines that name an environment reader: os.environ, os.getenv, or one
+    of them imported from os."""
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name in ENV_READERS:
+            yield node.lineno, name
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ENV_READERS:
+                    yield node.lineno, f"from os import {alias.name}"
+
+
+def test_only_the_cli_reads_the_environment():
+    """PADIC_SR_TRUNCATION and any other variable are resolved by the CLI
+    and passed down as arguments; the library reads no environment."""
+    found = [f"{path.name}:{line}: {what}"
+             for path in SOURCES if path.name != "cli.py"
+             for line, what in _environment_reads(ast.parse(path.read_text(),
+                                                            str(path)))]
+    assert not found, "\n".join(found)
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    assert list(_environment_reads(ast.parse(cli.read_text())))

@@ -17,6 +17,7 @@ from padic_sr.tower import (
     is_mth_power,
     make_tower,
     square_class_K2_K3,
+    unit_level,
     valuation,
     vp_int,
     vp_rational,
@@ -246,6 +247,29 @@ def _random_unit(rng, tower):
             x = x + TowerElement(tower, {b: c} if c else {})
         if not x.is_zero() and tower.val(x) == 0:
             return x
+
+
+@pytest.mark.parametrize("build,cap", [
+    (lambda: make_tower(2, [(2, -1)]), 4),  # Q_2(i): 2 v_pi(2)
+    (lambda: Tower(3).adjoin_root_of_unity(3), 3),  # Q_3(zeta_3): pe/(p-1)
+    (lambda: Tower(5).adjoin_root_of_unity(5), 5),
+])
+def test_unit_level_is_a_class_invariant(build, cap):
+    """The level of a unit depends only on its class modulo p-th powers:
+    unit_level(u w^p) = unit_level(u) for seeded random units u and w, every
+    p-th power reaches the cap, and a level below the cap is prime to p."""
+    t = build()
+    p = t.p
+    rng = random.Random(31)
+    levels = set()
+    for _ in range(8):
+        u, w = _random_unit(rng, t), _random_unit(rng, t)
+        j = unit_level(t, u, cap)
+        assert j == cap or j % p, (u, j)
+        assert unit_level(t, u * w ** p, cap) == j, (u, w)
+        assert unit_level(t, w ** p, cap) == cap, w
+        levels.add(j)
+    assert len(levels) > 1, levels
 
 
 def _centre_radicands(n, s, b):
