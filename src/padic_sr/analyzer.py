@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import (
     CertificationFailed,
@@ -38,7 +38,7 @@ from .series import (
     classify_torsor_reduction,
     expand_disk,
 )
-from .tower import Tower, _di_square, check_prime, vp_int, vp_rational
+from .tower import Tower, _di_square, check_prime, q2_i, vp_int, vp_rational
 
 
 @dataclass(frozen=True)
@@ -120,25 +120,58 @@ def _cube_radicand(n: int, s: int, b: int) -> Fraction:
     return Fraction(3 ** (2 * (n - s) + 3)) * binom_falling(b, 3)
 
 
-@lru_cache(maxsize=1)
+# -- fields built once -------------------------------------------------------
+# A Tower never changes once built (adjoining returns a new tower), so a field
+# that depends on p alone is built, with its certificates, once per process
+# and shared by every cover.  The case (v) fields depend on the cover and are
+# built once per cover.  The locus tower of the rational centre is still
+# built per cover (ROADMAP item 4).
+
+@cache
+def _q3_pi() -> Tower:
+    """Q_3(pi), pi^4 = 3: the base of the case (iii) centre."""
+    return Tower(3).adjoin_radical(4, 3, "pi")
+
+
+@cache
+def _k1(p: int) -> Tower:
+    """K_1 = Q_p(zeta_p), the base of the cube-root step in cases (iii) and
+    (iv) of conductor_bound."""
+    return cyclotomic_tower(p, 1)
+
+
+@lru_cache(maxsize=2)
+def _centre_field(b_odd: int, c: int):
+    """(tower, w) with w^2 = (-i)^c b' i, b' = b_odd: Q_2(i) itself when
+    w^2 = +-1, else Q_2(i)(w).  A cover asks for c = 0 and c = 1 of its own
+    b' only, so the memo holds the fields of one cover."""
+    t = q2_i()
+    i = t.gen(0)
+    unit = ((-i) ** c) * b_odd * i
+    if (unit - 1).is_zero():
+        return t, t.rational(1)
+    if (unit + 1).is_zero():
+        return t, i
+    t = t.adjoin_radical(2, unit, "w")
+    return t, t.gen(1)
+
+
 def _p2_center(n: int, s: int, a: int, b: int, j: int):
     """(tower, d_j) for the case (v) centre d_j = a/(a+b) + sqrt(2^(n-j) b i)
-    / (a+b)^2.  The square root is (1+i)^k w with k = 2n - s - j and
-    w^2 = (-i)^k b' i, b' = b/2^(n-s) odd, as (1+i)^2 = 2i; the tower is
-    Q_2(i), with w adjoined unless w^2 = +-1.  The memo lets conductor_bound
-    reuse the d_0 tower that new_tail_locus built for the same cover."""
-    t = Tower(2).adjoin_radical(2, -1, "i")
-    i = t.gen(0)
+    / (a+b)^2.  The square root is (1+i)^k w_k with k = 2n - s - j and
+    w_k^2 = (-i)^k b' i, b' = b/2^(n-s) odd, as (1+i)^2 = 2i.
+
+    As (-i)^2 = -1, w_k = i^((k-c)/2) w_c for c = k mod 2, so the field
+    Q_2(i)(w_k) depends only on (k mod 2, b').  new_tail_locus (j = 0) and
+    every d_j of conductor_bound share it through the memo of _centre_field:
+    a cover adjoins at most two w's, over the one Q_2(i).  Either root w_k
+    gives the same report, since w -> -w fixes Q_2(i) and the valuation of
+    the field is unique, so every valuation of the expansion and of
+    conductor_bound is the same at both."""
     k = 2 * n - s - j
-    unit = ((-i) ** k) * (b // 2 ** (n - s)) * i
-    if (unit - 1).is_zero():
-        w = t.rational(1)
-    elif (unit + 1).is_zero():
-        w = i
-    else:
-        t = t.adjoin_radical(2, unit, "w")
-        w = t.gen(1)
-    root = ((1 + t.gen(0)) ** k) * w
+    t, w = _centre_field(b // 2 ** (n - s), k % 2)
+    i = t.gen(0)
+    root = ((1 + i) ** k) * (i ** ((k // 2) % 4)) * w
     return t, t.rational(Fraction(a, a + b)) + root * Fraction(1, (a + b) ** 2)
 
 
@@ -167,7 +200,7 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
         return NewTailLocus("p2", tower, d, e, v_e,
                             "a/(a+b) + sqrt(2^n b i)/(a+b)^2")
     if case == "iii":
-        tower = Tower(3).adjoin_radical(4, 3, "pi").adjoin_radical(
+        tower = _q3_pi().adjoin_radical(
             3, _cube_radicand(n, s, b), "t")
         d = tower.rational(Fraction(a, a + b)) + \
             tower.gen(1) * Fraction(1, a + b)
@@ -456,7 +489,7 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
                 f"v_3(3^(2(n-s)+3) binom(b,3)) = {v}, expected "
                 f"{3 * (n - s) + 2}"
             )
-        K1 = cyclotomic_tower(3, 1)
+        K1 = _k1(3)
         cv = kummer_step_conductor(K1, rad, 3)
         lowL = Filtration(((Fraction(0), 3), (cv.value, 1)), 6, "lower")
         h = herbrand_phi(lowL, cv.value)

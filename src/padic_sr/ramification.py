@@ -334,20 +334,25 @@ def kummer_step_conductor(level, u, m: int) -> ConductorValue:
     if v.denominator != 1:
         raise SearchInconclusive("radicand valuation outside the value group")
     v = int(v)
+    if cap is None:
+        # p e/(p-1) is not a unit level of the tower, so neither the
+        # Eisenstein case nor the unit-level search gives an exact value.
+        # The jump of a degree-p step over a field of absolute ramification
+        # index e is at most p e/(p-1) (Serre, Local Fields, IV 2, Ex. 3),
+        # whatever the valuation of the radicand.
+        return ConductorValue("bound", cap_frac)
     if v % p != 0:
         # Eisenstein-type: totally ramified with the maximal conductor
-        if cap is None:
-            return ConductorValue("bound", cap_frac)
         return ConductorValue("exact", Fraction(cap))
     pi = tower.uniformizer()
     if pi is None or tower.val(pi) * e != 1:
         return ConductorValue("bound", cap_frac)
     unit = uu * (pi.inverse() ** v)
     try:
-        j = unit_level(tower, unit, cap if cap is not None else 0)
+        j = unit_level(tower, unit, cap)
     except SearchInconclusive:
         return ConductorValue("bound", cap_frac)
-    if cap is not None and j >= cap:
+    if j >= cap:
         return ConductorValue("exact", Fraction(0))
     return ConductorValue("exact", Fraction(cap) - j)
 

@@ -805,9 +805,16 @@ def is_square_unramified_closure(tower: Tower, alpha: TowerElement) -> bool:
 
 
 @cache
-def _k2_k3():
-    """K_2 = Q_2(i) and K_3 = Q_2(zeta_8) (x^4 = -1), built once."""
-    return make_tower(2, [(2, -1)]), make_tower(2, [(4, -1)])
+def q2_i() -> Tower:
+    """K_2 = Q_2(i), i^2 = -1, built once per process and shared by the
+    square-class lookup and every case (v) centre."""
+    return Tower(2).adjoin_radical(2, -1, "i")
+
+
+@cache
+def _k3() -> Tower:
+    """K_3 = Q_2(zeta_8), zeta_8^4 = -1, built once per process."""
+    return Tower(2).adjoin_radical(4, -1, "zeta8")
 
 
 def square_class_K2_K3(d, choice_of_i: int = 1):
@@ -821,23 +828,53 @@ def square_class_K2_K3(d, choice_of_i: int = 1):
         raise ZeroElement("d must be nonzero")
     if choice_of_i not in (1, -1):
         raise ValueError("choice_of_i must be +1 or -1")
-    k2, k3 = _k2_k3()
+    i_power = 1 if choice_of_i == 1 else 3
     return {
-        "di_square_K2": _di_square(d, 2, choice_of_i),
-        "di_square_K3": _di_square(d, 3, choice_of_i),
-        "d_square_K2": is_square_unramified_closure(k2, k2.rational(d)),
-        "d_square_K3": is_square_unramified_closure(k3, k3.rational(d)),
+        "di_square_K2": _is_square_by_class(d, 2, i_power),
+        "di_square_K3": _is_square_by_class(d, 3, i_power),
+        "d_square_K2": _is_square_by_class(d, 2, 0),
+        "d_square_K3": _is_square_by_class(d, 3, 0),
     }
 
 
 def _di_square(d: Fraction, ell: int, choice_of_i: int = 1) -> bool:
     """Is d*i a square in K_ell (K_2 = Q_2(i), K_3 = Q_2(zeta_8)) over the
     unramified closure?  d is a nonzero rational."""
-    k2, k3 = _k2_k3()
+    return _is_square_by_class(d, ell, 1 if choice_of_i == 1 else 3)
+
+
+def _is_square_by_class(d, ell: int, i_power: int) -> bool:
+    """Is d i^i_power a square in K_ell over the unramified closure, for a
+    nonzero rational d?  Decided by the square class of d in Q_2.
+
+    Q_2^x = 2^Z x Z_2^x, and a 2-adic unit is a square exactly when it is
+    1 mod 8, so d = 2^v u (u odd) differs from its class representative
+    2^(v mod 2) (u mod 8) by a square of Q_2, hence by a square of K_ell.
+    Squareness of d i^i_power in K_ell therefore depends only on
+    (v mod 2, u mod 8, ell, i_power): 8 classes times 2 fields times the
+    powers 0 (d), 1 (d i) and 3 (-d i), each computed once, exactly, by
+    `is_square_unramified_closure` on the representative.  For d = num/den
+    the odd part num'/den' is num' den' mod 8, as den'^2 = 1 mod 8.
+    """
+    d = Fraction(d)
+    num, den = d.numerator, d.denominator
+    vn, vd = vp_int(num, 2), vp_int(den, 2)
+    u8 = ((num >> vn) * (den >> vd)) % 8
+    return _square_class_entry((vn - vd) % 2, u8, ell, i_power)
+
+
+@cache
+def _square_class_entry(v2: int, u8: int, ell: int, i_power: int) -> bool:
+    """is_square_unramified_closure of 2^v2 u8 i^i_power in K_ell."""
     if ell == 2:
-        return is_square_unramified_closure(k2, k2.gen() * choice_of_i * d)
-    i3 = (k3.gen() ** 2) * choice_of_i  # zeta_8^2 = i
-    return is_square_unramified_closure(k3, i3 * d)
+        k = q2_i()
+        i = k.gen()
+    elif ell == 3:
+        k = _k3()
+        i = k.gen() ** 2  # zeta_8^2 = i
+    else:
+        raise ValueError("ell must be 2 or 3")
+    return is_square_unramified_closure(k, (i ** i_power) * (2 ** v2 * u8))
 
 
 # -- exact linear algebra ----------------------------------------------------

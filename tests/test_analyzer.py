@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from padic_sr.analyzer import (
+    _centre_field,
+    _p2_center,
     analyze,
     branch_signature,
     build_stable_graph,
@@ -18,12 +20,14 @@ from padic_sr.analyzer import (
     stab_field_tower,
 )
 from padic_sr.errors import (
+    ArtifactError,
     CertificationFailed,
     Disconnected,
     NotThreePoint,
     UnsupportedCase,
 )
 from padic_sr.ramification import FieldTower, TowerStep
+from padic_sr.tower import Tower, q2_i
 
 
 # -- branch signatures -------------------------------------------------------
@@ -401,3 +405,96 @@ def test_analyze_report_shape():
     assert rep["vanishing_cycles_residual"] == "0"
     assert rep["conductor"]["vanishes_at_n"] is True
     assert rep["effective_different"]["X0"] == "9/4"
+
+
+# -- fields built once -------------------------------------------------------
+
+def _count_adjoins(monkeypatch):
+    """Record (prime, steps of the tower extended, exponent or order) of
+    every Tower.adjoin_radical and Tower.adjoin_root_of_unity call from now
+    on."""
+    calls = []
+    for method in ("adjoin_radical", "adjoin_root_of_unity"):
+        def counted(self, m, *args, _adjoin=getattr(Tower, method), **kw):
+            calls.append((self.p, len(self.steps), m))
+            return _adjoin(self, m, *args, **kw)
+
+        monkeypatch.setattr(Tower, method, counted)
+    return calls
+
+
+@pytest.mark.parametrize("args,calls", [
+    ((3, 2, 1, 3), [(3, 1, 3)]),  # (iii): the cube root over Q_3(pi)
+    ((3, 3, 2, 3), [(3, 0, 4), (3, 1, 3)]),  # (iv): cube root over K_1
+    ((5, 2, 3, 10), [(5, 0, 8)]),  # (ii)
+    ((5, 1, 1, 1), [(5, 0, 8)]),  # (i)
+])
+def test_second_analyze_builds_only_per_cover_steps(monkeypatch, args,
+                                                     calls):
+    """A second analyze of a cover adjoins only the steps that depend on the
+    cover: Q_3(pi) and K_1 = Q_3(zeta_3) are never rebuilt.  The rational
+    centre still builds its locus tower Q_p(pi), pi^(2(p-1)) = p, per
+    cover."""
+    first = analyze(*args)
+    counted = _count_adjoins(monkeypatch)
+    assert analyze(*args) == first
+    assert counted == calls
+
+
+@pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 5, 1, 6), (2, 5, 3, -10),
+                                  (2, 6, 1, 10), (2, 4, 1, 2)])
+def test_case_v_adjoins_one_w_per_parity_of_k(monkeypatch, args):
+    """A case (v) cover with s >= 3 never rebuilds Q_2(i), and adjoins at
+    most one w for each class of k = 2n - s - j mod 2 over j < s (so at most
+    one for each k mod 4), shared by new_tail_locus and conductor_bound."""
+    spec = branch_signature(*args)
+    assert spec.s >= 3
+    q2_i()
+    _centre_field.cache_clear()
+    calls = _count_adjoins(monkeypatch)
+    assert analyze(*args)["certified"] is True
+    assert all(steps == 1 and (p, m) == (2, 2) for p, steps, m in calls), calls
+    classes = {(2 * spec.n - spec.s - j) % 2 for j in range(spec.s)}
+    assert 1 <= len(calls) <= len(classes) == 2
+
+
+@pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 6, 1, 10), (2, 4, 1, 2),
+                                  (2, 6, 3, -6)])
+def test_p2_centres_are_the_listed_square_roots(args):
+    """Each d_j that _p2_center builds from a shared field satisfies
+    ((d_j - a/(a+b)) (a+b)^2)^2 = 2^(n-j) b i, for every j < s."""
+    spec = branch_signature(*args)
+    n, s, a, b = spec.n, spec.s, spec.a, spec.b
+    _centre_field.cache_clear()
+    for j in range(s):
+        t, dj = _p2_center(n, s, a, b, j)
+        root = (dj - Fraction(a, a + b)) * (a + b) ** 2
+        assert root ** 2 == t.gen(0) * (2 ** (n - j) * b), j
+
+
+MIXED_GRID = [(2, 3, 1, 6), (2, 4, 1, 56), (2, 4, 1, 6), (2, 5, 1, 6),
+              (2, 5, 3, -10), (2, 4, 1, 14), (2, 4, 1, 2), (3, 2, 1, 3),
+              (3, 3, 1, 9), (3, 3, 2, 3), (3, 4, 1, 9), (5, 2, 1, 5),
+              (7, 1, 1, 1), (11, 3, 2, 11), (17, 2, 1, 17), (37, 1, 1, 1)]
+
+
+def _report_or_error(args):
+    try:
+        return analyze(*args)
+    except ArtifactError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_shared_fields_carry_no_cover_state():
+    """Analyzing a mixed grid forwards and then backwards, with every
+    shared field and the case (v) memo reused between covers, gives the
+    reports (or errors) that each cover gives with a fresh memo."""
+    fresh = {}
+    for args in MIXED_GRID:
+        _centre_field.cache_clear()
+        fresh[args] = _report_or_error(args)
+    assert sum(isinstance(r, tuple) for r in fresh.values()) >= 2
+    forwards = {args: _report_or_error(args) for args in MIXED_GRID}
+    backwards = {args: _report_or_error(args) for args in MIXED_GRID[::-1]}
+    assert forwards == fresh
+    assert backwards == fresh

@@ -239,6 +239,14 @@ def test_kummer_step_conductor_facts():
     assert cv.value == Fraction(6)
 
 
+@pytest.mark.parametrize("radicand", [2, 4, 10, 28])
+def test_kummer_step_conductor_bound_when_cap_is_not_a_level(radicand):
+    """Over Q_3 (e = 1) p e/(p-1) = 3/2 is not a unit level; a radicand of
+    valuation divisible by 3 gets the bound 3/2, not a TypeError."""
+    cv = kummer_step_conductor(Tower(3), radicand, 3)
+    assert cv == ConductorValue("bound", Fraction(3, 2))
+
+
 def test_kummer_step_conductor_needs_exact_ramification():
     # Q_5(sqrt 2) is unramified, but the tower does not know its index
     # exactly; 3^(1/5) is wildly ramified over it (3^4 != 1 mod 25), so no

@@ -8,13 +8,15 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from padic_sr.analyzer import _p2_center, branch_signature, new_tail_locus
+from padic_sr.analyzer import _centre_field, branch_signature, new_tail_locus
 from padic_sr.errors import IrreducibilityUnverified, ZeroElement, ZeroRadicand
 from padic_sr.tower import (
     Tower,
     TowerElement,
+    _di_square,
     _is_qth_power_local,
     is_mth_power,
+    is_square_unramified_closure,
     make_tower,
     square_class_K2_K3,
     unit_level,
@@ -114,6 +116,45 @@ def test_square_class_table():
     # square factors do not change the classification
     assert square_class_K2_K3(9) == square_class_K2_K3(1)
     assert square_class_K2_K3(18) == square_class_K2_K3(2)
+
+
+#: rationals whose square classes in Q_2 cover all eight (v_2 mod 2, odd
+#: part mod 8); most have a nonintegral or even-denominator value
+SQUARE_CLASS_SAMPLE = [Fraction(3, 5), Fraction(-7, 12)] + [
+    Fraction(2 ** v * num, den) if v >= 0 else Fraction(num, 2 ** -v * den)
+    for v in (-3, -2, -1, 0, 1, 2)
+    for num, den in ((1, 1), (3, 5), (-7, 3), (5, 9), (-1, 7), (11, 13),
+                     (-13, 1), (15, 17))]
+
+
+def _square_class(d):
+    v = vp_rational(d, 2)
+    u = d / Fraction(2) ** int(v)
+    return int(v) % 2, u.numerator * u.denominator % 8
+
+
+def test_square_class_lookup_matches_the_tower_computation():
+    """The class lookup of _di_square and square_class_K2_K3 agrees with
+    is_square_unramified_closure run on the actual d i, -d i and d in fresh
+    copies of Q_2(i) and Q_2(zeta_8), not on the class representatives."""
+    assert {_square_class(d) for d in SQUARE_CLASS_SAMPLE} == {
+        (v, u) for v in (0, 1) for u in (1, 3, 5, 7)}
+    k2 = Tower(2).adjoin_radical(2, -1)
+    k3 = Tower(2).adjoin_radical(4, -1)
+    i_of = {2: k2.gen(), 3: k3.gen() ** 2}
+    for d in SQUARE_CLASS_SAMPLE:
+        for choice in (1, -1):
+            oracle = {ell: is_square_unramified_closure(
+                k, i_of[ell] * choice * d) for ell, k in ((2, k2), (3, k3))}
+            assert [_di_square(d, ell, choice) for ell in (2, 3)] == [
+                oracle[2], oracle[3]], (d, choice)
+            table = square_class_K2_K3(d, choice)
+            assert table["di_square_K2"] == oracle[2]
+            assert table["di_square_K3"] == oracle[3]
+        assert table["d_square_K2"] == is_square_unramified_closure(
+            k2, k2.rational(d)), d
+        assert table["d_square_K3"] == is_square_unramified_closure(
+            k3, k3.rational(d)), d
 
 
 def _random_element(rng, tower, span):
@@ -339,7 +380,7 @@ def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
 
     monkeypatch.setattr(TowerElement, "__pow__", counting_pow)
     monkeypatch.setattr("padic_sr.tower._is_qth_power_local", counted_test)
-    _p2_center.cache_clear()  # build the centre tower afresh
+    _centre_field.cache_clear()  # build the centre tower afresh
     spec = branch_signature(*args)
     if square:
         with pytest.raises(IrreducibilityUnverified):
