@@ -10,9 +10,11 @@ and infinity and ramified of index p^s above 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     CertificationFailed,
@@ -20,7 +22,17 @@ from .errors import (
     NotThreePoint,
     UnsupportedCase,
 )
-from .graph import Component, DecoratedGraph, GraphEdge, sigma_eff_by_edge
+from .graph import (
+    Component,
+    DecoratedGraph,
+    GraphEdge,
+    check_local_vanishing,
+    check_vanishing_cycles,
+    effective_different_profile,
+    sigma_eff_outward,
+    tail_invariant_checks,
+    validate_structure,
+)
 from .jsonutil import ratstr
 from .ramification import (
     ConductorValue,
@@ -61,9 +73,29 @@ class CoverSpec:
         }
 
 
+def _as_int(name: str, value) -> int:
+    """value as a plain int (operator.index), so that equal inputs give
+    equal specs and reports; a bool, a float or any other non-integer raises
+    TypeError naming the argument."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not "
+                        f"{type(value).__name__}") from None
+
+
 def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
     """Ramification indices of y^(p^n) = x^a (x-1)^b above 0, 1, infinity,
-    normalized (by Moebius swaps) so 0 and infinity are totally ramified."""
+    normalized (by Moebius swaps) so 0 and infinity are totally ramified.
+    p, n, a and b are taken as plain ints; a bool or a non-integer raises
+    TypeError."""
+    # plain ints (the common case) pass as they are; the benchmark's
+    # set-up calls this once per candidate cover
+    if not (type(p) is type(n) is type(a) is type(b) is int):
+        p, n, a, b = (_as_int("p", p), _as_int("n", n), _as_int("a", a),
+                      _as_int("b", b))
     check_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -124,8 +156,14 @@ def _cube_radicand(n: int, s: int, b: int) -> Fraction:
 # A Tower never changes once built (adjoining returns a new tower), so a field
 # that depends on p alone is built, with its certificates, once per process
 # and shared by every cover.  The case (v) fields depend on the cover and are
-# built once per cover.  The locus tower of the rational centre is still
-# built per cover (ROADMAP item 4).
+# built once per cover.  The locus tower Q_p(pi) of the rational centre
+# depends on p alone but is still built per cover: sharing it leaves the
+# reports unchanged, but per-cover towers are reference cycles whose
+# collection the benchmark's peak-RSS reading depends on (ROADMAP items 4
+# and 5), so it waits for that reading to be repaired.  The graph half of
+# the report (the graph, its checks and the inseparable tails) depends on
+# (p, n, s) alone and is computed once per shape, in an LRU of 256 shapes
+# (_report_shape, below).
 
 @cache
 def _q3_pi() -> Tower:
@@ -238,7 +276,8 @@ class InsepTail:
 
 def inseparable_tails(spec: CoverSpec):
     """The inseparable tails forced by the structure results: the x = 1 tail
-    whenever s < n, plus the small-prime extra tails."""
+    whenever s < n, plus the small-prime extra tails.  A function of
+    (p, n, s) alone, like build_stable_graph."""
     p, n, s = spec.p, spec.n, spec.s
     case = _stable_case(p, n, s)
     if case == "i":
@@ -259,10 +298,10 @@ def inseparable_tails(spec: CoverSpec):
 
 # -- the decorated graph -----------------------------------------------------
 
-def _upstairs(spec, case: str, inertia: int, has_larger_neighbor: bool):
+def _upstairs(p: int, n: int, s: int, case: str, inertia: int,
+              has_larger_neighbor: bool):
     """(count, genus, conductor, note) of the covering curve over a
     p^inertia-component of a cover in the given case."""
-    p, n, s = spec.p, spec.n, spec.s
     i = inertia
     if not has_larger_neighbor:
         return p ** (n - i), 0, None, "radicial"
@@ -278,6 +317,10 @@ def _upstairs(spec, case: str, inertia: int, has_larger_neighbor: bool):
 
 def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
     """The decorated augmented dual graph of the stable reduction.
+
+    It is a function of (p, n, s) alone: only spec.p, spec.n and spec.s are
+    read, so two covers of the same shape get equal graphs.  Each call
+    builds a new graph.
 
     For p = 2, and for p = 3 with 1 < s < n, the shape beyond the
     certified tails follows the same template and is flagged
@@ -372,7 +415,7 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
     for c in comps:
         i = c["inertia_exponent"]
         larger = any(inertia_of[nb] > i for nb in neigh[c["id"]])
-        cnt, genus, cond, note = _upstairs(spec, case, i, larger)
+        cnt, genus, cond, note = _upstairs(p, n, s, case, i, larger)
         components.append(Component(**c, upstairs_count=cnt,
                                     upstairs_genus=genus,
                                     upstairs_conductor=cond, note=note))
@@ -395,11 +438,10 @@ def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
     draft = DecoratedGraph(p, n, tuple(components), tuple(graph_edges),
                            mG=1, signatures=tuple(signatures))
     # fill sigma_eff on every component edge from the decorations
-    sigma = sigma_eff_by_edge(draft)
     final_edges = [
         e if draft.component(e.target).kind == "augmented"
         else GraphEdge(e.source, e.target, e.epaisseur,
-                       sigma[e.source, e.target])
+                       sigma_eff_outward(draft, e.source, e.target))
         for e in draft.edges]
     return DecoratedGraph(p, n, tuple(components), tuple(final_edges),
                           mG=1, signatures=tuple(signatures))
@@ -555,44 +597,77 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
     }
 
 
+# -- the shape half of the report --------------------------------------------
+
+class _Shape(NamedTuple):
+    """(p, n, s) of a cover: all that build_stable_graph and
+    inseparable_tails read of a spec."""
+    p: int
+    n: int
+    s: int
+
+
+class _ReportShape(NamedTuple):
+    """The graph and everything checked on it, for one (p, n, s).  Every
+    field is immutable or never handed out: analyze serializes afresh."""
+    graph: DecoratedGraph
+    violations: tuple  # (code, detail) pairs
+    residual: Fraction  # of the vanishing-cycles count
+    local: tuple  # (component id, local vanishing residual) pairs
+    profile: tuple  # (component id, effective different) pairs
+    tails: tuple  # InsepTail
+
+
+# Bounded: traffic that cycles through more shapes than an LRU keeps never
+# hits it, and the benchmark's odd_survey cycles through 50.
+@lru_cache(maxsize=256)
+def _report_shape(p: int, n: int, s: int) -> _ReportShape:
+    """The decorated graph of the shape (p, n, s), its violations, residuals
+    and effective-different profile, and the inseparable tails, computed
+    once per shape.  The arguments are the plain ints branch_signature
+    makes, so equal shapes share one entry."""
+    shape = _Shape(p, n, s)
+    graph = build_stable_graph(shape)
+    violations = validate_structure(graph) + tail_invariant_checks(graph)
+    return _ReportShape(
+        graph,
+        tuple(violations),
+        check_vanishing_cycles(graph),
+        tuple(check_local_vanishing(graph).items()),
+        tuple(effective_different_profile(graph).items()),
+        tuple(inseparable_tails(shape)),
+    )
+
+
 # -- report assembly ---------------------------------------------------------
 
 def analyze(p: int, n: int, a: int, b: int, L: int | None = None) -> dict:
-    """Full self-certifying report for one cover."""
-    from .graph import (
-        check_local_vanishing,
-        check_vanishing_cycles,
-        effective_different_profile,
-        tail_invariant_checks,
-        validate_structure,
-    )
-
+    """Full self-certifying report for one cover.  The graph half comes from
+    _report_shape and is serialized on every call, so no report shares a
+    container with another."""
     spec = branch_signature(p, n, a, b)
+    p, n = spec.p, spec.n
     verdict = certify_tail(spec, L)
-    graph = build_stable_graph(spec)
-    violations = validate_structure(graph) + tail_invariant_checks(graph)
-    residual = check_vanishing_cycles(graph)
-    local = check_local_vanishing(graph)
-    profile = effective_different_profile(graph)
+    shape = _report_shape(p, n, spec.s)
     tower = stab_field_tower(spec)
     conductor = conductor_bound(tower, n)
     expected = "SplitsZ4" if p == 2 else "SplitsArtinSchreier"
     certified = (
         verdict.kind == expected
-        and not violations
-        and residual == 0
-        and all(v == 0 for v in local.values())
+        and not shape.violations
+        and shape.residual == 0
+        and all(v == 0 for _, v in shape.local)
         and conductor["vanishes_at_n"]
     )
     return {
         "spec": spec.to_json(),
         "certificate": verdict.to_json(),
-        "graph": graph.to_json(),
-        "graph_violations": violations,
-        "vanishing_cycles_residual": ratstr(residual),
-        "local_vanishing_residuals": {k: ratstr(v) for k, v in local.items()},
-        "effective_different": {k: ratstr(v) for k, v in profile.items()},
-        "inseparable_tails": [t.to_json() for t in inseparable_tails(spec)],
+        "graph": shape.graph.to_json(),
+        "graph_violations": list(shape.violations),
+        "vanishing_cycles_residual": ratstr(shape.residual),
+        "local_vanishing_residuals": {k: ratstr(v) for k, v in shape.local},
+        "effective_different": {k: ratstr(v) for k, v in shape.profile},
+        "inseparable_tails": [t.to_json() for t in shape.tails],
         "tower": tower.to_json(),
         "conductor": {
             "vanishes_at_n": conductor["vanishes_at_n"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import (
     Disconnected,
@@ -270,7 +269,7 @@ class DecoratedGraph:
             "mG": self.mG,
             "components": [c.to_json() for c in self.components],
             "edges": [e.to_json() for e in self.edges],
-            "signatures": list(self.signatures),
+            "signatures": [dict(sig) for sig in self.signatures],
         }
 
     @classmethod
@@ -425,36 +424,6 @@ def sigma_eff_outward(g: DecoratedGraph, source: str, target: str) -> Fraction:
             if a >= 1:
                 acc -= 1
     return acc
-
-
-def sigma_eff_by_edge(g: DecoratedGraph) -> dict:
-    """`sigma_eff_outward` of every edge of g, keyed by (source, target),
-    from one post-order pass over the tree instead of one subtree walk per
-    edge; raises EdgeNotOutward on an edge stored against the tree.  The
-    sums run in integers scaled by D, the lcm of the sigma_b denominators."""
-    tails = [c for c in g.components if c.is_tail and c.etale]
-    for c in tails:
-        if c.sigma_b is None:
-            raise MissingSigma(f"etale tail {c.id} has no sigma_b")
-    D = lcm(*(c.sigma_b.denominator for c in tails))
-    kids = g._children
-    below = {}  # cid -> D * (sum of the contributions at-or-outward of cid)
-    for cid in reversed(g.subtree(g.root().id)):  # children first
-        c = g.component(cid)
-        acc = sum(below[k] for k in kids[cid])
-        if c.kind != "augmented":
-            if c.is_tail and c.etale:
-                acc += c.sigma_b.numerator * (D // c.sigma_b.denominator) - D
-            acc -= D * sum(1 for a in c.branch_points.values() if a >= 1)
-        below[cid] = acc
-    out = {}
-    for e in g.edges:
-        if g._parent.get(e.target) != e.source:
-            raise EdgeNotOutward(f"{e.source} -> {e.target} is not outward")
-        out[e.source, e.target] = (
-            Fraction(0) if g.component(e.target).kind == "augmented"
-            else Fraction(D + below[e.target], D))
-    return out
 
 
 def effective_different_profile(g: DecoratedGraph) -> dict:

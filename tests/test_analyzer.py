@@ -2,6 +2,8 @@
 with frozen radii, field towers, conductor certificates, and quotient
 compatibility."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from padic_sr.analyzer import (
     _centre_field,
     _p2_center,
+    _report_shape,
     analyze,
     branch_signature,
     build_stable_graph,
@@ -26,6 +29,14 @@ from padic_sr.errors import (
     NotThreePoint,
     UnsupportedCase,
 )
+from padic_sr.graph import (
+    check_local_vanishing,
+    check_vanishing_cycles,
+    effective_different_profile,
+    tail_invariant_checks,
+    validate_structure,
+)
+from padic_sr.jsonutil import ratstr
 from padic_sr.ramification import FieldTower, TowerStep
 from padic_sr.tower import Tower, q2_i
 
@@ -73,6 +84,50 @@ def test_non_prime_p_refused(p):
         branch_signature(p, 2, 1, 1)
     with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
         analyze(p, 1, 1, 1)
+
+
+class _Int(int):
+    """An int subclass that prints differently from its value."""
+
+    def __repr__(self):
+        return f"_Int({int(self)})"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize("args,name,kind", [
+    ((5.0, 1, 1, 1), "p", "float"),
+    ((5, 1.0, 1, 1), "n", "float"),
+    ((5, 1, 1, Fraction(1)), "b", "Fraction"),
+    ((5, True, 1, 1), "n", "bool"),
+    ((True, 2, 1, 1), "p", "bool"),
+    ((5, 1, False, 1), "a", "bool"),
+])
+def test_non_integer_arguments_refused(args, name, kind):
+    """A bool, a float or any other non-integer argument raises TypeError
+    naming the argument, from branch_signature and from analyze."""
+    msg = rf"^{name} must be an integer, not {kind}$"
+    with pytest.raises(TypeError, match=msg):
+        branch_signature(*args)
+    with pytest.raises(TypeError, match=msg):
+        analyze(*args)
+
+
+def test_integer_arguments_become_plain_ints():
+    """An int subclass is read as its value: the spec holds plain ints and
+    the report equals that of the plain cover, whichever runs first."""
+    spec = branch_signature(_Int(5), _Int(2), _Int(3), _Int(10))
+    assert spec == branch_signature(5, 2, 3, 10)
+    assert all(type(x) is int for x in (spec.p, spec.n, spec.a, spec.b))
+    assert all(type(x) is int for x in spec.original)
+    _report_shape.cache_clear()
+    with pytest.raises(TypeError):
+        analyze(5, True, 1, 1)
+    odd = json.dumps(analyze(_Int(5), _Int(1), _Int(1), _Int(1)),
+                     sort_keys=True)
+    plain = json.dumps(analyze(5, 1, 1, 1), sort_keys=True)
+    assert odd == plain
+    assert "_Int" not in odd and '"n": 1,' in odd
 
 
 def test_p2_always_partial():
@@ -498,3 +553,153 @@ def test_shared_fields_carry_no_cover_state():
     backwards = {args: _report_or_error(args) for args in MIXED_GRID[::-1]}
     assert forwards == fresh
     assert backwards == fresh
+
+
+# -- the shape half of the report, once per (p, n, s) ------------------------
+
+def _shape_covers(seed):
+    """Covers of every case (i)-(v) for p in {2, 3, 5, 7, 17, 37}, drawn
+    from the seed: b = +-p^(n-s) u with a and u prime to p, the sign taken
+    so that a + b is prime to p when s = n (for odd p one of a +- u is), so
+    each draw is admissible with s as chosen."""
+    rng = random.Random(seed)
+    covers = []
+    for p, n_max in ((2, 5), (3, 4), (5, 3), (7, 3), (17, 2), (37, 2)):
+        units = [x for x in range(1, 4 * p) if x % p]
+        for n in range(2 if p == 2 else 1, n_max + 1):
+            for s in range(1, n if p == 2 else n + 1):
+                for _ in range(2):
+                    a = rng.choice(units)
+                    u = rng.choice(units)
+                    b = rng.choice((1, -1)) * p ** (n - s) * u
+                    if s == n and (a + b) % p == 0:
+                        b = -b
+                    covers.append((p, n, a, b))
+    return covers
+
+
+def _fresh_shape(spec):
+    """The graph half of the report, computed the uncached way."""
+    graph = build_stable_graph(spec)
+    local = check_local_vanishing(graph)
+    profile = effective_different_profile(graph)
+    return {
+        "graph": graph.to_json(),
+        "graph_violations": validate_structure(graph)
+        + tail_invariant_checks(graph),
+        "vanishing_cycles_residual": ratstr(check_vanishing_cycles(graph)),
+        "local_vanishing_residuals": {k: ratstr(v) for k, v in local.items()},
+        "effective_different": {k: ratstr(v) for k, v in profile.items()},
+        "inseparable_tails": [t.to_json() for t in inseparable_tails(spec)],
+    }
+
+
+def _cached_shape(spec):
+    """The same fields as analyze reports them from _report_shape, or from
+    the analyze report itself when the cover certifies or fails late."""
+    try:
+        report = analyze(spec.p, spec.n, spec.original[0], spec.original[1])
+    except ArtifactError:
+        sh = _report_shape(spec.p, spec.n, spec.s)
+        return {
+            "graph": sh.graph.to_json(),
+            "graph_violations": list(sh.violations),
+            "vanishing_cycles_residual": ratstr(sh.residual),
+            "local_vanishing_residuals": {k: ratstr(v) for k, v in sh.local},
+            "effective_different": {k: ratstr(v) for k, v in sh.profile},
+            "inseparable_tails": [t.to_json() for t in sh.tails],
+        }
+    return {key: report[key] for key in _fresh_shape(spec)}
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_cached_shape_equals_fresh_computation(seed):
+    """The graph, violations, residuals, effective-different profile and
+    inseparable tails that analyze reports equal the uncached computation,
+    with the cache cleared before each cover, then forwards, then in
+    reverse order."""
+    covers = _shape_covers(seed)
+    specs = [branch_signature(*c) for c in covers]
+    cases = {(spec.p, spec.s == spec.n, spec.s == 1) for spec in specs}
+    assert {(3, True, False), (3, False, True), (3, False, False),
+            (5, False, True), (2, False, True), (2, False, False)} <= cases
+    want = [_fresh_shape(spec) for spec in specs]
+    cold = []
+    for spec in specs:
+        _report_shape.cache_clear()
+        cold.append(_cached_shape(spec))
+    assert cold == want
+    assert [_cached_shape(spec) for spec in specs] == want
+    assert [_cached_shape(spec) for spec in specs[::-1]] == want[::-1]
+
+
+@pytest.mark.parametrize("first,second", [
+    ((5, 1, 1, 1), (5, 1, 2, 7)),  # (i)
+    ((5, 3, 2, 25), (5, 3, 1, -50)),  # (ii)
+    ((3, 3, 1, 9), (3, 3, 2, -9)),  # (iii)
+    ((3, 4, 2, 9), (3, 4, 1, 18)),  # (iv)
+    ((2, 4, 1, 6), (2, 4, 3, -10)),  # (v)
+    ((37, 2, 1, 37), (37, 2, 5, 74)),
+])
+def test_shape_depends_on_p_n_s_only(first, second):
+    """The invariant the cache rests on: two covers with the same (p, n, s)
+    and different (a, b) get equal graphs and inseparable tails."""
+    s1, s2 = branch_signature(*first), branch_signature(*second)
+    assert (s1.p, s1.n, s1.s) == (s2.p, s2.n, s2.s)
+    assert (s1.a, s1.b) != (s2.a, s2.b)
+    assert build_stable_graph(s1).to_json() == build_stable_graph(s2).to_json()
+    assert inseparable_tails(s1) == inseparable_tails(s2)
+    assert build_stable_graph(s1) is not build_stable_graph(s1)
+
+
+def _vandalize(doc):
+    """Change every container reachable from doc in place: overwrite each
+    scalar entry, and add an entry to each dict and list."""
+    if isinstance(doc, dict):
+        for key, value in list(doc.items()):
+            if isinstance(value, (dict, list)):
+                _vandalize(value)
+            else:
+                doc[key] = "vandalized"
+        doc["vandalized"] = True
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            if isinstance(value, (dict, list)):
+                _vandalize(value)
+            else:
+                doc[i] = "vandalized"
+        doc.append("vandalized")
+
+
+@pytest.mark.parametrize("first,second", [
+    ((5, 2, 3, 10), (5, 2, 1, 15)),  # (ii), with branch points and tails
+    ((3, 4, 2, 9), (3, 4, 1, 18)),  # (iv)
+    ((2, 4, 1, 6), (2, 4, 3, -10)),  # (v)
+])
+def test_reports_share_no_container_with_the_cache(first, second):
+    """Mutating every container of a report (graph components, branch
+    points, edges, signatures, violations, residuals, profile, tails) leaves
+    the next report of the same shape, and of the same cover, equal to a
+    report computed with the cache cleared."""
+    _report_shape.cache_clear()
+    fresh_first = analyze(*first)
+    _report_shape.cache_clear()
+    fresh_second = analyze(*second)
+    _report_shape.cache_clear()
+    report = analyze(*first)
+    graph = report["graph"]
+    assert any("branch_points" in c for c in graph["components"])
+    assert graph["signatures"] and report["inseparable_tails"]
+    _vandalize(report)
+    assert report != fresh_first
+    assert report["graph_violations"] == ["vandalized"]
+    assert analyze(*second) == fresh_second
+    assert analyze(*first) == fresh_first
+    assert _report_shape.cache_info().hits >= 2
+
+
+def test_shape_cache_is_bounded():
+    """The cache holds at most a fixed number of shapes, and at least the
+    50 shapes that odd_survey-like traffic cycles through."""
+    maxsize = _report_shape.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 64

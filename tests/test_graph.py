@@ -23,7 +23,6 @@ from padic_sr.graph import (
     check_vanishing_cycles,
     effective_different_profile,
     export_graph,
-    sigma_eff_by_edge,
     sigma_eff_outward,
     tail_invariant_checks,
     validate_structure,
@@ -60,13 +59,11 @@ def test_sigma_eff_antisymmetry(emitted):
 
 
 def test_sigma_eff_matches_decorations(emitted):
-    """The emitted sigma_eff, and the one-pass sigma_eff_by_edge on every
-    edge, equal the per-edge subtree sum sigma_eff_outward."""
+    """The emitted sigma_eff on every edge equals the per-edge subtree sum
+    sigma_eff_outward."""
     spec, g = emitted
-    by_edge = sigma_eff_by_edge(g)
     for e in g.edges:
         want = sigma_eff_outward(g, e.source, e.target)
-        assert by_edge[e.source, e.target] == want
         if g.component(e.target).kind != "augmented":
             assert e.sigma_eff == want
 
