@@ -91,11 +91,8 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
     normalized (by Moebius swaps) so 0 and infinity are totally ramified.
     p, n, a and b are taken as plain ints; a bool or a non-integer raises
     TypeError."""
-    # plain ints (the common case) pass as they are; the benchmark's
-    # set-up calls this once per candidate cover
-    if not (type(p) is type(n) is type(a) is type(b) is int):
-        p, n, a, b = (_as_int("p", p), _as_int("n", n), _as_int("a", a),
-                      _as_int("b", b))
+    p, n, a, b = (_as_int("p", p), _as_int("n", n), _as_int("a", a),
+                  _as_int("b", b))
     check_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")

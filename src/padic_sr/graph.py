@@ -10,6 +10,7 @@ returned as data, not raised.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -281,8 +282,18 @@ class DecoratedGraph:
             components=tuple(Component.from_json(c)
                              for c in doc["components"]),
             edges=tuple(GraphEdge.from_json(e) for e in doc["edges"]),
-            signatures=tuple(doc.get("signatures", [])),
+            signatures=tuple(_signature_from_json(sig)
+                             for sig in doc.get("signatures", [])),
         )
+
+
+def _signature_from_json(sig) -> dict:
+    """A copy of one signature entry; to_json copies it back, so both
+    directions take mappings only."""
+    if not isinstance(sig, Mapping):
+        raise TypeError(f"signature entry must be a mapping, not "
+                        f"{type(sig).__name__}")
+    return dict(sig)
 
 
 # -- validators --------------------------------------------------------------

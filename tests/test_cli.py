@@ -188,7 +188,9 @@ def test_bad_truncation_env_is_usage_error(runner, env, message):
 
 @pytest.mark.parametrize("text", ["not json", "[]", '{"prime": 5}',
                                   '{"prime": 5, "n": 1, "components": [1], '
-                                  '"edges": []}'])
+                                  '"edges": []}',
+                                  '{"prime": 5, "n": 1, "components": [], '
+                                  '"edges": [], "signatures": ["x"]}'])
 def test_validate_graph_malformed_file(runner, tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -104,6 +104,24 @@ def test_json_roundtrip(emitted):
     assert DecoratedGraph.from_json(json.loads(json.dumps(doc))) == g
 
 
+def test_json_signatures_must_be_mappings(emitted):
+    spec, g = emitted
+    doc = g.to_json()
+    doc["signatures"].append("not a mapping")
+    with pytest.raises(TypeError, match="signature entry must be a mapping"):
+        DecoratedGraph.from_json(doc)
+
+
+def test_json_signatures_are_copied(emitted):
+    spec, g = emitted
+    doc = g.to_json()
+    back = DecoratedGraph.from_json(doc)
+    doc["signatures"][0]["point"] = "changed"
+    assert back == g
+    back.to_json()["signatures"][0]["point"] = "changed"
+    assert back == g
+
+
 def test_dot_export(emitted):
     spec, g = emitted
     dot = export_graph(g, "dot")
