@@ -160,7 +160,7 @@ def _cube_radicand(n: int, s: int, b: int) -> Fraction:
 # and 5), so it waits for that reading to be repaired.  The graph half of
 # the report (the graph, its checks and the inseparable tails) depends on
 # (p, n, s) alone and is computed once per shape, in an LRU of 256 shapes
-# (_report_shape, below).
+# (_report_shape, below); only callers that repeat a shape gain from it.
 
 @cache
 def _q3_pi() -> Tower:
