@@ -8,10 +8,17 @@ from fractions import Fraction
 
 
 def ratstr(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """The string "num/den" (or "num") of an exact rational.  An int or a
+    Fraction is read as it is, anything else (a string such as "6/4") goes
+    through Fraction; a float is refused, as no float may reach an
+    interface."""
+    if isinstance(x, float):
+        raise TypeError(f"ratstr takes an exact rational, not {x!r}")
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rat(s) -> Fraction:

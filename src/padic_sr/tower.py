@@ -19,16 +19,34 @@ construction:
 
 Either certificate guarantees the step polynomial is irreducible over the
 p-adic completion, so the valuation extends uniquely and
-v(alpha) = v_p(Norm(alpha)) / D on the whole tower.
+v(alpha) = v_p(Norm(alpha)) / D on the whole tower.  The arithmetic uses
+closed forms of that fact wherever one applies:
+
+  * Valuations are integers over one denominator E, the lcm of the
+    denominators of the generator valuations v(g_j) = G_j / E.  A term
+    c prod g_j^e_j has valuation (E v_p(c) + sum e_j G_j) / E, and a unique
+    least term gives v(alpha); only a tie among the least terms needs the
+    norm.
+  * A monomial c prod g_j^e_j, negative exponents included, is reduced by
+    divmod against every step whose rewrite has one term (g^m = r, r a
+    monomial of the lower tower), so powers and inverses of monomials need
+    neither repeated multiplication nor a linear solve.  A multi-term
+    rewrite (a cyclotomic step) falls back to the generic path.
+  * The norm is a product of relative norms: over a top step
+    g^2 = a1 g + a0, N(h0 + h1 g) = N_lower(h0^2 + a1 h0 h1 - a0 h1^2), and
+    the recursion descends to the constant of the empty tower.  A top step
+    of degree > 2 takes the determinant of the multiplication matrix of its
+    tower.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     IrreducibilityUnverified,
@@ -165,14 +183,7 @@ class TowerElement:
 
     def __add__(self, other):
         other = self.tower.coerce(other)
-        out = dict(self.coords)
-        for k, c in other.coords.items():
-            nc = out.get(k, Fraction(0)) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return TowerElement(self.tower, out)
+        return TowerElement(self.tower, _add_coords(self.coords, other.coords))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -203,6 +214,12 @@ class TowerElement:
         return self.tower.coerce(other) / self
 
     def __pow__(self, k: int):
+        k = operator.index(k)  # a float or Fraction exponent is refused
+        if len(self.coords) == 1:
+            (exps, c), = self.coords.items()
+            x = self.tower._monomial([e * k for e in exps], c ** k)
+            if x is not None:
+                return x
         if k < 0:
             return self.inverse() ** (-k)
         result = self.tower.one()
@@ -261,6 +278,9 @@ class Tower:
         self._uniformizer = None  # TowerElement with v = 1/ram_index, if known
         self._basis_cache = None
         self._inv_cache = {}
+        self._lower = None  # the tower this one extends by its top step
+        self._E = 1  # v(g_j) = _G[j] / _E for every generator g_j
+        self._G = ()
 
     # -- basics --------------------------------------------------------------
 
@@ -368,26 +388,40 @@ class Tower:
         return [[cols[j][i] for j in range(D)] for i in range(D)]
 
     def norm(self, elem) -> Fraction:
-        """Exact norm from the multiplication-by-elem matrix determinant."""
+        """Exact norm to Q, as a product of relative norms down the quadratic
+        top steps, and the determinant of the multiplication matrix below a
+        top step of degree > 2."""
         elem = self.coerce(elem)
         if elem.is_zero():
             return Fraction(0)
-        return _det_fraction(self._mul_matrix(elem))
+        t, coords = self, elem.coords
+        while t.steps:
+            step = t.steps[-1]
+            if step.degree != 2:
+                return _det_fraction(t._mul_matrix(TowerElement(t, coords)))
+            # g^2 = a1 g + a0: N(h0 + h1 g) = h0 (h0 + a1 h1) - a0 h1^2
+            h0, h1 = _split_top(coords.items())
+            a0, a1 = _split_top(step.rewrite)
+            t = t._lower
+            mul = t._mul_coords
+            coords = _add_coords(
+                mul(h0, _add_coords(h0, mul(a1, h1))),
+                mul({k: -c for k, c in a0.items()}, mul(h1, h1)))
+        return coords[()]
 
     def inverse(self, elem) -> TowerElement:
         elem = self.coerce(elem)
         if elem.is_zero():
             raise ZeroDivisionError("inverse of 0")
+        if len(elem.coords) == 1:
+            (exps, c), = elem.coords.items()
+            inv = self._monomial([-e for e in exps], 1 / c)
+            if inv is not None:
+                return inv
         key = frozenset(elem.coords.items())
         hit = self._inv_cache.get(key)
         if hit is not None:
             return hit
-        if len(elem.coords) == 1:
-            # a constant inverts to its reciprocal; every other element,
-            # monomials included, solves elem * x = 1 below
-            (exps, c), = elem.coords.items()
-            if all(e == 0 for e in exps):
-                return self.rational(1 / c)
         basis, index = self._basis()
         D = len(basis)
         M = self._mul_matrix(elem)
@@ -401,31 +435,53 @@ class Tower:
             self._inv_cache.clear()
         return inv
 
+    def _monomial(self, exps, c):
+        """c prod g_j^exps[j], reduced, for any integer exponents (the list
+        exps is consumed), or None when an exponent outside [0, degree)
+        meets a step whose rewrite has more than one term.  A one-term
+        rewrite g_j^m = r is a monomial of the lower tower, so
+        g_j^(m q) = r^q adds q times the exponents of r to the lower
+        generators; the steps are reduced from the top down."""
+        steps = self.steps
+        for j in range(len(exps) - 1, -1, -1):
+            step = steps[j]
+            q, exps[j] = divmod(exps[j], step.degree)
+            if q:
+                if len(step.rewrite) != 1:
+                    return None
+                (rexps, rc), = step.rewrite
+                c *= rc ** q
+                for i in range(j):
+                    exps[i] += q * rexps[i]
+        return TowerElement(self, {tuple(exps): c})
+
     # -- valuation -----------------------------------------------------------
 
-    def _gen_vals(self):
-        return [s.gen_val for s in self.steps]
-
     def valuation(self, elem) -> RatVal:
-        elem = self.coerce(elem)
-        if elem.is_zero():
-            raise ZeroElement("v(0) is +infinity")
-        gv = self._gen_vals()
-        vals = [
-            vp_rational(c, self.p) + sum((e * g for e, g in zip(exps, gv)),
-                                         Fraction(0))
-            for exps, c in elem.coords.items()
-        ]
-        m = min(vals)
-        if vals.count(m) == 1:
-            # ultrametric with a unique minimum: exact, no determinant needed
-            return RatVal(m)
-        n = self.norm(elem)
-        return RatVal(vp_rational(n, self.p) / self.degree)
+        return RatVal(self.val(elem))
 
     def val(self, elem) -> Fraction:
-        """Convenience: valuation as a bare Fraction."""
-        return self.valuation(elem).value
+        """The exact valuation of a nonzero element, as a bare Fraction.
+
+        A term c prod g_j^e_j scores E v_p(c) + sum e_j G_j in integers; a
+        unique least score is E v(elem) by the ultrametric inequality, and
+        a tie among the least terms is settled by the norm."""
+        elem = self.coerce(elem)
+        if not elem.coords:
+            raise ZeroElement("v(0) is +infinity")
+        p, E, G = self.p, self._E, self._G
+        least = tie = None
+        for exps, c in elem.coords.items():
+            v = E * (vp_int(c.numerator, p) - vp_int(c.denominator, p))
+            for e, g in zip(exps, G):
+                v += e * g
+            if least is None or v < least:
+                least, tie = v, False
+            elif v == least:
+                tie = True
+        if tie:
+            return vp_rational(self.norm(elem), p) / self.degree
+        return Fraction(least, E)
 
     # -- step construction ---------------------------------------------------
 
@@ -435,6 +491,10 @@ class Tower:
         t.ram_index = self.ram_index * (step.e_step or 1)
         t.ram_exact = self.ram_exact and step.e_step is not None
         t._uniformizer = self._uniformizer
+        t._lower = self
+        t._E = E = lcm(self._E, step.gen_val.denominator)
+        t._G = tuple(s.gen_val.numerator * (E // s.gen_val.denominator)
+                     for s in t.steps)
         return t
 
     def adjoin_radical(self, m: int, radicand, name=None) -> "Tower":
@@ -465,9 +525,8 @@ class Tower:
             # rewrite: g^m = rad (lift coords, generator position appended)
             rewrite = [(exps + (0,), c) for exps, c in rad.coords.items()]
             step = Step(name, m, rewrite, "radical", vr / m, m, radicand=rad)
-            lower_pi = self.uniformizer()
             t = self._extended(step)
-            t._build_uniformizer(t.gen(), lower_pi)
+            t._build_uniformizer(t.gen())
             return t
         # certificate (b): unit radicand, not a q-th power locally for any
         # prime q | m
@@ -516,47 +575,47 @@ class Tower:
             exps = (0,) * nv + (j * p ** (k - 1),)
             rewrite.append((exps, Fraction(-1)))
         step = Step(name, deg, rewrite, "cyclotomic", Fraction(0), deg)
-        lower_pi = self.uniformizer()
         t = self._extended(step)
-        t._build_uniformizer(t.gen() - 1, lower_pi)
+        t._build_uniformizer(t.gen() - 1)
         return t
 
-    def _build_uniformizer(self, new_elem, lower_pi):
-        """Combine the new Eisenstein-type element with the lower uniformizer
-        to an element of valuation exactly 1/ram_index."""
-        R = self.ram_index
+    def _build_uniformizer(self, new_elem):
+        """Combine the new Eisenstein-type element with the uniformizer of
+        the lower tower to an element of valuation exactly 1/ram_index.  The
+        lower uniformizer has valuation 1/R_lower by construction (p, of
+        valuation 1, when the lower tower has none), and it is raised to its
+        power in the lower tower, so a shared lower field serves the inverse
+        from its own cache."""
+        R, lower = self.ram_index, self._lower
         k1 = self.val(new_elem) * R
-        k2 = self.val(self.coerce(lower_pi)) * R
-        if k1.denominator != 1 or k2.denominator != 1:
+        if k1.denominator != 1:
             raise AssertionError("valuation outside the value group")
-        k1, k2 = int(k1), int(k2)
-        g, a, c = _ext_gcd(k1, k2)
+        k2 = R if lower._uniformizer is None else R // lower.ram_index
+        g, a, c = _ext_gcd(int(k1), k2)
         if g != 1:
             self._uniformizer = None
             return
-        self._uniformizer = self.coerce(new_elem) ** a * self.coerce(lower_pi) ** c
+        self._uniformizer = new_elem ** a * self.coerce(lower.uniformizer() ** c)
 
     def _detect_unit_step_ramification(self, lower_exact):
         """After a Hensel-certified unit step, probe v(g - c) for small
         integers c; a denominator equal to the full step degree proves the
-        step is totally ramified (e.g. v(i - 1) = 1/2 over Q_2)."""
+        step is totally ramified (e.g. v(i - 1) = 1/2 over Q_2).  A proved
+        ramified step keeps a uniformizer only when a probe is one, as the
+        lower one no longer has valuation 1/ram_index."""
         step = self.steps[-1]
         g = self.gen()
-        best = 1
         for c in range(-2, 3):
             cand = g - c
             if cand.is_zero():
                 continue
             v = self.val(cand)
-            denom_rel = (v * self.ram_index).denominator
-            best = max(best, denom_rel)
-            if denom_rel == step.degree:
+            if (v * self.ram_index).denominator == step.degree:
                 step.e_step = step.degree
-                step.gen_val = Fraction(0)
                 self.ram_index *= step.degree
                 self.ram_exact = lower_exact
-                if v * self.ram_index == 1:
-                    self._uniformizer = cand
+                self._uniformizer = (cand if v * self.ram_index == 1
+                                     else None)
                 return
         # Unknown: the step might be unramified or ramified undetected.
         self.ram_exact = False
@@ -600,6 +659,28 @@ class Tower:
                 s["exponent"], TowerElement(t, coords), name=s["name"]
             )
         return t
+
+
+def _add_coords(x, y):
+    """The coordinates of x + y, zeros dropped."""
+    out = dict(x)
+    for k, c in y.items():
+        if k in out:
+            c += out[k]
+            if not c:
+                del out[k]
+                continue
+        out[k] = c
+    return out
+
+
+def _split_top(terms):
+    """(h0, h1) with h0 + h1 g the sum of the (exps, coeff) terms, g the
+    top generator, of degree 2, as coordinates of the tower below it."""
+    h = ({}, {})
+    for exps, c in terms:
+        h[exps[-1]][exps[:-1]] = c
+    return h
 
 
 def _cyclo_order(p, deg):
@@ -706,8 +787,8 @@ def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
     depth = -(-levels // R) + 1
     threshold = Fraction(levels, R)
     basis, _ = tower._basis()
-    gv = tower._gen_vals()
-    m0 = min(sum((e * g for e, g in zip(b, gv)), Fraction(0)) for b in basis)
+    m0 = Fraction(min(sum(e * g for e, g in zip(b, tower._G)) for b in basis),
+                  tower._E)
     survivors = [(0,) * len(basis)]
     for k in range(depth):
         need = threshold if k == depth - 1 else min(

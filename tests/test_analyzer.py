@@ -2,6 +2,7 @@
 with frozen radii, field towers, conductor certificates, and quotient
 compatibility."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from padic_sr.analyzer import (
     _centre_field,
     _p2_center,
     _report_shape,
+    _stable_case,
     analyze,
     branch_signature,
     build_stable_graph,
@@ -37,6 +39,7 @@ from padic_sr.graph import (
     validate_structure,
 )
 from padic_sr.jsonutil import ratstr
+from padic_sr import tower as tower_module
 from padic_sr.ramification import FieldTower, TowerStep
 from padic_sr.tower import Tower, q2_i
 
@@ -553,6 +556,48 @@ def test_shared_fields_carry_no_cover_state():
     backwards = {args: _report_or_error(args) for args in MIXED_GRID[::-1]}
     assert forwards == fresh
     assert backwards == fresh
+
+
+# -- no brute force on the certification path --------------------------------
+
+#: (counted cover, warm-up cover of the same case and prime): cases (i)-(v)
+#: over p in {2, 3, 5, 17}, with 1 < s < n at p = 3 in case (iv); the case
+#: (v) pairs differ in b', so they adjoin different w's
+NO_BRUTE_FORCE = [
+    ((5, 2, 1, 1), (5, 1, 2, 1)),  # (i)
+    ((5, 2, 1, 5), (5, 2, 2, 10)),  # (ii)
+    ((17, 2, 1, 17), (17, 2, 2, -17)),  # (ii)
+    ((3, 3, 1, 9), (3, 3, 2, 9)),  # (iii)
+    ((3, 3, 1, 3), (3, 3, 2, -3)),  # (iv)
+    ((3, 4, 1, 9), (3, 3, 2, -3)),  # (iv)
+    ((2, 4, 1, 6), (2, 3, 1, 10)),  # (v), b' = 3 after b' = 5
+    ((2, 3, 1, 10), (2, 4, 1, 6)),  # (v), b' = 5 after b' = 3
+]
+
+
+@pytest.mark.parametrize("counted,warm", NO_BRUTE_FORCE)
+def test_certification_takes_no_determinant_or_solve(monkeypatch, counted,
+                                                     warm):
+    """Once another cover of the same case has filled the per-process
+    fields (with their inverse caches), and the square-class table is full, a
+    certified cover takes every valuation, norm, power and inverse in
+    closed form: no multiplication-matrix determinant and no linear solve,
+    its own locus and centre towers included."""
+    specs = branch_signature(*counted), branch_signature(*warm)
+    assert len({_stable_case(sp.p, sp.n, sp.s) for sp in specs}) == 1
+    assert analyze(*warm)["certified"] is True
+    for key in itertools.product((0, 1), (1, 3, 5, 7), (2, 3), (0, 1, 3)):
+        tower_module._square_class_entry(*key)
+    _centre_field.cache_clear()
+    calls = []
+    for name in ("_det_fraction", "_solve_fraction"):
+        def counting(*args, _name=name, _f=getattr(tower_module, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(tower_module, name, counting)
+    assert analyze(*counted)["certified"] is True
+    assert calls == []
 
 
 # -- the shape half of the report, once per (p, n, s) ------------------------

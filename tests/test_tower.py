@@ -8,16 +8,29 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from padic_sr.analyzer import _centre_field, branch_signature, new_tail_locus
+from padic_sr.analyzer import (
+    _centre_field,
+    _cube_radicand,
+    _k1,
+    _q3_pi,
+    branch_signature,
+    new_tail_locus,
+)
 from padic_sr.errors import IrreducibilityUnverified, ZeroElement, ZeroRadicand
+from padic_sr.ramification import cyclotomic_tower
 from padic_sr.tower import (
+    RatVal,
     Tower,
     TowerElement,
+    _det_fraction,
     _di_square,
     _is_qth_power_local,
+    _k3,
+    _solve_fraction,
     is_mth_power,
     is_square_unramified_closure,
     make_tower,
+    q2_i,
     square_class_K2_K3,
     unit_level,
     valuation,
@@ -389,3 +402,132 @@ def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
         assert new_tail_locus(spec).tower.degree == 4
     assert calls[-1][:2] == (2, square)  # the radicand test over Q_2(i)
     assert all(n <= 16 for _, _, n in calls), calls
+
+
+# -- closed forms against the brute-force path -------------------------------
+
+def _q3_pi_t():
+    """Q_3(pi)(t), pi^4 = 3, t^3 = 3^5 C(3, 3): the case (iii) centre of
+    (p, n, a, b) = (3, 2, 1, 3)."""
+    return new_tail_locus(branch_signature(3, 2, 1, 3)).tower
+
+
+def _k1_cbrt():
+    """K_1(cbrt), the case (iv) field L of conductor_bound."""
+    return _k1(3).adjoin_radical(3, _cube_radicand(3, 2, 3), "t")
+
+
+#: every tower the pipeline builds, the towers above, and towers whose unit
+#: step is not proved ramified (ram_exact False): Q_2(i)(w) for c = 1, a
+#: quadratic Q_3(sqrt 2), and the quartic Q_5(2^(1/4)) on the determinant
+ORACLE_TOWERS = {
+    "q2_i": q2_i,
+    "K3": _k3,
+    "Q3(pi)": _q3_pi,
+    "K1(3)": lambda: _k1(3),
+    "K1(5)": lambda: _k1(5),
+    "Q3(zeta9)": lambda: cyclotomic_tower(3, 2),
+    **{f"Q{p}(pi)": (lambda p=p: Tower(p).adjoin_radical(2 * (p - 1), p))
+       for p in (2, 3, 5, 7, 11, 13)},
+    "Q3(pi)(t)": _q3_pi_t,
+    "K1(cbrt)": _k1_cbrt,
+    **{f"centre({b},{c})": (lambda b=b, c=c: _centre_field(b, c)[0])
+       for b in (3, -3, 5, -5, 11, -11, 13) for c in (0, 1)},
+    **{f"TEST_TOWERS[{j}]": build for j, build in enumerate(TEST_TOWERS)},
+    "Q3(sqrt2)": lambda: Tower(3).adjoin_radical(2, 2),
+    "Q5(2^(1/4))": lambda: Tower(5).adjoin_radical(4, 2),
+    "Q3(pi)(sqrt pi)": lambda: _q3_pi().adjoin_radical(2, _q3_pi().gen()),
+}
+
+
+def _sparse_element(rng, tower):
+    """A nonzero element on a few basis monomials, often with equal-valued
+    terms, so that both the unique-minimum and the tie path run."""
+    basis, _ = tower._basis()
+    return TowerElement(tower, {
+        b: Fraction(rng.choice([1, -1]) * tower.p ** rng.randint(0, 1)
+                    * rng.randint(1, 6), rng.choice([1, 1, 2, 3]))
+        for b in rng.sample(basis, rng.randint(1, min(len(basis), 4)))})
+
+
+def _det_norm(x):
+    return _det_fraction(x.tower._mul_matrix(x))
+
+
+def _solve_inverse(x):
+    t = x.tower
+    basis, index = t._basis()
+    rhs = [Fraction(0)] * len(basis)
+    rhs[index[(0,) * len(t.steps)]] = Fraction(1)
+    sol = _solve_fraction(t._mul_matrix(x), rhs)
+    return {basis[i]: c for i, c in enumerate(sol) if c}
+
+
+def _binary_power(x, k):
+    """x^k by binary powering of the generic product, through the solved
+    inverse for k < 0."""
+    t = x.tower
+    base = _solve_inverse(x) if k < 0 else x.coords
+    result, k = {(0,) * len(t.steps): Fraction(1)}, abs(k)
+    while k:
+        if k & 1:
+            result = t._mul_coords(result, base)
+        k >>= 1
+        if k:
+            base = t._mul_coords(base, base)
+    return result
+
+
+@pytest.mark.parametrize("name", ORACLE_TOWERS)
+def test_valuation_and_norm_match_the_determinant(name):
+    t = ORACLE_TOWERS[name]()
+    rng = random.Random(f"val-norm:{name}")
+    for _ in range(20 if t.degree <= 8 else 4):
+        x = _sparse_element(rng, t)
+        n = _det_norm(x)
+        assert t.norm(x) == n, x
+        assert t.val(x) == vp_rational(n, t.p) / t.degree, x
+        assert t.valuation(x) == RatVal(t.val(x))
+
+
+@pytest.mark.parametrize("name", ORACLE_TOWERS)
+def test_uniformizer_has_valuation_one_over_the_ramification_index(name):
+    """Every step combines its new element with the lower uniformizer, whose
+    valuation 1/R_lower is known by construction; every tower of exact
+    ramification index gets a uniformizer that way."""
+    t = ORACLE_TOWERS[name]()
+    assert t._uniformizer is not None or not t.ram_exact
+    if t._uniformizer is not None:
+        assert t.val(t.uniformizer()) == Fraction(1, t.ram_index)
+
+
+@pytest.mark.parametrize("name", ORACLE_TOWERS)
+def test_monomial_powers_and_inverses_match_the_generic_path(name):
+    t = ORACLE_TOWERS[name]()
+    rng = random.Random(f"monomial:{name}")
+    basis, _ = t._basis()
+    for b in rng.sample(basis, min(len(basis), 3)):
+        x = TowerElement(t, {b: Fraction(rng.choice([1, -2, 3]),
+                                         rng.choice([1, 5]))})
+        assert x.inverse().coords == _solve_inverse(x), x
+        for k in range(-5, 41):
+            assert (x ** k).coords == _binary_power(x, k), (x, k)
+
+
+def test_multi_term_rewrite_leaves_the_monomial_path():
+    """A cyclotomic step rewrites zeta^deg to several terms: the monomial
+    reduction declines, and the generic path gives the power."""
+    t = cyclotomic_tower(3, 2)
+    assert t._monomial([6], Fraction(1)) is None
+    assert t._monomial([5], Fraction(1)).coords == {(5,): 1}
+    assert (t.gen() ** 9 - 1).is_zero()
+
+
+@pytest.mark.parametrize("k", [Fraction(1, 2), 2.0, Fraction(4, 2)])
+def test_non_integer_exponents_refused(k):
+    """A monomial's exponents are multiplied by k, so only an integer k may
+    reach the reduction; a float or Fraction raises, as on a sum."""
+    t = make_tower(5, [(8, 5)])
+    for x in (t.gen(), 1 + t.gen()):
+        with pytest.raises(TypeError):
+            x ** k
