@@ -152,15 +152,13 @@ def _cube_radicand(n: int, s: int, b: int) -> Fraction:
 # -- fields built once -------------------------------------------------------
 # A Tower never changes once built (adjoining returns a new tower), so a field
 # that depends on p alone is built, with its certificates, once per process
-# and shared by every cover.  The case (v) fields depend on the cover and are
-# built once per cover.  The locus tower Q_p(pi) of the rational centre
-# depends on p alone but is still built per cover: sharing it leaves the
-# reports unchanged, but per-cover towers are reference cycles whose
-# collection the benchmark's peak-RSS reading depends on (ROADMAP items 4
-# and 5), so it waits for that reading to be repaired.  The graph half of
-# the report (the graph, its checks and the inseparable tails) depends on
-# (p, n, s) alone and is computed once per shape, in an LRU of 256 shapes
-# (_report_shape, below); only callers that repeat a shape gain from it.
+# and shared by every cover.  The case (iii) cube root and the case (v)
+# fields depend on the cover and are built once per cover.  The rational
+# centre of cases (i), (ii) and (iv) needs no field: its disk is exact data
+# (new_tail_locus).  The graph half of the report (the graph, its checks and
+# the inseparable tails) depends on (p, n, s) alone and is computed once per
+# shape, in an LRU of 256 shapes (_report_shape, below); only callers that
+# repeat a shape gain from it.
 
 @cache
 def _q3_pi() -> Tower:
@@ -215,16 +213,19 @@ def _p2_center(n: int, s: int, a: int, b: int, j: int):
 @dataclass(frozen=True)
 class NewTailLocus:
     case: str  # "rational" | "p3s1" | "p2"
-    tower: Tower
-    d: object  # TowerElement
-    e: object  # TowerElement
-    v_e: Fraction
+    tower: Tower | None  # the field of d and e; None for "rational"
+    d: object  # TowerElement, or the Fraction a/(a+b) for "rational"
+    e: object  # TowerElement of valuation v_e; None for "rational"
+    v_e: Fraction  # v(e) = (2n - s + 1/(p-1))/2, in closed form
     description: str
 
 
 def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     """Center d and radius valuation v(e) = (2n - s + 1/(p-1))/2 of the disk
-    of the unique new etale tail, with the case-correct center."""
+    of the unique new etale tail, with the case-correct center.  A tower
+    centre (cases iii and v) comes with its tower and a radius element e; the
+    rational centre a/(a+b) of cases (i), (ii) and (iv) is the Fraction
+    itself, with no tower and no e."""
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
     v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
     case = _stable_case(p, n, s)
@@ -242,17 +243,22 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
         e = tower.gen(0) ** (4 * n - 1)
         return NewTailLocus("p3s1", tower, d, e, v_e,
                             "a/(a+b) + cbrt(3^(2n+1) binom(b,3))/(a+b)")
-    # cases (i), (ii) and (iv): rational center; v(pi) = 1/(2(p-1))
-    tower = Tower(p).adjoin_radical(2 * (p - 1), p, "pi")
-    e = tower.gen(0) ** ((2 * n - s) * (p - 1) + 1)
-    return NewTailLocus("rational", tower, tower.rational(Fraction(a, a + b)),
-                        e, v_e, "a/(a+b)")
+    # cases (i), (ii) and (iv): rational center, the disk given by v_e
+    return NewTailLocus("rational", None, Fraction(a, a + b), None, v_e,
+                        "a/(a+b)")
 
 
 def certify_tail(spec: CoverSpec, L: int | None = None) -> ReductionVerdict:
-    """Expand the cover on the new-tail disk and classify the reduction."""
+    """Expand the cover on the new-tail disk and classify the reduction.  A
+    tower centre reads v(e) from its tower, which checks the closed form."""
     locus = new_tail_locus(spec)
-    exp = expand_disk(spec, locus.d, locus.e, L)
+    if locus.tower is None:
+        exp = expand_disk(spec, locus.d, None, L, locus.v_e)
+    else:
+        exp = expand_disk(spec, locus.d, locus.e, L)
+        if exp.v_e != locus.v_e:
+            raise AssertionError(f"v(e) = {exp.v_e} in the locus tower, "
+                                 f"{locus.v_e} in closed form")
     return classify_torsor_reduction(exp)
 
 

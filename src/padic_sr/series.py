@@ -31,11 +31,23 @@ and substituting h_l into the recurrence above and multiplying through by
     (l+1) K_{l+1} = (a delta' + b delta - (2 delta - N) l) K_l
                     + (a+b-l+1) delta delta' K_{l-1},
 
-with K_0 = 1, K_{-1} = 0.  No inverse is needed.  When d is a rational
-constant, delta and delta' are integers and so is every C(a, k) C(b, j), so
-the sum makes K_l an integer: the recurrence runs on Python integers and its
+with K_0 = 1, K_{-1} = 0.  No inverse is needed.  When d is rational,
+delta and delta' are integers and so is every C(a, k) C(b, j), so the sum
+makes K_l an integer: the recurrence runs on Python integers and its
 division by l+1 is exact (checked, never floored).  Otherwise delta is a
 tower element with integer coordinates and the recurrence runs in the tower.
+
+Rational centres.  In cases (i), (ii) and (iv) the centre a/(a+b) and the
+radius v(e) = (2n - s + 1/(p-1))/2 are exact rationals, and nothing below
+reads e itself: only v(e) enters, through the slope and the tail bound.  So
+a rational centre is given as a `Fraction` d together with v(e), and no
+tower is built.  N and delta are the denominator and numerator of d, every
+valuation is v_p of an integer, and the profile scale is
+E = lcm(den v(e), p - 1), which is 2(p-1) on the locus: the ramification
+index of Q_p(e) there.  The whole certification costs O(L) integer
+operations.  A rational centre given as an element of a tower, with e in
+that tower, runs the same integer recurrence but reads its valuations from
+the tower.
 
 Valuations without coefficients.  With c_l = e^l h_l = r^l K_l and
 r = N e / (delta delta'), valuations are multiplicative.  Scaled by E (the
@@ -102,10 +114,9 @@ from math import lcm
 
 from .errors import (
     CenterOnBranchLocus,
-    ConvergenceViolated,
     PrecisionExhausted,
 )
-from .tower import vp_int, vp_rational
+from .tower import check_prime, vp_int, vp_rational
 
 #: l index beyond which a single linear bound takes over from the per-l
 #: minimum `tail_bound`
@@ -139,14 +150,20 @@ class DiskExpansion:
     rational centre.  An expansion made from a list, DiskExpansion(spec, d,
     e, coeffs, truncation), has K_l = c_l and r = 1.
 
+    The centre d is a `Fraction` or an element of a tower (`tower`, None
+    for a Fraction).  A Fraction centre has no e: the caller passes
+    v_e = v(e), and the K_l must be integers.  A tower centre takes v(e)
+    from e.
+
     Profiles are kept scaled by E = `scale`, as the integers E v(c_l) =
     l `slope` + E v(K_l) of `scaled_profile()`: every valuation in the tower
     and the classifier's threshold n + 1/(p-1) lie in (1/E)Z, so the
     classifiers compare integers.  `profile()` builds the Fractions v(c_l)
-    from that list, and `coeffs` builds the c_l themselves.
+    from that list.
     """
 
-    def __init__(self, spec, d, e, coeffs, truncation, r_factors=None):
+    def __init__(self, spec, d, e, coeffs, truncation, r_factors=None,
+                 v_e=None):
         self.spec = spec  # anything with fields p, n, a, b, s
         self.d = d
         self.e = e
@@ -154,47 +171,74 @@ class DiskExpansion:
         self.ks = list(coeffs)  # K_0 .. K_L: integers or elements of d's tower
         self.r_factors = r_factors  # (N, delta, delta'), or None for r = 1
         self._scaled = None
-
-    @property
-    def coeffs(self):
-        """The list c_0 .. c_L, built from r on each read."""
-        if self.r_factors is None:
-            return list(self.ks)
-        N, delta, delta1 = self.r_factors
-        r = self.e * (Fraction(N) / (delta * delta1))
-        return [r ** l * k for l, k in enumerate(self.ks)]
+        if isinstance(d, Fraction):
+            if e is not None or v_e is None:
+                raise ValueError("a rational centre takes v(e), not e")
+            check_prime(spec.p)  # the profile's v_p loop relies on it
+            self.tower = None
+            self.v_e = v_e
+        else:
+            if v_e is not None:
+                raise ValueError("a tower centre takes e, not v(e)")
+            self.tower = d.tower
 
     @cached_property
     def scale(self) -> int:
-        """E: the tower's ramification index (its degree when the index is
-        not exactly known), times what makes 1/(p-1) a multiple of 1/E."""
-        tower = self.d.tower
+        """E: for a tower centre, the tower's ramification index (its degree
+        when the index is not exactly known), and for a rational centre the
+        denominator of v(e); times what makes 1/(p-1) a multiple of 1/E."""
+        tower = self.tower
+        if tower is None:
+            return lcm(self.v_e.denominator, self.spec.p - 1)
         e = tower.ram_index if tower.ram_exact else tower.degree
         return lcm(e, self.spec.p - 1)
 
     @cached_property
     def v_e(self) -> Fraction:
-        """v(e), computed once for the profile and the classifier."""
-        return self.d.tower.val(self.e)
+        """v(e), computed once for the profile and the classifier (given by
+        the caller for a rational centre)."""
+        return self.tower.val(self.e)
 
     @cached_property
     def slope(self) -> int:
         """E v(r) = E (v(e) + v(N) - v(delta) - v(delta')), 0 when r = 1."""
         if self.r_factors is None:
             return 0
-        tower, E = self.d.tower, self.scale
         N, delta, delta1 = self.r_factors
-        return (_scaled(self.v_e, E) + _scaled_val(N, tower, E)
-                - _scaled_val(delta, tower, E) - _scaled_val(delta1, tower, E))
+        return (_scaled(self.v_e, self.scale) + self._scaled_val(N)
+                - self._scaled_val(delta) - self._scaled_val(delta1))
+
+    def _scaled_val(self, x) -> int:
+        """E v(x) for a nonzero integer or element of the centre's tower."""
+        E, tower = self.scale, self.tower
+        if tower is None:
+            return E * vp_int(x, self.spec.p)
+        if isinstance(x, int):
+            return E * vp_int(x, tower.p)
+        return _scaled(tower.val(x), E)
 
     def scaled_profile(self):
         """[E v(c_l)] for l = 0 .. L as integers, E = `scale`, with None for
         zero coefficients (valuation +inf)."""
         if self._scaled is None:
-            tower, E, slope = self.d.tower, self.scale, self.slope
-            self._scaled = [None if k == 0
-                            else l * slope + _scaled_val(k, tower, E)
-                            for l, k in enumerate(self.ks)]
+            E, slope = self.scale, self.slope
+            if self.tower is None:
+                # integer K_l; p was checked prime at construction
+                p = self.spec.p
+                prof = []
+                for l, k in enumerate(self.ks):
+                    if k == 0:
+                        prof.append(None)
+                        continue
+                    v = 0
+                    while k % p == 0:
+                        k //= p
+                        v += 1
+                    prof.append(l * slope + E * v)
+            else:
+                prof = [None if k == 0 else l * slope + self._scaled_val(k)
+                        for l, k in enumerate(self.ks)]
+            self._scaled = prof
         return self._scaled
 
     def profile(self):
@@ -211,24 +255,6 @@ def _scaled(v: Fraction, E: int) -> int:
     if r:
         raise AssertionError("valuation outside the value group")
     return q
-
-
-def _scaled_val(x, tower, E: int) -> int:
-    """E v(x) for a nonzero integer or element of `tower`."""
-    if isinstance(x, int):
-        return E * vp_int(x, tower.p)
-    return _scaled(tower.val(x), E)
-
-
-def _exact_quotient(x, m: int):
-    """x / m for an integer or tower element x; an integer x must be a
-    multiple of m."""
-    if isinstance(x, int):
-        q, rem = divmod(x, m)
-        if rem:
-            raise ArithmeticError(f"{x} is not divisible by {m}")
-        return q
-    return x * Fraction(1, m)
 
 
 @dataclass(frozen=True)
@@ -253,27 +279,38 @@ class ReductionVerdict:
         return doc
 
 
-def expand_disk(spec, d, e, L: int | None = None) -> DiskExpansion:
+def expand_disk(spec, d, e, L: int | None = None,
+                v_e: Fraction | None = None) -> DiskExpansion:
     """Expand the normalized cover equation on the disk x = d + e t up to t^L
     by the fraction-free recurrence of the module docstring, in integers
-    when d is a rational constant and in d's tower otherwise."""
+    when d is rational and in d's tower otherwise.
+
+    d is a `Fraction` or a tower element.  A Fraction centre is given with
+    e = None and the radius valuation v_e = v(e), and builds no tower; a
+    tower centre is given with e, an element of (or coercible into) its
+    tower."""
     p = spec.p
     if L is None:
         L = default_truncation(p)
     if L < p + 1:
         raise ValueError("truncation must be at least p + 1")
-    tower = d.tower
-    e = tower.coerce(e)
-    if d.is_zero() or (d - 1).is_zero():
-        raise CenterOnBranchLocus("disk center lies on the branch locus")
-    if e.is_zero():
-        return DiskExpansion(spec, d, e,
-                             [tower.one()] + [tower.zero()] * L, L)
-    N = lcm(*(c.denominator for c in d.coords.values()))
-    if d.coords.keys() == {(0,) * len(tower.steps)}:
-        delta = next(iter(d.coords.values())).numerator
+    if isinstance(d, Fraction):
+        if d == 0 or d == 1:
+            raise CenterOnBranchLocus("disk center lies on the branch locus")
+        N, delta = d.denominator, d.numerator
     else:
-        delta = d * N
+        tower = d.tower
+        e = tower.coerce(e)
+        if d.is_zero() or (d - 1).is_zero():
+            raise CenterOnBranchLocus("disk center lies on the branch locus")
+        if e.is_zero():
+            return DiskExpansion(spec, d, e,
+                                 [tower.one()] + [tower.zero()] * L, L)
+        N = lcm(*(c.denominator for c in d.coords.values()))
+        if d.coords.keys() == {(0,) * len(tower.steps)}:
+            delta = next(iter(d.coords.values())).numerator
+        else:
+            delta = d * N
     delta1 = delta - N
     a, b = spec.a, spec.b
     # (l+1) K_{l+1} = A_l K_l + (a+b-l+1) P K_{l-1}, with
@@ -283,12 +320,21 @@ def expand_disk(spec, d, e, L: int | None = None) -> DiskExpansion:
     P = delta * delta1
     ks = [1]
     k_prev, k = 0, 1
-    for l in range(L):
-        k_prev, k = k, _exact_quotient(
-            A * k + (a + b - l + 1) * P * k_prev, l + 1)
-        A = A - S
-        ks.append(k)
-    return DiskExpansion(spec, d, e, ks, L, r_factors=(N, delta, delta1))
+    if isinstance(delta, int):
+        for l in range(L):
+            x = A * k + (a + b - l + 1) * P * k_prev
+            k_prev, (k, rem) = k, divmod(x, l + 1)
+            if rem:
+                raise ArithmeticError(f"{x} is not divisible by {l + 1}")
+            A -= S
+            ks.append(k)
+    else:
+        for l in range(L):
+            k_prev, k = k, ((A * k + (a + b - l + 1) * P * k_prev)
+                            * Fraction(1, l + 1))
+            A = A - S
+            ks.append(k)
+    return DiskExpansion(spec, d, e, ks, L, (N, delta, delta1), v_e)
 
 
 # -- rigorous tail bound -----------------------------------------------------
@@ -318,11 +364,12 @@ def _check_tail_premises(exp):
     """The per-term bound rests on v(d) = 0, v(d-1) = v_p(b) = n - s; verify
     these on the actual disk before trusting the bound."""
     spec = exp.spec
-    tower = exp.d.tower
     p, n, s = spec.p, spec.n, spec.s
-    if tower.val(exp.d) != 0:
+    val = (exp.tower.val if exp.tower is not None
+           else lambda x: vp_rational(x, p))
+    if val(exp.d) != 0:
         raise PrecisionExhausted("tail bound needs v(d) = 0")
-    if tower.val(exp.d - 1) != n - s:
+    if val(exp.d - 1) != n - s:
         raise PrecisionExhausted("tail bound needs v(d - 1) = n - s")
     if vp_rational(Fraction(spec.b), p) != n - s:
         raise PrecisionExhausted("tail bound needs v(b) = n - s")
@@ -389,12 +436,13 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     """Reduction type of the torsor from the valuation profile, compared as
     integers scaled by E = exp.scale against E tau, tau = n + 1/(p-1).  Reads
     the K_l and exp.slope only (module docstring): no coefficient is built and
-    nothing is inverted."""
+    nothing is inverted.  A rational centre has no e, and its v(e) is
+    finite, so its expansion is never constant."""
     spec = exp.spec
     p, n = spec.p, spec.n
     if not exp.ks or exp.ks[0] != 1:
         raise ValueError("expansion is not normalized to c_0 = 1")
-    if exp.e.is_zero():
+    if exp.tower is not None and exp.e.is_zero():
         return ReductionVerdict("NotCertified", reason="constant expansion")
     if p == 2:
         return _classify_p2(exp)
@@ -440,8 +488,7 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
         # c_p - c_1^p / p^M = r^p p^(-M) Y
         M = (p - 1) * n + 1
         y = p ** M * exp.ks[p] - exp.ks[1] ** p
-        if y == 0 or (p * exp.slope + _scaled_val(y, exp.d.tower, E)
-                      - E * M > T):
+        if y == 0 or p * exp.slope + exp._scaled_val(y) - E * M > T:
             h = max(l for l, val in rest if val == T)
             return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
                                     conductor=h, notes=("condition (ii)",))
@@ -459,7 +506,7 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
 def _classify_p2(exp: DiskExpansion):
     spec = exp.spec
     n = spec.n
-    tower = exp.d.tower
+    tower = exp.tower
     prof = exp.scaled_profile()
     E = exp.scale
     if n < 2:
@@ -486,13 +533,14 @@ def _classify_p2(exp: DiskExpansion):
     notes = ["sqrt(c_2) adjoined on demand"]
     # congruence c_1^2 / c_2 = 2^(n+1) i mod 2^(n+2), as X = K_1^2 -
     # 2^(n+1) i K_2 (module docstring); it holds for both choices of i or
-    # for neither
-    i_elem = _find_i(tower)
-    if i_elem is None:
+    # for neither.  Every case (v) centre lies over Q_2(i), so i is the
+    # generator of a first step i^2 = -1.
+    first = tower.steps[0] if tower is not None and tower.steps else None
+    if first is None or first.degree != 2 or first.radicand != -1:
         return ReductionVerdict(
             "NotCertified", reason="tower contains no sqrt(-1)")
-    x = exp.ks[1] * exp.ks[1] - 2 ** (n + 1) * (i_elem * exp.ks[2])
-    if not (x == 0 or (_scaled_val(x, tower, E) + 2 * exp.slope
+    x = exp.ks[1] * exp.ks[1] - 2 ** (n + 1) * (tower.gen(0) * exp.ks[2])
+    if not (x == 0 or (exp._scaled_val(x) + 2 * exp.slope
                        >= E * (2 * n + 2))):
         return ReductionVerdict(
             "NotCertified",
@@ -501,60 +549,3 @@ def _classify_p2(exp: DiskExpansion):
     return ReductionVerdict("SplitsZ4", count=2 ** (n - 2), conductor=1,
                             notes=tuple(notes))
 
-
-def _find_i(tower):
-    """Locate a square root of -1 among the tower generators (or products)."""
-    for j, step in enumerate(tower.steps):
-        g = tower.gen(j)
-        for cand in (g, g * g):
-            if (cand * cand + 1).is_zero():
-                return cand
-    return None
-
-
-def binomial_root_series(g_coeffs, p: int, n: int, terms: int | None = None):
-    """Coefficients of the p^(n-1)-st root of g = 1 + b w as a series in w.
-
-    Requires v(b) = n + 1/(p-1).  Returns [1, a, ...] with a = b / p^(n-1),
-    v(a) = p/(p-1); every later coefficient is checked to have valuation
-    strictly greater than p/(p-1).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(g_coeffs) < 2:
-        raise ValueError("need g = 1 + b w")
-    one, b = g_coeffs[0], g_coeffs[1]
-    tower = b.tower
-    if not (tower.coerce(one) - 1).is_zero():
-        raise ConvergenceViolated("series must start at 1")
-    if any(not tower.coerce(c).is_zero() for c in g_coeffs[2:]):
-        raise ConvergenceViolated("only 1 + b w inputs are supported")
-    if n == 1:
-        return [tower.one()] + [tower.coerce(c) for c in g_coeffs[1:]]
-    if b.is_zero():
-        raise ConvergenceViolated("b must be nonzero")
-    target = n + Fraction(1, p - 1)
-    if tower.val(b) != target:
-        raise ConvergenceViolated(
-            f"v(b) = {tower.val(b)} but the root expansion needs {target}"
-        )
-    M = p ** (n - 1)
-    if terms is None:
-        terms = p + 2
-    out = [tower.one()]
-    ppf = Fraction(p, p - 1)
-    for k in range(1, terms + 1):
-        ck = binom_falling(Fraction(1, M), k)
-        coeff = ck * b ** k
-        out.append(coeff)
-        if k == 1:
-            if tower.val(coeff) != ppf:
-                raise ConvergenceViolated("leading root coefficient has the "
-                                          "wrong valuation")
-        elif not coeff.is_zero() and not (tower.val(coeff) > ppf):
-            raise ConvergenceViolated(
-                f"degree-{k} coefficient valuation fails the p/(p-1) bound"
-            )
-    # all k > terms: v >= k * (v(b) - (n-1) - 1/(p-1)) = k > p/(p-1); exact
-    # by v(C(1/M, k)) >= -k(n-1) - v(k!) and v(k!) <= k/(p-1)
-    return out

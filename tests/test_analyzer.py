@@ -144,9 +144,12 @@ def test_locus_rational_case():
     spec = branch_signature(5, 2, 3, 10)
     loc = new_tail_locus(spec)
     assert loc.case == "rational"
+    assert loc.tower is None and loc.e is None
     assert loc.v_e == Fraction(2 * 2 - 1 + Fraction(1, 4), 2)
-    assert loc.tower.val(loc.e) == loc.v_e
-    assert (loc.d - Fraction(3, 13)).is_zero()
+    assert loc.d == Fraction(3, 13)
+    # the closed form is v(pi^((2n-s)(p-1)+1)) in Q_5(pi), pi^8 = 5
+    t = Tower(5).adjoin_radical(8, 5, "pi")
+    assert t.val(t.gen(0) ** ((2 * 2 - 1) * 4 + 1)) == loc.v_e
 
 
 def test_locus_p3_s1_case():
@@ -483,16 +486,15 @@ def _count_adjoins(monkeypatch):
 
 @pytest.mark.parametrize("args,calls", [
     ((3, 2, 1, 3), [(3, 1, 3)]),  # (iii): the cube root over Q_3(pi)
-    ((3, 3, 2, 3), [(3, 0, 4), (3, 1, 3)]),  # (iv): cube root over K_1
-    ((5, 2, 3, 10), [(5, 0, 8)]),  # (ii)
-    ((5, 1, 1, 1), [(5, 0, 8)]),  # (i)
+    ((3, 3, 2, 3), [(3, 1, 3)]),  # (iv): the cube root over K_1
+    ((5, 2, 3, 10), []),  # (ii)
+    ((5, 1, 1, 1), []),  # (i)
 ])
 def test_second_analyze_builds_only_per_cover_steps(monkeypatch, args,
                                                      calls):
     """A second analyze of a cover adjoins only the steps that depend on the
-    cover: Q_3(pi) and K_1 = Q_3(zeta_3) are never rebuilt.  The rational
-    centre still builds its locus tower Q_p(pi), pi^(2(p-1)) = p, per
-    cover."""
+    cover: Q_3(pi) and K_1 = Q_3(zeta_3) are never rebuilt, and the
+    rational centre of cases (i), (ii) and (iv) builds no tower at all."""
     first = analyze(*args)
     counted = _count_adjoins(monkeypatch)
     assert analyze(*args) == first

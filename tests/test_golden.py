@@ -1,6 +1,7 @@
 """Golden `analyze` reports: the sha256 of the sorted-key JSON report of
-about thirty covers (every stable-model case (i)-(v), large p, and covers
-that raise), or the class and message of the exception a cover raises.
+about thirty covers (every stable-model case (i)-(v), large p up to 197,
+and covers that raise), or the class and message of the exception a cover
+raises.
 
 A report change fails here and prints the new report, so every change of
 `analyze` output is a reviewed edit of this table.
@@ -83,6 +84,15 @@ GOLDEN = {
         '832add47e44ecdfbc117f4b7e9c6d2dae683c854b4cda2c9d371cfc05c1278c8',
     (17, 2, 1, 17):
         'c0415ce4451143aa54e5937f1488ee64cdd97dd3911492fc30bb8c61330979fd',
+    # scaling points: truncation L = 2p up to 394
+    (61, 4, 1, 1):
+        'b1f8fcdd47846504acb861aa7381d168e1a23b00ecd237e2695063f6d2f71ced',
+    (97, 6, 2, 3):
+        '681cad4ff8e89202acfc9df4f208dd62bbad6484e96a25801c05142a9801a9e8',
+    (197, 8, 1, 1):
+        '302462c7291c76aa2877aa9f89664a80cd9efc785de93906d17d40533a4d988b',
+    (197, 2, 5, 197):
+        '45c6d42b97c55dfd4db9092bd53ecdd3a30124b088cf4e1c9b5e260f322926b0',
 }
 
 

@@ -5,6 +5,7 @@ certified verdicts."""
 
 import random
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,6 @@ from padic_sr.analyzer import branch_signature, certify_tail, new_tail_locus
 from padic_sr.errors import (
     ArtifactError,
     CenterOnBranchLocus,
-    ConvergenceViolated,
     PrecisionExhausted,
 )
 from padic_sr.series import (
@@ -22,21 +22,56 @@ from padic_sr.series import (
     DiskExpansion,
     ReductionVerdict,
     _check_tail_premises,
-    _find_i,
     _log_floor,
     binom_falling,
-    binomial_root_series,
     check_tail_dominated,
     classify_torsor_reduction,
     default_truncation,
     expand_disk,
     tail_bound,
 )
-from padic_sr.tower import Tower, make_tower, vp_rational
+from padic_sr.tower import Tower, TowerElement, make_tower, vp_rational
 
 
 def _spec(p, n, a, b, s):
     return SimpleNamespace(p=p, n=n, a=a, b=b, s=s)
+
+
+@cache
+def _q_p_pi(p):
+    """Q_p(pi), pi^(2(p-1)) = p: a tower that holds the new-tail radius of a
+    rational centre."""
+    return Tower(p).adjoin_radical(2 * (p - 1), p, "pi")
+
+
+def _tower_disk(spec, locus):
+    """(d, e) of the new-tail disk as elements of one tower: the locus's own
+    for a tower centre, and for the rational centre a/(a+b) its image in
+    Q_p(pi) with e = pi^((2n-s)(p-1)+1), of valuation locus.v_e."""
+    if locus.tower is not None:
+        return locus.d, locus.e
+    p, n, s = spec.p, spec.n, spec.s
+    t = _q_p_pi(p)
+    return t.rational(locus.d), t.gen(0) ** ((2 * n - s) * (p - 1) + 1)
+
+
+def _expand_locus(spec, L=None):
+    """The expansion certify_tail classifies: a rational centre by its
+    v(e), a tower centre by its e."""
+    locus = new_tail_locus(spec)
+    if locus.tower is None:
+        return expand_disk(spec, locus.d, None, L, locus.v_e)
+    return expand_disk(spec, locus.d, locus.e, L)
+
+
+def _coeffs(exp):
+    """The coefficients c_0 .. c_L of a tower expansion, c_l = r^l K_l with
+    r = N e / (delta delta')."""
+    if exp.r_factors is None:
+        return list(exp.ks)
+    N, delta, delta1 = exp.r_factors
+    r = exp.e * (Fraction(N) / (delta * delta1))
+    return [r ** l * k for l, k in enumerate(exp.ks)]
 
 
 def _reference_expansion(spec, d, e, L):
@@ -92,17 +127,23 @@ def test_frozen_p5_n1_expansion():
     e = t.gen(0) ** 5  # v = 5/8
     d = t.rational(Fraction(1, 2))
     exp = expand_disk(_spec(5, 1, 1, 1, 1), d, e, 10)
-    assert exp.coeffs[1].is_zero()
-    assert (exp.coeffs[2] - (-4) * e * e).is_zero()
+    coeffs = _coeffs(exp)
+    assert coeffs[1].is_zero()
+    assert (coeffs[2] - (-4) * e * e).is_zero()
     assert exp.profile()[2] == Fraction(5, 4)
+    # the same disk as the Fraction 1/2 with v(e) = 5/8
+    rational = expand_disk(_spec(5, 1, 1, 1, 1), Fraction(1, 2), None, 10,
+                           Fraction(5, 8))
+    assert rational.profile() == exp.profile()
 
 
 def test_constant_expansion():
     t = make_tower(5, [])
     exp = expand_disk(_spec(5, 1, 1, 1, 1), t.rational(Fraction(1, 2)),
                       t.rational(0), 10)
-    assert (exp.coeffs[0] - 1).is_zero()
-    assert all(c.is_zero() for c in exp.coeffs[1:])
+    coeffs = _coeffs(exp)
+    assert (coeffs[0] - 1).is_zero()
+    assert all(c.is_zero() for c in coeffs[1:])
     verdict = classify_torsor_reduction(exp)
     assert verdict.kind == "NotCertified"
 
@@ -111,6 +152,23 @@ def test_center_on_branch_locus():
     t = make_tower(5, [])
     with pytest.raises(CenterOnBranchLocus):
         expand_disk(_spec(5, 1, 1, 1, 1), t.rational(1), t.rational(1), 10)
+    for d in (Fraction(0), Fraction(1)):
+        with pytest.raises(CenterOnBranchLocus):
+            expand_disk(_spec(5, 1, 1, 1, 1), d, None, 10, Fraction(5, 8))
+
+
+def test_radius_given_once():
+    """A Fraction centre takes v(e) and no e; a tower centre takes e and no
+    v(e)."""
+    t = make_tower(5, [(8, 5)])
+    spec = _spec(5, 1, 1, 1, 1)
+    for d, e, v_e in ((Fraction(1, 2), t.gen(0) ** 5, None),
+                      (Fraction(1, 2), t.gen(0) ** 5, Fraction(5, 8)),
+                      (Fraction(1, 2), None, None),
+                      (t.rational(Fraction(1, 2)), t.gen(0) ** 5,
+                       Fraction(5, 8))):
+        with pytest.raises(ValueError, match="takes"):
+            expand_disk(spec, d, e, 10, v_e)
 
 
 def test_frozen_v_c3_identity():
@@ -118,7 +176,7 @@ def test_frozen_v_c3_identity():
     = 23/8 at the new-tail disk."""
     spec = branch_signature(5, 2, 3, 10)
     locus = new_tail_locus(spec)
-    exp = expand_disk(spec, locus.d, locus.e, 10)
+    exp = _expand_locus(spec, 10)
     assert exp.profile()[3] == Fraction(23, 8)
     # the displayed identity, evaluated exactly
     assert exp.profile()[3] == 3 * locus.v_e + 1 - 0 - 3 * (2 - 1)
@@ -133,8 +191,7 @@ def test_valuation_profile_identity(p, n, a, b):
     if spec.s == spec.n:
         pytest.skip("identity concerns s < n")
     locus = new_tail_locus(spec)
-    exp = expand_disk(spec, locus.d, locus.e)
-    from padic_sr.tower import vp_rational
+    exp = _expand_locus(spec)
     for l in range(3, p + 1):
         v = exp.profile()[l]
         if v is None:
@@ -165,7 +222,7 @@ def test_coefficient_identity_sympy_oracle():
         poly = sp.expand(c * (dq + eq * t_sym) ** a * (dq + eq * t_sym - 1) ** b)
         for l in range(0, min(10, a + b) + 1):
             want = Fraction(sp.nsimplify(poly.coeff(t_sym, l)))
-            got = exp.coeffs[l]
+            got = _coeffs(exp)[l]
             assert (got - want).is_zero()
 
 
@@ -226,7 +283,7 @@ def test_verdict_json_keys():
 def test_tail_bound_is_a_true_lower_bound():
     spec = branch_signature(5, 2, 3, 10)
     locus = new_tail_locus(spec)
-    exp = expand_disk(spec, locus.d, locus.e, 12)
+    exp = _expand_locus(spec, 12)
     for l in range(1, 13):
         v = exp.profile()[l]
         if v is None:
@@ -246,15 +303,16 @@ def test_expansion_matches_double_sum(p, n, a, b, case):
     spec = branch_signature(p, n, a, b)
     locus = new_tail_locus(spec)
     assert locus.case == case
+    d, e = _tower_disk(spec, locus)
     L = default_truncation(p)
-    exp = expand_disk(spec, locus.d, locus.e)
-    want = _reference_expansion(spec, locus.d, locus.e, L)
-    assert len(exp.coeffs) == L + 1
-    assert [c.coords for c in exp.coeffs] == [c.coords for c in want]
+    exp = expand_disk(spec, d, e)
+    want = _reference_expansion(spec, d, e, L)
+    assert len(_coeffs(exp)) == L + 1
+    assert [c.coords for c in _coeffs(exp)] == [c.coords for c in want]
     # e = 0: the constant expansion on both paths
-    zero = expand_disk(spec, locus.d, locus.tower.zero())
-    want = _reference_expansion(spec, locus.d, locus.tower.zero(), L)
-    assert [c.coords for c in zero.coeffs] == [c.coords for c in want]
+    zero = expand_disk(spec, d, d.tower.zero())
+    want = _reference_expansion(spec, d, d.tower.zero(), L)
+    assert [c.coords for c in _coeffs(zero)] == [c.coords for c in want]
 
 
 DOUBLE_SUM_CASES = [
@@ -268,13 +326,13 @@ def _eager_profile(tower, coeffs):
 
 
 def _check_against_reference(spec, d, e, L):
-    """profile() and the list coeffs both agree with the double sum, read in
-    that order from one fresh expansion."""
+    """profile() and the coefficients both agree with the double sum, read
+    in that order from one fresh expansion."""
     want = _reference_expansion(spec, d, e, L)
     exp = expand_disk(spec, d, e, L)
     assert exp.profile() == _eager_profile(d.tower, want)
-    assert [c.coords for c in exp.coeffs] == [c.coords for c in want]
-    assert exp.profile() == _eager_profile(d.tower, exp.coeffs)
+    assert [c.coords for c in _coeffs(exp)] == [c.coords for c in want]
+    assert exp.profile() == _eager_profile(d.tower, _coeffs(exp))
 
 
 @pytest.mark.parametrize("p,n,a,b", DOUBLE_SUM_CASES)
@@ -282,8 +340,8 @@ def test_profile_matches_eager_valuations(p, n, a, b):
     """The profile read off the recurrence values K_l equals the valuations
     of the eagerly built coefficients, on every new-tail locus case."""
     spec = branch_signature(p, n, a, b)
-    locus = new_tail_locus(spec)
-    _check_against_reference(spec, locus.d, locus.e, default_truncation(p))
+    d, e = _tower_disk(spec, new_tail_locus(spec))
+    _check_against_reference(spec, d, e, default_truncation(p))
 
 
 def test_profile_matches_eager_valuations_off_locus():
@@ -294,7 +352,7 @@ def test_profile_matches_eager_valuations_off_locus():
     rng = random.Random(5)
     checked = 0
     for p in (3, 5, 7):
-        tower = Tower(p).adjoin_radical(2 * (p - 1), p, "pi")
+        tower = _q_p_pi(p)
         pi = tower.gen(0)
         for _ in range(6):
             d = Fraction(rng.randint(-30, 30) * rng.choice((1, p)),
@@ -312,18 +370,100 @@ def test_profile_matches_eager_valuations_off_locus():
     assert checked >= 15
 
 
-@pytest.mark.parametrize("p,n,a,b", [(37, 1, 13, 57), (5, 2, 3, 10)])
+def _identity_grid_rational_covers():
+    """Every rational-centre cover of the odd-p and large-p parts of the
+    identity grid: p in {3, 5, 7, 11, 13} with n <= 4, 1 <= a <= 4 and
+    -6 <= b <= 12; p in {17, 23, 37} with n <= 2, a <= 2 and -10 <= b < 20."""
+    parts = [((3, 5, 7, 11, 13), range(1, 5), range(1, 5), range(-6, 13)),
+             ((17, 23, 37), range(1, 3), range(1, 3), range(-10, 20))]
+    for primes, ns, as_, bs in parts:
+        for p in primes:
+            for n in ns:
+                for a in as_:
+                    for b in bs:
+                        try:
+                            spec = branch_signature(p, n, a, b)
+                            locus = new_tail_locus(spec)
+                        except ArtifactError:
+                            continue
+                        if locus.case == "rational":
+                            yield spec, locus
+
+
+def test_rational_centre_matches_the_tower_path():
+    """The Fraction centre with v(e) in closed form gives the expansion and
+    verdict that the same disk gives over Q_p(pi), pi^(2(p-1)) = p, with
+    e = pi^((2n-s)(p-1)+1): the same K_l, v(e), scale, slope, scaled
+    profile and verdict, on every rational-centre cover of the identity
+    grid."""
+    def verdict(exp):
+        try:
+            return classify_torsor_reduction(exp)
+        except ArtifactError as exc:
+            return type(exc).__name__, str(exc)
+
+    covers = 0
+    for spec, locus in _identity_grid_rational_covers():
+        fast = expand_disk(spec, locus.d, None, None, locus.v_e)
+        d, e = _tower_disk(spec, locus)
+        slow = expand_disk(spec, d, e)
+        assert fast.tower is None and slow.tower is d.tower
+        assert fast.ks == slow.ks, spec
+        assert (fast.v_e, fast.scale, fast.slope) == \
+            (slow.v_e, slow.scale, slow.slope), spec
+        assert fast.scale == 2 * (spec.p - 1)
+        assert fast.scaled_profile() == slow.scaled_profile(), spec
+        assert verdict(fast) == verdict(slow), spec
+        covers += 1
+    assert covers > 1000, covers
+
+
+def test_tail_premises_on_a_fraction_centre():
+    """The premises v(d) = 0 and v(d - 1) = n - s are checked with v_p on a
+    Fraction centre, and fail with the message the same centre gets in
+    Q_p(pi)."""
+    spec = _spec(5, 2, 3, 10, 1)
+    t = _q_p_pi(5)
+    messages = set()
+    for d in (Fraction(3, 13), Fraction(1, 2), Fraction(5, 3), Fraction(2, 5),
+              Fraction(26, 25), Fraction(-4, 1)):
+        outcomes = []
+        for exp in (expand_disk(spec, d, None, 10, Fraction(13, 8)),
+                    expand_disk(spec, t.rational(d), t.gen(0) ** 13, 10)):
+            outcomes.append(_outcome(_check_tail_premises, exp))
+        assert outcomes[0] == outcomes[1], d
+        messages.add(outcomes[0][1])
+    assert messages == {None, "tail bound needs v(d) = 0",
+                        "tail bound needs v(d - 1) = n - s"}
+
+
+@pytest.mark.parametrize("p,n,a,b", [(37, 1, 13, 57), (5, 2, 3, 10),
+                                     (3, 3, 1, 3)])  # cases (i), (ii), (iv)
 def test_rational_centre_needs_no_tower_arithmetic(monkeypatch, p, n, a, b):
-    """On a rational centre the recurrence runs in integers and no
-    coefficient is built that the classifier does not read: expanding and
-    classifying takes at most 2 tower multiplications and no inverse."""
+    """A rational centre is certified in integers from new_tail_locus to the
+    verdict: once the per-process fields are warm, certify_tail builds no
+    Tower and multiplies no tower element."""
     spec = branch_signature(p, n, a, b)
+    certify_tail(spec)
+    calls = {"Tower": 0, "mul": 0}
+    init, mul = Tower.__init__, TowerElement.__mul__
+
+    def counted_init(self, *args):
+        calls["Tower"] += 1
+        return init(self, *args)
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Tower, "__init__", counted_init)
+    monkeypatch.setattr(TowerElement, "__mul__", counted_mul)
     locus = new_tail_locus(spec)
     assert locus.case == "rational"
-    calls = _count_tower_calls(monkeypatch)
-    verdict = classify_torsor_reduction(expand_disk(spec, locus.d, locus.e))
+    assert locus.tower is None and locus.e is None
+    verdict = certify_tail(spec)
     assert verdict.kind == "SplitsArtinSchreier"
-    assert calls["mul"] <= 2 and calls["inverse"] == 0, calls
+    assert calls == {"Tower": 0, "mul": 0}
 
 
 @pytest.mark.parametrize("args,case,note", [
@@ -362,11 +502,15 @@ def _count_tower_calls(monkeypatch):
 
 
 def test_integer_recurrence_division_is_checked():
-    """The integer recurrence divides exactly or raises; it never floors."""
-    from padic_sr.series import _exact_quotient
-    assert _exact_quotient(-12, 4) == -3
-    with pytest.raises(ArithmeticError):
-        _exact_quotient(7, 2)
+    """The integer recurrence divides exactly or raises; it never floors.
+    With a = 1/2 the K_l are not integers, so a division by l + 1 leaves a
+    remainder, on a Fraction centre and on a constant tower centre."""
+    spec = _spec(5, 1, Fraction(1, 2), 1, 1)
+    with pytest.raises(ArithmeticError, match="is not divisible by"):
+        expand_disk(spec, Fraction(1, 3), None, 10, Fraction(5, 8))
+    with pytest.raises(ArithmeticError, match="is not divisible by"):
+        expand_disk(spec, make_tower(5, []).rational(Fraction(1, 3)),
+                    Fraction(1, 5), 10)
 
 
 def test_tail_bound_closed_form_matches_minimum():
@@ -385,21 +529,6 @@ def test_tail_bound_closed_form_matches_minimum():
                         p, n, s, v_e, l, vp_table), (p, n, s, l)
                     cases += 1
     assert cases == 7 * 21 * 128
-
-
-def test_binomial_root_series():
-    t = make_tower(5, [(8, 5)])
-    b = t.gen(0) ** 18  # v = 18/8 = 2 + 1/4
-    out = binomial_root_series([t.one(), b], 5, 2)
-    assert t.val(out[1]) == Fraction(5, 4)
-    for c in out[2:]:
-        assert c.is_zero() or t.val(c) > Fraction(5, 4)
-    # n = 1: identity
-    ident = binomial_root_series([t.one(), b], 5, 1)
-    assert (ident[1] - b).is_zero()
-    # wrong valuation refused
-    with pytest.raises(ConvergenceViolated):
-        binomial_root_series([t.one(), t.gen(0)], 5, 2)
 
 
 # -- reference implementations of the integer fast paths ----------------------
@@ -435,7 +564,7 @@ def _reference_classify(exp):
     p, n = spec.p, spec.n
     tower = exp.d.tower
     prof = exp.profile()
-    coeffs = exp.coeffs
+    coeffs = _coeffs(exp)
     if not (coeffs[0] - 1).is_zero():
         raise ValueError("expansion is not normalized to c_0 = 1")
     if exp.e.is_zero():
@@ -530,6 +659,16 @@ def _reference_classify_p2(exp, coeffs, prof, v_e):
         reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i")
 
 
+def _find_i(tower):
+    """A square root of -1 among the tower generators and their squares."""
+    for j in range(len(tower.steps)):
+        g = tower.gen(j)
+        for cand in (g, g * g):
+            if (cand * cand + 1).is_zero():
+                return cand
+    return None
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         return "ok", fn(*args, **kwargs)
@@ -561,13 +700,18 @@ def test_classifier_matches_fraction_reference():
     kinds = set()
     for spec, locus in _oracle_grid():
         p = spec.p
-        narrow = locus.tower.gen(0)  # v(e) far below the locus radius
-        for e, L in ((locus.e, None), (locus.e, p + 1), (narrow, p + 1)):
+        d, radius = _tower_disk(spec, locus)
+        narrow = d.tower.gen(0)  # v(e) far below the locus radius
+        for e, L in ((radius, None), (radius, p + 1), (narrow, p + 1)):
             fast = _outcome(classify_torsor_reduction,
-                            expand_disk(spec, locus.d, e, L))
-            ref = _outcome(_reference_classify,
-                           expand_disk(spec, locus.d, e, L))
+                            expand_disk(spec, d, e, L))
+            ref = _outcome(_reference_classify, expand_disk(spec, d, e, L))
             assert fast == ref, (spec, e, L)
+            if locus.tower is None:
+                # the Fraction centre with the same v(e), and no tower
+                v_e = d.tower.val(e)
+                assert _outcome(classify_torsor_reduction, expand_disk(
+                    spec, locus.d, None, L, v_e)) == fast, (spec, v_e, L)
             kinds.add((p == 2, spec.n == spec.s, fast[0],
                        fast[1].kind if fast[0] == "ok" else None))
     # the grid reaches both primes' verdicts and the failing tail check
@@ -614,7 +758,7 @@ def test_condition_ii_close_to_its_threshold():
     spec = branch_signature(3, 2, 1, 3)
     locus = new_tail_locus(spec)
     exp = expand_disk(spec, locus.d + 9, locus.e)
-    coeffs = exp.coeffs
+    coeffs = _coeffs(exp)
     corr = coeffs[3] - coeffs[1] ** 3 * Fraction(1, 3 ** 5)
     tau = 2 + Fraction(1, 2)
     assert exp.scale * (locus.tower.val(corr) - tau) == exp.slope > 0
