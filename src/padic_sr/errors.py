@@ -42,10 +42,6 @@ class PrecisionExhausted(ArtifactError):
     """A comparison cannot be decided at the configured truncation."""
 
 
-class ConvergenceViolated(ArtifactError):
-    pass
-
-
 # -- ramification ------------------------------------------------------------
 
 class MalformedFiltration(ArtifactError):

@@ -309,7 +309,7 @@ def kummer_step_conductor(level, u, m: int) -> ConductorValue:
     if isinstance(u, TowerElement):
         uu = tower.coerce(u)
     else:
-        uu = tower.rational(Fraction(u))
+        uu = tower.rational(u)
     if uu.is_zero():
         raise RadicandZero("radicand is zero")
     k = 0

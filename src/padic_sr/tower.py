@@ -22,6 +22,12 @@ p-adic completion, so the valuation extends uniquely and
 v(alpha) = v_p(Norm(alpha)) / D on the whole tower.  The arithmetic uses
 closed forms of that fact wherever one applies:
 
+  * Products go through structure constants.  Each tower keeps a table,
+    filled the first time a pair of basis monomials meets, of their reduced
+    product as integers over one denominator.  A product scales each
+    operand to integers by the lcm of its denominators, so c1 * c2 costs
+    |c1| |c2| table lookups and integer multiply-adds, and one Fraction per
+    nonzero output coordinate.
   * Valuations are integers over one denominator E, the lcm of the
     denominators of the generator valuations v(g_j) = G_j / E.  A term
     c prod g_j^e_j has valuation (E v_p(c) + sum e_j G_j) / E, and a unique
@@ -90,9 +96,18 @@ def vp_int(x: int, p: int) -> int:
     return v
 
 
+def _exact_rational(q) -> Fraction:
+    """q as a Fraction.  An int, a Fraction or a string such as "6/4" is
+    read exactly; a float is refused, as no float may reach the
+    certification path."""
+    if isinstance(q, float):
+        raise TypeError(f"expected an exact rational, not {q!r}")
+    return Fraction(q)
+
+
 def vp_rational(q: Fraction, p: int) -> Fraction:
     """p-adic valuation of a nonzero rational, as a Fraction."""
-    q = Fraction(q)
+    q = _exact_rational(q)
     if q == 0:
         raise ZeroElement("v(0) is +infinity")
     return Fraction(vp_int(q.numerator, p) - vp_int(q.denominator, p))
@@ -278,6 +293,7 @@ class Tower:
         self._uniformizer = None  # TowerElement with v = 1/ram_index, if known
         self._basis_cache = None
         self._inv_cache = {}
+        self._prod = {}  # (e1, e2) -> reduced product, filled on first use
         self._lower = None  # the tower this one extends by its top step
         self._E = 1  # v(g_j) = _G[j] / _E for every generator g_j
         self._G = ()
@@ -301,7 +317,7 @@ class Tower:
         return self.coerce(1)
 
     def rational(self, q):
-        q = Fraction(q)
+        q = _exact_rational(q)
         if q == 0:
             return self.zero()
         return TowerElement(self, {(0,) * self._nvars(): q})
@@ -340,15 +356,59 @@ class Tower:
     # -- reduced multiplication ----------------------------------------------
 
     def _mul_coords(self, c1, c2):
+        """The reduced coordinates of the product, through the structure
+        constants: each operand is scaled to integers by the lcm of its
+        denominators, the numerators multiply through the table entries,
+        and each nonzero output coordinate is one Fraction."""
+        if not c1 or not c2:
+            return {}
+        d1 = lcm(*[c.denominator for c in c1.values()])
+        d2 = lcm(*[c.denominator for c in c2.values()])
+        x2 = [(e2, c.numerator * (d2 // c.denominator))
+              for e2, c in c2.items()]
+        prod = self._prod
+        by_den = {}  # table denominator -> {exps: integer numerator}
+        for e1, c in c1.items():
+            a1 = c.numerator * (d1 // c.denominator)
+            for e2, a2 in x2:
+                entry = prod.get((e1, e2))
+                if entry is None:
+                    entry = self._product_entry(e1, e2)
+                den, terms = entry
+                out = by_den.get(den)
+                if out is None:
+                    out = by_den[den] = {}
+                a = a1 * a2
+                for exps, num in terms:
+                    out[exps] = out.get(exps, 0) + a * num
+        if len(by_den) == 1:
+            (den, out), = by_den.items()
+        else:  # rewrites with fractional coefficients: one common denominator
+            den = lcm(*by_den)
+            out = {}
+            for d, part in by_den.items():
+                f = den // d
+                for exps, num in part.items():
+                    out[exps] = out.get(exps, 0) + f * num
+        den *= d1 * d2
+        return {k: Fraction(num, den) for k, num in out.items() if num}
+
+    def _product_entry(self, e1, e2):
+        """The table entry of the basis monomials e1, e2: their reduced
+        product as (den, ((exps, num), ...)), integers over one den."""
         out = {}
-        for e1, a1 in c1.items():
-            for e2, a2 in c2.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                self._accumulate(out, exps, a1 * a2)
-        return {k: v for k, v in out.items() if v}
+        self._accumulate(out, tuple(x + y for x, y in zip(e1, e2)),
+                         Fraction(1))
+        out = {k: c for k, c in out.items() if c}
+        den = lcm(*[c.denominator for c in out.values()])
+        entry = den, tuple((k, c.numerator * (den // c.denominator))
+                           for k, c in out.items())
+        self._prod[e1, e2] = entry
+        return entry
 
     def _accumulate(self, out, exps, coeff):
-        """Add coeff * monomial(exps) to out, rewriting overflowing powers."""
+        """Add coeff * monomial(exps) to out, rewriting overflowing powers;
+        it fills the entries of the product table."""
         j = None
         for i in range(len(exps) - 1, -1, -1):
             if exps[i] >= self.steps[i].degree:
@@ -725,7 +785,7 @@ def is_mth_power(u, m: int, p: int | None = None) -> bool:
         u = next(iter(u.coords.values())) if u.coords else Fraction(0)
     if p is None:
         raise ValueError("prime p required for rational input")
-    u = Fraction(u)
+    u = _exact_rational(u)
     if u == 0:
         raise ZeroElement("0 has no well-defined power class")
     if m < 2:
@@ -894,8 +954,10 @@ def q2_i() -> Tower:
 
 @cache
 def _k3() -> Tower:
-    """K_3 = Q_2(zeta_8), zeta_8^4 = -1, built once per process."""
-    return Tower(2).adjoin_radical(4, -1, "zeta8")
+    """K_3 = Q_2(zeta_8) = Q_2(i)(zeta_8), zeta_8^2 = i, built once per
+    process.  Both steps are quadratic, so its norms are relative norms."""
+    k2 = q2_i()
+    return k2.adjoin_radical(2, k2.gen(0), "zeta8")
 
 
 def square_class_K2_K3(d, choice_of_i: int = 1):
@@ -904,7 +966,7 @@ def square_class_K2_K3(d, choice_of_i: int = 1):
 
     Returns {"di_square_K2", "di_square_K3", "d_square_K2", "d_square_K3"}.
     """
-    d = Fraction(d)
+    d = _exact_rational(d)
     if d == 0:
         raise ZeroElement("d must be nonzero")
     if choice_of_i not in (1, -1):
@@ -949,12 +1011,11 @@ def _square_class_entry(v2: int, u8: int, ell: int, i_power: int) -> bool:
     """is_square_unramified_closure of 2^v2 u8 i^i_power in K_ell."""
     if ell == 2:
         k = q2_i()
-        i = k.gen()
     elif ell == 3:
         k = _k3()
-        i = k.gen() ** 2  # zeta_8^2 = i
     else:
         raise ValueError("ell must be 2 or 3")
+    i = k.gen(0)
     return is_square_unramified_closure(k, (i ** i_power) * (2 ** v2 * u8))
 
 

@@ -1,7 +1,8 @@
 """Golden `analyze` reports: the sha256 of the sorted-key JSON report of
 about thirty covers (every stable-model case (i)-(v), large p up to 197,
 and covers that raise), or the class and message of the exception a cover
-raises.
+raises.  `test_identity_grid_digest` pins the reports of a 3656-input grid
+in one hash.
 
 A report change fails here and prints the new report, so every change of
 `analyze` output is a reviewed edit of this table.
@@ -9,6 +10,7 @@ A report change fails here and prints the new report, so every change of
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -111,3 +113,47 @@ def test_analyze_report_is_golden(args):
     if got != GOLDEN[args] and text is not None:
         print(json.dumps(json.loads(text), sort_keys=True, indent=2))
     assert got == GOLDEN[args], f"analyze{args} changed; new report above"
+
+
+def _identity_grid():
+    """The 3656 inputs every report-preserving change is checked on: odd
+    p <= 13 with n <= 4, large p in {17, 23, 37} with n <= 2, and p = 2
+    with 2 <= n <= 5."""
+    for p in (3, 5, 7, 11, 13):
+        for n in range(1, 5):
+            for a in range(1, 5):
+                for b in range(-6, 13):
+                    yield p, n, a, b
+    for p in (17, 23, 37):
+        for n in (1, 2):
+            for a in (1, 2):
+                for b in range(-10, 20):
+                    yield p, n, a, b
+    for n in range(2, 6):
+        for a in range(1, 13):
+            for b in range(-12, 25):
+                yield 2, n, a, b
+
+
+#: sha256 over the identity grid, in order, of one line per input: the
+#: sorted-key JSON report, or `Class: message` of the exception
+IDENTITY_GRID_DIGEST = (
+    '5cdbcaf869349f265976352e646e0a277dd6a99b730e9281b2e41b6f8c2e392e')
+
+
+def test_identity_grid_digest():
+    """Every report and every exception of the identity grid, pinned in one
+    hash; a report change updates the digest as a reviewed edit."""
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for args in _identity_grid():
+        try:
+            line = json.dumps(analyze(*args), sort_keys=True)
+            outcomes["certified"] += 1
+        except Exception as exc:  # the class and message are pinned
+            line = f"{type(exc).__name__}: {exc}"
+            outcomes[type(exc).__name__] += 1
+        digest.update(line.encode() + b"\n")
+    assert outcomes == {"certified": 2487, "NotThreePoint": 561,
+                        "Disconnected": 484, "IrreducibilityUnverified": 124}
+    assert digest.hexdigest() == IDENTITY_GRID_DIGEST

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from padic_sr import tower as tower_module
 from padic_sr.analyzer import (
     _centre_field,
     _cube_radicand,
@@ -17,7 +18,7 @@ from padic_sr.analyzer import (
     new_tail_locus,
 )
 from padic_sr.errors import IrreducibilityUnverified, ZeroElement, ZeroRadicand
-from padic_sr.ramification import cyclotomic_tower
+from padic_sr.ramification import cyclotomic_tower, kummer_step_conductor
 from padic_sr.tower import (
     RatVal,
     Tower,
@@ -27,6 +28,7 @@ from padic_sr.tower import (
     _is_qth_power_local,
     _k3,
     _solve_fraction,
+    _square_class_entry,
     is_mth_power,
     is_square_unramified_closure,
     make_tower,
@@ -97,6 +99,22 @@ def test_vp_int_refuses_zero_and_non_primes():
             vp_int(12, p)
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.75, -2.0])
+def test_floats_refused_where_exact_inputs_are_read(bad):
+    """A float is no exact rational: every reader of one refuses it, as
+    coerce and ratstr do, while strings still parse exactly."""
+    t = q2_i()
+    for read in (lambda: vp_rational(bad, 2), lambda: t.rational(bad),
+                 lambda: t.coerce(bad), lambda: is_mth_power(bad, 2, p=2),
+                 lambda: square_class_K2_K3(bad),
+                 lambda: kummer_step_conductor(cyclotomic_tower(3, 1), bad,
+                                               3)):
+        with pytest.raises(TypeError):
+            read()
+    assert vp_rational("3/4", 2) == -2
+    assert t.rational("3/4") == t.rational(Fraction(3, 4))
+
+
 def test_zero_radicand_rejected():
     with pytest.raises(ZeroRadicand):
         make_tower(5, [(2, 0)])
@@ -144,6 +162,44 @@ def _square_class(d):
     v = vp_rational(d, 2)
     u = d / Fraction(2) ** int(v)
     return int(v) % 2, u.numerator * u.denominator % 8
+
+
+def test_k3_is_q2_i_with_a_square_root_of_i():
+    """K_3 = Q_2(i)(zeta_8), zeta_8^2 = i: two quadratic steps over the
+    shared Q_2(i), totally ramified with uniformizer zeta_8 - 1."""
+    k3 = _k3()
+    assert k3._lower is q2_i()
+    assert [s.degree for s in k3.steps] == [2, 2]
+    assert k3.gen(1) ** 2 == k3.gen(0)
+    assert k3.ram_exact and k3.ram_index == 4
+    assert k3.val(k3.uniformizer()) == Fraction(1, 4)
+
+
+def test_square_class_table_fills_without_determinants(monkeypatch):
+    """Filling all 48 entries in a fresh K_3 takes no determinant: every
+    tied valuation there is two quadratic relative norms.  Each entry
+    equals the square class computed in the quartic tower zeta_8^4 = -1."""
+    det_calls = []
+
+    def counted_det(M):
+        det_calls.append(len(M))
+        return _det_fraction(M)
+
+    monkeypatch.setattr(tower_module, "_det_fraction", counted_det)
+    _square_class_entry.cache_clear()
+    _k3.cache_clear()
+    keys = [(v2, u8, ell, i_power) for v2 in (0, 1) for u8 in (1, 3, 5, 7)
+            for ell in (2, 3) for i_power in (0, 1, 3)]
+    table = {key: _square_class_entry(*key) for key in keys}
+    assert det_calls == []
+    monkeypatch.undo()
+    quartic = Tower(2).adjoin_radical(4, -1)
+    i_of = {2: q2_i().gen(0), 3: quartic.gen() ** 2}
+    field = {2: q2_i(), 3: quartic}
+    for (v2, u8, ell, i_power), square in table.items():
+        assert square == is_square_unramified_closure(
+            field[ell], i_of[ell] ** i_power * (2 ** v2 * u8)), (
+                v2, u8, ell, i_power)
 
 
 def test_square_class_lookup_matches_the_tower_computation():
@@ -531,3 +587,101 @@ def test_non_integer_exponents_refused(k):
     for x in (t.gen(), 1 + t.gen()):
         with pytest.raises(TypeError):
             x ** k
+
+
+# -- the structure-constant product against the per-term product -----------
+
+def _per_term_product(t, c1, c2):
+    """The product as it was computed term by term: every pair of terms
+    rewritten by the step rules, coefficients summed as Fractions."""
+    out = {}
+    for e1, a1 in c1.items():
+        for e2, a2 in c2.items():
+            t._accumulate(out, tuple(x + y for x, y in zip(e1, e2)), a1 * a2)
+    return {k: c for k, c in out.items() if c}
+
+
+def _q3_sqrt_third_cbrt():
+    """A cube root of (2/9) g + 1/3 over Q_3(g), g^2 = 1/3: rewrites with
+    fractional coefficients on two levels."""
+    base = Tower(3).adjoin_radical(2, Fraction(1, 3))
+    return base.adjoin_radical(3, Fraction(2, 9) * base.gen() + Fraction(1, 3))
+
+
+#: ORACLE_TOWERS, and towers whose rewrites have fractional coefficients,
+#: so that table entries of different denominators meet in one product
+KERNEL_TOWERS = {
+    **ORACLE_TOWERS,
+    "Q2(sqrt 1/2)": lambda: Tower(2).adjoin_radical(2, Fraction(1, 2)),
+    "Q3(sqrt 2/3)": lambda: Tower(3).adjoin_radical(2, Fraction(2, 3)),
+    "Q5(zeta25)": lambda: cyclotomic_tower(5, 2),
+    "Q3(sqrt 1/3)(cbrt)": _q3_sqrt_third_cbrt,
+}
+
+
+def _operands(rng, t):
+    """Seeded operand pairs: sparse, dense, single-term and empty, with
+    coefficient denominators that differ within and between operands."""
+    basis, _ = t._basis()
+
+    def coeff():
+        return Fraction(rng.randint(-30, 30) or 1,
+                        rng.choice([1, 1, 2, 3, 4, 9, 25]))
+
+    def on(monomials):
+        return {b: coeff() for b in monomials}
+
+    dense = on(basis) if len(basis) <= 12 else on(rng.sample(basis, 12))
+    for _ in range(6):
+        yield (_sparse_element(rng, t).coords,
+               _sparse_element(rng, t).coords)
+        yield on(rng.sample(basis, min(len(basis), 5))), dense
+        yield on([rng.choice(basis)]), on([rng.choice(basis)])
+        yield on([rng.choice(basis)]), dense
+    yield dense, dense
+    yield {}, dense
+    yield dense, {}
+    yield {}, {}
+
+
+@pytest.mark.parametrize("name", KERNEL_TOWERS)
+def test_structure_constant_product_matches_the_per_term_product(name):
+    t = KERNEL_TOWERS[name]()
+    rng = random.Random(f"kernel:{name}")
+    for c1, c2 in _operands(rng, t):
+        assert t._mul_coords(c1, c2) == _per_term_product(t, c1, c2), (
+            c1, c2)
+
+
+def test_fractional_rewrites_give_table_entries_of_several_denominators():
+    """The towers above reach the mixed-denominator sum of the kernel."""
+    for name in ("Q2(sqrt 1/2)", "Q3(sqrt 2/3)", "Q3(sqrt 1/3)(cbrt)"):
+        t = KERNEL_TOWERS[name]()
+        for c1, c2 in _operands(random.Random(f"kernel:{name}"), t):
+            t._mul_coords(c1, c2)
+        assert len({den for den, _ in t._prod.values()}) > 1, name
+
+
+def test_repeated_products_read_only_the_table(monkeypatch):
+    """A pair of basis monomials is rewritten once per tower: repeating a
+    product calls _accumulate 0 times.  The table holds at most D^2 entries
+    of basis-monomial pairs, and an extension starts with its own table."""
+    base = Tower(2).adjoin_radical(2, -1)
+    t = base.adjoin_radical(2, base.gen() * 3)
+    assert t._prod is not base._prod
+    rng = random.Random("kernel-guard")
+    pairs = list(_operands(rng, t))
+    first = [t._mul_coords(c1, c2) for c1, c2 in pairs]
+    calls = []
+    accumulate = Tower._accumulate
+
+    def counted(self, *args):
+        calls.append(args[1])
+        return accumulate(self, *args)
+
+    monkeypatch.setattr(Tower, "_accumulate", counted)
+    assert [t._mul_coords(c1, c2) for c1, c2 in pairs] == first
+    assert calls == []
+    basis, index = t._basis()
+    assert len(t._prod) <= len(basis) ** 2
+    assert all(e1 in index and e2 in index for e1, e2 in t._prod)
