@@ -7,6 +7,7 @@ The conductor of an extension is its greatest upper-numbering jump.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -20,7 +21,7 @@ from .errors import (
     TermDegreeDivisibleByP,
 )
 from .jsonutil import parse_rat, ratstr
-from .tower import Tower, TowerElement, unit_level
+from .tower import Tower, TowerElement, _exact_rational, unit_level
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,10 @@ class Filtration:
     numbering: str  # "upper" | "lower"
 
     def __post_init__(self):
-        jumps = tuple((Fraction(j), int(o)) for j, o in self.jumps)
+        jumps = tuple((_exact_rational(j), operator.index(o))
+                      for j, o in self.jumps)
         object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "degree", operator.index(self.degree))
         self.validate()
 
     def validate(self):
@@ -90,7 +93,7 @@ def herbrand_phi(lower: Filtration, t: Fraction) -> Fraction:
     """phi(t) = integral_0^t |G_x| / |G_0| dx, exact."""
     if lower.numbering != "lower":
         raise MalformedFiltration("phi consumes a lower-numbering filtration")
-    t = Fraction(t)
+    t = _exact_rational(t)
     if t <= 0:
         return t
     acc = Fraction(0)
@@ -113,7 +116,7 @@ def herbrand_phi(lower: Filtration, t: Fraction) -> Fraction:
 
 def herbrand_psi(lower: Filtration, u: Fraction) -> Fraction:
     """Inverse of phi, exact."""
-    u = Fraction(u)
+    u = _exact_rational(u)
     if u <= 0:
         return u
     acc = Fraction(0)
@@ -185,7 +188,7 @@ def cyclotomic_filtration(p: int, n: int) -> Filtration:
 
 
 def compositum_conductor(hs) -> Fraction:
-    hs = [Fraction(h) for h in hs]
+    hs = [_exact_rational(h) for h in hs]
     if not hs:
         raise EmptyList("compositum of no extensions")
     if any(h < 0 for h in hs):
@@ -195,7 +198,7 @@ def compositum_conductor(hs) -> Fraction:
 
 def tame_top_conductor(h) -> Fraction:
     """A tame extension on top of a ramified one preserves the conductor."""
-    return Fraction(h)
+    return _exact_rational(h)
 
 
 def artin_schreier_genus(h: int, p: int) -> int:

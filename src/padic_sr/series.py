@@ -306,9 +306,9 @@ def expand_disk(spec, d, e, L: int | None = None,
         if e.is_zero():
             return DiskExpansion(spec, d, e,
                                  [tower.one()] + [tower.zero()] * L, L)
-        N = lcm(*(c.denominator for c in d.coords.values()))
-        if d.coords.keys() == {(0,) * len(tower.steps)}:
-            delta = next(iter(d.coords.values())).numerator
+        N = d.den
+        if d.nums.keys() == {(0,) * len(tower.steps)}:
+            (delta,) = d.nums.values()
         else:
             delta = d * N
     delta1 = delta - N

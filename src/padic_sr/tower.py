@@ -4,8 +4,12 @@ valuation.
 A Tower is a chain of steps, each adjoining a generator g with a rewrite rule
 g^d = sum_k c_k g^k (radical steps have only the constant term: g^m = r).
 Elements are polynomial residues in the generators with exact rational
-coefficients.  Every step carries a local-irreducibility certificate checked at
-construction:
+coefficients, stored as integers over one denominator: an element is a
+positive int `den` and a dict `nums` {exponent tuple: nonzero int}, in lowest
+terms (gcd(den, *nums) = 1), so equal elements have equal fields.  Every
+arithmetic operation reads and writes Python ints; `coords`, the Fraction
+view, is for serialization and tests.  Every step carries a
+local-irreducibility certificate checked at construction:
 
   (a) Newton-polygon single segment whose slope has exact denominator equal to
       the step degree (Eisenstein-type, possibly after a small shift of the
@@ -24,15 +28,17 @@ closed forms of that fact wherever one applies:
 
   * Products go through structure constants.  Each tower keeps a table,
     filled the first time a pair of basis monomials meets, of their reduced
-    product as integers over one denominator.  A product scales each
-    operand to integers by the lcm of its denominators, so c1 * c2 costs
-    |c1| |c2| table lookups and integer multiply-adds, and one Fraction per
-    nonzero output coordinate.
+    product as integers over one denominator.  The numerators of c1 and c2
+    multiply through the table, so c1 * c2 costs |c1| |c2| table lookups
+    and integer multiply-adds, the denominators multiply, and one gcd
+    brings the result to lowest terms (none when every denominator is 1).
+    Sums bring two denominators to their lcm, and a rational scalar scales
+    the numerators and the denominator without the table.
   * Valuations are integers over one denominator E, the lcm of the
     denominators of the generator valuations v(g_j) = G_j / E.  A term
-    c prod g_j^e_j has valuation (E v_p(c) + sum e_j G_j) / E, and a unique
-    least term gives v(alpha); only a tie among the least terms needs the
-    norm.
+    n prod g_j^e_j / den has valuation (E v_p(n) + sum e_j G_j) / E less
+    v_p(den), and a unique least term gives v(alpha); only a tie among the
+    least terms needs the norm.
   * A monomial c prod g_j^e_j, negative exponents included, is reduced by
     divmod against every step whose rewrite has one term (g^m = r, r a
     monomial of the lower tower), so powers and inverses of monomials need
@@ -40,9 +46,10 @@ closed forms of that fact wherever one applies:
     rewrite (a cyclotomic step) falls back to the generic path.
   * The norm is a product of relative norms: over a top step
     g^2 = a1 g + a0, N(h0 + h1 g) = N_lower(h0^2 + a1 h0 h1 - a0 h1^2), and
-    the recursion descends to the constant of the empty tower.  A top step
-    of degree > 2 takes the determinant of the multiplication matrix of its
-    tower.
+    the recursion descends to the constant of the empty tower.  Each level
+    takes the norm of the integer numerators and divides by den^degree
+    once.  A top step of degree > 2 takes the determinant of the
+    multiplication matrix of its tower.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, isqrt, lcm
+from types import MappingProxyType
 
 from .errors import (
     IrreducibilityUnverified,
@@ -100,6 +108,8 @@ def _exact_rational(q) -> Fraction:
     """q as a Fraction.  An int, a Fraction or a string such as "6/4" is
     read exactly; a float is refused, as no float may reach the
     certification path."""
+    if type(q) is Fraction:
+        return q
     if isinstance(q, float):
         raise TypeError(f"expected an exact rational, not {q!r}")
     return Fraction(q)
@@ -134,7 +144,7 @@ class RatVal:
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", _exact_rational(self.value))
 
     def __lt__(self, other):
         return self.value < _val_of(other)
@@ -167,18 +177,21 @@ class RatVal:
 def _val_of(x):
     if isinstance(x, RatVal):
         return x.value
-    return Fraction(x)
+    return _exact_rational(x)
 
 
 class Step:
     """One tower step: generator `name`, degree, and the rewrite rule
-    g^degree = sum over (exps, coeff) monomials of the tower up to and
-    including this step (exponent of this generator always < degree)."""
+    g^degree = (sum over (exps, num) terms of num times the monomial exps)
+    / rewrite_den, over the tower up to and including this step (exponent of
+    this generator always < degree), with integer nums and rewrite_den > 0."""
 
-    def __init__(self, name, degree, rewrite, kind, gen_val, e_step, radicand=None):
+    def __init__(self, name, degree, rewrite, rewrite_den, kind, gen_val,
+                 e_step, radicand=None):
         self.name = name
         self.degree = degree
-        self.rewrite = tuple(rewrite)  # tuple of (exps tuple, Fraction)
+        self.rewrite = tuple(rewrite)  # tuple of (exps tuple, int)
+        self.rewrite_den = rewrite_den
         self.kind = kind  # "radical" | "cyclotomic"
         self.gen_val = gen_val  # Fraction, exact valuation of the generator
         self.e_step = e_step  # int ramification contribution, or None if unknown
@@ -186,37 +199,50 @@ class Step:
 
 
 class TowerElement:
-    """An exact element: dict {exponent tuple -> Fraction}, fully reduced."""
+    """An exact element: integer numerators `nums` {exponent tuple: int}
+    over one positive `den`, fully reduced, zeros dropped and
+    gcd(den, *nums) = 1.  TowerElement(tower, coords) reads a dict of
+    rationals; the fields are immutable once built."""
 
-    __slots__ = ("tower", "coords")
+    __slots__ = ("tower", "den", "nums")
 
     def __init__(self, tower, coords):
+        coords = {k: _exact_rational(c) for k, c in coords.items()}
+        den = lcm(*[c.denominator for c in coords.values()])
         self.tower = tower
-        self.coords = coords  # reduced; treat as immutable
+        self.den = den
+        self.nums = {k: c.numerator * (den // c.denominator)
+                     for k, c in coords.items() if c}
+
+    @property
+    def coords(self):
+        """The coordinates as a read-only {exponent tuple: Fraction} view."""
+        den = self.den
+        return MappingProxyType({k: Fraction(n, den)
+                                 for k, n in self.nums.items()})
 
     # -- constructors --------------------------------------------------------
 
     def __add__(self, other):
-        other = self.tower.coerce(other)
-        return TowerElement(self.tower, _add_coords(self.coords, other.coords))
+        return _add(self, self.tower.coerce(other))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return TowerElement(self.tower, {k: -c for k, c in self.coords.items()})
+        return _element(self.tower, self.den,
+                        {k: -n for k, n in self.nums.items()})
 
     def __sub__(self, other):
-        return self + (-self.tower.coerce(other))
+        return _add(self, self.tower.coerce(other), -1)
 
     def __rsub__(self, other):
-        return self.tower.coerce(other) - self
+        return _add(self.tower.coerce(other), self, -1)
 
     def __mul__(self, other):
-        other = self.tower.coerce(other)
-        return TowerElement(
-            self.tower, self.tower._mul_coords(self.coords, other.coords)
-        )
+        if isinstance(other, (int, Fraction)):
+            return _scale(self, other.numerator, other.denominator)
+        return _mul(self, self.tower.coerce(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -230,9 +256,11 @@ class TowerElement:
 
     def __pow__(self, k: int):
         k = operator.index(k)  # a float or Fraction exponent is refused
-        if len(self.coords) == 1:
-            (exps, c), = self.coords.items()
-            x = self.tower._monomial([e * k for e in exps], c ** k)
+        if len(self.nums) == 1:
+            (exps, n), = self.nums.items()
+            num, den = (n, self.den) if k >= 0 else (self.den, n)
+            x = self.tower._monomial([e * k for e in exps], num ** abs(k),
+                                     den ** abs(k))
             if x is not None:
                 return x
         if k < 0:
@@ -248,17 +276,27 @@ class TowerElement:
         return result
 
     def __eq__(self, other):
-        try:
-            other = self.tower.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.coords == other.coords
+        if not (isinstance(other, TowerElement) and other.tower is self.tower):
+            try:
+                other = self.tower.coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.coords.items()))
+        """A constant hashes like its rational value, as it compares equal
+        to it; any other element by its reduced (den, nums)."""
+        nums = self.nums
+        if not nums:
+            return 0
+        if len(nums) == 1:
+            (exps, n), = nums.items()
+            if not any(exps):
+                return hash(n if self.den == 1 else Fraction(n, self.den))
+        return hash((self.den, frozenset(nums.items())))
 
     def is_zero(self):
-        return not self.coords
+        return not self.nums
 
     def inverse(self):
         return self.tower.inverse(self)
@@ -267,7 +305,7 @@ class TowerElement:
         return self.tower.valuation(self)
 
     def __repr__(self):
-        if not self.coords:
+        if not self.nums:
             return "<0>"
         names = [s.name for s in self.tower.steps]
         parts = []
@@ -279,6 +317,88 @@ class TowerElement:
             )
             parts.append(f"{ratstr(c)}" + (f"*{mono}" if mono else ""))
         return "<" + " + ".join(parts) + ">"
+
+
+_new_element = object.__new__
+
+
+def _element(tower, den, nums):
+    """The element nums / den of tower, already in lowest terms."""
+    x = _new_element(TowerElement)
+    x.tower = tower
+    x.den = den
+    x.nums = nums
+    return x
+
+
+def _reduced(tower, den, nums):
+    """The element nums / den of tower, for nonzero integer nums (none for
+    0) and den > 0, brought to lowest terms by one gcd."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+    return _element(tower, den, nums)
+
+
+def _mul(x, y):
+    """x y for elements of one tower, through the structure constants."""
+    den, nums = x.tower._mul_nums(x.nums, y.nums)
+    return _reduced(x.tower, den * x.den * y.den, nums)
+
+
+def _scale(x, num, den):
+    """x num / den for a rational num / den in lowest terms, den > 0.  As
+    x is in lowest terms, num can share a factor only with x.den, and den
+    only with the numerators of x: an integer scalar costs one gcd of two
+    ints, and a fractional one also a gcd of den and the numerators."""
+    if not num:
+        return x.tower.zero()
+    g = gcd(x.den, num)
+    num //= g
+    nums = {k: n * num for k, n in x.nums.items()}
+    if den != 1:
+        h = gcd(den, *nums.values())
+        if h != 1:
+            den //= h
+            nums = {k: n // h for k, n in nums.items()}
+    return _element(x.tower, x.den // g * den, nums)
+
+
+def _add(x, y, sign=1):
+    """x + sign y for elements of one tower, over the lcm of their dens."""
+    if not y.nums:
+        return x
+    d1, d2 = x.den, y.den
+    if d1 == d2:
+        out, f = dict(x.nums), sign
+    else:
+        den = lcm(d1, d2)
+        f1 = den // d1
+        out = {k: n * f1 for k, n in x.nums.items()}
+        d1, f = den, sign * (den // d2)
+    for k, n in y.nums.items():
+        n = out.get(k, 0) + f * n
+        if n:
+            out[k] = n
+        else:
+            del out[k]
+    return _reduced(x.tower, d1, out)
+
+
+def _common(parts):
+    """The sum of parts {den: {exps: num}} as (den, {exps: num}) over the
+    lcm of their dens, zeros dropped."""
+    if len(parts) == 1:
+        (den, out), = parts.items()
+    else:
+        den, out = lcm(*parts), {}
+        for d, part in parts.items():
+            f = den // d
+            for k, n in part.items():
+                out[k] = out.get(k, 0) + f * n
+    return den, {k: n for k, n in out.items() if n}
 
 
 class Tower:
@@ -295,8 +415,11 @@ class Tower:
         self._inv_cache = {}
         self._prod = {}  # (e1, e2) -> reduced product, filled on first use
         self._lower = None  # the tower this one extends by its top step
+        self._halves = None  # (a0, a1) of a quadratic top step, in _lower
+        self._one_exps = ()  # the exponents of the monomial 1
         self._E = 1  # v(g_j) = _G[j] / _E for every generator g_j
         self._G = ()
+        self._vals = {}  # E v -> the Fraction v, for val
 
     # -- basics --------------------------------------------------------------
 
@@ -311,16 +434,17 @@ class Tower:
         return len(self.steps)
 
     def zero(self):
-        return TowerElement(self, {})
+        return _element(self, 1, {})
 
     def one(self):
         return self.coerce(1)
 
     def rational(self, q):
-        q = _exact_rational(q)
-        if q == 0:
-            return self.zero()
-        return TowerElement(self, {(0,) * self._nvars(): q})
+        if not isinstance(q, (int, Fraction)):
+            q = _exact_rational(q)
+        num = q.numerator
+        return _element(self, q.denominator,
+                        {self._one_exps: num} if num else {})
 
     def gen(self, j=-1):
         if not self.steps:
@@ -329,7 +453,7 @@ class Tower:
             j = len(self.steps) + j
         exps = [0] * self._nvars()
         exps[j] = 1
-        return TowerElement(self, {tuple(exps): Fraction(1)})
+        return _element(self, 1, {tuple(exps): 1})
 
     def coerce(self, x) -> TowerElement:
         if isinstance(x, TowerElement):
@@ -339,10 +463,9 @@ class Tower:
             if len(x.tower.steps) <= len(self.steps) and all(
                 a is b for a, b in zip(x.tower.steps, self.steps)
             ):
-                pad = self._nvars() - x.tower._nvars()
-                return TowerElement(
-                    self, {k + (0,) * pad: c for k, c in x.coords.items()}
-                )
+                pad = (0,) * (self._nvars() - x.tower._nvars())
+                return _element(self, x.den,
+                                {k + pad: n for k, n in x.nums.items()})
             raise ValueError("element belongs to an unrelated tower")
         if isinstance(x, (int, Fraction)):
             return self.rational(x)
@@ -355,22 +478,17 @@ class Tower:
 
     # -- reduced multiplication ----------------------------------------------
 
-    def _mul_coords(self, c1, c2):
-        """The reduced coordinates of the product, through the structure
-        constants: each operand is scaled to integers by the lcm of its
-        denominators, the numerators multiply through the table entries,
-        and each nonzero output coordinate is one Fraction."""
-        if not c1 or not c2:
-            return {}
-        d1 = lcm(*[c.denominator for c in c1.values()])
-        d2 = lcm(*[c.denominator for c in c2.values()])
-        x2 = [(e2, c.numerator * (d2 // c.denominator))
-              for e2, c in c2.items()]
+    def _mul_nums(self, n1, n2):
+        """The reduced product of the integer coordinates n1, n2, through
+        the structure constants, as (den, {exps: num}): the numerators
+        multiply through the table entries, and table entries of several
+        denominators (rewrites with fractional coefficients) meet over
+        their lcm."""
         prod = self._prod
         by_den = {}  # table denominator -> {exps: integer numerator}
-        for e1, c in c1.items():
-            a1 = c.numerator * (d1 // c.denominator)
-            for e2, a2 in x2:
+        items2 = n2.items()
+        for e1, a1 in n1.items():
+            for e2, a2 in items2:
                 entry = prod.get((e1, e2))
                 if entry is None:
                     entry = self._product_entry(e1, e2)
@@ -381,49 +499,41 @@ class Tower:
                 a = a1 * a2
                 for exps, num in terms:
                     out[exps] = out.get(exps, 0) + a * num
-        if len(by_den) == 1:
-            (den, out), = by_den.items()
-        else:  # rewrites with fractional coefficients: one common denominator
-            den = lcm(*by_den)
-            out = {}
-            for d, part in by_den.items():
-                f = den // d
-                for exps, num in part.items():
-                    out[exps] = out.get(exps, 0) + f * num
-        den *= d1 * d2
-        return {k: Fraction(num, den) for k, num in out.items() if num}
+        return _common(by_den)
 
     def _product_entry(self, e1, e2):
         """The table entry of the basis monomials e1, e2: their reduced
         product as (den, ((exps, num), ...)), integers over one den."""
-        out = {}
-        self._accumulate(out, tuple(x + y for x, y in zip(e1, e2)),
-                         Fraction(1))
-        out = {k: c for k, c in out.items() if c}
-        den = lcm(*[c.denominator for c in out.values()])
-        entry = den, tuple((k, c.numerator * (den // c.denominator))
-                           for k, c in out.items())
+        parts = {}
+        self._accumulate(parts, tuple(x + y for x, y in zip(e1, e2)), 1, 1)
+        den, out = _common(parts)
+        entry = den, tuple(out.items())
         self._prod[e1, e2] = entry
         return entry
 
-    def _accumulate(self, out, exps, coeff):
-        """Add coeff * monomial(exps) to out, rewriting overflowing powers;
-        it fills the entries of the product table."""
+    def _accumulate(self, parts, exps, num, den):
+        """Add num / den times monomial(exps) to parts {den: {exps: num}},
+        rewriting overflowing powers; it fills the entries of the product
+        table."""
         j = None
         for i in range(len(exps) - 1, -1, -1):
             if exps[i] >= self.steps[i].degree:
                 j = i
                 break
         if j is None:
-            out[exps] = out.get(exps, Fraction(0)) + coeff
+            out = parts.get(den)
+            if out is None:
+                out = parts[den] = {}
+            out[exps] = out.get(exps, 0) + num
             return
         step = self.steps[j]
         base = list(exps)
         base[j] -= step.degree
-        for rexps, rc in step.rewrite:
+        den *= step.rewrite_den
+        for rexps, rnum in step.rewrite:
             rexps = rexps + (0,) * (len(exps) - len(rexps))
             new = tuple(b + r for b, r in zip(base, rexps))
-            self._accumulate(out, new, coeff * rc)
+            self._accumulate(parts, new, num * rnum, den)
 
     # -- linear algebra over the rational basis ------------------------------
 
@@ -439,10 +549,11 @@ class Tower:
         D = len(basis)
         cols = []
         for b in basis:
-            prod = self._mul_coords(elem.coords, {b: Fraction(1)})
             col = [Fraction(0)] * D
-            for k, c in prod.items():
-                col[index[k]] = c
+            den, prod = self._mul_nums(elem.nums, {b: 1})
+            den *= elem.den
+            for k, n in prod.items():
+                col[index[k]] = Fraction(n, den)
             cols.append(col)
         # matrix[i][j] = coefficient of basis[i] in elem * basis[j]
         return [[cols[j][i] for j in range(D)] for i in range(D)]
@@ -450,35 +561,38 @@ class Tower:
     def norm(self, elem) -> Fraction:
         """Exact norm to Q, as a product of relative norms down the quadratic
         top steps, and the determinant of the multiplication matrix below a
-        top step of degree > 2."""
+        top step of degree > 2.  Each level takes the norm of the integer
+        numerators x of its element nums / den, and N(nums / den) is
+        N(x) / den^degree."""
         elem = self.coerce(elem)
-        if elem.is_zero():
+        if not elem.nums:
             return Fraction(0)
-        t, coords = self, elem.coords
+        t, x = self, _element(self, 1, elem.nums)
+        scale = elem.den ** self.degree
         while t.steps:
-            step = t.steps[-1]
-            if step.degree != 2:
-                return _det_fraction(t._mul_matrix(TowerElement(t, coords)))
+            if t.steps[-1].degree != 2:
+                det = _det_fraction(t._mul_matrix(x))
+                return Fraction(det.numerator, det.denominator * scale)
             # g^2 = a1 g + a0: N(h0 + h1 g) = h0 (h0 + a1 h1) - a0 h1^2
-            h0, h1 = _split_top(coords.items())
-            a0, a1 = _split_top(step.rewrite)
+            a0, a1 = t._halves
             t = t._lower
-            mul = t._mul_coords
-            coords = _add_coords(
-                mul(h0, _add_coords(h0, mul(a1, h1))),
-                mul({k: -c for k, c in a0.items()}, mul(h1, h1)))
-        return coords[()]
+            h0, h1 = _split_top(t, x.nums.items(), 1)
+            x = _add(_mul(h0, _add(h0, _mul(a1, h1))), _mul(a0, _mul(h1, h1)),
+                     -1)
+            scale *= x.den ** t.degree
+            x = _element(t, 1, x.nums)
+        return Fraction(x.nums[()], scale)
 
     def inverse(self, elem) -> TowerElement:
         elem = self.coerce(elem)
-        if elem.is_zero():
+        if not elem.nums:
             raise ZeroDivisionError("inverse of 0")
-        if len(elem.coords) == 1:
-            (exps, c), = elem.coords.items()
-            inv = self._monomial([-e for e in exps], 1 / c)
+        if len(elem.nums) == 1:
+            (exps, n), = elem.nums.items()
+            inv = self._monomial([-e for e in exps], elem.den, n)
             if inv is not None:
                 return inv
-        key = frozenset(elem.coords.items())
+        key = (elem.den, frozenset(elem.nums.items()))
         hit = self._inv_cache.get(key)
         if hit is not None:
             return hit
@@ -486,22 +600,21 @@ class Tower:
         D = len(basis)
         M = self._mul_matrix(elem)
         rhs = [Fraction(0)] * D
-        rhs[index[(0,) * self._nvars()]] = Fraction(1)
+        rhs[index[self._one_exps]] = Fraction(1)
         sol = _solve_fraction(M, rhs)
-        out = {basis[i]: sol[i] for i in range(D) if sol[i]}
-        inv = TowerElement(self, out)
+        inv = TowerElement(self, {basis[i]: sol[i] for i in range(D)})
         self._inv_cache[key] = inv
         if len(self._inv_cache) > 256:
             self._inv_cache.clear()
         return inv
 
-    def _monomial(self, exps, c):
-        """c prod g_j^exps[j], reduced, for any integer exponents (the list
-        exps is consumed), or None when an exponent outside [0, degree)
-        meets a step whose rewrite has more than one term.  A one-term
-        rewrite g_j^m = r is a monomial of the lower tower, so
-        g_j^(m q) = r^q adds q times the exponents of r to the lower
-        generators; the steps are reduced from the top down."""
+    def _monomial(self, exps, num, den=1):
+        """num / den prod g_j^exps[j], reduced, for any integer exponents
+        (the list exps is consumed) and nonzero ints num, den, or None when
+        an exponent outside [0, degree) meets a step whose rewrite has more
+        than one term.  A one-term rewrite g_j^m = r is a monomial of the
+        lower tower, so g_j^(m q) = r^q adds q times the exponents of r to
+        the lower generators; the steps are reduced from the top down."""
         steps = self.steps
         for j in range(len(exps) - 1, -1, -1):
             step = steps[j]
@@ -509,11 +622,20 @@ class Tower:
             if q:
                 if len(step.rewrite) != 1:
                     return None
-                (rexps, rc), = step.rewrite
-                c *= rc ** q
+                (rexps, rnum), = step.rewrite
+                rden = step.rewrite_den
+                if q > 0:
+                    num *= rnum ** q
+                    den *= rden ** q
+                else:
+                    num *= rden ** -q
+                    den *= rnum ** -q
                 for i in range(j):
                     exps[i] += q * rexps[i]
-        return TowerElement(self, {tuple(exps): c})
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        return _element(self, den // g, {tuple(exps): num // g})
 
     # -- valuation -----------------------------------------------------------
 
@@ -523,16 +645,17 @@ class Tower:
     def val(self, elem) -> Fraction:
         """The exact valuation of a nonzero element, as a bare Fraction.
 
-        A term c prod g_j^e_j scores E v_p(c) + sum e_j G_j in integers; a
-        unique least score is E v(elem) by the ultrametric inequality, and
-        a tie among the least terms is settled by the norm."""
+        A term n prod g_j^e_j scores E v_p(n) + sum e_j G_j in integers; a
+        unique least score, less E v_p(den), is E v(elem) by the
+        ultrametric inequality, and a tie among the least terms is settled
+        by the norm.  The Fraction of each score is built once per tower."""
         elem = self.coerce(elem)
-        if not elem.coords:
+        if not elem.nums:
             raise ZeroElement("v(0) is +infinity")
         p, E, G = self.p, self._E, self._G
         least = tie = None
-        for exps, c in elem.coords.items():
-            v = E * (vp_int(c.numerator, p) - vp_int(c.denominator, p))
+        for exps, n in elem.nums.items():
+            v = E * vp_int(n, p)
             for e, g in zip(exps, G):
                 v += e * g
             if least is None or v < least:
@@ -540,8 +663,15 @@ class Tower:
             elif v == least:
                 tie = True
         if tie:
-            return vp_rational(self.norm(elem), p) / self.degree
-        return Fraction(least, E)
+            n = self.norm(elem)
+            return Fraction(vp_int(n.numerator, p) - vp_int(n.denominator, p),
+                            self.degree)
+        if elem.den != 1:
+            least -= E * vp_int(elem.den, p)
+        v = self._vals.get(least)
+        if v is None:
+            v = self._vals[least] = Fraction(least, E)
+        return v
 
     # -- step construction ---------------------------------------------------
 
@@ -552,6 +682,9 @@ class Tower:
         t.ram_exact = self.ram_exact and step.e_step is not None
         t._uniformizer = self._uniformizer
         t._lower = self
+        t._one_exps = (0,) * len(t.steps)
+        if step.degree == 2:
+            t._halves = _split_top(self, step.rewrite, step.rewrite_den)
         t._E = E = lcm(self._E, step.gen_val.denominator)
         t._G = tuple(s.gen_val.numerator * (E // s.gen_val.denominator)
                      for s in t.steps)
@@ -582,9 +715,9 @@ class Tower:
                 raise IrreducibilityUnverified(
                     f"x^{m} - r with v(r) = {vr}: slope denominator is not {m}"
                 )
-            # rewrite: g^m = rad (lift coords, generator position appended)
-            rewrite = [(exps + (0,), c) for exps, c in rad.coords.items()]
-            step = Step(name, m, rewrite, "radical", vr / m, m, radicand=rad)
+            # rewrite: g^m = rad (generator position appended)
+            step = Step(name, m, _lifted(rad), rad.den, "radical", vr / m, m,
+                        radicand=rad)
             t = self._extended(step)
             t._build_uniformizer(t.gen())
             return t
@@ -596,8 +729,8 @@ class Tower:
                     f"radicand is a {q}-th power in the {self.p}-adic "
                     f"completion; x^{m} - r is reducible there"
                 )
-        rewrite = [(exps + (0,), c) for exps, c in rad.coords.items()]
-        step = Step(name, m, rewrite, "radical", Fraction(0), None, radicand=rad)
+        step = Step(name, m, _lifted(rad), rad.den, "radical", Fraction(0),
+                    None, radicand=rad)
         t = self._extended(step)
         t._detect_unit_step_ramification(lower_exact=self.ram_exact)
         return t
@@ -633,8 +766,8 @@ class Tower:
         rewrite = []
         for j in range(p - 1):
             exps = (0,) * nv + (j * p ** (k - 1),)
-            rewrite.append((exps, Fraction(-1)))
-        step = Step(name, deg, rewrite, "cyclotomic", Fraction(0), deg)
+            rewrite.append((exps, -1))
+        step = Step(name, deg, rewrite, 1, "cyclotomic", Fraction(0), deg)
         t = self._extended(step)
         t._build_uniformizer(t.gen() - 1)
         return t
@@ -721,26 +854,20 @@ class Tower:
         return t
 
 
-def _add_coords(x, y):
-    """The coordinates of x + y, zeros dropped."""
-    out = dict(x)
-    for k, c in y.items():
-        if k in out:
-            c += out[k]
-            if not c:
-                del out[k]
-                continue
-        out[k] = c
-    return out
+def _lifted(rad):
+    """The terms of the radicand rad with the new generator's exponent 0
+    appended: the rewrite of a radical step over rad's tower."""
+    return [(exps + (0,), n) for exps, n in rad.nums.items()]
 
 
-def _split_top(terms):
-    """(h0, h1) with h0 + h1 g the sum of the (exps, coeff) terms, g the
-    top generator, of degree 2, as coordinates of the tower below it."""
+def _split_top(lower, terms, den):
+    """(h0, h1), elements of lower, with h0 + h1 g the sum over the
+    (exps, num) terms of num / den times the monomial exps, g the top
+    generator, of degree 2."""
     h = ({}, {})
-    for exps, c in terms:
-        h[exps[-1]][exps[:-1]] = c
-    return h
+    for exps, n in terms:
+        h[exps[-1]][exps[:-1]] = n
+    return _reduced(lower, den, h[0]), _reduced(lower, den, h[1])
 
 
 def _cyclo_order(p, deg):
@@ -858,8 +985,8 @@ def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
         for base in survivors:
             for digits in itertools.product(range(p), repeat=len(basis)):
                 coeffs = tuple(a + c * scale for a, c in zip(base, digits))
-                x = TowerElement(tower, {b: Fraction(a)
-                                         for b, a in zip(basis, coeffs) if a})
+                x = _element(tower, 1, {b: a for b, a in zip(basis, coeffs)
+                                        if a})
                 diff = x ** q - u
                 if diff.is_zero():
                     return True

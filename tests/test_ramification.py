@@ -187,6 +187,25 @@ def test_malformed_filtrations():
         Filtration((), 6, "lower")
 
 
+@pytest.mark.parametrize("jumps,degree", [
+    (((0.5, 1),), 3),  # a float jump was stored as 1/2
+    (((1, 2.7),), 3),  # a float order was truncated to 2
+    (((Fraction(1), 1),), 3.0),  # a float degree
+])
+def test_floats_refused_in_filtrations(jumps, degree):
+    """Jumps are read as exact rationals and orders as integers, so a float
+    raises TypeError instead of being rounded into a filtration."""
+    with pytest.raises(TypeError):
+        Filtration(jumps, degree, "lower")
+    f = Filtration((("1/2", 1),), 2, "lower")
+    assert f.jumps == ((Fraction(1, 2), 1),)
+    for read in (lambda: herbrand_phi(f, 0.5), lambda: herbrand_psi(f, 0.5),
+                 lambda: compositum_conductor([1, 0.5]),
+                 lambda: tame_top_conductor(0.5)):
+        with pytest.raises(TypeError):
+            read()
+
+
 # -- composition laws ---------------------------------------------------------
 
 def test_compositum_tame_laws_100_random():

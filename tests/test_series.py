@@ -486,7 +486,7 @@ def test_tower_centre_needs_no_inverse(monkeypatch, args, case, note):
 def _count_tower_calls(monkeypatch):
     """Count Tower multiplications and inverses from now on."""
     calls = {"mul": 0, "inverse": 0}
-    mul, inverse = Tower._mul_coords, Tower.inverse
+    mul, inverse = Tower._mul_nums, Tower.inverse
 
     def counted_mul(self, *args):
         calls["mul"] += 1
@@ -496,7 +496,7 @@ def _count_tower_calls(monkeypatch):
         calls["inverse"] += 1
         return inverse(self, *args)
 
-    monkeypatch.setattr(Tower, "_mul_coords", counted_mul)
+    monkeypatch.setattr(Tower, "_mul_nums", counted_mul)
     monkeypatch.setattr(Tower, "inverse", counted_inverse)
     return calls
 

@@ -85,6 +85,63 @@ def test_benchmark_tracer_targets_exist():
     assert not missing, missing
 
 
+#: the integer kernel of tower.py, by qualified name: its arithmetic is on
+#: Python ints, where int / int is a float, so it divides by // or divmod
+INTEGER_KERNEL = (
+    "_element", "_reduced", "_mul", "_scale", "_add", "_common", "_lifted",
+    "_split_top", "_is_qth_power_local",
+    "TowerElement.__neg__", "TowerElement.__add__", "TowerElement.__sub__",
+    "TowerElement.__rsub__", "TowerElement.__mul__", "TowerElement.__pow__",
+    "TowerElement.__eq__", "TowerElement.__hash__",
+    "Tower.rational", "Tower.coerce", "Tower._mul_nums",
+    "Tower._product_entry", "Tower._accumulate", "Tower.norm",
+    "Tower.inverse", "Tower._monomial", "Tower.val",
+)
+
+
+def _functions(tree):
+    """{qualified name: node} of the module-level functions and methods."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out[f"{node.name}.{item.name}"] = item
+    return out
+
+
+def _true_divisions(node):
+    for sub in ast.walk(node):
+        if (isinstance(sub, (ast.BinOp, ast.AugAssign))
+                and isinstance(sub.op, ast.Div)):
+            yield sub.lineno
+
+
+def test_integer_kernel_has_no_true_division():
+    """The integer kernel of tower.py never divides with /: an int / int
+    would be a float.  A listed name that no longer exists fails too, so
+    the list follows renames."""
+    path = next(path for path in SOURCES if path.name == "tower.py")
+    functions = _functions(ast.parse(path.read_text(), str(path)))
+    missing = [name for name in INTEGER_KERNEL if name not in functions]
+    assert not missing, missing
+    found = [f"tower.py:{line}: / in {name}" for name in INTEGER_KERNEL
+             for line in _true_divisions(functions[name])]
+    assert not found, "\n".join(found)
+
+
+def test_division_checker_flags_both_forms():
+    src = ("def f(a, b):\n    return a / b\n\n"
+           "class C:\n    def g(self, a):\n        a /= 2\n"
+           "        return a // 2, divmod(a, 3)\n")
+    functions = _functions(ast.parse(src))
+    assert set(functions) == {"f", "C.g"}
+    assert list(_true_divisions(functions["f"])) == [2]
+    assert list(_true_divisions(functions["C.g"])) == [6]
+
+
 #: the os names that read the process environment
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 

@@ -1,9 +1,12 @@
 """Exact-valuation tower: frozen oracle values, certificate behavior, and
 arithmetic/valuation properties checked against independent oracles."""
 
+import fractions
 import itertools
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy as sp
@@ -113,6 +116,18 @@ def test_floats_refused_where_exact_inputs_are_read(bad):
             read()
     assert vp_rational("3/4", 2) == -2
     assert t.rational("3/4") == t.rational(Fraction(3, 4))
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5])
+def test_floats_refused_as_valuations(bad):
+    """A RatVal is built and compared from exact rationals only."""
+    with pytest.raises(TypeError):
+        RatVal(bad)
+    for compare in (lambda: RatVal(1) < bad, lambda: RatVal(1) >= bad,
+                    lambda: RatVal(1) + bad):
+        with pytest.raises(TypeError):
+            compare()
+    assert RatVal("1/2") == Fraction(1, 2) and RatVal(1) > Fraction(1, 2)
 
 
 def test_zero_radicand_rejected():
@@ -506,8 +521,17 @@ def _sparse_element(rng, tower):
         for b in rng.sample(basis, rng.randint(1, min(len(basis), 4)))})
 
 
+def _oracle_matrix(x):
+    """The multiplication matrix of x from the per-term product: column j
+    holds the coordinates of x * basis[j]."""
+    t = x.tower
+    basis, _ = t._basis()
+    cols = [_per_term_product(t, x.coords, {b: Fraction(1)}) for b in basis]
+    return [[col.get(b, Fraction(0)) for col in cols] for b in basis]
+
+
 def _det_norm(x):
-    return _det_fraction(x.tower._mul_matrix(x))
+    return _det_fraction(_oracle_matrix(x))
 
 
 def _solve_inverse(x):
@@ -515,22 +539,22 @@ def _solve_inverse(x):
     basis, index = t._basis()
     rhs = [Fraction(0)] * len(basis)
     rhs[index[(0,) * len(t.steps)]] = Fraction(1)
-    sol = _solve_fraction(t._mul_matrix(x), rhs)
+    sol = _solve_fraction(_oracle_matrix(x), rhs)
     return {basis[i]: c for i, c in enumerate(sol) if c}
 
 
 def _binary_power(x, k):
-    """x^k by binary powering of the generic product, through the solved
+    """x^k by binary powering of the per-term product, through the solved
     inverse for k < 0."""
     t = x.tower
     base = _solve_inverse(x) if k < 0 else x.coords
     result, k = {(0,) * len(t.steps): Fraction(1)}, abs(k)
     while k:
         if k & 1:
-            result = t._mul_coords(result, base)
+            result = _per_term_product(t, result, base)
         k >>= 1
         if k:
-            base = t._mul_coords(base, base)
+            base = _per_term_product(t, base, base)
     return result
 
 
@@ -574,8 +598,8 @@ def test_multi_term_rewrite_leaves_the_monomial_path():
     """A cyclotomic step rewrites zeta^deg to several terms: the monomial
     reduction declines, and the generic path gives the power."""
     t = cyclotomic_tower(3, 2)
-    assert t._monomial([6], Fraction(1)) is None
-    assert t._monomial([5], Fraction(1)).coords == {(5,): 1}
+    assert t._monomial([6], 1) is None
+    assert t._monomial([5], 1).coords == {(5,): 1}
     assert (t.gen() ** 9 - 1).is_zero()
 
 
@@ -595,9 +619,23 @@ def _per_term_product(t, c1, c2):
     """The product as it was computed term by term: every pair of terms
     rewritten by the step rules, coefficients summed as Fractions."""
     out = {}
+
+    def accumulate(exps, coeff):
+        for j in range(len(exps) - 1, -1, -1):
+            step = t.steps[j]
+            if exps[j] >= step.degree:
+                base = list(exps)
+                base[j] -= step.degree
+                for rexps, rnum in step.rewrite:
+                    rexps = rexps + (0,) * (len(exps) - len(rexps))
+                    accumulate(tuple(b + r for b, r in zip(base, rexps)),
+                               coeff * Fraction(rnum, step.rewrite_den))
+                return
+        out[exps] = out.get(exps, 0) + coeff
+
     for e1, a1 in c1.items():
         for e2, a2 in c2.items():
-            t._accumulate(out, tuple(x + y for x, y in zip(e1, e2)), a1 * a2)
+            accumulate(tuple(x + y for x, y in zip(e1, e2)), a1 * a2)
     return {k: c for k, c in out.items() if c}
 
 
@@ -649,8 +687,8 @@ def test_structure_constant_product_matches_the_per_term_product(name):
     t = KERNEL_TOWERS[name]()
     rng = random.Random(f"kernel:{name}")
     for c1, c2 in _operands(rng, t):
-        assert t._mul_coords(c1, c2) == _per_term_product(t, c1, c2), (
-            c1, c2)
+        product = TowerElement(t, c1) * TowerElement(t, c2)
+        assert product.coords == _per_term_product(t, c1, c2), (c1, c2)
 
 
 def test_fractional_rewrites_give_table_entries_of_several_denominators():
@@ -658,7 +696,7 @@ def test_fractional_rewrites_give_table_entries_of_several_denominators():
     for name in ("Q2(sqrt 1/2)", "Q3(sqrt 2/3)", "Q3(sqrt 1/3)(cbrt)"):
         t = KERNEL_TOWERS[name]()
         for c1, c2 in _operands(random.Random(f"kernel:{name}"), t):
-            t._mul_coords(c1, c2)
+            TowerElement(t, c1) * TowerElement(t, c2)
         assert len({den for den, _ in t._prod.values()}) > 1, name
 
 
@@ -670,8 +708,9 @@ def test_repeated_products_read_only_the_table(monkeypatch):
     t = base.adjoin_radical(2, base.gen() * 3)
     assert t._prod is not base._prod
     rng = random.Random("kernel-guard")
-    pairs = list(_operands(rng, t))
-    first = [t._mul_coords(c1, c2) for c1, c2 in pairs]
+    pairs = [(TowerElement(t, c1), TowerElement(t, c2))
+             for c1, c2 in _operands(rng, t)]
+    first = [x * y for x, y in pairs]
     calls = []
     accumulate = Tower._accumulate
 
@@ -680,8 +719,142 @@ def test_repeated_products_read_only_the_table(monkeypatch):
         return accumulate(self, *args)
 
     monkeypatch.setattr(Tower, "_accumulate", counted)
-    assert [t._mul_coords(c1, c2) for c1, c2 in pairs] == first
+    assert [x * y for x, y in pairs] == first
     assert calls == []
     basis, index = t._basis()
     assert len(t._prod) <= len(basis) ** 2
     assert all(e1 in index and e2 in index for e1, e2 in t._prod)
+
+
+# -- integer coordinates: one denominator per element -----------------------
+
+def _assert_reduced(x):
+    """The stored form of x: a positive int den over nonzero int numerators
+    on basis monomials, in lowest terms.  The type checks matter, as
+    Fraction(1, 2) == 0.5 lets a float pass an equality oracle."""
+    _, index = x.tower._basis()
+    assert type(x.den) is int and x.den > 0, x
+    assert all(type(n) is int and n for n in x.nums.values()), x
+    assert all(k in index for k in x.nums), x
+    assert gcd(x.den, *x.nums.values()) == 1, x
+
+
+def _fraction_sum(c1, c2, sign=1):
+    """The coordinates of c1 + sign c2, summed as Fractions."""
+    out = dict(c1)
+    for k, c in c2.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", KERNEL_TOWERS)
+def test_integer_coordinates_match_the_fraction_reference(name):
+    """Every operation of the integer representation against Fractions: the
+    per-term product, Fraction-dict sums, the determinant norm and the
+    solved inverse, with the stored form checked after each operation."""
+    t = KERNEL_TOWERS[name]()
+    rng = random.Random(f"integer-coords:{name}")
+    scalars = [0, 1, -6, 9, Fraction(3, 4), Fraction(-5, 9), Fraction(1, 6)]
+    for j, (c1, c2) in enumerate(_operands(rng, t)):
+        x, y = TowerElement(t, c1), TowerElement(t, c2)
+        for z in (x, y):
+            _assert_reduced(z)
+        assert x.coords == c1 and y.coords == c2
+        checks = [(x * y, _per_term_product(t, c1, c2)),
+                  (x + y, _fraction_sum(c1, c2)),
+                  (x - y, _fraction_sum(c1, c2, -1)),
+                  (-x, {k: -c for k, c in c1.items()})]
+        q = rng.choice(scalars)
+        checks.append((x * q, {k: c * q for k, c in c1.items() if q}))
+        checks.append((q * y, {k: c * q for k, c in c2.items() if q}))
+        if j % 4 == 0:
+            checks.append((x ** 3, _binary_power(x, 3)))
+        for got, want in checks:
+            _assert_reduced(got)
+            assert got.coords == want, (x, y, q)
+        if x.is_zero() or j % 3:
+            continue
+        inv = x.inverse()
+        _assert_reduced(inv)
+        assert inv.coords == _solve_inverse(x), x
+        n = _det_norm(x)
+        assert t.norm(x) == n and type(t.norm(x)) is Fraction, x
+        assert t.val(x) == vp_rational(n, t.p) / t.degree, x
+
+
+def test_equal_elements_hash_alike():
+    """Equal elements hash alike: a constant like its rational value, any
+    other element by its reduced (den, nums), however it was built."""
+    t = q2_i()
+    assert t.one() == 1 and hash(t.one()) == hash(1)
+    assert len({t.one(), 1}) == 1
+    assert t.zero() == 0 and hash(t.zero()) == hash(0)
+    half = t.rational(Fraction(1, 2))
+    quarters = t.rational(Fraction(2, 4))
+    assert quarters == half and hash(quarters) == hash(half)
+    assert hash(half) == hash(Fraction(1, 2)) and len({half, Fraction(1, 2)}) == 1
+    k3 = _k3()
+    x = 1 + k3.gen() * Fraction(3, 4) + k3.gen(0) * Fraction(5, 6)
+    for y in (x * 2 * Fraction(1, 2), TowerElement(k3, dict(x.coords)),
+              (x - Fraction(1, 3)) + Fraction(1, 3)):
+        _assert_reduced(y)
+        assert y == x and hash(y) == hash(x)
+        assert (y.den, y.nums) == (x.den, x.nums)
+    assert x != x * 2 and x != 1
+
+
+def test_inverse_cache_hits_an_equal_element_built_another_way(monkeypatch):
+    """The inverse cache is keyed by the reduced form, so the inverse of an
+    equal element, built another way, is the cached one: no second solve."""
+    t = make_tower(3, [(4, 3)])
+    g = t.gen(0)
+    x = 2 + g + g ** 2 * Fraction(1, 3)
+    first = x.inverse()
+    solves = []
+    solve = tower_module._solve_fraction
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(tower_module, "_solve_fraction", counted)
+    y = (x * 6 + 3) * Fraction(1, 6) - Fraction(1, 2)
+    assert y == x and y is not x
+    assert y.inverse() is first
+    assert solves == []
+    assert (x * 5).inverse() == first * Fraction(1, 5)
+    assert len(solves) == 1
+
+
+def test_warm_arithmetic_builds_no_fraction(monkeypatch):
+    """With the product table and the valuation cache warm, a product, a
+    sum, a difference, a negation, scalar multiples and a valuation with a
+    unique least term construct no Fraction in tower.py: they run in ints."""
+    base = Tower(2).adjoin_radical(2, -1)
+    t = base.adjoin_radical(2, base.gen() * 3)
+    x = TowerElement(t, {(0, 0): Fraction(4, 3), (1, 0): Fraction(-2, 9),
+                         (0, 1): Fraction(1, 5), (1, 1): Fraction(14, 15)})
+    y = TowerElement(t, {(0, 0): Fraction(5, 2), (1, 1): Fraction(3, 4)})
+    third = Fraction(1, 3)
+
+    def work():
+        return [x * y, x + y, x - y, -x, x * 6, 3 * y, x * third,
+                y * Fraction(-4, 7), t.val(x), t.val(y * 8)]
+
+    want = work()
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == fractions.__file__:
+            frame = frame.f_back
+        if frame.f_code.co_filename == tower_module.__file__:
+            built.append(frame.f_code.co_name)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert work() == want
+    assert built == []
+    t.rational("1/3")  # the counter sees a construction in tower.py
+    assert built == ["_exact_rational"]
