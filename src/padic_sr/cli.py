@@ -4,15 +4,11 @@ conductor certificates, prime-to-p signatures, and batch grids.
 All numeric output is exact: rationals are rendered as "num/den" strings.
 Exit codes: 0 success / all certified, 1 violations or failed certification,
 2 usage errors.
-
-Environment override: PADIC_SR_TRUNCATION (series truncation length, used
-when --truncation is not given).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -32,7 +28,7 @@ from .graph import (
     tail_invariant_checks,
     validate_structure,
 )
-from .metacyclic import MetacyclicSpec, signature_solver
+from .metacyclic import MetacyclicSpec, moduli_and_tails_note
 from .tower import check_prime
 
 
@@ -60,24 +56,12 @@ def _prime(ctx, param, value):
 
 
 def _check_truncation(p, truncation):
-    """The series truncation: --truncation, else PADIC_SR_TRUNCATION, else
-    None (the default).  One that is not an integer or is below p + 1 (the
+    """The --truncation, or None (the default).  One below p + 1 (the
     expansion needs c_p) is a usage error."""
-    ctx = click.get_current_context()
-    hint = "'--truncation'"
-    if truncation is None:
-        env = os.environ.get("PADIC_SR_TRUNCATION")
-        if not env:
-            return None
-        hint = "PADIC_SR_TRUNCATION"
-        try:
-            truncation = int(env)
-        except ValueError:
-            raise click.BadParameter(f"{env!r} is not an integer", ctx,
-                                     param_hint=hint) from None
-    if truncation < p + 1:
+    if truncation is not None and truncation < p + 1:
         raise click.BadParameter(f"{truncation} is below p + 1 = {p + 1}",
-                                 ctx, param_hint=hint)
+                                 click.get_current_context(),
+                                 param_hint="'--truncation'")
     return truncation
 
 
@@ -110,7 +94,7 @@ def analyze_cmd(p, n, a, b, truncation, json_path, dot_path):
     if dot_path:
         g = DecoratedGraph.from_json(report["graph"])
         with open(dot_path, "w") as fh:
-            fh.write(export_graph(g, "dot"))
+            fh.write(export_graph(g))
         click.echo(f"graph written to {dot_path}")
     sys.exit(0 if report["certified"] else 1)
 
@@ -183,14 +167,15 @@ def conductor_cmd(p, n, a, b):
 @click.option("--a2", type=int, required=True)
 @click.option("--a3", type=int, required=True)
 def signature_cmd(p, n, m, a1, a2, a3):
-    """Deformation-datum signatures for a nontrivial prime-to-p action."""
+    """Signatures, tails graph and moduli-field report for a nontrivial
+    prime-to-p action."""
     try:
-        spec = MetacyclicSpec(p, n, m, (a1, a2, a3))
-        sol = signature_solver(spec)
+        report = moduli_and_tails_note(MetacyclicSpec(p, n, m, (a1, a2, a3)))
     except ArtifactError as exc:
         _fail(exc)
-    _echo_json({"spec": spec.to_json(), "signature": sol.to_json()})
-    sys.exit(0)
+    _echo_json(report)
+    sys.exit(0 if report["vanishes_at_n"] and not report["graph_violations"]
+             else 1)
 
 
 def _batch_pairs(p, n):

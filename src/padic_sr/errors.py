@@ -52,18 +52,6 @@ class EmptyList(ArtifactError):
     pass
 
 
-class ConductorDivisibleByP(ArtifactError):
-    pass
-
-
-class TermDegreeDivisibleByP(ArtifactError):
-    pass
-
-
-class RadicandZero(ArtifactError):
-    pass
-
-
 class SearchInconclusive(ArtifactError):
     """The unit-filtration search could not settle an exact conductor.
 

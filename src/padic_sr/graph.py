@@ -506,11 +506,8 @@ def tail_invariant_checks(g: DecoratedGraph):
     return violations
 
 
-def export_graph(g: DecoratedGraph, format: str = "json"):
-    if format == "json":
-        return g.to_json()
-    if format != "dot":
-        raise ValueError("format must be json or dot")
+def export_graph(g: DecoratedGraph) -> str:
+    """The graph in Graphviz DOT."""
     lines = ["graph stable_reduction {"]
     for c in g.components:
         if c.kind == "augmented":

@@ -1,6 +1,7 @@
 """Covers with a nontrivial prime-to-p action: deformation-datum signatures
-at the branch points of the degree-m quotient cover, structure of p-solvable
-Galois groups with cyclic p-Sylow, and the moduli-field/tameness report.
+at the branch points of the degree-m quotient cover, the faithfulness of the
+Z/m action on the cyclic p-Sylow Z/p^n, and the moduli-field/tameness report
+that `padic-sr signature` prints.
 
 The quotient cover is z^m = (x - x_1)^a1 (x - x_2)^a2 (x - x_3)^a3 with
 a_1 + a_2 + a_3 = 0 (mod m); points with a_i = 0 (mod m) are the wild branch
@@ -123,25 +124,6 @@ def _check_faithful(p: int, n: int, m: int):
                 f"(Z/2^{n})^x has no cyclic subgroup of order {m}"
             )
     # for odd p the unit group is cyclic, so divisibility suffices
-
-
-def psolvable_quotient(p: int, n: int, m_G: int) -> dict:
-    """Structure of the relevant quotient of a p-solvable group with cyclic
-    p-Sylow Z/p^n: the semidirect product Z/p^n x| Z/m_G with faithful
-    conjugation action."""
-    check_prime(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_faithful(p, n, m_G)
-    if m_G == 1:
-        return {"quotient": f"Z/{p}^{n}", "m_G": 1,
-                "note": "cyclic case: no prime-to-p action"}
-    return {
-        "quotient": f"Z/{p}^{n} x| Z/{m_G}",
-        "m_G": m_G,
-        "faithful": True,
-        "note": "conjugation action of Z/m_G on Z/p^n is faithful",
-    }
 
 
 def tails_graph(spec: MetacyclicSpec, sol: SignatureSolution) -> DecoratedGraph:

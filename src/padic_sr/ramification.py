@@ -13,14 +13,12 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    ConductorDivisibleByP,
     EmptyList,
     MalformedFiltration,
-    RadicandZero,
     SearchInconclusive,
-    TermDegreeDivisibleByP,
+    ZeroRadicand,
 )
-from .jsonutil import parse_rat, ratstr
+from .jsonutil import ratstr
 from .tower import Tower, TowerElement, _exact_rational, unit_level
 
 
@@ -201,26 +199,6 @@ def tame_top_conductor(h) -> Fraction:
     return _exact_rational(h)
 
 
-def artin_schreier_genus(h: int, p: int) -> int:
-    if h < 1:
-        raise ValueError("conductor must be >= 1")
-    if h % p == 0:
-        raise ConductorDivisibleByP(f"h = {h} is divisible by p = {p}")
-    return (h - 1) * (p - 1) // 2
-
-
-def artin_schreier_conductor(degrees, p: int) -> int:
-    degrees = list(degrees)
-    if not degrees:
-        raise EmptyList("g has no terms")
-    for deg in degrees:
-        if deg % p == 0:
-            raise TermDegreeDivisibleByP(
-                f"term degree {deg} is divisible by p = {p}"
-            )
-    return max(degrees)
-
-
 # -- field towers ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -271,27 +249,6 @@ class FieldTower:
                 "steps": [s.to_json() for s in self.steps],
                 "meta": {k: v for k, v in self.meta}}
 
-    @classmethod
-    def from_json(cls, doc):
-        steps = []
-        for s in doc["steps"]:
-            cond = s.get("conductor")
-            cv = None
-            if cond is not None:
-                cv = ConductorValue(cond["kind"], parse_rat(cond["value"]))
-            if s["kind"] == "cyclotomic":
-                steps.append(TowerStep("cyclotomic", level=s["level"],
-                                       conductor=cv))
-            elif s["kind"] == "kummer":
-                steps.append(TowerStep("kummer", exponent=s["exponent"],
-                                       radicand=s.get("radicand", ""),
-                                       conductor=cv))
-            else:
-                steps.append(TowerStep("tame", level=s.get("degree", 0),
-                                       conductor=cv))
-        meta = tuple(sorted(doc.get("meta", {}).items()))
-        return cls(doc["prime"], tuple(steps), meta)
-
 
 # -- Kummer step conductors --------------------------------------------------
 
@@ -314,7 +271,7 @@ def kummer_step_conductor(level, u, m: int) -> ConductorValue:
     else:
         uu = tower.rational(u)
     if uu.is_zero():
-        raise RadicandZero("radicand is zero")
+        raise ZeroRadicand("radicand is zero")
     k = 0
     mm = m
     while mm % p == 0:
@@ -365,13 +322,3 @@ def cyclotomic_tower(p: int, level: int) -> Tower:
     if level < 1:
         raise ValueError("level must be >= 1")
     return Tower(p).adjoin_root_of_unity(p ** level)
-
-
-def conductor_over_base(p: int, n: int, h_sub) -> Fraction:
-    """Conductor over K_0 of an extension L/K_n with upper conductor h_sub
-    over K_n: max(n - 1, phi_{K_n/K_0}(h_sub))."""
-    h_sub = Fraction(h_sub)
-    if n == 0:
-        return h_sub
-    lower = cyclotomic_lower_filtration(p, n)
-    return max(Fraction(n - 1), herbrand_phi(lower, h_sub))

@@ -8,7 +8,7 @@ coefficients, stored as integers over one denominator: an element is a
 positive int `den` and a dict `nums` {exponent tuple: nonzero int}, in lowest
 terms (gcd(den, *nums) = 1), so equal elements have equal fields.  Every
 arithmetic operation reads and writes Python ints; `coords`, the Fraction
-view, is for serialization and tests.  Every step carries a
+view, is for repr and tests.  Every step carries a
 local-irreducibility certificate checked at construction:
 
   (a) Newton-polygon single segment whose slope has exact denominator equal to
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, isqrt, lcm
@@ -69,10 +68,7 @@ from .errors import (
     ZeroElement,
     ZeroRadicand,
 )
-from .jsonutil import parse_rat, ratstr
-
-INF = object()  # sentinel for v(0); public API raises ZeroElement instead
-
+from .jsonutil import ratstr
 
 @lru_cache(maxsize=64)  # asked once per v_p and once per tower step
 def _is_prime(p: int) -> bool:
@@ -135,49 +131,6 @@ def _prime_factors(m: int):
     if m > 1:
         out.append(m)
     return out
-
-
-@dataclass(frozen=True)
-class RatVal:
-    """An exact rational p-adic valuation, normalized so v(p) = 1."""
-
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _exact_rational(self.value))
-
-    def __lt__(self, other):
-        return self.value < _val_of(other)
-
-    def __le__(self, other):
-        return self.value <= _val_of(other)
-
-    def __gt__(self, other):
-        return self.value > _val_of(other)
-
-    def __ge__(self, other):
-        return self.value >= _val_of(other)
-
-    def __eq__(self, other):
-        return self.value == _val_of(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __add__(self, other):
-        return RatVal(self.value + _val_of(other))
-
-    def __sub__(self, other):
-        return RatVal(self.value - _val_of(other))
-
-    def __repr__(self):
-        return f"RatVal({ratstr(self.value)})"
-
-
-def _val_of(x):
-    if isinstance(x, RatVal):
-        return x.value
-    return _exact_rational(x)
 
 
 class Step:
@@ -285,7 +238,8 @@ class TowerElement:
 
     def __hash__(self):
         """A constant hashes like its rational value, as it compares equal
-        to it; any other element by its reduced (den, nums)."""
+        to it; any other element by its den and its terms with the trailing
+        zero exponents dropped, which lifting into a higher tower appends."""
         nums = self.nums
         if not nums:
             return 0
@@ -293,16 +247,14 @@ class TowerElement:
             (exps, n), = nums.items()
             if not any(exps):
                 return hash(n if self.den == 1 else Fraction(n, self.den))
-        return hash((self.den, frozenset(nums.items())))
+        return hash((self.den, frozenset((_unpadded(exps), n)
+                                         for exps, n in nums.items())))
 
     def is_zero(self):
         return not self.nums
 
     def inverse(self):
         return self.tower.inverse(self)
-
-    def valuation(self) -> RatVal:
-        return self.tower.valuation(self)
 
     def __repr__(self):
         if not self.nums:
@@ -317,6 +269,14 @@ class TowerElement:
             )
             parts.append(f"{ratstr(c)}" + (f"*{mono}" if mono else ""))
         return "<" + " + ".join(parts) + ">"
+
+
+def _unpadded(exps):
+    """exps without its trailing zeros."""
+    k = len(exps)
+    while k and not exps[k - 1]:
+        k -= 1
+    return exps[:k]
 
 
 _new_element = object.__new__
@@ -639,9 +599,6 @@ class Tower:
 
     # -- valuation -----------------------------------------------------------
 
-    def valuation(self, elem) -> RatVal:
-        return RatVal(self.val(elem))
-
     def val(self, elem) -> Fraction:
         """The exact valuation of a nonzero element, as a bare Fraction.
 
@@ -813,46 +770,6 @@ class Tower:
         # Unknown: the step might be unramified or ramified undetected.
         self.ram_exact = False
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        basis_by_level = []
-        for j in range(len(self.steps)):
-            ranges = [range(s.degree) for s in self.steps[:j]]
-            basis_by_level.append(list(itertools.product(*ranges)) if j else [()])
-        steps = []
-        for j, s in enumerate(self.steps):
-            if s.kind == "radical":
-                basis = basis_by_level[j]
-                coords = [ratstr(s.radicand.coords.get(b, Fraction(0)))
-                          for b in basis]
-                steps.append({"name": s.name, "exponent": s.degree,
-                              "radicand": coords})
-            else:
-                steps.append({"name": s.name, "exponent": s.degree,
-                              "radicand": None, "kind": "cyclotomic",
-                              "order": _cyclo_order(self.p, s.degree)})
-        return {"prime": self.p, "steps": steps}
-
-    @classmethod
-    def from_json(cls, doc) -> "Tower":
-        t = cls(doc["prime"])
-        for s in doc["steps"]:
-            if s.get("kind") == "cyclotomic":
-                t = t.adjoin_root_of_unity(s["order"], name=s["name"])
-                continue
-            ranges = [range(st.degree) for st in t.steps]
-            basis = list(itertools.product(*ranges)) if t.steps else [()]
-            coords = {}
-            for b, c in zip(basis, s["radicand"]):
-                c = parse_rat(c)
-                if c:
-                    coords[b] = c
-            t = t.adjoin_radical(
-                s["exponent"], TowerElement(t, coords), name=s["name"]
-            )
-        return t
-
 
 def _lifted(rad):
     """The terms of the radicand rad with the new generator's exponent 0
@@ -870,77 +787,14 @@ def _split_top(lower, terms, den):
     return _reduced(lower, den, h[0]), _reduced(lower, den, h[1])
 
 
-def _cyclo_order(p, deg):
-    # deg = (p-1) p^(k-1)  =>  order = p^k
-    k = 1
-    while (p - 1) * p ** (k - 1) < deg:
-        k += 1
-    return p ** k
-
-
-# -- public constructors per the external contract ---------------------------
-
-def make_tower(p: int, steps) -> Tower:
-    """Build a tower over Q with the given prime and radical steps.
-
-    steps: iterable of (m, radicand) where radicand is a rational or a
-    TowerElement of the tower built so far.
-    """
-    t = Tower(p)
-    for m, rad in steps:
-        t = t.adjoin_radical(m, rad)
-    return t
-
-
-def valuation(elem: TowerElement) -> RatVal:
-    return elem.tower.valuation(elem)
-
-
-def is_mth_power(u, m: int, p: int | None = None) -> bool:
-    """Decide whether u (a rational, or a TowerElement with rational value)
-    is an m-th power in Q_p.
-
-    Valuation divisibility plus a brute-force Hensel witness search modulo
-    p^(2 v_p(m) + 1) for odd p, modulo 2^(2 v_2(m) + 3) for p = 2.
-    """
-    if isinstance(u, TowerElement):
-        if p is None:
-            p = u.tower.p
-        if any(any(e for e in exps) for exps in u.coords):
-            raise ValueError("is_mth_power expects an element over the base "
-                             "rationals")
-        u = next(iter(u.coords.values())) if u.coords else Fraction(0)
-    if p is None:
-        raise ValueError("prime p required for rational input")
-    u = _exact_rational(u)
-    if u == 0:
-        raise ZeroElement("0 has no well-defined power class")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    v = vp_rational(u, p)
-    if v % m != 0:
-        return False
-    u0 = u / Fraction(p) ** int(v)
-    k = 0
-    mm = m
-    while mm % p == 0:
-        mm //= p
-        k += 1
-    modulus = p ** (2 * k + 1) if p != 2 else 2 ** (2 * k + 3)
-    num = u0.numerator % modulus
-    den_inv = pow(u0.denominator, -1, modulus)
-    target = (num * den_inv) % modulus
-    return any(pow(x, m, modulus) == target for x in range(modulus))
-
-
 def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
     """Is the unit u a q-th power in the completion of the tower at p?
 
-    Over Q this is the spec'd rational test.  Over an extension the witnesses
-    are the candidates x = sum a_b b, with b over the monomial basis and
-    integers 0 <= a_b < p^depth, and u counts as a q-th power when some
-    candidate has v(x^q - u) >= threshold = (2 v_pi(q) + 1)/e.  The basis
-    spans the residue ring for the towers built here.
+    The witnesses are the candidates x = sum a_b b, with b over the
+    monomial basis (the single monomial 1 over Q) and integers
+    0 <= a_b < p^depth, and u counts as a q-th power when some candidate has
+    v(x^q - u) >= threshold = (2 v_pi(q) + 1)/e.  The basis spans the
+    residue ring for the towers built here.
 
     The coordinates are fixed one p-adic digit at a time.  A truncation x_k
     (digits 0..k) is extended by every c p^(k+1), c in {0..p-1}^D.  Each
@@ -961,8 +815,6 @@ def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
     truncation and level.
     """
     p = tower.p
-    if not tower.steps:
-        return is_mth_power(next(iter(u.coords.values())), q, p)
     if not tower.ram_exact:
         raise IrreducibilityUnverified(
             "q-th power test needs an exact ramification index"

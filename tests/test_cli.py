@@ -7,7 +7,13 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from padic_sr import cli
 from padic_sr.cli import main
+from padic_sr.metacyclic import (
+    MetacyclicSpec,
+    moduli_and_tails_note,
+    signature_solver,
+)
 
 
 @pytest.fixture
@@ -98,10 +104,31 @@ def test_signature_subcommand(runner):
     doc = json.loads(res.output)
     sig = [pt["sigma"] for pt in doc["signature"]["points"]]
     assert sig == ["1/2", "1/2", "0"]
+    spec = MetacyclicSpec(5, 1, 2, (1, 1, 0))
+    assert doc["spec"] == spec.to_json()
+    assert doc["signature"] == signature_solver(spec).to_json()
+    assert doc == json.loads(json.dumps(moduli_and_tails_note(spec)))
+    assert doc["vanishes_at_n"] is True and doc["graph_violations"] == []
     res = runner.invoke(main, ["signature", "--p", "5", "--n", "1", "--m",
                                "3", "--a1", "1", "--a2", "2", "--a3", "0"])
     assert res.exit_code == 1
     assert "NotFaithful" in res.output
+
+
+@pytest.mark.parametrize("vanishes,violations", [
+    (False, []), (True, [("no-new-or-inseparable", "T1 is a new tail")])])
+def test_signature_exits_1_unless_the_report_holds(runner, monkeypatch,
+                                                   vanishes, violations):
+    def report(spec):
+        doc = moduli_and_tails_note(spec)
+        doc.update(vanishes_at_n=vanishes, graph_violations=violations)
+        return doc
+
+    monkeypatch.setattr(cli, "moduli_and_tails_note", report)
+    res = runner.invoke(main, ["signature", "--p", "5", "--n", "1", "--m",
+                               "2", "--a1", "1", "--a2", "1", "--a3", "0"])
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.output)["vanishes_at_n"] is vanishes
 
 
 def test_batch_table(runner):
@@ -157,33 +184,6 @@ def test_bad_parameters_are_usage_errors(runner, args, message):
     errors = [line for line in res.output.splitlines()
               if line.startswith("Error:")]
     assert errors == [f"Error: {message}"]
-
-
-COVER_COMMANDS = (
-    ["analyze", "--p", "5", "--n", "1", "--a", "1", "--b", "1"],
-    ["certify", "--p", "5", "--n", "1", "--a", "1", "--b", "1"],
-    ["batch", "--p", "5", "--n-max", "1"],
-)
-
-
-@pytest.mark.parametrize("env,message", [
-    ("3", "3 is below p + 1 = 6"),
-    ("x", "'x' is not an integer"),
-    ("1.5", "'1.5' is not an integer"),
-])
-def test_bad_truncation_env_is_usage_error(runner, env, message):
-    """A PADIC_SR_TRUNCATION that is not an integer or is below p + 1 exits
-    2 on every command that expands a series; --truncation overrides it."""
-    for args in COVER_COMMANDS:
-        res = runner.invoke(main, args, env={"PADIC_SR_TRUNCATION": env})
-        assert res.exit_code == 2, res.output
-        errors = [line for line in res.output.splitlines()
-                  if line.startswith("Error:")]
-        assert errors == [
-            f"Error: Invalid value for PADIC_SR_TRUNCATION: {message}"]
-        res = runner.invoke(main, args + ["--truncation", "12"],
-                            env={"PADIC_SR_TRUNCATION": env})
-        assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("text", ["not json", "[]", '{"prime": 5}',

@@ -124,7 +124,7 @@ def test_json_signatures_are_copied(emitted):
 
 def test_dot_export(emitted):
     spec, g = emitted
-    dot = export_graph(g, "dot")
+    dot = export_graph(g)
     assert dot.startswith("graph ")
     assert dot.count("{") == dot.count("}") == 1
     n_edges = sum(1 for line in dot.splitlines() if " -- " in line)

@@ -12,7 +12,6 @@ from padic_sr.errors import NoSolution, NotFaithful
 from padic_sr.metacyclic import (
     MetacyclicSpec,
     moduli_and_tails_note,
-    psolvable_quotient,
     signature_solver,
     tails_graph,
 )
@@ -37,7 +36,8 @@ def test_solver_oracles():
     assert sol.sigmas() == (Fraction(1, 3), Fraction(2, 3), Fraction(0))
 
 
-@pytest.mark.parametrize("p,n", [(4, 1), (1, 1), (9, 2), (5, 0)])
+@pytest.mark.parametrize("p,n", [(4, 1), (1, 1), (0, 2), (9, 2), (5, 0),
+                                 (3, -1)])
 def test_spec_refuses_non_prime_p_and_n_below_1(p, n):
     with pytest.raises(ValueError):
         MetacyclicSpec(p, n, 2, (1, 1, 0))
@@ -105,24 +105,15 @@ def test_uniqueness_of_window_representative():
             assert len(window) == 1
 
 
-def test_psolvable_quotient():
-    rep = psolvable_quotient(5, 1, 4)
-    assert rep["m_G"] == 4 and rep["faithful"]
-    assert psolvable_quotient(5, 2, 1)["quotient"] == "Z/5^2"
+def test_spec_checks_faithfulness():
+    """m must be the order of a cyclic subgroup of (Z/p^n)^x."""
+    for p, n, m in [(5, 1, 4), (2, 4, 4), (3, 2, 6)]:
+        MetacyclicSpec(p, n, m, (1, m - 1, 0))
     with pytest.raises(NotFaithful):
-        psolvable_quotient(5, 1, 3)  # 3 does not divide 4
+        MetacyclicSpec(5, 1, 3, (1, 2, 0))  # 3 does not divide 4
     with pytest.raises(NotFaithful):
-        psolvable_quotient(2, 4, 8)  # (Z/16)^x has no cyclic order-8 subgroup
-    assert psolvable_quotient(2, 4, 4)["faithful"]
-    assert psolvable_quotient(3, 2, 6)["faithful"]
-
-
-@pytest.mark.parametrize("p,n", [(4, 1), (1, 1), (0, 2), (9, 2), (5, 0),
-                                 (3, -1)])
-def test_psolvable_quotient_refuses_non_prime_p_and_n_below_1(p, n):
-    """As MetacyclicSpec does: no Z/4^1 x| Z/3 or Z/1^1 x| Z/3 answer."""
-    with pytest.raises(ValueError):
-        psolvable_quotient(p, n, 3)
+        # (Z/16)^x has no cyclic order-8 subgroup
+        MetacyclicSpec(2, 4, 8, (1, 7, 0))
 
 
 def test_tails_graph_satisfies_vanishing_cycles():

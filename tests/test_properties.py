@@ -49,9 +49,6 @@ def test_analyze_is_total_and_deterministic(args):
 SMALL = st.integers(-2, 13)  # p, n, m: zero, negatives and non-primes too
 EXPONENT = st.integers(-12, 12)
 TRUNCATION = st.one_of(st.none(), st.integers(-2, 40))
-#: PADIC_SR_TRUNCATION: unset, an integer in the truncation range, or junk
-TRUNCATION_ENV = st.one_of(st.none(), st.integers(-2, 40).map(str),
-                           st.sampled_from(("", "x", "1.5")))
 GRAPH_EDITS = ("none", "drop-edge", "drop-component", "inertia", "not-json",
                "list", "empty-object")
 
@@ -82,14 +79,13 @@ def _graph_text(edit, pick, value):
 
 @st.composite
 def cli_calls(draw):
-    """(argv, PADIC_SR_TRUNCATION, graph file text) of one padic-sr call."""
+    """(argv, graph file text) of one padic-sr call."""
     cmd = draw(st.sampled_from(("analyze", "certify", "conductor",
                                 "signature", "batch", "validate-graph")))
-    env = draw(TRUNCATION_ENV)
     if cmd == "validate-graph":
         text = _graph_text(draw(st.sampled_from(GRAPH_EDITS)),
                            draw(st.integers(0, 20)), draw(EXPONENT))
-        return [cmd, "graph.json"], env, text
+        return [cmd, "graph.json"], text
     p, n = draw(SMALL), draw(SMALL)
     if cmd == "batch":
         args = ["--p", p, "--n-max", n]
@@ -103,7 +99,7 @@ def cli_calls(draw):
         truncation = draw(TRUNCATION)
         if truncation is not None:
             args += ["--truncation", truncation]
-    return [cmd] + [str(x) for x in args], env, None
+    return [cmd] + [str(x) for x in args], None
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -111,14 +107,13 @@ def cli_calls(draw):
 def test_cli_exits_cleanly(call):
     """Every subcommand, on bounded integer parameters, exits 0, 1 or 2
     without letting any exception but SystemExit escape."""
-    argv, env, text = call
+    argv, text = call
     runner = CliRunner()
     with runner.isolated_filesystem():
         if text is not None:
             with open("graph.json", "w") as fh:
                 fh.write(text)
-        res = runner.invoke(main, argv, env={"PADIC_SR_TRUNCATION": env})
+        res = runner.invoke(main, argv)
     assert res.exception is None or isinstance(res.exception, SystemExit), (
-        argv, env, res.output,
-        "".join(traceback.format_exception(res.exception)))
-    assert res.exit_code in (0, 1, 2), (argv, env, res.output)
+        argv, res.output, "".join(traceback.format_exception(res.exception)))
+    assert res.exit_code in (0, 1, 2), (argv, res.output)

@@ -9,21 +9,16 @@ from math import gcd, lcm
 import pytest
 
 from padic_sr.errors import (
-    ConductorDivisibleByP,
     EmptyList,
     MalformedFiltration,
     SearchInconclusive,
-    TermDegreeDivisibleByP,
 )
 from padic_sr.ramification import (
     ConductorValue,
     FieldTower,
     Filtration,
     TowerStep,
-    artin_schreier_conductor,
-    artin_schreier_genus,
     compositum_conductor,
-    conductor_over_base,
     cyclotomic_filtration,
     cyclotomic_lower_filtration,
     cyclotomic_tower,
@@ -224,21 +219,6 @@ def test_compositum_tame_laws_100_random():
         compositum_conductor([])
 
 
-def test_artin_schreier_formulas():
-    assert artin_schreier_genus(2, 5) == 2
-    assert artin_schreier_genus(1, 7) == 0
-    assert artin_schreier_genus(3, 5) == 4
-    # h must be prime to p: the formula's hypothesis is enforced
-    with pytest.raises(ConductorDivisibleByP):
-        artin_schreier_genus(3, 3)
-    assert artin_schreier_conductor([1, 2], 5) == 2
-    assert artin_schreier_conductor([7], 3) == 7
-    with pytest.raises(TermDegreeDivisibleByP):
-        artin_schreier_conductor([3], 3)
-    with pytest.raises(EmptyList):
-        artin_schreier_conductor([], 3)
-
-
 # -- Kummer step conductors ---------------------------------------------------
 
 def test_kummer_step_conductor_facts():
@@ -277,18 +257,17 @@ def test_kummer_step_conductor_needs_exact_ramification():
         kummer_step_conductor(K, 3, 5)
 
 
-def test_conductor_over_base():
-    assert conductor_over_base(3, 2, 3) == Fraction(7, 6)
-    # h below the tame part stays as the cyclotomic part's max
-    assert conductor_over_base(3, 3, 0) == Fraction(2)
-
-
-def test_field_tower_json_roundtrip():
+def test_field_tower_to_json():
     ft = FieldTower(3, (TowerStep("cyclotomic", level=2),
                         TowerStep("kummer", exponent=3, radicand="a/(a+b)",
                                   conductor=ConductorValue("exact",
                                                            Fraction(3, 2))),
                         TowerStep("tame")),
                     (("case", "iii"), ("n", 2)))
-    doc = ft.to_json()
-    assert FieldTower.from_json(doc) == ft
+    assert ft.to_json() == {
+        "prime": 3,
+        "steps": [{"kind": "cyclotomic", "level": 2},
+                  {"kind": "kummer", "exponent": 3, "radicand": "a/(a+b)",
+                   "conductor": {"kind": "exact", "value": "3/2"}},
+                  {"kind": "tame", "degree": 0}],
+        "meta": {"case": "iii", "n": 2}}

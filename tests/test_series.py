@@ -30,7 +30,8 @@ from padic_sr.series import (
     expand_disk,
     tail_bound,
 )
-from padic_sr.tower import Tower, TowerElement, make_tower, vp_rational
+from padic_sr.tower import Tower, TowerElement, vp_rational
+from tower_helpers import make_tower
 
 
 def _spec(p, n, a, b, s):
@@ -99,17 +100,13 @@ def _reference_tail_bound(p, n, s, v_e, l, vp_table):
                                 for j in range(1, l + 1)])
 
 
-def test_default_truncation_env(monkeypatch):
-    """The library's default is max(p + 1, 2p) whatever the environment
-    says; PADIC_SR_TRUNCATION is resolved by the CLI alone."""
+def test_default_truncation():
+    """The library's default truncation is max(p + 1, 2p)."""
     assert default_truncation(5) == 10
     assert default_truncation(2) == 4
-    for value in ("17", "junk", "3"):
-        monkeypatch.setenv("PADIC_SR_TRUNCATION", value)
-        assert default_truncation(5) == 10
-        assert expand_disk(_spec(5, 1, 1, 1, 1),
-                           make_tower(5, []).rational(Fraction(1, 2)),
-                           Fraction(1, 5)).truncation == 10
+    assert expand_disk(_spec(5, 1, 1, 1, 1),
+                       make_tower(5, []).rational(Fraction(1, 2)),
+                       Fraction(1, 5)).truncation == 10
 
 
 def test_binom_falling():

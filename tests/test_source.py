@@ -1,7 +1,9 @@
-"""Static check of the package source: the certification path has no floats.
+"""Static checks of the package source, each on its ast.
 
-Every module of padic_sr is parsed with ast; float literals, float(...)
-calls, float-valued math functions and fractional powers are refused.
+The certification path has no floats: float literals, float(...) calls,
+float-valued math functions and fractional powers are refused.  No module
+reads the environment, every public name has a caller (or a listed reason),
+and every error class has a raise site.
 """
 
 import ast
@@ -10,6 +12,8 @@ import importlib.util
 from pathlib import Path
 
 import padic_sr
+from padic_sr import errors
+from padic_sr.errors import ArtifactError
 
 #: math functions that return floats
 FLOAT_MATH = {"log", "log2", "log10", "log1p", "sqrt", "exp", "pow"}
@@ -160,13 +164,108 @@ def _environment_reads(tree):
                     yield node.lineno, f"from os import {alias.name}"
 
 
-def test_only_the_cli_reads_the_environment():
-    """PADIC_SR_TRUNCATION and any other variable are resolved by the CLI
-    and passed down as arguments; the library reads no environment."""
+def test_no_module_reads_the_environment():
+    """Every setting is a CLI option or an argument; no module, the CLI
+    included, reads an environment variable."""
     found = [f"{path.name}:{line}: {what}"
-             for path in SOURCES if path.name != "cli.py"
+             for path in SOURCES
              for line, what in _environment_reads(ast.parse(path.read_text(),
                                                             str(path)))]
     assert not found, "\n".join(found)
-    cli = next(path for path in SOURCES if path.name == "cli.py")
-    assert list(_environment_reads(ast.parse(cli.read_text())))
+
+
+def test_environment_checker_flags_each_form():
+    src = ("import os\nfrom os import getenv\nx = os.environ['A']\n"
+           "y = os.getenv('B')\n")
+    assert [what for _, what in _environment_reads(ast.parse(src))] == [
+        "from os import getenv", "environ", "getenv"]
+    assert not list(_environment_reads(ast.parse("import os\nos.sep\n")))
+
+
+#: public names with no caller outside their own module, src/padic_sr/
+#: __init__.py and perfbench/, each with the reason it stays public
+PUBLIC_WITHOUT_CALLER = {
+    # return types of public functions
+    "CoverSpec": "return type of branch_signature",
+    "DiskExpansion": "return type of expand_disk",
+    "SignatureSolution": "return type of signature_solver",
+    # the acceptance contract
+    "cyclotomic_filtration": "imported by test_acceptance.py",
+    "herbrand_convert": "imported by test_acceptance.py",
+    "herbrand_psi": "imported by test_acceptance.py",
+    "quotient_spec": "imported by test_acceptance.py",
+    "signature_solver": "imported by test_acceptance.py",
+    # the report
+    "inseparable_tails": "the report's inseparable_tails; analyze reaches "
+                         "it through _report_shape in its own module",
+}
+
+PERFBENCH = TRACER.parent
+
+
+def _referenced_names(path):
+    """Every name, attribute, imported name and string constant of a module:
+    the benchmark tracer wraps functions by their names as strings."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in padic_sr.__all__ is used by another package module or
+    by the benchmark, or is listed, with its reason, in
+    PUBLIC_WITHOUT_CALLER.  A listed name that gains a caller or leaves
+    __all__ fails too, so the list cannot go stale."""
+    used_in = {path.stem: _referenced_names(path) for path in SOURCES
+               if path.name != "__init__.py"}
+    benchmark = set().union(*(_referenced_names(path)
+                              for path in PERFBENCH.glob("*.py")))
+    callers = {}
+    for name in padic_sr.__all__:
+        home = getattr(padic_sr, name).__module__.rpartition(".")[2]
+        callers[name] = ([stem for stem, names in used_in.items()
+                          if stem != home and name in names]
+                         + (["perfbench"] if name in benchmark else []))
+    unused = sorted(name for name, where in callers.items()
+                    if not where and name not in PUBLIC_WITHOUT_CALLER)
+    assert not unused, f"public names without a caller: {unused}"
+    stale = sorted(name for name in PUBLIC_WITHOUT_CALLER
+                   if callers.get(name, ["not in __all__"]))
+    assert not stale, f"stale PUBLIC_WITHOUT_CALLER entries: {stale}"
+
+
+def _raised_names(tree):
+    """Names of the exceptions raised in a module: raise X or raise X(...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    """Every ArtifactError subclass in errors.py has a raise site in the
+    package, so no error class outlives its producer."""
+    raised = set().union(*(_raised_names(ast.parse(path.read_text(),
+                                                   str(path)))
+                           for path in SOURCES))
+    classes = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, ArtifactError)
+               and obj is not ArtifactError]
+    assert "ZeroRadicand" in classes
+    missing = [name for name in classes if name not in raised]
+    assert not missing, f"error classes never raised: {missing}"
+
+
+def test_raise_checker_reads_both_forms():
+    src = ("def f():\n    raise KeyError\n\ndef g():\n"
+           "    raise ValueError('x') from None\n\ndef h():\n    raise\n")
+    assert list(_raised_names(ast.parse(src))) == ["KeyError", "ValueError"]
