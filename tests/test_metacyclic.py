@@ -36,11 +36,19 @@ def test_solver_oracles():
     assert sol.sigmas() == (Fraction(1, 3), Fraction(2, 3), Fraction(0))
 
 
-@pytest.mark.parametrize("p,n", [(4, 1), (1, 1), (0, 2), (9, 2), (5, 0),
-                                 (3, -1)])
+@pytest.mark.parametrize("p,n", [(4, 1), (1, 1), (9, 2), (5, 0)])
 def test_spec_refuses_non_prime_p_and_n_below_1(p, n):
     with pytest.raises(ValueError):
         MetacyclicSpec(p, n, 2, (1, 1, 0))
+
+
+@pytest.mark.parametrize("p,n", [(4, 1), (1, 1), (0, 2), (9, 2), (5, 0),
+                                 (3, -1)])
+def test_psolvable_quotient_refuses_non_prime_p_and_n_below_1(p, n):
+    """No p-solvable quotient Z/4^1 x| Z/3 or Z/1^1 x| Z/3: the spec of
+    Z/p^n x| Z/3 refuses a non-prime p and n < 1."""
+    with pytest.raises(ValueError):
+        MetacyclicSpec(p, n, 3, (1, 2, 0))
 
 
 def test_all_zero_rejected():
