@@ -152,8 +152,11 @@ def _cube_radicand(n: int, s: int, b: int) -> Fraction:
 # -- fields built once -------------------------------------------------------
 # A Tower never changes once built (adjoining returns a new tower), so a field
 # that depends on p alone is built, with its certificates, once per process
-# and shared by every cover.  The case (iii) cube root and the case (v)
-# fields depend on the cover and are built once per cover.  The rational
+# and shared by every cover, and so is v(1+i) in Q_2(i).  The case (iii) cube
+# root and the case (v) fields depend on the cover and are built once per
+# cover; adjoining a case (v) w reads its unit-radicand certificate from the
+# class table of Q_2(i) once the residue class of b' has been seen.  The
+# case (v) conductor facts are closed forms and build no d_j.  The rational
 # centre of cases (i), (ii) and (iv) needs no field: its disk is exact data
 # (new_tail_locus).  The graph half of the report (the graph, its checks and
 # the inseparable tails) depends on (p, n, s) alone and is computed once per
@@ -189,23 +192,44 @@ def _centre_field(b_odd: int, c: int):
     return t, t.gen(1)
 
 
-def _p2_center(n: int, s: int, a: int, b: int, j: int):
-    """(tower, d_j) for the case (v) centre d_j = a/(a+b) + sqrt(2^(n-j) b i)
-    / (a+b)^2.  The square root is (1+i)^k w_k with k = 2n - s - j and
-    w_k^2 = (-i)^k b' i, b' = b/2^(n-s) odd, as (1+i)^2 = 2i.
+@cache
+def _v_one_plus_i() -> Fraction:
+    """v(1 + i) in Q_2(i), computed once per process."""
+    t = q2_i()
+    return t.val(1 + t.gen(0))
+
+
+def _p2_offset(n: int, s: int, a: int, b: int, j: int):
+    """(tower, w, k, a/(a+b)) of the case (v) centre d_j = a/(a+b) + R_j,
+    R_j = sqrt(2^(n-j) b i) / (a+b)^2.  The square root is (1+i)^k w_k with
+    k = 2n - s - j and w_k^2 = (-i)^k b' i, b' = b/2^(n-s) odd, as
+    (1+i)^2 = 2i.
 
     As (-i)^2 = -1, w_k = i^((k-c)/2) w_c for c = k mod 2, so the field
-    Q_2(i)(w_k) depends only on (k mod 2, b').  new_tail_locus (j = 0) and
-    every d_j of conductor_bound share it through the memo of _centre_field:
-    a cover adjoins at most two w's, over the one Q_2(i).  Either root w_k
+    Q_2(i)(w_k) depends only on (k mod 2, b'), and R_j (a+b)^2 =
+    (1+i)^k i^(k//2) w_c = (-2)^(k//2) (1+i)^(k%2) w_c (_p2_center).
+    new_tail_locus (j = 0) and every j of conductor_bound share the field
+    through the memo of _centre_field: a cover adjoins at most two w's,
+    over the one Q_2(i).  Either root w_k
     gives the same report, since w -> -w fixes Q_2(i) and the valuation of
     the field is unique, so every valuation of the expansion and of
     conductor_bound is the same at both."""
     k = 2 * n - s - j
     t, w = _centre_field(b // 2 ** (n - s), k % 2)
-    i = t.gen(0)
-    root = ((1 + i) ** k) * (i ** ((k // 2) % 4)) * w
-    return t, t.rational(Fraction(a, a + b)) + root * Fraction(1, (a + b) ** 2)
+    return t, w, k, Fraction(a, a + b)
+
+
+def _p2_center(n: int, s: int, a: int, b: int, j: int):
+    """(tower, d_j) for the case (v) centre d_j of _p2_offset.  The root
+    R_j (a+b)^2 = (1+i)^k i^(k//2) w_c is built as (-2)^(k//2) (1+i)^(k%2)
+    w_c: since (1+i)^2 = 2i, (1+i)^(2h) i^h = (2i)^h i^h = (-2)^h.  That is
+    one product by 1 + i when k is odd and one scalar multiple, with no
+    binary powering."""
+    t, w, k, centre = _p2_offset(n, s, a, b, j)
+    if k % 2:
+        w = w + t.gen(0) * w
+    root = w * (-2) ** (k // 2)
+    return t, t.rational(centre) + root * Fraction(1, (a + b) ** 2)
 
 
 # -- the new etale tail ------------------------------------------------------
@@ -569,13 +593,25 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
             if not ok:
                 raise CertificationFailed(f"square class of 2^(n-{j}) b i "
                                           f"disagrees with l({j}) = {ell}")
-            tw, dj = _p2_center(n, s, a, b, j)
+            # d_j = a/(a+b) + R_j with R_j (a+b)^2 = (-2)^(k//2)
+            # (1+i)^(k%2) w_c (_p2_center): every fact is v(R_j) plus the
+            # valuation of a rational, and no d_j is built
+            tw, w, k, centre = _p2_offset(n, s, a, b, j)
+            v_r = (k // 2 + k % 2 * _v_one_plus_i() + tw.val(w)
+                   + vp_rational(Fraction(1, (a + b) ** 2), 2))
+            # d_j - 1 = R_j + (a/(a+b) - 1).  The w step admits only odd b',
+            # so v(R_j) = k/2 - 2 v_2(a+b) and v_2(b) <= n - s; a tie then
+            # forces v_2(a+b) > 0, and the min fails the check below as
+            # v(d_j - 1) = v(R_j) + 1/4 fails it in the field
+            v_d1 = min(v_r, vp_rational(centre - 1, 2))
             vt, va = Fraction(2 * n - s - j, 2), Fraction(s - j, 2)
-            if tw.val(dj - 1) != n - s:
+            if v_d1 != n - s:
                 raise CertificationFailed(f"v(d_{j} - 1) = n - s fails")
-            if tw.val(dj * Fraction(a + b, a) - 1) != vt:
+            # t_j = d_j (a+b)/a - 1 = R_j (a+b)/a
+            if v_r + vp_rational(Fraction(a + b, a), 2) != vt:
                 raise CertificationFailed(f"v(t_{j}) = n - (s+{j})/2 fails")
-            if tw.val((dj - 1) * Fraction(a + b, -b) - 1) != va:
+            # alpha'_j - 1 = (d_j - 1) (a+b)/(-b) - 1 = R_j (a+b)/(-b)
+            if v_r + vp_rational(Fraction(a + b, -b), 2) != va:
                 raise CertificationFailed(
                     f"v(alpha'_{j} - 1) = (s-{j})/2 fails")
             detail.append(f"d_{j}: l({j}) = {ell}, v(d_{j}-1) = {n - s}, "

@@ -231,9 +231,6 @@ class DecoratedGraph:
         if the graph is not a tree rooted there."""
         return dict(self._parent)
 
-    def children(self) -> dict:
-        return {cid: list(kids) for cid, kids in self._children.items()}
-
     def subtree(self, cid: str):
         """All component ids at-or-outward of cid."""
         kids = self._children

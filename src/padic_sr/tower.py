@@ -19,7 +19,16 @@ local-irreducibility certificate checked at construction:
       by digit over the integer span of the monomial basis: each surviving
       truncation is extended by the p^D digit vectors of the next level, and
       a truncation is dropped once no extension of it can pass, so it tries
-      at most p^D candidates per surviving class per p-adic level.
+      at most p^D candidates per surviving class per p-adic level.  The
+      answer depends only on the residue class of the radicand: when the
+      monomial basis is integral (m0 >= 0, see _is_qth_power_local) and p
+      does not divide the radicand's den, two radicands whose coordinates
+      agree mod p^depth differ by valuation >= depth > threshold, so every
+      candidate passes for both or for neither.  Each tower keeps a class
+      table {(q, coordinates mod p^depth): answer}, of at most p^(depth D)
+      keys per q, and searches only on a missing key; over Q_2(i) the case
+      (v) radicands b' and b' i fill at most 16 keys.  Any other radicand
+      is searched on every call.
 
 Either certificate guarantees the step polynomial is irreducible over the
 p-adic completion, so the valuation extends uniquely and
@@ -380,6 +389,7 @@ class Tower:
         self._E = 1  # v(g_j) = _G[j] / _E for every generator g_j
         self._G = ()
         self._vals = {}  # E v -> the Fraction v, for val
+        self._qth_classes = {}  # (q, residues) -> answer of the q-th power test
 
     # -- basics --------------------------------------------------------------
 
@@ -748,23 +758,27 @@ class Tower:
         self._uniformizer = new_elem ** a * self.coerce(lower.uniformizer() ** c)
 
     def _detect_unit_step_ramification(self, lower_exact):
-        """After a Hensel-certified unit step, probe v(g - c) for small
-        integers c; a denominator equal to the full step degree proves the
-        step is totally ramified (e.g. v(i - 1) = 1/2 over Q_2).  A proved
-        ramified step keeps a uniformizer only when a probe is one, as the
-        lower one no longer has valuation 1/ram_index."""
+        """After a Hensel-certified unit step g^m = u, probe v(g - c) for
+        small integers c; a denominator equal to the full step degree proves
+        the step is totally ramified (e.g. v(i - 1) = 1/2 over Q_2).  The
+        conjugates of g are the roots of x^m - u, so the relative norm
+        N(g - c) is +-(c^m - u), and the probe is v_lower(c^m - u) / m, read
+        in the lower tower with no norm in this one.  The certificate proved
+        u no m-th power, so c^m - u is never 0.  A proved ramified step
+        keeps a uniformizer only when a probe is one, as the lower one no
+        longer has valuation 1/ram_index."""
         step = self.steps[-1]
-        g = self.gen()
+        m, u = step.degree, step.radicand
         for c in range(-2, 3):
-            cand = g - c
-            if cand.is_zero():
-                continue
-            v = self.val(cand)
+            diff = u - c ** m
+            if diff.is_zero():
+                raise AssertionError(f"the certified radicand is {c}^{m}")
+            v = self._lower.val(diff) / m
             if (v * self.ram_index).denominator == step.degree:
                 step.e_step = step.degree
                 self.ram_index *= step.degree
                 self.ram_exact = lower_exact
-                self._uniformizer = (cand if v * self.ram_index == 1
+                self._uniformizer = (self.gen() - c if v * self.ram_index == 1
                                      else None)
                 return
         # Unknown: the step might be unramified or ramified undetected.
@@ -794,15 +808,54 @@ def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
     monomial basis (the single monomial 1 over Q) and integers
     0 <= a_b < p^depth, and u counts as a q-th power when some candidate has
     v(x^q - u) >= threshold = (2 v_pi(q) + 1)/e.  The basis spans the
-    residue ring for the towers built here.
+    residue ring for the towers built here.  The answer is searched by
+    _qth_power_search.
+
+    Let m0 be the least valuation of a basis monomial (0 for integral
+    generators, negative for e.g. sqrt(1/2)).  When m0 >= 0 and p does not
+    divide u.den, the coordinates nums / den of u are p-adic integers, and
+    u' = u + p^depth y, y an integer combination of basis monomials, has
+    v(u' - u) >= depth + m0 > threshold, so v(x^q - u') >= threshold exactly
+    when v(x^q - u) >= threshold, for every candidate x.  The answer is then
+    a function of (q, nums den^-1 mod p^depth), which keys the tower's class
+    table; the search runs only on a missing key.
+    """
+    p = tower.p
+    if not tower.ram_exact:
+        raise IrreducibilityUnverified(
+            "q-th power test needs an exact ramification index"
+        )
+    R = tower.ram_index
+    levels = 2 * R * (1 if q == p else 0) + 1  # in pi-units
+    # p-power depth covering pi^levels, one extra level of slack
+    depth = -(-levels // R) + 1
+    threshold = Fraction(levels, R)
+    basis, _ = tower._basis()
+    m0 = Fraction(min(sum(e * g for e, g in zip(b, tower._G)) for b in basis),
+                  tower._E)
+    if m0 < 0 or u.den % p == 0:
+        return _qth_power_search(tower, u, q, depth, threshold, basis, m0)
+    mod = p ** depth
+    inv = pow(u.den, -1, mod)
+    key = (q, tuple(u.nums.get(b, 0) * inv % mod for b in basis))
+    table = tower._qth_classes
+    answer = table.get(key)
+    if answer is None:
+        answer = table[key] = _qth_power_search(tower, u, q, depth, threshold,
+                                                basis, m0)
+    return answer
+
+
+def _qth_power_search(tower, u, q, depth, threshold, basis, m0) -> bool:
+    """The search of _is_qth_power_local over all p^(depth D) candidates,
+    done digit by digit.
 
     The coordinates are fixed one p-adic digit at a time.  A truncation x_k
     (digits 0..k) is extended by every c p^(k+1), c in {0..p-1}^D.  Each
     candidate is x_k + p^(k+1) y for one of its truncations, with y an
-    integer combination of basis monomials, so v(x_k), v(y) >= m0, the least
-    valuation of a monomial (0 for integral generators, negative for e.g.
-    sqrt(1/2)).  As q is prime, p^v_p(q) divides every C(q, j) with 0 < j < q,
-    so the binomial expansion of (x_k + p^(k+1) y)^q gives
+    integer combination of basis monomials, so v(x_k), v(y) >= m0.  As q is
+    prime, p^v_p(q) divides every C(q, j) with 0 < j < q, so the binomial
+    expansion of (x_k + p^(k+1) y)^q gives
 
         v(x^q - x_k^q) >= min(v_p(q) + k + 1, q (k + 1)) + q m0 =: T_k.
 
@@ -815,19 +868,7 @@ def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
     truncation and level.
     """
     p = tower.p
-    if not tower.ram_exact:
-        raise IrreducibilityUnverified(
-            "q-th power test needs an exact ramification index"
-        )
-    R = tower.ram_index
     v_p_q = 1 if q == p else 0
-    levels = 2 * R * v_p_q + 1  # in pi-units
-    # p-power depth covering pi^levels, one extra level of slack
-    depth = -(-levels // R) + 1
-    threshold = Fraction(levels, R)
-    basis, _ = tower._basis()
-    m0 = Fraction(min(sum(e * g for e, g in zip(b, tower._G)) for b in basis),
-                  tower._E)
     survivors = [(0,) * len(basis)]
     for k in range(depth):
         need = threshold if k == depth - 1 else min(

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -41,7 +42,7 @@ from padic_sr.graph import (
 from padic_sr.jsonutil import ratstr
 from padic_sr import tower as tower_module
 from padic_sr.ramification import FieldTower, TowerStep
-from padic_sr.tower import Tower, q2_i
+from padic_sr.tower import Tower, _di_square, q2_i, vp_rational
 
 
 # -- branch signatures -------------------------------------------------------
@@ -530,6 +531,135 @@ def test_p2_centres_are_the_listed_square_roots(args):
         t, dj = _p2_center(n, s, a, b, j)
         root = (dj - Fraction(a, a + b)) * (a + b) ** 2
         assert root ** 2 == t.gen(0) * (2 ** (n - j) * b), j
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the domain error it raises."""
+    try:
+        return f(*args)
+    except ArtifactError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _old_case_v(n, s, a, b):
+    """Case (v) of conductor_bound as it was, with every fact a valuation
+    of a built d_j in its tower; returns the detail lines."""
+    detail = []
+    for j in range(0, s):
+        d = Fraction(2 ** (n - j) * b)
+        ell = 2 if (s + j) % 2 == 1 else 3
+        ok = _di_square(d, 2) if ell == 2 else (
+            _di_square(d, 3) and not _di_square(d, 2))
+        if not ok:
+            raise CertificationFailed(f"square class of 2^(n-{j}) b i "
+                                      f"disagrees with l({j}) = {ell}")
+        tw, dj = _p2_center(n, s, a, b, j)
+        vt, va = Fraction(2 * n - s - j, 2), Fraction(s - j, 2)
+        if tw.val(dj - 1) != n - s:
+            raise CertificationFailed(f"v(d_{j} - 1) = n - s fails")
+        if tw.val(dj * Fraction(a + b, a) - 1) != vt:
+            raise CertificationFailed(f"v(t_{j}) = n - (s+{j})/2 fails")
+        if tw.val((dj - 1) * Fraction(a + b, -b) - 1) != va:
+            raise CertificationFailed(
+                f"v(alpha'_{j} - 1) = (s-{j})/2 fails")
+        detail.append(f"d_{j}: l({j}) = {ell}, v(d_{j}-1) = {n - s}, "
+                      f"v(t_{j}) = {ratstr(vt)}, "
+                      f"v(alpha'_{j}-1) = {ratstr(va)} verified")
+    if vp_rational(Fraction(-b, a + b), 2) != n - s:
+        raise CertificationFailed("v(b/(a+b)) = n - s fails")
+    return detail
+
+
+def _case_v_lines(ft, n):
+    """The d_j lines of conductor_bound's detail for a case (v) tower."""
+    return [line for line in conductor_bound(ft, n)["detail"]
+            if line.startswith("d_")]
+
+
+def _any_outcome(f, *args):
+    """_outcome, with a ZeroDivisionError of a doctored a + b = 0 kept."""
+    try:
+        return _outcome(f, *args)
+    except ZeroDivisionError as exc:
+        return "ZeroDivisionError", str(exc)
+
+
+@cache
+def _case_v_tower(n, s):
+    """The field tower of the real case (v) cover (2, n, 1, 3 * 2^(n-s))."""
+    return stab_field_tower(branch_signature(2, n, 1, 2 ** (n - s) * 3))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_case_v_conductor_bound_matches_the_tower_path(seed):
+    """On real covers and on metas with a and b doctored, conductor_bound
+    certifies, or refuses with the same error and message, exactly where
+    the old path through built d_j does.  Seed 1 adds the grid 2 <= n <= 6,
+    every s < n, a in {1, 3, -5, 7} and b' in every class mod 8, where
+    b' = +-1 mod 8 (b' != +-1) is refused at the w step on both paths.  The
+    doctored metas include ties v(R_j) = v(a/(a+b) - 1) and a + b = 0."""
+    rng = random.Random(seed)
+    metas = [(3, 2, -64, -62), (3, 2, -64, -58), (4, 3, 6, -6)]  # ties, 0
+    for n in range(2, 6):
+        for s in range(1, n):
+            for _ in range(3):
+                metas.append((n, s, rng.choice((1, 3, 5, 7, 9)),
+                              2 ** (n - s) * rng.choice((3, -3, 5, -5, 7))))
+            for _ in range(12):
+                metas.append((n, s, rng.randint(-64, 64),
+                              rng.choice((-1, 1)) * rng.randint(1, 32) * 2))
+    if seed == 1:
+        metas += [(n, s, a, 2 ** (n - s) * b_odd)
+                  for n in range(2, 7) for s in range(1, n)
+                  for a in (1, 3, -5, 7)
+                  for b_odd in (3, -3, 5, -5, 7, -7, 9, 1)]
+    kinds = set()
+    for n, s, a, b in metas:
+        ft0 = _case_v_tower(n, s)
+        doc = dict(ft0.meta_dict(), a=a, b=b, s=s)
+        ft = FieldTower(2, ft0.steps, tuple(sorted(doc.items())))
+        old = _any_outcome(_old_case_v, n, s, a, b)
+        assert _any_outcome(_case_v_lines, ft, n) == old, (n, s, a, b)
+        kinds.add(old[0] if isinstance(old, tuple) else "certified")
+    assert {"certified", "CertificationFailed", "IrreducibilityUnverified",
+            "ZeroDivisionError"} <= kinds, kinds
+
+
+def test_seen_class_of_b_odd_runs_no_digit_search(monkeypatch):
+    """b' = 19 is 3 mod 16, so once a b' = 3 cover has filled the class
+    table of Q_2(i) with b' and b' i, adjoining both w's of the b' = 19
+    cover reads the table: no digit search runs."""
+    assert analyze(2, 4, 1, 6)["certified"] is True  # b' = 3
+    _centre_field.cache_clear()
+    searches = []
+
+    def counted(*args, _search=tower_module._qth_power_search):
+        searches.append(args[0].degree)
+        return _search(*args)
+
+    monkeypatch.setattr(tower_module, "_qth_power_search", counted)
+    calls = _count_adjoins(monkeypatch)
+    assert analyze(2, 4, 1, 38)["certified"] is True  # b' = 19
+    assert len(calls) == 2  # both w's were adjoined
+    assert searches == []
+
+
+@pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 6, 3, -6), (2, 3, 1, 6)])
+def test_case_v_conductor_bound_takes_no_norm_and_builds_no_centre(
+        monkeypatch, args):
+    """With the cover's fields built, conductor_bound reads every case (v)
+    fact in closed form: no Tower.norm call and no d_j."""
+    spec = branch_signature(*args)
+    analyze(*args)
+    calls = []
+    norm = Tower.norm
+    monkeypatch.setattr(Tower, "norm",
+                        lambda self, x: calls.append("norm") or norm(self, x))
+    monkeypatch.setattr("padic_sr.analyzer._p2_center",
+                        lambda *a: calls.append("d_j") or _p2_center(*a))
+    cb = conductor_bound(stab_field_tower(spec), spec.n)
+    assert cb["vanishes_at_n"] is True
+    assert calls == []
 
 
 MIXED_GRID = [(2, 3, 1, 6), (2, 4, 1, 56), (2, 4, 1, 6), (2, 5, 1, 6),

@@ -152,12 +152,15 @@ def test_tree_maps_match_edges(emitted):
     assert {frozenset((e.source, e.target)) for e in g.edges} == {
         frozenset((cid, par)) for cid, par in parent.items() if par}
     parent.clear()  # a caller's copy: the graph's own tree is unchanged
-    kids = g.children()
     assert sorted(g.subtree(g.root().id)) == sorted(
         c.id for c in g.components)
-    for cid, par in g.parents().items():
+    parent = g.parents()
+    for cid, par in parent.items():
         assert (par is None) == (cid == g.root().id)
-        assert par is None or cid in kids[par]
+        # the subtree of cid is cid and the subtrees of its children
+        kids = [k for k, up in parent.items() if up == cid]
+        assert sorted(g.subtree(cid)) == sorted(
+            [cid] + [x for k in kids for x in g.subtree(k)])
 
 
 def test_not_a_tree_raises_on_every_call():

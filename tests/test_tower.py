@@ -443,7 +443,8 @@ def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
     """Timing-free guard on the Q_2(i) radicand of new_tail_locus: the search
     over all 16^2 candidates tries 256 powers on (2,3,1,6) and 17 on
     (2,4,1,56); digit lifting tries at most p^D = 4 per surviving class and
-    p-adic level."""
+    p-adic level.  The class table of Q_2(i) is emptied first, so the digit
+    search runs and is counted."""
     counts, calls = [0], []
     original_pow = TowerElement.__pow__
 
@@ -460,6 +461,7 @@ def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
     monkeypatch.setattr(TowerElement, "__pow__", counting_pow)
     monkeypatch.setattr("padic_sr.tower._is_qth_power_local", counted_test)
     _centre_field.cache_clear()  # build the centre tower afresh
+    q2_i()._qth_classes.clear()  # and search its radicand's class afresh
     spec = branch_signature(*args)
     if square:
         with pytest.raises(IrreducibilityUnverified):
@@ -467,6 +469,7 @@ def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
     else:
         assert new_tail_locus(spec).tower.degree == 4
     assert calls[-1][:2] == (2, square)  # the radicand test over Q_2(i)
+    assert calls[-1][2] > 0  # the digit search ran
     assert all(n <= 16 for _, _, n in calls), calls
 
 
@@ -586,6 +589,102 @@ def test_monomial_powers_and_inverses_match_the_generic_path(name):
         assert x.inverse().coords == _solve_inverse(x), x
         for k in range(-5, 41):
             assert (x ** k).coords == _binary_power(x, k), (x, k)
+
+
+def _class_table_applies(t):
+    """Does the q-th power test of t key its class table on every radicand
+    with den prime to p: an exact ramification index and an integral
+    monomial basis (m0 >= 0)?"""
+    return t.ram_exact and min(t._G, default=0) >= 0
+
+
+def _qth_depth(t, q):
+    """The p-power depth of the q-th power test of t."""
+    R = t.ram_index
+    return -(-(2 * R * (1 if q == t.p else 0) + 1) // R) + 1
+
+
+def _integral_unit(rng, t):
+    """A unit of t with integer coordinates over a den prime to p."""
+    basis, _ = t._basis()
+    dens = [d for d in (1, 1, 7, 11, 13) if d % t.p]
+    while True:
+        den = rng.choice(dens)
+        x = TowerElement(t, {b: Fraction(rng.randint(-40, 40), den)
+                             for b in basis})
+        if not x.is_zero() and t.val(x) == 0:
+            return x
+
+
+#: the towers of ORACLE_TOWERS on which the class-table oracle runs: every
+#: one where the table applies and a search over p^D digit vectors per level
+#: stays cheap (p^D <= 729; over Q_5(pi), 5^8 vectors, one search takes
+#: seconds).  Above p^D = 81 it draws one unit, and q = p is left out
+#: (about 0.3 s per search over K_1(5) or Q_3(zeta_9)).
+CLASS_TABLE_TOWERS = [name for name, build in ORACLE_TOWERS.items()
+                      if _class_table_applies(t := build())
+                      and t.p ** t.degree <= 729]
+
+
+@pytest.mark.parametrize("name", CLASS_TABLE_TOWERS)
+def test_class_table_matches_a_fresh_search(name):
+    """The class table keys the q-th power test on the residues mod
+    p^depth.  A unit u and each u + p^k y, y an integer combination of
+    basis monomials and k = 0 .. depth, are tested through the table as it
+    fills, and the
+    answer is the one a fresh search gives with the table emptied: a key
+    coarser than p^depth would answer some k < depth from a stale class.
+    u + p^depth y is read from the entry of u, without a search."""
+    t = ORACLE_TOWERS[name]()
+    assert _class_table_applies(t)
+    basis, _ = t._basis()
+    rng = random.Random(f"class-table:{name}")
+    small = t.p ** t.degree <= 81
+    table = t._qth_classes
+    try:
+        for q in sorted({2, t.p} if small else {2}):
+            depth = _qth_depth(t, q)
+            for _ in range(4 if small else 1):
+                table.clear()
+                u = _integral_unit(rng, t)
+                for k in range(-1, depth + 1):  # k = -1: u itself
+                    y = TowerElement(t, {b: Fraction(rng.randint(-9, 9))
+                                         for b in basis})
+                    x = u if k < 0 else u + t.p ** k * y
+                    keys = len(table)
+                    answer = _is_qth_power_local(t, x, q)
+                    if k == depth:
+                        assert len(table) == keys  # the entry of u
+                    saved = dict(table)
+                    table.clear()
+                    assert _is_qth_power_local(t, x, q) is answer, (x, q)
+                    table.clear()
+                    table.update(saved)
+    finally:
+        table.clear()
+
+
+def _unit_radical_steps(t):
+    """Every tower on the chain of t (t, its lower tower, ...) whose top
+    step is a radical step g^m = u with u a unit."""
+    out = []
+    while t.steps:
+        step = t.steps[-1]
+        if step.kind == "radical" and step.gen_val == 0:
+            out.append(t)
+        t = t._lower
+    return out
+
+
+@pytest.mark.parametrize("name", ORACLE_TOWERS)
+def test_unit_step_probes_read_the_lower_tower(name):
+    """After a unit step g^m = u, v(g - c) = v_lower(c^m - u) / m, as the
+    relative norm of g - c is +-(c^m - u): the probe read in the lower
+    tower equals the valuation in the tower itself, for c in -2..2."""
+    for t in _unit_radical_steps(ORACLE_TOWERS[name]()):
+        m, u = t.steps[-1].degree, t.steps[-1].radicand
+        for c in range(-2, 3):
+            assert t._lower.val(c ** m - u) / m == t.val(t.gen() - c), (t, c)
 
 
 def test_multi_term_rewrite_leaves_the_monomial_path():
