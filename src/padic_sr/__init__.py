@@ -43,7 +43,6 @@ from .ramification import (
     herbrand_phi,
     herbrand_psi,
     kummer_step_conductor,
-    tame_top_conductor,
 )
 from .series import (
     DiskExpansion,
@@ -99,7 +98,6 @@ __all__ = [
     "square_class_K2_K3",
     "stab_field_tower",
     "tail_invariant_checks",
-    "tame_top_conductor",
     "validate_structure",
 ]
 

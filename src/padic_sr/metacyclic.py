@@ -23,7 +23,6 @@ from .graph import (
     validate_structure,
 )
 from .jsonutil import ratstr
-from .ramification import compositum_conductor, tame_top_conductor
 from .tower import check_prime
 
 
@@ -149,25 +148,28 @@ def tails_graph(spec: MetacyclicSpec, sol: SignatureSolution) -> DecoratedGraph:
 
 
 def moduli_and_tails_note(spec: MetacyclicSpec) -> dict:
-    """Structural report for m_G > 1: every tail is primitive, the field of
-    moduli lies in K_n, the stable model is defined over a tame extension of
-    K_n, and hence the n-th upper ramification group over the base
-    vanishes."""
+    """Report for m_G > 1: the signature and the star-shaped tails graph
+    with its structure and vanishing-cycle checks, which are computed, and
+    under "cited" the source paper's conclusions for that case, which are
+    not: every tail is primitive, the field of moduli lies in K_n, the
+    stable model is defined over a tame extension of K_n, and hence the
+    upper ramification groups G^u over K_0 vanish for u >= n."""
     sol = signature_solver(spec)
     g = tails_graph(spec, sol)
-    violations = validate_structure(g)
-    residual = check_vanishing_cycles(g)
-    # K_n/K_0 is cyclotomic with conductor n-1; a tame top changes nothing
-    h = tame_top_conductor(compositum_conductor([Fraction(spec.n - 1)]))
+    n, p = spec.n, spec.p
     return {
         "spec": spec.to_json(),
         "signature": sol.to_json(),
-        "tails": "all tails are primitive; no new or inseparable tails",
-        "moduli_field": f"contained in K_{spec.n} = K_0(zeta_{{{spec.p}^"
-                        f"{spec.n}}})",
-        "stable_model_field": f"a tame extension of K_{spec.n}",
-        "conductor": ratstr(h),
-        "vanishes_at_n": h < spec.n,
-        "graph_violations": violations,
-        "vanishing_cycles_residual": ratstr(residual),
+        "graph_violations": validate_structure(g),
+        "vanishing_cycles_residual": ratstr(check_vanishing_cycles(g)),
+        "cited": {
+            "result": "Obus, Fields of moduli of three-point G-covers with "
+                      "cyclic p-Sylow, I (arXiv:0911.1103): the case "
+                      "m_G > 1",
+            "tails": "all tails are primitive; no new or inseparable tails",
+            "moduli_field": f"contained in K_{n} = K_0(zeta_{{{p}^{n}}})",
+            "stable_model_field": f"a tame extension of K_{n}",
+            "ramification": "the upper ramification groups G^u over K_0 "
+                            f"vanish for u >= {n}",
+        },
     }

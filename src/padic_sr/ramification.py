@@ -194,11 +194,6 @@ def compositum_conductor(hs) -> Fraction:
     return max(hs)
 
 
-def tame_top_conductor(h) -> Fraction:
-    """A tame extension on top of a ramified one preserves the conductor."""
-    return _exact_rational(h)
-
-
 # -- field towers ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -252,20 +247,19 @@ class FieldTower:
 
 # -- Kummer step conductors --------------------------------------------------
 
-def kummer_step_conductor(level, u, m: int) -> ConductorValue:
-    """Conductor of K(u^(1/m))/K for K = Q_p(zeta_{p^level}) (or an explicit
-    Tower), m a p-power, in the standard upper numbering of K.
+def kummer_step_conductor(tower, u, m: int) -> ConductorValue:
+    """Conductor of K(u^(1/m))/K for the field K of an exact Tower (for
+    example Q_p(zeta_{p^k}) from cyclotomic_tower), m a p-power, in the
+    standard upper numbering of K.
 
     Degree-p steps are computed from the unit-filtration position of the
     radicand; higher p-powers and radicands outside the cyclotomic field get
     certified bounds.  Values are tagged exact or bound, never guessed; a
     tower whose ramification index is not exact raises SearchInconclusive.
     """
-    if isinstance(level, Tower):
-        tower = level
-        p = tower.p
-    else:
-        raise TypeError("level must be a Tower (use cyclotomic_tower)")
+    if not isinstance(tower, Tower):
+        raise TypeError("tower must be a Tower (use cyclotomic_tower)")
+    p = tower.p
     if isinstance(u, TowerElement):
         uu = tower.coerce(u)
     else:

@@ -14,21 +14,16 @@ local-irreducibility certificate checked at construction:
   (a) Newton-polygon single segment whose slope has exact denominator equal to
       the step degree (Eisenstein-type, possibly after a small shift of the
       generator), or
-  (b) the radicand is a unit and the Hensel q-th power test is false for every
-      prime q dividing the step degree.  The test lifts a root p-adic digit
-      by digit over the integer span of the monomial basis: each surviving
-      truncation is extended by the p^D digit vectors of the next level, and
-      a truncation is dropped once no extension of it can pass, so it tries
-      at most p^D candidates per surviving class per p-adic level.  The
-      answer depends only on the residue class of the radicand: when the
-      monomial basis is integral (m0 >= 0, see _is_qth_power_local) and p
-      does not divide the radicand's den, two radicands whose coordinates
-      agree mod p^depth differ by valuation >= depth > threshold, so every
-      candidate passes for both or for neither.  Each tower keeps a class
-      table {(q, coordinates mod p^depth): answer}, of at most p^(depth D)
-      keys per q, and searches only on a missing key; over Q_2(i) the case
-      (v) radicands b' and b' i fill at most 16 keys.  Any other radicand
-      is searched on every call.
+  (b) the radicand is a unit and no q-th power in the completion, for every
+      prime q dividing the step degree.  An exact tower is totally ramified
+      with residue field F_p.  For q != p, Hensel's lemma decides from the
+      residue c of the unit; for q = p, `unit_level` walks u c^(-p) up the
+      unit filtration U^(j) towards c* = p e/(p-1), in O(p + c*)
+      valuations (the proof is at _is_qth_power_local).  Each tower keeps
+      a class table {(q, coordinates mod p^depth): answer}: when the
+      monomial basis is integral and p does not divide the radicand's den,
+      radicands that agree mod p^depth differ by a q-th power, and over
+      Q_2(i) the case (v) radicands b' and b' i fill at most 16 keys.
 
 Either certificate guarantees the step polynomial is irreducible over the
 p-adic completion, so the valuation extends uniquely and
@@ -764,9 +759,10 @@ class Tower:
         conjugates of g are the roots of x^m - u, so the relative norm
         N(g - c) is +-(c^m - u), and the probe is v_lower(c^m - u) / m, read
         in the lower tower with no norm in this one.  The certificate proved
-        u no m-th power, so c^m - u is never 0.  A proved ramified step
-        keeps a uniformizer only when a probe is one, as the lower one no
-        longer has valuation 1/ram_index."""
+        u no m-th power, so c^m - u is never 0.  On a proved ramified step
+        the probe g - c is the uniformizer when v(g - c) = 1/ram_index, and
+        is combined with the lower one by _build_uniformizer otherwise
+        (v(g - c) = k/ram_index with k prime to m)."""
         step = self.steps[-1]
         m, u = step.degree, step.radicand
         for c in range(-2, 3):
@@ -778,8 +774,10 @@ class Tower:
                 step.e_step = step.degree
                 self.ram_index *= step.degree
                 self.ram_exact = lower_exact
-                self._uniformizer = (self.gen() - c if v * self.ram_index == 1
-                                     else None)
+                if v * self.ram_index == 1:
+                    self._uniformizer = self.gen() - c
+                else:
+                    self._build_uniformizer(self.gen() - c)
                 return
         # Unknown: the step might be unramified or ramified undetected.
         self.ram_exact = False
@@ -802,132 +800,124 @@ def _split_top(lower, terms, den):
 
 
 def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
-    """Is the unit u a q-th power in the completion of the tower at p?
+    """Is u, nonzero (a unit radicand in certificate (b)), a q-th power in
+    the completion of the tower at p?
 
-    The witnesses are the candidates x = sum a_b b, with b over the
-    monomial basis (the single monomial 1 over Q) and integers
-    0 <= a_b < p^depth, and u counts as a q-th power when some candidate has
-    v(x^q - u) >= threshold = (2 v_pi(q) + 1)/e.  The basis spans the
-    residue ring for the towers built here.  The answer is searched by
-    _qth_power_search.
+    An exact tower is totally ramified (ram_index = degree: every exact
+    step multiplies both), so its residue field is F_p, and the residue of
+    u is the one c in 1 .. p-1 with v(u - c) > 0.  For q != p, x^q - u is
+    separable mod pi, so by Hensel u is a q-th power exactly when c is one
+    in F_p: c^((p-1)/gcd(q, p-1)) = 1 mod p.  For q = p, c^p = c mod p, so
+    u c^(-p) is a principal unit in the class of u modulo p-th powers.  The
+    p-th power map sends U^(i) to U^(p i) for i < e/(p-1), and onto
+    U^(i + e) beyond, so every element of U^(j), j > c* = p e/(p-1), is a
+    p-th power, and a p-th power below c* has a level divisible by p.
+    unit_level divides by p-th powers while p divides the level: a level
+    below c* prime to p, or a walk stuck at the critical level c*, means
+    no p-th power, and a walk past c* means a p-th power.  A non-unit
+    pi^k u0 is a q-th power exactly when q | k and u0 is one.
 
-    Let m0 be the least valuation of a basis monomial (0 for integral
-    generators, negative for e.g. sqrt(1/2)).  When m0 >= 0 and p does not
-    divide u.den, the coordinates nums / den of u are p-adic integers, and
-    u' = u + p^depth y, y an integer combination of basis monomials, has
-    v(u' - u) >= depth + m0 > threshold, so v(x^q - u') >= threshold exactly
-    when v(x^q - u) >= threshold, for every candidate x.  The answer is then
-    a function of (q, nums den^-1 mod p^depth), which keys the tower's class
-    table; the search runs only on a missing key.
+    By Hensel, u (1 + delta) is u times a q-th power when v_pi(delta) >
+    2 v_pi(q).  When the monomial basis is integral (no monomial of
+    negative valuation) and p does not divide u.den, u' = u + p^depth y, y
+    an integer combination of basis monomials, has v(u' - u) >= depth > 2
+    v(q) + 1/e, so the answer for a unit is a function of (q, nums den^-1
+    mod p^depth), which keys the tower's class table.
     """
     p = tower.p
     if not tower.ram_exact:
         raise IrreducibilityUnverified(
             "q-th power test needs an exact ramification index"
         )
-    R = tower.ram_index
-    levels = 2 * R * (1 if q == p else 0) + 1  # in pi-units
-    # p-power depth covering pi^levels, one extra level of slack
-    depth = -(-levels // R) + 1
-    threshold = Fraction(levels, R)
+    depth = 4 if q == p else 2  # past 2 v(q) + 1/e, with a level of slack
     basis, _ = tower._basis()
-    m0 = Fraction(min(sum(e * g for e, g in zip(b, tower._G)) for b in basis),
-                  tower._E)
-    if m0 < 0 or u.den % p == 0:
-        return _qth_power_search(tower, u, q, depth, threshold, basis, m0)
+    if (min(sum(e * g for e, g in zip(b, tower._G)) for b in basis) < 0
+            or u.den % p == 0):
+        return _qth_power_by_levels(tower, u, q, tower.val(u))
     mod = p ** depth
     inv = pow(u.den, -1, mod)
     key = (q, tuple(u.nums.get(b, 0) * inv % mod for b in basis))
     table = tower._qth_classes
     answer = table.get(key)
     if answer is None:
-        answer = table[key] = _qth_power_search(tower, u, q, depth, threshold,
-                                                basis, m0)
+        v = tower.val(u)
+        answer = _qth_power_by_levels(tower, u, q, v)
+        if not v:  # the key fixes the class of a unit only
+            table[key] = answer
     return answer
 
 
-def _qth_power_search(tower, u, q, depth, threshold, basis, m0) -> bool:
-    """The search of _is_qth_power_local over all p^(depth D) candidates,
-    done digit by digit.
-
-    The coordinates are fixed one p-adic digit at a time.  A truncation x_k
-    (digits 0..k) is extended by every c p^(k+1), c in {0..p-1}^D.  Each
-    candidate is x_k + p^(k+1) y for one of its truncations, with y an
-    integer combination of basis monomials, so v(x_k), v(y) >= m0.  As q is
-    prime, p^v_p(q) divides every C(q, j) with 0 < j < q, so the binomial
-    expansion of (x_k + p^(k+1) y)^q gives
-
-        v(x^q - x_k^q) >= min(v_p(q) + k + 1, q (k + 1)) + q m0 =: T_k.
-
-    A candidate that reaches the threshold therefore has v(x_k^q - u) >=
-    min(threshold, T_k) at every level k, and a truncation below that bound
-    is dropped with all its extensions.  A truncation that reaches the
-    threshold is itself a candidate (higher digits zero), and the last level
-    asks for the threshold exactly, so the answer is the one the search over
-    all p^(depth D) candidates gives, after at most p^D powers per surviving
-    truncation and level.
-    """
-    p = tower.p
-    v_p_q = 1 if q == p else 0
-    survivors = [(0,) * len(basis)]
-    for k in range(depth):
-        need = threshold if k == depth - 1 else min(
-            threshold, min(v_p_q + k + 1, q * (k + 1)) + q * m0)
-        scale = p ** k
-        kept = []
-        for base in survivors:
-            for digits in itertools.product(range(p), repeat=len(basis)):
-                coeffs = tuple(a + c * scale for a, c in zip(base, digits))
-                x = _element(tower, 1, {b: a for b, a in zip(basis, coeffs)
-                                        if a})
-                diff = x ** q - u
-                if diff.is_zero():
-                    return True
-                v = tower.val(diff)
-                if v >= threshold:
-                    return True
-                if v >= need:
-                    kept.append(coeffs)
-        survivors = kept
-    return False
+def _qth_power_by_levels(tower, u, q, v) -> bool:
+    """The decision of _is_qth_power_local for a nonzero u of valuation v."""
+    p, e = tower.p, tower.ram_index
+    if e != tower.degree:
+        raise AssertionError("an exact tower is totally ramified")
+    if tower._uniformizer is None and e != 1:
+        raise AssertionError("an exact tower has a uniformizer")
+    k = int(v * e)
+    if k:
+        if k % q:
+            return False
+        u = u * tower.uniformizer() ** -k
+    for c in range(1, p - 1):  # the residue of u, p - 1 if no other
+        diff = u - c
+        if diff.is_zero() or tower.val(diff) > 0:
+            break
+    else:
+        c = p - 1
+    if q != p:
+        return pow(c, (p - 1) // gcd(q, p - 1), p) == 1
+    cap = p * e // (p - 1) + 1  # the first level above c*
+    return unit_level(tower, u * Fraction(1, c ** p), cap) == cap
 
 
 # -- unit levels --------------------------------------------------------------
 
 def unit_level(tower: Tower, u: TowerElement, cap: int) -> int:
-    """The level j = v_pi(u w^(-p) - 1) of the unit u, pushed up by dividing
-    u by p-th powers w^p = (1 + c pi^(j/p))^p while p divides j and j < cap.
+    """The level j = v_pi(u w^(-p) - 1) of the unit u, pushed up by p-th
+    powers w^p while p divides j and j < cap.
 
-    The corrections have integer residues c = 1 .. p-1 (the residue field of
-    the towers searched here is F_p), and the first c that raises the level
-    is kept.  Below the cap, (1 + c pi^(j/p))^p = 1 + c^p pi^j up to higher
-    levels and c^p = c in F_p, so c = the leading residue of (u - 1)/pi^j
-    raises the level.  Returns cap once the level reaches it (u is a p-th
-    power times an element of U^cap), else the first level prime to p.  A
-    level outside the value group, or one divisible by p that no c raises,
-    raises SearchInconclusive.
+    w is a product of corrections 1 + c pi^(j/p), c = 1 .. p-1 (the residue
+    field of an exact tower is F_p), and the first c that raises the level
+    is kept.  As w is a unit, the level of u w^(-p) is v_pi(u - w^p), so no
+    inverse is taken.  With eps the residue of p/pi^e (Fesenko-Vostokov,
+    Local Fields and Their Extensions, I.5), up to higher levels
+
+        (1 + c pi^i)^p = 1 + c^p pi^(p i)            for p i < c*,
+                       = 1 + (c^p + eps c) pi^(p i)   for p i = c*.
+
+    Below c* = p e/(p-1), c^p = c in F_p, so some c raises the level.  At
+    c* (a level when (p-1) | e), z -> z^p + eps z is zero on F_p when
+    eps = -1, as for p = 2 or over a field holding zeta_p; then no c
+    raises the level, which no p-th power of a unit has.  Returns cap once
+    the level reaches it, the first level prime to p, or the critical level
+    c* where no c succeeds.  A level outside the value group, or one below
+    c* divisible by p that no c raises, raises SearchInconclusive.
     """
     p, R = tower.p, tower.ram_index
     pi = tower.uniformizer()
 
-    def level(x):  # v_pi(x - 1), cap when x = 1
-        w = x - 1
-        if w.is_zero():
+    def level(w):  # v_pi(u w^(-p) - 1) = v_pi(u - w^p), cap when u = w^p
+        diff = u - w ** p
+        if diff.is_zero():
             return cap
-        j = tower.val(w) * R
+        j = tower.val(diff) * R
         if j.denominator != 1:
             raise SearchInconclusive("level outside the value group")
         return int(j)
 
-    j = level(u)
+    w = tower.one()
+    j = level(w)
     while j < cap and j % p == 0:
         for c in range(1, p):
-            cand = u * ((1 + c * pi ** (j // p)).inverse() ** p)
+            cand = w * (1 + c * pi ** (j // p))
             jj = level(cand)
             if jj > j:
-                u, j = cand, jj
+                w, j = cand, jj
                 break
         else:
+            if j * (p - 1) == p * R:
+                return j  # the critical level c*
             raise SearchInconclusive(
                 f"cannot raise the unit level past {j} (divisible by p)")
     return min(j, cap)

@@ -628,20 +628,20 @@ def test_case_v_conductor_bound_matches_the_tower_path(seed):
 def test_seen_class_of_b_odd_runs_no_digit_search(monkeypatch):
     """b' = 19 is 3 mod 16, so once a b' = 3 cover has filled the class
     table of Q_2(i) with b' and b' i, adjoining both w's of the b' = 19
-    cover reads the table: no digit search runs."""
+    cover reads the table: no q-th power decision runs."""
     assert analyze(2, 4, 1, 6)["certified"] is True  # b' = 3
     _centre_field.cache_clear()
-    searches = []
+    decisions = []
 
-    def counted(*args, _search=tower_module._qth_power_search):
-        searches.append(args[0].degree)
-        return _search(*args)
+    def counted(*args, _decide=tower_module._qth_power_by_levels):
+        decisions.append(args[0].degree)
+        return _decide(*args)
 
-    monkeypatch.setattr(tower_module, "_qth_power_search", counted)
+    monkeypatch.setattr(tower_module, "_qth_power_by_levels", counted)
     calls = _count_adjoins(monkeypatch)
     assert analyze(2, 4, 1, 38)["certified"] is True  # b' = 19
     assert len(calls) == 2  # both w's were adjoined
-    assert searches == []
+    assert decisions == []
 
 
 @pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 6, 3, -6), (2, 3, 1, 6)])

@@ -137,11 +137,14 @@ def test_tails_graph_satisfies_vanishing_cycles():
 
 def test_moduli_and_tails_note():
     rep = moduli_and_tails_note(MetacyclicSpec(5, 2, 2, (1, 1, 0)))
-    assert rep["vanishes_at_n"] is True
     assert rep["graph_violations"] == []
     assert rep["vanishing_cycles_residual"] == "0"
-    assert "K_2" in rep["moduli_field"]
-    assert "tame extension" in rep["stable_model_field"]
+    cited = rep["cited"]
+    assert "arXiv:0911.1103" in cited["result"]
+    assert "K_2" in cited["moduli_field"]
+    assert "tame extension" in cited["stable_model_field"]
+    assert cited["ramification"].endswith("vanish for u >= 2")
+    assert not {"conductor", "vanishes_at_n"} & set(rep)
     # one wild point: the template has exactly two primitive tails
     assert sum(1 for pt in rep["signature"]["points"]
                if pt["sigma"] != "0") == 2

@@ -26,7 +26,6 @@ from padic_sr.ramification import (
     herbrand_phi,
     herbrand_psi,
     kummer_step_conductor,
-    tame_top_conductor,
 )
 from padic_sr.tower import Tower
 
@@ -195,8 +194,7 @@ def test_floats_refused_in_filtrations(jumps, degree):
     f = Filtration((("1/2", 1),), 2, "lower")
     assert f.jumps == ((Fraction(1, 2), 1),)
     for read in (lambda: herbrand_phi(f, 0.5), lambda: herbrand_psi(f, 0.5),
-                 lambda: compositum_conductor([1, 0.5]),
-                 lambda: tame_top_conductor(0.5)):
+                 lambda: compositum_conductor([1, 0.5])):
         with pytest.raises(TypeError):
             read()
 
@@ -214,7 +212,6 @@ def test_compositum_tame_laws_100_random():
         assert compositum_conductor(list(reversed(hs))) == h  # commutative
         bigger = hs + [h + 1]
         assert compositum_conductor(bigger) >= h              # monotone
-        assert tame_top_conductor(h) == h                     # tame identity
     with pytest.raises(EmptyList):
         compositum_conductor([])
 

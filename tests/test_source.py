@@ -146,6 +146,34 @@ def test_division_checker_flags_both_forms():
     assert list(_true_divisions(functions["C.g"])) == [6]
 
 
+def _product_lines(node):
+    """Lines that name itertools.product or import product from itertools."""
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Attribute) and sub.attr == "product"
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "itertools"):
+            yield sub.lineno
+        elif (isinstance(sub, ast.ImportFrom) and sub.module == "itertools"
+              and any(alias.name == "product" for alias in sub.names)):
+            yield sub.lineno
+
+
+def test_tower_loops_over_no_digit_vectors():
+    """itertools.product, the loop over p^D digit vectors that an
+    exhaustive search needs, appears in tower.py only where Tower._basis
+    lists the monomial basis, so no exhaustive search comes back."""
+    path = next(path for path in SOURCES if path.name == "tower.py")
+    tree = ast.parse(path.read_text(), str(path))
+    allowed = set(_product_lines(_functions(tree)["Tower._basis"]))
+    assert allowed
+    found = [f"tower.py:{line}: itertools.product"
+             for line in _product_lines(tree) if line not in allowed]
+    assert not found, "\n".join(found)
+    src = ("import itertools\nfrom itertools import product\n"
+           "x = itertools.product(range(2), repeat=3)\n")
+    assert list(_product_lines(ast.parse(src))) == [2, 3]
+
+
 #: the os names that read the process environment
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 

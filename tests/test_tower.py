@@ -38,7 +38,7 @@ from padic_sr.tower import (
     vp_int,
     vp_rational,
 )
-from tower_helpers import is_mth_power, make_tower
+from tower_helpers import is_mth_power, make_tower, qth_power_search
 
 
 def test_empty_tower_is_rationals():
@@ -327,7 +327,7 @@ def test_inverse_and_division():
 
 def _brute_qth_power(tower, u, q):
     """Reference: try every candidate sum a_b b, 0 <= a_b < p^depth, over the
-    monomial basis b (the search the digit lifting replaces)."""
+    monomial basis b, with the threshold of `qth_power_search`."""
     p, R = tower.p, tower.ram_index
     levels = 2 * R * (1 if q == p else 0) + 1
     depth = -(-levels // R) + 1
@@ -440,37 +440,41 @@ def test_qth_power_lifting_on_centre_radicands(args, square):
 @pytest.mark.parametrize("args,square", [((2, 3, 1, 6), False),
                                          ((2, 4, 1, 56), True)])
 def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
-    """Timing-free guard on the Q_2(i) radicand of new_tail_locus: the search
-    over all 16^2 candidates tries 256 powers on (2,3,1,6) and 17 on
-    (2,4,1,56); digit lifting tries at most p^D = 4 per surviving class and
-    p-adic level.  The class table of Q_2(i) is emptied first, so the digit
-    search runs and is counted."""
-    counts, calls = [0], []
-    original_pow = TowerElement.__pow__
+    """Timing-free guard on the Q_2(i) radicand of new_tail_locus.  The
+    class table of Q_2(i) is emptied first, so the radicand's class is
+    decided afresh by its residue and unit level, and each test makes at
+    most p (floor(c*) + 1) = 10 valuations (p = 2, e = 2, c* = 4)."""
+    calls, counts = [], {"val": 0, "decisions": 0}
+    val, decide = Tower.val, tower_module._qth_power_by_levels
 
-    def counting_pow(self, k):
-        counts[0] += 1
-        return original_pow(self, k)
+    def counting_val(self, x):
+        counts["val"] += 1
+        return val(self, x)
+
+    def counting_decision(*args):
+        counts["decisions"] += 1
+        return decide(*args)
 
     def counted_test(t, u, q):
-        counts[0] = 0
+        counts.update(val=0, decisions=0)
         result = _is_qth_power_local(t, u, q)
-        calls.append((t.degree, result, counts[0]))
+        calls.append((t.degree, result, counts["decisions"], counts["val"]))
         return result
 
-    monkeypatch.setattr(TowerElement, "__pow__", counting_pow)
+    monkeypatch.setattr(Tower, "val", counting_val)
+    monkeypatch.setattr(tower_module, "_qth_power_by_levels",
+                        counting_decision)
     monkeypatch.setattr("padic_sr.tower._is_qth_power_local", counted_test)
     _centre_field.cache_clear()  # build the centre tower afresh
-    q2_i()._qth_classes.clear()  # and search its radicand's class afresh
+    q2_i()._qth_classes.clear()  # and decide its radicand's class afresh
     spec = branch_signature(*args)
     if square:
         with pytest.raises(IrreducibilityUnverified):
             new_tail_locus(spec)
     else:
         assert new_tail_locus(spec).tower.degree == 4
-    assert calls[-1][:2] == (2, square)  # the radicand test over Q_2(i)
-    assert calls[-1][2] > 0  # the digit search ran
-    assert all(n <= 16 for _, _, n in calls), calls
+    assert calls[-1][:3] == (2, square, 1)  # the radicand test over Q_2(i)
+    assert all(n <= 10 for *_, n in calls), calls
 
 
 # -- closed forms against the brute-force path -------------------------------
@@ -486,9 +490,17 @@ def _k1_cbrt():
     return _k1(3).adjoin_radical(3, _cube_radicand(3, 2, 3), "t")
 
 
-#: every tower the pipeline builds, the towers above, and towers whose unit
-#: step is not proved ramified (ram_exact False): Q_2(i)(w) for c = 1, a
-#: quadratic Q_3(sqrt 2), and the quartic Q_5(2^(1/4)) on the determinant
+def _q2_i_sqrt_level_3():
+    """Q_2(i)(w), w^2 = -1 + 2i: a ramified unit step whose probe w + 1,
+    of valuation 3/4, is no uniformizer."""
+    i = q2_i().gen(0)
+    return q2_i().adjoin_radical(2, -1 + 2 * i, "w")
+
+
+#: every tower the pipeline builds, the towers above, a ramified unit step
+#: whose probe is no uniformizer, and towers whose unit step is not proved
+#: ramified (ram_exact False): Q_2(i)(w) for c = 1, a quadratic
+#: Q_3(sqrt 2), and the quartic Q_5(2^(1/4)) on the determinant
 ORACLE_TOWERS = {
     "q2_i": q2_i,
     "K3": _k3,
@@ -506,6 +518,7 @@ ORACLE_TOWERS = {
     "Q3(sqrt2)": lambda: Tower(3).adjoin_radical(2, 2),
     "Q5(2^(1/4))": lambda: Tower(5).adjoin_radical(4, 2),
     "Q3(pi)(sqrt pi)": lambda: _q3_pi().adjoin_radical(2, _q3_pi().gen()),
+    "Q2(i)(sqrt(-1+2i))": _q2_i_sqrt_level_3,
 }
 
 
@@ -617,10 +630,8 @@ def _integral_unit(rng, t):
 
 
 #: the towers of ORACLE_TOWERS on which the class-table oracle runs: every
-#: one where the table applies and a search over p^D digit vectors per level
-#: stays cheap (p^D <= 729; over Q_5(pi), 5^8 vectors, one search takes
-#: seconds).  Above p^D = 81 it draws one unit, and q = p is left out
-#: (about 0.3 s per search over K_1(5) or Q_3(zeta_9)).
+#: one where the table applies and p^D <= 729.  Above p^D = 81 it draws one
+#: unit, and q = p is left out.
 CLASS_TABLE_TOWERS = [name for name, build in ORACLE_TOWERS.items()
                       if _class_table_applies(t := build())
                       and t.p ** t.degree <= 729]
@@ -662,6 +673,142 @@ def test_class_table_matches_a_fresh_search(name):
                     table.update(saved)
     finally:
         table.clear()
+
+
+def _fresh_test(t, u, q):
+    """_is_qth_power_local(t, u, q) with the class table of t emptied, so
+    the class of u is decided, not read."""
+    t._qth_classes.clear()
+    try:
+        return _is_qth_power_local(t, u, q)
+    finally:
+        t._qth_classes.clear()
+
+
+#: the exact towers of ORACLE_TOWERS and QTH_POWER_TOWERS on which the
+#: digit search stays cheap (p^D <= 729) and is complete.  It is not over
+#: Q_2(i)(sqrt(-1+2i)): there Z_2[i, w] is not the ring of integers, as
+#: w + 1 has valuation 3/4, so a square root can lie outside the span it
+#: searches (the class-invariance test below covers that tower).
+WALK_ORACLE_TOWERS = {
+    name: build for name, build in {
+        **ORACLE_TOWERS,
+        **{f"QTH_POWER_TOWERS[{j}]": build
+           for j, (build, _) in enumerate(QTH_POWER_TOWERS)},
+    }.items() if (t := build()).ram_exact and t.p ** t.degree <= 729
+    and name != "Q2(i)(sqrt(-1+2i))"}
+
+
+@pytest.mark.parametrize("name", WALK_ORACLE_TOWERS)
+def test_unit_level_decision_matches_the_digit_search(name):
+    """The residue and unit-level decision of the q-th power test against
+    the digit search of tower_helpers, for q in {2, 3, p}: seeded units,
+    q-th powers, and q-th powers times 1 + p^k, k = 1, 2, 3, which sit
+    deep in the unit filtration.  Above p^D = 81 it draws one of each."""
+    t = WALK_ORACLE_TOWERS[name]()
+    p = t.p
+    rng = random.Random(f"walk:{name}")
+    draws = 4 if p ** t.degree <= 81 else 1
+    answers = set()
+    for q in sorted({2, 3, p}):
+        xs = [_random_unit(rng, t) for _ in range(2 * draws)]
+        units = xs[:draws] + [x ** q for x in xs[draws:]]
+        units += [xs[-1] ** q * (1 + p ** k) for k in (1, 2, 3)]
+        for u in units:
+            answer = _fresh_test(t, u, q)
+            assert answer == qth_power_search(t, u, q), (u, q)
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("r,cube", [(3, True), (-6, True), (-3, False),
+                                     (6, False)])
+def test_critical_level_is_decided_by_the_residue_of_p_over_pi_e(r, cube):
+    """Over Q_3(sqrt r), u = 1 + 3 sqrt r has the critical level c* = 3.
+    There (1 + z pi)^3 = 1 + (z^3 + eps z) pi^3 up to higher levels, with
+    eps the residue of 3/r.  For r = 3 or -6, eps = 1 and 2z raises the
+    level, so u is a cube.  For r = -3 or 6, eps = -1, z^3 - z is 0 on F_3,
+    and the walk stops at c*: u is no cube.  The digit search agrees."""
+    t = Tower(3).adjoin_radical(2, r)
+    u = 1 + 3 * t.gen()
+    assert unit_level(t, u, 4) == (4 if cube else 3)
+    assert _fresh_test(t, u, 3) is cube
+    assert qth_power_search(t, u, 3) is cube
+
+
+def test_square_outside_the_integer_span_is_refused():
+    """Over Q_2(i)(w), w^2 = -1 + 2i, Z_2[i, w] is not the ring of
+    integers, and u below is the square of a unit W with half-integer
+    coordinates up to Hensel's bound: v(W^2 - u) = 3 > 2 v(2).  A search
+    over integer coordinates finds no root; the unit-level walk does, so
+    the reducible step x^2 - u is refused."""
+    t = _q2_i_sqrt_level_3()
+    i, w = t.gen(0), t.gen(1)
+    u = 25 + Fraction(35, 3) * w + 5 * i - Fraction(4, 7) * i * w
+    W = (9 + w - 3 * i - 5 * i * w) * Fraction(1, 2)
+    assert t.val(W) == 0 and t.val(W ** 2 - u) == 3
+    assert qth_power_search(t, u, 2) is False
+    assert _fresh_test(t, u, 2) is True
+    with pytest.raises(IrreducibilityUnverified, match="2-th power"):
+        t.adjoin_radical(2, u)
+
+
+#: towers too large for the digit search: Q_5(pi) (pi^8 = 5), Q_7(zeta_7),
+#: Q_3(zeta_9) and Q_5(zeta_5)
+LARGE_TOWERS = {
+    "Q5(pi)": lambda: Tower(5).adjoin_radical(8, 5),
+    "Q7(zeta7)": lambda: cyclotomic_tower(7, 1),
+    "Q3(zeta9)": lambda: cyclotomic_tower(3, 2),
+    "Q5(zeta5)": lambda: cyclotomic_tower(5, 1),
+}
+
+
+@pytest.mark.parametrize("name", [*LARGE_TOWERS, "Q2(i)(sqrt(-1+2i))"])
+def test_p_th_power_test_is_a_class_invariant(name):
+    """Over towers where the digit search cannot decide, every w^p is a
+    p-th power, and the answer for u is the answer for u w^p, for seeded
+    units u, w."""
+    t = {**LARGE_TOWERS, **ORACLE_TOWERS}[name]()
+    p = t.p
+    rng = random.Random(f"large:{name}")
+    answers = set()
+    for _ in range(6):
+        u, w = _random_unit(rng, t), _random_unit(rng, t)
+        assert _fresh_test(t, w ** p, p) is True, w
+        answer = _fresh_test(t, u, p)
+        assert _fresh_test(t, u * w ** p, p) is answer, (u, w)
+        answers.add(answer)
+    assert False in answers
+
+
+@pytest.mark.parametrize("name", ["Q5(pi)", "Q7(zeta7)"])
+def test_qth_power_test_makes_few_valuations(monkeypatch, name):
+    """Counted guard: on a fresh class, one q-th power test for q = 2 and
+    one for q = p make at most p (floor(c*) + 1) valuations, c* = p e/(p-1):
+    55 over Q_5(pi) (e = 8) and 56 over Q_7(zeta_7) (e = 6).  The units
+    include p-th powers, whose walk passes every level up to c*."""
+    t = LARGE_TOWERS[name]()
+    p, e = t.p, t.ram_index
+    bound = p * (p * e // (p - 1) + 1)
+    rng = random.Random(f"counted:{name}")
+    xs = [_random_unit(rng, t) for _ in range(4)]
+    units = xs[:2] + [x ** p for x in xs[2:]] + [xs[-1] ** p * (1 + p)]
+    calls = [0]
+    val = Tower.val
+
+    def counting_val(self, x):
+        calls[0] += 1
+        return val(self, x)
+
+    monkeypatch.setattr(Tower, "val", counting_val)
+    counts = []
+    for q in (2, p):
+        for u in units:
+            calls[0] = 0
+            _fresh_test(t, u, q)
+            counts.append(calls[0])
+    assert max(counts) <= bound, counts
+    assert min(counts) > 0, counts
 
 
 def _unit_radical_steps(t):

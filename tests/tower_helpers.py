@@ -1,11 +1,12 @@
-"""Test helpers for towers: a tower builder and the brute-force q-th power
-oracle that the digit-lifting search of `_is_qth_power_local` is checked
-against."""
+"""Test helpers for towers: a tower builder, the brute-force q-th power
+oracle over Q_p, and the digit-lifting search that the unit-level decision
+of `_is_qth_power_local` is checked against."""
 
+import itertools
 from fractions import Fraction
 
 from padic_sr.errors import ZeroElement
-from padic_sr.tower import Tower, _exact_rational, vp_rational
+from padic_sr.tower import Tower, _element, _exact_rational, vp_rational
 
 
 def make_tower(p: int, steps) -> Tower:
@@ -45,3 +46,57 @@ def is_mth_power(u, m: int, p: int) -> bool:
     den_inv = pow(u0.denominator, -1, modulus)
     target = (num * den_inv) % modulus
     return any(pow(x, m, modulus) == target for x in range(modulus))
+
+
+def qth_power_search(tower: Tower, u, q: int) -> bool:
+    """Reference for `_is_qth_power_local`: is the unit u a q-th power in
+    the completion of an exact tower, searched digit by digit?
+
+    The witnesses are the candidates x = sum a_b b, with b over the
+    monomial basis and integers 0 <= a_b < p^depth, and u counts as a q-th
+    power when some candidate has v(x^q - u) >= threshold = (2 v_pi(q) +
+    1)/e, the Hensel bound.  The coordinates are fixed one p-adic digit at
+    a time.  A truncation x_k (digits 0..k) is extended by every
+    c p^(k+1), c in {0..p-1}^D.  Each candidate is x_k + p^(k+1) y for one
+    of its truncations, with y an integer combination of basis monomials,
+    so v(x_k), v(y) >= m0, the least valuation of a basis monomial.  As q
+    is prime, p^v_p(q) divides every C(q, j) with 0 < j < q, so
+
+        v(x^q - x_k^q) >= min(v_p(q) + k + 1, q (k + 1)) + q m0 =: T_k.
+
+    A candidate that reaches the threshold therefore has v(x_k^q - u) >=
+    min(threshold, T_k) at every level k, and a truncation below that bound
+    is dropped with all its extensions.  It tries at most p^D candidates
+    per surviving truncation and level, so it is exponential in the degree
+    D and serves only as a test oracle on small towers.  It is complete only
+    where the integer span of the basis is the ring of integers.
+    """
+    p, R = tower.p, tower.ram_index
+    v_p_q = 1 if q == p else 0
+    levels = 2 * R * v_p_q + 1
+    depth = -(-levels // R) + 1
+    threshold = Fraction(levels, R)
+    basis, _ = tower._basis()
+    m0 = Fraction(min(sum(e * g for e, g in zip(b, tower._G)) for b in basis),
+                  tower._E)
+    survivors = [(0,) * len(basis)]
+    for k in range(depth):
+        need = threshold if k == depth - 1 else min(
+            threshold, min(v_p_q + k + 1, q * (k + 1)) + q * m0)
+        scale = p ** k
+        kept = []
+        for base in survivors:
+            for digits in itertools.product(range(p), repeat=len(basis)):
+                coeffs = tuple(a + c * scale for a, c in zip(base, digits))
+                x = _element(tower, 1, {b: a for b, a in zip(basis, coeffs)
+                                        if a})
+                diff = x ** q - u
+                if diff.is_zero():
+                    return True
+                v = tower.val(diff)
+                if v >= threshold:
+                    return True
+                if v >= need:
+                    kept.append(coeffs)
+        survivors = kept
+    return False
