@@ -47,10 +47,19 @@ from .ramification import (
 from .series import (
     ReductionVerdict,
     binom_falling,
+    classify_p2_torsor,
     classify_torsor_reduction,
     expand_disk,
 )
-from .tower import Tower, _di_square, check_prime, q2_i, vp_int, vp_rational
+from .tower import (
+    Tower,
+    TowerElement,
+    _di_square,
+    check_prime,
+    q2_i,
+    vp_int,
+    vp_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -152,16 +161,17 @@ def _cube_radicand(n: int, s: int, b: int) -> Fraction:
 # -- fields built once -------------------------------------------------------
 # A Tower never changes once built (adjoining returns a new tower), so a field
 # that depends on p alone is built, with its certificates, once per process
-# and shared by every cover, and so is v(1+i) in Q_2(i).  The case (iii) cube
-# root and the case (v) fields depend on the cover and are built once per
-# cover; adjoining a case (v) w reads its unit-radicand certificate from the
-# class table of Q_2(i) once the residue class of b' has been seen.  The
-# case (v) conductor facts are closed forms and build no d_j.  The rational
-# centre of cases (i), (ii) and (iv) needs no field: its disk is exact data
-# (new_tail_locus).  The graph half of the report (the graph, its checks and
-# the inseparable tails) depends on (p, n, s) alone and is computed once per
-# shape, in an LRU of 256 shapes (_report_shape, below); only callers that
-# repeat a shape gain from it.
+# and shared by every cover.  The case (iii) and (iv) cube roots depend on
+# the cover and are built once per cover.  Case (v) builds no field: its
+# centres are Gaussian rationals plus a square root R of one, valued in
+# closed form (classify_p2_torsor, conductor_bound), and the step w^2 = u
+# behind R is only certified, on Q_2(i) and its class table
+# (_certify_p2_step).  The rational centre of cases (i), (ii) and (iv)
+# needs no field: its disk is exact data (new_tail_locus).  The graph half
+# of the report (the graph, its checks and the inseparable tails) depends
+# on (p, n, s) alone and is computed once per shape, in an LRU of 256
+# shapes (_report_shape, below); only callers that repeat a shape gain from
+# it.
 
 @cache
 def _q3_pi() -> Tower:
@@ -176,60 +186,16 @@ def _k1(p: int) -> Tower:
     return cyclotomic_tower(p, 1)
 
 
-@lru_cache(maxsize=2)
-def _centre_field(b_odd: int, c: int):
-    """(tower, w) with w^2 = (-i)^c b' i, b' = b_odd: Q_2(i) itself when
-    w^2 = +-1, else Q_2(i)(w).  A cover asks for c = 0 and c = 1 of its own
-    b' only, so the memo holds the fields of one cover."""
+def _certify_p2_step(b_odd: int, c: int) -> None:
+    """Certify the case (v) step w^2 = u = (-i)^c b' i, b' = b_odd, over
+    Q_2(i) as adjoin_radical would, without building it: a refusal raises
+    the step's error and message, and a unit radicand reads the class table
+    of q2_i().  u = +-1 needs no step: w = 1 or i lies in Q_2(i)."""
+    if c and b_odd in (1, -1):
+        return
     t = q2_i()
-    i = t.gen(0)
-    unit = ((-i) ** c) * b_odd * i
-    if (unit - 1).is_zero():
-        return t, t.rational(1)
-    if (unit + 1).is_zero():
-        return t, i
-    t = t.adjoin_radical(2, unit, "w")
-    return t, t.gen(1)
-
-
-@cache
-def _v_one_plus_i() -> Fraction:
-    """v(1 + i) in Q_2(i), computed once per process."""
-    t = q2_i()
-    return t.val(1 + t.gen(0))
-
-
-def _p2_offset(n: int, s: int, a: int, b: int, j: int):
-    """(tower, w, k, a/(a+b)) of the case (v) centre d_j = a/(a+b) + R_j,
-    R_j = sqrt(2^(n-j) b i) / (a+b)^2.  The square root is (1+i)^k w_k with
-    k = 2n - s - j and w_k^2 = (-i)^k b' i, b' = b/2^(n-s) odd, as
-    (1+i)^2 = 2i.
-
-    As (-i)^2 = -1, w_k = i^((k-c)/2) w_c for c = k mod 2, so the field
-    Q_2(i)(w_k) depends only on (k mod 2, b'), and R_j (a+b)^2 =
-    (1+i)^k i^(k//2) w_c = (-2)^(k//2) (1+i)^(k%2) w_c (_p2_center).
-    new_tail_locus (j = 0) and every j of conductor_bound share the field
-    through the memo of _centre_field: a cover adjoins at most two w's,
-    over the one Q_2(i).  Either root w_k
-    gives the same report, since w -> -w fixes Q_2(i) and the valuation of
-    the field is unique, so every valuation of the expansion and of
-    conductor_bound is the same at both."""
-    k = 2 * n - s - j
-    t, w = _centre_field(b // 2 ** (n - s), k % 2)
-    return t, w, k, Fraction(a, a + b)
-
-
-def _p2_center(n: int, s: int, a: int, b: int, j: int):
-    """(tower, d_j) for the case (v) centre d_j of _p2_offset.  The root
-    R_j (a+b)^2 = (1+i)^k i^(k//2) w_c is built as (-2)^(k//2) (1+i)^(k%2)
-    w_c: since (1+i)^2 = 2i, (1+i)^(2h) i^h = (2i)^h i^h = (-2)^h.  That is
-    one product by 1 + i when k is odd and one scalar multiple, with no
-    binary powering."""
-    t, w, k, centre = _p2_offset(n, s, a, b, j)
-    if k % 2:
-        w = w + t.gen(0) * w
-    root = w * (-2) ** (k // 2)
-    return t, t.rational(centre) + root * Fraction(1, (a + b) ** 2)
+    t.certify_radical(2, t.rational(b_odd) if c
+                      else TowerElement(t, {(1,): b_odd}))
 
 
 # -- the new etale tail ------------------------------------------------------
@@ -237,28 +203,35 @@ def _p2_center(n: int, s: int, a: int, b: int, j: int):
 @dataclass(frozen=True)
 class NewTailLocus:
     case: str  # "rational" | "p3s1" | "p2"
-    tower: Tower | None  # the field of d and e; None for "rational"
-    d: object  # TowerElement, or the Fraction a/(a+b) for "rational"
-    e: object  # TowerElement of valuation v_e; None for "rational"
+    tower: Tower | None  # the field of d and e ("p3s1"), else None
+    d: object  # TowerElement ("p3s1"), else the Fraction a/(a+b)
+    e: object  # TowerElement of valuation v_e ("p3s1"), else None
     v_e: Fraction  # v(e) = (2n - s + 1/(p-1))/2, in closed form
     description: str
+    rho: int | None = None  # "p2": the centre is d + R, R^2 = rho i/(a+b)^4
 
 
 def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
-    """Center d and radius valuation v(e) = (2n - s + 1/(p-1))/2 of the disk
-    of the unique new etale tail, with the case-correct center.  A tower
-    centre (cases iii and v) comes with its tower and a radius element e; the
-    rational centre a/(a+b) of cases (i), (ii) and (iv) is the Fraction
-    itself, with no tower and no e."""
+    """Center and radius valuation v(e) = (2n - s + 1/(p-1))/2 of the disk
+    of the unique new etale tail, with the case-correct center.  The case
+    (iii) centre comes with its tower and a radius element e.  The rational
+    centre a/(a+b) of cases (i), (ii) and (iv) is the Fraction itself, and
+    the case (v) centre is a/(a+b) + R with R^2 = rho i/(a+b)^4; neither
+    needs a tower or an e.  In case (v) the step w^2 = u behind R is
+    certified (_certify_p2_step), as the tie rule of classify_p2_torsor
+    needs it."""
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
     v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
     case = _stable_case(p, n, s)
     if case == "v":
-        tower, d = _p2_center(n, s, a, b, 0)
-        # v(e) = (2n - s + 1)/2; realized as a power of (1+i), v(1+i) = 1/2
-        e = (1 + tower.gen(0)) ** (2 * n - s + 1)
-        return NewTailLocus("p2", tower, d, e, v_e,
-                            "a/(a+b) + sqrt(2^n b i)/(a+b)^2")
+        # sqrt(2^n b i) = (1+i)^k i^(k//2) w, k = 2n - s, b' = b/2^(n-s)
+        # odd and w^2 = (-i)^(k%2) b' i, as (1+i)^2 = 2i and (-i)^2 = -1
+        k = 2 * n - s
+        b_odd = b // 2 ** (n - s)
+        _certify_p2_step(b_odd, k % 2)
+        return NewTailLocus("p2", None, Fraction(a, a + b), None, v_e,
+                            "a/(a+b) + sqrt(2^n b i)/(a+b)^2",
+                            rho=2 ** k * b_odd)
     if case == "iii":
         tower = _q3_pi().adjoin_radical(
             3, _cube_radicand(n, s, b), "t")
@@ -273,9 +246,12 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
 
 
 def certify_tail(spec: CoverSpec, L: int | None = None) -> ReductionVerdict:
-    """Expand the cover on the new-tail disk and classify the reduction.  A
+    """Expand the cover on the new-tail disk and classify the reduction; a
+    case (v) centre is classified in closed form, with no expansion.  A
     tower centre reads v(e) from its tower, which checks the closed form."""
     locus = new_tail_locus(spec)
+    if locus.case == "p2":
+        return classify_p2_torsor(spec, locus.v_e, locus.rho, L)
     if locus.tower is None:
         exp = expand_disk(spec, locus.d, None, L, locus.v_e)
     else:
@@ -593,27 +569,31 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
             if not ok:
                 raise CertificationFailed(f"square class of 2^(n-{j}) b i "
                                           f"disagrees with l({j}) = {ell}")
-            # d_j = a/(a+b) + R_j with R_j (a+b)^2 = (-2)^(k//2)
-            # (1+i)^(k%2) w_c (_p2_center): every fact is v(R_j) plus the
-            # valuation of a rational, and no d_j is built
-            tw, w, k, centre = _p2_offset(n, s, a, b, j)
-            v_r = (k // 2 + k % 2 * _v_one_plus_i() + tw.val(w)
-                   + vp_rational(Fraction(1, (a + b) ** 2), 2))
-            # d_j - 1 = R_j + (a/(a+b) - 1).  The w step admits only odd b',
-            # so v(R_j) = k/2 - 2 v_2(a+b) and v_2(b) <= n - s; a tie then
+            # d_j = a/(a+b) + R_j, R_j^2 = 2^(n-j) b i/(a+b)^4: every fact
+            # is v(R_j) plus the valuation of a rational, all doubled into
+            # integers, and no d_j is built.  The w step depends on k mod 2
+            # only, k = 2n - s - j, so j = 0 and 1 certify every step; it
+            # admits only odd b', so 2 v(R_j) = k - 4 v_2(a+b)
+            k = 2 * n - s - j
+            if j < 2:
+                _certify_p2_step(b // 2 ** (n - s), k % 2)
+            Fraction(a, a + b)  # the centre: a + b = 0 raises here
+            vm, vb = vp_int(a + b, 2), vp_int(b, 2)
+            v_r = k - 4 * vm
+            # d_j - 1 = R_j - b/(a+b), and v_2(b) <= n - s; a tie then
             # forces v_2(a+b) > 0, and the min fails the check below as
-            # v(d_j - 1) = v(R_j) + 1/4 fails it in the field
-            v_d1 = min(v_r, vp_rational(centre - 1, 2))
-            vt, va = Fraction(2 * n - s - j, 2), Fraction(s - j, 2)
-            if v_d1 != n - s:
+            # v(d_j - 1) = v(R_j) + 1/4 fails it in the field.  It fails
+            # for a = 0 too, so v_2(a) is taken below only for a != 0
+            if min(v_r, 2 * (vb - vm)) != 2 * (n - s):
                 raise CertificationFailed(f"v(d_{j} - 1) = n - s fails")
             # t_j = d_j (a+b)/a - 1 = R_j (a+b)/a
-            if v_r + vp_rational(Fraction(a + b, a), 2) != vt:
+            if v_r + 2 * (vm - vp_int(a, 2)) != k:
                 raise CertificationFailed(f"v(t_{j}) = n - (s+{j})/2 fails")
             # alpha'_j - 1 = (d_j - 1) (a+b)/(-b) - 1 = R_j (a+b)/(-b)
-            if v_r + vp_rational(Fraction(a + b, -b), 2) != va:
+            if v_r + 2 * (vm - vb) != s - j:
                 raise CertificationFailed(
                     f"v(alpha'_{j} - 1) = (s-{j})/2 fails")
+            vt, va = Fraction(k, 2), Fraction(s - j, 2)
             detail.append(f"d_{j}: l({j}) = {ell}, v(d_{j}-1) = {n - s}, "
                           f"v(t_{j}) = {ratstr(vt)}, "
                           f"v(alpha'_{j}-1) = {ratstr(va)} verified")

@@ -76,7 +76,8 @@ def main():
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
 @click.option("--truncation", type=int, default=None,
-              help="series truncation length (default max(p+1, 2p))")
+              help="series truncation length (default max(p+1, 2p)); for "
+                   "p = 2 it is only checked against p + 1")
 @click.option("--json", "json_path", type=click.Path(writable=True),
               default=None, help="write the report to this file")
 @click.option("--dot", "dot_path", type=click.Path(writable=True),

@@ -58,19 +58,12 @@ profile scale of `DiskExpansion`, which puts every valuation in Z),
 
 and c_l = 0 exactly when K_l = 0 (e, d and d-1 are nonzero).  The classifiers
 read only the K_l and the slope: they build no c_l and invert nothing, and
-for a rational centre every valuation is one v_p of an integer.  The two
-tests that compare coefficients, not just valuations, carry the same power
-of r on both sides, so r enters only through the slope (tau = n + 1/(p-1)):
-
-* Condition (ii), M = (p-1) n + 1: c_p - c_1^p / p^M = r^p p^(-M) Y with
-  Y = p^M K_p - K_1^p, so v(c_p - c_1^p / p^M) > tau exactly when Y = 0 or
-  p slope + E v(Y) - E M > E tau.
-* The p = 2 congruence c_1^2 / c_2 = 2^(n+1) i mod 2^(n+2), once v(c_2) = n
-  is checked: c_1^2 / c_2 - 2^(n+1) i = X / K_2 with X = K_1^2 - 2^(n+1) i K_2
-  and E v(K_2) = E n - 2 slope, so the congruence holds exactly when X = 0
-  or E v(X) + 2 slope >= E (2n + 2).  The other choice -i of the root of -1
-  moves the right side by 2^(n+2) i, so the congruence holds for both
-  choices or for neither, and i alone is tested.
+for a rational centre every valuation is one v_p of an integer.  The test
+that compares coefficients, not just valuations, carries the same power of
+r on both sides, so r enters only through the slope (tau = n + 1/(p-1)):
+condition (ii), M = (p-1) n + 1, reads c_p - c_1^p / p^M = r^p p^(-M) Y with
+Y = p^M K_p - K_1^p, so v(c_p - c_1^p / p^M) > tau exactly when Y = 0 or
+p slope + E v(Y) - E M > E tau.
 
 Tail bound.  The j-th term of c_l has valuation at least l v(e) when j = 0
 and l v(e) + (n-s) - v_p(j) - j(n-s) when j >= 1 (C(a, k) is an integer,
@@ -103,6 +96,50 @@ denominators.  When a candidate fails (g may lie below tail_bound at L + 1)
 or the slope is not positive, the check falls back to the loop over every l.
 That loop is the complete check, so the fallback decides exactly what the
 loop alone would, and raises the same message at the same first failing l.
+
+Case (v) centres.  For p = 2 the new-tail centre is d = x + R with
+x = a/(a+b) and R^2 = 2^n b i/(a+b)^4, so d lies in Q_2(i) or in a
+quadratic extension Q_2(i)(R).  `classify_p2_torsor` decides the three
+facts of the mu_4 criterion (v(c_2) = n, the congruence, v(c_l) >= n + 1
+for l >= 3) from valuations of Gaussian rationals, with no tower and no
+expansion.  Once v(c_2) = n is checked, the congruence c_1^2 / c_2 =
+2^(n+1) i mod 2^(n+2) reads c_1^2 / c_2 - 2^(n+1) i = X / K_2 with
+X = K_1^2 - 2^(n+1) i K_2 and E v(K_2) = E n - 2 slope, so it holds exactly
+when X = 0 or E v(X) + 2 slope >= E (2n + 2).  The other choice -i of the
+root of -1 moves the right side by 2^(n+2) i, so the congruence holds for
+both choices or for neither, and i alone is tested.  With m = a + b,
+
+    K_1 = N m R,
+    K_2 = N^2 b gamma / (2 m^3),     gamma = -a m^2 + (m - 1) 2^n i,
+    X = K_1^2 - 2^(n+1) i K_2 = N^2 2^n b i chi / m^3,
+                                     chi = m + a m^2 - (m - 1) 2^n i:
+
+K_1 = a delta' + b delta = N (m d - a), and K_2 / N^2 is quadratic in d
+with derivative (m - 1)(m d - a), so it is its value -ab/(2m) at x plus
+m (m - 1) R^2 / 2.  N cancels from every valuation the classifier reads:
+v(c_l) = l (v(e) - v(d) - v(d - 1)) + v(K_l / N^l), and K_1 / N is R times
+a rational, while K_2 / N^2 and X / N^2 are Gaussian rationals.  In Q_2(i),
+v(1 + i) = 1/2 and v(z) is half the 2-adic valuation of the norm of z, so
+the classifier compares integers at the scale E = 4, with v(R) =
+v(R^2) / 2.
+
+The tie rule.  v(d) = min(v(x), v(R)) and v(d - 1) = min(v(x - 1), v(R))
+unless the two terms tie.  R is (1+i)^k i^(k//2) w / m^2 with k = 2n - s
+and w^2 = (-i)^(k%2) b' i, b' = b/2^(n-s) odd, so 2 v(R) = k - 4 v_2(m),
+while v(x) and v(x - 1) are integers: a tie needs k even.  Then w^2 = b' i,
+which is never +-1, and the analyzer certifies the step w^2 = b' i
+irreducible over Q_2(i) as adjoining it would.  The valuation of Q_2(i)
+therefore extends uniquely to Q_2(i)(R), and v(x + R) is half the
+valuation of its norm x^2 - R^2 in Q(i).  When w^2 = +-1, R lies in Q(i)
+itself, but k is odd and no tie occurs.
+
+The l >= 3 bound.  Once the premises v(d) = 0 and v(d - 1) = v(b) = n - s
+are checked, the tail bound holds at every l, and on the locus v(e) =
+(2n - s + 1)/2 its lower bound is g(l) = l (s + 1)/2 + (n - s) -
+floor(log_2 l), which is at least n + 1 for every l >= 3 (s >= 1).  So
+check_tail_dominated(spec, v_e, 2, n + 1, strict=False) certifies every
+l >= 3: no c_l past c_2 is computed, and the truncation L is checked
+against p + 1 but changes nothing else.
 """
 
 from __future__ import annotations
@@ -126,6 +163,16 @@ _EXACT_TAIL_HORIZON = 64
 def default_truncation(p: int) -> int:
     """The series truncation L used when none is given."""
     return max(p + 1, 2 * p)
+
+
+def _truncation(p: int, L: int | None) -> int:
+    """L, or the default truncation when L is None; one below p + 1 (the
+    classifiers read c_p) raises ValueError."""
+    if L is None:
+        return default_truncation(p)
+    if L < p + 1:
+        raise ValueError("truncation must be at least p + 1")
+    return L
 
 
 def binom_falling(x, k: int) -> Fraction:
@@ -290,10 +337,7 @@ def expand_disk(spec, d, e, L: int | None = None,
     tower centre is given with e, an element of (or coercible into) its
     tower."""
     p = spec.p
-    if L is None:
-        L = default_truncation(p)
-    if L < p + 1:
-        raise ValueError("truncation must be at least p + 1")
+    L = _truncation(p, L)
     if isinstance(d, Fraction):
         if d == 0 or d == 1:
             raise CenterOnBranchLocus("disk center lies on the branch locus")
@@ -363,15 +407,22 @@ def tail_bound(spec, v_e, l):
 def _check_tail_premises(exp):
     """The per-term bound rests on v(d) = 0, v(d-1) = v_p(b) = n - s; verify
     these on the actual disk before trusting the bound."""
-    spec = exp.spec
-    p, n, s = spec.p, spec.n, spec.s
+    p = exp.spec.p
     val = (exp.tower.val if exp.tower is not None
            else lambda x: vp_rational(x, p))
-    if val(exp.d) != 0:
+    _check_premises(exp.spec, val(exp.d), val(exp.d - 1))
+
+
+def _check_premises(spec, v_d, v_d1):
+    """Raise PrecisionExhausted naming the first of v(d) = 0,
+    v(d - 1) = n - s and v_p(b) = n - s that fails, given v(d) and
+    v(d - 1)."""
+    n, s = spec.n, spec.s
+    if v_d != 0:
         raise PrecisionExhausted("tail bound needs v(d) = 0")
-    if val(exp.d - 1) != n - s:
+    if v_d1 != n - s:
         raise PrecisionExhausted("tail bound needs v(d - 1) = n - s")
-    if vp_rational(Fraction(spec.b), p) != n - s:
+    if vp_rational(Fraction(spec.b), spec.p) != n - s:
         raise PrecisionExhausted("tail bound needs v(b) = n - s")
 
 
@@ -433,19 +484,22 @@ def check_tail_dominated(spec, v_e, L, threshold, strict=True):
 # -- classification ----------------------------------------------------------
 
 def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
-    """Reduction type of the torsor from the valuation profile, compared as
-    integers scaled by E = exp.scale against E tau, tau = n + 1/(p-1).  Reads
-    the K_l and exp.slope only (module docstring): no coefficient is built and
-    nothing is inverted.  A rational centre has no e, and its v(e) is
-    finite, so its expansion is never constant."""
+    """Reduction type of the Artin-Schreier torsor (p odd) from the
+    valuation profile, compared as integers scaled by E = exp.scale against
+    E tau, tau = n + 1/(p-1).  Reads the K_l and exp.slope only (module
+    docstring): no coefficient is built and nothing is inverted.  A
+    rational centre has no e, and its v(e) is finite, so its expansion is
+    never constant.  A p = 2 expansion is refused with ValueError: the
+    mu_4-torsors of case (v) are classified by classify_p2_torsor."""
     spec = exp.spec
     p, n = spec.p, spec.n
     if not exp.ks or exp.ks[0] != 1:
         raise ValueError("expansion is not normalized to c_0 = 1")
+    if p == 2:
+        raise ValueError("p = 2 torsors are classified by "
+                         "classify_p2_torsor")
     if exp.tower is not None and exp.e.is_zero():
         return ReductionVerdict("NotCertified", reason="constant expansion")
-    if p == 2:
-        return _classify_p2(exp)
     prof = exp.scaled_profile()
     E = exp.scale
     tau = n + Fraction(1, p - 1)
@@ -503,27 +557,60 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
                             "minimum valuation is not n + 1/(p-1)")
 
 
-def _classify_p2(exp: DiskExpansion):
-    spec = exp.spec
-    n = spec.n
-    tower = exp.tower
-    prof = exp.scaled_profile()
-    E = exp.scale
+def _v4(re: int, im: int, den: int = 1):
+    """4 v(z) for z = (re + im i)/den in Q_2(i), v(1 + i) = 1/2, or None
+    for z = 0: v(z) is half the 2-adic valuation of the norm (re^2 + im^2)
+    / den^2, so 4 v(z) is an even integer."""
+    norm = re * re + im * im
+    if not norm:
+        return None
+    return 2 * vp_int(norm, 2) - 4 * vp_int(den, 2)
+
+
+def _v4_centre(x: Fraction, rho: int, m: int, vr: int) -> int:
+    """4 v(x + R) for a rational x, R^2 = rho i / m^4 of 4 v(R) = vr, by
+    the tie rule of the module docstring: on a tie, x^2 - R^2 is the norm
+    of x + R down to Q_2(i)."""
+    if not x:
+        return vr
+    num, den = x.numerator, x.denominator
+    vx = 4 * (vp_int(num, 2) - vp_int(den, 2))
+    if vx != vr:
+        return min(vx, vr)
+    m4 = m ** 4
+    return _v4(num * num * m4, -rho * den * den, den * den * m4) // 2
+
+
+def classify_p2_torsor(spec, v_e: Fraction, rho: int,
+                       L: int | None = None) -> ReductionVerdict:
+    """Reduction type of the mu_4-torsor on the case (v) disk centred at
+    d = a/(a+b) + R, R^2 = rho i/(a+b)^4 (rho = 2^n b on the locus), of
+    radius v(e) = v_e, from the closed forms of the module docstring: no
+    tower, no expansion.  The caller has certified that rho i is no square
+    in Q_2(i) when v_2(rho) is even, the one case where the tie rule needs
+    it.  L is checked as expand_disk checks it, and changes nothing else:
+    every l >= 3 is certified by the tail bound."""
+    n, a, b = spec.n, spec.a, spec.b
+    _truncation(spec.p, L)
     if n < 2:
         return ReductionVerdict("NotCertified",
                                 reason="p = 2 requires n >= 2")
-    tau = Fraction(n + 1)  # n + 1/(p-1) with p = 2
-    T = E * (n + 1)
+    m = a + b
+    x = Fraction(a, m)
+    vm = vp_int(m, 2)
+    vr = 2 * vp_int(rho, 2) - 8 * vm  # 4 v(R) = 2 v(R^2)
+    vd = _v4_centre(x, rho, m, vr)
+    vd1 = _v4_centre(x - 1, rho, m, vr)
+    # E v(c_l) = l slope + E v(K_l / N^l), E = 4
+    slope = _scaled(v_e, 4) - vd - vd1
     reasons = []
-    if prof[2] != E * n:
+    # K_2 / N^2 = (-a b m^2 + (m - 1) rho i) / (2 m^3)
+    vk2 = _v4(-a * b * m * m, (m - 1) * rho)
+    if vk2 is None or 2 * slope + vk2 - 4 - 12 * vm != 4 * n:
         reasons.append("v(c_2) != n")
-    for l in range(3, exp.truncation + 1):
-        if prof[l] is not None and prof[l] < T:
-            reasons.append(f"v(c_{l}) < n + 1")
-            break
     try:
-        _check_tail_premises(exp)
-        check_tail_dominated(spec, exp.v_e, exp.truncation, tau, strict=False)
+        _check_premises(spec, Fraction(vd, 4), Fraction(vd1, 4))
+        check_tail_dominated(spec, v_e, 2, Fraction(n + 1), strict=False)
     except PrecisionExhausted as exc:
         reasons.append(str(exc))
     if reasons:
@@ -531,21 +618,12 @@ def _classify_p2(exp: DiskExpansion):
     # c_2 is a square in R: a square root exists over an at-most-quadratic
     # extension of K, which the construction permits (adjoined on demand)
     notes = ["sqrt(c_2) adjoined on demand"]
-    # congruence c_1^2 / c_2 = 2^(n+1) i mod 2^(n+2), as X = K_1^2 -
-    # 2^(n+1) i K_2 (module docstring); it holds for both choices of i or
-    # for neither.  Every case (v) centre lies over Q_2(i), so i is the
-    # generator of a first step i^2 = -1.
-    first = tower.steps[0] if tower is not None and tower.steps else None
-    if first is None or first.degree != 2 or first.radicand != -1:
-        return ReductionVerdict(
-            "NotCertified", reason="tower contains no sqrt(-1)")
-    x = exp.ks[1] * exp.ks[1] - 2 ** (n + 1) * (tower.gen(0) * exp.ks[2])
-    if not (x == 0 or (exp._scaled_val(x) + 2 * exp.slope
-                       >= E * (2 * n + 2))):
+    # X / N^2 = (2^n (m - 1) rho + (rho m + 2^n a b m^2) i) / m^3
+    vx = _v4(2 ** n * (m - 1) * rho, rho * m + 2 ** n * a * b * m * m)
+    if not (vx is None or vx - 12 * vm + 2 * slope >= 4 * (2 * n + 2)):
         return ReductionVerdict(
             "NotCertified",
             reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i")
     notes.append("congruence holds with i -> +i")
     return ReductionVerdict("SplitsZ4", count=2 ** (n - 2), conductor=1,
                             notes=tuple(notes))
-

@@ -374,9 +374,12 @@ class Tower:
         self.steps: list[Step] = []
         self.ram_index = 1  # exact when ram_exact
         self.ram_exact = True
-        self._uniformizer = None  # TowerElement with v = 1/ram_index, if known
+        # (den, nums) of an element with v = 1/ram_index, if known.  It and
+        # the inverse cache keep plain data, not elements of this tower, so
+        # that a tower holds no reference cycle and is freed on its last del
+        self._uniformizer = None
         self._basis_cache = None
-        self._inv_cache = {}
+        self._inv_cache = {}  # (den, nums items) -> (den, nums) of the inverse
         self._prod = {}  # (e1, e2) -> reduced product, filled on first use
         self._lower = None  # the tower this one extends by its top step
         self._halves = None  # (a0, a1) of a quadratic top step, in _lower
@@ -439,7 +442,7 @@ class Tower:
     def uniformizer(self) -> TowerElement:
         if self._uniformizer is None:
             return self.rational(self.p)
-        return self.coerce(self._uniformizer)
+        return _element(self, *self._uniformizer)
 
     # -- reduced multiplication ----------------------------------------------
 
@@ -560,7 +563,7 @@ class Tower:
         key = (elem.den, frozenset(elem.nums.items()))
         hit = self._inv_cache.get(key)
         if hit is not None:
-            return hit
+            return _element(self, *hit)
         basis, index = self._basis()
         D = len(basis)
         M = self._mul_matrix(elem)
@@ -568,7 +571,7 @@ class Tower:
         rhs[index[self._one_exps]] = Fraction(1)
         sol = _solve_fraction(M, rhs)
         inv = TowerElement(self, {basis[i]: sol[i] for i in range(D)})
-        self._inv_cache[key] = inv
+        self._inv_cache[key] = inv.den, inv.nums
         if len(self._inv_cache) > 256:
             self._inv_cache.clear()
         return inv
@@ -642,7 +645,9 @@ class Tower:
         t.steps = self.steps + [step]
         t.ram_index = self.ram_index * (step.e_step or 1)
         t.ram_exact = self.ram_exact and step.e_step is not None
-        t._uniformizer = self._uniformizer
+        if self._uniformizer is not None:
+            den, nums = self._uniformizer
+            t._uniformizer = den, {k + (0,): n for k, n in nums.items()}
         t._lower = self
         t._one_exps = (0,) * len(t.steps)
         if step.degree == 2:
@@ -653,13 +658,35 @@ class Tower:
         return t
 
     def adjoin_radical(self, m: int, radicand, name=None) -> "Tower":
-        """Adjoin g with g^m = radicand, certifying local irreducibility."""
+        """Adjoin g with g^m = radicand, certifying local irreducibility
+        (certify_radical)."""
+        vr = self.certify_radical(m, radicand)
+        rad = self.coerce(radicand)
+        name = name or f"g{len(self.steps)}"
+        if vr != 0:
+            # rewrite: g^m = rad (generator position appended)
+            step = Step(name, m, _lifted(rad), rad.den, "radical", vr / m, m,
+                        radicand=rad)
+            t = self._extended(step)
+            t._build_uniformizer(t.gen())
+            return t
+        step = Step(name, m, _lifted(rad), rad.den, "radical", Fraction(0),
+                    None, radicand=rad)
+        t = self._extended(step)
+        t._detect_unit_step_ramification(lower_exact=self.ram_exact)
+        return t
+
+    def certify_radical(self, m: int, radicand) -> Fraction:
+        """The certificate of adjoin_radical: prove x^m - radicand
+        irreducible over the completion, without building the step, and
+        return v(radicand).  A refusal raises what adjoining would:
+        ValueError for m < 2, ZeroRadicand, or IrreducibilityUnverified.  A
+        unit radicand reads the tower's class table like the step does."""
         if m < 2:
             raise ValueError("step exponent must be >= 2")
         rad = self.coerce(radicand)
         if rad.is_zero():
             raise ZeroRadicand("radicand is zero")
-        name = name or f"g{len(self.steps)}"
         vr = self.val(rad)
         if vr != 0:
             # certificate (a): Newton polygon of x^m - rad is the single
@@ -677,12 +704,7 @@ class Tower:
                 raise IrreducibilityUnverified(
                     f"x^{m} - r with v(r) = {vr}: slope denominator is not {m}"
                 )
-            # rewrite: g^m = rad (generator position appended)
-            step = Step(name, m, _lifted(rad), rad.den, "radical", vr / m, m,
-                        radicand=rad)
-            t = self._extended(step)
-            t._build_uniformizer(t.gen())
-            return t
+            return vr
         # certificate (b): unit radicand, not a q-th power locally for any
         # prime q | m
         for q in _prime_factors(m):
@@ -691,11 +713,7 @@ class Tower:
                     f"radicand is a {q}-th power in the {self.p}-adic "
                     f"completion; x^{m} - r is reducible there"
                 )
-        step = Step(name, m, _lifted(rad), rad.den, "radical", Fraction(0),
-                    None, radicand=rad)
-        t = self._extended(step)
-        t._detect_unit_step_ramification(lower_exact=self.ram_exact)
-        return t
+        return vr
 
     def adjoin_root_of_unity(self, order: int, name=None) -> "Tower":
         """Adjoin a primitive root of unity of p-power order p^k (k >= 1),
@@ -750,7 +768,8 @@ class Tower:
         if g != 1:
             self._uniformizer = None
             return
-        self._uniformizer = new_elem ** a * self.coerce(lower.uniformizer() ** c)
+        pi = new_elem ** a * self.coerce(lower.uniformizer() ** c)
+        self._uniformizer = pi.den, pi.nums
 
     def _detect_unit_step_ramification(self, lower_exact):
         """After a Hensel-certified unit step g^m = u, probe v(g - c) for
@@ -775,7 +794,8 @@ class Tower:
                 self.ram_index *= step.degree
                 self.ram_exact = lower_exact
                 if v * self.ram_index == 1:
-                    self._uniformizer = self.gen() - c
+                    pi = self.gen() - c
+                    self._uniformizer = pi.den, pi.nums
                 else:
                     self._build_uniformizer(self.gen() - c)
                 return

@@ -11,8 +11,6 @@ from functools import cache
 import pytest
 
 from padic_sr.analyzer import (
-    _centre_field,
-    _p2_center,
     _report_shape,
     _stable_case,
     analyze,
@@ -43,6 +41,7 @@ from padic_sr.jsonutil import ratstr
 from padic_sr import tower as tower_module
 from padic_sr.ramification import FieldTower, TowerStep
 from padic_sr.tower import Tower, _di_square, q2_i, vp_rational
+from p2_oracle import p2_center, tower_locus
 
 
 # -- branch signatures -------------------------------------------------------
@@ -164,14 +163,21 @@ def test_locus_p3_s1_case():
 
 
 def test_locus_p2_case():
+    """The case (v) locus is a/(a+b) and R^2 = rho i/(a+b)^4 with no tower;
+    the centre the tower oracle builds from it has the listed valuations."""
     spec = branch_signature(2, 3, 1, 6)
     loc = new_tail_locus(spec)
     assert loc.case == "p2"
+    assert loc.tower is None and loc.e is None
+    assert loc.d == Fraction(1, 7) and loc.rho == 2 ** 3 * 6
     assert loc.v_e == Fraction(2 * 3 - 2 + 1, 2)
-    assert loc.tower.val(loc.e) == loc.v_e
-    assert loc.tower.val(loc.d - 1) == spec.n - spec.s
+    d, e = tower_locus(spec)
+    t = d.tower
+    assert t.val(e) == loc.v_e
+    assert t.val(d - 1) == spec.n - spec.s
     # sqrt(2^n b i) bookkeeping: v(d - a/(a+b)) = (2n - s)/2
-    assert loc.tower.val(loc.d - Fraction(1, 7)) == Fraction(2 * 3 - 2, 2)
+    assert t.val(d - loc.d) == Fraction(2 * 3 - 2, 2)
+    assert (d - loc.d) ** 2 == t.gen(0) * Fraction(loc.rho, 7 ** 4)
 
 
 # -- certification grid (small sample; the big grid is in acceptance) --------
@@ -505,30 +511,28 @@ def test_second_analyze_builds_only_per_cover_steps(monkeypatch, args,
 @pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 5, 1, 6), (2, 5, 3, -10),
                                   (2, 6, 1, 10), (2, 4, 1, 2)])
 def test_case_v_adjoins_one_w_per_parity_of_k(monkeypatch, args):
-    """A case (v) cover with s >= 3 never rebuilds Q_2(i), and adjoins at
-    most one w for each class of k = 2n - s - j mod 2 over j < s (so at most
-    one for each k mod 4), shared by new_tail_locus and conductor_bound."""
+    """A case (v) analyze adjoins nothing: each w step, one for each class
+    of k = 2n - s - j mod 2 over j < s, is certified on Q_2(i) and never
+    built, by new_tail_locus and conductor_bound alike."""
     spec = branch_signature(*args)
     assert spec.s >= 3
+    classes = {(2 * spec.n - spec.s - j) % 2 for j in range(spec.s)}
+    assert len(classes) == 2
     q2_i()
-    _centre_field.cache_clear()
     calls = _count_adjoins(monkeypatch)
     assert analyze(*args)["certified"] is True
-    assert all(steps == 1 and (p, m) == (2, 2) for p, steps, m in calls), calls
-    classes = {(2 * spec.n - spec.s - j) % 2 for j in range(spec.s)}
-    assert 1 <= len(calls) <= len(classes) == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 6, 1, 10), (2, 4, 1, 2),
                                   (2, 6, 3, -6)])
 def test_p2_centres_are_the_listed_square_roots(args):
-    """Each d_j that _p2_center builds from a shared field satisfies
-    ((d_j - a/(a+b)) (a+b)^2)^2 = 2^(n-j) b i, for every j < s."""
+    """Each d_j that the oracle's p2_center builds from a shared field
+    satisfies ((d_j - a/(a+b)) (a+b)^2)^2 = 2^(n-j) b i, for every j < s."""
     spec = branch_signature(*args)
     n, s, a, b = spec.n, spec.s, spec.a, spec.b
-    _centre_field.cache_clear()
     for j in range(s):
-        t, dj = _p2_center(n, s, a, b, j)
+        t, dj = p2_center(n, s, a, b, j)
         root = (dj - Fraction(a, a + b)) * (a + b) ** 2
         assert root ** 2 == t.gen(0) * (2 ** (n - j) * b), j
 
@@ -553,7 +557,7 @@ def _old_case_v(n, s, a, b):
         if not ok:
             raise CertificationFailed(f"square class of 2^(n-{j}) b i "
                                       f"disagrees with l({j}) = {ell}")
-        tw, dj = _p2_center(n, s, a, b, j)
+        tw, dj = p2_center(n, s, a, b, j)
         vt, va = Fraction(2 * n - s - j, 2), Fraction(s - j, 2)
         if tw.val(dj - 1) != n - s:
             raise CertificationFailed(f"v(d_{j} - 1) = n - s fails")
@@ -627,39 +631,45 @@ def test_case_v_conductor_bound_matches_the_tower_path(seed):
 
 def test_seen_class_of_b_odd_runs_no_digit_search(monkeypatch):
     """b' = 19 is 3 mod 16, so once a b' = 3 cover has filled the class
-    table of Q_2(i) with b' and b' i, adjoining both w's of the b' = 19
-    cover reads the table: no q-th power decision runs."""
+    table of Q_2(i) with b' and b' i, certifying both w steps of the b' = 19
+    cover reads the table: no unit-level walk runs, and no Tower is built,
+    no norm taken and nothing adjoined."""
     assert analyze(2, 4, 1, 6)["certified"] is True  # b' = 3
-    _centre_field.cache_clear()
-    decisions = []
+    decisions, built = [], []
 
     def counted(*args, _decide=tower_module._qth_power_by_levels):
         decisions.append(args[0].degree)
         return _decide(*args)
 
     monkeypatch.setattr(tower_module, "_qth_power_by_levels", counted)
+    init, norm = Tower.__init__, Tower.norm
+    monkeypatch.setattr(Tower, "__init__",
+                        lambda self, p: built.append("Tower") or init(self, p))
+    monkeypatch.setattr(Tower, "norm",
+                        lambda self, x: built.append("norm") or norm(self, x))
     calls = _count_adjoins(monkeypatch)
     assert analyze(2, 4, 1, 38)["certified"] is True  # b' = 19
-    assert len(calls) == 2  # both w's were adjoined
-    assert decisions == []
+    assert calls == built == decisions == []
 
 
 @pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 6, 3, -6), (2, 3, 1, 6)])
 def test_case_v_conductor_bound_takes_no_norm_and_builds_no_centre(
         monkeypatch, args):
-    """With the cover's fields built, conductor_bound reads every case (v)
-    fact in closed form: no Tower.norm call and no d_j."""
+    """With the class table warm, conductor_bound reads every case (v) fact
+    in closed form: no Tower built, no Tower.norm call and no step
+    adjoined."""
     spec = branch_signature(*args)
     analyze(*args)
     calls = []
-    norm = Tower.norm
+    init, norm = Tower.__init__, Tower.norm
+    monkeypatch.setattr(Tower, "__init__",
+                        lambda self, p: calls.append("Tower") or init(self, p))
     monkeypatch.setattr(Tower, "norm",
                         lambda self, x: calls.append("norm") or norm(self, x))
-    monkeypatch.setattr("padic_sr.analyzer._p2_center",
-                        lambda *a: calls.append("d_j") or _p2_center(*a))
+    adjoins = _count_adjoins(monkeypatch)
     cb = conductor_bound(stab_field_tower(spec), spec.n)
     assert cb["vanishes_at_n"] is True
-    assert calls == []
+    assert calls == adjoins == []
 
 
 MIXED_GRID = [(2, 3, 1, 6), (2, 4, 1, 56), (2, 4, 1, 6), (2, 5, 1, 6),
@@ -677,11 +687,11 @@ def _report_or_error(args):
 
 def test_shared_fields_carry_no_cover_state():
     """Analyzing a mixed grid forwards and then backwards, with every
-    shared field and the case (v) memo reused between covers, gives the
-    reports (or errors) that each cover gives with a fresh memo."""
+    shared field and the class table of Q_2(i) reused between covers, gives
+    the reports (or errors) that each cover gives with a fresh table."""
     fresh = {}
     for args in MIXED_GRID:
-        _centre_field.cache_clear()
+        q2_i()._qth_classes.clear()
         fresh[args] = _report_or_error(args)
     assert sum(isinstance(r, tuple) for r in fresh.values()) >= 2
     forwards = {args: _report_or_error(args) for args in MIXED_GRID}
@@ -720,7 +730,6 @@ def test_certification_takes_no_determinant_or_solve(monkeypatch, counted,
     assert analyze(*warm)["certified"] is True
     for key in itertools.product((0, 1), (1, 3, 5, 7), (2, 3), (0, 1, 3)):
         tower_module._square_class_entry(*key)
-    _centre_field.cache_clear()
     calls = []
     for name in ("_det_fraction", "_solve_fraction"):
         def counting(*args, _name=name, _f=getattr(tower_module, name)):

@@ -156,6 +156,22 @@ def test_truncation_flag(runner):
     assert res.exit_code == 0
 
 
+def test_truncation_changes_no_p2_certificate(runner):
+    """For p = 2 the truncation is checked against p + 1 = 3 and changes
+    nothing else: case (v) is certified in closed form."""
+    cover = ["--p", "2", "--n", "4", "--a", "3", "--b", "-10"]
+    for command in ("certify", "analyze"):
+        outputs = {runner.invoke(main, [command, *cover, *extra]).output
+                   for extra in ([], ["--truncation", "3"],
+                                 ["--truncation", "40"])}
+        assert len(outputs) == 1, command
+        assert '"kind": "SplitsZ4"' in outputs.pop()
+        res = runner.invoke(main, [command, *cover, "--truncation", "2"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--truncation': 2 is below p + 1 = 3" in \
+            res.output
+
+
 @pytest.mark.parametrize("args,message", [
     (["analyze", "--p", "4", "--n", "1", "--a", "1", "--b", "1"],
      "Invalid value for '--p': p = 4 is not prime"),

@@ -11,7 +11,12 @@ from types import SimpleNamespace
 import pytest
 import sympy as sp
 
-from padic_sr.analyzer import branch_signature, certify_tail, new_tail_locus
+from padic_sr.analyzer import (
+    CoverSpec,
+    branch_signature,
+    certify_tail,
+    new_tail_locus,
+)
 from padic_sr.errors import (
     ArtifactError,
     CenterOnBranchLocus,
@@ -31,6 +36,8 @@ from padic_sr.series import (
     tail_bound,
 )
 from padic_sr.tower import Tower, TowerElement, vp_rational
+import p2_oracle
+from p2_oracle import classify_p2, tower_locus
 from tower_helpers import make_tower
 
 
@@ -47,10 +54,13 @@ def _q_p_pi(p):
 
 def _tower_disk(spec, locus):
     """(d, e) of the new-tail disk as elements of one tower: the locus's own
-    for a tower centre, and for the rational centre a/(a+b) its image in
-    Q_p(pi) with e = pi^((2n-s)(p-1)+1), of valuation locus.v_e."""
+    for a tower centre, the tower oracle's for a case (v) centre, and for
+    the rational centre a/(a+b) its image in Q_p(pi) with
+    e = pi^((2n-s)(p-1)+1), of valuation locus.v_e."""
     if locus.tower is not None:
         return locus.d, locus.e
+    if locus.case == "p2":
+        return tower_locus(spec)
     p, n, s = spec.p, spec.n, spec.s
     t = _q_p_pi(p)
     return t.rational(locus.d), t.gen(0) ** ((2 * n - s) * (p - 1) + 1)
@@ -463,19 +473,149 @@ def test_rational_centre_needs_no_tower_arithmetic(monkeypatch, p, n, a, b):
     assert calls == {"Tower": 0, "mul": 0}
 
 
+def _case_v_grid_and_draws(seed):
+    """The p = 2 covers of the identity grid (2 <= n <= 5, 1 <= a <= 12,
+    -12 <= b <= 24), then seeded draws with 2 <= n <= 8, |a| <= 99 and
+    |b'| <= 99, b' odd, taking the classes of b' mod 8 in turn and b' = +-1
+    at every eighth draw.  Inadmissible inputs are skipped, nothing else."""
+    for n in range(2, 6):
+        for a in range(1, 13):
+            for b in range(-12, 25):
+                yield 2, n, a, b
+    rng = random.Random(seed)
+    for draw in range(800):
+        n = rng.randint(2, 8)
+        s = rng.randint(1, n - 1)
+        a = rng.choice((-1, 1)) * rng.randint(1, 99)
+        if draw % 8 == 7:
+            b_odd = rng.choice((-1, 1))
+        else:
+            b_odd = rng.choice([u for u in range(-99, 100)
+                                if u % 8 == (1, 3, 5, 7)[draw % 4]])
+        yield 2, n, a, b_odd * 2 ** (n - s)
+
+
+def _doctored_case_v_specs(seed):
+    """CoverSpecs that no branch_signature makes: a + b even (so v(a/(a+b))
+    and v(R) can tie), b' even, and b' = +-1 with any a."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < 900:
+        n = rng.randint(2, 7)
+        s = rng.randint(1, n - 1)
+        kind = len(specs) % 3
+        a = rng.randint(-99, 99)
+        if kind == 0:
+            a, b_odd = 2 * rng.randint(-49, 49), rng.randrange(-99, 100, 2)
+        elif kind == 1:
+            b_odd = 2 * rng.choice((-1, 1)) * rng.randint(1, 49)
+        else:
+            b_odd = rng.choice((-1, 1))
+        b = b_odd * 2 ** (n - s)
+        if a and a + b:
+            specs.append(CoverSpec(2, n, a, b, s, ()))
+    return specs
+
+
+def _verdict_or_error(certify, spec, L):
+    try:
+        return certify(spec, L)
+    except (ArtifactError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _without_cl_reasons(verdict):
+    """The verdict with the reasons "v(c_l) < n + 1", l >= 3, dropped: the
+    tower path reads c_3 .. c_L, and the closed form reads none of them."""
+    if isinstance(verdict, tuple) or verdict.reason is None:
+        return verdict
+    kept = [r for r in verdict.reason.split("; ")
+            if not (r.startswith("v(c_") and r.endswith(") < n + 1"))]
+    return ReductionVerdict(verdict.kind, verdict.count, verdict.conductor,
+                            "; ".join(kept), verdict.notes)
+
+
+def test_case_v_closed_form_matches_the_tower_path():
+    """certify_tail decides every case (v) spec in closed form as the tower
+    path does (the centre in Q_2(i)(w), the expansion to c_L and its
+    classifier, now p2_oracle.certify_tail): the same verdict, or the same
+    error type and message, at the default truncation, at L = p + 1 and at
+    the refused L = p.  The inputs are the p = 2 identity grid, seeded
+    draws with every class of b' mod 8, and doctored specs whose premises
+    may fail; there the tower path may also list "v(c_l) < n + 1", which
+    the closed form cannot, and every other reason must agree."""
+    seen = set()
+    for args in _case_v_grid_and_draws(31):
+        try:
+            spec = branch_signature(*args)
+        except ArtifactError:
+            continue
+        for L in (None, 3, 2):
+            new = _verdict_or_error(certify_tail, spec, L)
+            assert new == _verdict_or_error(p2_oracle.certify_tail, spec,
+                                            L), (args, L)
+            seen.add(new[0] if isinstance(new, tuple) else new.kind)
+    assert seen == {"SplitsZ4", "IrreducibilityUnverified", "ValueError"}
+    reasons = set()
+    for spec in _doctored_case_v_specs(32):
+        for L in (None, 3):
+            new = _verdict_or_error(certify_tail, spec, L)
+            old = _verdict_or_error(p2_oracle.certify_tail, spec, L)
+            assert new == _without_cl_reasons(old), (spec, L)
+            if not isinstance(new, tuple):
+                reasons.add(new.reason)
+    assert {None, "v(c_2) != n; tail bound needs v(d) = 0",
+            "v(c_2) != n; tail bound needs v(d - 1) = n - s"} <= reasons
+
+
+def test_case_v_closed_forms_match_the_tower_k_l():
+    """The four closed forms of the module docstring, R^2, K_1, K_2 and
+    X = K_1^2 - 2^(n+1) i K_2, equal the tower's values on the new-tail
+    disk of every case (v) cover of the grid and draws that the tower
+    admits, N the denominator of the centre in Q_2(i)(w)."""
+    checked = 0
+    for args in _case_v_grid_and_draws(33):
+        try:
+            spec = branch_signature(*args)
+            d, e = p2_oracle.tower_locus(spec)
+        except ArtifactError:
+            continue
+        n, a, b = spec.n, spec.a, spec.b
+        m = a + b
+        i = d.tower.gen(0)
+        R = d - Fraction(a, m)
+        assert R * R == i * Fraction(2 ** n * b, m ** 4), args
+        exp = expand_disk(spec, d, e, 3)
+        N = exp.r_factors[0]
+        assert exp.ks[1] == R * (N * m), args
+        gamma = -a * m ** 2 + (m - 1) * 2 ** n * i
+        assert exp.ks[2] == gamma * Fraction(N * N * b, 2 * m ** 3), args
+        chi = m + a * m ** 2 - (m - 1) * 2 ** n * i
+        x = exp.ks[1] * exp.ks[1] - 2 ** (n + 1) * i * exp.ks[2]
+        assert x == chi * i * Fraction(N * N * 2 ** n * b, m ** 3), args
+        checked += 1
+    assert checked >= 500, checked
+
+
 @pytest.mark.parametrize("args,case,note", [
     ((3, 2, 1, 3), "p3s1", "condition (ii)"),
     ((2, 3, 1, 6), "p2", "congruence holds with i -> +i"),
 ])
 def test_tower_centre_needs_no_inverse(monkeypatch, args, case, note):
-    """On a tower centre the classifiers read the recurrence values K_l and
-    the slope E v(r), so expanding and classifying inverts nothing: not for
-    condition (ii) of case (iii), not for the p = 2 congruence."""
+    """On a tower centre the classifier reads the recurrence values K_l and
+    the slope E v(r), so expanding and classifying for condition (ii) of
+    case (iii) inverts nothing.  The p = 2 congruence is decided in closed
+    form, with no tower product or inverse at all."""
     spec = branch_signature(*args)
     locus = new_tail_locus(spec)
     assert locus.case == case
     calls = _count_tower_calls(monkeypatch)
-    verdict = classify_torsor_reduction(expand_disk(spec, locus.d, locus.e))
+    if case == "p2":
+        verdict = certify_tail(spec)
+        assert calls["mul"] == 0, calls
+    else:
+        verdict = classify_torsor_reduction(expand_disk(spec, locus.d,
+                                                        locus.e))
     assert note in verdict.notes
     assert calls["inverse"] == 0, calls
 
@@ -693,18 +833,19 @@ def test_classifier_matches_fraction_reference():
     (kind, count, conductor, reason, notes), as the Fraction
     classifier on the oracle grid, at the default truncation and at the
     smallest one, and on disks too narrow for the tail check, where both
-    must fail the same way."""
+    must fail the same way.  For p = 2 the integer classifier is the tower
+    oracle of the closed form, classify_p2."""
     kinds = set()
     for spec, locus in _oracle_grid():
         p = spec.p
         d, radius = _tower_disk(spec, locus)
         narrow = d.tower.gen(0)  # v(e) far below the locus radius
+        classify = classify_p2 if p == 2 else classify_torsor_reduction
         for e, L in ((radius, None), (radius, p + 1), (narrow, p + 1)):
-            fast = _outcome(classify_torsor_reduction,
-                            expand_disk(spec, d, e, L))
+            fast = _outcome(classify, expand_disk(spec, d, e, L))
             ref = _outcome(_reference_classify, expand_disk(spec, d, e, L))
             assert fast == ref, (spec, e, L)
-            if locus.tower is None:
+            if locus.case == "rational":
                 # the Fraction centre with the same v(e), and no tower
                 v_e = d.tower.val(e)
                 assert _outcome(classify_torsor_reduction, expand_disk(

@@ -297,3 +297,71 @@ def test_raise_checker_reads_both_forms():
     src = ("def f():\n    raise KeyError\n\ndef g():\n"
            "    raise ValueError('x') from None\n\ndef h():\n    raise\n")
     assert list(_raised_names(ast.parse(src))) == ["KeyError", "ValueError"]
+
+
+#: the case (v) tower centres, which left the package for tests/p2_oracle.py
+TOWER_CENTRE_NAMES = {"_centre_field", "_p2_center", "_p2_offset"}
+
+#: the analyzer functions that adjoin a radical: Q_3(pi), and the case (iii)
+#: and (iv) cube roots, the only steps of degree 3
+ADJOINING_FUNCTIONS = {"_q3_pi", "new_tail_locus", "conductor_bound"}
+
+
+def _adjoin_calls(tree):
+    """(line, enclosing function, exponent or None) of each adjoin_radical
+    reference; the exponent is the first argument of a call when it is a
+    literal."""
+    functions = _functions(tree)
+    for name, node in functions.items():
+        calls = {id(sub.func): sub for sub in ast.walk(node)
+                 if isinstance(sub, ast.Call)}
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr == "adjoin_radical":
+                args = calls[id(sub)].args if id(sub) in calls else []
+                exponent = (args[0].value if args
+                            and isinstance(args[0], ast.Constant) else None)
+                yield sub.lineno, name, exponent
+
+
+def test_case_v_builds_no_tower_centre():
+    """Case (v) is certified in closed form: no tower centre is named
+    anywhere in the package, and analyzer.py adjoins a radical only for
+    the case (iii) and (iv) fields: Q_3(pi) and the cube roots."""
+    found = [f"{path.name}:{line}: {name}"
+             for path in SOURCES
+             for line, name in _named(ast.parse(path.read_text(), str(path)),
+                                      TOWER_CENTRE_NAMES)]
+    assert not found, "\n".join(found)
+    path = next(path for path in SOURCES if path.name == "analyzer.py")
+    tree = ast.parse(path.read_text(), str(path))
+    sites = list(_adjoin_calls(tree))
+    assert {name for _, name, _ in sites} == ADJOINING_FUNCTIONS, sites
+    assert all(name == "_q3_pi" or exponent == 3
+               for _, name, exponent in sites), sites
+    # a module-level adjoin_radical would escape the checks above
+    assert {sub.lineno for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and sub.attr == "adjoin_radical"} == {line for line, *_ in sites}
+
+
+def _named(tree, names):
+    """(line, name) of each name, attribute or def among names."""
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, (ast.FunctionDef,
+                                                    ast.alias))
+                else None)
+        if name in names:
+            yield node.lineno, name
+
+
+def test_site_checkers_read_each_form():
+    src = ("def f(t):\n    return t.adjoin_radical(2, 3)\n\n"
+           "class C:\n    def g(self, t):\n        _p2_center(1)\n"
+           "        return t.adjoin_radical\n\n"
+           "def _p2_offset():\n    pass\n")
+    tree = ast.parse(src)
+    assert list(_adjoin_calls(tree)) == [(2, "f", 2), (7, "C.g", None)]
+    assert sorted(_named(tree, TOWER_CENTRE_NAMES)) == [(6, "_p2_center"),
+                                                        (9, "_p2_offset")]

@@ -2,9 +2,11 @@
 arithmetic/valuation properties checked against independent oracles."""
 
 import fractions
+import gc
 import itertools
 import random
 import sys
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -13,7 +15,6 @@ import sympy as sp
 
 from padic_sr import tower as tower_module
 from padic_sr.analyzer import (
-    _centre_field,
     _cube_radicand,
     _k1,
     _q3_pi,
@@ -38,6 +39,7 @@ from padic_sr.tower import (
     vp_int,
     vp_rational,
 )
+from p2_oracle import centre_field
 from tower_helpers import is_mth_power, make_tower, qth_power_search
 
 
@@ -440,10 +442,11 @@ def test_qth_power_lifting_on_centre_radicands(args, square):
 @pytest.mark.parametrize("args,square", [((2, 3, 1, 6), False),
                                          ((2, 4, 1, 56), True)])
 def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
-    """Timing-free guard on the Q_2(i) radicand of new_tail_locus.  The
-    class table of Q_2(i) is emptied first, so the radicand's class is
-    decided afresh by its residue and unit level, and each test makes at
-    most p (floor(c*) + 1) = 10 valuations (p = 2, e = 2, c* = 4)."""
+    """Timing-free guard on the Q_2(i) radicand that new_tail_locus
+    certifies.  The class table of Q_2(i) is emptied first, so the
+    radicand's class is decided afresh by its residue and unit level, and
+    each test makes at most p (floor(c*) + 1) = 10 valuations (p = 2,
+    e = 2, c* = 4)."""
     calls, counts = [], {"val": 0, "decisions": 0}
     val, decide = Tower.val, tower_module._qth_power_by_levels
 
@@ -465,14 +468,13 @@ def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
     monkeypatch.setattr(tower_module, "_qth_power_by_levels",
                         counting_decision)
     monkeypatch.setattr("padic_sr.tower._is_qth_power_local", counted_test)
-    _centre_field.cache_clear()  # build the centre tower afresh
-    q2_i()._qth_classes.clear()  # and decide its radicand's class afresh
+    q2_i()._qth_classes.clear()  # decide the radicand's class afresh
     spec = branch_signature(*args)
     if square:
         with pytest.raises(IrreducibilityUnverified):
             new_tail_locus(spec)
     else:
-        assert new_tail_locus(spec).tower.degree == 4
+        assert new_tail_locus(spec).case == "p2"
     assert calls[-1][:3] == (2, square, 1)  # the radicand test over Q_2(i)
     assert all(n <= 10 for *_, n in calls), calls
 
@@ -512,7 +514,7 @@ ORACLE_TOWERS = {
        for p in (2, 3, 5, 7, 11, 13)},
     "Q3(pi)(t)": _q3_pi_t,
     "K1(cbrt)": _k1_cbrt,
-    **{f"centre({b},{c})": (lambda b=b, c=c: _centre_field(b, c)[0])
+    **{f"centre({b},{c})": (lambda b=b, c=c: centre_field(b, c)[0])
        for b in (3, -3, 5, -5, 11, -11, 13) for c in (0, 1)},
     **{f"TEST_TOWERS[{j}]": build for j, build in enumerate(TEST_TOWERS)},
     "Q3(sqrt2)": lambda: Tower(3).adjoin_radical(2, 2),
@@ -1052,7 +1054,8 @@ def test_equal_elements_hash_alike():
 
 def test_inverse_cache_hits_an_equal_element_built_another_way(monkeypatch):
     """The inverse cache is keyed by the reduced form, so the inverse of an
-    equal element, built another way, is the cached one: no second solve."""
+    equal element, built another way, is the cached one: no second solve.
+    The cache keeps plain (den, nums), so the hit is an equal element."""
     t = make_tower(3, [(4, 3)])
     g = t.gen(0)
     x = 2 + g + g ** 2 * Fraction(1, 3)
@@ -1067,7 +1070,7 @@ def test_inverse_cache_hits_an_equal_element_built_another_way(monkeypatch):
     monkeypatch.setattr(tower_module, "_solve_fraction", counted)
     y = (x * 6 + 3) * Fraction(1, 6) - Fraction(1, 2)
     assert y == x and y is not x
-    assert y.inverse() is first
+    assert y.inverse() == first
     assert solves == []
     assert (x * 5).inverse() == first * Fraction(1, 5)
     assert len(solves) == 1
@@ -1105,3 +1108,73 @@ def test_warm_arithmetic_builds_no_fraction(monkeypatch):
     assert built == []
     t.rational("1/3")  # the counter sees a construction in tower.py
     assert built == ["_exact_rational"]
+
+
+# -- no reference cycles ----------------------------------------------------
+
+def _freed_without_gc(build):
+    """Is the tower that build() returns freed on its last del, with the
+    garbage collector off?  A tower in a reference cycle is not."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = build()
+        ref = weakref.ref(t)
+        del t
+        return ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_towers_hold_no_reference_cycle():
+    """The uniformizer and the inverse cache keep plain (den, nums), not
+    elements of their own tower, so a per-cover tower (cases (iii) and
+    (iv)) is freed by reference counting: a ramified radical step with its
+    uniformizer, a unit step whose inverse cache has an entry, and the
+    case (iv) cube root over K_1."""
+    def with_inverse():
+        t = Tower(3).adjoin_radical(2, 2)
+        (t.gen() + 1).inverse()
+        assert len(t._inv_cache) == 1
+        return t
+
+    def cube_root():
+        t = _k1(3).adjoin_radical(3, _cube_radicand(3, 2, 3), "t")
+        assert t._uniformizer is not None
+        return t
+
+    assert _freed_without_gc(lambda: Tower(17).adjoin_radical(32, 17))
+    assert _freed_without_gc(with_inverse)
+    assert _freed_without_gc(cube_root)
+
+
+def test_certify_radical_refuses_exactly_where_adjoining_does():
+    """certify_radical is the certificate of adjoin_radical alone: on
+    unit and non-unit radicands over Q_2(i) (the case (v) radicands b' and
+    b' i for every odd |b'| < 40 among them), Q_3 and Q_5(pi), it raises
+    the error and message that adjoining raises, and otherwise returns the
+    valuation of the radicand, without building a step."""
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except (ArithmeticError, ValueError, IrreducibilityUnverified,
+                ZeroRadicand) as exc:
+            return type(exc).__name__, str(exc)
+
+    i = q2_i().gen(0)
+    cases = [(q2_i(), 2, u) for b in range(-39, 40, 2) for u in (b, b * i)]
+    cases += [(q2_i(), m, r) for m in (1, 2, 4)
+              for r in (0, 2, 2 * i, 4, 1 + i)]
+    cases += [(Tower(3), m, r) for m in (2, 3) for r in (1, 2, 3, 9, 7, 10)]
+    cases += [(make_tower(5, [(8, 5)]), 2, r) for r in (2, 3, 5, 6)]
+    refused = 0
+    for t, m, r in cases:
+        adjoined = outcome(t.adjoin_radical, m, r)
+        certified = outcome(t.certify_radical, m, r)
+        if isinstance(adjoined, tuple):
+            assert certified == adjoined, (t.steps, m, r)
+            refused += 1
+        else:
+            assert certified == t.val(t.coerce(r)), (t.steps, m, r)
+    assert 10 < refused < len(cases)
