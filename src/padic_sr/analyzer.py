@@ -161,8 +161,9 @@ def _cube_radicand(n: int, s: int, b: int) -> Fraction:
 # -- fields built once -------------------------------------------------------
 # A Tower never changes once built (adjoining returns a new tower), so a field
 # that depends on p alone is built, with its certificates, once per process
-# and shared by every cover.  The case (iii) and (iv) cube roots depend on
-# the cover and are built once per cover.  Case (v) builds no field: its
+# and shared by every cover.  The case (iii) cube root depends on the cover
+# and is built once per cover; the case (iv) one is only certified
+# (conductor_bound).  Case (v) builds no field: its
 # centres are Gaussian rationals plus a square root R of one, valued in
 # closed form (classify_p2_torsor, conductor_bound), and the step w^2 = u
 # behind R is only certified, on Q_2(i) and its class table
@@ -245,17 +246,19 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
                         "a/(a+b)")
 
 
-def certify_tail(spec: CoverSpec, L: int | None = None) -> ReductionVerdict:
-    """Expand the cover on the new-tail disk and classify the reduction; a
-    case (v) centre is classified in closed form, with no expansion.  A
-    tower centre reads v(e) from its tower, which checks the closed form."""
+def certify_tail(spec: CoverSpec) -> ReductionVerdict:
+    """Expand the cover on the new-tail disk to c_2p and classify the
+    reduction; the tail bound certifies every later c_l, and no longer
+    expansion could change the verdict (series module docstring).  A case
+    (v) centre is classified in closed form, with no expansion.  A tower
+    centre reads v(e) from its tower, which checks the closed form."""
     locus = new_tail_locus(spec)
     if locus.case == "p2":
-        return classify_p2_torsor(spec, locus.v_e, locus.rho, L)
+        return classify_p2_torsor(spec, locus.v_e, locus.rho)
     if locus.tower is None:
-        exp = expand_disk(spec, locus.d, None, L, locus.v_e)
+        exp = expand_disk(spec, locus.d, None, locus.v_e)
     else:
-        exp = expand_disk(spec, locus.d, locus.e, L)
+        exp = expand_disk(spec, locus.d, locus.e)
         if exp.v_e != locus.v_e:
             raise AssertionError(f"v(e) = {exp.v_e} in the locus tower, "
                                  f"{locus.v_e} in closed form")
@@ -544,12 +547,13 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
                        f"({cv.kind}) < {n}"]
         else:
             # d'' - 1 = cbrt(rad)/a lies in L; M/L is one more cube root
-            # over L (e = 6), bounded by its cap
-            L_tower = K1.adjoin_radical(3, rad, "t")
-            if L_tower.val(L_tower.gen() * Fraction(1, a)) != \
-                    Fraction(n - s) + Fraction(2, 3):
+            # over L, bounded by its cap.  The step is certified, not
+            # built: v(rad) is prime to 3, so L/K_1 is totally ramified of
+            # degree 3 and e_L = 3 e_{K_1}
+            vt = K1.certify_radical(3, rad) / 3
+            if vt - vp_int(a, 3) != Fraction(n - s) + Fraction(2, 3):
                 raise CertificationFailed("v(d''-1) = n-s+2/3 fails")
-            capM = Fraction(3 * L_tower.ram_index, 2)
+            capM = Fraction(3 * 3 * K1.ram_index, 2)
             hL, h = h, max(h, herbrand_phi(lowL, capM))
             detail += ["v(d''-1) = n-s+2/3 verified",
                        f"conductor of L/K_0 is {ratstr(hL)} with L/K_1 "
@@ -660,13 +664,13 @@ def _report_shape(p: int, n: int, s: int) -> _ReportShape:
 
 # -- report assembly ---------------------------------------------------------
 
-def analyze(p: int, n: int, a: int, b: int, L: int | None = None) -> dict:
+def analyze(p: int, n: int, a: int, b: int) -> dict:
     """Full self-certifying report for one cover.  The graph half comes from
     _report_shape and is serialized on every call, so no report shares a
     container with another."""
     spec = branch_signature(p, n, a, b)
     p, n = spec.p, spec.n
-    verdict = certify_tail(spec, L)
+    verdict = certify_tail(spec)
     shape = _report_shape(p, n, spec.s)
     tower = stab_field_tower(spec)
     conductor = conductor_bound(tower, n)

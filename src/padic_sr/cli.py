@@ -55,16 +55,6 @@ def _prime(ctx, param, value):
     return value
 
 
-def _check_truncation(p, truncation):
-    """The --truncation, or None (the default).  One below p + 1 (the
-    expansion needs c_p) is a usage error."""
-    if truncation is not None and truncation < p + 1:
-        raise click.BadParameter(f"{truncation} is below p + 1 = {p + 1}",
-                                 click.get_current_context(),
-                                 param_hint="'--truncation'")
-    return truncation
-
-
 @click.group()
 def main():
     """Stable reduction of three-point cyclic p^n-covers of the line."""
@@ -75,18 +65,14 @@ def main():
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
-@click.option("--truncation", type=int, default=None,
-              help="series truncation length (default max(p+1, 2p)); for "
-                   "p = 2 it is only checked against p + 1")
 @click.option("--json", "json_path", type=click.Path(writable=True),
               default=None, help="write the report to this file")
 @click.option("--dot", "dot_path", type=click.Path(writable=True),
               default=None, help="write the reduction graph in DOT format")
-def analyze_cmd(p, n, a, b, truncation, json_path, dot_path):
+def analyze_cmd(p, n, a, b, json_path, dot_path):
     """Full self-certifying report for y^(p^n) = x^a (x-1)^b."""
-    truncation = _check_truncation(p, truncation)
     try:
-        report = analyze(p, n, a, b, truncation)
+        report = analyze(p, n, a, b)
     except ArtifactError as exc:
         _fail(exc)
     _echo_json(report, json_path)
@@ -105,13 +91,11 @@ def analyze_cmd(p, n, a, b, truncation, json_path, dot_path):
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
-@click.option("--truncation", type=int, default=None)
-def certify_cmd(p, n, a, b, truncation):
+def certify_cmd(p, n, a, b):
     """Certify the reduction type of the new etale tail only."""
-    truncation = _check_truncation(p, truncation)
     try:
         spec = branch_signature(p, n, a, b)
-        verdict = certify_tail(spec, truncation)
+        verdict = certify_tail(spec)
     except ArtifactError as exc:
         _fail(exc)
     _echo_json({"spec": spec.to_json(), "certificate": verdict.to_json()})
@@ -192,17 +176,15 @@ def _batch_pairs(p, n):
 @main.command("batch")
 @click.option("--p", type=int, required=True, callback=_prime)
 @click.option("--n-max", type=click.IntRange(min=1), required=True)
-@click.option("--truncation", type=int, default=None)
-def batch_cmd(p, n_max, truncation):
+def batch_cmd(p, n_max):
     """Analyze a grid of covers and print a summary table."""
-    truncation = _check_truncation(p, truncation)
     rows = []
     all_ok = True
     n_min = 2 if p == 2 else 1
     for n in range(n_min, n_max + 1):
         for a, b, s in _batch_pairs(p, n):
             try:
-                rep = analyze(p, n, a, b, truncation)
+                rep = analyze(p, n, a, b)
                 ok = rep["certified"]
                 kind = rep["certificate"]["kind"]
                 cond = rep["conductor"]["conductor"]["value"]

@@ -39,7 +39,9 @@ class CenterOnBranchLocus(ArtifactError):
 
 
 class PrecisionExhausted(ArtifactError):
-    """A comparison cannot be decided at the configured truncation."""
+    """The tail bound cannot certify the coefficients past the expansion:
+    a premise of the per-term bound fails on the disk, the tail slope is not
+    positive, or the bound at some l does not clear the threshold."""
 
 
 # -- ramification ------------------------------------------------------------

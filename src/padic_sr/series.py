@@ -76,26 +76,47 @@ over 0 <= j <= l has a closed form in integers.  With k = floor(log_p l):
   exceeds it by (n-s)(l-j) + v_p(l) - v_p(j) >= (l-j) - k, because
   v_p(j) <= log_p l.  Only j in [max(1, l - k), l] can undercut it, so the
   minimum runs over those at most k + 1 candidates.
+* n < s (no cover has it): every j >= 1 term is l v(e) + (s-n)(j-1) -
+  v_p(j) >= l v(e), as j - 1 >= v_p(j), so the minimum is l v(e).
 
 Checking the tail.  `check_tail_dominated` must show that this bound clears
-the threshold at every l from L + 1 to the horizon, and it needs only
-O(log_p L) of those l.  Let m = n - s.  Every term of the minimum is at
-least
+the threshold at every l > L, and it reads only a few l.  Let m = n - s
+and sigma = v_e - m.  Every term of the minimum is at least
 
-    g(l) = l (v_e - m) + m - k:
+    g(l) = l sigma + m - k:
 
 the j >= 1 terms because v_p(j) <= k and j <= l, and the j = 0 term l v_e
 because m (1 - l) <= 0 <= k.  So tail_bound(l) >= g(l), with equality when
-n = s and when l is a power of p (the j = l term).  The slope v_e - m is
-positive on the locus, and k is constant between consecutive powers of p,
-so g increases on each such piece and its minimum over [L + 1, horizon] is
-at l = L + 1 or at a power of p in the interval.  When g clears the
-threshold at those candidates, every tail_bound(l) does; the comparison runs
-in integers, with v_e and the threshold scaled by the lcm of their
-denominators.  When a candidate fails (g may lie below tail_bound at L + 1)
-or the slope is not positive, the check falls back to the loop over every l.
-That loop is the complete check, so the fallback decides exactly what the
-loop alone would, and raises the same message at the same first failing l.
+n = s and when l is a power of p (the j = l term).  (For n < s, m is read
+as 0, and g(l) = l v_e - k lies below tail_bound(l) = l v_e.)  When
+sigma > 0, g increases between consecutive powers of p, where k is
+constant, so its minimum over l > L is at l = L + 1 or at a power of p.
+From a power q to the next, g grows by sigma q (p - 1) - 1, so once
+sigma q (p - 1) >= 1 no later power scores below g(q).  The check reads g
+at L + 1 and at each power of p above it, and stops at the first power q
+that clears the threshold with sigma q (p - 1) >= 1: every l >= q clears it
+too.  Only when a candidate below q fails (g may lie below tail_bound) does
+it read tail_bound at each l in [L + 1, q), raising at the first l that
+fails, so it decides exactly whether tail_bound clears the threshold at
+every l > L.  sigma <= 0 is refused at once: on the locus sigma =
+(s + 1/(p-1))/2 > 0, so only a doctored radius meets it.  The comparisons
+run in integers, with v_e and the threshold scaled by the lcm of their
+denominators.
+
+The expansion length.  expand_disk always expands to L = 2p
+(`default_truncation`), and a longer expansion could not change a verdict.
+On the locus, with tau = n + 1/(p-1) the classifier's threshold,
+g(l) - tau = l sigma - s - k - 1/(p-1).  At l = 2p + 1 and odd p, k = 1
+and g - tau = (2p-1) s/2 - 1 + (2p-1)/(2(p-1)) > 0; for p = 2, k = 2 and
+g(5) = n + (3s+1)/2 > n + 1 = tau.  Every later candidate is a power
+q = p^k with k >= 2 and q >= 8, where g(q) - tau > (q/2 - 1) s - k >=
+q/2 - 1 - k >= 0, and sigma q (p - 1) >= 1 there.  So every c_l past c_2p
+is certified above tau, and a longer expansion adds only such
+coefficients.  No clause of the classifier can see them: each compares
+valuations with n or tau or looks for the indices where a valuation equals
+tau, and coefficient values are read only at l = 1 and p.  Nor can they
+turn "all coefficients vanish": c_1 = 0 only at d = a/(a+b), and there
+h_2 = -(a+b)^3/(2ab) is not 0.
 
 Case (v) centres.  For p = 2 the new-tail centre is d = x + R with
 x = a/(a+b) and R^2 = 2^n b i/(a+b)^4, so d lies in Q_2(i) or in a
@@ -135,11 +156,11 @@ itself, but k is odd and no tie occurs.
 
 The l >= 3 bound.  Once the premises v(d) = 0 and v(d - 1) = v(b) = n - s
 are checked, the tail bound holds at every l, and on the locus v(e) =
-(2n - s + 1)/2 its lower bound is g(l) = l (s + 1)/2 + (n - s) -
-floor(log_2 l), which is at least n + 1 for every l >= 3 (s >= 1).  So
-check_tail_dominated(spec, v_e, 2, n + 1, strict=False) certifies every
-l >= 3: no c_l past c_2 is computed, and the truncation L is checked
-against p + 1 but changes nothing else.
+(2n - s + 1)/2, sigma = (s + 1)/2, so check_tail_dominated(spec, v_e, 2,
+n + 1, strict=False) reads g(3) = n + (s + 1)/2 and g(4) = n + s, both at
+least n + 1 (s >= 1), and stops there as 4 sigma >= 1.  So every l >= 3 is
+certified: no c_l past c_2 is computed, and case (v) has no expansion
+length at all.
 """
 
 from __future__ import annotations
@@ -155,24 +176,9 @@ from .errors import (
 )
 from .tower import check_prime, vp_int, vp_rational
 
-#: l index beyond which a single linear bound takes over from the per-l
-#: minimum `tail_bound`
-_EXACT_TAIL_HORIZON = 64
-
-
 def default_truncation(p: int) -> int:
-    """The series truncation L used when none is given."""
-    return max(p + 1, 2 * p)
-
-
-def _truncation(p: int, L: int | None) -> int:
-    """L, or the default truncation when L is None; one below p + 1 (the
-    classifiers read c_p) raises ValueError."""
-    if L is None:
-        return default_truncation(p)
-    if L < p + 1:
-        raise ValueError("truncation must be at least p + 1")
-    return L
+    """The series length L = 2p of every expansion (module docstring)."""
+    return 2 * p
 
 
 def binom_falling(x, k: int) -> Fraction:
@@ -195,7 +201,8 @@ class DiskExpansion:
     `expand_disk` passes r_factors = (N, delta, delta'), so that r = N e /
     (delta delta') and the K_l are the recurrence values, integers for a
     rational centre.  An expansion made from a list, DiskExpansion(spec, d,
-    e, coeffs, truncation), has K_l = c_l and r = 1.
+    e, coeffs), has K_l = c_l and r = 1.  Its length L, `truncation`, is
+    that of the list.
 
     The centre d is a `Fraction` or an element of a tower (`tower`, None
     for a Fraction).  A Fraction centre has no e: the caller passes
@@ -209,12 +216,10 @@ class DiskExpansion:
     from that list.
     """
 
-    def __init__(self, spec, d, e, coeffs, truncation, r_factors=None,
-                 v_e=None):
+    def __init__(self, spec, d, e, coeffs, r_factors=None, v_e=None):
         self.spec = spec  # anything with fields p, n, a, b, s
         self.d = d
         self.e = e
-        self.truncation = truncation
         self.ks = list(coeffs)  # K_0 .. K_L: integers or elements of d's tower
         self.r_factors = r_factors  # (N, delta, delta'), or None for r = 1
         self._scaled = None
@@ -228,6 +233,11 @@ class DiskExpansion:
             if v_e is not None:
                 raise ValueError("a tower centre takes e, not v(e)")
             self.tower = d.tower
+
+    @property
+    def truncation(self) -> int:
+        """L, the index of the last K_l."""
+        return len(self.ks) - 1
 
     @cached_property
     def scale(self) -> int:
@@ -326,18 +336,16 @@ class ReductionVerdict:
         return doc
 
 
-def expand_disk(spec, d, e, L: int | None = None,
-                v_e: Fraction | None = None) -> DiskExpansion:
-    """Expand the normalized cover equation on the disk x = d + e t up to t^L
-    by the fraction-free recurrence of the module docstring, in integers
-    when d is rational and in d's tower otherwise.
+def expand_disk(spec, d, e, v_e: Fraction | None = None) -> DiskExpansion:
+    """Expand the normalized cover equation on the disk x = d + e t up to
+    t^L, L = 2p, by the fraction-free recurrence of the module docstring,
+    in integers when d is rational and in d's tower otherwise.
 
     d is a `Fraction` or a tower element.  A Fraction centre is given with
     e = None and the radius valuation v_e = v(e), and builds no tower; a
     tower centre is given with e, an element of (or coercible into) its
     tower."""
-    p = spec.p
-    L = _truncation(p, L)
+    L = default_truncation(spec.p)
     if isinstance(d, Fraction):
         if d == 0 or d == 1:
             raise CenterOnBranchLocus("disk center lies on the branch locus")
@@ -349,7 +357,7 @@ def expand_disk(spec, d, e, L: int | None = None,
             raise CenterOnBranchLocus("disk center lies on the branch locus")
         if e.is_zero():
             return DiskExpansion(spec, d, e,
-                                 [tower.one()] + [tower.zero()] * L, L)
+                                 [tower.one()] + [tower.zero()] * L)
         N = d.den
         if d.nums.keys() == {(0,) * len(tower.steps)}:
             (delta,) = d.nums.values()
@@ -378,7 +386,7 @@ def expand_disk(spec, d, e, L: int | None = None,
                             * Fraction(1, l + 1))
             A = A - S
             ks.append(k)
-    return DiskExpansion(spec, d, e, ks, L, (N, delta, delta1), v_e)
+    return DiskExpansion(spec, d, e, ks, (N, delta, delta1), v_e)
 
 
 # -- rigorous tail bound -----------------------------------------------------
@@ -396,6 +404,8 @@ def tail_bound(spec, v_e, l):
     """Rigorous lower bound for v(c_l), any l >= 1: the minimum over
     0 <= j <= l of the per-term bounds, in closed form (module docstring)."""
     p, n, s = spec.p, spec.n, spec.s
+    if n < s:
+        return l * v_e
     k = _log_floor(l, p)
     if n == s:
         return l * v_e - k
@@ -429,56 +439,46 @@ def _check_premises(spec, v_d, v_d1):
 def check_tail_dominated(spec, v_e, L, threshold, strict=True):
     """Certify v(c_l) > threshold (or >= when strict=False) for every l > L.
 
-    Up to the horizon, the lower bound g(l) <= `tail_bound(l)` is checked at
-    the O(log_p L) candidates of the module docstring, and `tail_bound` at
-    every l only when a candidate fails; beyond the horizon, every term obeys
-    l*m1 + m0 - log_p(l) with m1 >= 1/2, which is increasing and already
-    above the threshold at the horizon.  Everything is compared in integers
-    scaled by D, the lcm of the denominators of v_e and the threshold.
-    Raises PrecisionExhausted when this cannot be certified.
+    The lower bound g(l) <= `tail_bound(l)` is read at L + 1 and at the
+    powers q of p above it, up to the first q that clears the threshold
+    with sigma q (p - 1) >= 1, and `tail_bound` is read at each l in
+    [L + 1, q) only when a candidate fails (module docstring).  Everything
+    is compared in integers scaled by D, the lcm of the denominators of v_e
+    and the threshold.  Raises PrecisionExhausted when the slope sigma is
+    not positive or at the first l whose bound does not clear the
+    threshold.
     """
-    p, n, s = spec.p, spec.n, spec.s
-    m = n - s
-    horizon = max(_EXACT_TAIL_HORIZON, 2 * L)
+    p = spec.p
+    m = max(spec.n - spec.s, 0)
     D = lcm(v_e.denominator, threshold.denominator)
-    ve = v_e.numerator * (D // v_e.denominator)
     thr = threshold.numerator * (D // threshold.denominator)
+    sigma = v_e.numerator * (D // v_e.denominator) - D * m  # D sigma
+    if sigma <= 0:
+        raise PrecisionExhausted("tail slope is not positive")
 
     def clears(bound):
         return bound > thr or (not strict and bound >= thr)
 
-    # D g(l) at l = L + 1 and at each power of p up to the horizon
-    slope = ve - D * m
+    # D g(l) at l = L + 1, then at each power q of p above it
     k = _log_floor(L + 1, p)
-    ok = m >= 0 and slope > 0 and clears((L + 1) * slope + D * (m - k))
+    ok = clears((L + 1) * sigma + D * (m - k))
     q = p ** (k + 1)
-    while ok and q <= horizon:
+    while True:
         k += 1
-        ok = clears(q * slope + D * (m - k))
+        if not clears(q * sigma + D * (m - k)):
+            ok = False
+        elif sigma * q * (p - 1) >= D:
+            break
         q *= p
-    if not ok:
-        for l in range(L + 1, horizon + 1):
-            bnd = tail_bound(spec, v_e, l)
-            if bnd > threshold or (not strict and bnd >= threshold):
-                continue
+    if ok:
+        return
+    for l in range(L + 1, q):
+        bnd = tail_bound(spec, v_e, l)
+        if not (bnd > threshold or (not strict and bnd >= threshold)):
             raise PrecisionExhausted(
                 f"tail coefficient l={l}: bound {bnd} does not clear "
                 f"threshold {threshold}"
             )
-    # closed form beyond the horizon: worst term has
-    #   v >= l * (v_e - (n - s)) + (n - s) - v_p(l)   (j = l corner)
-    #   v >= l * v_e - v_p(l)                          (j = 0 corner)
-    # both slopes are >= s/2 >= 1/2 for admissible specs; v_p(l) <= log_p(l)
-    m1 = min(ve, ve - D * m)  # D min(v_e, v_e - (n - s))
-    if m1 <= 0:
-        raise PrecisionExhausted("tail slope is not positive")
-    # between l and p*l the bound grows by at least m1*(p-1)*l - 1 > 0, so
-    # checking the horizon value suffices
-    log_term = _log_floor(horizon + 1, p) + 1
-    if not ((horizon + 1) * m1 - D * log_term > thr):
-        raise PrecisionExhausted("closed-form tail bound too weak")
-    if m1 * (p - 1) * (horizon + 1) <= D:
-        raise PrecisionExhausted("closed-form tail bound not monotone")
 
 
 # -- classification ----------------------------------------------------------
@@ -581,17 +581,14 @@ def _v4_centre(x: Fraction, rho: int, m: int, vr: int) -> int:
     return _v4(num * num * m4, -rho * den * den, den * den * m4) // 2
 
 
-def classify_p2_torsor(spec, v_e: Fraction, rho: int,
-                       L: int | None = None) -> ReductionVerdict:
+def classify_p2_torsor(spec, v_e: Fraction, rho: int) -> ReductionVerdict:
     """Reduction type of the mu_4-torsor on the case (v) disk centred at
     d = a/(a+b) + R, R^2 = rho i/(a+b)^4 (rho = 2^n b on the locus), of
     radius v(e) = v_e, from the closed forms of the module docstring: no
     tower, no expansion.  The caller has certified that rho i is no square
     in Q_2(i) when v_2(rho) is even, the one case where the tie rule needs
-    it.  L is checked as expand_disk checks it, and changes nothing else:
-    every l >= 3 is certified by the tail bound."""
+    it.  Every l >= 3 is certified by the tail bound."""
     n, a, b = spec.n, spec.a, spec.b
-    _truncation(spec.p, L)
     if n < 2:
         return ReductionVerdict("NotCertified",
                                 reason="p = 2 requires n >= 2")

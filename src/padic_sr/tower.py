@@ -990,30 +990,29 @@ def _k3() -> Tower:
     return k2.adjoin_radical(2, k2.gen(0), "zeta8")
 
 
-def square_class_K2_K3(d, choice_of_i: int = 1):
+def square_class_K2_K3(d):
     """Square classes of d*i and d in K_2 = Q_2(i) and K_3 = Q_2(zeta_8),
-    over the unramified closure (residue field algebraically closed).
+    over the unramified closure (residue field algebraically closed).  The
+    other root -i of -1 gives the same answer: -1 = i^2 is a square in both
+    fields, so d (-i) is a square exactly when d i is.
 
     Returns {"di_square_K2", "di_square_K3", "d_square_K2", "d_square_K3"}.
     """
     d = _exact_rational(d)
     if d == 0:
         raise ZeroElement("d must be nonzero")
-    if choice_of_i not in (1, -1):
-        raise ValueError("choice_of_i must be +1 or -1")
-    i_power = 1 if choice_of_i == 1 else 3
     return {
-        "di_square_K2": _is_square_by_class(d, 2, i_power),
-        "di_square_K3": _is_square_by_class(d, 3, i_power),
+        "di_square_K2": _is_square_by_class(d, 2, 1),
+        "di_square_K3": _is_square_by_class(d, 3, 1),
         "d_square_K2": _is_square_by_class(d, 2, 0),
         "d_square_K3": _is_square_by_class(d, 3, 0),
     }
 
 
-def _di_square(d: Fraction, ell: int, choice_of_i: int = 1) -> bool:
+def _di_square(d: Fraction, ell: int) -> bool:
     """Is d*i a square in K_ell (K_2 = Q_2(i), K_3 = Q_2(zeta_8)) over the
     unramified closure?  d is a nonzero rational."""
-    return _is_square_by_class(d, ell, 1 if choice_of_i == 1 else 3)
+    return _is_square_by_class(d, ell, 1)
 
 
 def _is_square_by_class(d, ell: int, i_power: int) -> bool:
@@ -1025,7 +1024,7 @@ def _is_square_by_class(d, ell: int, i_power: int) -> bool:
     2^(v mod 2) (u mod 8) by a square of Q_2, hence by a square of K_ell.
     Squareness of d i^i_power in K_ell therefore depends only on
     (v mod 2, u mod 8, ell, i_power): 8 classes times 2 fields times the
-    powers 0 (d), 1 (d i) and 3 (-d i), each computed once, exactly, by
+    powers 0 (d) and 1 (d i), each computed once, exactly, by
     `is_square_unramified_closure` on the representative.  For d = num/den
     the odd part num'/den' is num' den' mod 8, as den'^2 = 1 mod 8.
     """

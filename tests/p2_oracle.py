@@ -67,7 +67,7 @@ def tower_locus(spec):
 
 def classify_p2(exp) -> ReductionVerdict:
     """The mu_4 classifier on a tower expansion: v(c_2) = n, v(c_l) >= n + 1
-    for 3 <= l <= L with the tail bound beyond, and the congruence
+    for 3 <= l <= L = 4 with the tail bound beyond, and the congruence
     c_1^2 / c_2 = 2^(n+1) i mod 2^(n+2) as X = K_1^2 - 2^(n+1) i K_2."""
     spec = exp.spec
     n = spec.n
@@ -113,8 +113,8 @@ def classify_p2(exp) -> ReductionVerdict:
                             notes=tuple(notes))
 
 
-def certify_tail(spec, L=None) -> ReductionVerdict:
+def certify_tail(spec) -> ReductionVerdict:
     """The case (v) certify_tail through the tower: the centre in
     Q_2(i)(w), the expansion there, and classify_p2."""
     d, e = tower_locus(spec)
-    return classify_p2(expand_disk(spec, d, e, L))
+    return classify_p2(expand_disk(spec, d, e))

@@ -118,7 +118,7 @@ def test_criterion_2_small_prime_cells():
             if p == 3:
                 locus = new_tail_locus(spec)
                 if locus.tower is None:  # the rational centre: no tower
-                    exp = expand_disk(spec, locus.d, None, None, locus.v_e)
+                    exp = expand_disk(spec, locus.d, None, locus.v_e)
                 else:
                     exp = expand_disk(spec, locus.d, locus.e)
                 from padic_sr.series import classify_torsor_reduction

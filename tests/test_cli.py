@@ -151,25 +151,17 @@ def test_batch_table(runner):
 
 
 def test_truncation_flag(runner):
-    res = runner.invoke(main, ["certify", "--p", "5", "--n", "1", "--a", "1",
-                               "--b", "1", "--truncation", "12"])
-    assert res.exit_code == 0
-
-
-def test_truncation_changes_no_p2_certificate(runner):
-    """For p = 2 the truncation is checked against p + 1 = 3 and changes
-    nothing else: case (v) is certified in closed form."""
-    cover = ["--p", "2", "--n", "4", "--a", "3", "--b", "-10"]
-    for command in ("certify", "analyze"):
-        outputs = {runner.invoke(main, [command, *cover, *extra]).output
-                   for extra in ([], ["--truncation", "3"],
-                                 ["--truncation", "40"])}
-        assert len(outputs) == 1, command
-        assert '"kind": "SplitsZ4"' in outputs.pop()
-        res = runner.invoke(main, [command, *cover, "--truncation", "2"])
-        assert res.exit_code == 2
-        assert "Invalid value for '--truncation': 2 is below p + 1 = 3" in \
-            res.output
+    """The series length is fixed at 2p: no command has a --truncation, and
+    one given is an unknown option, a usage error."""
+    for command, args in (("analyze", ["--n", "1", "--a", "1", "--b", "1"]),
+                          ("certify", ["--n", "1", "--a", "1", "--b", "1"]),
+                          ("batch", ["--n-max", "1"])):
+        assert "--truncation" not in runner.invoke(
+            main, [command, "--help"]).output
+        res = runner.invoke(main, [command, "--p", "5", *args,
+                                   "--truncation", "12"])
+        assert res.exit_code == 2, command
+        assert "No such option '--truncation'." in res.output, command
 
 
 @pytest.mark.parametrize("args,message", [
@@ -179,10 +171,10 @@ def test_truncation_changes_no_p2_certificate(runner):
      "Invalid value for '--p': p = 1 is not prime"),
     (["certify", "--p", "5", "--n", "1", "--a", "1", "--b", "1",
       "--truncation", "3"],
-     "Invalid value for '--truncation': 3 is below p + 1 = 6"),
+     "No such option '--truncation'."),
     (["analyze", "--truncation", "5", "--p", "5", "--n", "1", "--a", "1",
       "--b", "1"],
-     "Invalid value for '--truncation': 5 is below p + 1 = 6"),
+     "No such option '--truncation'."),
     (["conductor", "--p", "0", "--n", "2", "--a", "1", "--b", "1"],
      "Invalid value for '--p': p = 0 is not prime"),
     (["batch", "--p", "-3", "--n-max", "2"],
@@ -203,8 +195,8 @@ def test_truncation_changes_no_p2_certificate(runner):
      "Invalid value for '--n-max': 0 is not in the range x>=1."),
 ])
 def test_bad_parameters_are_usage_errors(runner, args, message):
-    """A non-prime --p, an --n or --n-max below 1 and a --truncation below
-    p + 1 exit 2 with one error line, not a traceback."""
+    """A non-prime --p, an --n or --n-max below 1 and the removed
+    --truncation exit 2 with one error line, not a traceback."""
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output

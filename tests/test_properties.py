@@ -48,7 +48,6 @@ def test_analyze_is_total_and_deterministic(args):
 
 SMALL = st.integers(-2, 13)  # p, n, m: zero, negatives and non-primes too
 EXPONENT = st.integers(-12, 12)
-TRUNCATION = st.one_of(st.none(), st.integers(-2, 40))
 GRAPH_EDITS = ("none", "drop-edge", "drop-component", "inertia", "not-json",
                "list", "empty-object")
 
@@ -95,10 +94,6 @@ def cli_calls(draw):
     else:
         args = ["--p", p, "--n", n, "--a", draw(EXPONENT), "--b",
                 draw(EXPONENT)]
-    if cmd in ("analyze", "certify", "batch"):
-        truncation = draw(TRUNCATION)
-        if truncation is not None:
-            args += ["--truncation", truncation]
     return [cmd] + [str(x) for x in args], None
 
 

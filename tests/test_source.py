@@ -303,8 +303,8 @@ def test_raise_checker_reads_both_forms():
 TOWER_CENTRE_NAMES = {"_centre_field", "_p2_center", "_p2_offset"}
 
 #: the analyzer functions that adjoin a radical: Q_3(pi), and the case (iii)
-#: and (iv) cube roots, the only steps of degree 3
-ADJOINING_FUNCTIONS = {"_q3_pi", "new_tail_locus", "conductor_bound"}
+#: cube root, the only step of degree 3 (case (iv) only certifies its own)
+ADJOINING_FUNCTIONS = {"_q3_pi", "new_tail_locus"}
 
 
 def _adjoin_calls(tree):
@@ -326,7 +326,7 @@ def _adjoin_calls(tree):
 def test_case_v_builds_no_tower_centre():
     """Case (v) is certified in closed form: no tower centre is named
     anywhere in the package, and analyzer.py adjoins a radical only for
-    the case (iii) and (iv) fields: Q_3(pi) and the cube roots."""
+    the case (iii) field: Q_3(pi) and the cube root."""
     found = [f"{path.name}:{line}: {name}"
              for path in SOURCES
              for line, name in _named(ast.parse(path.read_text(), str(path)),
