@@ -19,8 +19,10 @@ from typing import NamedTuple
 from .errors import (
     CertificationFailed,
     Disconnected,
+    IrreducibilityUnverified,
     NotThreePoint,
     UnsupportedCase,
+    ZeroRadicand,
 )
 from .graph import (
     Component,
@@ -51,15 +53,7 @@ from .series import (
     classify_torsor_reduction,
     expand_disk,
 )
-from .tower import (
-    Tower,
-    TowerElement,
-    _di_square,
-    check_prime,
-    q2_i,
-    vp_int,
-    vp_rational,
-)
+from .tower import Tower, check_prime, vp_int, vp_rational
 
 
 @dataclass(frozen=True)
@@ -163,12 +157,13 @@ def _cube_radicand(n: int, s: int, b: int) -> Fraction:
 # that depends on p alone is built, with its certificates, once per process
 # and shared by every cover.  The case (iii) cube root depends on the cover
 # and is built once per cover; the case (iv) one is only certified
-# (conductor_bound).  Case (v) builds no field: its
-# centres are Gaussian rationals plus a square root R of one, valued in
-# closed form (classify_p2_torsor, conductor_bound), and the step w^2 = u
-# behind R is only certified, on Q_2(i) and its class table
-# (_certify_p2_step).  The rational centre of cases (i), (ii) and (iv)
-# needs no field: its disk is exact data (new_tail_locus).  The graph half
+# (conductor_bound).  Case (v) builds no field at all: its centres are
+# Gaussian rationals plus a square root R of one, valued in closed form
+# (classify_p2_torsor, conductor_bound), the step w^2 = u behind R is
+# certified from b' mod 8 (_certify_p2_step), and the square classes are
+# read from the parity of v_2 (conductor_bound).  The rational centre of
+# cases (i), (ii) and (iv) needs no field: its disk is exact data
+# (new_tail_locus).  The graph half
 # of the report (the graph, its checks and the inseparable tails) depends
 # on (p, n, s) alone and is computed once per shape, in an LRU of 256
 # shapes (_report_shape, below); only callers that repeat a shape gain from
@@ -189,14 +184,32 @@ def _k1(p: int) -> Tower:
 
 def _certify_p2_step(b_odd: int, c: int) -> None:
     """Certify the case (v) step w^2 = u = (-i)^c b' i, b' = b_odd, over
-    Q_2(i) as adjoin_radical would, without building it: a refusal raises
-    the step's error and message, and a unit radicand reads the class table
-    of q2_i().  u = +-1 needs no step: w = 1 or i lies in Q_2(i)."""
-    if c and b_odd in (1, -1):
-        return
-    t = q2_i()
-    t.certify_radical(2, t.rational(b_odd) if c
-                      else TowerElement(t, {(1,): b_odd}))
+    Q_2(i), in integers: a refusal raises the error and message that
+    adjoining the step would.  u = +-1 needs no step: w = 1 or i lies in
+    Q_2(i).
+
+    An even b' gives u the valuation v_2(b') >= 1, 2 v_2(b') in the
+    uniformizer 1 + i, so the Newton polygon of x^2 - u has integral slope
+    and certifies nothing, as certify_radical refuses it.  An odd b' is a
+    square in Q_2(i) exactly when b' or -b' is a square in Q_2, that is
+    b' = +-1 mod 8: then b' or -b' is a square of Q_2, and -1 = i^2.  For
+    b' = +-3 mod 8, b' is +-5 times a square of Q_2, and Q_2(i)(sqrt 5) is
+    the unramified quadratic extension of Q_2(i), as Q_2(i)/Q_2 is totally
+    ramified.  b' i is never a square: i is none, as Q_2(zeta_8) has
+    degree 4 over Q_2, so for b' = +-1 mod 8 neither is b' i; for
+    b' = +-3 mod 8, sqrt(b' i) in Q_2(i) would make Q_2(i)(sqrt b') =
+    Q_2(i)(sqrt i), but the first is unramified over Q_2(i) and the second
+    ramified."""
+    if b_odd == 0:
+        raise ZeroRadicand("radicand is zero")
+    if b_odd % 2 == 0:
+        raise IrreducibilityUnverified(
+            f"x^2 - r with v(r) = {vp_int(b_odd, 2)}: slope denominator is "
+            f"not 2")
+    if c and b_odd % 8 in (1, 7) and b_odd not in (1, -1):
+        raise IrreducibilityUnverified(
+            "radicand is a 2-th power in the 2-adic completion; x^2 - r is "
+            "reducible there")
 
 
 # -- the new etale tail ------------------------------------------------------
@@ -219,8 +232,8 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     centre a/(a+b) of cases (i), (ii) and (iv) is the Fraction itself, and
     the case (v) centre is a/(a+b) + R with R^2 = rho i/(a+b)^4; neither
     needs a tower or an e.  In case (v) the step w^2 = u behind R is
-    certified (_certify_p2_step), as the tie rule of classify_p2_torsor
-    needs it."""
+    certified in integers, from b' mod 8 (_certify_p2_step), as the tie
+    rule of classify_p2_torsor needs it, and no field is built."""
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
     v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
     case = _stable_case(p, n, s)
@@ -511,11 +524,18 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
     """Certify that the n-th upper-numbering ramification group of the
     stable-model field over the base vanishes, from exactly verified
     valuation facts of the steps stab_field_tower lists for meta["case"].
-    A meta whose n is not the n asked for, or whose case is not the case of
-    (p, n, s), is refused.  Returns {vanishes_at_n, conductor, detail}; the
-    conductor is exact in case (i) and a bound otherwise."""
+    A meta that lacks one of a, b, n, s and case, has a + b = 0, gives an n
+    other than the n asked for, or a case other than the case of (p, n, s),
+    is refused.  Returns {vanishes_at_n, conductor, detail}; the conductor
+    is exact in case (i) and a bound otherwise."""
     meta = ft.meta_dict()
+    missing = [key for key in ("a", "b", "n", "s", "case") if key not in meta]
+    if missing:
+        raise CertificationFailed(
+            f"the tower's meta lacks {', '.join(missing)}")
     case, a, b, s = meta["case"], meta["a"], meta["b"], meta["s"]
+    if a + b == 0:
+        raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
     if meta["n"] != n:
         raise CertificationFailed(f"tower built for n = {meta['n']}, "
                                   f"certified at n = {n}")
@@ -566,11 +586,12 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
         parts.append(h)
     elif case == "v":
         for j in range(0, s):
-            d = Fraction(2 ** (n - j) * b)
+            # l(j) asks that 2^(n-j) b i be a square over the unramified
+            # closure of K_2 (l = 2), or of K_3 but not K_2 (l = 3).  It is
+            # one over K_3 always, and over K_2 exactly when v_2(2^(n-j) b)
+            # is odd (square_class_K2_K3): both read v_2 = s + j mod 2
             ell = 2 if (s + j) % 2 == 1 else 3
-            ok = _di_square(d, 2) if ell == 2 else (
-                _di_square(d, 3) and not _di_square(d, 2))
-            if not ok:
+            if (vp_int(2 ** (n - j) * b, 2) - s - j) % 2:
                 raise CertificationFailed(f"square class of 2^(n-{j}) b i "
                                           f"disagrees with l({j}) = {ell}")
             # d_j = a/(a+b) + R_j, R_j^2 = 2^(n-j) b i/(a+b)^4: every fact
@@ -581,7 +602,6 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
             k = 2 * n - s - j
             if j < 2:
                 _certify_p2_step(b // 2 ** (n - s), k % 2)
-            Fraction(a, a + b)  # the centre: a + b = 0 raises here
             vm, vb = vp_int(a + b, 2), vp_int(b, 2)
             v_r = k - 4 * vm
             # d_j - 1 = R_j - b/(a+b), and v_2(b) <= n - s; a tie then

@@ -28,10 +28,6 @@ class ZeroElement(ArtifactError):
     """Valuation of 0 requested; v(0) = +infinity and callers must branch."""
 
 
-class WrongPrime(ArtifactError):
-    pass
-
-
 # -- series ------------------------------------------------------------------
 
 class CenterOnBranchLocus(ArtifactError):

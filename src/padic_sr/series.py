@@ -148,8 +148,11 @@ The tie rule.  v(d) = min(v(x), v(R)) and v(d - 1) = min(v(x - 1), v(R))
 unless the two terms tie.  R is (1+i)^k i^(k//2) w / m^2 with k = 2n - s
 and w^2 = (-i)^(k%2) b' i, b' = b/2^(n-s) odd, so 2 v(R) = k - 4 v_2(m),
 while v(x) and v(x - 1) are integers: a tie needs k even.  Then w^2 = b' i,
-which is never +-1, and the analyzer certifies the step w^2 = b' i
-irreducible over Q_2(i) as adjoining it would.  The valuation of Q_2(i)
+which is never +-1, and x^2 - b' i is irreducible over Q_2(i), as b' i is
+no square there (the proof is at the analyzer's _certify_p2_step): i is
+none, as Q_2(zeta_8) has degree 4 over Q_2, and b' is +-1 or +-5 times a
+square of Q_2, where Q_2(i)(sqrt 5) is unramified over Q_2(i) and
+Q_2(i)(sqrt i) is not.  The valuation of Q_2(i)
 therefore extends uniquely to Q_2(i)(R), and v(x + R) is half the
 valuation of its norm x^2 - R^2 in Q(i).  When w^2 = +-1, R lies in Q(i)
 itself, but k is odd and no tie occurs.

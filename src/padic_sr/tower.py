@@ -19,11 +19,7 @@ local-irreducibility certificate checked at construction:
       with residue field F_p.  For q != p, Hensel's lemma decides from the
       residue c of the unit; for q = p, `unit_level` walks u c^(-p) up the
       unit filtration U^(j) towards c* = p e/(p-1), in O(p + c*)
-      valuations (the proof is at _is_qth_power_local).  Each tower keeps
-      a class table {(q, coordinates mod p^depth): answer}: when the
-      monomial basis is integral and p does not divide the radicand's den,
-      radicands that agree mod p^depth differ by a q-th power, and over
-      Q_2(i) the case (v) radicands b' and b' i fill at most 16 keys.
+      valuations (the proof is at _is_qth_power_local).
 
 Either certificate guarantees the step polynomial is irreducible over the
 p-adic completion, so the valuation extends uniquely and
@@ -61,14 +57,13 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from types import MappingProxyType
 
 from .errors import (
     IrreducibilityUnverified,
     SearchInconclusive,
-    WrongPrime,
     ZeroElement,
     ZeroRadicand,
 )
@@ -387,7 +382,6 @@ class Tower:
         self._E = 1  # v(g_j) = _G[j] / _E for every generator g_j
         self._G = ()
         self._vals = {}  # E v -> the Fraction v, for val
-        self._qth_classes = {}  # (q, residues) -> answer of the q-th power test
 
     # -- basics --------------------------------------------------------------
 
@@ -680,8 +674,7 @@ class Tower:
         """The certificate of adjoin_radical: prove x^m - radicand
         irreducible over the completion, without building the step, and
         return v(radicand).  A refusal raises what adjoining would:
-        ValueError for m < 2, ZeroRadicand, or IrreducibilityUnverified.  A
-        unit radicand reads the tower's class table like the step does."""
+        ValueError for m < 2, ZeroRadicand, or IrreducibilityUnverified."""
         if m < 2:
             raise ValueError("step exponent must be >= 2")
         rad = self.coerce(radicand)
@@ -836,45 +829,17 @@ def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
     below c* prime to p, or a walk stuck at the critical level c*, means
     no p-th power, and a walk past c* means a p-th power.  A non-unit
     pi^k u0 is a q-th power exactly when q | k and u0 is one.
-
-    By Hensel, u (1 + delta) is u times a q-th power when v_pi(delta) >
-    2 v_pi(q).  When the monomial basis is integral (no monomial of
-    negative valuation) and p does not divide u.den, u' = u + p^depth y, y
-    an integer combination of basis monomials, has v(u' - u) >= depth > 2
-    v(q) + 1/e, so the answer for a unit is a function of (q, nums den^-1
-    mod p^depth), which keys the tower's class table.
     """
-    p = tower.p
+    p, e = tower.p, tower.ram_index
     if not tower.ram_exact:
         raise IrreducibilityUnverified(
             "q-th power test needs an exact ramification index"
         )
-    depth = 4 if q == p else 2  # past 2 v(q) + 1/e, with a level of slack
-    basis, _ = tower._basis()
-    if (min(sum(e * g for e, g in zip(b, tower._G)) for b in basis) < 0
-            or u.den % p == 0):
-        return _qth_power_by_levels(tower, u, q, tower.val(u))
-    mod = p ** depth
-    inv = pow(u.den, -1, mod)
-    key = (q, tuple(u.nums.get(b, 0) * inv % mod for b in basis))
-    table = tower._qth_classes
-    answer = table.get(key)
-    if answer is None:
-        v = tower.val(u)
-        answer = _qth_power_by_levels(tower, u, q, v)
-        if not v:  # the key fixes the class of a unit only
-            table[key] = answer
-    return answer
-
-
-def _qth_power_by_levels(tower, u, q, v) -> bool:
-    """The decision of _is_qth_power_local for a nonzero u of valuation v."""
-    p, e = tower.p, tower.ram_index
     if e != tower.degree:
         raise AssertionError("an exact tower is totally ramified")
     if tower._uniformizer is None and e != 1:
         raise AssertionError("an exact tower has a uniformizer")
-    k = int(v * e)
+    k = int(tower.val(u) * e)
     if k:
         if k % q:
             return False
@@ -945,107 +910,28 @@ def unit_level(tower: Tower, u: TowerElement, cap: int) -> int:
 
 # -- squares in the unramified closure (p = 2) -------------------------------
 
-def is_square_unramified_closure(tower: Tower, alpha: TowerElement) -> bool:
-    """Decide whether alpha is a square in the completed maximal unramified
-    extension of the tower's 2-adic completion (residue field algebraically
-    closed).
-
-    Obstructions are exactly: odd pi-valuation, and a principal-unit level
-    that is odd and below 2 v_pi(2); levels >= 2 v_pi(2) are killed by the
-    Artin-Schreier equation z^2 + z = t, solvable over the closed residue
-    field with unit derivative.  The level is `unit_level` capped there.
-    """
-    if tower.p != 2:
-        raise WrongPrime("square-class analysis is specific to p = 2")
-    if alpha.is_zero():
-        raise ZeroElement("0 is trivially a square; callers must branch")
-    if not tower.ram_exact:
-        raise IrreducibilityUnverified("needs exact ramification index")
-    R = tower.ram_index
-    pi = tower.uniformizer()
-    if tower.val(pi) * R != 1:
-        raise AssertionError("tower has no exact uniformizer")
-    k = tower.val(alpha) * R
-    if k.denominator != 1:
-        raise AssertionError("valuation outside the value group")
-    k = int(k)
-    if k % 2 != 0:
-        return False
-    as_level = 2 * R  # v_pi(4)
-    return unit_level(tower, alpha * pi.inverse() ** k, as_level) == as_level
-
-
-@cache
-def q2_i() -> Tower:
-    """K_2 = Q_2(i), i^2 = -1, built once per process and shared by the
-    square-class lookup and every case (v) centre."""
-    return Tower(2).adjoin_radical(2, -1, "i")
-
-
-@cache
-def _k3() -> Tower:
-    """K_3 = Q_2(zeta_8) = Q_2(i)(zeta_8), zeta_8^2 = i, built once per
-    process.  Both steps are quadratic, so its norms are relative norms."""
-    k2 = q2_i()
-    return k2.adjoin_radical(2, k2.gen(0), "zeta8")
-
-
 def square_class_K2_K3(d):
     """Square classes of d*i and d in K_2 = Q_2(i) and K_3 = Q_2(zeta_8),
-    over the unramified closure (residue field algebraically closed).  The
-    other root -i of -1 gives the same answer: -1 = i^2 is a square in both
-    fields, so d (-i) is a square exactly when d i is.
+    over the unramified closure (residue field algebraically closed), in
+    closed form in the parity of v_2(d).
+
+    An odd 2-adic unit is a square there: u = 1 mod 8 is one in Q_2,
+    -1 = i^2, and Q_2(sqrt 5) is unramified, so 3 = -1 (-3) and 5 are too.
+    As 2 = -i (1+i)^2, d is i^(v_2(d)) times a square in K_2.  i is no
+    square in K_2 over the unramified closure, as Q_2(zeta_8) is totally
+    ramified of degree 4 over Q_2, so d is a square in K_2 exactly when
+    v_2(d) is even, and d i exactly when it is odd.  In K_3, i = zeta_8^2
+    is a square, so d and d i both are.  The other root -i of -1 gives the
+    same answer, as -1 is a square in both fields.
 
     Returns {"di_square_K2", "di_square_K3", "d_square_K2", "d_square_K3"}.
     """
     d = _exact_rational(d)
     if d == 0:
         raise ZeroElement("d must be nonzero")
-    return {
-        "di_square_K2": _is_square_by_class(d, 2, 1),
-        "di_square_K3": _is_square_by_class(d, 3, 1),
-        "d_square_K2": _is_square_by_class(d, 2, 0),
-        "d_square_K3": _is_square_by_class(d, 3, 0),
-    }
-
-
-def _di_square(d: Fraction, ell: int) -> bool:
-    """Is d*i a square in K_ell (K_2 = Q_2(i), K_3 = Q_2(zeta_8)) over the
-    unramified closure?  d is a nonzero rational."""
-    return _is_square_by_class(d, ell, 1)
-
-
-def _is_square_by_class(d, ell: int, i_power: int) -> bool:
-    """Is d i^i_power a square in K_ell over the unramified closure, for a
-    nonzero rational d?  Decided by the square class of d in Q_2.
-
-    Q_2^x = 2^Z x Z_2^x, and a 2-adic unit is a square exactly when it is
-    1 mod 8, so d = 2^v u (u odd) differs from its class representative
-    2^(v mod 2) (u mod 8) by a square of Q_2, hence by a square of K_ell.
-    Squareness of d i^i_power in K_ell therefore depends only on
-    (v mod 2, u mod 8, ell, i_power): 8 classes times 2 fields times the
-    powers 0 (d) and 1 (d i), each computed once, exactly, by
-    `is_square_unramified_closure` on the representative.  For d = num/den
-    the odd part num'/den' is num' den' mod 8, as den'^2 = 1 mod 8.
-    """
-    d = Fraction(d)
-    num, den = d.numerator, d.denominator
-    vn, vd = vp_int(num, 2), vp_int(den, 2)
-    u8 = ((num >> vn) * (den >> vd)) % 8
-    return _square_class_entry((vn - vd) % 2, u8, ell, i_power)
-
-
-@cache
-def _square_class_entry(v2: int, u8: int, ell: int, i_power: int) -> bool:
-    """is_square_unramified_closure of 2^v2 u8 i^i_power in K_ell."""
-    if ell == 2:
-        k = q2_i()
-    elif ell == 3:
-        k = _k3()
-    else:
-        raise ValueError("ell must be 2 or 3")
-    i = k.gen(0)
-    return is_square_unramified_closure(k, (i ** i_power) * (2 ** v2 * u8))
+    odd = (vp_int(d.numerator, 2) - vp_int(d.denominator, 2)) % 2 == 1
+    return {"di_square_K2": odd, "di_square_K3": True,
+            "d_square_K2": not odd, "d_square_K3": True}
 
 
 # -- exact linear algebra ----------------------------------------------------

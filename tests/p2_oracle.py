@@ -18,7 +18,7 @@ from padic_sr.series import (
     check_tail_dominated,
     expand_disk,
 )
-from padic_sr.tower import q2_i
+from tower_helpers import q2_i
 
 
 @lru_cache(maxsize=2)

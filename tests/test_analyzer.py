@@ -2,7 +2,6 @@
 with frozen radii, field towers, conductor certificates, and quotient
 compatibility."""
 
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,6 +10,9 @@ from functools import cache
 import pytest
 
 from padic_sr.analyzer import (
+    _certify_p2_step,
+    _k1,
+    _q3_pi,
     _report_shape,
     _stable_case,
     analyze,
@@ -40,8 +42,15 @@ from padic_sr.graph import (
 from padic_sr.jsonutil import ratstr
 from padic_sr import tower as tower_module
 from padic_sr.ramification import FieldTower, TowerStep
-from padic_sr.tower import Tower, _di_square, q2_i, vp_rational
+from padic_sr.tower import Tower, vp_rational
 from p2_oracle import p2_center, tower_locus
+from test_golden import _identity_grid
+from tower_helpers import (
+    is_square_unramified_closure,
+    make_tower,
+    q2_i,
+    q2_zeta8,
+)
 
 
 # -- branch signatures -------------------------------------------------------
@@ -372,6 +381,44 @@ def test_conductor_bound_refuses_inconsistent_meta(meta, n, match):
         conductor_bound(bad, n)
 
 
+#: one cover per case (i)-(v)
+ONE_COVER_PER_CASE = [(5, 2, 1, 1), (5, 2, 3, 10), (3, 3, 1, 9),
+                      (3, 3, 1, 3), (2, 3, 1, 6)]
+
+
+def _with_meta(args, meta):
+    """The field tower of the cover `args` with its meta replaced."""
+    ft = stab_field_tower(branch_signature(*args))
+    return FieldTower(ft.prime, ft.steps, tuple(sorted(meta.items())))
+
+
+@pytest.mark.parametrize("args", ONE_COVER_PER_CASE)
+@pytest.mark.parametrize("drop", [("case",), ("a",),
+                                  ("a", "b", "n", "s", "case")])
+def test_conductor_bound_names_a_missing_meta_fact(args, drop):
+    """A meta that lacks a fact is refused with CertificationFailed naming
+    it, in every case; without the check it raised KeyError."""
+    meta = stab_field_tower(branch_signature(*args)).meta_dict()
+    bad = _with_meta(args, {k: v for k, v in meta.items() if k not in drop})
+    with pytest.raises(CertificationFailed,
+                       match=f"the tower's meta lacks {', '.join(drop)}$"):
+        conductor_bound(bad, args[1])
+
+
+@pytest.mark.parametrize("args", ONE_COVER_PER_CASE)
+@pytest.mark.parametrize("key", ["a", "b"])
+def test_conductor_bound_refuses_a_zero_a_plus_b(args, key):
+    """A meta with a + b = 0, which no cover has, is refused with
+    CertificationFailed in every case; without the check cases (ii)-(v) could
+    raise ZeroDivisionError from Fraction(a, a + b)."""
+    meta = stab_field_tower(branch_signature(*args)).meta_dict()
+    meta[key] = -meta["b" if key == "a" else "a"]
+    with pytest.raises(CertificationFailed,
+                       match=r"^a \+ b = 0: the centre a/\(a\+b\) is "
+                             r"undefined$"):
+        conductor_bound(_with_meta(args, meta), args[1])
+
+
 #: conductor_bound output of one cover per case (i)-(v): kind, value, detail
 GOLDEN_CONDUCTORS = {
     (5, 2, 1, 1): ("i", "exact", Fraction(1), [
@@ -513,13 +560,12 @@ def test_second_analyze_builds_only_per_cover_steps(monkeypatch, args,
                                   (2, 6, 1, 10), (2, 4, 1, 2)])
 def test_case_v_adjoins_one_w_per_parity_of_k(monkeypatch, args):
     """A case (v) analyze adjoins nothing: each w step, one for each class
-    of k = 2n - s - j mod 2 over j < s, is certified on Q_2(i) and never
+    of k = 2n - s - j mod 2 over j < s, is certified in integers and never
     built, by new_tail_locus and conductor_bound alike."""
     spec = branch_signature(*args)
     assert spec.s >= 3
     classes = {(2 * spec.n - spec.s - j) % 2 for j in range(spec.s)}
     assert len(classes) == 2
-    q2_i()
     calls = _count_adjoins(monkeypatch)
     assert analyze(*args)["certified"] is True
     assert calls == []
@@ -546,9 +592,21 @@ def _outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
+def _di_square(d, ell):
+    """Is d i a square in K_ell (K_2 = Q_2(i), K_3 = Q_2(zeta_8)) over the
+    unramified closure?  Decided in the field, on d i itself."""
+    k = q2_i() if ell == 2 else q2_zeta8()
+    return is_square_unramified_closure(k, k.gen(0) * d)
+
+
 def _old_case_v(n, s, a, b):
     """Case (v) of conductor_bound as it was, with every fact a valuation
-    of a built d_j in its tower; returns the detail lines."""
+    of a built d_j in its tower and every square class decided in its
+    field; returns the detail lines.  A meta with a + b = 0 is refused
+    first, as conductor_bound refuses it."""
+    if a + b == 0:
+        raise CertificationFailed("a + b = 0: the centre a/(a+b) is "
+                                  "undefined")
     detail = []
     for j in range(0, s):
         d = Fraction(2 ** (n - j) * b)
@@ -579,14 +637,6 @@ def _case_v_lines(ft, n):
     """The d_j lines of conductor_bound's detail for a case (v) tower."""
     return [line for line in conductor_bound(ft, n)["detail"]
             if line.startswith("d_")]
-
-
-def _any_outcome(f, *args):
-    """_outcome, with a ZeroDivisionError of a doctored a + b = 0 kept."""
-    try:
-        return _outcome(f, *args)
-    except ZeroDivisionError as exc:
-        return "ZeroDivisionError", str(exc)
 
 
 @cache
@@ -623,54 +673,101 @@ def test_case_v_conductor_bound_matches_the_tower_path(seed):
         ft0 = _case_v_tower(n, s)
         doc = dict(ft0.meta_dict(), a=a, b=b, s=s)
         ft = FieldTower(2, ft0.steps, tuple(sorted(doc.items())))
-        old = _any_outcome(_old_case_v, n, s, a, b)
-        assert _any_outcome(_case_v_lines, ft, n) == old, (n, s, a, b)
+        old = _outcome(_old_case_v, n, s, a, b)
+        assert _outcome(_case_v_lines, ft, n) == old, (n, s, a, b)
         kinds.add(old[0] if isinstance(old, tuple) else "certified")
     assert {"certified", "CertificationFailed", "IrreducibilityUnverified",
-            "ZeroDivisionError"} <= kinds, kinds
+            "ZeroRadicand"} <= kinds, kinds
+    assert _outcome(_old_case_v, 4, 3, 6, -6) == (
+        "CertificationFailed", "a + b = 0: the centre a/(a+b) is undefined")
 
 
-def test_seen_class_of_b_odd_runs_no_digit_search(monkeypatch):
-    """b' = 19 is 3 mod 16, so once a b' = 3 cover has filled the class
-    table of Q_2(i) with b' and b' i, certifying both w steps of the b' = 19
-    cover reads the table: no unit-level walk runs, and no Tower is built,
-    no norm taken and nothing adjoined."""
-    assert analyze(2, 4, 1, 6)["certified"] is True  # b' = 3
-    decisions, built = [], []
+def test_w_step_rule_matches_certify_radical():
+    """The integer rule of _certify_p2_step against the certificate of
+    adjoin_radical on a freshly built Q_2(i): for every |b'| <= 255, zero
+    and even included, and c in {0, 1}, the same outcome, or the same error
+    type and message.  u = +-1 needs no step, as w = 1 or i is in Q_2(i)."""
+    t = make_tower(2, [(2, -1)])
+    i = t.gen(0)
 
-    def counted(*args, _decide=tower_module._qth_power_by_levels):
-        decisions.append(args[0].degree)
-        return _decide(*args)
+    def by_field(b_odd, c):
+        u = t.rational(b_odd) if c else b_odd * i
+        if not ((u - 1).is_zero() or (u + 1).is_zero()):
+            t.certify_radical(2, u)
 
-    monkeypatch.setattr(tower_module, "_qth_power_by_levels", counted)
-    init, norm = Tower.__init__, Tower.norm
-    monkeypatch.setattr(Tower, "__init__",
-                        lambda self, p: built.append("Tower") or init(self, p))
-    monkeypatch.setattr(Tower, "norm",
-                        lambda self, x: built.append("norm") or norm(self, x))
+    seen = set()
+    for b_odd in range(-255, 256):
+        for c in (0, 1):
+            want = _outcome(by_field, b_odd, c)
+            assert _outcome(_certify_p2_step, b_odd, c) == want, (b_odd, c)
+            seen.add(want)
+    assert seen >= {
+        None, ("ZeroRadicand", "radicand is zero"),
+        ("IrreducibilityUnverified",
+         "x^2 - r with v(r) = 7: slope denominator is not 2"),
+        ("IrreducibilityUnverified", "radicand is a 2-th power in the "
+         "2-adic completion; x^2 - r is reducible there")}, seen
+
+
+def _count_p2_field_work(monkeypatch):
+    """Record every Tower built, norm taken, q-th power test and unit-level
+    walk from now on, and every step adjoined."""
     calls = _count_adjoins(monkeypatch)
-    assert analyze(2, 4, 1, 38)["certified"] is True  # b' = 19
-    assert calls == built == decisions == []
-
-
-@pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 6, 3, -6), (2, 3, 1, 6)])
-def test_case_v_conductor_bound_takes_no_norm_and_builds_no_centre(
-        monkeypatch, args):
-    """With the class table warm, conductor_bound reads every case (v) fact
-    in closed form: no Tower built, no Tower.norm call and no step
-    adjoined."""
-    spec = branch_signature(*args)
-    analyze(*args)
-    calls = []
     init, norm = Tower.__init__, Tower.norm
     monkeypatch.setattr(Tower, "__init__",
                         lambda self, p: calls.append("Tower") or init(self, p))
     monkeypatch.setattr(Tower, "norm",
                         lambda self, x: calls.append("norm") or norm(self, x))
-    adjoins = _count_adjoins(monkeypatch)
+    for name in ("_is_qth_power_local", "unit_level"):
+        def counted(*args, _name=name, _f=getattr(tower_module, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(tower_module, name, counted)
+    return calls
+
+
+def test_seen_class_of_b_odd_runs_no_digit_search(monkeypatch):
+    """No b' runs a unit-level walk: the w steps of b' = 3 and of every
+    other odd b' up to 31, b' = 19 (3 mod 16) among them, are decided from
+    b' mod 8 with no Tower built, no norm taken, no q-th power test and
+    nothing adjoined, on a cold process and after another b' alike."""
+    calls = _count_p2_field_work(monkeypatch)
+    for b_odd in range(1, 32, 2):
+        for sign in (1, -1):
+            _report_or_error((2, 4, 1, 2 * sign * b_odd))
+    assert analyze(2, 4, 1, 6)["certified"] is True  # b' = 3
+    assert analyze(2, 4, 1, 38)["certified"] is True  # b' = 19
+    assert calls == []
+
+
+def test_p2_identity_grid_builds_no_field(monkeypatch):
+    """analyze over every p = 2 cover of the identity grid, with the
+    analyzer's caches cleared first, builds no Tower and makes no q-th
+    power test: the refused covers included, every p = 2 fact is an
+    integer rule."""
+    for cached in (_report_shape, _q3_pi, _k1):
+        cached.cache_clear()
+    calls = _count_p2_field_work(monkeypatch)
+    covers = [args for args in _identity_grid() if args[0] == 2]
+    refused = [r[0] for r in map(_report_or_error, covers)
+               if isinstance(r, tuple)]
+    assert len(covers) == 1776
+    assert refused.count("IrreducibilityUnverified") == 124
+    assert calls == []
+
+
+@pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 6, 3, -6), (2, 3, 1, 6)])
+def test_case_v_conductor_bound_takes_no_norm_and_builds_no_centre(
+        monkeypatch, args):
+    """On a cover never analyzed before, conductor_bound reads every case
+    (v) fact in closed form: no Tower built, no Tower.norm call and no
+    step adjoined."""
+    spec = branch_signature(*args)
+    calls = _count_p2_field_work(monkeypatch)
     cb = conductor_bound(stab_field_tower(spec), spec.n)
     assert cb["vanishes_at_n"] is True
-    assert calls == adjoins == []
+    assert calls == []
 
 
 MIXED_GRID = [(2, 3, 1, 6), (2, 4, 1, 56), (2, 4, 1, 6), (2, 5, 1, 6),
@@ -688,11 +785,12 @@ def _report_or_error(args):
 
 def test_shared_fields_carry_no_cover_state():
     """Analyzing a mixed grid forwards and then backwards, with every
-    shared field and the class table of Q_2(i) reused between covers, gives
-    the reports (or errors) that each cover gives with a fresh table."""
+    shared field reused between covers, gives the reports (or errors) that
+    each cover gives with the shared fields built afresh."""
     fresh = {}
     for args in MIXED_GRID:
-        q2_i()._qth_classes.clear()
+        _q3_pi.cache_clear()
+        _k1.cache_clear()
         fresh[args] = _report_or_error(args)
     assert sum(isinstance(r, tuple) for r in fresh.values()) >= 2
     forwards = {args: _report_or_error(args) for args in MIXED_GRID}
@@ -722,15 +820,13 @@ NO_BRUTE_FORCE = [
 def test_certification_takes_no_determinant_or_solve(monkeypatch, counted,
                                                      warm):
     """Once another cover of the same case has filled the per-process
-    fields (with their inverse caches), and the square-class table is full, a
-    certified cover takes every valuation, norm, power and inverse in
-    closed form: no multiplication-matrix determinant and no linear solve,
-    its own locus and centre towers included."""
+    fields (with their inverse caches), a certified cover takes every
+    valuation, norm, power and inverse in closed form: no
+    multiplication-matrix determinant and no linear solve, its own locus
+    and centre towers included."""
     specs = branch_signature(*counted), branch_signature(*warm)
     assert len({_stable_case(sp.p, sp.n, sp.s) for sp in specs}) == 1
     assert analyze(*warm)["certified"] is True
-    for key in itertools.product((0, 1), (1, 3, 5, 7), (2, 3), (0, 1)):
-        tower_module._square_class_entry(*key)
     calls = []
     for name in ("_det_fraction", "_solve_fraction"):
         def counting(*args, _name=name, _f=getattr(tower_module, name)):

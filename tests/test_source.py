@@ -345,12 +345,12 @@ def test_case_v_builds_no_tower_centre():
 
 
 def _named(tree, names):
-    """(line, name) of each name, attribute or def among names."""
+    """(line, name) of each name, attribute, def or class among names."""
     for node in ast.walk(tree):
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute)
                 else node.name if isinstance(node, (ast.FunctionDef,
-                                                    ast.alias))
+                                                    ast.ClassDef, ast.alias))
                 else None)
         if name in names:
             yield node.lineno, name
@@ -365,3 +365,24 @@ def test_site_checkers_read_each_form():
     assert list(_adjoin_calls(tree)) == [(2, "f", 2), (7, "C.g", None)]
     assert sorted(_named(tree, TOWER_CENTRE_NAMES)) == [(6, "_p2_center"),
                                                         (9, "_p2_offset")]
+    src = ("class WrongPrime(Exception):\n    pass\n\n"
+           "def f(t):\n    t._qth_classes = {}\n    return q2_i()\n")
+    assert sorted(_named(ast.parse(src), P2_FIELD_NAMES)) == [
+        (1, "WrongPrime"), (5, "_qth_classes"), (6, "q2_i")]
+
+
+#: the p = 2 fields, the square-class and q-th power class tables and the
+#: error only they raised: case (v) decides its w step from b' mod 8 and its
+#: square classes from the parity of v_2, so none of them is in the package
+P2_FIELD_NAMES = {"q2_i", "_k3", "_di_square", "_square_class_entry",
+                  "_qth_classes", "WrongPrime"}
+
+
+def test_p2_fields_and_class_tables_stay_deleted():
+    """No package module defines or names a p = 2 field or a class table;
+    the fields live on in tests/tower_helpers.py as oracles."""
+    found = [f"{path.name}:{line}: {name}"
+             for path in SOURCES
+             for line, name in _named(ast.parse(path.read_text(), str(path)),
+                                      P2_FIELD_NAMES)]
+    assert not found, "\n".join(found)

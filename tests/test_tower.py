@@ -27,20 +27,22 @@ from padic_sr.tower import (
     Tower,
     TowerElement,
     _det_fraction,
-    _di_square,
     _is_qth_power_local,
-    _k3,
     _solve_fraction,
-    _square_class_entry,
-    is_square_unramified_closure,
-    q2_i,
     square_class_K2_K3,
     unit_level,
     vp_int,
     vp_rational,
 )
 from p2_oracle import centre_field
-from tower_helpers import is_mth_power, make_tower, qth_power_search
+from tower_helpers import (
+    is_mth_power,
+    is_square_unramified_closure,
+    make_tower,
+    q2_i,
+    q2_zeta8,
+    qth_power_search,
+)
 
 
 def test_empty_tower_is_rationals():
@@ -169,9 +171,10 @@ def _square_class(d):
 
 
 def test_k3_is_q2_i_with_a_square_root_of_i():
-    """K_3 = Q_2(i)(zeta_8), zeta_8^2 = i: two quadratic steps over the
-    shared Q_2(i), totally ramified with uniformizer zeta_8 - 1."""
-    k3 = _k3()
+    """K_3 = Q_2(i)(zeta_8), zeta_8^2 = i, the square-class oracle's field:
+    two quadratic steps over the shared Q_2(i), totally ramified with
+    uniformizer zeta_8 - 1."""
+    k3 = q2_zeta8()
     assert k3._lower is q2_i()
     assert [s.degree for s in k3.steps] == [2, 2]
     assert k3.gen(1) ** 2 == k3.gen(0)
@@ -180,22 +183,25 @@ def test_k3_is_q2_i_with_a_square_root_of_i():
 
 
 def test_square_class_table_fills_without_determinants(monkeypatch):
-    """Filling all 32 entries in a fresh K_3 takes no determinant: every
-    tied valuation there is two quadratic relative norms.  Each entry
-    equals the square class computed in the quartic tower zeta_8^4 = -1."""
-    det_calls = []
-
-    def counted_det(M):
-        det_calls.append(len(M))
-        return _det_fraction(M)
-
-    monkeypatch.setattr(tower_module, "_det_fraction", counted_det)
-    _square_class_entry.cache_clear()
-    _k3.cache_clear()
-    keys = [(v2, u8, ell, i_power) for v2 in (0, 1) for u8 in (1, 3, 5, 7)
-            for ell in (2, 3) for i_power in (0, 1)]
-    table = {key: _square_class_entry(*key) for key in keys}
-    assert det_calls == []
+    """All 32 entries of the square-class table, (v_2 mod 2, odd part mod 8,
+    K_ell, d or d i), come from square_class_K2_K3 with no Tower built and
+    no determinant taken.  Each equals the square class computed on the
+    class representative in Q_2(i) and in the quartic tower
+    zeta_8^4 = -1."""
+    calls = []
+    init, det = Tower.__init__, tower_module._det_fraction
+    monkeypatch.setattr(Tower, "__init__",
+                        lambda self, p: calls.append("Tower") or init(self, p))
+    monkeypatch.setattr(tower_module, "_det_fraction",
+                        lambda M: calls.append("det") or det(M))
+    table = {}
+    for v2 in (0, 1):
+        for u8 in (1, 3, 5, 7):
+            r = square_class_K2_K3(2 ** v2 * u8)
+            for ell in (2, 3):
+                table[v2, u8, ell, 0] = r[f"d_square_K{ell}"]
+                table[v2, u8, ell, 1] = r[f"di_square_K{ell}"]
+    assert calls == [] and len(table) == 32
     monkeypatch.undo()
     quartic = Tower(2).adjoin_radical(4, -1)
     i_of = {2: q2_i().gen(0), 3: quartic.gen() ** 2}
@@ -207,10 +213,11 @@ def test_square_class_table_fills_without_determinants(monkeypatch):
 
 
 def test_square_class_lookup_matches_the_tower_computation():
-    """The class lookup of _di_square and square_class_K2_K3 agrees with
-    is_square_unramified_closure run on the actual d i, -d i and d in fresh
-    copies of Q_2(i) and Q_2(zeta_8), not on the class representatives.
-    The other root -i of -1 gives the single answer for d i too."""
+    """The closed form of square_class_K2_K3, read from the parity of
+    v_2(d), agrees with the oracle is_square_unramified_closure run on the
+    actual d i, -d i and d in fresh copies of Q_2(i) and Q_2(zeta_8), on
+    rationals of every square class of Q_2.  The other root -i of -1 gives
+    the single answer for d i too."""
     assert {_square_class(d) for d in SQUARE_CLASS_SAMPLE} == {
         (v, u) for v in (0, 1) for u in (1, 3, 5, 7)}
     k2 = Tower(2).adjoin_radical(2, -1)
@@ -221,8 +228,6 @@ def test_square_class_lookup_matches_the_tower_computation():
         for choice in (1, -1):
             oracle = {ell: is_square_unramified_closure(
                 k, i_of[ell] * choice * d) for ell, k in ((2, k2), (3, k3))}
-            assert [_di_square(d, ell) for ell in (2, 3)] == [
-                oracle[2], oracle[3]], (d, choice)
             assert table["di_square_K2"] == oracle[2]
             assert table["di_square_K3"] == oracle[3]
         assert table["d_square_K2"] == is_square_unramified_closure(
@@ -443,41 +448,28 @@ def test_qth_power_lifting_on_centre_radicands(args, square):
 @pytest.mark.parametrize("args,square", [((2, 3, 1, 6), False),
                                          ((2, 4, 1, 56), True)])
 def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
-    """Timing-free guard on the Q_2(i) radicand that new_tail_locus
-    certifies.  The class table of Q_2(i) is emptied first, so the
-    radicand's class is decided afresh by its residue and unit level, and
-    each test makes at most p (floor(c*) + 1) = 10 valuations (p = 2,
-    e = 2, c* = 4)."""
-    calls, counts = [], {"val": 0, "decisions": 0}
-    val, decide = Tower.val, tower_module._qth_power_by_levels
+    """Timing-free guard on the Q_2(i) radicand of the new-tail centre, the
+    step that new_tail_locus decides in integers (_certify_p2_step).  In a
+    fresh Q_2(i) the q-th power test decides it by its residue and unit
+    level in at most p (floor(c*) + 1) = 10 valuations (p = 2, e = 2,
+    c* = 4), and agrees with the integer rule."""
+    spec = branch_signature(*args)
+    t, radicands = _centre_radicands(spec.n, spec.s, spec.b)
+    count, val = [0], Tower.val
 
     def counting_val(self, x):
-        counts["val"] += 1
+        count[0] += 1
         return val(self, x)
 
-    def counting_decision(*args):
-        counts["decisions"] += 1
-        return decide(*args)
-
-    def counted_test(t, u, q):
-        counts.update(val=0, decisions=0)
-        result = _is_qth_power_local(t, u, q)
-        calls.append((t.degree, result, counts["decisions"], counts["val"]))
-        return result
-
     monkeypatch.setattr(Tower, "val", counting_val)
-    monkeypatch.setattr(tower_module, "_qth_power_by_levels",
-                        counting_decision)
-    monkeypatch.setattr("padic_sr.tower._is_qth_power_local", counted_test)
-    q2_i()._qth_classes.clear()  # decide the radicand's class afresh
-    spec = branch_signature(*args)
+    assert _is_qth_power_local(t, radicands[0], 2) is square
+    assert 0 < count[0] <= 10, count
+    monkeypatch.undo()
     if square:
         with pytest.raises(IrreducibilityUnverified):
             new_tail_locus(spec)
     else:
         assert new_tail_locus(spec).case == "p2"
-    assert calls[-1][:3] == (2, square, 1)  # the radicand test over Q_2(i)
-    assert all(n <= 10 for *_, n in calls), calls
 
 
 # -- closed forms against the brute-force path -------------------------------
@@ -506,7 +498,7 @@ def _q2_i_sqrt_level_3():
 #: Q_3(sqrt 2), and the quartic Q_5(2^(1/4)) on the determinant
 ORACLE_TOWERS = {
     "q2_i": q2_i,
-    "K3": _k3,
+    "K3": q2_zeta8,
     "Q3(pi)": _q3_pi,
     "K1(3)": lambda: _k1(3),
     "K1(5)": lambda: _k1(5),
@@ -608,14 +600,15 @@ def test_monomial_powers_and_inverses_match_the_generic_path(name):
 
 
 def _class_table_applies(t):
-    """Does the q-th power test of t key its class table on every radicand
-    with den prime to p: an exact ramification index and an integral
-    monomial basis (m0 >= 0)?"""
+    """Is the q-th power test of a unit of t, den prime to p, a function of
+    its coordinates mod p^depth: an exact ramification index and an
+    integral monomial basis (m0 >= 0)?"""
     return t.ram_exact and min(t._G, default=0) >= 0
 
 
 def _qth_depth(t, q):
-    """The p-power depth of the q-th power test of t."""
+    """The p-power depth past Hensel's bound 2 v(q) + 1/e, with a level of
+    slack, at which the class of a unit decides the q-th power test of t."""
     R = t.ram_index
     return -(-(2 * R * (1 if q == t.p else 0) + 1) // R) + 1
 
@@ -633,8 +626,8 @@ def _integral_unit(rng, t):
 
 
 #: the towers of ORACLE_TOWERS on which the class-table oracle runs: every
-#: one where the table applies and p^D <= 729.  Above p^D = 81 it draws one
-#: unit, and q = p is left out.
+#: one where a unit's class decides the test and p^D <= 729.  Above
+#: p^D = 81 it draws one unit, and q = p is left out.
 CLASS_TABLE_TOWERS = [name for name, build in ORACLE_TOWERS.items()
                       if _class_table_applies(t := build())
                       and t.p ** t.degree <= 729]
@@ -642,50 +635,38 @@ CLASS_TABLE_TOWERS = [name for name, build in ORACLE_TOWERS.items()
 
 @pytest.mark.parametrize("name", CLASS_TABLE_TOWERS)
 def test_class_table_matches_a_fresh_search(name):
-    """The class table keys the q-th power test on the residues mod
-    p^depth.  A unit u and each u + p^k y, y an integer combination of
-    basis monomials and k = 0 .. depth, are tested through the table as it
-    fills, and the
-    answer is the one a fresh search gives with the table emptied: a key
-    coarser than p^depth would answer some k < depth from a stale class.
-    u + p^depth y is read from the entry of u, without a search."""
+    """The q-th power test of a unit is a function of its class: with an
+    integral monomial basis and p prime to the den, u + p^depth y, y an
+    integer combination of basis monomials, is u times a q-th power by
+    Hensel.  A table keyed on (q, coordinates mod p^depth), filled here
+    from the test's own decisions on a unit u and on each u + p^k y,
+    k = 0 .. depth, agrees with every later decision of the same key, and
+    u + p^depth y has the key of u.  A test that read less than the class
+    of u would give two answers for one key."""
     t = ORACLE_TOWERS[name]()
     assert _class_table_applies(t)
     basis, _ = t._basis()
     rng = random.Random(f"class-table:{name}")
     small = t.p ** t.degree <= 81
-    table = t._qth_classes
-    try:
-        for q in sorted({2, t.p} if small else {2}):
-            depth = _qth_depth(t, q)
-            for _ in range(4 if small else 1):
-                table.clear()
-                u = _integral_unit(rng, t)
-                for k in range(-1, depth + 1):  # k = -1: u itself
-                    y = TowerElement(t, {b: Fraction(rng.randint(-9, 9))
-                                         for b in basis})
-                    x = u if k < 0 else u + t.p ** k * y
-                    keys = len(table)
-                    answer = _is_qth_power_local(t, x, q)
-                    if k == depth:
-                        assert len(table) == keys  # the entry of u
-                    saved = dict(table)
-                    table.clear()
-                    assert _is_qth_power_local(t, x, q) is answer, (x, q)
-                    table.clear()
-                    table.update(saved)
-    finally:
-        table.clear()
+    table = {}
+    for q in sorted({2, t.p} if small else {2}):
+        depth = _qth_depth(t, q)
+        mod = t.p ** depth
 
+        def key(x):
+            inv = pow(x.den, -1, mod)
+            return q, tuple(x.nums.get(b, 0) * inv % mod for b in basis)
 
-def _fresh_test(t, u, q):
-    """_is_qth_power_local(t, u, q) with the class table of t emptied, so
-    the class of u is decided, not read."""
-    t._qth_classes.clear()
-    try:
-        return _is_qth_power_local(t, u, q)
-    finally:
-        t._qth_classes.clear()
+        for _ in range(4 if small else 1):
+            u = _integral_unit(rng, t)
+            for k in range(-1, depth + 1):  # k = -1: u itself
+                y = TowerElement(t, {b: Fraction(rng.randint(-9, 9))
+                                     for b in basis})
+                x = u if k < 0 else u + t.p ** k * y
+                answer = _is_qth_power_local(t, x, q)
+                if t.val(x) == 0:  # the key fixes the class of a unit only
+                    assert table.setdefault(key(x), answer) is answer, (x, q)
+            assert key(x) == key(u)
 
 
 #: the exact towers of ORACLE_TOWERS and QTH_POWER_TOWERS on which the
@@ -718,7 +699,7 @@ def test_unit_level_decision_matches_the_digit_search(name):
         units = xs[:draws] + [x ** q for x in xs[draws:]]
         units += [xs[-1] ** q * (1 + p ** k) for k in (1, 2, 3)]
         for u in units:
-            answer = _fresh_test(t, u, q)
+            answer = _is_qth_power_local(t, u, q)
             assert answer == qth_power_search(t, u, q), (u, q)
             answers.add(answer)
     assert answers == {True, False}
@@ -735,7 +716,7 @@ def test_critical_level_is_decided_by_the_residue_of_p_over_pi_e(r, cube):
     t = Tower(3).adjoin_radical(2, r)
     u = 1 + 3 * t.gen()
     assert unit_level(t, u, 4) == (4 if cube else 3)
-    assert _fresh_test(t, u, 3) is cube
+    assert _is_qth_power_local(t, u, 3) is cube
     assert qth_power_search(t, u, 3) is cube
 
 
@@ -751,7 +732,7 @@ def test_square_outside_the_integer_span_is_refused():
     W = (9 + w - 3 * i - 5 * i * w) * Fraction(1, 2)
     assert t.val(W) == 0 and t.val(W ** 2 - u) == 3
     assert qth_power_search(t, u, 2) is False
-    assert _fresh_test(t, u, 2) is True
+    assert _is_qth_power_local(t, u, 2) is True
     with pytest.raises(IrreducibilityUnverified, match="2-th power"):
         t.adjoin_radical(2, u)
 
@@ -777,9 +758,9 @@ def test_p_th_power_test_is_a_class_invariant(name):
     answers = set()
     for _ in range(6):
         u, w = _random_unit(rng, t), _random_unit(rng, t)
-        assert _fresh_test(t, w ** p, p) is True, w
-        answer = _fresh_test(t, u, p)
-        assert _fresh_test(t, u * w ** p, p) is answer, (u, w)
+        assert _is_qth_power_local(t, w ** p, p) is True, w
+        answer = _is_qth_power_local(t, u, p)
+        assert _is_qth_power_local(t, u * w ** p, p) is answer, (u, w)
         answers.add(answer)
     assert False in answers
 
@@ -808,7 +789,7 @@ def test_qth_power_test_makes_few_valuations(monkeypatch, name):
     for q in (2, p):
         for u in units:
             calls[0] = 0
-            _fresh_test(t, u, q)
+            _is_qth_power_local(t, u, q)
             counts.append(calls[0])
     assert max(counts) <= bound, counts
     assert min(counts) > 0, counts
@@ -1037,7 +1018,7 @@ def test_equal_elements_hash_alike():
     quarters = t.rational(Fraction(2, 4))
     assert quarters == half and hash(quarters) == hash(half)
     assert hash(half) == hash(Fraction(1, 2)) and len({half, Fraction(1, 2)}) == 1
-    k3 = _k3()
+    k3 = q2_zeta8()
     x = 1 + k3.gen() * Fraction(3, 4) + k3.gen(0) * Fraction(5, 6)
     for y in (x * 2 * Fraction(1, 2), TowerElement(k3, dict(x.coords)),
               (x - Fraction(1, 3)) + Fraction(1, 3)):

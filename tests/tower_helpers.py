@@ -1,12 +1,21 @@
 """Test helpers for towers: a tower builder, the brute-force q-th power
-oracle over Q_p, and the digit-lifting search that the unit-level decision
-of `_is_qth_power_local` is checked against."""
+oracle over Q_p, the digit-lifting search that the unit-level decision
+of `_is_qth_power_local` is checked against, and the fields Q_2(i) and
+Q_2(zeta_8) with the square test over their unramified closures, the
+oracles of the closed forms of case (v)."""
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
-from padic_sr.errors import ZeroElement
-from padic_sr.tower import Tower, _element, _exact_rational, vp_rational
+from padic_sr.errors import IrreducibilityUnverified, ZeroElement
+from padic_sr.tower import (
+    Tower,
+    _element,
+    _exact_rational,
+    unit_level,
+    vp_rational,
+)
 
 
 def make_tower(p: int, steps) -> Tower:
@@ -100,3 +109,47 @@ def qth_power_search(tower: Tower, u, q: int) -> bool:
                     kept.append(coeffs)
         survivors = kept
     return False
+
+
+@cache
+def q2_i() -> Tower:
+    """K_2 = Q_2(i), i^2 = -1, built once per process."""
+    return Tower(2).adjoin_radical(2, -1, "i")
+
+
+@cache
+def q2_zeta8() -> Tower:
+    """K_3 = Q_2(zeta_8) = Q_2(i)(zeta_8), zeta_8^2 = i, built once per
+    process.  Both steps are quadratic, so its norms are relative norms."""
+    k2 = q2_i()
+    return k2.adjoin_radical(2, k2.gen(0), "zeta8")
+
+
+def is_square_unramified_closure(tower: Tower, alpha) -> bool:
+    """Decide whether alpha is a square in the completed maximal unramified
+    extension of the tower's 2-adic completion (residue field algebraically
+    closed).
+
+    Obstructions are exactly: odd pi-valuation, and a principal-unit level
+    that is odd and below 2 v_pi(2); levels >= 2 v_pi(2) are killed by the
+    Artin-Schreier equation z^2 + z = t, solvable over the closed residue
+    field with unit derivative.  The level is `unit_level` capped there.
+    """
+    if tower.p != 2:
+        raise ValueError("square-class analysis is specific to p = 2")
+    if alpha.is_zero():
+        raise ZeroElement("0 is trivially a square; callers must branch")
+    if not tower.ram_exact:
+        raise IrreducibilityUnverified("needs exact ramification index")
+    R = tower.ram_index
+    pi = tower.uniformizer()
+    if tower.val(pi) * R != 1:
+        raise AssertionError("tower has no exact uniformizer")
+    k = tower.val(alpha) * R
+    if k.denominator != 1:
+        raise AssertionError("valuation outside the value group")
+    k = int(k)
+    if k % 2 != 0:
+        return False
+    as_level = 2 * R  # v_pi(4)
+    return unit_level(tower, alpha * pi.inverse() ** k, as_level) == as_level
