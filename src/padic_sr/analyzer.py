@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -39,21 +39,17 @@ from .jsonutil import ratstr
 from .ramification import (
     ConductorValue,
     FieldTower,
-    Filtration,
     TowerStep,
     compositum_conductor,
-    cyclotomic_tower,
-    herbrand_phi,
-    kummer_step_conductor,
 )
 from .series import (
+    CubicCentre,
     ReductionVerdict,
-    binom_falling,
     classify_p2_torsor,
     classify_torsor_reduction,
     expand_disk,
 )
-from .tower import Tower, check_prime, vp_int, vp_rational
+from .tower import check_prime, vp_int, vp_rational
 
 
 @dataclass(frozen=True)
@@ -146,41 +142,26 @@ def _stable_case(p: int, n: int, s: int) -> str:
     return "iii" if s == 1 else "iv"
 
 
-def _cube_radicand(n: int, s: int, b: int) -> Fraction:
+def _cube_radicand(n: int, s: int, b: int) -> int:
     """3^(2(n-s)+3) C(b,3), of valuation 3(n-s)+2: the cube-root radicand of
     d' in case (iv) and, at s = 1, of the new-tail centre in case (iii)."""
-    return Fraction(3 ** (2 * (n - s) + 3)) * binom_falling(b, 3)
+    return 3 ** (2 * (n - s) + 3) * (b * (b - 1) * (b - 2) // 6)
 
 
-# -- fields built once -------------------------------------------------------
-# A Tower never changes once built (adjoining returns a new tower), so a field
-# that depends on p alone is built, with its certificates, once per process
-# and shared by every cover.  The case (iii) cube root depends on the cover
-# and is built once per cover; the case (iv) one is only certified
-# (conductor_bound).  Case (v) builds no field at all: its centres are
-# Gaussian rationals plus a square root R of one, valued in closed form
-# (classify_p2_torsor, conductor_bound), the step w^2 = u behind R is
-# certified from b' mod 8 (_certify_p2_step), and the square classes are
-# read from the parity of v_2 (conductor_bound).  The rational centre of
-# cases (i), (ii) and (iv) needs no field: its disk is exact data
-# (new_tail_locus).  The graph half
-# of the report (the graph, its checks and the inseparable tails) depends
-# on (p, n, s) alone and is computed once per shape, in an LRU of 256
-# shapes (_report_shape, below); only callers that repeat a shape gain from
-# it.
-
-@cache
-def _q3_pi() -> Tower:
-    """Q_3(pi), pi^4 = 3: the base of the case (iii) centre."""
-    return Tower(3).adjoin_radical(4, 3, "pi")
-
-
-@cache
-def _k1(p: int) -> Tower:
-    """K_1 = Q_p(zeta_p), the base of the cube-root step in cases (iii) and
-    (iv) of conductor_bound."""
-    return cyclotomic_tower(p, 1)
-
+# -- no fields ---------------------------------------------------------------
+# analyze builds no Tower.  The rational centre of cases (i), (ii) and (iv)
+# is exact data (new_tail_locus), and the case (iii) centre (a + t)/(a+b),
+# t^3 = r, is an integer triple over a + b, valued in closed form (series
+# module docstring, "Cubic centres").  The cube roots of cases (iii) and
+# (iv) are certified from v_3 of their radicand, with constant conductors
+# (conductor_bound).  Case (v) centres are Gaussian rationals plus a square
+# root R of one, valued in closed form (classify_p2_torsor,
+# conductor_bound), the step w^2 = u behind R is certified from b' mod 8
+# (_certify_p2_step), and the square classes are read from the parity of
+# v_2 (conductor_bound).  The graph half of the report (the graph, its
+# checks and the inseparable tails) depends on (p, n, s) alone and is
+# computed once per shape, in an LRU of 256 shapes (_report_shape, below);
+# only callers that repeat a shape gain from it.
 
 def _certify_p2_step(b_odd: int, c: int) -> None:
     """Certify the case (v) step w^2 = u = (-i)^c b' i, b' = b_odd, over
@@ -217,23 +198,21 @@ def _certify_p2_step(b_odd: int, c: int) -> None:
 @dataclass(frozen=True)
 class NewTailLocus:
     case: str  # "rational" | "p3s1" | "p2"
-    tower: Tower | None  # the field of d and e ("p3s1"), else None
-    d: object  # TowerElement ("p3s1"), else the Fraction a/(a+b)
-    e: object  # TowerElement of valuation v_e ("p3s1"), else None
+    d: object  # CubicCentre (a + t)/(a+b) ("p3s1"), else Fraction a/(a+b)
     v_e: Fraction  # v(e) = (2n - s + 1/(p-1))/2, in closed form
-    description: str
     rho: int | None = None  # "p2": the centre is d + R, R^2 = rho i/(a+b)^4
 
 
 def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     """Center and radius valuation v(e) = (2n - s + 1/(p-1))/2 of the disk
-    of the unique new etale tail, with the case-correct center.  The case
-    (iii) centre comes with its tower and a radius element e.  The rational
-    centre a/(a+b) of cases (i), (ii) and (iv) is the Fraction itself, and
-    the case (v) centre is a/(a+b) + R with R^2 = rho i/(a+b)^4; neither
-    needs a tower or an e.  In case (v) the step w^2 = u behind R is
-    certified in integers, from b' mod 8 (_certify_p2_step), as the tie
-    rule of classify_p2_torsor needs it, and no field is built."""
+    of the unique new etale tail, with the case-correct center.  The
+    rational centre a/(a+b) of cases (i), (ii) and (iv) is the Fraction
+    itself, the case (iii) centre (a + t)/(a+b), t^3 = 3^(2n+1) C(b,3), is
+    a CubicCentre, and the case (v) centre is a/(a+b) + R with
+    R^2 = rho i/(a+b)^4; none needs a tower or an e.  In case (v) the step
+    w^2 = u behind R is certified in integers, from b' mod 8
+    (_certify_p2_step), as the tie rule of classify_p2_torsor needs it, and
+    no field is built."""
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
     v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
     case = _stable_case(p, n, s)
@@ -243,39 +222,24 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
         k = 2 * n - s
         b_odd = b // 2 ** (n - s)
         _certify_p2_step(b_odd, k % 2)
-        return NewTailLocus("p2", None, Fraction(a, a + b), None, v_e,
-                            "a/(a+b) + sqrt(2^n b i)/(a+b)^2",
-                            rho=2 ** k * b_odd)
+        return NewTailLocus("p2", Fraction(a, a + b), v_e, 2 ** k * b_odd)
     if case == "iii":
-        tower = _q3_pi().adjoin_radical(
-            3, _cube_radicand(n, s, b), "t")
-        d = tower.rational(Fraction(a, a + b)) + \
-            tower.gen(1) * Fraction(1, a + b)
-        e = tower.gen(0) ** (4 * n - 1)
-        return NewTailLocus("p3s1", tower, d, e, v_e,
-                            "a/(a+b) + cbrt(3^(2n+1) binom(b,3))/(a+b)")
+        return NewTailLocus("p3s1", CubicCentre((a, 1, 0), a + b,
+                                                _cube_radicand(n, s, b)), v_e)
     # cases (i), (ii) and (iv): rational center, the disk given by v_e
-    return NewTailLocus("rational", None, Fraction(a, a + b), None, v_e,
-                        "a/(a+b)")
+    return NewTailLocus("rational", Fraction(a, a + b), v_e)
 
 
 def certify_tail(spec: CoverSpec) -> ReductionVerdict:
     """Expand the cover on the new-tail disk to c_2p and classify the
     reduction; the tail bound certifies every later c_l, and no longer
     expansion could change the verdict (series module docstring).  A case
-    (v) centre is classified in closed form, with no expansion.  A tower
-    centre reads v(e) from its tower, which checks the closed form."""
+    (v) centre is classified in closed form, with no expansion."""
     locus = new_tail_locus(spec)
     if locus.case == "p2":
         return classify_p2_torsor(spec, locus.v_e, locus.rho)
-    if locus.tower is None:
-        exp = expand_disk(spec, locus.d, None, locus.v_e)
-    else:
-        exp = expand_disk(spec, locus.d, locus.e)
-        if exp.v_e != locus.v_e:
-            raise AssertionError(f"v(e) = {exp.v_e} in the locus tower, "
-                                 f"{locus.v_e} in closed form")
-    return classify_torsor_reduction(exp)
+    return classify_torsor_reduction(
+        expand_disk(spec, locus.d, None, locus.v_e))
 
 
 # -- inseparable tails -------------------------------------------------------
@@ -527,7 +491,25 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
     A meta that lacks one of a, b, n, s and case, has a + b = 0, gives an n
     other than the n asked for, or a case other than the case of (p, n, s),
     is refused.  Returns {vanishes_at_n, conductor, detail}; the conductor
-    is exact in case (i) and a bound otherwise."""
+    is exact in case (i) and a bound otherwise.
+
+    The cube roots of cases (iii) and (iv) are certified in closed form.
+    K_1 = Q_3(zeta_3) has e = 2, and the radicand rad = 3^(2(n-s)+3)
+    C(b,3) is rational.  Once v_3(rad) = 3(n-s)+2 is checked,
+    v_{K_1}(rad) = 2 (3(n-s)+2) = 1 mod 3 is prime to 3, so the Newton
+    polygon of x^3 - rad over K_1 is one slope of denominator 3:
+    L = K_1(cbrt rad) is totally ramified of degree 3, v(cbrt rad) =
+    v_3(rad)/3, and as the radicand's valuation is prime to p the jump of
+    L/K_1 is the maximal p e/(p-1) = 3 (Serre, Local Fields, IV 2), exact.
+    L/K_0 is Galois of degree 6 (rad lies in K_0, zeta_3 in L) and totally
+    ramified, with tame quotient of order 2, and lower numbering passes to
+    the subgroup Gal(L/K_1): its lower filtration is |G_u| = 6 at u = 0,
+    3 for 0 < u <= 3 and 1 beyond.  So phi_{L/K_0}(u) = u/2 on [0, 3] and
+    3/2 + (u - 3)/6 past it, and the conductor of L/K_0 is phi(3) = 3/2.
+    In case (iv), M/L is one more cube root over L, where e_L = 3 e_{K_1} =
+    6, so its jump is at most the cap 3 e_L/2 = 9, and phi(9) = 5/2 bounds
+    the conductor of M/K_0.  Both lie below n, as n >= 2 in case (iii) and
+    n >= 3 in case (iv)."""
     meta = ft.meta_dict()
     missing = [key for key in ("a", "b", "n", "s", "case") if key not in meta]
     if missing:
@@ -548,38 +530,29 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
     parts = [Fraction(n - 1)]
 
     if case in ("iii", "iv"):
-        # L = K_1(cbrt(rad)) has one wild jump over K_1 (upper = lower), and
-        # lower numbering is subgroup-invariant: phi_{L/K_0} converts it
+        # the constants of the docstring: L/K_1 has jump 3, L/K_0
+        # conductor 3/2, and M/L cap 9 and M/K_0 bound 5/2
         rad = _cube_radicand(n, s, b)  # (iii) is the s = 1 instance of (iv)
-        v = vp_rational(rad, 3)
+        v = vp_int(rad, 3)
         if v != 3 * (n - s) + 2:
             raise CertificationFailed(
                 f"v_3(3^(2(n-s)+3) binom(b,3)) = {v}, expected "
                 f"{3 * (n - s) + 2}"
             )
-        K1 = _k1(3)
-        cv = kummer_step_conductor(K1, rad, 3)
-        lowL = Filtration(((Fraction(0), 3), (cv.value, 1)), 6, "lower")
-        h = herbrand_phi(lowL, cv.value)
+        h = Fraction(3, 2)
         if case == "iii":
             detail += [f"cube-root radicand valuation {v} verified",
-                       f"conductor of K_1(cbrt)/K_0 is {ratstr(h)} "
-                       f"({cv.kind}) < {n}"]
+                       f"conductor of K_1(cbrt)/K_0 is 3/2 (exact) < {n}"]
         else:
-            # d'' - 1 = cbrt(rad)/a lies in L; M/L is one more cube root
-            # over L, bounded by its cap.  The step is certified, not
-            # built: v(rad) is prime to 3, so L/K_1 is totally ramified of
-            # degree 3 and e_L = 3 e_{K_1}
-            vt = K1.certify_radical(3, rad) / 3
-            if vt - vp_int(a, 3) != Fraction(n - s) + Fraction(2, 3):
+            # d'' - 1 = cbrt(rad)/a lies in L, of valuation v/3 - v_3(a)
+            if Fraction(v, 3) - vp_int(a, 3) != n - s + Fraction(2, 3):
                 raise CertificationFailed("v(d''-1) = n-s+2/3 fails")
-            capM = Fraction(3 * 3 * K1.ram_index, 2)
-            hL, h = h, max(h, herbrand_phi(lowL, capM))
+            h = Fraction(5, 2)
             detail += ["v(d''-1) = n-s+2/3 verified",
-                       f"conductor of L/K_0 is {ratstr(hL)} with L/K_1 "
-                       f"conductor {ratstr(cv.value)} ({cv.kind})",
-                       f"conductor of M/L is at most {ratstr(capM)}",
-                       f"conductor of M/K_0 is at most {ratstr(h)} < {n}"]
+                       "conductor of L/K_0 is 3/2 with L/K_1 conductor 3 "
+                       "(exact)",
+                       "conductor of M/L is at most 9",
+                       f"conductor of M/K_0 is at most 5/2 < {n}"]
         if not h < n:
             raise CertificationFailed(
                 f"cube-root part: conductor {ratstr(h)} is not < {n}")

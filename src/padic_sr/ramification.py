@@ -8,9 +8,8 @@ The conductor of an extension is its greatest upper-numbering jump.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     EmptyList,

@@ -49,6 +49,30 @@ operations.  A rational centre given as an element of a tower, with e in
 that tower, runs the same integer recurrence but reads its valuations from
 the tower.
 
+Cubic centres.  The case (iii) centre (p = 3, s = 1 < n) is
+d = (a + t)/(a+b) with t^3 = r = 3^(2n+1) C(b, 3), v_3(r) = 3n - 1.  A
+`CubicCentre` gives it as an integer triple over an integer denominator,
+and the recurrence runs in Z[t]/(t^3 - r): delta, delta' and every K_l are
+triples (c_0, c_1, c_2), read as c_0 + c_1 t + c_2 t^2, and a product
+reduces t^3 to r.  As 3 does not divide v_p(r), r is no cube, x^3 - r is
+irreducible over Q and 1, t, t^2 is a basis of Q(t), so the triple of K_l
+is unique; K_l is an integer combination of products of delta and delta',
+so its coordinates are integers, and the division of (l+1) K_{l+1} by
+l + 1 is exact in each coordinate (checked).  The valuation needs no norm.
+The Newton polygon of x^3 - r over Q_p is one segment of slope v_p(r)/3,
+whose denominator is 3, so Q_p(t) is totally ramified of degree 3, v
+extends uniquely, and v(t) = v_p(r)/3.  The term c_j t^j has valuation
+v_p(c_j) + j v(t), in j v_p(r)/3 + Z, and the classes of 0, v_p(r)/3 and
+2 v_p(r)/3 mod 1 are distinct, so two nonzero terms never tie and
+
+    v(c_0 + c_1 t + c_2 t^2) = min over c_j != 0 of (v_p(c_j) + j v(t)),
+
+exactly.  On the locus v(t) = n - 1/3 and v(e) = n - 1/4, so the scale
+E = lcm(den v(e), 3, p - 1) is 12, the ramification index of Q_3(pi)(t),
+pi^4 = 3, where the same disk has the same scaled profile.  The tail
+premises and condition (ii) read the same triples, so the certification
+costs O(L) products of triples and no tower.
+
 Valuations without coefficients.  With c_l = e^l h_l = r^l K_l and
 r = N e / (delta delta'), valuations are multiplicative.  Scaled by E (the
 profile scale of `DiskExpansion`, which puts every valuation in Z),
@@ -172,12 +196,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .errors import (
     CenterOnBranchLocus,
     PrecisionExhausted,
 )
 from .tower import check_prime, vp_int, vp_rational
+
+
+class CubicCentre(NamedTuple):
+    """The centre (c_0 + c_1 t + c_2 t^2)/den of a disk, t^3 = r: nums =
+    (c_0, c_1, c_2), den != 0 and r are integers, and v_p(r) is prime to 3
+    (module docstring, "Cubic centres")."""
+    nums: tuple
+    den: int
+    r: int
+
+
+def _cmul(x, y, r):
+    """The product of two triples in Z[t]/(t^3 - r)."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return (x0 * y0 + r * (x1 * y2 + x2 * y1),
+            x0 * y1 + x1 * y0 + r * x2 * y2,
+            x0 * y2 + x1 * y1 + x2 * y0)
+
 
 def default_truncation(p: int) -> int:
     """The series length L = 2p of every expansion (module docstring)."""
@@ -207,10 +251,10 @@ class DiskExpansion:
     e, coeffs), has K_l = c_l and r = 1.  Its length L, `truncation`, is
     that of the list.
 
-    The centre d is a `Fraction` or an element of a tower (`tower`, None
-    for a Fraction).  A Fraction centre has no e: the caller passes
-    v_e = v(e), and the K_l must be integers.  A tower centre takes v(e)
-    from e.
+    The centre d is a `Fraction`, a `CubicCentre` or an element of a tower
+    (`tower`, None for the other two).  A Fraction or cubic centre has no
+    e: the caller passes v_e = v(e), and the K_l must be integers, or
+    integer triples for a cubic centre.  A tower centre takes v(e) from e.
 
     Profiles are kept scaled by E = `scale`, as the integers E v(c_l) =
     l `slope` + E v(K_l) of `scaled_profile()`: every valuation in the tower
@@ -223,15 +267,22 @@ class DiskExpansion:
         self.spec = spec  # anything with fields p, n, a, b, s
         self.d = d
         self.e = e
-        self.ks = list(coeffs)  # K_0 .. K_L: integers or elements of d's tower
+        self.ks = list(coeffs)  # K_0 .. K_L: integers, triples or elements
         self.r_factors = r_factors  # (N, delta, delta'), or None for r = 1
         self._scaled = None
-        if isinstance(d, Fraction):
+        self._vr = None  # v_p(r) of a cubic centre
+        if isinstance(d, (Fraction, CubicCentre)):
             if e is not None or v_e is None:
-                raise ValueError("a rational centre takes v(e), not e")
+                raise ValueError("a rational or cubic centre takes v(e), "
+                                 "not e")
             check_prime(spec.p)  # the profile's v_p loop relies on it
             self.tower = None
             self.v_e = v_e
+            if isinstance(d, CubicCentre):
+                self._vr = vp_int(d.r, spec.p)
+                if self._vr % 3 == 0:
+                    raise ValueError("a cubic centre needs v_p(r) prime "
+                                     "to 3")
         else:
             if v_e is not None:
                 raise ValueError("a tower centre takes e, not v(e)")
@@ -245,11 +296,13 @@ class DiskExpansion:
     @cached_property
     def scale(self) -> int:
         """E: for a tower centre, the tower's ramification index (its degree
-        when the index is not exactly known), and for a rational centre the
-        denominator of v(e); times what makes 1/(p-1) a multiple of 1/E."""
+        when the index is not exactly known), for a rational centre the
+        denominator of v(e), and for a cubic centre that times 3; times
+        what makes 1/(p-1) a multiple of 1/E."""
         tower = self.tower
         if tower is None:
-            return lcm(self.v_e.denominator, self.spec.p - 1)
+            return lcm(self.v_e.denominator, 1 if self._vr is None else 3,
+                       self.spec.p - 1)
         e = tower.ram_index if tower.ram_exact else tower.degree
         return lcm(e, self.spec.p - 1)
 
@@ -269,8 +322,13 @@ class DiskExpansion:
                 - self._scaled_val(delta) - self._scaled_val(delta1))
 
     def _scaled_val(self, x) -> int:
-        """E v(x) for a nonzero integer or element of the centre's tower."""
+        """E v(x) for a nonzero integer, triple of a cubic centre's ring or
+        element of the centre's tower."""
         E, tower = self.scale, self.tower
+        if isinstance(x, tuple):
+            # the least v_p(c_j) + j v(t) (module docstring, "Cubic centres")
+            p, et = self.spec.p, E * self._vr // 3
+            return min(E * _vp(c, p) + j * et for j, c in enumerate(x) if c)
         if tower is None:
             return E * vp_int(x, self.spec.p)
         if isinstance(x, int):
@@ -282,24 +340,33 @@ class DiskExpansion:
         zero coefficients (valuation +inf)."""
         if self._scaled is None:
             E, slope = self.scale, self.slope
-            if self.tower is None:
+            if self._vr is not None:
+                prof = [l * slope + self._scaled_val(k) if any(k) else None
+                        for l, k in enumerate(self.ks)]
+            elif self.tower is None:
                 # integer K_l; p was checked prime at construction
                 p = self.spec.p
-                prof = []
-                for l, k in enumerate(self.ks):
-                    if k == 0:
-                        prof.append(None)
-                        continue
-                    v = 0
-                    while k % p == 0:
-                        k //= p
-                        v += 1
-                    prof.append(l * slope + E * v)
+                prof = [l * slope + E * _vp(k, p) if k else None
+                        for l, k in enumerate(self.ks)]
             else:
                 prof = [None if k == 0 else l * slope + self._scaled_val(k)
                         for l, k in enumerate(self.ks)]
             self._scaled = prof
         return self._scaled
+
+    def _scaled_defect(self, M: int):
+        """E v(Y), Y = p^M K_p - K_1^p (condition (ii), module docstring),
+        or None when Y = 0."""
+        p = self.spec.p
+        k1, kp = self.ks[1], self.ks[p]
+        if self._vr is None:
+            y = p ** M * kp - k1 ** p
+        else:
+            power = k1
+            for _ in range(p - 1):
+                power = _cmul(power, k1, self.d.r)
+            y = tuple(p ** M * u - w for u, w in zip(kp, power))
+        return None if y == 0 or y == (0, 0, 0) else self._scaled_val(y)
 
     def profile(self):
         """[v(c_l)] for l = 0 .. L, with None for zero coefficients
@@ -307,6 +374,15 @@ class DiskExpansion:
         E = self.scale
         return [None if v is None else Fraction(v, E)
                 for v in self.scaled_profile()]
+
+
+def _vp(x: int, p: int) -> int:
+    """v_p(x) of a nonzero integer, p already checked prime."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 def _scaled(v: Fraction, E: int) -> int:
@@ -342,17 +418,25 @@ class ReductionVerdict:
 def expand_disk(spec, d, e, v_e: Fraction | None = None) -> DiskExpansion:
     """Expand the normalized cover equation on the disk x = d + e t up to
     t^L, L = 2p, by the fraction-free recurrence of the module docstring,
-    in integers when d is rational and in d's tower otherwise.
+    in integers when d is rational, on integer triples when d is a
+    `CubicCentre`, and in d's tower otherwise.
 
-    d is a `Fraction` or a tower element.  A Fraction centre is given with
-    e = None and the radius valuation v_e = v(e), and builds no tower; a
-    tower centre is given with e, an element of (or coercible into) its
-    tower."""
+    d is a `Fraction`, a `CubicCentre` or a tower element.  A Fraction or
+    cubic centre is given with e = None and the radius valuation
+    v_e = v(e), and builds no tower; a tower centre is given with e, an
+    element of (or coercible into) its tower."""
     L = default_truncation(spec.p)
+    a, b = spec.a, spec.b
     if isinstance(d, Fraction):
         if d == 0 or d == 1:
             raise CenterOnBranchLocus("disk center lies on the branch locus")
         N, delta = d.denominator, d.numerator
+    elif isinstance(d, CubicCentre):
+        N, delta = d.den, d.nums
+        if delta in ((0, 0, 0), (N, 0, 0)):
+            raise CenterOnBranchLocus("disk center lies on the branch locus")
+        ks, delta1 = _cubic_ks(a, b, N, delta, d.r, L)
+        return DiskExpansion(spec, d, e, ks, (N, delta, delta1), v_e)
     else:
         tower = d.tower
         e = tower.coerce(e)
@@ -367,7 +451,6 @@ def expand_disk(spec, d, e, v_e: Fraction | None = None) -> DiskExpansion:
         else:
             delta = d * N
     delta1 = delta - N
-    a, b = spec.a, spec.b
     # (l+1) K_{l+1} = A_l K_l + (a+b-l+1) P K_{l-1}, with
     # A_l = a delta' + b delta - S l and P = delta delta'
     A = a * delta1 + b * delta
@@ -390,6 +473,28 @@ def expand_disk(spec, d, e, v_e: Fraction | None = None) -> DiskExpansion:
             A = A - S
             ks.append(k)
     return DiskExpansion(spec, d, e, ks, (N, delta, delta1), v_e)
+
+
+def _cubic_ks(a, b, N, delta, r, L):
+    """K_0 .. K_L of the recurrence on triples of Z[t]/(t^3 - r), and
+    delta' = delta - N (module docstring, "Cubic centres")."""
+    delta1 = (delta[0] - N, delta[1], delta[2])
+    A = tuple(a * u + b * w for u, w in zip(delta1, delta))
+    S = (2 * delta[0] - N, 2 * delta[1], 2 * delta[2])
+    P = _cmul(delta, delta1, r)
+    ks = [(0, 0, 0), (1, 0, 0)]  # K_{-1}, K_0
+    for l in range(L):
+        c = a + b - l + 1
+        nxt = []
+        for u, w in zip(_cmul(A, ks[-1], r), _cmul(P, ks[-2], r)):
+            q, rem = divmod(u + c * w, l + 1)
+            if rem:
+                raise ArithmeticError(f"{u + c * w} is not divisible by "
+                                      f"{l + 1}")
+            nxt.append(q)
+        ks.append(tuple(nxt))
+        A = (A[0] - S[0], A[1] - S[1], A[2] - S[2])
+    return ks[1:], delta1
 
 
 # -- rigorous tail bound -----------------------------------------------------
@@ -420,10 +525,17 @@ def tail_bound(spec, v_e, l):
 def _check_tail_premises(exp):
     """The per-term bound rests on v(d) = 0, v(d-1) = v_p(b) = n - s; verify
     these on the actual disk before trusting the bound."""
-    p = exp.spec.p
+    p, d = exp.spec.p, exp.d
+    if isinstance(d, CubicCentre):
+        E, (c0, c1, c2) = exp.scale, d.nums
+        v_den = exp._scaled_val(d.den)
+        _check_premises(exp.spec, Fraction(exp._scaled_val(d.nums) - v_den, E),
+                        Fraction(exp._scaled_val((c0 - d.den, c1, c2)) - v_den,
+                                 E))
+        return
     val = (exp.tower.val if exp.tower is not None
            else lambda x: vp_rational(x, p))
-    _check_premises(exp.spec, val(exp.d), val(exp.d - 1))
+    _check_premises(exp.spec, val(d), val(d - 1))
 
 
 def _check_premises(spec, v_d, v_d1):
@@ -491,12 +603,12 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     valuation profile, compared as integers scaled by E = exp.scale against
     E tau, tau = n + 1/(p-1).  Reads the K_l and exp.slope only (module
     docstring): no coefficient is built and nothing is inverted.  A
-    rational centre has no e, and its v(e) is finite, so its expansion is
-    never constant.  A p = 2 expansion is refused with ValueError: the
+    rational or cubic centre has no e, and its v(e) is finite, so its
+    expansion is never constant.  A p = 2 expansion is refused with ValueError: the
     mu_4-torsors of case (v) are classified by classify_p2_torsor."""
     spec = exp.spec
     p, n = spec.p, spec.n
-    if not exp.ks or exp.ks[0] != 1:
+    if not exp.ks or (exp.ks[0] != 1 and exp.ks[0] != (1, 0, 0)):
         raise ValueError("expansion is not normalized to c_0 = 1")
     if p == 2:
         raise ValueError("p = 2 torsors are classified by "
@@ -544,8 +656,8 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     if not reasons:
         # c_p - c_1^p / p^M = r^p p^(-M) Y
         M = (p - 1) * n + 1
-        y = p ** M * exp.ks[p] - exp.ks[1] ** p
-        if y == 0 or p * exp.slope + exp._scaled_val(y) - E * M > T:
+        vy = exp._scaled_defect(M)
+        if vy is None or p * exp.slope + vy - E * M > T:
             h = max(l for l, val in rest if val == T)
             return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
                                     conductor=h, notes=("condition (ii)",))

@@ -11,8 +11,6 @@ import pytest
 
 from padic_sr.analyzer import (
     _certify_p2_step,
-    _k1,
-    _q3_pi,
     _report_shape,
     _stable_case,
     analyze,
@@ -41,11 +39,21 @@ from padic_sr.graph import (
 )
 from padic_sr.jsonutil import ratstr
 from padic_sr import tower as tower_module
-from padic_sr.ramification import FieldTower, TowerStep
-from padic_sr.tower import Tower, vp_rational
+from padic_sr.ramification import (
+    ConductorValue,
+    FieldTower,
+    Filtration,
+    TowerStep,
+    herbrand_phi,
+    kummer_step_conductor,
+)
+from padic_sr.series import CubicCentre
+from padic_sr.tower import Tower, vp_int, vp_rational
 from p2_oracle import p2_center, tower_locus
 from test_golden import _identity_grid
 from tower_helpers import (
+    _k1,
+    cubic_tower_disk,
     is_square_unramified_closure,
     make_tower,
     q2_i,
@@ -153,7 +161,6 @@ def test_locus_rational_case():
     spec = branch_signature(5, 2, 3, 10)
     loc = new_tail_locus(spec)
     assert loc.case == "rational"
-    assert loc.tower is None and loc.e is None
     assert loc.v_e == Fraction(2 * 2 - 1 + Fraction(1, 4), 2)
     assert loc.d == Fraction(3, 13)
     # the closed form is v(pi^((2n-s)(p-1)+1)) in Q_5(pi), pi^8 = 5
@@ -162,13 +169,17 @@ def test_locus_rational_case():
 
 
 def test_locus_p3_s1_case():
+    """The case (iii) centre is (a + t)/(a+b), t^3 = 3^(2n+1) C(b,3), as an
+    integer triple; in the tower oracle Q_3(pi)(t) its radius element has
+    valuation v_e and the cube-root correction (3n-1)/3."""
     spec = branch_signature(3, 2, 1, 3)
     loc = new_tail_locus(spec)
     assert loc.case == "p3s1"
-    assert loc.tower.val(loc.e) == loc.v_e == Fraction(7, 4)
-    # the cube-root correction has valuation (3n-1)/3 = 5/3
-    corr = loc.d - Fraction(1, 4)
-    assert loc.tower.val(corr) == Fraction(3 * 2 - 1, 3)
+    assert loc.d == CubicCentre((1, 1, 0), 4, 3 ** 5) and loc.rho is None
+    assert loc.v_e == Fraction(7, 4)
+    d, e = cubic_tower_disk(loc)
+    assert d.tower.val(e) == loc.v_e
+    assert d.tower.val(d - Fraction(1, 4)) == Fraction(3 * 2 - 1, 3)
 
 
 def test_locus_p2_case():
@@ -177,7 +188,6 @@ def test_locus_p2_case():
     spec = branch_signature(2, 3, 1, 6)
     loc = new_tail_locus(spec)
     assert loc.case == "p2"
-    assert loc.tower is None and loc.e is None
     assert loc.d == Fraction(1, 7) and loc.rho == 2 ** 3 * 6
     assert loc.v_e == Fraction(2 * 3 - 2 + 1, 2)
     d, e = tower_locus(spec)
@@ -539,17 +549,18 @@ def _count_adjoins(monkeypatch):
 
 
 @pytest.mark.parametrize("args,calls", [
-    ((3, 2, 1, 3), [(3, 1, 3)]),  # (iii): the cube root over Q_3(pi)
-    ((3, 3, 2, 3), []),  # (iv): the cube root over K_1 is only certified
+    ((3, 2, 1, 3), []),  # (iii): the centre is an integer triple
+    ((3, 3, 2, 3), []),  # (iv): the cube root is certified from v_3
     ((5, 2, 3, 10), []),  # (ii)
     ((5, 1, 1, 1), []),  # (i)
 ])
 def test_second_analyze_builds_only_per_cover_steps(monkeypatch, args,
                                                      calls):
     """A second analyze of a cover adjoins only the steps that depend on the
-    cover: Q_3(pi) and K_1 = Q_3(zeta_3) are never rebuilt, the rational
-    centre of cases (i), (ii) and (iv) builds no tower at all, and case
-    (iv) certifies its cube root over K_1 without building it."""
+    cover, and no cover has one left: the case (iii) centre is a triple of
+    Z[t]/(t^3 - r), the rational centre of cases (i), (ii) and (iv) is a
+    Fraction, and the cube roots of cases (iii) and (iv) are certified in
+    closed form, so nothing is adjoined."""
     first = analyze(*args)
     counted = _count_adjoins(monkeypatch)
     assert analyze(*args) == first
@@ -709,7 +720,7 @@ def test_w_step_rule_matches_certify_radical():
          "2-adic completion; x^2 - r is reducible there")}, seen
 
 
-def _count_p2_field_work(monkeypatch):
+def _count_field_work(monkeypatch):
     """Record every Tower built, norm taken, q-th power test and unit-level
     walk from now on, and every step adjoined."""
     calls = _count_adjoins(monkeypatch)
@@ -732,7 +743,7 @@ def test_seen_class_of_b_odd_runs_no_digit_search(monkeypatch):
     other odd b' up to 31, b' = 19 (3 mod 16) among them, are decided from
     b' mod 8 with no Tower built, no norm taken, no q-th power test and
     nothing adjoined, on a cold process and after another b' alike."""
-    calls = _count_p2_field_work(monkeypatch)
+    calls = _count_field_work(monkeypatch)
     for b_odd in range(1, 32, 2):
         for sign in (1, -1):
             _report_or_error((2, 4, 1, 2 * sign * b_odd))
@@ -746,15 +757,117 @@ def test_p2_identity_grid_builds_no_field(monkeypatch):
     analyzer's caches cleared first, builds no Tower and makes no q-th
     power test: the refused covers included, every p = 2 fact is an
     integer rule."""
-    for cached in (_report_shape, _q3_pi, _k1):
-        cached.cache_clear()
-    calls = _count_p2_field_work(monkeypatch)
+    _report_shape.cache_clear()
+    calls = _count_field_work(monkeypatch)
     covers = [args for args in _identity_grid() if args[0] == 2]
     refused = [r[0] for r in map(_report_or_error, covers)
                if isinstance(r, tuple)]
     assert len(covers) == 1776
     assert refused.count("IrreducibilityUnverified") == 124
     assert calls == []
+
+
+def test_p3_identity_grid_builds_no_tower(monkeypatch):
+    """analyze over every p = 3 cover of the identity grid, with the shape
+    cache cleared first, builds no Tower and adjoins nothing: the case
+    (iii) centre is a triple of Z[t]/(t^3 - r), and the cube roots of
+    cases (iii) and (iv) are certified from v_3 of their radicand."""
+    _report_shape.cache_clear()
+    calls = _count_field_work(monkeypatch)
+    covers = [args for args in _identity_grid() if args[0] == 3]
+    reports = [r for r in map(_report_or_error, covers)
+               if isinstance(r, dict)]
+    assert {r["tower"]["meta"]["case"] for r in reports} == {"i", "iii",
+                                                             "iv"}
+    assert all(r["certified"] for r in reports)
+    assert calls == []
+
+
+def _old_cube_case(n, s, a, b):
+    """conductor_bound of a case (iii) or (iv) meta as it was, with the
+    cube root over K_1 = Q_3(zeta_3): its conductor from
+    kummer_step_conductor, v(cbrt rad) from certify_radical and phi_{L/K_0}
+    from herbrand_phi.  Each fact is checked against the constant that
+    conductor_bound now uses.  Returns (kind, value, detail)."""
+    detail = [f"K_{n}/K_0 is cyclotomic: conductor exactly {n - 1} < {n}"]
+    rad = Fraction(3 ** (2 * (n - s) + 3)) * Fraction(b * (b - 1) * (b - 2),
+                                                      6)
+    v = vp_rational(rad, 3)
+    if v != 3 * (n - s) + 2:
+        raise CertificationFailed(
+            f"v_3(3^(2(n-s)+3) binom(b,3)) = {v}, expected {3 * (n - s) + 2}")
+    k1 = _k1(3)
+    cv = kummer_step_conductor(k1, rad, 3)
+    assert cv == ConductorValue("exact", Fraction(3))  # the Eisenstein jump
+    low = Filtration(((Fraction(0), 3), (cv.value, 1)), 6, "lower")
+    h = herbrand_phi(low, cv.value)
+    assert h == Fraction(3, 2)
+    if s == 1:
+        detail += [f"cube-root radicand valuation {v} verified",
+                   f"conductor of K_1(cbrt)/K_0 is {ratstr(h)} "
+                   f"({cv.kind}) < {n}"]
+    else:
+        vt = k1.certify_radical(3, rad) / 3
+        assert vt == v / 3
+        if vt - vp_int(a, 3) != Fraction(n - s) + Fraction(2, 3):
+            raise CertificationFailed("v(d''-1) = n-s+2/3 fails")
+        cap = Fraction(3 * 3 * k1.ram_index, 2)
+        hl, h = h, max(h, herbrand_phi(low, cap))
+        assert (cap, h) == (9, Fraction(5, 2))
+        detail += ["v(d''-1) = n-s+2/3 verified",
+                   f"conductor of L/K_0 is {ratstr(hl)} with L/K_1 "
+                   f"conductor {ratstr(cv.value)} ({cv.kind})",
+                   f"conductor of M/L is at most {ratstr(cap)}",
+                   f"conductor of M/K_0 is at most {ratstr(h)} < {n}"]
+    if vp_rational(Fraction(a, a + b), 3) != 0:
+        raise CertificationFailed("v(a/(a+b)) = 0 fails")
+    detail.append("v(a/(a+b)) = 0 verified; p^k-th root of a unit over "
+                  "K_n has conductor < n")
+    return "bound", max(Fraction(n - 1), h), detail
+
+
+def _new_cube_case(ft, n):
+    cb = conductor_bound(ft, n)
+    assert cb["vanishes_at_n"] is True
+    return cb["conductor"].kind, cb["conductor"].value, cb["detail"]
+
+
+def test_cube_root_closed_forms_match_the_tower_path():
+    """conductor_bound of cases (iii) and (iv), with its cube-root facts in
+    closed form (jump 3 over K_1, v(cbrt rad) = v_3(rad)/3, conductors 3/2
+    and 5/2), gives the kind, value and detail of the old path over K_1 on
+    every case (iii) and (iv) cover with n <= 5, 1 <= a <= 4 and
+    |b| <= 40, and refuses metas with a and b doctored, 3 | a and radicands
+    of the wrong valuation or zero among them, with the same error."""
+    covers = 0
+    for n in range(2, 6):
+        for a in range(1, 5):
+            for b in range(-40, 41):
+                try:
+                    spec = branch_signature(3, n, a, b)
+                except ArtifactError:
+                    continue
+                if spec.s == n:
+                    continue
+                ft = stab_field_tower(spec)
+                assert _new_cube_case(ft, n) == _old_cube_case(
+                    n, spec.s, spec.a, spec.b), spec
+                covers += 1
+    assert covers == 780, covers
+    kinds = set()
+    for n in range(2, 6):
+        for s in range(1, n):
+            ft0 = stab_field_tower(branch_signature(3, n, 1, 3 ** (n - s)))
+            for a in (1, 2, 3, -5, 6):
+                for b in range(-40, 41, 3):
+                    if a + b == 0:
+                        continue
+                    doc = dict(ft0.meta_dict(), a=a, b=b)
+                    ft = FieldTower(3, ft0.steps, tuple(sorted(doc.items())))
+                    old = _outcome(_old_cube_case, n, s, a, b)
+                    assert _outcome(_new_cube_case, ft, n) == old, (n, s, a, b)
+                    kinds.add(old[0] if len(old) == 2 else "certified")
+    assert kinds == {"certified", "CertificationFailed", "ZeroElement"}, kinds
 
 
 @pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 6, 3, -6), (2, 3, 1, 6)])
@@ -764,7 +877,7 @@ def test_case_v_conductor_bound_takes_no_norm_and_builds_no_centre(
     (v) fact in closed form: no Tower built, no Tower.norm call and no
     step adjoined."""
     spec = branch_signature(*args)
-    calls = _count_p2_field_work(monkeypatch)
+    calls = _count_field_work(monkeypatch)
     cb = conductor_bound(stab_field_tower(spec), spec.n)
     assert cb["vanishes_at_n"] is True
     assert calls == []
@@ -784,13 +897,12 @@ def _report_or_error(args):
 
 
 def test_shared_fields_carry_no_cover_state():
-    """Analyzing a mixed grid forwards and then backwards, with every
-    shared field reused between covers, gives the reports (or errors) that
-    each cover gives with the shared fields built afresh."""
+    """Analyzing a mixed grid forwards and then backwards, with the shape
+    cache, the one per-process state, reused between covers, gives the
+    reports (or errors) that each cover gives with the cache cleared."""
     fresh = {}
     for args in MIXED_GRID:
-        _q3_pi.cache_clear()
-        _k1.cache_clear()
+        _report_shape.cache_clear()
         fresh[args] = _report_or_error(args)
     assert sum(isinstance(r, tuple) for r in fresh.values()) >= 2
     forwards = {args: _report_or_error(args) for args in MIXED_GRID}

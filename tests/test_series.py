@@ -3,6 +3,7 @@ values, the independent sympy expansion oracle, brute-force oracles for the
 expansion recurrence and the closed-form tail bound, and the classifier's
 certified verdicts."""
 
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -24,6 +25,7 @@ from padic_sr.errors import (
     PrecisionExhausted,
 )
 from padic_sr.series import (
+    CubicCentre,
     DiskExpansion,
     ReductionVerdict,
     _check_tail_premises,
@@ -37,7 +39,7 @@ from padic_sr.series import (
 from padic_sr.tower import Tower, TowerElement, vp_rational
 import p2_oracle
 from p2_oracle import classify_p2, tower_locus
-from tower_helpers import make_tower
+from tower_helpers import cubic_tower_disk, make_tower
 
 
 def _spec(p, n, a, b, s):
@@ -52,12 +54,12 @@ def _q_p_pi(p):
 
 
 def _tower_disk(spec, locus):
-    """(d, e) of the new-tail disk as elements of one tower: the locus's own
-    for a tower centre, the tower oracle's for a case (v) centre, and for
-    the rational centre a/(a+b) its image in Q_p(pi) with
-    e = pi^((2n-s)(p-1)+1), of valuation locus.v_e."""
-    if locus.tower is not None:
-        return locus.d, locus.e
+    """(d, e) of the new-tail disk as elements of one tower: the tower
+    oracle's for a case (iii) or (v) centre, and for the rational centre
+    a/(a+b) its image in Q_p(pi) with e = pi^((2n-s)(p-1)+1), of valuation
+    locus.v_e."""
+    if locus.case == "p3s1":
+        return cubic_tower_disk(locus)
     if locus.case == "p2":
         return tower_locus(spec)
     p, n, s = spec.p, spec.n, spec.s
@@ -66,12 +68,10 @@ def _tower_disk(spec, locus):
 
 
 def _expand_locus(spec):
-    """The expansion certify_tail classifies: a rational centre by its
-    v(e), a tower centre by its e."""
+    """The expansion certify_tail classifies: a rational or cubic centre
+    by its v(e)."""
     locus = new_tail_locus(spec)
-    if locus.tower is None:
-        return expand_disk(spec, locus.d, None, locus.v_e)
-    return expand_disk(spec, locus.d, locus.e)
+    return expand_disk(spec, locus.d, None, locus.v_e)
 
 
 def _coeffs(exp):
@@ -105,7 +105,10 @@ def _reference_ks(spec, d, L):
     """K_0 .. K_L by the defining double sum of the series module docstring,
     K_l = sum_j C(a, l-j) C(b, j) delta^j delta'^(l-j), delta = N d and
     delta' = delta - N, not by the recurrence; with r_factors (N, delta,
-    delta').  Integers for a Fraction centre, tower elements otherwise."""
+    delta').  Integers for a Fraction centre, integer triples for a
+    CubicCentre, tower elements otherwise."""
+    if isinstance(d, CubicCentre):
+        return _reference_cubic_ks(spec, d, L)
     if isinstance(d, Fraction):
         N, delta = d.denominator, d.numerator
     else:
@@ -123,6 +126,40 @@ def _reference_ks(spec, d, L):
     ks = [sum(ca[l - j] * cb[j] * pow_d[j] * pow_d1[l - j]
               for j in range(l + 1) if ca[l - j] and cb[j])
           for l in range(L + 1)]
+    return ks, (N, delta, delta1)
+
+
+def _cubic_mul(x, y, r):
+    """x y in Z[t]/(t^3 - r): the product polynomial, then t^(3+k) read as
+    r t^k."""
+    prod = [0] * 5
+    for i, u in enumerate(x):
+        for j, w in enumerate(y):
+            prod[i + j] += u * w
+    return (prod[0] + r * prod[3], prod[1] + r * prod[4], prod[2])
+
+
+def _reference_cubic_ks(spec, d, L):
+    """_reference_ks for a CubicCentre d = delta/N, delta a triple: the
+    double sum with every power and product taken in Z[t]/(t^3 - r)."""
+    N, delta, r = d.den, d.nums, d.r
+    delta1 = (delta[0] - N,) + delta[1:]
+    ca, cb = [1], [1]
+    for k in range(L):
+        ca.append(ca[-1] * (spec.a - k) // (k + 1))
+        cb.append(cb[-1] * (spec.b - k) // (k + 1))
+    pow_d, pow_d1 = [(1, 0, 0)], [(1, 0, 0)]
+    for _ in range(L):
+        pow_d.append(_cubic_mul(pow_d[-1], delta, r))
+        pow_d1.append(_cubic_mul(pow_d1[-1], delta1, r))
+    ks = []
+    for l in range(L + 1):
+        acc = [0, 0, 0]
+        for j in range(l + 1):
+            term = _cubic_mul(pow_d[j], pow_d1[l - j], r)
+            for i in range(3):
+                acc[i] += ca[l - j] * cb[j] * term[i]
+        ks.append(tuple(acc))
     return ks, (N, delta, delta1)
 
 
@@ -274,8 +311,7 @@ def test_verdict_p5_n1():
 
 def test_verdict_p3_condition_ii():
     spec = branch_signature(3, 2, 1, 3)
-    locus = new_tail_locus(spec)
-    exp = expand_disk(spec, locus.d, locus.e)
+    exp = _expand_locus(spec)
     verdict = classify_torsor_reduction(exp)
     assert verdict.kind == "SplitsArtinSchreier"
     assert verdict.count == 3
@@ -351,6 +387,10 @@ def test_expansion_matches_double_sum(p, n, a, b, case):
     zero = expand_disk(spec, d, d.tower.zero())
     want = _reference_expansion(spec, d, d.tower.zero(), L)
     assert [c.coords for c in _coeffs(zero)] == [c.coords for c in want]
+    if case == "p3s1":
+        # the cubic centre's triples are the double sum in Z[t]/(t^3 - r)
+        cubic = expand_disk(spec, locus.d, None, locus.v_e)
+        assert (cubic.ks, cubic.r_factors) == _reference_ks(spec, locus.d, L)
 
 
 DOUBLE_SUM_CASES = [
@@ -463,6 +503,71 @@ def test_rational_centre_matches_the_tower_path():
     assert covers > 1000, covers
 
 
+def _case_iii_grid():
+    """Every case (iii) cover (p = 3, s = 1 < n) with n <= 5, 1 <= a <= 7
+    and -20 <= b < 30."""
+    for n in range(2, 6):
+        for a in range(1, 8):
+            for b in range(-20, 30):
+                try:
+                    spec = branch_signature(3, n, a, b)
+                except ArtifactError:
+                    continue
+                if spec.s == 1:
+                    yield spec
+
+
+def test_cubic_centre_matches_the_tower_path():
+    """The case (iii) centre as integer triples of Z[t]/(t^3 - r) gives the
+    v(e), scale, slope, scaled profile and verdict that the same disk gives
+    in Q_3(pi)(t), pi^4 = 3, with e = pi^(4n-1), on every cover of the
+    case (iii) grid.  Seeded centres off the locus, (c_0 + c_1 t +
+    c_2 t^2)/den with 3 dividing some coordinates, reach the failing tail
+    premises and condition (ii)'s failing clauses on both paths alike."""
+    def verdict(exp):
+        try:
+            return classify_torsor_reduction(exp)
+        except ArtifactError as exc:
+            return type(exc).__name__, str(exc)
+
+    def agree(spec, locus):
+        fast = expand_disk(spec, locus.d, None, locus.v_e)
+        slow = expand_disk(spec, *cubic_tower_disk(locus))
+        assert fast.tower is None and slow.tower is not None
+        assert (fast.v_e, fast.scale, fast.slope) == \
+            (slow.v_e, slow.scale, slow.slope), (spec, locus.d)
+        assert fast.scaled_profile() == slow.scaled_profile(), (spec, locus.d)
+        want = verdict(slow)
+        assert verdict(fast) == want, (spec, locus.d)
+        return want
+
+    rng = random.Random(3)
+    covers, seen = 0, set()
+    for spec in _case_iii_grid():
+        locus = new_tail_locus(spec)
+        assert locus.case == "p3s1" and isinstance(locus.d, CubicCentre)
+        assert locus.d[:2] == ((spec.a, 1, 0), spec.a + spec.b), spec
+        got = agree(spec, locus)
+        assert got.kind == "SplitsArtinSchreier", spec
+        assert expand_disk(spec, locus.d, None, locus.v_e).scale == 12
+        covers += 1
+        if covers % 4 == 0:
+            nums = tuple(rng.choice((1, 3, 9)) * rng.randint(-9, 9)
+                         for _ in range(3))
+            den = rng.choice((1, 2, 3, 7, 9))
+            g = math.gcd(den, *nums)  # lowest terms, as the tower keeps d
+            nums, den = tuple(c // g for c in nums), den // g
+            if nums in ((0, 0, 0), (den, 0, 0)):
+                continue
+            off = SimpleNamespace(d=CubicCentre(nums, den, locus.d.r),
+                                  v_e=locus.v_e)
+            got = agree(spec, off)
+            seen.add(got[0] if isinstance(got, tuple) else got.reason)
+    assert covers == 223, covers
+    assert {"PrecisionExhausted", "v(c_1) <= n",
+            "v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)"} <= seen, seen
+
+
 def test_no_truncation_changes_a_verdict():
     """Expanding past L = 2p cannot change a verdict: on every odd-p cover
     of the identity grid, the expansion to L = 3p and to L = 40 (where
@@ -477,11 +582,8 @@ def test_no_truncation_changes_a_verdict():
             if L <= 2 * p:
                 continue
             ks, r_factors = _reference_ks(spec, locus.d, L)
-            if locus.tower is None:
-                exp = DiskExpansion(spec, locus.d, None, ks, r_factors,
-                                    locus.v_e)
-            else:
-                exp = DiskExpansion(spec, locus.d, locus.e, ks, r_factors)
+            exp = DiskExpansion(spec, locus.d, None, ks, r_factors,
+                                locus.v_e)
             assert exp.truncation == L
             assert _outcome(classify_torsor_reduction, exp) == want, (spec, L)
         covers += 1
@@ -551,7 +653,7 @@ def test_rational_centre_needs_no_tower_arithmetic(monkeypatch, p, n, a, b):
     monkeypatch.setattr(TowerElement, "__mul__", counted_mul)
     locus = new_tail_locus(spec)
     assert locus.case == "rational"
-    assert locus.tower is None and locus.e is None
+    assert isinstance(locus.d, Fraction)
     verdict = certify_tail(spec)
     assert verdict.kind == "SplitsArtinSchreier"
     assert calls == {"Tower": 0, "mul": 0}
@@ -694,8 +796,8 @@ def test_tower_centre_needs_no_inverse(monkeypatch, args, case, note):
         verdict = certify_tail(spec)
         assert calls["mul"] == 0, calls
     else:
-        verdict = classify_torsor_reduction(expand_disk(spec, locus.d,
-                                                        locus.e))
+        verdict = classify_torsor_reduction(expand_disk(
+            spec, *cubic_tower_disk(locus)))
     assert note in verdict.notes
     assert calls["inverse"] == 0, calls
 
@@ -931,8 +1033,8 @@ def test_classifier_matches_fraction_reference():
             fast = _outcome(classify, expand_disk(spec, d, e))
             ref = _outcome(_reference_classify, expand_disk(spec, d, e))
             assert fast == ref, (spec, e)
-            if locus.case == "rational":
-                # the Fraction centre with the same v(e), and no tower
+            if locus.case in ("rational", "p3s1"):
+                # the Fraction or cubic centre with the same v(e), no tower
                 v_e = d.tower.val(e)
                 assert _outcome(classify_torsor_reduction, expand_disk(
                     spec, locus.d, None, v_e)) == fast, (spec, v_e)
@@ -981,14 +1083,22 @@ def test_condition_ii_close_to_its_threshold():
     the c_l, and certifies by condition (ii)."""
     spec = branch_signature(3, 2, 1, 3)
     locus = new_tail_locus(spec)
-    exp = expand_disk(spec, locus.d + 9, locus.e)
+    d, e = cubic_tower_disk(locus)
+    exp = expand_disk(spec, d + 9, e)
     coeffs = _coeffs(exp)
     corr = coeffs[3] - coeffs[1] ** 3 * Fraction(1, 3 ** 5)
     tau = 2 + Fraction(1, 2)
-    assert exp.scale * (locus.tower.val(corr) - tau) == exp.slope > 0
+    assert exp.scale * (d.tower.val(corr) - tau) == exp.slope > 0
     verdict = classify_torsor_reduction(exp)
     assert verdict == _reference_classify(exp)
     assert verdict.notes == ("condition (ii)",)
+    # the same centre as integer triples: Y = 3^5 K_3 - K_1^3 read there
+    (c0, c1, c2), den = locus.d.nums, locus.d.den
+    cubic = expand_disk(spec, CubicCentre((c0 + 9 * den, c1, c2), den,
+                                          locus.d.r), None, locus.v_e)
+    assert (cubic.scale, cubic.slope) == (exp.scale, exp.slope)
+    assert cubic.scaled_profile() == exp.scaled_profile()
+    assert classify_torsor_reduction(cubic) == verdict
 
 
 def test_tail_check_matches_per_l_reference():

@@ -218,11 +218,15 @@ PUBLIC_WITHOUT_CALLER = {
     "DiskExpansion": "return type of expand_disk",
     "SignatureSolution": "return type of signature_solver",
     # the acceptance contract
+    "Filtration": "imported by test_acceptance.py",
     "cyclotomic_filtration": "imported by test_acceptance.py",
     "herbrand_convert": "imported by test_acceptance.py",
+    "herbrand_phi": "imported by test_acceptance.py",
     "herbrand_psi": "imported by test_acceptance.py",
     "quotient_spec": "imported by test_acceptance.py",
     "signature_solver": "imported by test_acceptance.py",
+    # the oracles of the closed forms of conductor_bound, cases (iii)-(iv)
+    "cyclotomic_tower": "builds K_1 in tests/tower_helpers.py",
     # the report
     "inseparable_tails": "the report's inseparable_tails; analyze reaches "
                          "it through _report_shape in its own module",
@@ -279,6 +283,45 @@ def _raised_names(tree):
                 yield exc.id
 
 
+def _unused_imports(tree):
+    """(line, name) of each name a module imports and never reads, where a
+    read is a Name node or an entry of __all__; __future__ imports bind
+    nothing."""
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(elt.value for elt in node.value.elts)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = [f"{path.name}:{line}: {name}"
+             for path in SOURCES
+             for line, name in _unused_imports(ast.parse(path.read_text(),
+                                                         str(path)))]
+    assert not found, "\n".join(found)
+
+
+def test_unused_import_checker_reads_each_form():
+    src = ("from __future__ import annotations\nimport os.path\n"
+           "import json as j\nfrom math import gcd, lcm\n"
+           "from .tower import Tower\n__all__ = ['Tower']\n"
+           "def f(x: int) -> int:\n    return lcm(x, 2)\n")
+    assert _unused_imports(ast.parse(src)) == [(2, "os"), (3, "j"),
+                                               (4, "gcd")]
+
+
 def test_every_error_class_is_raised():
     """Every ArtifactError subclass in errors.py has a raise site in the
     package, so no error class outlives its producer."""
@@ -302,9 +345,9 @@ def test_raise_checker_reads_both_forms():
 #: the case (v) tower centres, which left the package for tests/p2_oracle.py
 TOWER_CENTRE_NAMES = {"_centre_field", "_p2_center", "_p2_offset"}
 
-#: the analyzer functions that adjoin a radical: Q_3(pi), and the case (iii)
-#: cube root, the only step of degree 3 (case (iv) only certifies its own)
-ADJOINING_FUNCTIONS = {"_q3_pi", "new_tail_locus"}
+#: the analyzer functions that adjoin a radical: none, as the case (iii)
+#: centre is an integer triple and every cube root is only certified
+ADJOINING_FUNCTIONS = set()
 
 
 def _adjoin_calls(tree):
@@ -325,8 +368,7 @@ def _adjoin_calls(tree):
 
 def test_case_v_builds_no_tower_centre():
     """Case (v) is certified in closed form: no tower centre is named
-    anywhere in the package, and analyzer.py adjoins a radical only for
-    the case (iii) field: Q_3(pi) and the cube root."""
+    anywhere in the package, and analyzer.py adjoins no radical at all."""
     found = [f"{path.name}:{line}: {name}"
              for path in SOURCES
              for line, name in _named(ast.parse(path.read_text(), str(path)),
@@ -336,8 +378,6 @@ def test_case_v_builds_no_tower_centre():
     tree = ast.parse(path.read_text(), str(path))
     sites = list(_adjoin_calls(tree))
     assert {name for _, name, _ in sites} == ADJOINING_FUNCTIONS, sites
-    assert all(name == "_q3_pi" or exponent == 3
-               for _, name, exponent in sites), sites
     # a module-level adjoin_radical would escape the checks above
     assert {sub.lineno for sub in ast.walk(tree)
             if isinstance(sub, ast.Attribute)

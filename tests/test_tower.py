@@ -16,8 +16,6 @@ import sympy as sp
 from padic_sr import tower as tower_module
 from padic_sr.analyzer import (
     _cube_radicand,
-    _k1,
-    _q3_pi,
     branch_signature,
     new_tail_locus,
 )
@@ -36,6 +34,9 @@ from padic_sr.tower import (
 )
 from p2_oracle import centre_field
 from tower_helpers import (
+    _k1,
+    _q3_pi,
+    cubic_tower_disk,
     is_mth_power,
     is_square_unramified_closure,
     make_tower,
@@ -475,9 +476,10 @@ def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
 # -- closed forms against the brute-force path -------------------------------
 
 def _q3_pi_t():
-    """Q_3(pi)(t), pi^4 = 3, t^3 = 3^5 C(3, 3): the case (iii) centre of
-    (p, n, a, b) = (3, 2, 1, 3)."""
-    return new_tail_locus(branch_signature(3, 2, 1, 3)).tower
+    """Q_3(pi)(t), pi^4 = 3, t^3 = 3^5 C(3, 3): the field of the case (iii)
+    centre of (p, n, a, b) = (3, 2, 1, 3) on the tower path."""
+    d, _ = cubic_tower_disk(new_tail_locus(branch_signature(3, 2, 1, 3)))
+    return d.tower
 
 
 def _k1_cbrt():
@@ -492,10 +494,11 @@ def _q2_i_sqrt_level_3():
     return q2_i().adjoin_radical(2, -1 + 2 * i, "w")
 
 
-#: every tower the pipeline builds, the towers above, a ramified unit step
-#: whose probe is no uniformizer, and towers whose unit step is not proved
-#: ramified (ram_exact False): Q_2(i)(w) for c = 1, a quadratic
-#: Q_3(sqrt 2), and the quartic Q_5(2^(1/4)) on the determinant
+#: the oracle fields of the closed forms of cases (iii)-(v), the towers
+#: above, a ramified unit step whose probe is no uniformizer, and towers
+#: whose unit step is not proved ramified (ram_exact False): Q_2(i)(w) for
+#: c = 1, a quadratic Q_3(sqrt 2), and the quartic Q_5(2^(1/4)) on the
+#: determinant
 ORACLE_TOWERS = {
     "q2_i": q2_i,
     "K3": q2_zeta8,

@@ -1,14 +1,17 @@
 """Test helpers for towers: a tower builder, the brute-force q-th power
 oracle over Q_p, the digit-lifting search that the unit-level decision
-of `_is_qth_power_local` is checked against, and the fields Q_2(i) and
+of `_is_qth_power_local` is checked against, the fields Q_2(i) and
 Q_2(zeta_8) with the square test over their unramified closures, the
-oracles of the closed forms of case (v)."""
+oracles of the closed forms of case (v), and the fields Q_3(pi) and
+K_1 = Q_p(zeta_p) with the case (iii) centre in Q_3(pi)(t), the oracles of
+the closed forms of cases (iii) and (iv)."""
 
 import itertools
 from fractions import Fraction
 from functools import cache
 
 from padic_sr.errors import IrreducibilityUnverified, ZeroElement
+from padic_sr.ramification import cyclotomic_tower
 from padic_sr.tower import (
     Tower,
     _element,
@@ -153,3 +156,32 @@ def is_square_unramified_closure(tower: Tower, alpha) -> bool:
         return False
     as_level = 2 * R  # v_pi(4)
     return unit_level(tower, alpha * pi.inverse() ** k, as_level) == as_level
+
+
+@cache
+def _q3_pi() -> Tower:
+    """Q_3(pi), pi^4 = 3: the base of the case (iii) centre, built once per
+    process."""
+    return Tower(3).adjoin_radical(4, 3, "pi")
+
+
+@cache
+def _k1(p: int) -> Tower:
+    """K_1 = Q_p(zeta_p), the base of the cube-root step of cases (iii)
+    and (iv), built once per process."""
+    return cyclotomic_tower(p, 1)
+
+
+def cubic_tower_disk(locus):
+    """(d, e) of the disk of a locus with a CubicCentre (c_0 + c_1 t +
+    c_2 t^2)/den, t^3 = r, in Q_3(pi)(t), and e = pi^(4 v(e)): the tower
+    path of the case (iii) centre, built per call."""
+    centre = locus.d
+    tower = _q3_pi().adjoin_radical(3, centre.r, "t")
+    t = tower.gen(1)
+    c0, c1, c2 = centre.nums
+    d = (tower.rational(c0) + c1 * t + c2 * t * t) * Fraction(1, centre.den)
+    k = 4 * locus.v_e
+    if k.denominator != 1:
+        raise ValueError(f"v(e) = {locus.v_e} is not a multiple of v(pi)")
+    return d, tower.gen(0) ** int(k)
