@@ -49,6 +49,7 @@ from padic_sr.ramification import (
 )
 from padic_sr.series import CubicCentre
 from padic_sr.tower import Tower, vp_int, vp_rational
+import case_oracle
 from p2_oracle import p2_center, tower_locus
 from test_golden import _identity_grid
 from tower_helpers import (
@@ -234,9 +235,13 @@ def test_inseparable_tails_cases():
     t = inseparable_tails(branch_signature(3, 3, 1, 3))  # s = 2
     kinds = [(x.j, x.tail_kind) for x in t]
     assert (2, "primitive") in kinds and (1, "new") in kinds
+    # d' at n - s + 2/3
+    assert t[1].radius_valuation == 1 + Fraction(2, 3)
     t = inseparable_tails(branch_signature(2, 3, 1, 6))  # s = 2
     kinds = [(x.j, x.tail_kind) for x in t]
     assert (2, "primitive") in kinds and (1, "new") in kinds
+    # d_1 at (2n - s - j + 1)/2
+    assert t[1].radius_valuation == 2
 
 
 # -- graph templates: frozen radii -------------------------------------------
@@ -1045,6 +1050,36 @@ def test_shape_depends_on_p_n_s_only(first, second):
     assert build_stable_graph(s1).to_json() == build_stable_graph(s2).to_json()
     assert inseparable_tails(s1) == inseparable_tails(s2)
     assert build_stable_graph(s1) is not build_stable_graph(s1)
+
+
+def _oracle_shapes():
+    """Every shape (p, n, s) with p in {2, 3, 5, 7, 11}, n <= 12 for p = 2
+    and n <= 8 otherwise, and every s the cover can have."""
+    for p in (2, 3, 5, 7, 11):
+        for n in range(2 if p == 2 else 1, (12 if p == 2 else 8) + 1):
+            for s in range(1, n if p == 2 else n + 1):
+                yield p, n, s
+
+
+def test_case_record_matches_the_oracle():
+    """On 210 shapes, past the n <= 4 (odd p) and n <= 5 (p = 2) of the
+    identity grid, the graph, the inseparable tails and the field tower
+    read off the case record equal those of the case split written out per
+    builder (tests/case_oracle.py), uncached and through _report_shape."""
+    shapes = list(_oracle_shapes())
+    assert len(shapes) == 210
+    for p, n, s in shapes:
+        spec = branch_signature(p, n, 1, p ** (n - s))
+        assert spec.s == s
+        graph = case_oracle.build_stable_graph(spec).to_json()
+        tails = [t.to_json() for t in case_oracle.inseparable_tails(spec)]
+        assert build_stable_graph(spec).to_json() == graph
+        assert [t.to_json() for t in inseparable_tails(spec)] == tails
+        assert (stab_field_tower(spec).to_json()
+                == case_oracle.stab_field_tower(spec).to_json())
+        shape = _report_shape(p, n, s)
+        assert shape.graph.to_json() == graph
+        assert [t.to_json() for t in shape.tails] == tails
 
 
 def _vandalize(doc):

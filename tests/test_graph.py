@@ -32,7 +32,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 SPECS = [(5, 1, 1, 1), (5, 2, 3, 10), (5, 3, 1, 1), (7, 2, 2, 7),
          (3, 2, 1, 3), (3, 3, 1, 3), (11, 2, 1, 11), (2, 3, 1, 6),
-         (2, 3, 1, 12), (13, 2, 4, 13)]
+         (2, 3, 1, 12), (13, 2, 4, 13), (3, 4, 1, 3), (2, 6, 1, 24)]
 
 
 @pytest.fixture(params=SPECS, ids=[str(s) for s in SPECS])

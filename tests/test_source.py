@@ -227,6 +227,8 @@ PUBLIC_WITHOUT_CALLER = {
     "signature_solver": "imported by test_acceptance.py",
     # the oracles of the closed forms of conductor_bound, cases (iii)-(iv)
     "cyclotomic_tower": "builds K_1 in tests/tower_helpers.py",
+    # the oracle of the sigma_eff that build_stable_graph fills bottom-up
+    "sigma_eff_outward": "imported by test_graph.py and tests/case_oracle.py",
     # the report
     "inseparable_tails": "the report's inseparable_tails; analyze reaches "
                          "it through _report_shape in its own module",
@@ -409,6 +411,63 @@ def test_site_checkers_read_each_form():
            "def f(t):\n    t._qth_classes = {}\n    return q2_i()\n")
     assert sorted(_named(ast.parse(src), P2_FIELD_NAMES)) == [
         (1, "WrongPrime"), (5, "_qth_classes"), (6, "q2_i")]
+
+
+#: the labels of the stable-model cases, as analyzer._stable_case returns them
+CASE_LABELS = {"i", "ii", "iii", "iv", "v"}
+
+#: the analyzer functions that may compare a case label: the case record,
+#: and the facts that depend on more than the shape (p, n, s) of a cover
+CASE_DISPATCHERS = {"_case_record", "_upstairs", "new_tail_locus",
+                    "conductor_bound"}
+
+#: the readers of the case record, which compare no case label
+CASE_READERS = {"build_stable_graph", "inseparable_tails", "stab_field_tower",
+                "_report_shape"}
+
+
+def _label_comparisons(tree):
+    """(line, enclosing function or None) of each comparison with a case
+    label: case == "v" and case in ("ii", "iii") alike."""
+    owner = {}
+    for name, node in _functions(tree).items():
+        for sub in ast.walk(node):
+            owner[id(sub)] = name
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        values = [const.value for operand in operands
+                  for const in (operand.elts if isinstance(
+                      operand, (ast.Tuple, ast.List, ast.Set)) else [operand])
+                  if isinstance(const, ast.Constant)]
+        if any(isinstance(v, str) and v in CASE_LABELS for v in values):
+            yield node.lineno, owner.get(id(node))
+
+
+def test_only_the_case_record_builds_by_case():
+    """The graph, the inseparable tails and the field steps are read off
+    _case_record: no reader of it compares a case label, and only the case
+    record and the facts that depend on a, b or a component compare one."""
+    path = next(path for path in SOURCES if path.name == "analyzer.py")
+    tree = ast.parse(path.read_text(), str(path))
+    sites = sorted(_label_comparisons(tree))
+    found = [f"analyzer.py:{line}: a case label compared in {name}"
+             for line, name in sites if name not in CASE_DISPATCHERS]
+    assert not found, "\n".join(found)
+    # the names follow renames
+    assert (CASE_READERS | CASE_DISPATCHERS) <= set(_functions(tree))
+    assert "_case_record" in {name for _, name in sites}
+
+
+def test_label_checker_reads_each_form():
+    src = ("def f(case):\n    return case == 'v'\n\n"
+           "class C:\n    def g(self, c):\n"
+           "        return c in ('ii', 'iii') or 'x' != c\n\n"
+           "flag = 'iv' != 'i'\n"
+           "def h(k):\n    return k == 'vi' or k < 3\n")
+    assert sorted(_label_comparisons(ast.parse(src))) == [
+        (2, "f"), (6, "C.g"), (8, None)]
 
 
 #: the p = 2 fields, the square-class and q-th power class tables and the
