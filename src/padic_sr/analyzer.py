@@ -128,8 +128,8 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
 
 def _stable_case(p: int, n: int, s: int) -> str:
     """The case (i)-(v) of the cover.  _case_record lists what each case
-    builds; only _upstairs, new_tail_locus and conductor_bound dispatch on
-    the label besides."""
+    builds; only new_tail_locus and conductor_bound dispatch on the label
+    besides."""
     if p == 2:
         if s == n:
             raise UnsupportedCase("p = 2 covers cannot have three totally "
@@ -246,15 +246,16 @@ def certify_tail(spec: CoverSpec) -> ReductionVerdict:
 # -- the case record ---------------------------------------------------------
 
 class _Piece(NamedTuple):
-    """One component of the stable model, as the case record places it."""
+    """One component of the stable model, as _case_record lists it."""
     id: str
     parent: str | None  # None at X0; a parent precedes its children
     inertia: int  # the component is a p^inertia-component
     radius: Fraction  # valuation of the radius of its disk
     tail_kind: str  # "new" | "primitive" | "none" (not a tail)
     centre: str  # label of the centre of its disk
-    sigma_b: Fraction | None  # on tails only
+    definition: str | None  # of an extra-tail centre (d', d_j)
     branch_points: tuple  # (point, p-exponent) pairs specializing here
+    upstairs: tuple  # (count, genus, conductor, note) of the curve over it
 
 
 class _CaseRecord(NamedTuple):
@@ -264,17 +265,16 @@ class _CaseRecord(NamedTuple):
     s: int
     case: str
     pieces: tuple  # _Piece, from X0 outward
-    centres: tuple  # (label, definition) of each extra-tail centre
     steps: tuple  # TowerStep of the stable-model field over K_0
     flag: str | None  # the graph's lower-confidence note, if any
 
 
 def _case_record(p: int, n: int, s: int) -> _CaseRecord:
     """The case split of the stable model of a cover of shape (p, n, s), in
-    one place: every component from X0 outward, the extra-tail centres and
-    the field steps.  build_stable_graph, inseparable_tails and
-    stab_field_tower read it, and nothing else dispatches on the case to
-    build them.  A new tail has sigma_b 2 and the x = 1 tail sigma_b 1.
+    one place: every component from X0 outward with the curve over it, the
+    extra-tail centres and the field steps.  build_stable_graph,
+    inseparable_tails and stab_field_tower read it, and nothing else
+    dispatches on the case to build them.
 
     The stable model is defined over K_n = K_0(zeta_{p^n}), the Kummer
     steps below over it (d', d_j: the centres of the extra tails), and a
@@ -292,14 +292,31 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
     """
     case = _stable_case(p, n, s)
     q = Fraction(1, p - 1)
-    pieces, centres, kummer = [], [], []
+    pieces, kummer = [], []
+    inertia_of = {}
     flag = None
 
+    def upstairs(i, has_larger_neighbor):
+        # (count, genus, conductor, note) over a p^i-component
+        if not has_larger_neighbor:
+            return p ** (n - i), 0, None, "radicial"
+        if case == "v":
+            if i == 0:
+                return (2 ** (n - 2), None, None,
+                        "mu_4-torsors, first upper jump 1")
+            return 2 ** (n - i - 1), None, None, "p = 2 covering structure"
+        cond = 1 if (case != "i" and i >= s) else 2
+        return p ** (n - i - 1), (cond - 1) * (p - 1) // 2, cond, ""
+
     def piece(cid, parent, inertia, radius, tail_kind="none", centre="d",
-              branch_points=()):
-        sigma_b = {"new": Fraction(2), "primitive": Fraction(1)}.get(tail_kind)
+              definition=None, branch_points=()):
+        # inertia never rises outward from X0 (validate_structure checks
+        # it), so only the parent can be a neighbour of larger inertia
+        larger = parent is not None and inertia_of[parent] > inertia
+        inertia_of[cid] = inertia
         pieces.append(_Piece(cid, parent, inertia, Fraction(radius), tail_kind,
-                             centre, sigma_b, branch_points))
+                             centre, definition, branch_points,
+                             upstairs(inertia, larger)))
         return cid
 
     def step(exponent, radicand):
@@ -319,7 +336,7 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
         piece("Xstar", prev, s + 1, n - s)
         # the x = 1 inseparable tail
         piece("Xdagger", "Xstar", s, n - s + q, "primitive", "1",
-              (("1", s),))
+              branch_points=(("1", s),))
         # the d-branch out to the new etale tail; at i = s, p odd, the
         # quotient Y/Q_s argument fixes the disk
         prev = "Xstar"
@@ -338,9 +355,7 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
         step(3 ** (n - s), "a/(a+b)")
         step(3 ** (n - s + 1), "(d')^a (d'-1)^b / (a^a b^b (a+b)^-(a+b))")
         piece("Xdprime", f"X{n - s}", s - 1, n - s + Fraction(2, 3), "new",
-              "d'")
-        centres.append(
-            ("d'", "d' = a/(a+b) + cbrt(3^(2(n-s)+3) binom(b,3))/(a+b)"))
+              "d'", "d' = a/(a+b) + cbrt(3^(2(n-s)+3) binom(b,3))/(a+b)")
         flag = ("p = 3 with 1 < s < n: graph shape beyond the certified "
                 "tails is lower-confidence")
     elif case == "v":
@@ -351,14 +366,12 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
             step(2 ** (n - j), f"d_{j}")
             step(2 ** (s - j), f"d_{j} - 1")
             piece(f"Xd{j}", f"X{n - j - 1}", j, Fraction(2 * n - s - j + 1, 2),
-                  "new", f"d_{j}")
-            centres.append(
-                (f"d_{j}", f"d_{j} = a/(a+b) + sqrt(2^(n-{j}) b i)/(a+b)^2"))
+                  "new", f"d_{j}",
+                  f"d_{j} = a/(a+b) + sqrt(2^(n-{j}) b i)/(a+b)^2")
         flag = ("p = 2: graph shape beyond the certified tails is "
                 "lower-confidence")
     steps = (TowerStep("cyclotomic", level=n), *kummer, TowerStep("tame"))
-    return _CaseRecord(p, n, s, case, tuple(pieces), tuple(centres), steps,
-                       flag)
+    return _CaseRecord(p, n, s, case, tuple(pieces), steps, flag)
 
 
 # -- inseparable tails -------------------------------------------------------
@@ -379,8 +392,7 @@ class InsepTail:
 def _tails(record: _CaseRecord) -> tuple:
     """The tails of a case record with inertia > 0, each centre given by
     its definition."""
-    defs = dict(record.centres)
-    return tuple(InsepTail(c.inertia, defs.get(c.centre, c.centre), c.radius,
+    return tuple(InsepTail(c.inertia, c.definition or c.centre, c.radius,
                            c.tail_kind)
                  for c in record.pieces
                  if c.tail_kind != "none" and c.inertia > 0)
@@ -395,21 +407,8 @@ def inseparable_tails(spec: CoverSpec):
 
 # -- the decorated graph -----------------------------------------------------
 
-def _upstairs(p: int, n: int, s: int, case: str, inertia: int,
-              has_larger_neighbor: bool):
-    """(count, genus, conductor, note) of the covering curve over a
-    p^inertia-component of a cover in the given case."""
-    i = inertia
-    if not has_larger_neighbor:
-        return p ** (n - i), 0, None, "radicial"
-    if case == "v":
-        if i == 0:
-            return (2 ** (n - 2), None, None,
-                    "mu_4-torsors, first upper jump 1")
-        return 2 ** (n - i - 1), None, None, "p = 2 covering structure"
-    cond = 1 if (case != "i" and i >= s) else 2
-    genus = (cond - 1) * (p - 1) // 2
-    return p ** (n - i - 1), genus, cond, ""
+#: sigma_b of a tail, by its kind
+_SIGMA_B = {"new": Fraction(2), "primitive": Fraction(1)}
 
 
 def _graph(record: _CaseRecord) -> DecoratedGraph:
@@ -420,34 +419,28 @@ def _graph(record: _CaseRecord) -> DecoratedGraph:
     the etale tails at-or-outward of it, less the wild branch points there
     (graph.sigma_eff_outward); one walk from the tails inward fills it.
     Every branch point is wild, of p-exponent n or s >= 1."""
-    p, n, s = record.p, record.n, record.s
-    by_id = {c.id: c for c in record.pieces}
-    below = dict.fromkeys(by_id, Fraction(0))
-    larger = set()  # pieces with a neighbour of larger inertia
+    n = record.n
+    radius = {c.id: c.radius for c in record.pieces}
+    below = dict.fromkeys(radius, Fraction(0))
     for c in reversed(record.pieces):
-        below[c.id] += ((c.sigma_b - 1 if c.inertia == 0 else 0)
+        below[c.id] += ((_SIGMA_B[c.tail_kind] - 1 if c.inertia == 0 else 0)
                         - len(c.branch_points))
         if c.parent is not None:
             below[c.parent] += below[c.id]
-            if by_id[c.parent].inertia > c.inertia:
-                larger.add(c.id)
-            elif by_id[c.parent].inertia < c.inertia:
-                larger.add(c.parent)
     components, edges = [], []
     for c in record.pieces:
-        count, genus, cond, note = _upstairs(p, n, s, record.case, c.inertia,
-                                             c.id in larger)
+        count, genus, cond, note = c.upstairs
         kind = ("original" if c.parent is None
                 else "interior" if c.tail_kind == "none" else "tail")
         components.append(Component(
             id=c.id, inertia_exponent=c.inertia, kind=kind,
             tail_kind=c.tail_kind, branch_points=dict(c.branch_points),
             disk_center=c.centre, radius_valuation=c.radius,
-            sigma_b=c.sigma_b, upstairs_count=count, upstairs_genus=genus,
-            upstairs_conductor=cond, note=note))
+            sigma_b=_SIGMA_B.get(c.tail_kind), upstairs_count=count,
+            upstairs_genus=genus, upstairs_conductor=cond, note=note))
         if c.parent is not None:
             edges.append(GraphEdge(c.parent, c.id,
-                                   c.radius - by_id[c.parent].radius,
+                                   c.radius - radius[c.parent],
                                    1 + below[c.id]))
     # an augmented vertex on the piece each branch point specializes to
     holder = {pt: c.id for c in record.pieces for pt, _ in c.branch_points}
@@ -466,7 +459,7 @@ def _graph(record: _CaseRecord) -> DecoratedGraph:
     })
     if record.flag:
         signatures.append({"flag": record.flag})
-    return DecoratedGraph(p, n, components, edges, mG=1,
+    return DecoratedGraph(record.p, n, components, edges, mG=1,
                           signatures=signatures)
 
 
@@ -494,19 +487,22 @@ def quotient_spec(spec: CoverSpec, j: int) -> CoverSpec:
 
 # -- stable-model field tower ------------------------------------------------
 
+def _field_tower(spec: CoverSpec, case: str, steps: tuple) -> FieldTower:
+    """The tower of the steps of spec's shape, with the meta of spec: a, b,
+    n, s and the case, for conductor_bound."""
+    meta = (("a", spec.a), ("b", spec.b), ("case", case),
+            ("n", spec.n), ("s", spec.s))  # in key order
+    return FieldTower(spec.p, steps, meta)
+
+
 def stab_field_tower(spec: CoverSpec) -> FieldTower:
     """The field of definition of the stable model as a tower over K_0:
     K_n = K_0(zeta_{p^n}), the Kummer steps that _case_record tabulates for
     the case of (p, n, s), then a tame step.  The steps depend on the shape
-    alone: they are read from its _report_shape entry, built once per
-    shape, and only meta is made per cover.
-
-    meta records a, b, n, s and the case for conductor_bound.
+    alone, and analyze takes them from its _report_shape entry.
     """
-    shape = _report_shape(spec.p, spec.n, spec.s)
-    meta = (("a", spec.a), ("b", spec.b), ("case", shape.case),
-            ("n", spec.n), ("s", spec.s))  # in key order
-    return FieldTower(spec.p, shape.steps, meta)
+    record = _case_record(spec.p, spec.n, spec.s)
+    return _field_tower(spec, record.case, record.steps)
 
 
 # -- conductor certificate ---------------------------------------------------
@@ -517,8 +513,9 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
     valuation facts of the steps stab_field_tower lists for meta["case"].
     A meta that lacks one of a, b, n, s and case, has a + b = 0, gives an n
     other than the n asked for, or a case other than the case of (p, n, s),
-    is refused.  Returns {vanishes_at_n, conductor, detail}; the conductor
-    is exact in case (i) and a bound otherwise.
+    is refused, as is an s outside 1 <= s <= n (s < n for p = 2).  Returns
+    {vanishes_at_n, conductor, detail}; the conductor is exact in case (i)
+    and a bound otherwise.
 
     The cube roots of cases (iii) and (iv) are certified in closed form.
     K_1 = Q_3(zeta_3) has e = 2, and the radicand rad = 3^(2(n-s)+3)
@@ -535,8 +532,9 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
     3/2 + (u - 3)/6 past it, and the conductor of L/K_0 is phi(3) = 3/2.
     In case (iv), M/L is one more cube root over L, where e_L = 3 e_{K_1} =
     6, so its jump is at most the cap 3 e_L/2 = 9, and phi(9) = 5/2 bounds
-    the conductor of M/K_0.  Both lie below n, as n >= 2 in case (iii) and
-    n >= 3 in case (iv), which the case check forces."""
+    the conductor of M/K_0.  Both lie below n: with 1 <= s <= n checked,
+    the case check forces n > s = 1 in case (iii) and n > s > 1 in case
+    (iv), so n >= 2 and n >= 3."""
     meta = ft.meta_dict()
     missing = [key for key in ("a", "b", "n", "s", "case") if key not in meta]
     if missing:
@@ -548,6 +546,9 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
     if meta["n"] != n:
         raise CertificationFailed(f"tower built for n = {meta['n']}, "
                                   f"certified at n = {n}")
+    if not 1 <= s <= n or (ft.prime == 2 and s == n):
+        raise CertificationFailed(f"no cover of p = {ft.prime}, n = {n} has "
+                                  f"s = {s}")
     expected = _stable_case(ft.prime, n, s)
     if case != expected:
         raise CertificationFailed(f"case {case!r} is not the case "
@@ -642,8 +643,9 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
 class _ReportShape(NamedTuple):
     """Everything of a report that depends on (p, n, s) alone, read off one
     case record: the graph and everything checked on it, the inseparable
-    tails, and the case and steps of the stable-model field.  Every field
-    is immutable or never handed out: analyze serializes afresh."""
+    tails, and the case and steps of the stable-model field, which analyze
+    gives each cover's tower.  Every field is immutable or never handed
+    out: analyze serializes afresh."""
     graph: DecoratedGraph
     violations: tuple  # (code, detail) pairs
     residual: Fraction  # of the vanishing-cycles count
@@ -651,7 +653,7 @@ class _ReportShape(NamedTuple):
     profile: tuple  # (component id, effective different) pairs
     tails: tuple  # InsepTail
     case: str  # the label of _stable_case
-    steps: tuple  # TowerStep, as stab_field_tower reports them
+    steps: tuple  # TowerStep of the stable-model field
 
 
 # Bounded: traffic that cycles through more shapes than an LRU keeps never
@@ -686,7 +688,7 @@ def analyze(p: int, n: int, a: int, b: int) -> dict:
     p, n = spec.p, spec.n
     verdict = certify_tail(spec)
     shape = _report_shape(p, n, spec.s)
-    tower = stab_field_tower(spec)
+    tower = _field_tower(spec, shape.case, shape.steps)
     conductor = conductor_bound(tower, n)
     expected = "SplitsZ4" if p == 2 else "SplitsArtinSchreier"
     certified = (

@@ -396,8 +396,27 @@ def test_conductor_bound_refuses_inconsistent_meta(meta, n, match):
         conductor_bound(bad, n)
 
 
+@pytest.mark.parametrize("args,meta,n", [
+    # the checks of cases (iii)/(iv) pass, and 5/2 < 1 was certified
+    ((3, 3, 1, 3), {"a": 1, "b": 3, "case": "iv", "n": 1, "s": 0}, 1),
+    ((3, 3, 1, 3), {"a": 1, "b": 9, "case": "iv", "n": 2, "s": 0}, 2),
+    ((3, 3, 1, 3), {"a": 1, "b": 3, "case": "iv", "n": 3, "s": -1}, 3),
+    ((5, 2, 1, 1), {"a": 1, "b": 1, "case": "ii", "n": 2, "s": 3}, 2),
+    ((2, 3, 1, 6), {"a": 1, "b": 1, "case": "v", "n": 3, "s": 3}, 3),
+])
+def test_conductor_bound_refuses_an_s_no_cover_has(args, meta, n):
+    """A meta with s outside 1 <= s <= n, or s = n for p = 2, is refused:
+    only such an s lets case (iii) or (iv) fall on n <= 2, where the
+    conductors 3/2 and 5/2 of the cube roots are not below n."""
+    bad = _with_meta(args, meta)
+    with pytest.raises(CertificationFailed,
+                       match=rf"^no cover of p = {args[0]}, n = {n} has "
+                             rf"s = {meta['s']}$"):
+        conductor_bound(bad, n)
+
+
 #: one cover per case (i)-(v)
-ONE_COVER_PER_CASE = [(5, 2, 1, 1), (5, 2, 3, 10), (3, 3, 1, 9),
+ONE_COVER_PER_CASE =[(5, 2, 1, 1), (5, 2, 3, 10), (3, 3, 1, 9),
                       (3, 3, 1, 3), (2, 3, 1, 6)]
 
 

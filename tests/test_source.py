@@ -418,8 +418,7 @@ CASE_LABELS = {"i", "ii", "iii", "iv", "v"}
 
 #: the analyzer functions that may compare a case label: the case record,
 #: and the facts that depend on more than the shape (p, n, s) of a cover
-CASE_DISPATCHERS = {"_case_record", "_upstairs", "new_tail_locus",
-                    "conductor_bound"}
+CASE_DISPATCHERS = {"_case_record", "new_tail_locus", "conductor_bound"}
 
 #: the readers of the case record, which compare no case label
 CASE_READERS = {"build_stable_graph", "inseparable_tails", "stab_field_tower",
