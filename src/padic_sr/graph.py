@@ -10,6 +10,7 @@ returned as data, not raised.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,11 +86,12 @@ class Component:
         up = doc.get("upstairs") or {}
         return cls(
             id=doc["id"],
-            inertia_exponent=doc.get("inertia_exponent", 0),
-            genus=doc.get("genus", 0),
+            inertia_exponent=operator.index(doc.get("inertia_exponent", 0)),
+            genus=operator.index(doc.get("genus", 0)),
             kind=doc.get("kind", "interior"),
             tail_kind=doc.get("tail_kind", "none"),
-            branch_points=dict(doc.get("branch_points", {})),
+            branch_points={pt: operator.index(a) for pt, a in
+                           dict(doc.get("branch_points", {})).items()},
             disk_center=disk.get("center") or None,
             radius_valuation=(parse_rat(disk["radius_valuation"])
                               if "radius_valuation" in disk else None),
@@ -272,10 +274,15 @@ class DecoratedGraph:
 
     @classmethod
     def from_json(cls, doc):
+        """The graph of a JSON document.  The integer fields must be
+        integers (TypeError otherwise) and mG at least 1 (ValueError)."""
+        mG = operator.index(doc.get("mG", 1))
+        if mG < 1:
+            raise ValueError(f"mG = {mG} is not a positive integer")
         return cls(
-            prime=doc["prime"],
-            n=doc["n"],
-            mG=doc.get("mG", 1),
+            prime=operator.index(doc["prime"]),
+            n=operator.index(doc["n"]),
+            mG=mG,
             components=tuple(Component.from_json(c)
                              for c in doc["components"]),
             edges=tuple(GraphEdge.from_json(e) for e in doc["edges"]),

@@ -22,8 +22,14 @@ def ratstr(x) -> str:
 
 
 def parse_rat(s) -> Fraction:
+    """The exact rational of an int, a Fraction or a string such as "6/4".
+    A zero denominator raises ValueError, as any other malformed string
+    does."""
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None

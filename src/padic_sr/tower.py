@@ -6,9 +6,10 @@ g^d = sum_k c_k g^k (radical steps have only the constant term: g^m = r).
 Elements are polynomial residues in the generators with exact rational
 coefficients, stored as integers over one denominator: an element is a
 positive int `den` and a dict `nums` {exponent tuple: nonzero int}, in lowest
-terms (gcd(den, *nums) = 1), so equal elements have equal fields.  Every
-arithmetic operation reads and writes Python ints; `coords`, the Fraction
-view, is for repr and tests.  Every step carries a
+terms (gcd(den, *nums) = 1), so equal elements have equal fields.
+Products, sums and valuation scores are computed in Python ints; the
+norm and the inverse read the multiplication matrix as Fractions, and
+`coords`, the Fraction view, is for repr and tests.  Every step carries a
 local-irreducibility certificate checked at construction:
 
   (a) Newton-polygon single segment whose slope has exact denominator equal to
@@ -23,33 +24,18 @@ local-irreducibility certificate checked at construction:
 
 Either certificate guarantees the step polynomial is irreducible over the
 p-adic completion, so the valuation extends uniquely and
-v(alpha) = v_p(Norm(alpha)) / D on the whole tower.  The arithmetic uses
-closed forms of that fact wherever one applies:
+v(alpha) = v_p(Norm(alpha)) / D on the whole tower.  Valuations are
+integers over one denominator E, the lcm of the denominators of the
+generator valuations v(g_j) = G_j / E: a term n prod g_j^e_j / den has
+valuation (E v_p(n) + sum e_j G_j) / E less v_p(den), a unique least term
+gives v(alpha), and only a tie among the least terms needs the norm.
 
-  * Products go through structure constants.  Each tower keeps a table,
-    filled the first time a pair of basis monomials meets, of their reduced
-    product as integers over one denominator.  The numerators of c1 and c2
-    multiply through the table, so c1 * c2 costs |c1| |c2| table lookups
-    and integer multiply-adds, the denominators multiply, and one gcd
-    brings the result to lowest terms (none when every denominator is 1).
-    Sums bring two denominators to their lcm, and a rational scalar scales
-    the numerators and the denominator without the table.
-  * Valuations are integers over one denominator E, the lcm of the
-    denominators of the generator valuations v(g_j) = G_j / E.  A term
-    n prod g_j^e_j / den has valuation (E v_p(n) + sum e_j G_j) / E less
-    v_p(den), and a unique least term gives v(alpha); only a tie among the
-    least terms needs the norm.
-  * A monomial c prod g_j^e_j, negative exponents included, is reduced by
-    divmod against every step whose rewrite has one term (g^m = r, r a
-    monomial of the lower tower), so powers and inverses of monomials need
-    neither repeated multiplication nor a linear solve.  A multi-term
-    rewrite (a cyclotomic step) falls back to the generic path.
-  * The norm is a product of relative norms: over a top step
-    g^2 = a1 g + a0, N(h0 + h1 g) = N_lower(h0^2 + a1 h0 h1 - a0 h1^2), and
-    the recursion descends to the constant of the empty tower.  Each level
-    takes the norm of the integer numerators and divides by den^degree
-    once.  A top step of degree > 2 takes the determinant of the
-    multiplication matrix of its tower.
+`analyze` builds no tower: a Tower is the test oracle of the closed forms
+on the certification path and a public API.  So each operation has one
+general path, with no second path for a subset of its inputs and no cache
+beside it.  A product rewrites each pair of terms by the step rules, a
+power is binary powering, an inverse is a linear solve, and the norm is
+the determinant of the multiplication matrix, taken fraction-free.
 """
 
 from __future__ import annotations
@@ -192,8 +178,6 @@ class TowerElement:
         return _add(self.tower.coerce(other), self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _scale(self, other.numerator, other.denominator)
         return _mul(self, self.tower.coerce(other))
 
     def __rmul__(self, other):
@@ -208,13 +192,6 @@ class TowerElement:
 
     def __pow__(self, k: int):
         k = operator.index(k)  # a float or Fraction exponent is refused
-        if len(self.nums) == 1:
-            (exps, n), = self.nums.items()
-            num, den = (n, self.den) if k >= 0 else (self.den, n)
-            x = self.tower._monomial([e * k for e in exps], num ** abs(k),
-                                     den ** abs(k))
-            if x is not None:
-                return x
         if k < 0:
             return self.inverse() ** (-k)
         result = self.tower.one()
@@ -302,27 +279,9 @@ def _reduced(tower, den, nums):
 
 
 def _mul(x, y):
-    """x y for elements of one tower, through the structure constants."""
+    """x y for elements of one tower."""
     den, nums = x.tower._mul_nums(x.nums, y.nums)
     return _reduced(x.tower, den * x.den * y.den, nums)
-
-
-def _scale(x, num, den):
-    """x num / den for a rational num / den in lowest terms, den > 0.  As
-    x is in lowest terms, num can share a factor only with x.den, and den
-    only with the numerators of x: an integer scalar costs one gcd of two
-    ints, and a fractional one also a gcd of den and the numerators."""
-    if not num:
-        return x.tower.zero()
-    g = gcd(x.den, num)
-    num //= g
-    nums = {k: n * num for k, n in x.nums.items()}
-    if den != 1:
-        h = gcd(den, *nums.values())
-        if h != 1:
-            den //= h
-            nums = {k: n // h for k, n in nums.items()}
-    return _element(x.tower, x.den // g * den, nums)
 
 
 def _add(x, y, sign=1):
@@ -369,19 +328,14 @@ class Tower:
         self.steps: list[Step] = []
         self.ram_index = 1  # exact when ram_exact
         self.ram_exact = True
-        # (den, nums) of an element with v = 1/ram_index, if known.  It and
-        # the inverse cache keep plain data, not elements of this tower, so
-        # that a tower holds no reference cycle and is freed on its last del
+        # (den, nums) of an element with v = 1/ram_index, if known.  It keeps
+        # plain data, not an element of this tower, so that a tower holds no
+        # reference cycle and is freed on its last del
         self._uniformizer = None
-        self._basis_cache = None
-        self._inv_cache = {}  # (den, nums items) -> (den, nums) of the inverse
-        self._prod = {}  # (e1, e2) -> reduced product, filled on first use
         self._lower = None  # the tower this one extends by its top step
-        self._halves = None  # (a0, a1) of a quadratic top step, in _lower
         self._one_exps = ()  # the exponents of the monomial 1
         self._E = 1  # v(g_j) = _G[j] / _E for every generator g_j
         self._G = ()
-        self._vals = {}  # E v -> the Fraction v, for val
 
     # -- basics --------------------------------------------------------------
 
@@ -441,42 +395,20 @@ class Tower:
     # -- reduced multiplication ----------------------------------------------
 
     def _mul_nums(self, n1, n2):
-        """The reduced product of the integer coordinates n1, n2, through
-        the structure constants, as (den, {exps: num}): the numerators
-        multiply through the table entries, and table entries of several
-        denominators (rewrites with fractional coefficients) meet over
-        their lcm."""
-        prod = self._prod
-        by_den = {}  # table denominator -> {exps: integer numerator}
-        items2 = n2.items()
+        """The reduced product of the integer coordinates n1, n2, as
+        (den, {exps: num}): each pair of terms is rewritten by the step
+        rules, and the parts of several denominators (rewrites with
+        fractional coefficients) meet over their lcm."""
+        parts = {}  # denominator -> {exps: integer numerator}
         for e1, a1 in n1.items():
-            for e2, a2 in items2:
-                entry = prod.get((e1, e2))
-                if entry is None:
-                    entry = self._product_entry(e1, e2)
-                den, terms = entry
-                out = by_den.get(den)
-                if out is None:
-                    out = by_den[den] = {}
-                a = a1 * a2
-                for exps, num in terms:
-                    out[exps] = out.get(exps, 0) + a * num
-        return _common(by_den)
-
-    def _product_entry(self, e1, e2):
-        """The table entry of the basis monomials e1, e2: their reduced
-        product as (den, ((exps, num), ...)), integers over one den."""
-        parts = {}
-        self._accumulate(parts, tuple(x + y for x, y in zip(e1, e2)), 1, 1)
-        den, out = _common(parts)
-        entry = den, tuple(out.items())
-        self._prod[e1, e2] = entry
-        return entry
+            for e2, a2 in n2.items():
+                self._accumulate(parts, tuple(x + y for x, y in zip(e1, e2)),
+                                 a1 * a2, 1)
+        return _common(parts)
 
     def _accumulate(self, parts, exps, num, den):
         """Add num / den times monomial(exps) to parts {den: {exps: num}},
-        rewriting overflowing powers; it fills the entries of the product
-        table."""
+        rewriting overflowing powers by the step rules."""
         j = None
         for i in range(len(exps) - 1, -1, -1):
             if exps[i] >= self.steps[i].degree:
@@ -500,11 +432,11 @@ class Tower:
     # -- linear algebra over the rational basis ------------------------------
 
     def _basis(self):
-        if self._basis_cache is None:
-            ranges = [range(s.degree) for s in self.steps]
-            basis = list(itertools.product(*ranges)) if self.steps else [()]
-            self._basis_cache = (basis, {b: i for i, b in enumerate(basis)})
-        return self._basis_cache
+        """(the monomial basis as a list of exponent tuples, {monomial:
+        its index})."""
+        basis = list(itertools.product(*(range(s.degree)
+                                          for s in self.steps)))
+        return basis, {b: i for i, b in enumerate(basis)}
 
     def _mul_matrix(self, elem):
         basis, index = self._basis()
@@ -521,83 +453,20 @@ class Tower:
         return [[cols[j][i] for j in range(D)] for i in range(D)]
 
     def norm(self, elem) -> Fraction:
-        """Exact norm to Q, as a product of relative norms down the quadratic
-        top steps, and the determinant of the multiplication matrix below a
-        top step of degree > 2.  Each level takes the norm of the integer
-        numerators x of its element nums / den, and N(nums / den) is
-        N(x) / den^degree."""
-        elem = self.coerce(elem)
-        if not elem.nums:
-            return Fraction(0)
-        t, x = self, _element(self, 1, elem.nums)
-        scale = elem.den ** self.degree
-        while t.steps:
-            if t.steps[-1].degree != 2:
-                det = _det_fraction(t._mul_matrix(x))
-                return Fraction(det.numerator, det.denominator * scale)
-            # g^2 = a1 g + a0: N(h0 + h1 g) = h0 (h0 + a1 h1) - a0 h1^2
-            a0, a1 = t._halves
-            t = t._lower
-            h0, h1 = _split_top(t, x.nums.items(), 1)
-            x = _add(_mul(h0, _add(h0, _mul(a1, h1))), _mul(a0, _mul(h1, h1)),
-                     -1)
-            scale *= x.den ** t.degree
-            x = _element(t, 1, x.nums)
-        return Fraction(x.nums[()], scale)
+        """Exact norm to Q: the determinant of the multiplication matrix."""
+        return _det_fraction(self._mul_matrix(self.coerce(elem)))
 
     def inverse(self, elem) -> TowerElement:
+        """The inverse, by a linear solve against the multiplication
+        matrix."""
         elem = self.coerce(elem)
         if not elem.nums:
             raise ZeroDivisionError("inverse of 0")
-        if len(elem.nums) == 1:
-            (exps, n), = elem.nums.items()
-            inv = self._monomial([-e for e in exps], elem.den, n)
-            if inv is not None:
-                return inv
-        key = (elem.den, frozenset(elem.nums.items()))
-        hit = self._inv_cache.get(key)
-        if hit is not None:
-            return _element(self, *hit)
         basis, index = self._basis()
-        D = len(basis)
-        M = self._mul_matrix(elem)
-        rhs = [Fraction(0)] * D
+        rhs = [Fraction(0)] * len(basis)
         rhs[index[self._one_exps]] = Fraction(1)
-        sol = _solve_fraction(M, rhs)
-        inv = TowerElement(self, {basis[i]: sol[i] for i in range(D)})
-        self._inv_cache[key] = inv.den, inv.nums
-        if len(self._inv_cache) > 256:
-            self._inv_cache.clear()
-        return inv
-
-    def _monomial(self, exps, num, den=1):
-        """num / den prod g_j^exps[j], reduced, for any integer exponents
-        (the list exps is consumed) and nonzero ints num, den, or None when
-        an exponent outside [0, degree) meets a step whose rewrite has more
-        than one term.  A one-term rewrite g_j^m = r is a monomial of the
-        lower tower, so g_j^(m q) = r^q adds q times the exponents of r to
-        the lower generators; the steps are reduced from the top down."""
-        steps = self.steps
-        for j in range(len(exps) - 1, -1, -1):
-            step = steps[j]
-            q, exps[j] = divmod(exps[j], step.degree)
-            if q:
-                if len(step.rewrite) != 1:
-                    return None
-                (rexps, rnum), = step.rewrite
-                rden = step.rewrite_den
-                if q > 0:
-                    num *= rnum ** q
-                    den *= rden ** q
-                else:
-                    num *= rden ** -q
-                    den *= rnum ** -q
-                for i in range(j):
-                    exps[i] += q * rexps[i]
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num, den)
-        return _element(self, den // g, {tuple(exps): num // g})
+        sol = _solve_fraction(self._mul_matrix(elem), rhs)
+        return TowerElement(self, dict(zip(basis, sol)))
 
     # -- valuation -----------------------------------------------------------
 
@@ -607,7 +476,7 @@ class Tower:
         A term n prod g_j^e_j scores E v_p(n) + sum e_j G_j in integers; a
         unique least score, less E v_p(den), is E v(elem) by the
         ultrametric inequality, and a tie among the least terms is settled
-        by the norm.  The Fraction of each score is built once per tower."""
+        by the norm."""
         elem = self.coerce(elem)
         if not elem.nums:
             raise ZeroElement("v(0) is +infinity")
@@ -627,10 +496,7 @@ class Tower:
                             self.degree)
         if elem.den != 1:
             least -= E * vp_int(elem.den, p)
-        v = self._vals.get(least)
-        if v is None:
-            v = self._vals[least] = Fraction(least, E)
-        return v
+        return Fraction(least, E)
 
     # -- step construction ---------------------------------------------------
 
@@ -644,8 +510,6 @@ class Tower:
             t._uniformizer = den, {k + (0,): n for k, n in nums.items()}
         t._lower = self
         t._one_exps = (0,) * len(t.steps)
-        if step.degree == 2:
-            t._halves = _split_top(self, step.rewrite, step.rewrite_den)
         t._E = E = lcm(self._E, step.gen_val.denominator)
         t._G = tuple(s.gen_val.numerator * (E // s.gen_val.denominator)
                      for s in t.steps)
@@ -750,8 +614,7 @@ class Tower:
         the lower tower to an element of valuation exactly 1/ram_index.  The
         lower uniformizer has valuation 1/R_lower by construction (p, of
         valuation 1, when the lower tower has none), and it is raised to its
-        power in the lower tower, so a shared lower field serves the inverse
-        from its own cache."""
+        power in the lower tower, the smaller one."""
         R, lower = self.ram_index, self._lower
         k1 = self.val(new_elem) * R
         if k1.denominator != 1:
@@ -800,16 +663,6 @@ def _lifted(rad):
     """The terms of the radicand rad with the new generator's exponent 0
     appended: the rewrite of a radical step over rad's tower."""
     return [(exps + (0,), n) for exps, n in rad.nums.items()]
-
-
-def _split_top(lower, terms, den):
-    """(h0, h1), elements of lower, with h0 + h1 g the sum over the
-    (exps, num) terms of num / den times the monomial exps, g the top
-    generator, of degree 2."""
-    h = ({}, {})
-    for exps, n in terms:
-        h[exps[-1]][exps[:-1]] = n
-    return _reduced(lower, den, h[0]), _reduced(lower, den, h[1])
 
 
 def _is_qth_power_local(tower: Tower, u: TowerElement, q: int) -> bool:
@@ -952,23 +805,27 @@ def _ext_gcd(a, b):
 
 
 def _det_fraction(M):
+    """The determinant of a square matrix of rationals, by fraction-free
+    (Bareiss) elimination on the integer matrix den M, den the lcm of the
+    denominators of the entries: each division by the previous pivot is
+    exact, so the whole elimination runs in Python ints."""
     n = len(M)
-    M = [row[:] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
+    den = lcm(*(x.denominator for row in M for x in row))
+    A = [[x.numerator * (den // x.denominator) for x in row] for row in M]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if A[r][k]), None)
         if piv is None:
             return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col]:
-                f = M[r][col] * inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return det
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        row, akk = A[k], A[k][k]
+        for i in range(k + 1, n):
+            aik = A[i][k]
+            A[i] = [(akk * a - aik * b) // prev for a, b in zip(A[i], row)]
+        prev = akk
+    return Fraction(sign * A[-1][-1], den ** n)
 
 
 def _solve_fraction(M, rhs):

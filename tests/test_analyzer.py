@@ -956,10 +956,9 @@ NO_BRUTE_FORCE = [
 def test_certification_takes_no_determinant_or_solve(monkeypatch, counted,
                                                      warm):
     """Once another cover of the same case has filled the per-process
-    fields (with their inverse caches), a certified cover takes every
-    valuation, norm, power and inverse in closed form: no
-    multiplication-matrix determinant and no linear solve, its own locus
-    and centre towers included."""
+    caches, a certified cover takes every valuation, norm, power and
+    inverse in closed form: no multiplication-matrix determinant and no
+    linear solve, its own locus and centre included."""
     specs = branch_signature(*counted), branch_signature(*warm)
     assert len({_stable_case(sp.p, sp.n, sp.s) for sp in specs}) == 1
     assert analyze(*warm)["certified"] is True

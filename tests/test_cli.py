@@ -209,8 +209,24 @@ def test_bad_parameters_are_usage_errors(runner, args, message):
                                   '{"prime": 5, "n": 1, "components": [1], '
                                   '"edges": []}',
                                   '{"prime": 5, "n": 1, "components": [], '
-                                  '"edges": [], "signatures": ["x"]}'])
+                                  '"edges": [], "signatures": ["x"]}',
+                                  '{"prime": 5, "n": 1, "components": ['
+                                  '{"id": "a", "inertia_exponent": "1", '
+                                  '"kind": "tail"}, {"id": "b", '
+                                  '"kind": "original"}], "edges": ['
+                                  '{"source": "b", "target": "a"}]}',
+                                  '{"prime": 5, "n": 1, "components": ['
+                                  '{"id": "a"}, {"id": "b"}], "edges": ['
+                                  '{"source": "a", "target": "b", '
+                                  '"epaisseur": "3/0"}]}',
+                                  '{"prime": 5, "n": 1, "mG": 0, '
+                                  '"components": [{"id": "a", "kind": '
+                                  '"tail", "tail_kind": "new", '
+                                  '"sigma_b": "2"}], "edges": []}'])
 def test_validate_graph_malformed_file(runner, tmp_path, text):
+    """A file that is no graph exits 1 with one error line, not a
+    traceback: a string inertia exponent, a zero denominator and mG = 0
+    among them."""
     path = tmp_path / "bad.json"
     path.write_text(text)
     res = runner.invoke(main, ["validate-graph", str(path)])

@@ -786,18 +786,20 @@ def test_case_v_closed_forms_match_the_tower_k_l():
 def test_tower_centre_needs_no_inverse(monkeypatch, args, case, note):
     """On a tower centre the classifier reads the recurrence values K_l and
     the slope E v(r), so expanding and classifying for condition (ii) of
-    case (iii) inverts nothing.  The p = 2 congruence is decided in closed
-    form, with no tower product or inverse at all."""
+    case (iii) inverts nothing; the disk is built before the count starts,
+    as building its tower takes powers of the uniformizer.  The p = 2
+    congruence is decided in closed form, with no tower product or
+    inverse at all."""
     spec = branch_signature(*args)
     locus = new_tail_locus(spec)
     assert locus.case == case
+    disk = cubic_tower_disk(locus) if case != "p2" else None
     calls = _count_tower_calls(monkeypatch)
     if case == "p2":
         verdict = certify_tail(spec)
         assert calls["mul"] == 0, calls
     else:
-        verdict = classify_torsor_reduction(expand_disk(
-            spec, *cubic_tower_disk(locus)))
+        verdict = classify_torsor_reduction(expand_disk(spec, *disk))
     assert note in verdict.notes
     assert calls["inverse"] == 0, calls
 

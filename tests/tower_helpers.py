@@ -123,7 +123,7 @@ def q2_i() -> Tower:
 @cache
 def q2_zeta8() -> Tower:
     """K_3 = Q_2(zeta_8) = Q_2(i)(zeta_8), zeta_8^2 = i, built once per
-    process.  Both steps are quadratic, so its norms are relative norms."""
+    process."""
     k2 = q2_i()
     return k2.adjoin_radical(2, k2.gen(0), "zeta8")
 
