@@ -240,7 +240,7 @@ def certify_tail(spec: CoverSpec) -> ReductionVerdict:
     if locus.case == "p2":
         return classify_p2_torsor(spec, locus.v_e, locus.rho)
     return classify_torsor_reduction(
-        expand_disk(spec, locus.d, None, locus.v_e))
+        expand_disk(spec, locus.d, locus.v_e))
 
 
 # -- the case record ---------------------------------------------------------

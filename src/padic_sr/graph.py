@@ -85,7 +85,7 @@ class Component:
         disk = doc.get("disk") or {}
         up = doc.get("upstairs") or {}
         return cls(
-            id=doc["id"],
+            id=_name(doc["id"], "id"),
             inertia_exponent=operator.index(doc.get("inertia_exponent", 0)),
             genus=operator.index(doc.get("genus", 0)),
             kind=doc.get("kind", "interior"),
@@ -125,8 +125,8 @@ class GraphEdge:
     @classmethod
     def from_json(cls, doc):
         return cls(
-            source=doc["source"],
-            target=doc["target"],
+            source=_name(doc["source"], "source"),
+            target=_name(doc["target"], "target"),
             epaisseur=(parse_rat(doc["epaisseur"])
                        if "epaisseur" in doc else None),
             sigma_eff=(parse_rat(doc["sigma_eff"])
@@ -275,7 +275,8 @@ class DecoratedGraph:
     @classmethod
     def from_json(cls, doc):
         """The graph of a JSON document.  The integer fields must be
-        integers (TypeError otherwise) and mG at least 1 (ValueError)."""
+        integers and the component ids and edge ends strings (TypeError
+        otherwise), and mG at least 1 (ValueError)."""
         mG = operator.index(doc.get("mG", 1))
         if mG < 1:
             raise ValueError(f"mG = {mG} is not a positive integer")
@@ -289,6 +290,14 @@ class DecoratedGraph:
             signatures=tuple(_signature_from_json(sig)
                              for sig in doc.get("signatures", [])),
         )
+
+
+def _name(value, field: str) -> str:
+    """A component name read from JSON: a string, TypeError otherwise."""
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, not "
+                        f"{type(value).__name__}")
+    return value
 
 
 def _signature_from_json(sig) -> dict:

@@ -18,8 +18,10 @@ exact three-term recurrence
     d(d-1)(l+1) h_{l+1} = (a(d-1) + b d - (2d-1) l) h_l + (a+b-l+1) h_{l-1}
 
 with h_0 = 1, h_{-1} = 0.  `expand_disk` runs it fraction-free, in the ring
-of the centre.  Let N be the least common denominator of the coordinates of
-d, delta = N d and delta' = delta - N = N(d-1).  Multiplying the defining sum
+of the centre: the integers for a `Fraction` centre, the integer triples
+of Z[t]/(t^3 - r) for a `CubicCentre`, the only two kinds of centre it
+takes.  Let N be the least common denominator of the coordinates of d,
+delta = N d and delta' = delta - N = N(d-1).  Multiplying the defining sum
 by d^l (d-1)^l N^l gives
 
     h_l = N^l K_l / (delta delta')^l,
@@ -34,8 +36,7 @@ and substituting h_l into the recurrence above and multiplying through by
 with K_0 = 1, K_{-1} = 0.  No inverse is needed.  When d is rational,
 delta and delta' are integers and so is every C(a, k) C(b, j), so the sum
 makes K_l an integer: the recurrence runs on Python integers and its
-division by l+1 is exact (checked, never floored).  Otherwise delta is a
-tower element with integer coordinates and the recurrence runs in the tower.
+division by l+1 is exact (checked, never floored).
 
 Rational centres.  In cases (i), (ii) and (iv) the centre a/(a+b) and the
 radius v(e) = (2n - s + 1/(p-1))/2 are exact rationals, and nothing below
@@ -45,9 +46,7 @@ tower is built.  N and delta are the denominator and numerator of d, every
 valuation is v_p of an integer, and the profile scale is
 E = lcm(den v(e), p - 1), which is 2(p-1) on the locus: the ramification
 index of Q_p(e) there.  The whole certification costs O(L) integer
-operations.  A rational centre given as an element of a tower, with e in
-that tower, runs the same integer recurrence but reads its valuations from
-the tower.
+operations.
 
 Cubic centres.  The case (iii) centre (p = 3, s = 1 < n) is
 d = (a + t)/(a+b) with t^3 = r = 3^(2n+1) C(b, 3), v_3(r) = 3n - 1.  A
@@ -245,48 +244,38 @@ class DiskExpansion:
     """The cover equation restricted to the disk x = d + e t, as the values
     K_0 .. K_L with c_l = r^l K_l (module docstring).
 
-    `expand_disk` passes r_factors = (N, delta, delta'), so that r = N e /
-    (delta delta') and the K_l are the recurrence values, integers for a
-    rational centre.  An expansion made from a list, DiskExpansion(spec, d,
-    e, coeffs), has K_l = c_l and r = 1.  Its length L, `truncation`, is
-    that of the list.
-
-    The centre d is a `Fraction`, a `CubicCentre` or an element of a tower
-    (`tower`, None for the other two).  A Fraction or cubic centre has no
-    e: the caller passes v_e = v(e), and the K_l must be integers, or
-    integer triples for a cubic centre.  A tower centre takes v(e) from e.
+    The centre d is a `Fraction` or a `CubicCentre`, and e is given only by
+    its valuation v_e = v(e).  r_factors = (N, delta, delta'), so that r =
+    N e / (delta delta'), and the K_l are integers for a Fraction centre
+    and integer triples for a cubic one: `expand_disk` passes the values of
+    the recurrence, to L = 2p.  The length L, `truncation`, is that of the
+    list.
 
     Profiles are kept scaled by E = `scale`, as the integers E v(c_l) =
-    l `slope` + E v(K_l) of `scaled_profile()`: every valuation in the tower
+    l `slope` + E v(K_l) of `scaled_profile()`: every valuation on the disk
     and the classifier's threshold n + 1/(p-1) lie in (1/E)Z, so the
     classifiers compare integers.  `profile()` builds the Fractions v(c_l)
     from that list.
     """
 
-    def __init__(self, spec, d, e, coeffs, r_factors=None, v_e=None):
+    def __init__(self, spec, d, v_e, coeffs, r_factors):
+        if not isinstance(d, (Fraction, CubicCentre)):
+            raise TypeError(_centre_kind_error(d))
+        if not isinstance(v_e, (int, Fraction)):
+            raise TypeError(f"v(e) is an int or a Fraction, not "
+                            f"{type(v_e).__name__}")
+        check_prime(spec.p)  # the profile's v_p loop relies on it
         self.spec = spec  # anything with fields p, n, a, b, s
         self.d = d
-        self.e = e
-        self.ks = list(coeffs)  # K_0 .. K_L: integers, triples or elements
-        self.r_factors = r_factors  # (N, delta, delta'), or None for r = 1
+        self.v_e = v_e
+        self.ks = list(coeffs)  # K_0 .. K_L: integers or integer triples
+        self.r_factors = r_factors  # (N, delta, delta')
         self._scaled = None
         self._vr = None  # v_p(r) of a cubic centre
-        if isinstance(d, (Fraction, CubicCentre)):
-            if e is not None or v_e is None:
-                raise ValueError("a rational or cubic centre takes v(e), "
-                                 "not e")
-            check_prime(spec.p)  # the profile's v_p loop relies on it
-            self.tower = None
-            self.v_e = v_e
-            if isinstance(d, CubicCentre):
-                self._vr = vp_int(d.r, spec.p)
-                if self._vr % 3 == 0:
-                    raise ValueError("a cubic centre needs v_p(r) prime "
-                                     "to 3")
-        else:
-            if v_e is not None:
-                raise ValueError("a tower centre takes e, not v(e)")
-            self.tower = d.tower
+        if isinstance(d, CubicCentre):
+            self._vr = vp_int(d.r, spec.p)
+            if self._vr % 3 == 0:
+                raise ValueError("a cubic centre needs v_p(r) prime to 3")
 
     @property
     def truncation(self) -> int:
@@ -295,61 +284,40 @@ class DiskExpansion:
 
     @cached_property
     def scale(self) -> int:
-        """E: for a tower centre, the tower's ramification index (its degree
-        when the index is not exactly known), for a rational centre the
-        denominator of v(e), and for a cubic centre that times 3; times
+        """E: the denominator of v(e), times 3 for a cubic centre, times
         what makes 1/(p-1) a multiple of 1/E."""
-        tower = self.tower
-        if tower is None:
-            return lcm(self.v_e.denominator, 1 if self._vr is None else 3,
-                       self.spec.p - 1)
-        e = tower.ram_index if tower.ram_exact else tower.degree
-        return lcm(e, self.spec.p - 1)
-
-    @cached_property
-    def v_e(self) -> Fraction:
-        """v(e), computed once for the profile and the classifier (given by
-        the caller for a rational centre)."""
-        return self.tower.val(self.e)
+        return lcm(self.v_e.denominator, 1 if self._vr is None else 3,
+                   self.spec.p - 1)
 
     @cached_property
     def slope(self) -> int:
-        """E v(r) = E (v(e) + v(N) - v(delta) - v(delta')), 0 when r = 1."""
-        if self.r_factors is None:
-            return 0
+        """E v(r) = E (v(e) + v(N) - v(delta) - v(delta'))."""
         N, delta, delta1 = self.r_factors
         return (_scaled(self.v_e, self.scale) + self._scaled_val(N)
                 - self._scaled_val(delta) - self._scaled_val(delta1))
 
     def _scaled_val(self, x) -> int:
-        """E v(x) for a nonzero integer, triple of a cubic centre's ring or
-        element of the centre's tower."""
-        E, tower = self.scale, self.tower
+        """E v(x) for a nonzero integer or triple of a cubic centre's
+        ring."""
+        E, p = self.scale, self.spec.p
         if isinstance(x, tuple):
             # the least v_p(c_j) + j v(t) (module docstring, "Cubic centres")
-            p, et = self.spec.p, E * self._vr // 3
+            et = E * self._vr // 3
             return min(E * _vp(c, p) + j * et for j, c in enumerate(x) if c)
-        if tower is None:
-            return E * vp_int(x, self.spec.p)
-        if isinstance(x, int):
-            return E * vp_int(x, tower.p)
-        return _scaled(tower.val(x), E)
+        return E * vp_int(x, p)
 
     def scaled_profile(self):
         """[E v(c_l)] for l = 0 .. L as integers, E = `scale`, with None for
         zero coefficients (valuation +inf)."""
         if self._scaled is None:
-            E, slope = self.scale, self.slope
-            if self._vr is not None:
-                prof = [l * slope + self._scaled_val(k) if any(k) else None
-                        for l, k in enumerate(self.ks)]
-            elif self.tower is None:
+            slope = self.slope
+            if self._vr is None:
                 # integer K_l; p was checked prime at construction
-                p = self.spec.p
+                E, p = self.scale, self.spec.p
                 prof = [l * slope + E * _vp(k, p) if k else None
                         for l, k in enumerate(self.ks)]
             else:
-                prof = [None if k == 0 else l * slope + self._scaled_val(k)
+                prof = [l * slope + self._scaled_val(k) if any(k) else None
                         for l, k in enumerate(self.ks)]
             self._scaled = prof
         return self._scaled
@@ -415,41 +383,25 @@ class ReductionVerdict:
         return doc
 
 
-def expand_disk(spec, d, e, v_e: Fraction | None = None) -> DiskExpansion:
-    """Expand the normalized cover equation on the disk x = d + e t up to
-    t^L, L = 2p, by the fraction-free recurrence of the module docstring,
-    in integers when d is rational, on integer triples when d is a
-    `CubicCentre`, and in d's tower otherwise.
-
-    d is a `Fraction`, a `CubicCentre` or a tower element.  A Fraction or
-    cubic centre is given with e = None and the radius valuation
-    v_e = v(e), and builds no tower; a tower centre is given with e, an
-    element of (or coercible into) its tower."""
+def expand_disk(spec, d, v_e) -> DiskExpansion:
+    """Expand the normalized cover equation on the disk x = d + e t, of
+    radius valuation v_e = v(e), up to t^L, L = 2p, by the fraction-free
+    recurrence of the module docstring: in integers when d is a `Fraction`,
+    on integer triples when d is a `CubicCentre`.  Any other centre raises
+    TypeError."""
     L = default_truncation(spec.p)
     a, b = spec.a, spec.b
-    if isinstance(d, Fraction):
-        if d == 0 or d == 1:
-            raise CenterOnBranchLocus("disk center lies on the branch locus")
-        N, delta = d.denominator, d.numerator
-    elif isinstance(d, CubicCentre):
+    if isinstance(d, CubicCentre):
         N, delta = d.den, d.nums
         if delta in ((0, 0, 0), (N, 0, 0)):
             raise CenterOnBranchLocus("disk center lies on the branch locus")
         ks, delta1 = _cubic_ks(a, b, N, delta, d.r, L)
-        return DiskExpansion(spec, d, e, ks, (N, delta, delta1), v_e)
-    else:
-        tower = d.tower
-        e = tower.coerce(e)
-        if d.is_zero() or (d - 1).is_zero():
-            raise CenterOnBranchLocus("disk center lies on the branch locus")
-        if e.is_zero():
-            return DiskExpansion(spec, d, e,
-                                 [tower.one()] + [tower.zero()] * L)
-        N = d.den
-        if d.nums.keys() == {(0,) * len(tower.steps)}:
-            (delta,) = d.nums.values()
-        else:
-            delta = d * N
+        return DiskExpansion(spec, d, v_e, ks, (N, delta, delta1))
+    if not isinstance(d, Fraction):
+        raise TypeError(_centre_kind_error(d))
+    if d == 0 or d == 1:
+        raise CenterOnBranchLocus("disk center lies on the branch locus")
+    N, delta = d.denominator, d.numerator
     delta1 = delta - N
     # (l+1) K_{l+1} = A_l K_l + (a+b-l+1) P K_{l-1}, with
     # A_l = a delta' + b delta - S l and P = delta delta'
@@ -458,21 +410,20 @@ def expand_disk(spec, d, e, v_e: Fraction | None = None) -> DiskExpansion:
     P = delta * delta1
     ks = [1]
     k_prev, k = 0, 1
-    if isinstance(delta, int):
-        for l in range(L):
-            x = A * k + (a + b - l + 1) * P * k_prev
-            k_prev, (k, rem) = k, divmod(x, l + 1)
-            if rem:
-                raise ArithmeticError(f"{x} is not divisible by {l + 1}")
-            A -= S
-            ks.append(k)
-    else:
-        for l in range(L):
-            k_prev, k = k, ((A * k + (a + b - l + 1) * P * k_prev)
-                            * Fraction(1, l + 1))
-            A = A - S
-            ks.append(k)
-    return DiskExpansion(spec, d, e, ks, (N, delta, delta1), v_e)
+    for l in range(L):
+        x = A * k + (a + b - l + 1) * P * k_prev
+        k_prev, (k, rem) = k, divmod(x, l + 1)
+        if rem:
+            raise ArithmeticError(f"{x} is not divisible by {l + 1}")
+        A -= S
+        ks.append(k)
+    return DiskExpansion(spec, d, v_e, ks, (N, delta, delta1))
+
+
+def _centre_kind_error(d) -> str:
+    """The TypeError message for a disk centre of another kind."""
+    return (f"a disk centre is a Fraction or a CubicCentre, not "
+            f"{type(d).__name__}")
 
 
 def _cubic_ks(a, b, N, delta, r, L):
@@ -533,9 +484,7 @@ def _check_tail_premises(exp):
                         Fraction(exp._scaled_val((c0 - d.den, c1, c2)) - v_den,
                                  E))
         return
-    val = (exp.tower.val if exp.tower is not None
-           else lambda x: vp_rational(x, p))
-    _check_premises(exp.spec, val(d), val(d - 1))
+    _check_premises(exp.spec, vp_rational(d, p), vp_rational(d - 1, p))
 
 
 def _check_premises(spec, v_d, v_d1):
@@ -602,10 +551,9 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     """Reduction type of the Artin-Schreier torsor (p odd) from the
     valuation profile, compared as integers scaled by E = exp.scale against
     E tau, tau = n + 1/(p-1).  Reads the K_l and exp.slope only (module
-    docstring): no coefficient is built and nothing is inverted.  A
-    rational or cubic centre has no e, and its v(e) is finite, so its
-    expansion is never constant.  A p = 2 expansion is refused with ValueError: the
-    mu_4-torsors of case (v) are classified by classify_p2_torsor."""
+    docstring): no coefficient is built and nothing is inverted.  A p = 2
+    expansion is refused with ValueError: the mu_4-torsors of case (v) are
+    classified by classify_p2_torsor."""
     spec = exp.spec
     p, n = spec.p, spec.n
     if not exp.ks or (exp.ks[0] != 1 and exp.ks[0] != (1, 0, 0)):
@@ -613,8 +561,6 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     if p == 2:
         raise ValueError("p = 2 torsors are classified by "
                          "classify_p2_torsor")
-    if exp.tower is not None and exp.e.is_zero():
-        return ReductionVerdict("NotCertified", reason="constant expansion")
     prof = exp.scaled_profile()
     E = exp.scale
     tau = n + Fraction(1, p - 1)

@@ -12,13 +12,8 @@ from functools import lru_cache
 
 from padic_sr.analyzer import _stable_case
 from padic_sr.errors import PrecisionExhausted
-from padic_sr.series import (
-    ReductionVerdict,
-    _check_tail_premises,
-    check_tail_dominated,
-    expand_disk,
-)
-from tower_helpers import q2_i
+from padic_sr.series import ReductionVerdict, check_tail_dominated
+from tower_helpers import q2_i, tower_expand_disk
 
 
 @lru_cache(maxsize=2)
@@ -66,7 +61,7 @@ def tower_locus(spec):
 
 
 def classify_p2(exp) -> ReductionVerdict:
-    """The mu_4 classifier on a tower expansion: v(c_2) = n, v(c_l) >= n + 1
+    """The mu_4 classifier on a TowerExpansion: v(c_2) = n, v(c_l) >= n + 1
     for 3 <= l <= L = 4 with the tail bound beyond, and the congruence
     c_1^2 / c_2 = 2^(n+1) i mod 2^(n+2) as X = K_1^2 - 2^(n+1) i K_2."""
     spec = exp.spec
@@ -76,8 +71,6 @@ def classify_p2(exp) -> ReductionVerdict:
     E = exp.scale
     if not exp.ks or exp.ks[0] != 1:
         raise ValueError("expansion is not normalized to c_0 = 1")
-    if exp.e.is_zero():
-        return ReductionVerdict("NotCertified", reason="constant expansion")
     if n < 2:
         return ReductionVerdict("NotCertified",
                                 reason="p = 2 requires n >= 2")
@@ -91,7 +84,7 @@ def classify_p2(exp) -> ReductionVerdict:
             reasons.append(f"v(c_{l}) < n + 1")
             break
     try:
-        _check_tail_premises(exp)
+        exp.check_tail_premises()
         check_tail_dominated(spec, exp.v_e, exp.truncation, tau, strict=False)
     except PrecisionExhausted as exc:
         reasons.append(str(exc))
@@ -117,4 +110,4 @@ def certify_tail(spec) -> ReductionVerdict:
     """The case (v) certify_tail through the tower: the centre in
     Q_2(i)(w), the expansion there, and classify_p2."""
     d, e = tower_locus(spec)
-    return classify_p2(expand_disk(spec, d, e))
+    return classify_p2(tower_expand_disk(spec, d, e))

@@ -117,7 +117,7 @@ def test_criterion_2_small_prime_cells():
             spec = _draw_pair(rng, p, n, s)
             if p == 3:
                 locus = new_tail_locus(spec)  # rational or cubic centre
-                exp = expand_disk(spec, locus.d, None, locus.v_e)
+                exp = expand_disk(spec, locus.d, locus.v_e)
                 from padic_sr.series import classify_torsor_reduction
                 v = classify_torsor_reduction(exp)
                 ok = ok and v.kind == "SplitsArtinSchreier"

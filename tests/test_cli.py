@@ -222,11 +222,18 @@ def test_bad_parameters_are_usage_errors(runner, args, message):
                                   '{"prime": 5, "n": 1, "mG": 0, '
                                   '"components": [{"id": "a", "kind": '
                                   '"tail", "tail_kind": "new", '
-                                  '"sigma_b": "2"}], "edges": []}'])
+                                  '"sigma_b": "2"}], "edges": []}',
+                                  '{"prime": 5, "n": 1, "components": ['
+                                  '{"id": ["x"], "kind": "original"}], '
+                                  '"edges": []}',
+                                  '{"prime": 5, "n": 1, "components": ['
+                                  '{"id": "a", "kind": "original"}], '
+                                  '"edges": [{"source": "a", '
+                                  '"target": {"a": 1}}]}'])
 def test_validate_graph_malformed_file(runner, tmp_path, text):
     """A file that is no graph exits 1 with one error line, not a
-    traceback: a string inertia exponent, a zero denominator and mG = 0
-    among them."""
+    traceback: a string inertia exponent, a zero denominator, mG = 0 and
+    a component id or edge end that is no string among them."""
     path = tmp_path / "bad.json"
     path.write_text(text)
     res = runner.invoke(main, ["validate-graph", str(path)])

@@ -1,8 +1,10 @@
 """Disk expansions and torsor-reduction classification: frozen oracle
 values, the independent sympy expansion oracle, brute-force oracles for the
-expansion recurrence and the closed-form tail bound, and the classifier's
-certified verdicts."""
+expansion recurrence and the closed-form tail bound, the tower expansion of
+tests/tower_helpers.py as the oracle of the Fraction and cubic centres, and
+the classifier's certified verdicts."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -36,10 +38,15 @@ from padic_sr.series import (
     expand_disk,
     tail_bound,
 )
-from padic_sr.tower import Tower, TowerElement, vp_rational
+from padic_sr.tower import Tower, TowerElement, vp_int, vp_rational
 import p2_oracle
 from p2_oracle import classify_p2, tower_locus
-from tower_helpers import cubic_tower_disk, make_tower
+from tower_helpers import (
+    TowerExpansion,
+    cubic_tower_disk,
+    make_tower,
+    tower_expand_disk,
+)
 
 
 def _spec(p, n, a, b, s):
@@ -71,16 +78,21 @@ def _expand_locus(spec):
     """The expansion certify_tail classifies: a rational or cubic centre
     by its v(e)."""
     locus = new_tail_locus(spec)
-    return expand_disk(spec, locus.d, None, locus.v_e)
+    return expand_disk(spec, locus.d, locus.v_e)
+
+
+def _r(exp):
+    """r = N e / (delta delta') of a TowerExpansion, 1 for one made from a
+    list."""
+    if exp.r_factors is None:
+        return 1
+    N, delta, delta1 = exp.r_factors
+    return exp.e * (Fraction(N) / (delta * delta1))
 
 
 def _coeffs(exp):
-    """The coefficients c_0 .. c_L of a tower expansion, c_l = r^l K_l with
-    r = N e / (delta delta')."""
-    if exp.r_factors is None:
-        return list(exp.ks)
-    N, delta, delta1 = exp.r_factors
-    r = exp.e * (Fraction(N) / (delta * delta1))
+    """The coefficients c_0 .. c_L of a TowerExpansion, c_l = r^l K_l."""
+    r = _r(exp)
     return [r ** l * k for l, k in enumerate(exp.ks)]
 
 
@@ -106,14 +118,10 @@ def _reference_ks(spec, d, L):
     K_l = sum_j C(a, l-j) C(b, j) delta^j delta'^(l-j), delta = N d and
     delta' = delta - N, not by the recurrence; with r_factors (N, delta,
     delta').  Integers for a Fraction centre, integer triples for a
-    CubicCentre, tower elements otherwise."""
+    CubicCentre."""
     if isinstance(d, CubicCentre):
         return _reference_cubic_ks(spec, d, L)
-    if isinstance(d, Fraction):
-        N, delta = d.denominator, d.numerator
-    else:
-        N = d.den
-        delta = d * N
+    N, delta = d.denominator, d.numerator
     delta1 = delta - N
     ca, cb = [1], [1]  # C(x, k + 1) = C(x, k) (x - k) / (k + 1), exactly
     for k in range(L):
@@ -172,16 +180,13 @@ def _reference_tail_bound(p, n, s, v_e, l, vp_table):
 
 
 def test_default_truncation():
-    """Every expansion runs to L = 2p, the one length, on a tower centre,
-    a Fraction centre and the constant expansion alike."""
+    """Every expansion runs to L = 2p, the one length, on a Fraction centre
+    and a cubic centre alike."""
     for p in (2, 3, 5, 13):
         assert default_truncation(p) == 2 * p
         spec = _spec(p, 1, 1, 1, 1)
-        t = make_tower(p, [])
-        for exp in (expand_disk(spec, t.rational(Fraction(1, 2)),
-                                Fraction(1, 5)),
-                    expand_disk(spec, Fraction(1, 2), None, Fraction(1, 5)),
-                    expand_disk(spec, t.rational(Fraction(1, 2)), 0)):
+        for d in (Fraction(1, 2), CubicCentre((1, 1, 0), 2, p)):
+            exp = expand_disk(spec, d, Fraction(1, 5))
             assert exp.truncation == 2 * p
             assert len(exp.ks) == len(exp.profile()) == 2 * p + 1
 
@@ -196,53 +201,50 @@ def test_binom_falling():
 def test_frozen_p5_n1_expansion():
     """p=5, n=s=1, a=b=1, d=1/2, v(e)=5/8: c_1 = 0 and c_2 = -4 e^2 with
     v(c_2) = 5/4 = n + 1/(p-1) (the -4 is frozen from the independent
-    expansion oracle; the quoted unit 8 deviates by the factor -2)."""
+    expansion oracle; the quoted unit 8 deviates by the factor -2).  The
+    Fraction centre has r = N e / (delta delta') = -2e, so K_2 = -1."""
+    exp = expand_disk(_spec(5, 1, 1, 1, 1), Fraction(1, 2), Fraction(5, 8))
+    assert exp.r_factors == (2, 1, -1)
+    assert exp.ks[:3] == [1, 0, -1]
+    assert exp.profile()[2] == Fraction(5, 4)
+    # the same disk in Q_5(pi), pi^8 = 5, e = pi^5, on the tower oracle
     t = make_tower(5, [(8, 5)])
-    e = t.gen(0) ** 5  # v = 5/8
-    d = t.rational(Fraction(1, 2))
-    exp = expand_disk(_spec(5, 1, 1, 1, 1), d, e)
-    coeffs = _coeffs(exp)
+    e = t.gen(0) ** 5
+    oracle = tower_expand_disk(_spec(5, 1, 1, 1, 1),
+                               t.rational(Fraction(1, 2)), e)
+    coeffs = _coeffs(oracle)
     assert coeffs[1].is_zero()
     assert (coeffs[2] - (-4) * e * e).is_zero()
-    assert exp.profile()[2] == Fraction(5, 4)
-    # the same disk as the Fraction 1/2 with v(e) = 5/8
-    rational = expand_disk(_spec(5, 1, 1, 1, 1), Fraction(1, 2), None,
-                           Fraction(5, 8))
-    assert rational.profile() == exp.profile()
-
-
-def test_constant_expansion():
-    t = make_tower(5, [])
-    exp = expand_disk(_spec(5, 1, 1, 1, 1), t.rational(Fraction(1, 2)),
-                      t.rational(0))
-    coeffs = _coeffs(exp)
-    assert (coeffs[0] - 1).is_zero()
-    assert all(c.is_zero() for c in coeffs[1:])
-    verdict = classify_torsor_reduction(exp)
-    assert verdict.kind == "NotCertified"
+    assert oracle.profile() == exp.profile()
 
 
 def test_center_on_branch_locus():
-    t = make_tower(5, [])
-    with pytest.raises(CenterOnBranchLocus):
-        expand_disk(_spec(5, 1, 1, 1, 1), t.rational(1), t.rational(1))
-    for d in (Fraction(0), Fraction(1)):
+    for d in (Fraction(0), Fraction(1), CubicCentre((0, 0, 0), 1, 3),
+              CubicCentre((2, 0, 0), 2, 3)):
         with pytest.raises(CenterOnBranchLocus):
-            expand_disk(_spec(5, 1, 1, 1, 1), d, None, Fraction(5, 8))
+            expand_disk(_spec(5, 1, 1, 1, 1), d, Fraction(5, 8))
 
 
 def test_radius_given_once():
-    """A Fraction centre takes v(e) and no e; a tower centre takes e and no
-    v(e)."""
+    """An expansion takes a Fraction or a CubicCentre with v(e): a tower
+    element as the centre raises TypeError naming the two kinds, in
+    expand_disk and in DiskExpansion, and so does a missing v(e)."""
     t = make_tower(5, [(8, 5)])
     spec = _spec(5, 1, 1, 1, 1)
-    for d, e, v_e in ((Fraction(1, 2), t.gen(0) ** 5, None),
-                      (Fraction(1, 2), t.gen(0) ** 5, Fraction(5, 8)),
-                      (Fraction(1, 2), None, None),
-                      (t.rational(Fraction(1, 2)), t.gen(0) ** 5,
-                       Fraction(5, 8))):
-        with pytest.raises(ValueError, match="takes"):
-            expand_disk(spec, d, e, v_e)
+    for d in (t.rational(Fraction(1, 2)), t.gen(0) + 2):
+        with pytest.raises(TypeError, match="a disk centre is a Fraction "
+                                            "or a CubicCentre, not "
+                                            "TowerElement"):
+            expand_disk(spec, d, Fraction(5, 8))
+        with pytest.raises(TypeError, match="a Fraction or a CubicCentre"):
+            DiskExpansion(spec, d, Fraction(5, 8), [1], (2, 1, -1))
+    for d in (Fraction(1, 2), CubicCentre((1, 1, 0), 2, 5)):
+        with pytest.raises(TypeError, match="v_e"):
+            expand_disk(spec, d)
+        for v_e in (None, t.gen(0) ** 5):
+            with pytest.raises(TypeError, match="v\\(e\\) is an int or a "
+                                                "Fraction"):
+                expand_disk(spec, d, v_e)
 
 
 def test_frozen_v_c3_identity():
@@ -276,11 +278,11 @@ def test_valuation_profile_identity(p, n, a, b):
 
 
 def test_coefficient_identity_sympy_oracle():
-    """c_l from expand_disk equals the t^l coefficient of the direct
-    polynomial expansion of c (d + e t)^a (d + e t - 1)^b."""
+    """c_l = r^l K_l from expand_disk, with r = N e / (delta delta') for a
+    rational e, equals the t^l coefficient of the direct polynomial
+    expansion of c (d + e t)^a (d + e t - 1)^b."""
     rng = random.Random(77)
     t_sym, e_sym = sp.symbols("t e")
-    tower = make_tower(5, [])
     for _ in range(8):
         a = rng.randint(1, 5)
         b = rng.randint(1, 5)
@@ -289,15 +291,16 @@ def test_coefficient_identity_sympy_oracle():
             continue
         e = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         spec = _spec(5, 1, a, b, 1)
-        exp = expand_disk(spec, tower.rational(d), tower.rational(e))
+        exp = expand_disk(spec, d, vp_rational(e, 5))
+        N, delta, delta1 = exp.r_factors
+        r = e * N / (delta * delta1)
         dq = sp.Rational(d.numerator, d.denominator)
         eq = sp.Rational(e.numerator, e.denominator)
         c = dq ** (-a) * (dq - 1) ** (-b)
         poly = sp.expand(c * (dq + eq * t_sym) ** a * (dq + eq * t_sym - 1) ** b)
         for l in range(0, min(10, a + b) + 1):
             want = Fraction(sp.nsimplify(poly.coeff(t_sym, l)))
-            got = _coeffs(exp)[l]
-            assert (got - want).is_zero()
+            assert r ** l * exp.ks[l] == want
 
 
 def test_verdict_p5_n1():
@@ -321,25 +324,39 @@ def test_verdict_p3_condition_ii():
     assert exp.profile()[3] == 2 + Fraction(1, 4)
 
 
+def _crafted(spec, coeffs):
+    """(oracle, fake) for a crafted profile c_0 .. c_L in Q_5(pi), pi^8 = 5,
+    on the disk of centre 1/2 and e = pi^5.  The oracle is the
+    TowerExpansion made from the list, with r = 1.  The fake, which
+    classify_torsor_reduction reads, is the same expansion with its centre
+    given as the Fraction 1/2, so that the tail premises v_5(d) =
+    v_5(d - 1) = 0 are read with v_p."""
+    t = coeffs[0].tower
+    oracle = TowerExpansion(spec, t.rational(Fraction(1, 2)), t.gen(0) ** 5,
+                            coeffs)
+    fake = copy.copy(oracle)
+    fake.d = Fraction(1, 2)
+    return oracle, fake
+
+
 def test_not_certified_min_at_p_index():
     t = make_tower(5, [(8, 5)])
     spec = _spec(5, 1, 1, 1, 1)
-    d = t.rational(Fraction(1, 2))
-    e = t.gen(0) ** 5
     coeffs = [t.one(), t.zero(), t.zero(), t.zero(), t.zero(),
               t.gen(0) ** 10, t.zero()]
-    exp = DiskExpansion(spec, d, e, coeffs)
-    verdict = classify_torsor_reduction(exp)
+    verdict = classify_torsor_reduction(_crafted(spec, coeffs)[1])
     assert verdict.kind == "NotCertified"
     assert verdict.reason == "minimum at index divisible by p"
 
 
 def test_classifier_refuses_unnormalized_expansion():
-    """c_0 must be 1, read as K_0 == 1 of the expansion."""
-    t = make_tower(5, [(8, 5)])
-    d, e = t.rational(Fraction(1, 2)), t.gen(0) ** 5
-    for coeffs in ([], [t.rational(2)] + [t.zero()] * 6):
-        exp = DiskExpansion(_spec(5, 1, 1, 1, 1), d, e, coeffs)
+    """c_0 must be 1, read as K_0 == 1 of the expansion, on a Fraction
+    centre and on a cubic centre."""
+    spec = _spec(5, 1, 1, 1, 1)
+    for d, ks in ((Fraction(1, 2), []), (Fraction(1, 2), [2] + [0] * 10),
+                  (CubicCentre((1, 1, 0), 2, 5), [(2, 0, 0)] +
+                   [(0, 0, 0)] * 10)):
+        exp = DiskExpansion(spec, d, Fraction(5, 8), ks, (2, 1, -1))
         with pytest.raises(ValueError, match="normalized to c_0 = 1"):
             classify_torsor_reduction(exp)
 
@@ -357,7 +374,7 @@ def test_tail_bound_is_a_true_lower_bound():
     spec = branch_signature(5, 2, 3, 10)
     locus = new_tail_locus(spec)
     ks, r_factors = _reference_ks(spec, locus.d, 12)
-    exp = DiskExpansion(spec, locus.d, None, ks, r_factors, locus.v_e)
+    exp = DiskExpansion(spec, locus.d, locus.v_e, ks, r_factors)
     for l in range(1, 13):
         v = exp.profile()[l]
         if v is None:
@@ -373,24 +390,21 @@ def test_tail_bound_is_a_true_lower_bound():
 ])
 def test_expansion_matches_double_sum(p, n, a, b, case):
     """The recurrence gives exactly the coordinates of the double sum at the
-    default truncation, for every new-tail locus case."""
+    default truncation, for every new-tail locus case: the tower oracle's
+    coefficients, and the K_l of a Fraction or cubic centre."""
     spec = branch_signature(p, n, a, b)
     locus = new_tail_locus(spec)
     assert locus.case == case
     d, e = _tower_disk(spec, locus)
     L = default_truncation(p)
-    exp = expand_disk(spec, d, e)
+    exp = tower_expand_disk(spec, d, e)
     want = _reference_expansion(spec, d, e, L)
     assert len(_coeffs(exp)) == L + 1
     assert [c.coords for c in _coeffs(exp)] == [c.coords for c in want]
-    # e = 0: the constant expansion on both paths
-    zero = expand_disk(spec, d, d.tower.zero())
-    want = _reference_expansion(spec, d, d.tower.zero(), L)
-    assert [c.coords for c in _coeffs(zero)] == [c.coords for c in want]
-    if case == "p3s1":
-        # the cubic centre's triples are the double sum in Z[t]/(t^3 - r)
-        cubic = expand_disk(spec, locus.d, None, locus.v_e)
-        assert (cubic.ks, cubic.r_factors) == _reference_ks(spec, locus.d, L)
+    if case != "p2":
+        # the integers, or the triples in Z[t]/(t^3 - r), of the double sum
+        fast = expand_disk(spec, locus.d, locus.v_e)
+        assert (fast.ks, fast.r_factors) == _reference_ks(spec, locus.d, L)
 
 
 DOUBLE_SUM_CASES = [
@@ -403,14 +417,18 @@ def _eager_profile(tower, coeffs):
     return [None if c.is_zero() else tower.val(c) for c in coeffs]
 
 
-def _check_against_reference(spec, d, e):
-    """profile() and the coefficients both agree with the double sum, read
-    in that order from one fresh expansion."""
+def _check_against_reference(spec, d, e, centre=None):
+    """profile() and the coefficients of the tower oracle both agree with
+    the double sum, and so does the profile of the same disk given as a
+    Fraction or cubic centre with v(e), when there is one."""
     want = _reference_expansion(spec, d, e, default_truncation(spec.p))
-    exp = expand_disk(spec, d, e)
-    assert exp.profile() == _eager_profile(d.tower, want)
+    eager = _eager_profile(d.tower, want)
+    exp = tower_expand_disk(spec, d, e)
+    assert exp.profile() == eager
     assert [c.coords for c in _coeffs(exp)] == [c.coords for c in want]
     assert exp.profile() == _eager_profile(d.tower, _coeffs(exp))
+    if centre is not None:
+        assert expand_disk(spec, centre, exp.v_e).profile() == eager
 
 
 @pytest.mark.parametrize("p,n,a,b", DOUBLE_SUM_CASES)
@@ -418,15 +436,18 @@ def test_profile_matches_eager_valuations(p, n, a, b):
     """The profile read off the recurrence values K_l equals the valuations
     of the eagerly built coefficients, on every new-tail locus case."""
     spec = branch_signature(p, n, a, b)
-    d, e = _tower_disk(spec, new_tail_locus(spec))
-    _check_against_reference(spec, d, e)
+    locus = new_tail_locus(spec)
+    d, e = _tower_disk(spec, locus)
+    _check_against_reference(spec, d, e,
+                             None if locus.case == "p2" else locus.d)
 
 
 def test_profile_matches_eager_valuations_off_locus():
     """The same oracle at seeded random centres that are not a/(a+b):
     rationals whose numerator, denominator or d - 1 may be divisible by p
-    (so v(N), v(d) and v(d-1) all enter the valuation slope), and tower
-    centres with a non-integral generator coordinate."""
+    (so v(N), v(d) and v(d-1) all enter the valuation slope), given as
+    Fractions too, and tower centres with a non-integral generator
+    coordinate."""
     rng = random.Random(5)
     checked = 0
     for p in (3, 5, 7):
@@ -439,7 +460,7 @@ def test_profile_matches_eager_valuations_off_locus():
                 continue
             spec = _spec(p, 2, rng.randint(1, 6), rng.randint(-9, 12), 1)
             e = pi ** rng.randint(0, 4 * (p - 1))
-            _check_against_reference(spec, tower.rational(d), e)
+            _check_against_reference(spec, tower.rational(d), e, d)
             centre = tower.rational(d) + Fraction(rng.randint(1, 9),
                                                   rng.randint(1, 9)) * pi
             if p < 7:
@@ -478,27 +499,21 @@ def _identity_grid_rational_covers():
 def test_rational_centre_matches_the_tower_path():
     """The Fraction centre with v(e) in closed form gives the expansion and
     verdict that the same disk gives over Q_p(pi), pi^(2(p-1)) = p, with
-    e = pi^((2n-s)(p-1)+1): the same K_l, v(e), scale, slope, scaled
-    profile and verdict, on every rational-centre cover of the identity
-    grid."""
-    def verdict(exp):
-        try:
-            return classify_torsor_reduction(exp)
-        except ArtifactError as exc:
-            return type(exc).__name__, str(exc)
-
+    e = pi^((2n-s)(p-1)+1), on the tower oracle: the same K_l, v(e), scale,
+    slope and scaled profile, and the verdict of the Fraction reference
+    classifier, on every rational-centre cover of the identity grid."""
     covers = 0
     for spec, locus in _identity_grid_rational_covers():
-        fast = expand_disk(spec, locus.d, None, locus.v_e)
+        fast = expand_disk(spec, locus.d, locus.v_e)
         d, e = _tower_disk(spec, locus)
-        slow = expand_disk(spec, d, e)
-        assert fast.tower is None and slow.tower is d.tower
+        slow = tower_expand_disk(spec, d, e)
         assert fast.ks == slow.ks, spec
         assert (fast.v_e, fast.scale, fast.slope) == \
             (slow.v_e, slow.scale, slow.slope), spec
         assert fast.scale == 2 * (spec.p - 1)
         assert fast.scaled_profile() == slow.scaled_profile(), spec
-        assert verdict(fast) == verdict(slow), spec
+        assert _verdict_or_error(classify_torsor_reduction, fast) == \
+            _verdict_or_error(_reference_classify, slow), spec
         covers += 1
     assert covers > 1000, covers
 
@@ -519,26 +534,21 @@ def _case_iii_grid():
 
 def test_cubic_centre_matches_the_tower_path():
     """The case (iii) centre as integer triples of Z[t]/(t^3 - r) gives the
-    v(e), scale, slope, scaled profile and verdict that the same disk gives
-    in Q_3(pi)(t), pi^4 = 3, with e = pi^(4n-1), on every cover of the
-    case (iii) grid.  Seeded centres off the locus, (c_0 + c_1 t +
+    v(e), scale, slope and scaled profile that the same disk gives in
+    Q_3(pi)(t), pi^4 = 3, with e = pi^(4n-1), on the tower oracle, and the
+    verdict of the Fraction reference classifier there, on every cover of
+    the case (iii) grid.  Seeded centres off the locus, (c_0 + c_1 t +
     c_2 t^2)/den with 3 dividing some coordinates, reach the failing tail
     premises and condition (ii)'s failing clauses on both paths alike."""
-    def verdict(exp):
-        try:
-            return classify_torsor_reduction(exp)
-        except ArtifactError as exc:
-            return type(exc).__name__, str(exc)
-
     def agree(spec, locus):
-        fast = expand_disk(spec, locus.d, None, locus.v_e)
-        slow = expand_disk(spec, *cubic_tower_disk(locus))
-        assert fast.tower is None and slow.tower is not None
+        fast = expand_disk(spec, locus.d, locus.v_e)
+        slow = tower_expand_disk(spec, *cubic_tower_disk(locus))
         assert (fast.v_e, fast.scale, fast.slope) == \
             (slow.v_e, slow.scale, slow.slope), (spec, locus.d)
         assert fast.scaled_profile() == slow.scaled_profile(), (spec, locus.d)
-        want = verdict(slow)
-        assert verdict(fast) == want, (spec, locus.d)
+        want = _verdict_or_error(_reference_classify, slow)
+        assert _verdict_or_error(classify_torsor_reduction, fast) == want, \
+            (spec, locus.d)
         return want
 
     rng = random.Random(3)
@@ -549,7 +559,7 @@ def test_cubic_centre_matches_the_tower_path():
         assert locus.d[:2] == ((spec.a, 1, 0), spec.a + spec.b), spec
         got = agree(spec, locus)
         assert got.kind == "SplitsArtinSchreier", spec
-        assert expand_disk(spec, locus.d, None, locus.v_e).scale == 12
+        assert expand_disk(spec, locus.d, locus.v_e).scale == 12
         covers += 1
         if covers % 4 == 0:
             nums = tuple(rng.choice((1, 3, 9)) * rng.randint(-9, 9)
@@ -568,6 +578,37 @@ def test_cubic_centre_matches_the_tower_path():
             "v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)"} <= seen, seen
 
 
+def test_cubic_valuation_matches_the_norm():
+    """E v(x) of a triple x = c_0 + c_1 t + c_2 t^2, t^3 = r, the least
+    v_p(c_j) + j v(t), equals E v_p(N(x)) / 3 with N(x) = c_0^3 + r c_1^3 +
+    r^2 c_2^3 - 3 r c_0 c_1 c_2 the norm from Q(t), as Q_p(t) is totally
+    ramified of degree 3.  Seeded triples with zero coordinates and
+    coordinates divisible by p, over radicands with v_p(r) prime to 3, of
+    either sign, for several primes."""
+    rng = random.Random(24)
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            vr = rng.choice([k for k in range(1, 9) if k % 3])
+            unit = rng.choice([u for u in range(-40, 41) if u % p])
+            r = p ** vr * unit
+            spec = _spec(p, 1, 1, 1, 1)
+            exp = expand_disk(spec, CubicCentre((1, 1, 0), 2, r),
+                              Fraction(1, 4))
+            for _ in range(10):
+                x = tuple(rng.choice((0, 1, p, p * p)) *
+                          rng.randint(-50, 50) for _ in range(3))
+                if not any(x):
+                    continue
+                c0, c1, c2 = x
+                norm = (c0 ** 3 + r * c1 ** 3 + r * r * c2 ** 3
+                        - 3 * r * c0 * c1 * c2)
+                assert 3 * exp._scaled_val(x) == \
+                    exp.scale * vp_int(norm, p), (p, r, x)
+                checked += 1
+    assert checked > 2000, checked
+
+
 def test_no_truncation_changes_a_verdict():
     """Expanding past L = 2p cannot change a verdict: on every odd-p cover
     of the identity grid, the expansion to L = 3p and to L = 40 (where
@@ -582,8 +623,7 @@ def test_no_truncation_changes_a_verdict():
             if L <= 2 * p:
                 continue
             ks, r_factors = _reference_ks(spec, locus.d, L)
-            exp = DiskExpansion(spec, locus.d, None, ks, r_factors,
-                                locus.v_e)
+            exp = DiskExpansion(spec, locus.d, locus.v_e, ks, r_factors)
             assert exp.truncation == L
             assert _outcome(classify_torsor_reduction, exp) == want, (spec, L)
         covers += 1
@@ -614,16 +654,17 @@ def test_large_n_covers_certify(monkeypatch, args, kind):
 def test_tail_premises_on_a_fraction_centre():
     """The premises v(d) = 0 and v(d - 1) = n - s are checked with v_p on a
     Fraction centre, and fail with the message the same centre gets in
-    Q_p(pi)."""
+    Q_p(pi) on the tower oracle."""
     spec = _spec(5, 2, 3, 10, 1)
     t = _q_p_pi(5)
     messages = set()
     for d in (Fraction(3, 13), Fraction(1, 2), Fraction(5, 3), Fraction(2, 5),
               Fraction(26, 25), Fraction(-4, 1)):
-        outcomes = []
-        for exp in (expand_disk(spec, d, None, Fraction(13, 8)),
-                    expand_disk(spec, t.rational(d), t.gen(0) ** 13)):
-            outcomes.append(_outcome(_check_tail_premises, exp))
+        outcomes = [
+            _outcome(_check_tail_premises,
+                     expand_disk(spec, d, Fraction(13, 8))),
+            _outcome(tower_expand_disk(spec, t.rational(d),
+                                       t.gen(0) ** 13).check_tail_premises)]
         assert outcomes[0] == outcomes[1], d
         messages.add(outcomes[0][1])
     assert messages == {None, "tail bound needs v(d) = 0",
@@ -703,9 +744,10 @@ def _doctored_case_v_specs(seed):
     return specs
 
 
-def _verdict_or_error(certify, spec):
+def _verdict_or_error(certify, arg):
+    """certify(arg), or the type and message of the error it raises."""
     try:
-        return certify(spec)
+        return certify(arg)
     except (ArtifactError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -767,7 +809,7 @@ def test_case_v_closed_forms_match_the_tower_k_l():
         i = d.tower.gen(0)
         R = d - Fraction(a, m)
         assert R * R == i * Fraction(2 ** n * b, m ** 4), args
-        exp = expand_disk(spec, d, e)
+        exp = tower_expand_disk(spec, d, e)
         N = exp.r_factors[0]
         assert exp.ks[1] == R * (N * m), args
         gamma = -a * m ** 2 + (m - 1) * 2 ** n * i
@@ -779,29 +821,15 @@ def test_case_v_closed_forms_match_the_tower_k_l():
     assert checked >= 500, checked
 
 
-@pytest.mark.parametrize("args,case,note", [
-    ((3, 2, 1, 3), "p3s1", "condition (ii)"),
-    ((2, 3, 1, 6), "p2", "congruence holds with i -> +i"),
-])
-def test_tower_centre_needs_no_inverse(monkeypatch, args, case, note):
-    """On a tower centre the classifier reads the recurrence values K_l and
-    the slope E v(r), so expanding and classifying for condition (ii) of
-    case (iii) inverts nothing; the disk is built before the count starts,
-    as building its tower takes powers of the uniformizer.  The p = 2
-    congruence is decided in closed form, with no tower product or
-    inverse at all."""
-    spec = branch_signature(*args)
-    locus = new_tail_locus(spec)
-    assert locus.case == case
-    disk = cubic_tower_disk(locus) if case != "p2" else None
+def test_p2_congruence_needs_no_tower_product(monkeypatch):
+    """The p = 2 congruence is decided in closed form, with no tower
+    product or inverse at all."""
+    spec = branch_signature(2, 3, 1, 6)
+    assert new_tail_locus(spec).case == "p2"
     calls = _count_tower_calls(monkeypatch)
-    if case == "p2":
-        verdict = certify_tail(spec)
-        assert calls["mul"] == 0, calls
-    else:
-        verdict = classify_torsor_reduction(expand_disk(spec, *disk))
-    assert note in verdict.notes
-    assert calls["inverse"] == 0, calls
+    verdict = certify_tail(spec)
+    assert "congruence holds with i -> +i" in verdict.notes
+    assert calls == {"mul": 0, "inverse": 0}, calls
 
 
 def _count_tower_calls(monkeypatch):
@@ -825,13 +853,11 @@ def _count_tower_calls(monkeypatch):
 def test_integer_recurrence_division_is_checked():
     """The integer recurrence divides exactly or raises; it never floors.
     With a = 1/2 the K_l are not integers, so a division by l + 1 leaves a
-    remainder, on a Fraction centre and on a constant tower centre."""
+    remainder, on a Fraction centre and on a cubic centre."""
     spec = _spec(5, 1, Fraction(1, 2), 1, 1)
-    with pytest.raises(ArithmeticError, match="is not divisible by"):
-        expand_disk(spec, Fraction(1, 3), None, Fraction(5, 8))
-    with pytest.raises(ArithmeticError, match="is not divisible by"):
-        expand_disk(spec, make_tower(5, []).rational(Fraction(1, 3)),
-                    Fraction(1, 5))
+    for d in (Fraction(1, 3), CubicCentre((1, 1, 0), 3, 5)):
+        with pytest.raises(ArithmeticError, match="is not divisible by"):
+            expand_disk(spec, d, Fraction(5, 8))
 
 
 def test_tail_bound_closed_form_matches_minimum():
@@ -872,41 +898,46 @@ def _reference_check_tail_dominated(spec, v_e, L, threshold, strict=True):
     """check_tail_dominated as a plain loop of tail_bound over every l up to
     REFERENCE_TAIL_END, in Fractions, after refusing a slope
     v_e - (n - s) that is not positive."""
-    if v_e - max(spec.n - spec.s, 0) <= 0:
-        raise PrecisionExhausted("tail slope is not positive")
-    bounds = _tail_bounds(spec.p, spec.n, spec.s, v_e)
+    failure = _reference_tail_failure(spec.p, spec.n, spec.s, v_e, L,
+                                      threshold, strict)
+    if failure is not None:
+        raise PrecisionExhausted(failure)
+
+
+@cache
+def _reference_tail_failure(p, n, s, v_e, L, threshold, strict):
+    """The message of _reference_check_tail_dominated, or None when the
+    check passes: covers of one shape and radius share it."""
+    if v_e - max(n - s, 0) <= 0:
+        return "tail slope is not positive"
+    bounds = _tail_bounds(p, n, s, v_e)
     for l in range(L + 1, REFERENCE_TAIL_END + 1):
         bnd = bounds[l]
-        if bnd > threshold or (not strict and bnd >= threshold):
-            continue
-        raise PrecisionExhausted(
-            f"tail coefficient l={l}: bound {bnd} does not clear "
-            f"threshold {threshold}"
-        )
+        if not (bnd > threshold or (not strict and bnd >= threshold)):
+            return (f"tail coefficient l={l}: bound {bnd} does not clear "
+                    f"threshold {threshold}")
+    return None
 
 
 def _reference_classify(exp):
-    """classify_torsor_reduction on the Fraction profile, with the reference
-    tail check."""
+    """classify_torsor_reduction on the Fraction profile of a
+    TowerExpansion, with the reference tail check."""
     spec = exp.spec
     p, n = spec.p, spec.n
     tower = exp.d.tower
     prof = exp.profile()
-    coeffs = _coeffs(exp)
-    if not (coeffs[0] - 1).is_zero():
+    if not (exp.ks[0] - 1).is_zero():  # c_0 = K_0
         raise ValueError("expansion is not normalized to c_0 = 1")
-    if exp.e.is_zero():
-        return ReductionVerdict("NotCertified", reason="constant expansion")
     v_e = tower.val(exp.e)
     if p == 2:
-        return _reference_classify_p2(exp, coeffs, prof, v_e)
+        return _reference_classify_p2(exp, prof, v_e)
     tau = n + Fraction(1, p - 1)
     L = exp.truncation
     finite = [(l, prof[l]) for l in range(1, L + 1) if prof[l] is not None]
     if not finite:
         return ReductionVerdict("NotCertified",
                                 reason="all coefficients vanish")
-    _check_tail_premises(exp)
+    exp.check_tail_premises()
     _reference_check_tail_dominated(spec, v_e, L, tau, strict=True)
     minv = min(val for _, val in finite)
 
@@ -929,7 +960,8 @@ def _reference_classify(exp):
     if not above(2 * p):
         reasons.append("v(c_i) <= n + 1/(p-1) at an index i > p divisible by p")
     if not reasons:
-        c1, cp = coeffs[1], coeffs[p]
+        r = _r(exp)
+        c1, cp = r * exp.ks[1], r ** p * exp.ks[p]
         corr = cp - c1 ** p * Fraction(1, p ** ((p - 1) * n + 1))
         if corr.is_zero() or tower.val(corr) > tau:
             h = max(l for l, val in rest if val == tau)
@@ -945,7 +977,7 @@ def _reference_classify(exp):
                             "minimum valuation is not n + 1/(p-1)")
 
 
-def _reference_classify_p2(exp, coeffs, prof, v_e):
+def _reference_classify_p2(exp, prof, v_e):
     spec = exp.spec
     n = spec.n
     tower = exp.d.tower
@@ -961,7 +993,7 @@ def _reference_classify_p2(exp, coeffs, prof, v_e):
             reasons.append(f"v(c_{l}) < n + 1")
             break
     try:
-        _check_tail_premises(exp)
+        exp.check_tail_premises()
         _reference_check_tail_dominated(spec, v_e, exp.truncation, tau,
                                         strict=False)
     except PrecisionExhausted as exc:
@@ -973,7 +1005,8 @@ def _reference_classify_p2(exp, coeffs, prof, v_e):
     if i_elem is None:
         return ReductionVerdict(
             "NotCertified", reason="tower contains no sqrt(-1)")
-    c1, c2 = coeffs[1], coeffs[2]
+    r = _r(exp)
+    c1, c2 = r * exp.ks[1], r * r * exp.ks[2]
     lhs = c1 * c1 * c2.inverse()
     for sign in (1, -1):
         diff = lhs - (2 ** (n + 1)) * (i_elem * sign)
@@ -1023,23 +1056,24 @@ def test_classifier_matches_fraction_reference():
     """The integer classifier gives the same verdict, every field of it
     (kind, count, conductor, reason, notes), as the Fraction
     classifier on the oracle grid, and on disks too narrow for the tail
-    check, where both must fail the same way.  For p = 2 the integer
-    classifier is the tower oracle of the closed form, classify_p2."""
+    check, where both must fail the same way.  The integer classifier reads
+    the Fraction or cubic centre with v(e), the Fraction classifier the
+    same disk on the tower oracle.  For p = 2 the integer classifier is
+    the tower oracle of the closed form, classify_p2."""
     kinds = set()
     for spec, locus in _oracle_grid():
         p = spec.p
         d, radius = _tower_disk(spec, locus)
         narrow = d.tower.gen(0)  # v(e) far below the locus radius
-        classify = classify_p2 if p == 2 else classify_torsor_reduction
         for e in (radius, narrow):
-            fast = _outcome(classify, expand_disk(spec, d, e))
-            ref = _outcome(_reference_classify, expand_disk(spec, d, e))
+            oracle = tower_expand_disk(spec, d, e)
+            if p == 2:
+                fast = _outcome(classify_p2, oracle)
+            else:
+                fast = _outcome(classify_torsor_reduction,
+                                expand_disk(spec, locus.d, oracle.v_e))
+            ref = _outcome(_reference_classify, oracle)
             assert fast == ref, (spec, e)
-            if locus.case in ("rational", "p3s1"):
-                # the Fraction or cubic centre with the same v(e), no tower
-                v_e = d.tower.val(e)
-                assert _outcome(classify_torsor_reduction, expand_disk(
-                    spec, locus.d, None, v_e)) == fast, (spec, v_e)
             kinds.add((p == 2, spec.n == spec.s, fast[0],
                        fast[1].kind if fast[0] == "ok" else None))
     # the grid reaches both primes' verdicts and the failing tail check
@@ -1053,11 +1087,12 @@ def test_classifier_matches_fraction_reference():
 def test_classifier_matches_fraction_reference_on_crafted_profiles():
     """The same agreement on expansions made from lists of monomials
     u pi^k, whose valuations land on, just above and just below n and
-    n + 1/(p-1) at every index."""
+    n + 1/(p-1) at every index: the integer classifier reads them through
+    the test fake of _crafted, the Fraction classifier on the tower
+    oracle."""
     rng = random.Random(11)
     t = make_tower(5, [(8, 5)])
     pi = t.gen(0)
-    d, e = t.rational(Fraction(1, 2)), pi ** 5
     verdicts = set()
     for n in (1, 2):
         spec = _spec(5, n, 1, 1, n)
@@ -1067,10 +1102,9 @@ def test_classifier_matches_fraction_reference_on_crafted_profiles():
                                                            8 * n + 4)
                 if rng.randrange(4) else t.zero()
                 for _ in range(10)]
-            fast = _outcome(classify_torsor_reduction,
-                            DiskExpansion(spec, d, e, coeffs))
-            ref = _outcome(_reference_classify,
-                           DiskExpansion(spec, d, e, coeffs))
+            oracle, fake = _crafted(spec, coeffs)
+            fast = _outcome(classify_torsor_reduction, fake)
+            ref = _outcome(_reference_classify, oracle)
             assert fast == ref, (n, coeffs)
             verdicts.add(fast[1].reason or fast[1].notes)
     assert len(verdicts) >= 6, verdicts
@@ -1081,26 +1115,25 @@ def test_condition_ii_close_to_its_threshold():
     centre a/(a+b) + ... + 9 of the (3, 2, 1, 3) new-tail disk (v(9) = 2 >=
     v(e) = 7/4, so the same disk), E v(c_3 - c_1^3 / 3^5) clears E tau by
     exactly the slope, so a classifier that lost one power of r there would
-    refuse the cover.  It agrees with the Fraction reference, which builds
-    the c_l, and certifies by condition (ii)."""
+    refuse the cover.  The centre as integer triples, Y = 3^5 K_3 - K_1^3
+    read there, agrees with the Fraction reference on the tower oracle,
+    which builds the c_l, and certifies by condition (ii)."""
     spec = branch_signature(3, 2, 1, 3)
     locus = new_tail_locus(spec)
     d, e = cubic_tower_disk(locus)
-    exp = expand_disk(spec, d + 9, e)
+    exp = tower_expand_disk(spec, d + 9, e)
     coeffs = _coeffs(exp)
     corr = coeffs[3] - coeffs[1] ** 3 * Fraction(1, 3 ** 5)
     tau = 2 + Fraction(1, 2)
     assert exp.scale * (d.tower.val(corr) - tau) == exp.slope > 0
-    verdict = classify_torsor_reduction(exp)
-    assert verdict == _reference_classify(exp)
-    assert verdict.notes == ("condition (ii)",)
-    # the same centre as integer triples: Y = 3^5 K_3 - K_1^3 read there
     (c0, c1, c2), den = locus.d.nums, locus.d.den
     cubic = expand_disk(spec, CubicCentre((c0 + 9 * den, c1, c2), den,
-                                          locus.d.r), None, locus.v_e)
+                                          locus.d.r), locus.v_e)
     assert (cubic.scale, cubic.slope) == (exp.scale, exp.slope)
     assert cubic.scaled_profile() == exp.scaled_profile()
-    assert classify_torsor_reduction(cubic) == verdict
+    verdict = classify_torsor_reduction(cubic)
+    assert verdict == _reference_classify(exp)
+    assert verdict.notes == ("condition (ii)",)
 
 
 def test_tail_check_matches_per_l_reference():

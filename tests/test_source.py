@@ -432,6 +432,42 @@ def test_site_checkers_read_each_form():
         (1, "WrongPrime"), (5, "_qth_classes"), (6, "q2_i")]
 
 
+#: what the tower arm of expand_disk read: a centre's or expansion's tower,
+#: tower coercion and the zero test of a tower element
+TOWER_ARM_ATTRIBUTES = {"tower", "coerce", "is_zero"}
+
+
+def _tower_arm_sites(tree):
+    """(line, what) of each read of a TOWER_ARM_ATTRIBUTES attribute and of
+    each parameter named e, the radius that only a tower centre took."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in TOWER_ARM_ATTRIBUTES:
+            yield node.lineno, f".{node.attr}"
+        elif isinstance(node, ast.arg) and node.arg == "e":
+            yield node.lineno, "parameter e"
+
+
+def test_series_has_no_tower_arm():
+    """series.py expands only the two centres certify_tail makes, a
+    Fraction and a CubicCentre, each given with v(e): it reads no tower
+    and takes no e.  The tower expansion is the oracle TowerExpansion of
+    tests/tower_helpers.py."""
+    path = next(path for path in SOURCES if path.name == "series.py")
+    found = [f"series.py:{line}: {what}"
+             for line, what in _tower_arm_sites(ast.parse(path.read_text(),
+                                                          str(path)))]
+    assert not found, "\n".join(found)
+
+
+def test_tower_arm_checker_reads_each_form():
+    src = ("def f(spec, d, e, v_e=None):\n    t = d.tower\n"
+           "    return t.coerce(e).is_zero()\n\n"
+           "g = lambda e: e\nh = lambda E, tower: E\n")
+    assert sorted(_tower_arm_sites(ast.parse(src))) == [
+        (1, "parameter e"), (2, ".tower"), (3, ".coerce"), (3, ".is_zero"),
+        (5, "parameter e")]
+
+
 #: the labels of the stable-model cases, as analyzer._stable_case returns them
 CASE_LABELS = {"i", "ii", "iii", "iv", "v"}
 

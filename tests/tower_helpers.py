@@ -2,21 +2,30 @@
 oracle over Q_p, the digit-lifting search that the unit-level decision
 of `_is_qth_power_local` is checked against, the fields Q_2(i) and
 Q_2(zeta_8) with the square test over their unramified closures, the
-oracles of the closed forms of case (v), and the fields Q_3(pi) and
+oracles of the closed forms of case (v), the fields Q_3(pi) and
 K_1 = Q_p(zeta_p) with the case (iii) centre in Q_3(pi)(t), the oracles of
-the closed forms of cases (iii) and (iv)."""
+the closed forms of cases (iii) and (iv), and the disk expansion with its
+centre in a tower, the oracle of the Fraction and cubic centres of
+`expand_disk`."""
 
 import itertools
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
-from padic_sr.errors import IrreducibilityUnverified, ZeroElement
+from padic_sr.errors import (
+    CenterOnBranchLocus,
+    IrreducibilityUnverified,
+    ZeroElement,
+)
 from padic_sr.ramification import cyclotomic_tower
+from padic_sr.series import _check_premises, _scaled, default_truncation
 from padic_sr.tower import (
     Tower,
     _element,
     _exact_rational,
     unit_level,
+    vp_int,
     vp_rational,
 )
 
@@ -185,3 +194,92 @@ def cubic_tower_disk(locus):
     if k.denominator != 1:
         raise ValueError(f"v(e) = {locus.v_e} is not a multiple of v(pi)")
     return d, tower.gen(0) ** int(k)
+
+
+class TowerExpansion:
+    """The disk x = d + e t with d and e in one tower, as the values
+    K_0 .. K_L with c_l = r^l K_l, r = N e / (delta delta') (series module
+    docstring), valued by the tower: the expansion that `expand_disk` made
+    for a tower centre, kept as the oracle of its Fraction and cubic
+    centres.  Made from a list with r_factors None, K_l = c_l and r = 1.
+    e must be nonzero.  It has the fields and methods that the classifiers
+    read, with the scale E the tower's ramification index (its degree when
+    the index is not exactly known) times what makes 1/(p-1) a multiple of
+    1/E."""
+
+    def __init__(self, spec, d, e, coeffs, r_factors=None):
+        tower = d.tower
+        self.spec, self.d, self.tower = spec, d, tower
+        self.e = tower.coerce(e)
+        self.ks = list(coeffs)
+        self.r_factors = r_factors  # (N, delta, delta'), or None for r = 1
+        self.v_e = tower.val(self.e)
+        ram = tower.ram_index if tower.ram_exact else tower.degree
+        self.scale = lcm(ram, spec.p - 1)
+
+    @property
+    def truncation(self) -> int:
+        return len(self.ks) - 1
+
+    @property
+    def slope(self) -> int:
+        """E v(r), 0 when r = 1."""
+        if self.r_factors is None:
+            return 0
+        N, delta, delta1 = self.r_factors
+        return (_scaled(self.v_e, self.scale) + self._scaled_val(N)
+                - self._scaled_val(delta) - self._scaled_val(delta1))
+
+    def _scaled_val(self, x) -> int:
+        """E v(x) of a nonzero integer or tower element."""
+        if isinstance(x, int):
+            return self.scale * vp_int(x, self.tower.p)
+        return _scaled(self.tower.val(x), self.scale)
+
+    def scaled_profile(self):
+        slope = self.slope
+        return [None if k == 0 else l * slope + self._scaled_val(k)
+                for l, k in enumerate(self.ks)]
+
+    def profile(self):
+        return [None if v is None else Fraction(v, self.scale)
+                for v in self.scaled_profile()]
+
+    def _scaled_defect(self, M: int):
+        """E v(p^M K_p - K_1^p), or None when it is 0."""
+        p = self.spec.p
+        y = p ** M * self.ks[p] - self.ks[1] ** p
+        return None if y == 0 else self._scaled_val(y)
+
+    def check_tail_premises(self):
+        """series._check_tail_premises on the tower centre: v(d) and
+        v(d - 1) read from the tower."""
+        val = self.tower.val
+        _check_premises(self.spec, val(self.d), val(self.d - 1))
+
+
+def tower_expand_disk(spec, d, e) -> TowerExpansion:
+    """The expansion of the cover on the disk x = d + e t, d and e (nonzero)
+    in one tower, to L = 2p: the fraction-free recurrence of the series
+    module docstring, run on tower elements.  delta = N d is an integer
+    when d is a rational of the tower, else a tower element."""
+    tower = d.tower
+    if d.is_zero() or (d - 1).is_zero():
+        raise CenterOnBranchLocus("disk center lies on the branch locus")
+    a, b, N = spec.a, spec.b, d.den
+    if d.nums.keys() == {(0,) * len(tower.steps)}:
+        (delta,) = d.nums.values()
+    else:
+        delta = d * N
+    delta1 = delta - N
+    A = a * delta1 + b * delta
+    S = 2 * delta - N
+    P = delta * delta1
+    k_prev, k = tower.zero(), tower.one()
+    ks = [k]
+    for l in range(default_truncation(spec.p)):
+        k_prev, k = k, ((A * k + (a + b - l + 1) * P * k_prev)
+                        * Fraction(1, l + 1))
+        A = A - S
+        ks.append(k)
+    return TowerExpansion(spec, d, e, ks, (N, delta, delta1))
