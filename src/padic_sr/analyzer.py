@@ -21,7 +21,6 @@ from .errors import (
     Disconnected,
     IrreducibilityUnverified,
     NotThreePoint,
-    UnsupportedCase,
     ZeroRadicand,
 )
 from .graph import (
@@ -129,11 +128,13 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
 def _stable_case(p: int, n: int, s: int) -> str:
     """The case (i)-(v) of the cover.  _case_record lists what each case
     builds; only new_tail_locus and conductor_bound dispatch on the label
-    besides."""
+    besides.  Every spec stage asks for the case first, so this one rule
+    refuses a shape no cover has, for all of them: an s outside
+    1 <= s <= n, or s = n for p = 2, where the cover would have three
+    totally ramified points (branch_signature never makes one)."""
+    if not 1 <= s <= n or (p == 2 and s == n):
+        raise CertificationFailed(f"no cover of p = {p}, n = {n} has s = {s}")
     if p == 2:
-        if s == n:
-            raise UnsupportedCase("p = 2 covers cannot have three totally "
-                                  "ramified points")
         return "v"
     if s == n:
         return "i"
@@ -198,10 +199,12 @@ def _certify_p2_step(b_odd: int, c: int) -> None:
 
 @dataclass(frozen=True)
 class NewTailLocus:
-    case: str  # "rational" | "p3s1" | "p2"
-    d: object  # CubicCentre (a + t)/(a+b) ("p3s1"), else Fraction a/(a+b)
+    """The disk of the new etale tail (new_tail_locus): its centre and v(e).
+    No case label: certify_tail tells a case (v) locus by its rho, and
+    expand_disk a Fraction centre from a CubicCentre by its type."""
+    d: object  # CubicCentre (a + t)/(a+b) in case (iii), else Fraction a/(a+b)
     v_e: Fraction  # v(e) = (2n - s + 1/(p-1))/2, in closed form
-    rho: int | None = None  # "p2": the centre is d + R, R^2 = rho i/(a+b)^4
+    rho: int | None = None  # case (v): the centre is d + R, R^2 = rho i/(a+b)^4
 
 
 def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
@@ -210,25 +213,29 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     rational centre a/(a+b) of cases (i), (ii) and (iv) is the Fraction
     itself, the case (iii) centre (a + t)/(a+b), t^3 = 3^(2n+1) C(b,3), is
     a CubicCentre, and the case (v) centre is a/(a+b) + R with
-    R^2 = rho i/(a+b)^4; none needs a tower or an e.  In case (v) the step
+    R^2 = rho i/(a+b)^4, the one locus with a rho; none needs a tower or an
+    e.  A spec with a + b = 0, which no cover has, is refused before any
+    centre is built, as conductor_bound refuses it.  In case (v) the step
     w^2 = u behind R is certified in integers, from b' mod 8
     (_certify_p2_step), as the tie rule of classify_p2_torsor needs it, and
     no field is built."""
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
-    v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
     case = _stable_case(p, n, s)
+    if a + b == 0:
+        raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
+    v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
     if case == "v":
         # sqrt(2^n b i) = (1+i)^k i^(k//2) w, k = 2n - s, b' = b/2^(n-s)
         # odd and w^2 = (-i)^(k%2) b' i, as (1+i)^2 = 2i and (-i)^2 = -1
         k = 2 * n - s
         b_odd = b // 2 ** (n - s)
         _certify_p2_step(b_odd, k % 2)
-        return NewTailLocus("p2", Fraction(a, a + b), v_e, 2 ** k * b_odd)
+        return NewTailLocus(Fraction(a, a + b), v_e, 2 ** k * b_odd)
     if case == "iii":
-        return NewTailLocus("p3s1", CubicCentre((a, 1, 0), a + b,
-                                                _cube_radicand(n, s, b)), v_e)
+        return NewTailLocus(CubicCentre((a, 1, 0), a + b,
+                                        _cube_radicand(n, s, b)), v_e)
     # cases (i), (ii) and (iv): rational center, the disk given by v_e
-    return NewTailLocus("rational", Fraction(a, a + b), v_e)
+    return NewTailLocus(Fraction(a, a + b), v_e)
 
 
 def certify_tail(spec: CoverSpec) -> ReductionVerdict:
@@ -237,7 +244,7 @@ def certify_tail(spec: CoverSpec) -> ReductionVerdict:
     expansion could change the verdict (series module docstring).  A case
     (v) centre is classified in closed form, with no expansion."""
     locus = new_tail_locus(spec)
-    if locus.case == "p2":
+    if locus.rho is not None:
         return classify_p2_torsor(spec, locus.v_e, locus.rho)
     return classify_torsor_reduction(
         expand_disk(spec, locus.d, locus.v_e))
@@ -488,8 +495,8 @@ def quotient_spec(spec: CoverSpec, j: int) -> CoverSpec:
 # -- stable-model field tower ------------------------------------------------
 
 def _field_tower(spec: CoverSpec, case: str, steps: tuple) -> FieldTower:
-    """The tower of the steps of spec's shape, with the meta of spec: a, b,
-    n, s and the case, for conductor_bound."""
+    """The tower of the steps of spec's shape, with the meta of spec that
+    the report prints: a, b, the case, n and s."""
     meta = (("a", spec.a), ("b", spec.b), ("case", case),
             ("n", spec.n), ("s", spec.s))  # in key order
     return FieldTower(spec.p, steps, meta)
@@ -507,15 +514,14 @@ def stab_field_tower(spec: CoverSpec) -> FieldTower:
 
 # -- conductor certificate ---------------------------------------------------
 
-def conductor_bound(ft: FieldTower, n: int) -> dict:
+def conductor_bound(spec: CoverSpec) -> dict:
     """Certify that the n-th upper-numbering ramification group of the
     stable-model field over the base vanishes, from exactly verified
-    valuation facts of the steps stab_field_tower lists for meta["case"].
-    A meta that lacks one of a, b, n, s and case, has a + b = 0, gives an n
-    other than the n asked for, or a case other than the case of (p, n, s),
-    is refused, as is an s outside 1 <= s <= n (s < n for p = 2).  Returns
-    {vanishes_at_n, conductor, detail}; the conductor is exact in case (i)
-    and a bound otherwise.
+    valuation facts of the steps stab_field_tower lists for the case of
+    (p, n, s).  Like every spec stage, it reads p, n, s, a and b from the
+    spec and the case from _stable_case, which refuses an s no cover has;
+    a + b = 0 is refused too.  Returns {vanishes_at_n, conductor, detail};
+    the conductor is exact in case (i) and a bound otherwise.
 
     The cube roots of cases (iii) and (iv) are certified in closed form.
     K_1 = Q_3(zeta_3) has e = 2, and the radicand rad = 3^(2(n-s)+3)
@@ -532,28 +538,13 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
     3/2 + (u - 3)/6 past it, and the conductor of L/K_0 is phi(3) = 3/2.
     In case (iv), M/L is one more cube root over L, where e_L = 3 e_{K_1} =
     6, so its jump is at most the cap 3 e_L/2 = 9, and phi(9) = 5/2 bounds
-    the conductor of M/K_0.  Both lie below n: with 1 <= s <= n checked,
-    the case check forces n > s = 1 in case (iii) and n > s > 1 in case
-    (iv), so n >= 2 and n >= 3."""
-    meta = ft.meta_dict()
-    missing = [key for key in ("a", "b", "n", "s", "case") if key not in meta]
-    if missing:
-        raise CertificationFailed(
-            f"the tower's meta lacks {', '.join(missing)}")
-    case, a, b, s = meta["case"], meta["a"], meta["b"], meta["s"]
+    the conductor of M/K_0.  Both lie below n: _stable_case gives case
+    (iii) only for n > s = 1 and case (iv) only for n > s > 1, so n >= 2
+    and n >= 3."""
+    p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
+    case = _stable_case(p, n, s)
     if a + b == 0:
         raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
-    if meta["n"] != n:
-        raise CertificationFailed(f"tower built for n = {meta['n']}, "
-                                  f"certified at n = {n}")
-    if not 1 <= s <= n or (ft.prime == 2 and s == n):
-        raise CertificationFailed(f"no cover of p = {ft.prime}, n = {n} has "
-                                  f"s = {s}")
-    expected = _stable_case(ft.prime, n, s)
-    if case != expected:
-        raise CertificationFailed(f"case {case!r} is not the case "
-                                  f"{expected!r} of p = {ft.prime}, n = {n}, "
-                                  f"s = {s}")
     detail = [f"K_{n}/K_0 is cyclotomic: conductor exactly {n - 1} < {n}"]
     parts = [Fraction(n - 1)]
 
@@ -625,7 +616,7 @@ def conductor_bound(ft: FieldTower, n: int) -> dict:
                       "p = 2 table; conductor of K/K_0 is < n")
     if case in ("ii", "iii", "iv"):
         # the p^(n-s)-th root of the unit a/(a+b)
-        if vp_rational(Fraction(a, a + b), ft.prime) != 0:
+        if vp_rational(Fraction(a, a + b), p) != 0:
             raise CertificationFailed("v(a/(a+b)) = 0 fails")
         detail.append("v(a/(a+b)) = 0 verified; p^k-th root of a unit over "
                       "K_n has conductor < n")
@@ -689,7 +680,7 @@ def analyze(p: int, n: int, a: int, b: int) -> dict:
     verdict = certify_tail(spec)
     shape = _report_shape(p, n, spec.s)
     tower = _field_tower(spec, shape.case, shape.steps)
-    conductor = conductor_bound(tower, n)
+    conductor = conductor_bound(spec)
     expected = "SplitsZ4" if p == 2 else "SplitsArtinSchreier"
     certified = (
         verdict.kind == expected

@@ -132,7 +132,7 @@ def conductor_cmd(p, n, a, b):
     try:
         spec = branch_signature(p, n, a, b)
         ft = stab_field_tower(spec)
-        cb = conductor_bound(ft, n)
+        cb = conductor_bound(spec)
     except ArtifactError as exc:
         _fail(exc)
     _echo_json({

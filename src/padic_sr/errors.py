@@ -86,10 +86,6 @@ class NotThreePoint(ArtifactError):
     """A branching index equals 1; the cover is not branched at three points."""
 
 
-class UnsupportedCase(ArtifactError):
-    pass
-
-
 class CertificationFailed(ArtifactError):
     """A valuation fact quoted by a proof does not hold for this input."""
 

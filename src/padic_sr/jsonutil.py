@@ -22,11 +22,16 @@ def ratstr(x) -> str:
 
 
 def parse_rat(s) -> Fraction:
-    """The exact rational of an int, a Fraction or a string such as "6/4".
-    A zero denominator raises ValueError, as any other malformed string
-    does."""
+    """The exact rational of an int, a Fraction or a string such as "6/4":
+    the one reader of rationals, for interfaces and the certification path
+    alike.  A Fraction is returned as it is, first.  A float or a bool is
+    refused with TypeError, as no float may reach an interface or a
+    certificate and a bool is no number of one; a zero denominator raises
+    ValueError, as any other malformed string does."""
     if isinstance(s, Fraction):
         return s
+    if isinstance(s, (bool, float)):
+        raise TypeError(f"expected an exact rational, not {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     try:

@@ -17,8 +17,8 @@ from .errors import (
     SearchInconclusive,
     ZeroRadicand,
 )
-from .jsonutil import ratstr
-from .tower import Tower, TowerElement, _exact_rational, unit_level
+from .jsonutil import parse_rat, ratstr
+from .tower import Tower, TowerElement, unit_level
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class Filtration:
     numbering: str  # "upper" | "lower"
 
     def __post_init__(self):
-        jumps = tuple((_exact_rational(j), operator.index(o))
+        jumps = tuple((parse_rat(j), operator.index(o))
                       for j, o in self.jumps)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "degree", operator.index(self.degree))
@@ -90,7 +90,7 @@ def herbrand_phi(lower: Filtration, t: Fraction) -> Fraction:
     """phi(t) = integral_0^t |G_x| / |G_0| dx, exact."""
     if lower.numbering != "lower":
         raise MalformedFiltration("phi consumes a lower-numbering filtration")
-    t = _exact_rational(t)
+    t = parse_rat(t)
     if t <= 0:
         return t
     acc = Fraction(0)
@@ -113,7 +113,7 @@ def herbrand_phi(lower: Filtration, t: Fraction) -> Fraction:
 
 def herbrand_psi(lower: Filtration, u: Fraction) -> Fraction:
     """Inverse of phi, exact."""
-    u = _exact_rational(u)
+    u = parse_rat(u)
     if u <= 0:
         return u
     acc = Fraction(0)
@@ -185,7 +185,7 @@ def cyclotomic_filtration(p: int, n: int) -> Filtration:
 
 
 def compositum_conductor(hs) -> Fraction:
-    hs = [_exact_rational(h) for h in hs]
+    hs = [parse_rat(h) for h in hs]
     if not hs:
         raise EmptyList("compositum of no extensions")
     if any(h < 0 for h in hs):
@@ -232,11 +232,9 @@ class TowerStep:
 class FieldTower:
     prime: int
     steps: tuple
-    # machine-readable construction parameters (case label, exponents, ...)
+    # the cover's parameters as the report prints them (a, b, case, n, s);
+    # output only: conductor_bound reads the cover spec
     meta: tuple = ()
-
-    def meta_dict(self):
-        return dict(self.meta)
 
     def to_json(self):
         return {"prime": self.prime,

@@ -551,13 +551,18 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     """Reduction type of the Artin-Schreier torsor (p odd) from the
     valuation profile, compared as integers scaled by E = exp.scale against
     E tau, tau = n + 1/(p-1).  Reads the K_l and exp.slope only (module
-    docstring): no coefficient is built and nothing is inverted.  A p = 2
-    expansion is refused with ValueError: the mu_4-torsors of case (v) are
-    classified by classify_p2_torsor."""
+    docstring): no coefficient is built and nothing is inverted.  An
+    expansion not normalized to c_0 = 1, or one that stops before c_p (both
+    conditions read c_p), is refused with ValueError, and so is a p = 2
+    expansion: the mu_4-torsors of case (v) are classified by
+    classify_p2_torsor."""
     spec = exp.spec
     p, n = spec.p, spec.n
     if not exp.ks or (exp.ks[0] != 1 and exp.ks[0] != (1, 0, 0)):
         raise ValueError("expansion is not normalized to c_0 = 1")
+    if exp.truncation < p:
+        raise ValueError(f"expansion stops at c_{exp.truncation}, before "
+                         f"c_p = c_{p}")
     if p == 2:
         raise ValueError("p = 2 torsors are classified by "
                          "classify_p2_torsor")

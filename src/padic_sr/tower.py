@@ -53,7 +53,7 @@ from .errors import (
     ZeroElement,
     ZeroRadicand,
 )
-from .jsonutil import ratstr
+from .jsonutil import parse_rat, ratstr
 
 @lru_cache(maxsize=64)  # asked once per v_p and once per tower step
 def _is_prime(p: int) -> bool:
@@ -85,20 +85,9 @@ def vp_int(x: int, p: int) -> int:
     return v
 
 
-def _exact_rational(q) -> Fraction:
-    """q as a Fraction.  An int, a Fraction or a string such as "6/4" is
-    read exactly; a float is refused, as no float may reach the
-    certification path."""
-    if type(q) is Fraction:
-        return q
-    if isinstance(q, float):
-        raise TypeError(f"expected an exact rational, not {q!r}")
-    return Fraction(q)
-
-
 def vp_rational(q: Fraction, p: int) -> Fraction:
     """p-adic valuation of a nonzero rational, as a Fraction."""
-    q = _exact_rational(q)
+    q = parse_rat(q)
     if q == 0:
         raise ZeroElement("v(0) is +infinity")
     return Fraction(vp_int(q.numerator, p) - vp_int(q.denominator, p))
@@ -145,7 +134,7 @@ class TowerElement:
     __slots__ = ("tower", "den", "nums")
 
     def __init__(self, tower, coords):
-        coords = {k: _exact_rational(c) for k, c in coords.items()}
+        coords = {k: parse_rat(c) for k, c in coords.items()}
         den = lcm(*[c.denominator for c in coords.values()])
         self.tower = tower
         self.den = den
@@ -357,7 +346,7 @@ class Tower:
 
     def rational(self, q):
         if not isinstance(q, (int, Fraction)):
-            q = _exact_rational(q)
+            q = parse_rat(q)
         num = q.numerator
         return _element(self, q.denominator,
                         {self._one_exps: num} if num else {})
@@ -779,7 +768,7 @@ def square_class_K2_K3(d):
 
     Returns {"di_square_K2", "di_square_K3", "d_square_K2", "d_square_K3"}.
     """
-    d = _exact_rational(d)
+    d = parse_rat(d)
     if d == 0:
         raise ZeroElement("d must be nonzero")
     odd = (vp_int(d.numerator, 2) - vp_int(d.denominator, 2)) % 2 == 1

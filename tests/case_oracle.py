@@ -208,7 +208,7 @@ def stab_field_tower(spec: CoverSpec) -> FieldTower:
     v     p = 2 (so s < n)  d_0^(1/2^(n-1)), (d_0 - 1)^(1/2^(s-1)) if s >= 2,
                             and d_j^(1/2^(n-j)), (d_j - 1)^(1/2^(s-j)), 0<j<s
 
-    meta["case"] records the case for conductor_bound.
+    meta records the cover and its case, as the report prints them.
     """
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
     case = _stable_case(p, n, s)

@@ -26,7 +26,6 @@ from padic_sr.analyzer import (
     conductor_bound,
     new_tail_locus,
     quotient_spec,
-    stab_field_tower,
 )
 from padic_sr.errors import IrreducibilityUnverified
 from padic_sr.graph import (
@@ -265,8 +264,7 @@ def test_criterion_5_ramification_oracles():
 def test_criterion_6_conductor_bounds():
     ok = True
     for spec in _representative_specs():
-        ft = stab_field_tower(spec)
-        cb = conductor_bound(ft, spec.n)
+        cb = conductor_bound(spec)
         ok = ok and cb["vanishes_at_n"] is True
     # the case-(iii) radicand valuation 3n - 1, exactly
     from padic_sr.series import binom_falling

@@ -4,6 +4,7 @@ compatibility."""
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -28,7 +29,6 @@ from padic_sr.errors import (
     CertificationFailed,
     Disconnected,
     NotThreePoint,
-    UnsupportedCase,
 )
 from padic_sr.graph import (
     check_local_vanishing,
@@ -41,9 +41,7 @@ from padic_sr.jsonutil import ratstr
 from padic_sr import tower as tower_module
 from padic_sr.ramification import (
     ConductorValue,
-    FieldTower,
     Filtration,
-    TowerStep,
     herbrand_phi,
     kummer_step_conductor,
 )
@@ -161,7 +159,7 @@ def test_p2_always_partial():
 def test_locus_rational_case():
     spec = branch_signature(5, 2, 3, 10)
     loc = new_tail_locus(spec)
-    assert loc.case == "rational"
+    assert loc.rho is None
     assert loc.v_e == Fraction(2 * 2 - 1 + Fraction(1, 4), 2)
     assert loc.d == Fraction(3, 13)
     # the closed form is v(pi^((2n-s)(p-1)+1)) in Q_5(pi), pi^8 = 5
@@ -175,7 +173,7 @@ def test_locus_p3_s1_case():
     valuation v_e and the cube-root correction (3n-1)/3."""
     spec = branch_signature(3, 2, 1, 3)
     loc = new_tail_locus(spec)
-    assert loc.case == "p3s1"
+    assert isinstance(loc.d, CubicCentre)
     assert loc.d == CubicCentre((1, 1, 0), 4, 3 ** 5) and loc.rho is None
     assert loc.v_e == Fraction(7, 4)
     d, e = cubic_tower_disk(loc)
@@ -188,7 +186,7 @@ def test_locus_p2_case():
     the centre the tower oracle builds from it has the listed valuations."""
     spec = branch_signature(2, 3, 1, 6)
     loc = new_tail_locus(spec)
-    assert loc.case == "p2"
+    assert loc.rho is not None
     assert loc.d == Fraction(1, 7) and loc.rho == 2 ** 3 * 6
     assert loc.v_e == Fraction(2 * 3 - 2 + 1, 2)
     d, e = tower_locus(spec)
@@ -327,40 +325,34 @@ def test_tower_cases():
     }
     for (p, n, a, b), (case, kinds) in cases.items():
         ft = stab_field_tower(branch_signature(p, n, a, b))
-        assert ft.meta_dict()["case"] == case
+        assert dict(ft.meta)["case"] == case
         assert [s.kind for s in ft.steps] == kinds
 
 
 def test_conductor_bound_vanishes_everywhere():
     for p, n, a, b in [(5, 2, 1, 1), (5, 2, 3, 10), (3, 2, 1, 3),
                        (3, 3, 1, 3), (2, 3, 1, 6), (2, 3, 1, 12)]:
-        spec = branch_signature(p, n, a, b)
-        cb = conductor_bound(stab_field_tower(spec), n)
+        cb = conductor_bound(branch_signature(p, n, a, b))
         assert cb["vanishes_at_n"] is True
         assert cb["conductor"].value < n
 
 
 def test_conductor_bound_case_iii_radicand_valuation():
-    spec = branch_signature(3, 3, 1, 9)
-    cb = conductor_bound(stab_field_tower(spec), 3)
+    cb = conductor_bound(branch_signature(3, 3, 1, 9))
     assert any("valuation 8 verified" in line for line in cb["detail"])
 
 
+def _doctored(args, **fields):
+    """The spec of the cover `args` with some of a, b, n and s replaced."""
+    return replace(branch_signature(*args), **fields)
+
+
 def test_conductor_certification_failure_detected():
-    """A tower whose quoted valuation facts are false is refused."""
-    ft = stab_field_tower(branch_signature(3, 3, 1, 9))
-    bad = FieldTower(ft.prime, ft.steps,
-                     tuple(sorted({"a": 1, "b": 5, "n": 3, "s": 1,
-                                   "case": "iii"}.items())))
+    """A spec whose quoted valuation facts are false is refused."""
+    bad = _doctored((3, 3, 1, 9), b=5)
+    assert _stable_case(bad.p, bad.n, bad.s) == "iii"
     with pytest.raises(CertificationFailed):
-        conductor_bound(bad, 3)
-
-
-def _doctored(args, **meta):
-    """The field tower of the cover `args` with some meta facts replaced."""
-    ft = stab_field_tower(branch_signature(*args))
-    doc = dict(ft.meta_dict(), **meta)
-    return FieldTower(ft.prime, ft.steps, tuple(sorted(doc.items())))
+        conductor_bound(bad)
 
 
 @pytest.mark.parametrize("meta,match", [
@@ -369,88 +361,87 @@ def _doctored(args, **meta):
 ])
 def test_conductor_certification_failure_detected_case_iv(meta, match):
     bad = _doctored((3, 3, 1, 3), **meta)
-    assert bad.meta_dict()["case"] == "iv"
+    assert _stable_case(bad.p, bad.n, bad.s) == "iv"
     with pytest.raises(CertificationFailed, match=match):
-        conductor_bound(bad, 3)
+        conductor_bound(bad)
 
 
 def test_conductor_certification_failure_detected_case_v():
     bad = _doctored((2, 3, 1, 6), b=12)
-    assert bad.meta_dict()["case"] == "v"
+    assert _stable_case(bad.p, bad.n, bad.s) == "v"
     with pytest.raises(CertificationFailed,
                        match=r"square class of 2\^\(n-0\) b i disagrees "
                              r"with l\(0\) = 3"):
-        conductor_bound(bad, 3)
+        conductor_bound(bad)
 
 
-@pytest.mark.parametrize("meta,n,match", [
-    ({"s": 2}, 3, r"case 'iii' is not the case 'iv' of p = 3, n = 3, s = 2"),
-    ({"n": 5}, 3, r"tower built for n = 5, certified at n = 3"),
-    ({}, 5, r"tower built for n = 3, certified at n = 5"),
-])
-def test_conductor_bound_refuses_inconsistent_meta(meta, n, match):
-    """The (3,3,1,9) tower (case iii) with a meta that disagrees with its case
-    or with the n asked for certified with bound 2 before this check."""
-    bad = _doctored((3, 3, 1, 9), **meta)
-    with pytest.raises(CertificationFailed, match=match):
-        conductor_bound(bad, n)
-
-
-@pytest.mark.parametrize("args,meta,n", [
+#: (cover, fields replaced in its spec, n): shapes (p, n, s) that no cover
+#: has, with s outside 1 <= s <= n or s = n for p = 2
+NO_COVER_SHAPES = [
     # the checks of cases (iii)/(iv) pass, and 5/2 < 1 was certified
-    ((3, 3, 1, 3), {"a": 1, "b": 3, "case": "iv", "n": 1, "s": 0}, 1),
-    ((3, 3, 1, 3), {"a": 1, "b": 9, "case": "iv", "n": 2, "s": 0}, 2),
-    ((3, 3, 1, 3), {"a": 1, "b": 3, "case": "iv", "n": 3, "s": -1}, 3),
-    ((5, 2, 1, 1), {"a": 1, "b": 1, "case": "ii", "n": 2, "s": 3}, 2),
-    ((2, 3, 1, 6), {"a": 1, "b": 1, "case": "v", "n": 3, "s": 3}, 3),
-])
+    ((3, 3, 1, 3), {"a": 1, "b": 3, "n": 1, "s": 0}, 1),
+    ((3, 3, 1, 3), {"a": 1, "b": 9, "n": 2, "s": 0}, 2),
+    ((3, 3, 1, 3), {"a": 1, "b": 3, "n": 3, "s": -1}, 3),
+    ((5, 2, 1, 1), {"a": 1, "b": 1, "n": 2, "s": 3}, 2),
+    ((2, 3, 1, 6), {"a": 1, "b": 1, "n": 3, "s": 3}, 3),
+]
+
+
+def _no_cover_message(args, meta, n):
+    return rf"^no cover of p = {args[0]}, n = {n} has s = {meta['s']}$"
+
+
+@pytest.mark.parametrize("args,meta,n", NO_COVER_SHAPES)
 def test_conductor_bound_refuses_an_s_no_cover_has(args, meta, n):
-    """A meta with s outside 1 <= s <= n, or s = n for p = 2, is refused:
+    """A spec with s outside 1 <= s <= n, or s = n for p = 2, is refused:
     only such an s lets case (iii) or (iv) fall on n <= 2, where the
     conductors 3/2 and 5/2 of the cube roots are not below n."""
-    bad = _with_meta(args, meta)
+    bad = _doctored(args, **meta)
     with pytest.raises(CertificationFailed,
-                       match=rf"^no cover of p = {args[0]}, n = {n} has "
-                             rf"s = {meta['s']}$"):
-        conductor_bound(bad, n)
+                       match=_no_cover_message(args, meta, n)):
+        conductor_bound(bad)
+
+
+@pytest.mark.parametrize("args,meta,n", NO_COVER_SHAPES)
+@pytest.mark.parametrize("stage", [new_tail_locus, certify_tail,
+                                   build_stable_graph, inseparable_tails,
+                                   stab_field_tower, conductor_bound])
+def test_every_spec_stage_refuses_an_s_no_cover_has(stage, args, meta, n):
+    """One rule, in _stable_case, refuses a shape no cover has for every
+    stage that takes a spec, with the same error and message; before it,
+    build_stable_graph of s = 0 or s > n returned a graph, and a p = 2 spec
+    with s = n raised UnsupportedCase."""
+    with pytest.raises(CertificationFailed,
+                       match=_no_cover_message(args, meta, n)):
+        stage(_doctored(args, **meta))
 
 
 #: one cover per case (i)-(v)
 ONE_COVER_PER_CASE =[(5, 2, 1, 1), (5, 2, 3, 10), (3, 3, 1, 9),
                       (3, 3, 1, 3), (2, 3, 1, 6)]
 
-
-def _with_meta(args, meta):
-    """The field tower of the cover `args` with its meta replaced."""
-    ft = stab_field_tower(branch_signature(*args))
-    return FieldTower(ft.prime, ft.steps, tuple(sorted(meta.items())))
+ZERO_CENTRE = r"^a \+ b = 0: the centre a/\(a\+b\) is undefined$"
 
 
-@pytest.mark.parametrize("args", ONE_COVER_PER_CASE)
-@pytest.mark.parametrize("drop", [("case",), ("a",),
-                                  ("a", "b", "n", "s", "case")])
-def test_conductor_bound_names_a_missing_meta_fact(args, drop):
-    """A meta that lacks a fact is refused with CertificationFailed naming
-    it, in every case; without the check it raised KeyError."""
-    meta = stab_field_tower(branch_signature(*args)).meta_dict()
-    bad = _with_meta(args, {k: v for k, v in meta.items() if k not in drop})
-    with pytest.raises(CertificationFailed,
-                       match=f"the tower's meta lacks {', '.join(drop)}$"):
-        conductor_bound(bad, args[1])
+def _zero_a_plus_b(args, key):
+    """The spec of the cover `args` with a or b replaced so that a + b = 0."""
+    spec = branch_signature(*args)
+    return replace(spec, **{key: -(spec.b if key == "a" else spec.a)})
 
 
 @pytest.mark.parametrize("args", ONE_COVER_PER_CASE)
 @pytest.mark.parametrize("key", ["a", "b"])
 def test_conductor_bound_refuses_a_zero_a_plus_b(args, key):
-    """A meta with a + b = 0, which no cover has, is refused with
+    """A spec with a + b = 0, which no cover has, is refused with
     CertificationFailed in every case; without the check cases (ii)-(v) could
-    raise ZeroDivisionError from Fraction(a, a + b)."""
-    meta = stab_field_tower(branch_signature(*args)).meta_dict()
-    meta[key] = -meta["b" if key == "a" else "a"]
-    with pytest.raises(CertificationFailed,
-                       match=r"^a \+ b = 0: the centre a/\(a\+b\) is "
-                             r"undefined$"):
-        conductor_bound(_with_meta(args, meta), args[1])
+    raise ZeroDivisionError from Fraction(a, a + b).  new_tail_locus, and
+    certify_tail through it, refuse it the same way before building a
+    centre: certify_tail of (5, 2, 1, -1, s = 2) raised ZeroDivisionError,
+    and of the case (iii) spec (3, 3, 1, -1, s = 1) ZeroElement."""
+    bad = _zero_a_plus_b(args, key)
+    for stage in (conductor_bound, new_tail_locus, certify_tail):
+        with pytest.raises(CertificationFailed, match=ZERO_CENTRE):
+            stage(bad)
 
 
 #: conductor_bound output of one cover per case (i)-(v): kind, value, detail
@@ -494,9 +485,9 @@ GOLDEN_CONDUCTORS = {
 @pytest.mark.parametrize("args", sorted(GOLDEN_CONDUCTORS))
 def test_conductor_bound_golden(args):
     case, kind, value, detail = GOLDEN_CONDUCTORS[args]
-    ft = stab_field_tower(branch_signature(*args))
-    assert ft.meta_dict()["case"] == case
-    cb = conductor_bound(ft, args[1])
+    spec = branch_signature(*args)
+    assert _stable_case(spec.p, spec.n, spec.s) == case
+    cb = conductor_bound(spec)
     assert cb["vanishes_at_n"] is True
     assert (cb["conductor"].kind, cb["conductor"].value) == (kind, value)
     assert cb["detail"] == detail
@@ -637,7 +628,7 @@ def _di_square(d, ell):
 def _old_case_v(n, s, a, b):
     """Case (v) of conductor_bound as it was, with every fact a valuation
     of a built d_j in its tower and every square class decided in its
-    field; returns the detail lines.  A meta with a + b = 0 is refused
+    field; returns the detail lines.  A spec with a + b = 0 is refused
     first, as conductor_bound refuses it."""
     if a + b == 0:
         raise CertificationFailed("a + b = 0: the centre a/(a+b) is "
@@ -668,48 +659,46 @@ def _old_case_v(n, s, a, b):
     return detail
 
 
-def _case_v_lines(ft, n):
-    """The d_j lines of conductor_bound's detail for a case (v) tower."""
-    return [line for line in conductor_bound(ft, n)["detail"]
+def _case_v_lines(spec):
+    """The d_j lines of conductor_bound's detail for a case (v) spec."""
+    return [line for line in conductor_bound(spec)["detail"]
             if line.startswith("d_")]
 
 
 @cache
-def _case_v_tower(n, s):
-    """The field tower of the real case (v) cover (2, n, 1, 3 * 2^(n-s))."""
-    return stab_field_tower(branch_signature(2, n, 1, 2 ** (n - s) * 3))
+def _case_v_spec(n, s):
+    """The spec of the real case (v) cover (2, n, 1, 3 * 2^(n-s))."""
+    return branch_signature(2, n, 1, 2 ** (n - s) * 3)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_case_v_conductor_bound_matches_the_tower_path(seed):
-    """On real covers and on metas with a and b doctored, conductor_bound
+    """On real covers and on specs with a and b doctored, conductor_bound
     certifies, or refuses with the same error and message, exactly where
     the old path through built d_j does.  Seed 1 adds the grid 2 <= n <= 6,
     every s < n, a in {1, 3, -5, 7} and b' in every class mod 8, where
     b' = +-1 mod 8 (b' != +-1) is refused at the w step on both paths.  The
-    doctored metas include ties v(R_j) = v(a/(a+b) - 1) and a + b = 0."""
+    doctored specs include ties v(R_j) = v(a/(a+b) - 1) and a + b = 0."""
     rng = random.Random(seed)
-    metas = [(3, 2, -64, -62), (3, 2, -64, -58), (4, 3, 6, -6)]  # ties, 0
+    draws = [(3, 2, -64, -62), (3, 2, -64, -58), (4, 3, 6, -6)]  # ties, 0
     for n in range(2, 6):
         for s in range(1, n):
             for _ in range(3):
-                metas.append((n, s, rng.choice((1, 3, 5, 7, 9)),
+                draws.append((n, s, rng.choice((1, 3, 5, 7, 9)),
                               2 ** (n - s) * rng.choice((3, -3, 5, -5, 7))))
             for _ in range(12):
-                metas.append((n, s, rng.randint(-64, 64),
+                draws.append((n, s, rng.randint(-64, 64),
                               rng.choice((-1, 1)) * rng.randint(1, 32) * 2))
     if seed == 1:
-        metas += [(n, s, a, 2 ** (n - s) * b_odd)
+        draws += [(n, s, a, 2 ** (n - s) * b_odd)
                   for n in range(2, 7) for s in range(1, n)
                   for a in (1, 3, -5, 7)
                   for b_odd in (3, -3, 5, -5, 7, -7, 9, 1)]
     kinds = set()
-    for n, s, a, b in metas:
-        ft0 = _case_v_tower(n, s)
-        doc = dict(ft0.meta_dict(), a=a, b=b, s=s)
-        ft = FieldTower(2, ft0.steps, tuple(sorted(doc.items())))
+    for n, s, a, b in draws:
+        spec = replace(_case_v_spec(n, s), a=a, b=b, s=s)
         old = _outcome(_old_case_v, n, s, a, b)
-        assert _outcome(_case_v_lines, ft, n) == old, (n, s, a, b)
+        assert _outcome(_case_v_lines, spec) == old, (n, s, a, b)
         kinds.add(old[0] if isinstance(old, tuple) else "certified")
     assert {"certified", "CertificationFailed", "IrreducibilityUnverified",
             "ZeroRadicand"} <= kinds, kinds
@@ -808,7 +797,7 @@ def test_p3_identity_grid_builds_no_tower(monkeypatch):
 
 
 def _old_cube_case(n, s, a, b):
-    """conductor_bound of a case (iii) or (iv) meta as it was, with the
+    """conductor_bound of a case (iii) or (iv) spec as it was, with the
     cube root over K_1 = Q_3(zeta_3): its conductor from
     kummer_step_conductor, v(cbrt rad) from certify_radical and phi_{L/K_0}
     from herbrand_phi.  Each fact is checked against the constant that
@@ -850,8 +839,8 @@ def _old_cube_case(n, s, a, b):
     return "bound", max(Fraction(n - 1), h), detail
 
 
-def _new_cube_case(ft, n):
-    cb = conductor_bound(ft, n)
+def _new_cube_case(spec):
+    cb = conductor_bound(spec)
     assert cb["vanishes_at_n"] is True
     return cb["conductor"].kind, cb["conductor"].value, cb["detail"]
 
@@ -861,7 +850,7 @@ def test_cube_root_closed_forms_match_the_tower_path():
     closed form (jump 3 over K_1, v(cbrt rad) = v_3(rad)/3, conductors 3/2
     and 5/2), gives the kind, value and detail of the old path over K_1 on
     every case (iii) and (iv) cover with n <= 5, 1 <= a <= 4 and
-    |b| <= 40, and refuses metas with a and b doctored, 3 | a and radicands
+    |b| <= 40, and refuses specs with a and b doctored, 3 | a and radicands
     of the wrong valuation or zero among them, with the same error."""
     covers = 0
     for n in range(2, 6):
@@ -873,23 +862,21 @@ def test_cube_root_closed_forms_match_the_tower_path():
                     continue
                 if spec.s == n:
                     continue
-                ft = stab_field_tower(spec)
-                assert _new_cube_case(ft, n) == _old_cube_case(
+                assert _new_cube_case(spec) == _old_cube_case(
                     n, spec.s, spec.a, spec.b), spec
                 covers += 1
     assert covers == 780, covers
     kinds = set()
     for n in range(2, 6):
         for s in range(1, n):
-            ft0 = stab_field_tower(branch_signature(3, n, 1, 3 ** (n - s)))
+            spec0 = branch_signature(3, n, 1, 3 ** (n - s))
             for a in (1, 2, 3, -5, 6):
                 for b in range(-40, 41, 3):
                     if a + b == 0:
                         continue
-                    doc = dict(ft0.meta_dict(), a=a, b=b)
-                    ft = FieldTower(3, ft0.steps, tuple(sorted(doc.items())))
+                    spec = replace(spec0, a=a, b=b)
                     old = _outcome(_old_cube_case, n, s, a, b)
-                    assert _outcome(_new_cube_case, ft, n) == old, (n, s, a, b)
+                    assert _outcome(_new_cube_case, spec) == old, (n, s, a, b)
                     kinds.add(old[0] if len(old) == 2 else "certified")
     assert kinds == {"certified", "CertificationFailed", "ZeroElement"}, kinds
 
@@ -902,7 +889,7 @@ def test_case_v_conductor_bound_takes_no_norm_and_builds_no_centre(
     step adjoined."""
     spec = branch_signature(*args)
     calls = _count_field_work(monkeypatch)
-    cb = conductor_bound(stab_field_tower(spec), spec.n)
+    cb = conductor_bound(spec)
     assert cb["vanishes_at_n"] is True
     assert calls == []
 

@@ -98,6 +98,21 @@ def test_conductor_subcommand(runner):
     assert doc["conductor"]["value"] == "3/2"
 
 
+@pytest.mark.parametrize("args", [(5, 2, 1, 1), (5, 2, 3, 10), (3, 3, 1, 9),
+                                  (3, 3, 1, 3), (2, 3, 1, 6)])
+def test_conductor_subcommand_matches_analyze(runner, args):
+    """On one cover per case (i)-(v), padic-sr conductor prints the tower
+    and conductor blocks of the analyze report."""
+    opts = [x for name, v in zip(("--p", "--n", "--a", "--b"), args)
+            for x in (name, str(v))]
+    res = runner.invoke(main, ["conductor", *opts])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    report = json.loads(runner.invoke(main, ["analyze", *opts]).output)
+    assert doc.pop("tower") == report["tower"]
+    assert doc == report["conductor"]
+
+
 def test_signature_subcommand(runner):
     res = runner.invoke(main, ["signature", "--p", "5", "--n", "1", "--m",
                                "2", "--a1", "1", "--a2", "1", "--a3", "0"])
@@ -229,11 +244,18 @@ def test_bad_parameters_are_usage_errors(runner, args, message):
                                   '{"prime": 5, "n": 1, "components": ['
                                   '{"id": "a", "kind": "original"}], '
                                   '"edges": [{"source": "a", '
-                                  '"target": {"a": 1}}]}'])
+                                  '"target": {"a": 1}}]}',
+                                  '{"prime": 5, "n": 1, "components": ['
+                                  '{"id": "a", "kind": "tail", "tail_kind": '
+                                  '"new", "sigma_b": 2.5}], "edges": []}',
+                                  '{"prime": 5, "n": 1, "components": ['
+                                  '{"id": "a", "kind": "tail", "tail_kind": '
+                                  '"new", "sigma_b": true}], "edges": []}'])
 def test_validate_graph_malformed_file(runner, tmp_path, text):
     """A file that is no graph exits 1 with one error line, not a
-    traceback: a string inertia exponent, a zero denominator, mG = 0 and
-    a component id or edge end that is no string among them."""
+    traceback: a string inertia exponent, a zero denominator, mG = 0, a
+    component id or edge end that is no string, and a float or bool
+    sigma_b, which no exact rational is, among them."""
     path = tmp_path / "bad.json"
     path.write_text(text)
     res = runner.invoke(main, ["validate-graph", str(path)])

@@ -26,3 +26,22 @@ def test_ratstr(x, text):
 def test_ratstr_refuses_floats(x):
     with pytest.raises(TypeError):
         ratstr(x)
+
+
+@pytest.mark.parametrize("x", [2.5, 2.0, -0.0, True, False])
+def test_parse_rat_refuses_floats_and_bools(x):
+    """No float reaches an interface or a certificate, and a bool is no
+    number of either."""
+    with pytest.raises(TypeError, match=r"^expected an exact rational, not "):
+        parse_rat(x)
+
+
+@pytest.mark.parametrize("text", ["3/0", "-1/0", "0/0"])
+def test_parse_rat_refuses_a_zero_denominator(text):
+    with pytest.raises(ValueError, match=r"^zero denominator in "):
+        parse_rat(text)
+
+
+def test_parse_rat_returns_a_fraction_as_it_is():
+    x = Fraction(7, 4)
+    assert parse_rat(x) is x

@@ -65,9 +65,9 @@ def _tower_disk(spec, locus):
     oracle's for a case (iii) or (v) centre, and for the rational centre
     a/(a+b) its image in Q_p(pi) with e = pi^((2n-s)(p-1)+1), of valuation
     locus.v_e."""
-    if locus.case == "p3s1":
+    if isinstance(locus.d, CubicCentre):
         return cubic_tower_disk(locus)
-    if locus.case == "p2":
+    if locus.rho is not None:
         return tower_locus(spec)
     p, n, s = spec.p, spec.n, spec.s
     t = _q_p_pi(p)
@@ -351,13 +351,21 @@ def test_not_certified_min_at_p_index():
 
 def test_classifier_refuses_unnormalized_expansion():
     """c_0 must be 1, read as K_0 == 1 of the expansion, on a Fraction
-    centre and on a cubic centre."""
+    centre and on a cubic centre, and the expansion must reach c_p, which
+    raised IndexError before it was checked."""
     spec = _spec(5, 1, 1, 1, 1)
     for d, ks in ((Fraction(1, 2), []), (Fraction(1, 2), [2] + [0] * 10),
                   (CubicCentre((1, 1, 0), 2, 5), [(2, 0, 0)] +
                    [(0, 0, 0)] * 10)):
         exp = DiskExpansion(spec, d, Fraction(5, 8), ks, (2, 1, -1))
         with pytest.raises(ValueError, match="normalized to c_0 = 1"):
+            classify_torsor_reduction(exp)
+    for d, ks in ((Fraction(1, 2), [1, 1, 0]), (Fraction(1, 2), [1] * 5),
+                  (CubicCentre((1, 1, 0), 2, 5), [(1, 0, 0)] * 3)):
+        exp = DiskExpansion(spec, d, Fraction(5, 8), ks, (2, 1, -1))
+        with pytest.raises(ValueError, match=rf"^expansion stops at "
+                                             rf"c_{len(ks) - 1}, before "
+                                             rf"c_p = c_5$"):
             classify_torsor_reduction(exp)
 
 
@@ -394,7 +402,8 @@ def test_expansion_matches_double_sum(p, n, a, b, case):
     coefficients, and the K_l of a Fraction or cubic centre."""
     spec = branch_signature(p, n, a, b)
     locus = new_tail_locus(spec)
-    assert locus.case == case
+    assert isinstance(locus.d, CubicCentre) == (case == "p3s1")
+    assert (locus.rho is not None) == (case == "p2")
     d, e = _tower_disk(spec, locus)
     L = default_truncation(p)
     exp = tower_expand_disk(spec, d, e)
@@ -439,7 +448,7 @@ def test_profile_matches_eager_valuations(p, n, a, b):
     locus = new_tail_locus(spec)
     d, e = _tower_disk(spec, locus)
     _check_against_reference(spec, d, e,
-                             None if locus.case == "p2" else locus.d)
+                             None if locus.rho is not None else locus.d)
 
 
 def test_profile_matches_eager_valuations_off_locus():
@@ -492,7 +501,7 @@ def _identity_grid_odd_covers():
 def _identity_grid_rational_covers():
     """The rational-centre covers of _identity_grid_odd_covers."""
     for spec, locus in _identity_grid_odd_covers():
-        if locus.case == "rational":
+        if isinstance(locus.d, Fraction):
             yield spec, locus
 
 
@@ -555,7 +564,7 @@ def test_cubic_centre_matches_the_tower_path():
     covers, seen = 0, set()
     for spec in _case_iii_grid():
         locus = new_tail_locus(spec)
-        assert locus.case == "p3s1" and isinstance(locus.d, CubicCentre)
+        assert isinstance(locus.d, CubicCentre) and locus.rho is None
         assert locus.d[:2] == ((spec.a, 1, 0), spec.a + spec.b), spec
         got = agree(spec, locus)
         assert got.kind == "SplitsArtinSchreier", spec
@@ -693,8 +702,7 @@ def test_rational_centre_needs_no_tower_arithmetic(monkeypatch, p, n, a, b):
     monkeypatch.setattr(Tower, "__init__", counted_init)
     monkeypatch.setattr(TowerElement, "__mul__", counted_mul)
     locus = new_tail_locus(spec)
-    assert locus.case == "rational"
-    assert isinstance(locus.d, Fraction)
+    assert isinstance(locus.d, Fraction) and locus.rho is None
     verdict = certify_tail(spec)
     assert verdict.kind == "SplitsArtinSchreier"
     assert calls == {"Tower": 0, "mul": 0}
@@ -825,7 +833,7 @@ def test_p2_congruence_needs_no_tower_product(monkeypatch):
     """The p = 2 congruence is decided in closed form, with no tower
     product or inverse at all."""
     spec = branch_signature(2, 3, 1, 6)
-    assert new_tail_locus(spec).case == "p2"
+    assert new_tail_locus(spec).rho is not None
     calls = _count_tower_calls(monkeypatch)
     verdict = certify_tail(spec)
     assert "congruence holds with i -> +i" in verdict.notes

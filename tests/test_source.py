@@ -480,9 +480,10 @@ CASE_READERS = {"build_stable_graph", "inseparable_tails", "stab_field_tower",
                 "_report_shape"}
 
 
-def _label_comparisons(tree):
-    """(line, enclosing function or None) of each comparison with a case
-    label: case == "v" and case in ("ii", "iii") alike."""
+def _label_comparisons(tree, labels=CASE_LABELS):
+    """(line, enclosing function or None) of each comparison with one of
+    labels, the case labels by default: case == "v" and
+    case in ("ii", "iii") alike."""
     owner = {}
     for name, node in _functions(tree).items():
         for sub in ast.walk(node):
@@ -495,7 +496,7 @@ def _label_comparisons(tree):
                   for const in (operand.elts if isinstance(
                       operand, (ast.Tuple, ast.List, ast.Set)) else [operand])
                   if isinstance(const, ast.Constant)]
-        if any(isinstance(v, str) and v in CASE_LABELS for v in values):
+        if any(isinstance(v, str) and v in labels for v in values):
             yield node.lineno, owner.get(id(node))
 
 
@@ -522,6 +523,60 @@ def test_label_checker_reads_each_form():
            "def h(k):\n    return k == 'vi' or k < 3\n")
     assert sorted(_label_comparisons(ast.parse(src))) == [
         (2, "f"), (6, "C.g"), (8, None)]
+    assert sorted(_label_comparisons(ast.parse(src), {"x", "vi"})) == [
+        (6, "C.g"), (10, "h")]
+
+
+#: the labels of the second case vocabulary, that of the new-tail locus:
+#: certify_tail tells a case (v) locus by its rho, and expand_disk the
+#: other two by the type of the centre
+LOCUS_LABELS = {"rational", "p3s1", "p2"}
+
+
+def test_no_module_compares_a_locus_label():
+    found = [f"{path.name}:{line}: a locus label compared in {name}"
+             for path in SOURCES
+             for line, name in _label_comparisons(
+                 ast.parse(path.read_text(), str(path)), LOCUS_LABELS)]
+    assert not found, "\n".join(found)
+
+
+#: the names of the tower-meta round trip, and the error that only the
+#: p = 2, s = n branch of _stable_case raised
+META_ROUND_TRIP = {"meta_dict", "UnsupportedCase"}
+
+
+def _meta_reads(tree):
+    """(line, what) of each .meta attribute and each META_ROUND_TRIP name."""
+    yield from _named(tree, META_ROUND_TRIP)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "meta":
+            yield node.lineno, ".meta"
+
+
+def test_every_certificate_reads_the_spec():
+    """conductor_bound takes the cover spec alone, as every other stage
+    does, and analyzer.py reads no tower meta back: the meta is output
+    only.  No package module names meta_dict or UnsupportedCase."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    args = _functions(trees["analyzer.py"])["conductor_bound"].args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["spec"]
+    assert not (args.vararg or args.kwarg or args.kwonlyargs)
+    found = [f"analyzer.py:{line}: {what}"
+             for line, what in _meta_reads(trees["analyzer.py"])]
+    found += [f"{name}:{line}: {what}"
+              for name, tree in trees.items()
+              for line, what in _named(tree, META_ROUND_TRIP)]
+    assert not found, "\n".join(found)
+
+
+def test_meta_checker_reads_each_form():
+    src = ("def f(ft, meta):\n    return ft.meta, meta\n\n"
+           "g = lambda ft: dict(ft.meta_dict())\n"
+           "class UnsupportedCase(Exception):\n    pass\n")
+    assert sorted(_meta_reads(ast.parse(src))) == [
+        (2, ".meta"), (4, "meta_dict"), (5, "UnsupportedCase")]
 
 
 #: the p = 2 fields, the square-class and q-th power class tables and the

@@ -18,12 +18,12 @@ from padic_sr.errors import (
     IrreducibilityUnverified,
     ZeroElement,
 )
+from padic_sr.jsonutil import parse_rat
 from padic_sr.ramification import cyclotomic_tower
 from padic_sr.series import _check_premises, _scaled, default_truncation
 from padic_sr.tower import (
     Tower,
     _element,
-    _exact_rational,
     unit_level,
     vp_int,
     vp_rational,
@@ -48,7 +48,7 @@ def is_mth_power(u, m: int, p: int) -> bool:
     Valuation divisibility plus a brute-force Hensel witness search modulo
     p^(2 v_p(m) + 1) for odd p, modulo 2^(2 v_2(m) + 3) for p = 2.
     """
-    u = _exact_rational(u)
+    u = parse_rat(u)
     if u == 0:
         raise ZeroElement("0 has no well-defined power class")
     if m < 2:
