@@ -44,6 +44,7 @@ from .series import (
     CubicCentre,
     ReductionVerdict,
     classify_p2_torsor,
+    classify_rational_centre,
     classify_torsor_reduction,
     expand_disk,
 )
@@ -200,8 +201,8 @@ def _certify_p2_step(b_odd: int, c: int) -> None:
 @dataclass(frozen=True)
 class NewTailLocus:
     """The disk of the new etale tail (new_tail_locus): its centre and v(e).
-    No case label: certify_tail tells a case (v) locus by its rho, and
-    expand_disk a Fraction centre from a CubicCentre by its type."""
+    No case label: certify_tail tells a case (v) locus by its rho, and a
+    Fraction centre from a CubicCentre by its type."""
     d: object  # CubicCentre (a + t)/(a+b) in case (iii), else Fraction a/(a+b)
     v_e: Fraction  # v(e) = (2n - s + 1/(p-1))/2, in closed form
     rho: int | None = None  # case (v): the centre is d + R, R^2 = rho i/(a+b)^4
@@ -223,7 +224,7 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     case = _stable_case(p, n, s)
     if a + b == 0:
         raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
-    v_e = Fraction(2 * n - s + Fraction(1, p - 1), 2)
+    v_e = Fraction((2 * n - s) * (p - 1) + 1, 2 * (p - 1))
     if case == "v":
         # sqrt(2^n b i) = (1+i)^k i^(k//2) w, k = 2n - s, b' = b/2^(n-s)
         # odd and w^2 = (-i)^(k%2) b' i, as (1+i)^2 = 2i and (-i)^2 = -1
@@ -239,13 +240,15 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
 
 
 def certify_tail(spec: CoverSpec) -> ReductionVerdict:
-    """Expand the cover on the new-tail disk to c_2p and classify the
-    reduction; the tail bound certifies every later c_l, and no longer
-    expansion could change the verdict (series module docstring).  A case
-    (v) centre is classified in closed form, with no expansion."""
+    """Certify the reduction on the new-tail disk: in closed form at a
+    rational centre (cases i, ii and iv) and at a case (v) centre, from
+    the expansion to c_3 at the cubic centre of case (iii).  The tail bound
+    certifies every later c_l (series module docstring)."""
     locus = new_tail_locus(spec)
     if locus.rho is not None:
         return classify_p2_torsor(spec, locus.v_e, locus.rho)
+    if isinstance(locus.d, Fraction):
+        return classify_rational_centre(spec, locus.d, locus.v_e)
     return classify_torsor_reduction(
         expand_disk(spec, locus.d, locus.v_e))
 

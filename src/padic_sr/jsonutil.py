@@ -11,8 +11,8 @@ def ratstr(x) -> str:
     """The string "num/den" (or "num") of an exact rational.  An int or a
     Fraction is read as it is, anything else (a string such as "6/4") goes
     through Fraction; a float is refused, as no float may reach an
-    interface."""
-    if isinstance(x, float):
+    interface, and so is a bool, which parse_rat would not read back."""
+    if isinstance(x, (bool, float)):
         raise TypeError(f"ratstr takes an exact rational, not {x!r}")
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)

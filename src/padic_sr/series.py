@@ -1,6 +1,6 @@
-"""Truncated power-series expansion of the cover equation on a disk, and
-classification of the reduction type of mu_{p^n}-torsors from coefficient
-valuations.
+"""Closed-form certificates of the new etale tail, the disk expansion of the
+case (iii) centre, and classification of the reduction type of
+mu_{p^n}-torsors from coefficient valuations.
 
 The cover y^(p^n) = c x^a (x-1)^b is restricted to the disk x = d + e t with
 the normalization c = d^(-a) (d-1)^(-b), so the restricted equation reads
@@ -11,56 +11,64 @@ y^(p^n) = g(d + e t) / g(d) = sum c_l t^l with c_0 = 1 and
 with falling-factorial binomials (exact integers for integer a, b), i.e. h_l
 is the t^l coefficient of h(t) = (1 + t/d)^a (1 + t/(d-1))^b.
 
-Expansion.  From h'/h = a/(d+t) + b/(d-1+t), the series h satisfies
-(d+t)(d-1+t) h' = (a(d-1+t) + b(d+t)) h; comparing t^l coefficients gives the
-exact three-term recurrence
+Rational centres.  In cases (i), (ii) and (iv) p is odd, the centre is
+d = a/(a+b) and v(e) = (2n - s + 1/(p-1))/2, and `classify_rational_centre`
+certifies the disk from c_1, c_2 and c_3 in closed form, with no
+expansion.  As log h = sum_{k >= 1} (-1)^(k+1) S_k t^k / k with
+S_k = a/d^k + b/(d-1)^k, exponentiating gives h_1 = S_1,
+h_2 = (S_1^2 - S_2)/2 and h_3 = (S_1^3 - 3 S_1 S_2 + 2 S_3)/6.  With
+d = delta/N in lowest terms and delta' = delta - N, S_k = N^k T_k /
+(delta delta')^k with the integer T_k = a delta'^k + b delta^k, so each
+valuation is a v_p of an integer.  At d = a/m, m = a + b, a/d = m and
+b/(d-1) = -m, so S_1 = 0, S_2 = m^3/(ab) and S_3 = m^3/a^2 - m^3/b^2:
 
-    d(d-1)(l+1) h_{l+1} = (a(d-1) + b d - (2d-1) l) h_l + (a+b-l+1) h_{l-1}
+    h_1 = 0,   h_2 = -m^3/(2ab),   h_3 = S_3/3 = m^4 (b - a)/(3 a^2 b^2).
 
-with h_0 = 1, h_{-1} = 0.  `expand_disk` runs it fraction-free, in the ring
-of the centre: the integers for a `Fraction` centre, the integer triples
-of Z[t]/(t^3 - r) for a `CubicCentre`, the only two kinds of centre it
-takes.  Let N be the least common denominator of the coordinates of d,
-delta = N d and delta' = delta - N = N(d-1).  Multiplying the defining sum
-by d^l (d-1)^l N^l gives
+The certificate checks, in order: the tail premises v(d) = 0,
+v(d - 1) = n - s and v_p(b) = n - s ("Tail bound"); h_1 = 0, as T_1 = 0;
+v(c_2) = 2 v(e) + v_p(S_2) = tau, tau = n + 1/(p-1); when p = 3 and n = 1,
+v(c_3) = 3 v(e) + v_p(S_3) - 1 > tau or c_3 = 0; and the tail bound above
+tau past L = 2 (L = 3 in that one shape).  A failed premise or tail bound
+raises PrecisionExhausted, any other failed fact returns NotCertified
+naming it.  On a cover every fact holds.  The premises give
+v_p(m) = v_p(b) - v(d - 1) = 0 and v_p(a) = v(d) + v_p(m) = 0, so
+v(c_2) = 2 v(e) + 3 v_p(m) - v_p(a) - v_p(b) = 2n - s + 1/(p-1) - (n - s)
+= tau.  When p = 3 and n = 1, s = 1 and a, b and a + b are prime to 3,
+which forces a = b mod 3, so v(c_3) = 9/4 + v_3(b - a) - 1 >= 9/4 > 3/2 =
+tau.  The
+tail bound is proved under "The expansion length".  So v(c_2) = tau is
+the minimum, reached at l = 2 alone, and every index divisible by p lies
+above it: condition (i) of `classify_torsor_reduction` with conductor
+h = 2 and count p^(n-1), the verdict that classifier gives on an
+expansion of the same disk to any length L >= p.  The cost is a few v_p
+of integers the size of a^4 and b^4, whatever p is.
 
-    h_l = N^l K_l / (delta delta')^l,
+Cubic centres.  The case (iii) centre (p = 3, s = 1 < n) is
+d = (a + t)/(a+b) with t^3 = r = 3^(2n+1) C(b, 3), v_3(r) = 3n - 1, and
+`expand_disk` expands the cover on its disk.  From
+h'/h = a/(d+t) + b/(d-1+t), comparing t^l coefficients of
+(d+t)(d-1+t) h' = (a(d-1+t) + b(d+t)) h gives a three-term recurrence
+for h_l.  With N the least common denominator of the coordinates of d,
+delta = N d and delta' = delta - N, multiplying the defining sum by
+d^l (d-1)^l N^l gives h_l = N^l K_l / (delta delta')^l, and the
+recurrence, multiplied through by (delta delta')^l / N^(l-1), reads
+
     K_l = sum_{j=0..l} C(a, l-j) C(b, j) delta^j delta'^(l-j),
-
-and substituting h_l into the recurrence above and multiplying through by
-(delta delta')^l / N^(l-1) gives
-
     (l+1) K_{l+1} = (a delta' + b delta - (2 delta - N) l) K_l
                     + (a+b-l+1) delta delta' K_{l-1},
 
-with K_0 = 1, K_{-1} = 0.  No inverse is needed.  When d is rational,
-delta and delta' are integers and so is every C(a, k) C(b, j), so the sum
-makes K_l an integer: the recurrence runs on Python integers and its
-division by l+1 is exact (checked, never floored).
-
-Rational centres.  In cases (i), (ii) and (iv) the centre a/(a+b) and the
-radius v(e) = (2n - s + 1/(p-1))/2 are exact rationals, and nothing below
-reads e itself: only v(e) enters, through the slope and the tail bound.  So
-a rational centre is given as a `Fraction` d together with v(e), and no
-tower is built.  N and delta are the denominator and numerator of d, every
-valuation is v_p of an integer, and the profile scale is
-E = lcm(den v(e), p - 1), which is 2(p-1) on the locus: the ramification
-index of Q_p(e) there.  The whole certification costs O(L) integer
-operations.
-
-Cubic centres.  The case (iii) centre (p = 3, s = 1 < n) is
-d = (a + t)/(a+b) with t^3 = r = 3^(2n+1) C(b, 3), v_3(r) = 3n - 1.  A
-`CubicCentre` gives it as an integer triple over an integer denominator,
-and the recurrence runs in Z[t]/(t^3 - r): delta, delta' and every K_l are
-triples (c_0, c_1, c_2), read as c_0 + c_1 t + c_2 t^2, and a product
-reduces t^3 to r.  As 3 does not divide v_p(r), r is no cube, x^3 - r is
-irreducible over Q and 1, t, t^2 is a basis of Q(t), so the triple of K_l
-is unique; K_l is an integer combination of products of delta and delta',
-so its coordinates are integers, and the division of (l+1) K_{l+1} by
-l + 1 is exact in each coordinate (checked).  The valuation needs no norm.
-The Newton polygon of x^3 - r over Q_p is one segment of slope v_p(r)/3,
-whose denominator is 3, so Q_p(t) is totally ramified of degree 3, v
-extends uniquely, and v(t) = v_p(r)/3.  The term c_j t^j has valuation
+with K_0 = 1, K_{-1} = 0, and no inverse.  delta, delta' and every K_l
+are triples (c_0, c_1, c_2) of Z[t]/(t^3 - r), read as
+c_0 + c_1 t + c_2 t^2, and a product reduces t^3 to r.  As 3 does not
+divide v_p(r), x^3 - r is irreducible over Q and 1, t, t^2 is a basis of
+Q(t), so the triple of K_l is unique, its coordinates are integers, and
+the division by l + 1 is exact in each coordinate (checked, never
+floored).  `expand_disk` runs three steps, to K_3 = K_p: the classifier
+reads c_1, c_2 and c_3, and the tail bound certifies every later c_l
+("The expansion length").  The valuation needs no norm.  The Newton
+polygon of x^3 - r over Q_p is one segment of slope v_p(r)/3, whose
+denominator is 3, so Q_p(t) is totally ramified of degree 3, v extends
+uniquely, and v(t) = v_p(r)/3.  The term c_j t^j has valuation
 v_p(c_j) + j v(t), in j v_p(r)/3 + Z, and the classes of 0, v_p(r)/3 and
 2 v_p(r)/3 mod 1 are distinct, so two nonzero terms never tie and
 
@@ -69,23 +77,19 @@ v_p(c_j) + j v(t), in j v_p(r)/3 + Z, and the classes of 0, v_p(r)/3 and
 exactly.  On the locus v(t) = n - 1/3 and v(e) = n - 1/4, so the scale
 E = lcm(den v(e), 3, p - 1) is 12, the ramification index of Q_3(pi)(t),
 pi^4 = 3, where the same disk has the same scaled profile.  The tail
-premises and condition (ii) read the same triples, so the certification
-costs O(L) products of triples and no tower.
+premises and condition (ii) read the same triples: no tower is built.
 
 Valuations without coefficients.  With c_l = e^l h_l = r^l K_l and
 r = N e / (delta delta'), valuations are multiplicative.  Scaled by E (the
 profile scale of `DiskExpansion`, which puts every valuation in Z),
-
-    E v(c_l) = l slope + E v(K_l),
-    slope = E v(r) = E (v(e) + v(N) - v(delta) - v(delta')),
-
-and c_l = 0 exactly when K_l = 0 (e, d and d-1 are nonzero).  The classifiers
-read only the K_l and the slope: they build no c_l and invert nothing, and
-for a rational centre every valuation is one v_p of an integer.  The test
-that compares coefficients, not just valuations, carries the same power of
-r on both sides, so r enters only through the slope (tau = n + 1/(p-1)):
-condition (ii), M = (p-1) n + 1, reads c_p - c_1^p / p^M = r^p p^(-M) Y with
-Y = p^M K_p - K_1^p, so v(c_p - c_1^p / p^M) > tau exactly when Y = 0 or
+E v(c_l) = l slope + E v(K_l) with slope = E v(r) =
+E (v(e) + v(N) - v(delta) - v(delta')), and c_l = 0 exactly when K_l = 0.
+The classifier reads only the K_l and the slope: it builds no c_l and
+inverts nothing.  The test that compares coefficients, not just
+valuations, carries the same power of r on both sides, so r enters only
+through the slope (tau = n + 1/(p-1)): condition (ii), M = (p-1) n + 1, reads
+c_p - c_1^p / p^M = r^p p^(-M) Y with Y = p^M K_p - K_1^p, so
+v(c_p - c_1^p / p^M) > tau exactly when Y = 0 or
 p slope + E v(Y) - E M > E tau.
 
 Tail bound.  The j-th term of c_l has valuation at least l v(e) when j = 0
@@ -126,20 +130,30 @@ every l > L.  sigma <= 0 is refused at once: on the locus sigma =
 run in integers, with v_e and the threshold scaled by the lcm of their
 denominators.
 
-The expansion length.  expand_disk always expands to L = 2p
-(`default_truncation`), and a longer expansion could not change a verdict.
-On the locus, with tau = n + 1/(p-1) the classifier's threshold,
-g(l) - tau = l sigma - s - k - 1/(p-1).  At l = 2p + 1 and odd p, k = 1
-and g - tau = (2p-1) s/2 - 1 + (2p-1)/(2(p-1)) > 0; for p = 2, k = 2 and
-g(5) = n + (3s+1)/2 > n + 1 = tau.  Every later candidate is a power
-q = p^k with k >= 2 and q >= 8, where g(q) - tau > (q/2 - 1) s - k >=
-q/2 - 1 - k >= 0, and sigma q (p - 1) >= 1 there.  So every c_l past c_2p
-is certified above tau, and a longer expansion adds only such
-coefficients.  No clause of the classifier can see them: each compares
-valuations with n or tau or looks for the indices where a valuation equals
-tau, and coefficient values are read only at l = 1 and p.  Nor can they
-turn "all coefficients vanish": c_1 = 0 only at d = a/(a+b), and there
-h_2 = -(a+b)^3/(2ab) is not 0.
+The expansion length.  With tau = n + 1/(p-1) and, on the locus,
+sigma = (s + 1/(p-1))/2, g(l) - tau = l sigma - s - k - 1/(p-1) depends on
+p, s and l alone.  check_tail_dominated(spec, v(e), L, tau) reads it at
+l = L + 1 and at the powers of p above, up to the first power q that
+clears tau with sigma q (p - 1) >= 1, and every shape of cases (i)-(iv)
+clears:
+
+* rational centre, p >= 5, L = 2: g - tau = (s + 1/(p-1))/2 > 0 at l = 3,
+  and (p - 2)(s + 1/(p-1))/2 - 1 >= 1/2 at q = p, where
+  sigma p (p - 1) >= 1 stops the walk;
+* rational centre, p = 3, L = 2, so s >= 2 (s = 1 < n is case (iii)):
+  g - tau = s/2 - 3/4 > 0 at q = 3 and 7s/2 - 1/4 > 0 at q = 9, the stop;
+* p = 3, s = 1, L = 3 (the rational centre of n = 1, and case (iii)):
+  sigma = 3/4, and g - tau = 1/2 at l = 4 and 13/4 at q = 9, the stop.
+  At l = 3 the bound misses (g - tau = -1/4), so c_3 is read: from h_3
+  at the rational centre, from K_3 at the cubic one.
+
+So every c_l past L lies strictly above tau.  A longer expansion adds only
+such coefficients, and no clause of the classifier can see them: each
+compares valuations with n or tau or looks for the indices where a
+valuation equals tau, and coefficient values are read only at l = 1 and
+p <= L.  Nor can they turn "all coefficients vanish": c_1 = 0 only at
+d = a/(a+b), and there h_2 = -(a+b)^3/(2ab) is not 0.  The expansion of a
+rational centre to L = 2p is the test oracle of its closed form.
 
 Case (v) centres.  For p = 2 the new-tail centre is d = x + R with
 x = a/(a+b) and R^2 = 2^n b i/(a+b)^4, so d lies in Q_2(i) or in a
@@ -201,7 +215,7 @@ from .errors import (
     CenterOnBranchLocus,
     PrecisionExhausted,
 )
-from .tower import check_prime, vp_int, vp_rational
+from .tower import vp_int
 
 
 class CubicCentre(NamedTuple):
@@ -222,11 +236,6 @@ def _cmul(x, y, r):
             x0 * y2 + x1 * y1 + x2 * y0)
 
 
-def default_truncation(p: int) -> int:
-    """The series length L = 2p of every expansion (module docstring)."""
-    return 2 * p
-
-
 def binom_falling(x, k: int) -> Fraction:
     """Falling-factorial binomial C(x, k) = x(x-1)...(x-k+1)/k!, exact."""
     if k < 0:
@@ -241,15 +250,11 @@ def binom_falling(x, k: int) -> Fraction:
 
 
 class DiskExpansion:
-    """The cover equation restricted to the disk x = d + e t, as the values
-    K_0 .. K_L with c_l = r^l K_l (module docstring).
-
-    The centre d is a `Fraction` or a `CubicCentre`, and e is given only by
-    its valuation v_e = v(e).  r_factors = (N, delta, delta'), so that r =
-    N e / (delta delta'), and the K_l are integers for a Fraction centre
-    and integer triples for a cubic one: `expand_disk` passes the values of
-    the recurrence, to L = 2p.  The length L, `truncation`, is that of the
-    list.
+    """The cover equation restricted to the disk x = d + e t of a
+    `CubicCentre` d, as the integer triples K_0 .. K_L with c_l = r^l K_l,
+    r = N e / (delta delta') and r_factors = (N, delta, delta') (module
+    docstring); e is given only by its valuation v_e = v(e).  The length
+    L, `truncation`, is that of the list: 3 from `expand_disk`.
 
     Profiles are kept scaled by E = `scale`, as the integers E v(c_l) =
     l `slope` + E v(K_l) of `scaled_profile()`: every valuation on the disk
@@ -259,23 +264,21 @@ class DiskExpansion:
     """
 
     def __init__(self, spec, d, v_e, coeffs, r_factors):
-        if not isinstance(d, (Fraction, CubicCentre)):
-            raise TypeError(_centre_kind_error(d))
+        if not isinstance(d, CubicCentre):
+            raise TypeError(f"expand_disk takes a CubicCentre, not "
+                        f"{type(d).__name__}")
         if not isinstance(v_e, (int, Fraction)):
             raise TypeError(f"v(e) is an int or a Fraction, not "
                             f"{type(v_e).__name__}")
-        check_prime(spec.p)  # the profile's v_p loop relies on it
         self.spec = spec  # anything with fields p, n, a, b, s
         self.d = d
         self.v_e = v_e
-        self.ks = list(coeffs)  # K_0 .. K_L: integers or integer triples
+        self.ks = list(coeffs)  # K_0 .. K_L: integer triples
         self.r_factors = r_factors  # (N, delta, delta')
         self._scaled = None
-        self._vr = None  # v_p(r) of a cubic centre
-        if isinstance(d, CubicCentre):
-            self._vr = vp_int(d.r, spec.p)
-            if self._vr % 3 == 0:
-                raise ValueError("a cubic centre needs v_p(r) prime to 3")
+        self._vr = vp_int(d.r, spec.p)  # v_p(r); checks that p is prime
+        if self._vr % 3 == 0:
+            raise ValueError("a cubic centre needs v_p(r) prime to 3")
 
     @property
     def truncation(self) -> int:
@@ -284,10 +287,9 @@ class DiskExpansion:
 
     @cached_property
     def scale(self) -> int:
-        """E: the denominator of v(e), times 3 for a cubic centre, times
-        what makes 1/(p-1) a multiple of 1/E."""
-        return lcm(self.v_e.denominator, 1 if self._vr is None else 3,
-                   self.spec.p - 1)
+        """E: the denominator of v(e), times 3 for v(t), times what makes
+        1/(p-1) a multiple of 1/E."""
+        return lcm(self.v_e.denominator, 3, self.spec.p - 1)
 
     @cached_property
     def slope(self) -> int:
@@ -297,13 +299,13 @@ class DiskExpansion:
                 - self._scaled_val(delta) - self._scaled_val(delta1))
 
     def _scaled_val(self, x) -> int:
-        """E v(x) for a nonzero integer or triple of a cubic centre's
-        ring."""
+        """E v(x) for a nonzero integer or triple of the centre's ring."""
         E, p = self.scale, self.spec.p
         if isinstance(x, tuple):
             # the least v_p(c_j) + j v(t) (module docstring, "Cubic centres")
             et = E * self._vr // 3
-            return min(E * _vp(c, p) + j * et for j, c in enumerate(x) if c)
+            return min(E * vp_int(c, p) + j * et for j, c in enumerate(x)
+                       if c)
         return E * vp_int(x, p)
 
     def scaled_profile(self):
@@ -311,15 +313,8 @@ class DiskExpansion:
         zero coefficients (valuation +inf)."""
         if self._scaled is None:
             slope = self.slope
-            if self._vr is None:
-                # integer K_l; p was checked prime at construction
-                E, p = self.scale, self.spec.p
-                prof = [l * slope + E * _vp(k, p) if k else None
-                        for l, k in enumerate(self.ks)]
-            else:
-                prof = [l * slope + self._scaled_val(k) if any(k) else None
-                        for l, k in enumerate(self.ks)]
-            self._scaled = prof
+            self._scaled = [l * slope + self._scaled_val(k) if any(k)
+                            else None for l, k in enumerate(self.ks)]
         return self._scaled
 
     def _scaled_defect(self, M: int):
@@ -327,14 +322,22 @@ class DiskExpansion:
         or None when Y = 0."""
         p = self.spec.p
         k1, kp = self.ks[1], self.ks[p]
-        if self._vr is None:
-            y = p ** M * kp - k1 ** p
-        else:
-            power = k1
-            for _ in range(p - 1):
-                power = _cmul(power, k1, self.d.r)
-            y = tuple(p ** M * u - w for u, w in zip(kp, power))
-        return None if y == 0 or y == (0, 0, 0) else self._scaled_val(y)
+        power = k1
+        for _ in range(p - 1):
+            power = _cmul(power, k1, self.d.r)
+        y = tuple(p ** M * u - w for u, w in zip(kp, power))
+        return self._scaled_val(y) if any(y) else None
+
+    def check_tail_premises(self):
+        """The tail bound rests on v(d) = 0 and v(d - 1) = v_p(b) = n - s:
+        check them on the centre, read from its triples, before the bound
+        is trusted."""
+        E, (c0, c1, c2), den = self.scale, self.d.nums, self.d.den
+        v_den = self._scaled_val(den)
+        _check_premises(self.spec,
+                        Fraction(self._scaled_val(self.d.nums) - v_den, E),
+                        Fraction(self._scaled_val((c0 - den, c1, c2)) - v_den,
+                                 E))
 
     def profile(self):
         """[v(c_l)] for l = 0 .. L, with None for zero coefficients
@@ -342,15 +345,6 @@ class DiskExpansion:
         E = self.scale
         return [None if v is None else Fraction(v, E)
                 for v in self.scaled_profile()]
-
-
-def _vp(x: int, p: int) -> int:
-    """v_p(x) of a nonzero integer, p already checked prime."""
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def _scaled(v: Fraction, E: int) -> int:
@@ -384,57 +378,27 @@ class ReductionVerdict:
 
 
 def expand_disk(spec, d, v_e) -> DiskExpansion:
-    """Expand the normalized cover equation on the disk x = d + e t, of
-    radius valuation v_e = v(e), up to t^L, L = 2p, by the fraction-free
-    recurrence of the module docstring: in integers when d is a `Fraction`,
-    on integer triples when d is a `CubicCentre`.  Any other centre raises
+    """Expand the normalized cover equation on the disk x = d + e t of a
+    `CubicCentre` d, of radius valuation v_e = v(e), to K_3, by the
+    fraction-free recurrence on integer triples of the module docstring
+    ("Cubic centres").  A rational centre is certified in closed form, by
+    classify_rational_centre; any centre that is no CubicCentre raises
     TypeError."""
-    L = default_truncation(spec.p)
-    a, b = spec.a, spec.b
-    if isinstance(d, CubicCentre):
-        N, delta = d.den, d.nums
-        if delta in ((0, 0, 0), (N, 0, 0)):
-            raise CenterOnBranchLocus("disk center lies on the branch locus")
-        ks, delta1 = _cubic_ks(a, b, N, delta, d.r, L)
-        return DiskExpansion(spec, d, v_e, ks, (N, delta, delta1))
-    if not isinstance(d, Fraction):
-        raise TypeError(_centre_kind_error(d))
-    if d == 0 or d == 1:
+    if not isinstance(d, CubicCentre):
+        raise TypeError(f"expand_disk takes a CubicCentre, not "
+                        f"{type(d).__name__}")
+    N, delta, r = d.den, d.nums, d.r
+    if delta in ((0, 0, 0), (N, 0, 0)):
         raise CenterOnBranchLocus("disk center lies on the branch locus")
-    N, delta = d.denominator, d.numerator
-    delta1 = delta - N
+    a, b = spec.a, spec.b
+    delta1 = (delta[0] - N, delta[1], delta[2])
     # (l+1) K_{l+1} = A_l K_l + (a+b-l+1) P K_{l-1}, with
     # A_l = a delta' + b delta - S l and P = delta delta'
-    A = a * delta1 + b * delta
-    S = 2 * delta - N
-    P = delta * delta1
-    ks = [1]
-    k_prev, k = 0, 1
-    for l in range(L):
-        x = A * k + (a + b - l + 1) * P * k_prev
-        k_prev, (k, rem) = k, divmod(x, l + 1)
-        if rem:
-            raise ArithmeticError(f"{x} is not divisible by {l + 1}")
-        A -= S
-        ks.append(k)
-    return DiskExpansion(spec, d, v_e, ks, (N, delta, delta1))
-
-
-def _centre_kind_error(d) -> str:
-    """The TypeError message for a disk centre of another kind."""
-    return (f"a disk centre is a Fraction or a CubicCentre, not "
-            f"{type(d).__name__}")
-
-
-def _cubic_ks(a, b, N, delta, r, L):
-    """K_0 .. K_L of the recurrence on triples of Z[t]/(t^3 - r), and
-    delta' = delta - N (module docstring, "Cubic centres")."""
-    delta1 = (delta[0] - N, delta[1], delta[2])
     A = tuple(a * u + b * w for u, w in zip(delta1, delta))
     S = (2 * delta[0] - N, 2 * delta[1], 2 * delta[2])
     P = _cmul(delta, delta1, r)
     ks = [(0, 0, 0), (1, 0, 0)]  # K_{-1}, K_0
-    for l in range(L):
+    for l in range(3):
         c = a + b - l + 1
         nxt = []
         for u, w in zip(_cmul(A, ks[-1], r), _cmul(P, ks[-2], r)):
@@ -445,7 +409,7 @@ def _cubic_ks(a, b, N, delta, r, L):
             nxt.append(q)
         ks.append(tuple(nxt))
         A = (A[0] - S[0], A[1] - S[1], A[2] - S[2])
-    return ks[1:], delta1
+    return DiskExpansion(spec, d, v_e, ks[1:], (N, delta, delta1))
 
 
 # -- rigorous tail bound -----------------------------------------------------
@@ -473,20 +437,6 @@ def tail_bound(spec, v_e, l):
                          for j in range(max(1, l - k), l + 1))
 
 
-def _check_tail_premises(exp):
-    """The per-term bound rests on v(d) = 0, v(d-1) = v_p(b) = n - s; verify
-    these on the actual disk before trusting the bound."""
-    p, d = exp.spec.p, exp.d
-    if isinstance(d, CubicCentre):
-        E, (c0, c1, c2) = exp.scale, d.nums
-        v_den = exp._scaled_val(d.den)
-        _check_premises(exp.spec, Fraction(exp._scaled_val(d.nums) - v_den, E),
-                        Fraction(exp._scaled_val((c0 - d.den, c1, c2)) - v_den,
-                                 E))
-        return
-    _check_premises(exp.spec, vp_rational(d, p), vp_rational(d - 1, p))
-
-
 def _check_premises(spec, v_d, v_d1):
     """Raise PrecisionExhausted naming the first of v(d) = 0,
     v(d - 1) = n - s and v_p(b) = n - s that fails, given v(d) and
@@ -496,7 +446,7 @@ def _check_premises(spec, v_d, v_d1):
         raise PrecisionExhausted("tail bound needs v(d) = 0")
     if v_d1 != n - s:
         raise PrecisionExhausted("tail bound needs v(d - 1) = n - s")
-    if vp_rational(Fraction(spec.b), spec.p) != n - s:
+    if vp_int(spec.b, spec.p) != n - s:
         raise PrecisionExhausted("tail bound needs v(b) = n - s")
 
 
@@ -550,12 +500,12 @@ def check_tail_dominated(spec, v_e, L, threshold, strict=True):
 def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     """Reduction type of the Artin-Schreier torsor (p odd) from the
     valuation profile, compared as integers scaled by E = exp.scale against
-    E tau, tau = n + 1/(p-1).  Reads the K_l and exp.slope only (module
-    docstring): no coefficient is built and nothing is inverted.  An
-    expansion not normalized to c_0 = 1, or one that stops before c_p (both
-    conditions read c_p), is refused with ValueError, and so is a p = 2
-    expansion: the mu_4-torsors of case (v) are classified by
-    classify_p2_torsor."""
+    E tau, tau = n + 1/(p-1).  Reads the K_l, exp.slope and
+    exp.check_tail_premises only (module docstring), of a DiskExpansion or
+    of a test oracle with its fields and methods.  An expansion not
+    normalized to c_0 = 1, or one that stops before c_p (both conditions
+    read c_p), is refused with ValueError, and so is a p = 2 expansion: the
+    mu_4-torsors of case (v) are classified by classify_p2_torsor."""
     spec = exp.spec
     p, n = spec.p, spec.n
     if not exp.ks or (exp.ks[0] != 1 and exp.ks[0] != (1, 0, 0)):
@@ -576,7 +526,7 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     if not finite:
         return ReductionVerdict("NotCertified",
                                 reason="all coefficients vanish")
-    _check_tail_premises(exp)
+    exp.check_tail_premises()
     check_tail_dominated(spec, exp.v_e, exp.truncation, tau, strict=True)
     minv = min(val for _, val in finite)
 
@@ -621,6 +571,51 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
                 "NotCertified", reason="minimum at index divisible by p")
     return ReductionVerdict("NotCertified", reason="; ".join(reasons) or
                             "minimum valuation is not n + 1/(p-1)")
+
+
+def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
+    """Reduction type of the Artin-Schreier torsor (p odd) on the disk of
+    the rational centre d = a/(a+b) and radius valuation v_e, from the
+    closed forms of c_1, c_2 and c_3 (module docstring, "Rational
+    centres"): no expansion.  It checks the tail premises, h_1 = 0,
+    v(c_2) = tau and, when p = 3 and n = 1, v(c_3) > tau, then the tail
+    bound above tau past c_2 (past c_3 in that shape).  A failed premise or
+    tail bound raises PrecisionExhausted, any other failed fact returns
+    NotCertified naming it, a centre 0 or 1 raises CenterOnBranchLocus and
+    p = 2 raises ValueError."""
+    p, n, a, b = spec.p, spec.n, spec.a, spec.b
+    if p == 2:
+        raise ValueError("p = 2 torsors are classified by "
+                         "classify_p2_torsor")
+    N, delta = d.denominator, d.numerator
+    delta1 = delta - N
+    if not delta or not delta1:
+        raise CenterOnBranchLocus("disk center lies on the branch locus")
+    v_n = vp_int(N, p)
+    v_d, v_d1 = vp_int(delta, p) - v_n, vp_int(delta1, p) - v_n
+    _check_premises(spec, v_d, v_d1)
+    if a * delta1 + b * delta:  # T_1 = 0, that is h_1 = 0
+        return ReductionVerdict("NotCertified", reason="h_1 != 0")
+    # E v(c_k) = k E v_e + E (v_p(T_k) - k w - v_p(k)), T_k = a delta'^k +
+    # b delta^k, compared with E tau as integers
+    w = v_d + v_d1 + v_n
+    E = lcm(v_e.denominator, p - 1)
+    ve, T = _scaled(v_e, E), E * n + E // (p - 1)
+    t2 = a * delta1 ** 2 + b * delta ** 2
+    if not t2 or 2 * ve + E * (vp_int(t2, p) - 2 * w) != T:
+        return ReductionVerdict("NotCertified",
+                                reason="v(c_2) != n + 1/(p-1)")
+    L = 2
+    if p == 3 and n == 1:
+        # the tail bound misses tau at l = 3 in this one shape
+        t3 = a * delta1 ** 3 + b * delta ** 3
+        if t3 and 3 * ve + E * (vp_int(t3, p) - 3 * w - 1) <= T:
+            return ReductionVerdict("NotCertified",
+                                    reason="v(c_3) <= n + 1/(p-1)")
+        L = 3
+    check_tail_dominated(spec, v_e, L, Fraction(T, E), strict=True)
+    return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
+                            conductor=2, notes=("condition (i)",))
 
 
 def _v4(re: int, im: int, den: int = 1):

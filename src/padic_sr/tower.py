@@ -345,8 +345,8 @@ class Tower:
         return self.coerce(1)
 
     def rational(self, q):
-        if not isinstance(q, (int, Fraction)):
-            q = parse_rat(q)
+        if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+            q = parse_rat(q)  # refuses a bool, as a float
         num = q.numerator
         return _element(self, q.denominator,
                         {self._one_exps: num} if num else {})

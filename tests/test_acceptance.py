@@ -115,19 +115,18 @@ def test_criterion_2_small_prime_cells():
         for _ in range(5):
             spec = _draw_pair(rng, p, n, s)
             if p == 3:
-                locus = new_tail_locus(spec)  # rational or cubic centre
-                exp = expand_disk(spec, locus.d, locus.v_e)
-                from padic_sr.series import classify_torsor_reduction
-                v = classify_torsor_reduction(exp)
+                v = certify_tail(spec)
                 ok = ok and v.kind == "SplitsArtinSchreier"
                 if s == 1:
-                    # the quoted valuations, exactly
+                    # the cubic centre; the quoted valuations, exactly
+                    locus = new_tail_locus(spec)
+                    exp = expand_disk(spec, locus.d, locus.v_e)
                     ok = ok and "condition (ii)" in v.notes
                     ok = ok and exp.profile()[1] == n + Fraction(5, 12)
                     ok = ok and exp.profile()[3] == n + Fraction(1, 4)
                 else:
                     # (n, s) = (3, 2) has a rational-center disk and
-                    # certifies through condition (i)
+                    # certifies through condition (i), in closed form
                     ok = ok and "condition (i)" in v.notes
             else:
                 v = certify_tail(spec)

@@ -547,6 +547,41 @@ def test_analyze_report_shape():
     assert rep["effective_different"]["X0"] == "9/4"
 
 
+def _break_local(shape):
+    """The first local vanishing residual of the shape set to 1."""
+    (first, _), *rest = shape.local
+    return {"local": ((first, Fraction(1)), *rest)}
+
+
+@pytest.mark.parametrize("args", ONE_COVER_PER_CASE)
+@pytest.mark.parametrize("break_shape,field,shown", [
+    (lambda shape: {"violations": (("doctored", "a violation"),)},
+     "graph_violations", [("doctored", "a violation")]),
+    (lambda shape: {"residual": Fraction(1)},
+     "vanishing_cycles_residual", "1"),
+    (_break_local, "local_vanishing_residuals", "1"),
+])
+def test_each_graph_check_reaches_certified(monkeypatch, args, break_shape,
+                                            field, shown):
+    """A shape with a structure violation, a nonzero vanishing-cycles
+    residual or a nonzero local residual makes the report uncertified, each
+    on its own: with _report_shape giving the cover's shape with one of
+    them broken, analyze reports the broken value and certified: false,
+    where the cover certifies with its own shape."""
+    import padic_sr.analyzer as analyzer
+    assert analyze(*args)["certified"] is True
+    spec = branch_signature(*args)
+    shape = _report_shape(spec.p, spec.n, spec.s)
+    broken = shape._replace(**break_shape(shape))
+    monkeypatch.setattr(analyzer, "_report_shape", lambda *key: broken)
+    report = analyze(*args)
+    assert report["certified"] is False
+    value = report[field]
+    if field == "local_vanishing_residuals":
+        value = value[shape.local[0][0]]
+    assert value == shown
+
+
 # -- fields built once -------------------------------------------------------
 
 def _count_adjoins(monkeypatch):

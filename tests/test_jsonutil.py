@@ -28,6 +28,15 @@ def test_ratstr_refuses_floats(x):
         ratstr(x)
 
 
+@pytest.mark.parametrize("x", [True, False])
+def test_ratstr_refuses_bools(x):
+    """A bool is no number of an interface: ratstr(True) wrote "1", which
+    parse_rat refuses to read back."""
+    with pytest.raises(TypeError, match=r"^ratstr takes an exact rational, "
+                                        r"not (True|False)$"):
+        ratstr(x)
+
+
 @pytest.mark.parametrize("x", [2.5, 2.0, -0.0, True, False])
 def test_parse_rat_refuses_floats_and_bools(x):
     """No float reaches an interface or a certificate, and a bool is no

@@ -1,12 +1,17 @@
 """Disk expansions and torsor-reduction classification: frozen oracle
 values, the independent sympy expansion oracle, brute-force oracles for the
-expansion recurrence and the closed-form tail bound, the tower expansion of
-tests/tower_helpers.py as the oracle of the Fraction and cubic centres, and
-the classifier's certified verdicts."""
+expansion recurrence and the closed-form tail bound, sympy identities for
+the closed forms of h_1, h_2 and h_3, the integer recurrence of
+tests/rational_oracle.py as the oracle of the closed-form certificate of a
+rational centre, the tower expansion of tests/tower_helpers.py as the
+oracle of the rational and cubic centres, and the classifier's certified
+verdicts."""
 
-import copy
 import math
 import random
+import re
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
@@ -30,17 +35,22 @@ from padic_sr.series import (
     CubicCentre,
     DiskExpansion,
     ReductionVerdict,
-    _check_tail_premises,
     binom_falling,
     check_tail_dominated,
+    classify_rational_centre,
     classify_torsor_reduction,
-    default_truncation,
     expand_disk,
     tail_bound,
 )
 from padic_sr.tower import Tower, TowerElement, vp_int, vp_rational
 import p2_oracle
+import rational_oracle
 from p2_oracle import classify_p2, tower_locus
+from rational_oracle import (
+    RationalExpansion,
+    default_truncation,
+    expand_rational,
+)
 from tower_helpers import (
     TowerExpansion,
     cubic_tower_disk,
@@ -74,11 +84,25 @@ def _tower_disk(spec, locus):
     return t.rational(locus.d), t.gen(0) ** ((2 * n - s) * (p - 1) + 1)
 
 
+def _expand(spec, d, v_e):
+    """The expansion of a disk given by its centre and v(e): a rational
+    centre's by the integer recurrence of the oracle, to c_2p, and a cubic
+    centre's by expand_disk, to c_3."""
+    if isinstance(d, Fraction):
+        return expand_rational(spec, d, v_e)
+    return expand_disk(spec, d, v_e)
+
+
+def _expansion(spec, d, v_e, ks, r_factors):
+    """The expansion made from a list of K_l, of the class of the centre."""
+    cls = RationalExpansion if isinstance(d, Fraction) else DiskExpansion
+    return cls(spec, d, v_e, ks, r_factors)
+
+
 def _expand_locus(spec):
-    """The expansion certify_tail classifies: a rational or cubic centre
-    by its v(e)."""
+    """_expand of the new-tail disk of a rational or cubic centre."""
     locus = new_tail_locus(spec)
-    return expand_disk(spec, locus.d, locus.v_e)
+    return _expand(spec, locus.d, locus.v_e)
 
 
 def _r(exp):
@@ -180,15 +204,17 @@ def _reference_tail_bound(p, n, s, v_e, l, vp_table):
 
 
 def test_default_truncation():
-    """Every expansion runs to L = 2p, the one length, on a Fraction centre
-    and a cubic centre alike."""
+    """The oracle's integer recurrence of a rational centre runs to
+    L = 2p, the length every expansion once had, and expand_disk runs a
+    cubic centre to L = 3, whatever p is."""
     for p in (2, 3, 5, 13):
         assert default_truncation(p) == 2 * p
         spec = _spec(p, 1, 1, 1, 1)
-        for d in (Fraction(1, 2), CubicCentre((1, 1, 0), 2, p)):
-            exp = expand_disk(spec, d, Fraction(1, 5))
-            assert exp.truncation == 2 * p
-            assert len(exp.ks) == len(exp.profile()) == 2 * p + 1
+        for d, L in ((Fraction(1, 2), 2 * p),
+                     (CubicCentre((1, 1, 0), 2, p), 3)):
+            exp = _expand(spec, d, Fraction(1, 5))
+            assert exp.truncation == L
+            assert len(exp.ks) == len(exp.profile()) == L + 1
 
 
 def test_binom_falling():
@@ -203,7 +229,8 @@ def test_frozen_p5_n1_expansion():
     v(c_2) = 5/4 = n + 1/(p-1) (the -4 is frozen from the independent
     expansion oracle; the quoted unit 8 deviates by the factor -2).  The
     Fraction centre has r = N e / (delta delta') = -2e, so K_2 = -1."""
-    exp = expand_disk(_spec(5, 1, 1, 1, 1), Fraction(1, 2), Fraction(5, 8))
+    exp = expand_rational(_spec(5, 1, 1, 1, 1), Fraction(1, 2),
+                          Fraction(5, 8))
     assert exp.r_factors == (2, 1, -1)
     assert exp.ks[:3] == [1, 0, -1]
     assert exp.profile()[2] == Fraction(5, 4)
@@ -219,32 +246,38 @@ def test_frozen_p5_n1_expansion():
 
 
 def test_center_on_branch_locus():
-    for d in (Fraction(0), Fraction(1), CubicCentre((0, 0, 0), 1, 3),
-              CubicCentre((2, 0, 0), 2, 3)):
+    """A centre 0 or 1 is refused by the closed form of a rational centre,
+    by its oracle and by the expansion of a cubic centre."""
+    spec = _spec(5, 1, 1, 1, 1)
+    for d in (Fraction(0), Fraction(1)):
+        for certify in (classify_rational_centre, expand_rational):
+            with pytest.raises(CenterOnBranchLocus):
+                certify(spec, d, Fraction(5, 8))
+    for d in (CubicCentre((0, 0, 0), 1, 3), CubicCentre((2, 0, 0), 2, 3)):
         with pytest.raises(CenterOnBranchLocus):
-            expand_disk(_spec(5, 1, 1, 1, 1), d, Fraction(5, 8))
+            expand_disk(spec, d, Fraction(5, 8))
 
 
 def test_radius_given_once():
-    """An expansion takes a Fraction or a CubicCentre with v(e): a tower
-    element as the centre raises TypeError naming the two kinds, in
+    """An expansion takes a CubicCentre with v(e): a tower element or a
+    Fraction as the centre raises TypeError naming the one kind, in
     expand_disk and in DiskExpansion, and so does a missing v(e)."""
     t = make_tower(5, [(8, 5)])
     spec = _spec(5, 1, 1, 1, 1)
-    for d in (t.rational(Fraction(1, 2)), t.gen(0) + 2):
-        with pytest.raises(TypeError, match="a disk centre is a Fraction "
-                                            "or a CubicCentre, not "
-                                            "TowerElement"):
+    for d in (t.rational(Fraction(1, 2)), t.gen(0) + 2, Fraction(1, 2)):
+        kind = type(d).__name__
+        with pytest.raises(TypeError, match=f"^expand_disk takes a "
+                                            f"CubicCentre, not {kind}$"):
             expand_disk(spec, d, Fraction(5, 8))
-        with pytest.raises(TypeError, match="a Fraction or a CubicCentre"):
+        with pytest.raises(TypeError, match="takes a CubicCentre"):
             DiskExpansion(spec, d, Fraction(5, 8), [1], (2, 1, -1))
-    for d in (Fraction(1, 2), CubicCentre((1, 1, 0), 2, 5)):
-        with pytest.raises(TypeError, match="v_e"):
-            expand_disk(spec, d)
-        for v_e in (None, t.gen(0) ** 5):
-            with pytest.raises(TypeError, match="v\\(e\\) is an int or a "
-                                                "Fraction"):
-                expand_disk(spec, d, v_e)
+    d = CubicCentre((1, 1, 0), 2, 5)
+    with pytest.raises(TypeError, match="v_e"):
+        expand_disk(spec, d)
+    for v_e in (None, t.gen(0) ** 5):
+        with pytest.raises(TypeError, match="v\\(e\\) is an int or a "
+                                            "Fraction"):
+            expand_disk(spec, d, v_e)
 
 
 def test_frozen_v_c3_identity():
@@ -278,9 +311,9 @@ def test_valuation_profile_identity(p, n, a, b):
 
 
 def test_coefficient_identity_sympy_oracle():
-    """c_l = r^l K_l from expand_disk, with r = N e / (delta delta') for a
-    rational e, equals the t^l coefficient of the direct polynomial
-    expansion of c (d + e t)^a (d + e t - 1)^b."""
+    """c_l = r^l K_l from the oracle's integer recurrence, with
+    r = N e / (delta delta') for a rational e, equals the t^l coefficient
+    of the direct polynomial expansion of c (d + e t)^a (d + e t - 1)^b."""
     rng = random.Random(77)
     t_sym, e_sym = sp.symbols("t e")
     for _ in range(8):
@@ -291,7 +324,7 @@ def test_coefficient_identity_sympy_oracle():
             continue
         e = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         spec = _spec(5, 1, a, b, 1)
-        exp = expand_disk(spec, d, vp_rational(e, 5))
+        exp = expand_rational(spec, d, vp_rational(e, 5))
         N, delta, delta1 = exp.r_factors
         r = e * N / (delta * delta1)
         dq = sp.Rational(d.numerator, d.denominator)
@@ -325,18 +358,13 @@ def test_verdict_p3_condition_ii():
 
 
 def _crafted(spec, coeffs):
-    """(oracle, fake) for a crafted profile c_0 .. c_L in Q_5(pi), pi^8 = 5,
-    on the disk of centre 1/2 and e = pi^5.  The oracle is the
-    TowerExpansion made from the list, with r = 1.  The fake, which
-    classify_torsor_reduction reads, is the same expansion with its centre
-    given as the Fraction 1/2, so that the tail premises v_5(d) =
-    v_5(d - 1) = 0 are read with v_p."""
+    """The TowerExpansion of a crafted profile c_0 .. c_L in Q_5(pi),
+    pi^8 = 5, on the disk of centre 1/2 and e = pi^5, made from the list,
+    with r = 1.  classify_torsor_reduction reads it as it is, its tail
+    premises v_5(d) = v_5(d - 1) = 0 from the tower."""
     t = coeffs[0].tower
-    oracle = TowerExpansion(spec, t.rational(Fraction(1, 2)), t.gen(0) ** 5,
-                            coeffs)
-    fake = copy.copy(oracle)
-    fake.d = Fraction(1, 2)
-    return oracle, fake
+    return TowerExpansion(spec, t.rational(Fraction(1, 2)), t.gen(0) ** 5,
+                          coeffs)
 
 
 def test_not_certified_min_at_p_index():
@@ -344,7 +372,7 @@ def test_not_certified_min_at_p_index():
     spec = _spec(5, 1, 1, 1, 1)
     coeffs = [t.one(), t.zero(), t.zero(), t.zero(), t.zero(),
               t.gen(0) ** 10, t.zero()]
-    verdict = classify_torsor_reduction(_crafted(spec, coeffs)[1])
+    verdict = classify_torsor_reduction(_crafted(spec, coeffs))
     assert verdict.kind == "NotCertified"
     assert verdict.reason == "minimum at index divisible by p"
 
@@ -357,12 +385,12 @@ def test_classifier_refuses_unnormalized_expansion():
     for d, ks in ((Fraction(1, 2), []), (Fraction(1, 2), [2] + [0] * 10),
                   (CubicCentre((1, 1, 0), 2, 5), [(2, 0, 0)] +
                    [(0, 0, 0)] * 10)):
-        exp = DiskExpansion(spec, d, Fraction(5, 8), ks, (2, 1, -1))
+        exp = _expansion(spec, d, Fraction(5, 8), ks, (2, 1, -1))
         with pytest.raises(ValueError, match="normalized to c_0 = 1"):
             classify_torsor_reduction(exp)
     for d, ks in ((Fraction(1, 2), [1, 1, 0]), (Fraction(1, 2), [1] * 5),
                   (CubicCentre((1, 1, 0), 2, 5), [(1, 0, 0)] * 3)):
-        exp = DiskExpansion(spec, d, Fraction(5, 8), ks, (2, 1, -1))
+        exp = _expansion(spec, d, Fraction(5, 8), ks, (2, 1, -1))
         with pytest.raises(ValueError, match=rf"^expansion stops at "
                                              rf"c_{len(ks) - 1}, before "
                                              rf"c_p = c_5$"):
@@ -382,7 +410,7 @@ def test_tail_bound_is_a_true_lower_bound():
     spec = branch_signature(5, 2, 3, 10)
     locus = new_tail_locus(spec)
     ks, r_factors = _reference_ks(spec, locus.d, 12)
-    exp = DiskExpansion(spec, locus.d, locus.v_e, ks, r_factors)
+    exp = RationalExpansion(spec, locus.d, locus.v_e, ks, r_factors)
     for l in range(1, 13):
         v = exp.profile()[l]
         if v is None:
@@ -399,7 +427,8 @@ def test_tail_bound_is_a_true_lower_bound():
 def test_expansion_matches_double_sum(p, n, a, b, case):
     """The recurrence gives exactly the coordinates of the double sum at the
     default truncation, for every new-tail locus case: the tower oracle's
-    coefficients, and the K_l of a Fraction or cubic centre."""
+    coefficients, and the K_l of a rational centre, to c_2p, and of a cubic
+    centre, to c_3."""
     spec = branch_signature(p, n, a, b)
     locus = new_tail_locus(spec)
     assert isinstance(locus.d, CubicCentre) == (case == "p3s1")
@@ -412,8 +441,10 @@ def test_expansion_matches_double_sum(p, n, a, b, case):
     assert [c.coords for c in _coeffs(exp)] == [c.coords for c in want]
     if case != "p2":
         # the integers, or the triples in Z[t]/(t^3 - r), of the double sum
-        fast = expand_disk(spec, locus.d, locus.v_e)
-        assert (fast.ks, fast.r_factors) == _reference_ks(spec, locus.d, L)
+        fast = _expand(spec, locus.d, locus.v_e)
+        assert fast.truncation == (3 if case == "p3s1" else L)
+        assert (fast.ks, fast.r_factors) == \
+            _reference_ks(spec, locus.d, fast.truncation)
 
 
 DOUBLE_SUM_CASES = [
@@ -429,7 +460,8 @@ def _eager_profile(tower, coeffs):
 def _check_against_reference(spec, d, e, centre=None):
     """profile() and the coefficients of the tower oracle both agree with
     the double sum, and so does the profile of the same disk given as a
-    Fraction or cubic centre with v(e), when there is one."""
+    Fraction or cubic centre with v(e), when there is one, as far as it
+    runs."""
     want = _reference_expansion(spec, d, e, default_truncation(spec.p))
     eager = _eager_profile(d.tower, want)
     exp = tower_expand_disk(spec, d, e)
@@ -437,7 +469,8 @@ def _check_against_reference(spec, d, e, centre=None):
     assert [c.coords for c in _coeffs(exp)] == [c.coords for c in want]
     assert exp.profile() == _eager_profile(d.tower, _coeffs(exp))
     if centre is not None:
-        assert expand_disk(spec, centre, exp.v_e).profile() == eager
+        prof = _expand(spec, centre, exp.v_e).profile()
+        assert prof == eager[:len(prof)]
 
 
 @pytest.mark.parametrize("p,n,a,b", DOUBLE_SUM_CASES)
@@ -508,12 +541,13 @@ def _identity_grid_rational_covers():
 def test_rational_centre_matches_the_tower_path():
     """The Fraction centre with v(e) in closed form gives the expansion and
     verdict that the same disk gives over Q_p(pi), pi^(2(p-1)) = p, with
-    e = pi^((2n-s)(p-1)+1), on the tower oracle: the same K_l, v(e), scale,
-    slope and scaled profile, and the verdict of the Fraction reference
+    e = pi^((2n-s)(p-1)+1), on the tower oracle: the oracle's integer
+    recurrence gives the same K_l, v(e), scale, slope and scaled profile,
+    and certify_tail, in closed form, the verdict of the Fraction reference
     classifier, on every rational-centre cover of the identity grid."""
     covers = 0
     for spec, locus in _identity_grid_rational_covers():
-        fast = expand_disk(spec, locus.d, locus.v_e)
+        fast = expand_rational(spec, locus.d, locus.v_e)
         d, e = _tower_disk(spec, locus)
         slow = tower_expand_disk(spec, d, e)
         assert fast.ks == slow.ks, spec
@@ -521,7 +555,7 @@ def test_rational_centre_matches_the_tower_path():
             (slow.v_e, slow.scale, slow.slope), spec
         assert fast.scale == 2 * (spec.p - 1)
         assert fast.scaled_profile() == slow.scaled_profile(), spec
-        assert _verdict_or_error(classify_torsor_reduction, fast) == \
+        assert _verdict_or_error(certify_tail, spec) == \
             _verdict_or_error(_reference_classify, slow), spec
         covers += 1
     assert covers > 1000, covers
@@ -544,17 +578,20 @@ def _case_iii_grid():
 def test_cubic_centre_matches_the_tower_path():
     """The case (iii) centre as integer triples of Z[t]/(t^3 - r) gives the
     v(e), scale, slope and scaled profile that the same disk gives in
-    Q_3(pi)(t), pi^4 = 3, with e = pi^(4n-1), on the tower oracle, and the
-    verdict of the Fraction reference classifier there, on every cover of
-    the case (iii) grid.  Seeded centres off the locus, (c_0 + c_1 t +
-    c_2 t^2)/den with 3 dividing some coordinates, reach the failing tail
-    premises and condition (ii)'s failing clauses on both paths alike."""
+    Q_3(pi)(t), pi^4 = 3, with e = pi^(4n-1), on the tower oracle, as far
+    as it runs (to c_3, the tower to c_6), and the verdict of the Fraction
+    reference classifier there, on every cover of the case (iii) grid.
+    Seeded centres off the locus, (c_0 + c_1 t + c_2 t^2)/den with 3
+    dividing some coordinates, reach the failing tail premises and
+    condition (ii)'s failing clauses on both paths alike."""
     def agree(spec, locus):
         fast = expand_disk(spec, locus.d, locus.v_e)
         slow = tower_expand_disk(spec, *cubic_tower_disk(locus))
         assert (fast.v_e, fast.scale, fast.slope) == \
             (slow.v_e, slow.scale, slow.slope), (spec, locus.d)
-        assert fast.scaled_profile() == slow.scaled_profile(), (spec, locus.d)
+        assert fast.truncation == 3
+        assert fast.scaled_profile() == slow.scaled_profile()[:4], \
+            (spec, locus.d)
         want = _verdict_or_error(_reference_classify, slow)
         assert _verdict_or_error(classify_torsor_reduction, fast) == want, \
             (spec, locus.d)
@@ -619,11 +656,12 @@ def test_cubic_valuation_matches_the_norm():
 
 
 def test_no_truncation_changes_a_verdict():
-    """Expanding past L = 2p cannot change a verdict: on every odd-p cover
+    """Expanding past c_3 cannot change a verdict: on every odd-p cover
     of the identity grid, the expansion to L = 3p and to L = 40 (where
     that is past 2p), built by the defining double sum and classified
     through the list constructor, gets certify_tail's verdict, every field
-    of it."""
+    of it: the closed form's at a rational centre, the expansion to c_3's
+    at a cubic one."""
     covers = 0
     for spec, locus in _identity_grid_odd_covers():
         p = spec.p
@@ -632,20 +670,24 @@ def test_no_truncation_changes_a_verdict():
             if L <= 2 * p:
                 continue
             ks, r_factors = _reference_ks(spec, locus.d, L)
-            exp = DiskExpansion(spec, locus.d, locus.v_e, ks, r_factors)
+            exp = _expansion(spec, locus.d, locus.v_e, ks, r_factors)
             assert exp.truncation == L
             assert _outcome(classify_torsor_reduction, exp) == want, (spec, L)
         covers += 1
     assert covers > 1000, covers
 
 
-@pytest.mark.parametrize("args,kind", [
+#: covers of large n, and the verdict kind each certifies with
+LARGE_N_COVERS = [
     ((3, 45, 1, 3 ** 44), "SplitsArtinSchreier"),  # case (iii)
     ((5, 40, 1, 5 ** 39), "SplitsArtinSchreier"),  # case (ii)
     ((2, 57, 1, 3 * 2 ** 56), "SplitsZ4"),  # case (v)
     ((3, 200, 1, 3 ** 199), "SplitsArtinSchreier"),
     ((2, 300, 1, 3 * 2 ** 299), "SplitsZ4"),
-])
+]
+
+
+@pytest.mark.parametrize("args,kind", LARGE_N_COVERS)
 def test_large_n_covers_certify(monkeypatch, args, kind):
     """The tail check covers every l, however large n is: these covers
     certify end to end, and their tail checks read no per-l bound.  A check
@@ -660,22 +702,161 @@ def test_large_n_covers_certify(monkeypatch, args, kind):
     assert analyze(*args)["certified"] is True
 
 
+def test_closed_forms_of_h1_h2_h3_sympy():
+    """The closed forms of the series module docstring, as identities of
+    rational functions in a, b and d, against the defining sum h_l =
+    sum_j C(a, l-j) C(b, j) d^(j-l) (d-1)^(-j) with falling-factorial
+    binomials: h_1, h_2 and h_3 in the power sums S_k = a/d^k +
+    b/(d-1)^k, their values at d = a/(a+b), and S_k = N^k T_k /
+    (delta delta')^k at d = delta/N, T_k = a delta'^k + b delta^k."""
+    a, b, d, N, delta = sp.symbols("a b d N delta")
+    m = a + b
+
+    def binom(x, k):
+        return sp.ff(x, k) / sp.factorial(k)
+
+    h = [sum(binom(a, l - j) * binom(b, j) * d ** (j - l) * (d - 1) ** (-j)
+             for j in range(l + 1)) for l in range(4)]
+    S = [None] + [a / d ** k + b / (d - 1) ** k for k in (1, 2, 3)]
+    assert sp.cancel(h[1] - S[1]) == 0
+    assert sp.cancel(h[2] - (S[1] ** 2 - S[2]) / 2) == 0
+    assert sp.cancel(h[3] - (S[1] ** 3 - 3 * S[1] * S[2] + 2 * S[3]) / 6) == 0
+    at = {d: a / m}
+    assert sp.cancel(h[1].subs(at)) == 0
+    assert sp.cancel(h[2].subs(at) + m ** 3 / (2 * a * b)) == 0
+    assert sp.cancel(h[3].subs(at)
+                     - m ** 4 * (b - a) / (3 * a ** 2 * b ** 2)) == 0
+    delta1 = delta - N
+    for k in (1, 2, 3):
+        T = a * delta1 ** k + b * delta ** k
+        assert sp.cancel(S[k].subs(d, delta / N)
+                         - N ** k * T / (delta * delta1) ** k) == 0
+
+
+def _rational_centre_covers():
+    """The rational-centre covers of the identity grid, of LARGE_N_COVERS
+    and of COSTLY_IN_P."""
+    yield from (spec for spec, _ in _identity_grid_rational_covers())
+    for args in [args for args, _ in LARGE_N_COVERS] + COSTLY_IN_P[3:]:
+        spec = branch_signature(*args)
+        if isinstance(new_tail_locus(spec).d, Fraction) and spec.p != 2:
+            yield spec
+
+
+def test_closed_form_matches_the_integer_recurrence():
+    """certify_tail of a rational centre, in closed form, gives the verdict
+    of the integer recurrence to c_2p and its classification
+    (tests/rational_oracle.py), every field of it, on every
+    rational-centre cover of the identity grid, of the large-n covers and
+    of the p = 3, n = 1 covers, whose c_3 the closed form reads, and the
+    same error on doctored specs whose premises fail."""
+    covers = 0
+    for spec in _rational_centre_covers():
+        got = _verdict_or_error(certify_tail, spec)
+        assert got == _verdict_or_error(rational_oracle.certify_tail, spec), \
+            spec
+        assert got.notes == ("condition (i)",) and got.conductor == 2, spec
+        covers += 1
+    assert covers > 1000, covers
+    for args, fields, message in DOCTORED_PREMISES:
+        spec = replace(branch_signature(*args), **fields)
+        assert _verdict_or_error(certify_tail, spec) == \
+            _verdict_or_error(rational_oracle.certify_tail, spec) == \
+            ("PrecisionExhausted", message), spec
+
+
+#: covers whose expansion to c_2p took from 1 ms to 12 s, and two of
+#: p = 3, n = 1, the one shape whose c_3 the closed form reads
+COSTLY_IN_P = [(1009, 8, 1, 1009 ** 4), (10007, 3, 1, 10007),
+               (100003, 2, 1, 100003), (5, 200, 1, 5 ** 100),
+               (3, 1, 1, 1), (3, 1, 2, 5)]
+
+
+def test_rational_centre_cost_does_not_grow_in_p(monkeypatch):
+    """No rational centre is expanded: with expand_disk refused in every
+    namespace that holds it, covers with p up to 100003 and n up to 200
+    certify by condition (i) with conductor 2, each in a few v_p."""
+    def refuse(*args):
+        raise AssertionError(f"expand_disk{args[1:]} was called")
+
+    holders = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "padic_sr"
+               and getattr(module, "expand_disk", None) is expand_disk]
+    assert len(holders) >= 3, holders  # padic_sr, analyzer and series
+    for module in holders:
+        monkeypatch.setattr(module, "expand_disk", refuse)
+    for p, n, a, b in COSTLY_IN_P:
+        verdict = certify_tail(branch_signature(p, n, a, b))
+        assert verdict == ReductionVerdict(
+            "SplitsArtinSchreier", count=p ** (n - 1), conductor=2,
+            notes=("condition (i)",)), (p, n)
+
+
+#: (cover, fields replaced in its spec, the premise that fails): each spec
+#: fails one premise of the tail bound, and the last fails only
+#: v_p(b) = n - s: d = 1/6 has v(d) = 0 and v(d - 1) = 1 = n - s, but
+#: v_5(25) = 2
+DOCTORED_PREMISES = [
+    ((5, 2, 1, 1), {"a": 5}, "tail bound needs v(d) = 0"),
+    ((5, 2, 3, 10), {"b": 3}, "tail bound needs v(d - 1) = n - s"),
+    ((5, 2, 3, 10), {"a": 5, "b": 25}, "tail bound needs v(b) = n - s"),
+]
+
+
+@pytest.mark.parametrize("args,fields,message", DOCTORED_PREMISES)
+def test_each_tail_premise_is_checked(args, fields, message):
+    """A doctored spec that fails one premise of the tail bound is refused
+    by certify_tail with PrecisionExhausted naming that premise: each spec
+    reaches its own check, so leaving out any one of the three checks
+    fails this test."""
+    spec = replace(branch_signature(*args), **fields)
+    assert isinstance(new_tail_locus(spec).d, Fraction)
+    with pytest.raises(PrecisionExhausted, match=rf"^{re.escape(message)}$"):
+        certify_tail(spec)
+    if message.endswith("v(b) = n - s"):
+        d = new_tail_locus(spec).d
+        assert (vp_rational(d, 5), vp_rational(d - 1, 5)) == \
+            (0, spec.n - spec.s)
+
+
+def test_closed_form_names_each_failed_fact():
+    """classify_rational_centre refuses, naming the fact, a centre other
+    than a/(a+b) on which the premises still hold (h_1 != 0: the closed
+    forms of h_2 and h_3 need c_1 = 0), and a radius other than the
+    locus's (v(c_2) != tau).  certify_tail passes neither."""
+    spec = branch_signature(5, 2, 3, 10)
+    locus = new_tail_locus(spec)
+    off = locus.d + 25  # v(d) = 0 and v(d - 1) = 1 = n - s still
+    assert (vp_rational(off, 5), vp_rational(off - 1, 5)) == (0, 1)
+    assert classify_rational_centre(spec, off, locus.v_e) == \
+        ReductionVerdict("NotCertified", reason="h_1 != 0")
+    assert classify_rational_centre(
+        spec, locus.d, locus.v_e + Fraction(1, 8)) == \
+        ReductionVerdict("NotCertified", reason="v(c_2) != n + 1/(p-1)")
+
+
 def test_tail_premises_on_a_fraction_centre():
     """The premises v(d) = 0 and v(d - 1) = n - s are checked with v_p on a
-    Fraction centre, and fail with the message the same centre gets in
-    Q_p(pi) on the tower oracle."""
+    Fraction centre, by the closed form and by the oracle's expansion, and
+    fail with the message the same centre gets in Q_p(pi) on the tower
+    oracle."""
+    def premises(certify, *args):
+        # the message of a failed premise, None when they hold
+        kind, what = _outcome(certify, *args)
+        return what if kind == "raised" else None
+
     spec = _spec(5, 2, 3, 10, 1)
     t = _q_p_pi(5)
     messages = set()
     for d in (Fraction(3, 13), Fraction(1, 2), Fraction(5, 3), Fraction(2, 5),
               Fraction(26, 25), Fraction(-4, 1)):
-        outcomes = [
-            _outcome(_check_tail_premises,
-                     expand_disk(spec, d, Fraction(13, 8))),
-            _outcome(tower_expand_disk(spec, t.rational(d),
-                                       t.gen(0) ** 13).check_tail_premises)]
-        assert outcomes[0] == outcomes[1], d
-        messages.add(outcomes[0][1])
+        want = premises(tower_expand_disk(spec, t.rational(d),
+                                          t.gen(0) ** 13).check_tail_premises)
+        assert premises(classify_rational_centre, spec, d,
+                        Fraction(13, 8)) == want, d
+        assert premises(expand_rational(spec, d, Fraction(13, 8))
+                        .check_tail_premises) == want, d
+        messages.add(want)
     assert messages == {None, "tail bound needs v(d) = 0",
                         "tail bound needs v(d - 1) = n - s"}
 
@@ -861,11 +1042,12 @@ def _count_tower_calls(monkeypatch):
 def test_integer_recurrence_division_is_checked():
     """The integer recurrence divides exactly or raises; it never floors.
     With a = 1/2 the K_l are not integers, so a division by l + 1 leaves a
-    remainder, on a Fraction centre and on a cubic centre."""
+    remainder, on a Fraction centre (the oracle's) and on a cubic
+    centre."""
     spec = _spec(5, 1, Fraction(1, 2), 1, 1)
     for d in (Fraction(1, 3), CubicCentre((1, 1, 0), 3, 5)):
         with pytest.raises(ArithmeticError, match="is not divisible by"):
-            expand_disk(spec, d, Fraction(5, 8))
+            _expand(spec, d, Fraction(5, 8))
 
 
 def test_tail_bound_closed_form_matches_minimum():
@@ -1065,9 +1247,11 @@ def test_classifier_matches_fraction_reference():
     (kind, count, conductor, reason, notes), as the Fraction
     classifier on the oracle grid, and on disks too narrow for the tail
     check, where both must fail the same way.  The integer classifier reads
-    the Fraction or cubic centre with v(e), the Fraction classifier the
-    same disk on the tower oracle.  For p = 2 the integer classifier is
-    the tower oracle of the closed form, classify_p2."""
+    the Fraction centre, expanded by the oracle's integer recurrence, or
+    the cubic centre with v(e), the Fraction classifier the same disk on
+    the tower oracle; at the locus radius certify_tail, in closed form at a
+    rational centre, agrees too.  For p = 2 the integer classifier is the
+    tower oracle of the closed form, classify_p2."""
     kinds = set()
     for spec, locus in _oracle_grid():
         p = spec.p
@@ -1079,9 +1263,11 @@ def test_classifier_matches_fraction_reference():
                 fast = _outcome(classify_p2, oracle)
             else:
                 fast = _outcome(classify_torsor_reduction,
-                                expand_disk(spec, locus.d, oracle.v_e))
+                                _expand(spec, locus.d, oracle.v_e))
             ref = _outcome(_reference_classify, oracle)
             assert fast == ref, (spec, e)
+            if e is radius:
+                assert _outcome(certify_tail, spec) == ref, spec
             kinds.add((p == 2, spec.n == spec.s, fast[0],
                        fast[1].kind if fast[0] == "ok" else None))
     # the grid reaches both primes' verdicts and the failing tail check
@@ -1095,9 +1281,9 @@ def test_classifier_matches_fraction_reference():
 def test_classifier_matches_fraction_reference_on_crafted_profiles():
     """The same agreement on expansions made from lists of monomials
     u pi^k, whose valuations land on, just above and just below n and
-    n + 1/(p-1) at every index: the integer classifier reads them through
-    the test fake of _crafted, the Fraction classifier on the tower
-    oracle."""
+    n + 1/(p-1) at every index: the integer classifier reads them as
+    scaled integers, the Fraction classifier as Fractions, both on the
+    tower oracle."""
     rng = random.Random(11)
     t = make_tower(5, [(8, 5)])
     pi = t.gen(0)
@@ -1110,8 +1296,8 @@ def test_classifier_matches_fraction_reference_on_crafted_profiles():
                                                            8 * n + 4)
                 if rng.randrange(4) else t.zero()
                 for _ in range(10)]
-            oracle, fake = _crafted(spec, coeffs)
-            fast = _outcome(classify_torsor_reduction, fake)
+            oracle = _crafted(spec, coeffs)
+            fast = _outcome(classify_torsor_reduction, oracle)
             ref = _outcome(_reference_classify, oracle)
             assert fast == ref, (n, coeffs)
             verdicts.add(fast[1].reason or fast[1].notes)
@@ -1138,7 +1324,7 @@ def test_condition_ii_close_to_its_threshold():
     cubic = expand_disk(spec, CubicCentre((c0 + 9 * den, c1, c2), den,
                                           locus.d.r), locus.v_e)
     assert (cubic.scale, cubic.slope) == (exp.scale, exp.slope)
-    assert cubic.scaled_profile() == exp.scaled_profile()
+    assert cubic.scaled_profile() == exp.scaled_profile()[:4]
     verdict = classify_torsor_reduction(cubic)
     assert verdict == _reference_classify(exp)
     assert verdict.notes == ("condition (ii)",)

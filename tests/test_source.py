@@ -528,8 +528,8 @@ def test_label_checker_reads_each_form():
 
 
 #: the labels of the second case vocabulary, that of the new-tail locus:
-#: certify_tail tells a case (v) locus by its rho, and expand_disk the
-#: other two by the type of the centre
+#: certify_tail tells a case (v) locus by its rho, and the other two by the
+#: type of the centre
 LOCUS_LABELS = {"rational", "p3s1", "p2"}
 
 

@@ -22,6 +22,7 @@ from padic_sr.analyzer import (
     new_tail_locus,
 )
 from padic_sr.errors import IrreducibilityUnverified, ZeroElement, ZeroRadicand
+from padic_sr.jsonutil import ratstr
 from padic_sr.ramification import cyclotomic_tower, kummer_step_conductor
 from padic_sr.tower import (
     Tower,
@@ -120,6 +121,18 @@ def test_floats_refused_where_exact_inputs_are_read(bad):
             read()
     assert vp_rational("3/4", 2) == -2
     assert t.rational("3/4") == t.rational(Fraction(3, 4))
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_bools_refused_where_exact_inputs_are_read(bad):
+    """A bool is no exact rational either: Tower.rational and coerce refuse
+    it as parse_rat and ratstr do, where Tower.rational(True) was the
+    element 1."""
+    t = q2_i()
+    for read in (lambda: vp_rational(bad, 2), lambda: t.rational(bad),
+                 lambda: t.coerce(bad), lambda: ratstr(bad)):
+        with pytest.raises(TypeError):
+            read()
 
 
 def test_zero_radicand_rejected():

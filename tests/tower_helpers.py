@@ -5,8 +5,8 @@ Q_2(zeta_8) with the square test over their unramified closures, the
 oracles of the closed forms of case (v), the fields Q_3(pi) and
 K_1 = Q_p(zeta_p) with the case (iii) centre in Q_3(pi)(t), the oracles of
 the closed forms of cases (iii) and (iv), and the disk expansion with its
-centre in a tower, the oracle of the Fraction and cubic centres of
-`expand_disk`."""
+centre in a tower, the oracle of the closed form of the rational centre
+and of the cubic centre of `expand_disk`."""
 
 import itertools
 from fractions import Fraction
@@ -20,7 +20,7 @@ from padic_sr.errors import (
 )
 from padic_sr.jsonutil import parse_rat
 from padic_sr.ramification import cyclotomic_tower
-from padic_sr.series import _check_premises, _scaled, default_truncation
+from padic_sr.series import _check_premises, _scaled
 from padic_sr.tower import (
     Tower,
     _element,
@@ -28,6 +28,7 @@ from padic_sr.tower import (
     vp_int,
     vp_rational,
 )
+from rational_oracle import default_truncation
 
 
 def make_tower(p: int, steps) -> Tower:
@@ -200,7 +201,7 @@ class TowerExpansion:
     """The disk x = d + e t with d and e in one tower, as the values
     K_0 .. K_L with c_l = r^l K_l, r = N e / (delta delta') (series module
     docstring), valued by the tower: the expansion that `expand_disk` made
-    for a tower centre, kept as the oracle of its Fraction and cubic
+    for a tower centre, kept as the oracle of the rational and cubic
     centres.  Made from a list with r_factors None, K_l = c_l and r = 1.
     e must be nonzero.  It has the fields and methods that the classifiers
     read, with the scale E the tower's ramification index (its degree when
@@ -252,8 +253,8 @@ class TowerExpansion:
         return None if y == 0 else self._scaled_val(y)
 
     def check_tail_premises(self):
-        """series._check_tail_premises on the tower centre: v(d) and
-        v(d - 1) read from the tower."""
+        """The tail premises on the tower centre: v(d) and v(d - 1) read
+        from the tower."""
         val = self.tower.val
         _check_premises(self.spec, val(self.d), val(self.d - 1))
 
