@@ -43,6 +43,7 @@ from .ramification import (
 from .series import (
     CubicCentre,
     ReductionVerdict,
+    _cube_radicand,
     classify_p2_torsor,
     classify_rational_centre,
     classify_torsor_reduction,
@@ -144,12 +145,6 @@ def _stable_case(p: int, n: int, s: int) -> str:
     return "iii" if s == 1 else "iv"
 
 
-def _cube_radicand(n: int, s: int, b: int) -> int:
-    """3^(2(n-s)+3) C(b,3), of valuation 3(n-s)+2: the cube-root radicand of
-    d' in case (iv) and, at s = 1, of the new-tail centre in case (iii)."""
-    return 3 ** (2 * (n - s) + 3) * (b * (b - 1) * (b - 2) // 6)
-
-
 # -- no fields ---------------------------------------------------------------
 # analyze builds no Tower.  The rational centre of cases (i), (ii) and (iv)
 # is exact data (new_tail_locus), and the case (iii) centre (a + t)/(a+b),
@@ -240,10 +235,11 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
 
 
 def certify_tail(spec: CoverSpec) -> ReductionVerdict:
-    """Certify the reduction on the new-tail disk: in closed form at a
-    rational centre (cases i, ii and iv) and at a case (v) centre, from
-    the expansion to c_3 at the cubic centre of case (iii).  The tail bound
-    certifies every later c_l (series module docstring)."""
+    """Certify the reduction on the new-tail disk in closed form: at a
+    rational centre (cases i, ii and iv) from c_1, c_2 and c_3, at the
+    cubic centre of case (iii) from the closed-form K_1, K_2 and K_3 that
+    expand_disk writes down, and at a case (v) centre from c_1 and c_2.
+    The tail bound certifies every later c_l (series module docstring)."""
     locus = new_tail_locus(spec)
     if locus.rho is not None:
         return classify_p2_torsor(spec, locus.v_e, locus.rho)

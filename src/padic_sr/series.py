@@ -1,6 +1,6 @@
-"""Closed-form certificates of the new etale tail, the disk expansion of the
-case (iii) centre, and classification of the reduction type of
-mu_{p^n}-torsors from coefficient valuations.
+"""Closed-form certificates of the new etale tail: the reduction type of
+the mu_{p^n}-torsor on the new-tail disk, read from the valuations of its
+first coefficients, with a tail bound for all later ones.
 
 The cover y^(p^n) = c x^a (x-1)^b is restricted to the disk x = d + e t with
 the normalization c = d^(-a) (d-1)^(-b), so the restricted equation reads
@@ -10,6 +10,23 @@ y^(p^n) = g(d + e t) / g(d) = sum c_l t^l with c_0 = 1 and
 
 with falling-factorial binomials (exact integers for integer a, b), i.e. h_l
 is the t^l coefficient of h(t) = (1 + t/d)^a (1 + t/(d-1))^b.
+
+The criterion.  For p odd let tau = n + 1/(p-1) and M = (p-1) n + 1.
+The torsor reduces to an Artin-Schreier torsor, counted p^(n-1) times,
+with conductor h, under either condition:
+
+(i)  min_l v(c_l) = tau, and v(c_l) > tau at every l divisible by p; h is
+     the largest l with v(c_l) = tau;
+(ii) v(c_1) > n, v(c_p) > n, min over l != 1, p of v(c_l) = tau,
+     v(c_l) > tau at every l > p divisible by p, and
+     v(c_p - c_1^p / p^M) > tau; h is the largest l != 1, p with
+     v(c_l) = tau.
+
+The certificates below read c_1 .. c_L, L = 2 or 3, and the tail bound
+puts every later c_l strictly above tau ("The expansion length").  The
+general classifier of an expansion c_0 .. c_L, and the recurrences that
+expand a disk to any L, are the test oracles of these closed forms
+(tests/rational_oracle.py).
 
 Rational centres.  In cases (i), (ii) and (iv) p is odd, the centre is
 d = a/(a+b) and v(e) = (2n - s + 1/(p-1))/2, and `classify_rational_centre`
@@ -26,7 +43,7 @@ b/(d-1) = -m, so S_1 = 0, S_2 = m^3/(ab) and S_3 = m^3/a^2 - m^3/b^2:
 
 The certificate checks, in order: the tail premises v(d) = 0,
 v(d - 1) = n - s and v_p(b) = n - s ("Tail bound"); h_1 = 0, as T_1 = 0;
-v(c_2) = 2 v(e) + v_p(S_2) = tau, tau = n + 1/(p-1); when p = 3 and n = 1,
+v(c_2) = 2 v(e) + v_p(S_2) = tau; when p = 3 and n = 1,
 v(c_3) = 3 v(e) + v_p(S_3) - 1 > tau or c_3 = 0; and the tail bound above
 tau past L = 2 (L = 3 in that one shape).  A failed premise or tail bound
 raises PrecisionExhausted, any other failed fact returns NotCertified
@@ -38,59 +55,90 @@ which forces a = b mod 3, so v(c_3) = 9/4 + v_3(b - a) - 1 >= 9/4 > 3/2 =
 tau.  The
 tail bound is proved under "The expansion length".  So v(c_2) = tau is
 the minimum, reached at l = 2 alone, and every index divisible by p lies
-above it: condition (i) of `classify_torsor_reduction` with conductor
-h = 2 and count p^(n-1), the verdict that classifier gives on an
-expansion of the same disk to any length L >= p.  The cost is a few v_p
-of integers the size of a^4 and b^4, whatever p is.
+above it: condition (i) with conductor h = 2 and count p^(n-1).  The cost
+is a few v_p of integers the size of a^4 and b^4, whatever p is.
 
 Cubic centres.  The case (iii) centre (p = 3, s = 1 < n) is
-d = (a + t)/(a+b) with t^3 = r = 3^(2n+1) C(b, 3), v_3(r) = 3n - 1, and
-`expand_disk` expands the cover on its disk.  From
-h'/h = a/(d+t) + b/(d-1+t), comparing t^l coefficients of
-(d+t)(d-1+t) h' = (a(d-1+t) + b(d+t)) h gives a three-term recurrence
-for h_l.  With N the least common denominator of the coordinates of d,
-delta = N d and delta' = delta - N, multiplying the defining sum by
-d^l (d-1)^l N^l gives h_l = N^l K_l / (delta delta')^l, and the
-recurrence, multiplied through by (delta delta')^l / N^(l-1), reads
+d = (a + t)/m, m = a + b, with t^3 = r = 3^(2n+1) C(b, 3).  With N = m,
+delta = N d = a + t and delta' = delta - N = t - b, multiplying the
+defining sum by d^l (d-1)^l N^l gives c_l = u^l K_l, u = N e / (delta
+delta'), with
 
-    K_l = sum_{j=0..l} C(a, l-j) C(b, j) delta^j delta'^(l-j),
-    (l+1) K_{l+1} = (a delta' + b delta - (2 delta - N) l) K_l
-                    + (a+b-l+1) delta delta' K_{l-1},
+    K_l = sum_{j=0..l} C(a, l-j) C(b, j) delta^j delta'^(l-j) = N^l P_l(d),
+    P_l(d) = sum_{j=0..l} C(a, l-j) C(b, j) d^j (d-1)^(l-j).
 
-with K_0 = 1, K_{-1} = 0, and no inverse.  delta, delta' and every K_l
-are triples (c_0, c_1, c_2) of Z[t]/(t^3 - r), read as
-c_0 + c_1 t + c_2 t^2, and a product reduces t^3 to r.  As 3 does not
-divide v_p(r), x^3 - r is irreducible over Q and 1, t, t^2 is a basis of
-Q(t), so the triple of K_l is unique, its coordinates are integers, and
-the division by l + 1 is exact in each coordinate (checked, never
-floored).  `expand_disk` runs three steps, to K_3 = K_p: the classifier
-reads c_1, c_2 and c_3, and the tail bound certifies every later c_l
-("The expansion length").  The valuation needs no norm.  The Newton
-polygon of x^3 - r over Q_p is one segment of slope v_p(r)/3, whose
-denominator is 3, so Q_p(t) is totally ramified of degree 3, v extends
-uniquely, and v(t) = v_p(r)/3.  The term c_j t^j has valuation
-v_p(c_j) + j v(t), in j v_p(r)/3 + Z, and the classes of 0, v_p(r)/3 and
-2 v_p(r)/3 mod 1 are distinct, so two nonzero terms never tie and
+P_l is a polynomial in d.  Its generating function
+G = sum_l P_l z^l = (1 + (d-1) z)^a (1 + d z)^b satisfies
+dG/dd = m z G - z^2 dG/dz, as both sides equal
+z G (a/(1 + (d-1) z) + b/(1 + d z)); so P_l' = (m - l + 1) P_(l-1), and
+P_l has degree l with leading coefficient C(m, l).  At x = a/m,
+P_1(x) = m x - a = 0, and P_l(x) = h_l(x) x^l (x-1)^l with
+x (x-1) = -ab/m^2 gives P_2(x) = -ab/(2m) and P_3(x) = ab (a-b)/(3 m^2)
+from h_2 and h_3 above.  So P_2'(x) = P_3''(x) = 0 (multiples of
+P_1(x)) and P_3'(x) = (m - 2) P_2(x).  As d = x + t/m, the Taylor
+expansion K_l = m^l sum_k P_l^(k)(x) (t/m)^k / k!, with t^3 read as r,
+gives
+
+    K_1 = (0, m, 0),
+    K_2 = (-abm/2, 0, m(m-1)/2),
+    K_3 = (m (2ab(a-b) + (m-1)(m-2) r)/6, -abm(m-2)/2, 0),
+
+as triples (c_0, c_1, c_2) read as c_0 + c_1 t + c_2 t^2.  Every
+coordinate is an integer: ab(a+b) is even, ab(a^2 - b^2) is divisible
+by 3, and m(m-1)(m-2) by 6.  `expand_disk` writes these down, and refuses
+any other centre.  As 3 does not divide v_3(r) on a cover (below), x^3 - r
+is irreducible over Q and 1, t, t^2 is a basis of Q(t), so the triple of
+K_l is unique.  The valuation needs no norm.  The Newton polygon of
+x^3 - r over Q_p is one segment of slope v_p(r)/3, whose denominator is 3,
+so Q_p(t) is totally ramified of degree 3, v extends uniquely, and
+v(t) = v_p(r)/3.  The term c_j t^j has valuation v_p(c_j) + j v(t), in
+j v_p(r)/3 + Z, and the classes of 0, v_p(r)/3 and 2 v_p(r)/3 mod 1 are
+distinct, so two nonzero terms never tie and
 
     v(c_0 + c_1 t + c_2 t^2) = min over c_j != 0 of (v_p(c_j) + j v(t)),
 
 exactly.  On the locus v(t) = n - 1/3 and v(e) = n - 1/4, so the scale
-E = lcm(den v(e), 3, p - 1) is 12, the ramification index of Q_3(pi)(t),
-pi^4 = 3, where the same disk has the same scaled profile.  The tail
-premises and condition (ii) read the same triples: no tower is built.
+E = lcm(den v(e), 6) is 12, the ramification index of Q_3(pi)(t),
+pi^4 = 3, where the same disk has the same valuations.  No tower is built.
 
-Valuations without coefficients.  With c_l = e^l h_l = r^l K_l and
-r = N e / (delta delta'), valuations are multiplicative.  Scaled by E (the
-profile scale of `DiskExpansion`, which puts every valuation in Z),
-E v(c_l) = l slope + E v(K_l) with slope = E v(r) =
-E (v(e) + v(N) - v(delta) - v(delta')), and c_l = 0 exactly when K_l = 0.
-The classifier reads only the K_l and the slope: it builds no c_l and
-inverts nothing.  The test that compares coefficients, not just
-valuations, carries the same power of r on both sides, so r enters only
-through the slope (tau = n + 1/(p-1)): condition (ii), M = (p-1) n + 1, reads
-c_p - c_1^p / p^M = r^p p^(-M) Y with Y = p^M K_p - K_1^p, so
-v(c_p - c_1^p / p^M) > tau exactly when Y = 0 or
-p slope + E v(Y) - E M > E tau.
+Valuations without coefficients.  As c_l = u^l K_l, valuations are
+multiplicative: scaled by E, which puts v(t), tau and v(e) in (1/E) Z,
+E v(c_l) = l slope + E v(K_l) with slope = E v(u) =
+E (v(e) + v(N) - v(delta) - v(delta')).  Condition (ii) compares
+coefficients, not just valuations, in c_3 - c_1^3 / 3^M = u^3 3^(-M) Y,
+Y = 3^M K_3 - K_1^3, M = 2n + 1, and K_1^3 = m^3 r is rational, so
+Y = 3^M K_3 - m^3 r needs no product of triples, and
+v(c_3 - c_1^3 / 3^M) > tau exactly when Y = 0 or
+3 slope + E v(Y) - E M > E tau.
+
+`classify_torsor_reduction` checks, in order: v_3(b) = n - s, before it
+values any triple, as then v_3(r) = 2n + 1 + v_3(b) - 1 = 3n - 1 and
+v(t) = n - 1/3 (with v_3(b) = n - s unchecked, 3 may divide v_3(r));
+v(d) = 0 and v(d - 1) = n - s, from the triples a + t and t - b over m;
+v(c_1) > n, v(c_3) > n and v(c_2) = tau, the clauses of condition (ii)
+that read a valuation, in the order in which they are named; Y; and the
+tail bound past L = 3.  A failed premise or tail bound raises
+PrecisionExhausted, any other failed fact returns NotCertified naming
+it.  Once the premises hold, v_3(m) = v(t - b) - v(d - 1) = 0 and
+v_3(a) = 0 (v(a + t) = v(d) = 0 < v(t)), so v_3(a - b) = 0, and the
+closed forms give v(K_1) = n - 1/3, v(K_2) = v_3(abm/2) = n - 1 and
+v(K_3) = v_3(m ab (a-b)/3) = n - 2 (each other term lies higher), and
+v(u) = v(e) - n + 1.  So
+
+    v(c_1) = v(e) + 2/3,   v(c_3) = 3 v(e) - 2n + 1,   v(c_2) = 2 v(e) - n + 1,
+
+each check is a fact about v(e) alone, and a doctored radius fails each
+of them first: v(e) <= n - 2/3, n - 2/3 < v(e) <= n - 1/3, and any
+v(e) > n - 1/3 other than n - 1/4.  On the locus they read n + 5/12,
+n + 1/4 and n + 1/2 = tau.  Past them v(e) = n - 1/4, and no input fails the last
+two checks.  Y = (3^(2n) m (m-2) ((m-1) r - b^2 (b(m-1) - 3a))/2,
+-3^(2n+1) abm(m-2)/2, 0), where b(m-1) - 3a is divisible by 3, so
+v(Y) >= 4n - 1 and v(c_3 - c_1^3 / 3^M) >= 9/4 + 4n - 1 - 2n - 1 > tau.
+The check needs that cancellation: with K_1^3 added, not subtracted,
+the first coordinate has v_3 exactly 3n - 1 and every cover is refused.
+The tail bound clears tau past c_3 at this radius ("The expansion
+length").  So condition (ii) holds with h = 2, and the verdict has
+count 3^(n-1).
 
 Tail bound.  The j-th term of c_l has valuation at least l v(e) when j = 0
 and l v(e) + (n-s) - v_p(j) - j(n-s) when j >= 1 (C(a, k) is an integer,
@@ -148,12 +196,11 @@ clears:
   at the rational centre, from K_3 at the cubic one.
 
 So every c_l past L lies strictly above tau.  A longer expansion adds only
-such coefficients, and no clause of the classifier can see them: each
+such coefficients, and no clause of the criterion can see them: each
 compares valuations with n or tau or looks for the indices where a
 valuation equals tau, and coefficient values are read only at l = 1 and
-p <= L.  Nor can they turn "all coefficients vanish": c_1 = 0 only at
-d = a/(a+b), and there h_2 = -(a+b)^3/(2ab) is not 0.  The expansion of a
-rational centre to L = 2p is the test oracle of its closed form.
+p <= L.  So c_1 .. c_L decide the criterion, and the test oracles that
+expand the same disks to L = 2p and beyond reach the same verdicts.
 
 Case (v) centres.  For p = 2 the new-tail centre is d = x + R with
 x = a/(a+b) and R^2 = 2^n b i/(a+b)^4, so d lies in Q_2(i) or in a
@@ -207,12 +254,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
 from .errors import (
     CenterOnBranchLocus,
+    CertificationFailed,
     PrecisionExhausted,
 )
 from .tower import vp_int
@@ -220,20 +267,18 @@ from .tower import vp_int
 
 class CubicCentre(NamedTuple):
     """The centre (c_0 + c_1 t + c_2 t^2)/den of a disk, t^3 = r: nums =
-    (c_0, c_1, c_2), den != 0 and r are integers, and v_p(r) is prime to 3
-    (module docstring, "Cubic centres")."""
+    (c_0, c_1, c_2), den != 0 and r are integers (module docstring, "Cubic
+    centres").  The case (iii) centre is ((a, 1, 0), a + b,
+    _cube_radicand(n, s, b))."""
     nums: tuple
     den: int
     r: int
 
 
-def _cmul(x, y, r):
-    """The product of two triples in Z[t]/(t^3 - r)."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    return (x0 * y0 + r * (x1 * y2 + x2 * y1),
-            x0 * y1 + x1 * y0 + r * x2 * y2,
-            x0 * y2 + x1 * y1 + x2 * y0)
+def _cube_radicand(n: int, s: int, b: int) -> int:
+    """3^(2(n-s)+3) C(b,3), of valuation 3(n-s)+2: the cube-root radicand of
+    d' in case (iv) and, at s = 1, of the new-tail centre in case (iii)."""
+    return 3 ** (2 * (n - s) + 3) * (b * (b - 1) * (b - 2) // 6)
 
 
 def binom_falling(x, k: int) -> Fraction:
@@ -249,102 +294,15 @@ def binom_falling(x, k: int) -> Fraction:
     return num / den
 
 
-class DiskExpansion:
-    """The cover equation restricted to the disk x = d + e t of a
-    `CubicCentre` d, as the integer triples K_0 .. K_L with c_l = r^l K_l,
-    r = N e / (delta delta') and r_factors = (N, delta, delta') (module
-    docstring); e is given only by its valuation v_e = v(e).  The length
-    L, `truncation`, is that of the list: 3 from `expand_disk`.
-
-    Profiles are kept scaled by E = `scale`, as the integers E v(c_l) =
-    l `slope` + E v(K_l) of `scaled_profile()`: every valuation on the disk
-    and the classifier's threshold n + 1/(p-1) lie in (1/E)Z, so the
-    classifiers compare integers.  `profile()` builds the Fractions v(c_l)
-    from that list.
-    """
-
-    def __init__(self, spec, d, v_e, coeffs, r_factors):
-        if not isinstance(d, CubicCentre):
-            raise TypeError(f"expand_disk takes a CubicCentre, not "
-                        f"{type(d).__name__}")
-        if not isinstance(v_e, (int, Fraction)):
-            raise TypeError(f"v(e) is an int or a Fraction, not "
-                            f"{type(v_e).__name__}")
-        self.spec = spec  # anything with fields p, n, a, b, s
-        self.d = d
-        self.v_e = v_e
-        self.ks = list(coeffs)  # K_0 .. K_L: integer triples
-        self.r_factors = r_factors  # (N, delta, delta')
-        self._scaled = None
-        self._vr = vp_int(d.r, spec.p)  # v_p(r); checks that p is prime
-        if self._vr % 3 == 0:
-            raise ValueError("a cubic centre needs v_p(r) prime to 3")
-
-    @property
-    def truncation(self) -> int:
-        """L, the index of the last K_l."""
-        return len(self.ks) - 1
-
-    @cached_property
-    def scale(self) -> int:
-        """E: the denominator of v(e), times 3 for v(t), times what makes
-        1/(p-1) a multiple of 1/E."""
-        return lcm(self.v_e.denominator, 3, self.spec.p - 1)
-
-    @cached_property
-    def slope(self) -> int:
-        """E v(r) = E (v(e) + v(N) - v(delta) - v(delta'))."""
-        N, delta, delta1 = self.r_factors
-        return (_scaled(self.v_e, self.scale) + self._scaled_val(N)
-                - self._scaled_val(delta) - self._scaled_val(delta1))
-
-    def _scaled_val(self, x) -> int:
-        """E v(x) for a nonzero integer or triple of the centre's ring."""
-        E, p = self.scale, self.spec.p
-        if isinstance(x, tuple):
-            # the least v_p(c_j) + j v(t) (module docstring, "Cubic centres")
-            et = E * self._vr // 3
-            return min(E * vp_int(c, p) + j * et for j, c in enumerate(x)
-                       if c)
-        return E * vp_int(x, p)
-
-    def scaled_profile(self):
-        """[E v(c_l)] for l = 0 .. L as integers, E = `scale`, with None for
-        zero coefficients (valuation +inf)."""
-        if self._scaled is None:
-            slope = self.slope
-            self._scaled = [l * slope + self._scaled_val(k) if any(k)
-                            else None for l, k in enumerate(self.ks)]
-        return self._scaled
-
-    def _scaled_defect(self, M: int):
-        """E v(Y), Y = p^M K_p - K_1^p (condition (ii), module docstring),
-        or None when Y = 0."""
-        p = self.spec.p
-        k1, kp = self.ks[1], self.ks[p]
-        power = k1
-        for _ in range(p - 1):
-            power = _cmul(power, k1, self.d.r)
-        y = tuple(p ** M * u - w for u, w in zip(kp, power))
-        return self._scaled_val(y) if any(y) else None
-
-    def check_tail_premises(self):
-        """The tail bound rests on v(d) = 0 and v(d - 1) = v_p(b) = n - s:
-        check them on the centre, read from its triples, before the bound
-        is trusted."""
-        E, (c0, c1, c2), den = self.scale, self.d.nums, self.d.den
-        v_den = self._scaled_val(den)
-        _check_premises(self.spec,
-                        Fraction(self._scaled_val(self.d.nums) - v_den, E),
-                        Fraction(self._scaled_val((c0 - den, c1, c2)) - v_den,
-                                 E))
-
-    def profile(self):
-        """[v(c_l)] for l = 0 .. L, with None for zero coefficients
-        (valuation +inf)."""
-        E = self.scale
-        return [None if v is None else Fraction(v, E)
-                for v in self.scaled_profile()]
+class DiskExpansion(NamedTuple):
+    """The case (iii) centre's disk x = d + e t, d a `CubicCentre`, e given
+    by v_e = v(e) alone, and ks = (K_1, K_2, K_3), the integer triples with
+    c_l = u^l K_l, u = N e / (delta delta') (module docstring, "Cubic
+    centres")."""
+    spec: object  # anything with fields p, n, a, b, s
+    d: CubicCentre
+    v_e: Fraction
+    ks: tuple
 
 
 def _scaled(v: Fraction, E: int) -> int:
@@ -378,38 +336,32 @@ class ReductionVerdict:
 
 
 def expand_disk(spec, d, v_e) -> DiskExpansion:
-    """Expand the normalized cover equation on the disk x = d + e t of a
-    `CubicCentre` d, of radius valuation v_e = v(e), to K_3, by the
-    fraction-free recurrence on integer triples of the module docstring
-    ("Cubic centres").  A rational centre is certified in closed form, by
-    classify_rational_centre; any centre that is no CubicCentre raises
-    TypeError."""
+    """K_1, K_2 and K_3 on the disk x = d + e t of the case (iii) centre d,
+    of radius valuation v_e = v(e), in closed form (module docstring,
+    "Cubic centres"): no recurrence.  A rational centre is certified by
+    classify_rational_centre.  A centre that is no CubicCentre, or a v_e
+    that is no int or Fraction, raises TypeError; any other CubicCentre or
+    a spec other than p = 3, s = 1 < n raises CertificationFailed, as the
+    closed forms hold only at (a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3)."""
     if not isinstance(d, CubicCentre):
         raise TypeError(f"expand_disk takes a CubicCentre, not "
                         f"{type(d).__name__}")
-    N, delta, r = d.den, d.nums, d.r
-    if delta in ((0, 0, 0), (N, 0, 0)):
-        raise CenterOnBranchLocus("disk center lies on the branch locus")
-    a, b = spec.a, spec.b
-    delta1 = (delta[0] - N, delta[1], delta[2])
-    # (l+1) K_{l+1} = A_l K_l + (a+b-l+1) P K_{l-1}, with
-    # A_l = a delta' + b delta - S l and P = delta delta'
-    A = tuple(a * u + b * w for u, w in zip(delta1, delta))
-    S = (2 * delta[0] - N, 2 * delta[1], 2 * delta[2])
-    P = _cmul(delta, delta1, r)
-    ks = [(0, 0, 0), (1, 0, 0)]  # K_{-1}, K_0
-    for l in range(3):
-        c = a + b - l + 1
-        nxt = []
-        for u, w in zip(_cmul(A, ks[-1], r), _cmul(P, ks[-2], r)):
-            q, rem = divmod(u + c * w, l + 1)
-            if rem:
-                raise ArithmeticError(f"{u + c * w} is not divisible by "
-                                      f"{l + 1}")
-            nxt.append(q)
-        ks.append(tuple(nxt))
-        A = (A[0] - S[0], A[1] - S[1], A[2] - S[2])
-    return DiskExpansion(spec, d, v_e, ks[1:], (N, delta, delta1))
+    if not isinstance(v_e, (int, Fraction)):
+        raise TypeError(f"v(e) is an int or a Fraction, not "
+                        f"{type(v_e).__name__}")
+    p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
+    m, r = a + b, d.r
+    if (p, s) != (3, 1) or n < 2 or \
+            d != CubicCentre((a, 1, 0), m, _cube_radicand(n, s, b)):
+        raise CertificationFailed(
+            "K_1, K_2 and K_3 are known only at the case (iii) centre "
+            "(a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3)")
+    ab = a * b
+    return DiskExpansion(spec, d, v_e, (
+        (0, m, 0),
+        (-ab * m // 2, 0, m * (m - 1) // 2),
+        (m * (2 * ab * (a - b) + (m - 1) * (m - 2) * r) // 6,
+         -ab * m * (m - 2) // 2, 0)))
 
 
 # -- rigorous tail bound -----------------------------------------------------
@@ -497,80 +449,49 @@ def check_tail_dominated(spec, v_e, L, threshold, strict=True):
 
 # -- classification ----------------------------------------------------------
 
+def _val3(x, E: int, et: int) -> int:
+    """E v(c_0 + c_1 t + c_2 t^2) of a nonzero triple, E v(t) = et: the
+    least E v_3(c_j) + j et (module docstring, "Cubic centres")."""
+    return min(E * vp_int(c, 3) + j * et for j, c in enumerate(x) if c)
+
+
 def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
-    """Reduction type of the Artin-Schreier torsor (p odd) from the
-    valuation profile, compared as integers scaled by E = exp.scale against
-    E tau, tau = n + 1/(p-1).  Reads the K_l, exp.slope and
-    exp.check_tail_premises only (module docstring), of a DiskExpansion or
-    of a test oracle with its fields and methods.  An expansion not
-    normalized to c_0 = 1, or one that stops before c_p (both conditions
-    read c_p), is refused with ValueError, and so is a p = 2 expansion: the
-    mu_4-torsors of case (v) are classified by classify_p2_torsor."""
-    spec = exp.spec
-    p, n = spec.p, spec.n
-    if not exp.ks or (exp.ks[0] != 1 and exp.ks[0] != (1, 0, 0)):
-        raise ValueError("expansion is not normalized to c_0 = 1")
-    if exp.truncation < p:
-        raise ValueError(f"expansion stops at c_{exp.truncation}, before "
-                         f"c_p = c_{p}")
-    if p == 2:
-        raise ValueError("p = 2 torsors are classified by "
-                         "classify_p2_torsor")
-    prof = exp.scaled_profile()
-    E = exp.scale
-    tau = n + Fraction(1, p - 1)
-    T, En = E * n + E // (p - 1), E * n  # E tau, E n
-
-    finite = [(l, prof[l]) for l in range(1, exp.truncation + 1)
-              if prof[l] is not None]
-    if not finite:
-        return ReductionVerdict("NotCertified",
-                                reason="all coefficients vanish")
-    exp.check_tail_premises()
-    check_tail_dominated(spec, exp.v_e, exp.truncation, tau, strict=True)
-    minv = min(val for _, val in finite)
-
-    def p_indices_above(start):
-        # v(c_i) > tau at every i >= start divisible by p
-        return all(prof[l] is None or prof[l] > T
-                   for l in range(start, exp.truncation + 1, p))
-
-    # condition (i): min_i v(c_i) = tau, strict above tau at p-divisible i
-    if minv == T and p_indices_above(p):
-        h = max(l for l, val in finite if val == T)
-        return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
-                                conductor=h, notes=("condition (i)",))
-
-    # condition (ii)
-    reasons = []
-    v1 = prof[1]
-    vp_ = prof[p]
-    if not (v1 is None or v1 > En):
-        reasons.append("v(c_1) <= n")
-    if not (vp_ is None or vp_ > En):
-        reasons.append("v(c_p) <= n")
-    rest = [(l, val) for l, val in finite if l not in (1, p)]
-    if not rest or min(val for _, val in rest) != T:
-        reasons.append("min over i != 1, p is not n + 1/(p-1)")
-    if not p_indices_above(2 * p):
-        reasons.append("v(c_i) <= n + 1/(p-1) at an index i > p divisible by p")
-    if not reasons:
-        # c_p - c_1^p / p^M = r^p p^(-M) Y
-        M = (p - 1) * n + 1
-        vy = exp._scaled_defect(M)
-        if vy is None or p * exp.slope + vy - E * M > T:
-            h = max(l for l, val in rest if val == T)
-            return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
-                                    conductor=h, notes=("condition (ii)",))
-        reasons.append("v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
-    if minv == T:
-        # name the clause the way the nearest condition fails
-        bad = [l for l, val in finite if val == minv and l % p == 0]
-        if bad and all(val > minv for l, val in finite if l % p != 0):
-            return ReductionVerdict(
-                "NotCertified", reason="minimum at index divisible by p")
-    return ReductionVerdict("NotCertified", reason="; ".join(reasons) or
-                            "minimum valuation is not n + 1/(p-1)")
+    """Reduction type of the Artin-Schreier torsor on the case (iii) disk of
+    `expand_disk`, from its K_1, K_2 and K_3 (module docstring, "Valuations
+    without coefficients").  It checks the tail premises, v_3(b) = n - s
+    first (b = 0 fails it); v(c_1) > n, v(c_3) > n and v(c_2) = tau;
+    Y = 3^M K_3 - m^3 r; and the tail bound above tau past c_3, comparing
+    integers scaled by E = lcm(den v(e), 6).  A failed premise or tail bound raises
+    PrecisionExhausted, any other failed fact returns NotCertified naming
+    the clause of condition (ii) that fails."""
+    spec, (c0, c1, c2), m = exp.spec, exp.d.nums, exp.d.den
+    n, s = spec.n, spec.s
+    if not spec.b or vp_int(spec.b, 3) != n - s:
+        raise PrecisionExhausted("tail bound needs v(b) = n - s")
+    E = lcm(exp.v_e.denominator, 6)
+    et, vm = E * n - E // 3, E * vp_int(m, 3)  # v(t) = n - 1/3
+    vd = _val3((c0, c1, c2), E, et) - vm
+    vd1 = _val3((c0 - m, c1, c2), E, et) - vm
+    _check_premises(spec, Fraction(vd, E), Fraction(vd1, E))
+    slope = _scaled(exp.v_e, E) - vd - vd1 - vm  # E v(N e / (delta delta'))
+    k1, k2, k3 = exp.ks
+    T = E * n + E // 2  # E tau
+    if slope + _val3(k1, E, et) <= E * n:
+        return ReductionVerdict("NotCertified", reason="v(c_1) <= n")
+    if 3 * slope + _val3(k3, E, et) <= E * n:
+        return ReductionVerdict("NotCertified", reason="v(c_p) <= n")
+    if 2 * slope + _val3(k2, E, et) != T:
+        return ReductionVerdict(
+            "NotCertified", reason="min over i != 1, p is not n + 1/(p-1)")
+    M = 2 * n + 1
+    y = (3 ** M * k3[0] - m ** 3 * exp.d.r, 3 ** M * k3[1], 3 ** M * k3[2])
+    if any(y) and 3 * slope + _val3(y, E, et) - E * M <= T:
+        return ReductionVerdict(
+            "NotCertified",
+            reason="v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
+    check_tail_dominated(spec, exp.v_e, 3, Fraction(T, E), strict=True)
+    return ReductionVerdict("SplitsArtinSchreier", count=3 ** (n - 1),
+                            conductor=2, notes=("condition (ii)",))
 
 
 def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:

@@ -1,13 +1,28 @@
-"""The integer recurrence of a rational disk centre, kept as the oracle of
-the closed-form certificate `series.classify_rational_centre`.
+"""The recurrences that expand a disk to any length, and the general
+classifier of an expansion, kept as the oracles of the closed-form
+certificates `series.classify_rational_centre` and
+`series.classify_torsor_reduction`.
 
 `certify_tail` used to expand the cover on the disk of the rational centre
-a/(a+b) (cases i, ii and iv) to c_2p by the fraction-free recurrence of the
-series module docstring, in integers, and classify the expansion.  It now
-reads c_1, c_2 and c_3 in closed form.  `expand_rational` is that
-expansion, `RationalExpansion` its values K_l with the fields and methods
-that `classify_torsor_reduction` reads, and `certify_tail` the old path
-from the spec to the verdict.
+a/(a+b) (cases i, ii and iv) to c_2p by the fraction-free recurrence below,
+in integers, and the case (iii) centre (a + t)/(a+b), t^3 = r, to c_3 by the
+same recurrence on integer triples of Z[t]/(t^3 - r), and classified the
+expansion.  It now reads c_1, c_2 and c_3, or K_1, K_2 and K_3, in closed
+form.  `expand_rational` and `expand_cubic` are those expansions,
+`RationalExpansion` and `CubicExpansion` their values K_l with the fields
+and methods that `classify_expansion`, the general classifier, reads, and
+`certify_tail` the old path from the spec to the verdict.
+
+The recurrence (series module docstring, "Cubic centres"): from
+h'/h = a/(d+t) + b/(d-1+t), comparing t^l coefficients of
+(d+t)(d-1+t) h' = (a(d-1+t) + b(d+t)) h, multiplied through by
+(delta delta')^l / N^(l-1),
+
+    (l+1) K_{l+1} = (a delta' + b delta - (2 delta - N) l) K_l
+                    + (a+b-l+1) delta delta' K_{l-1},
+
+with K_0 = 1, K_{-1} = 0, and no inverse.  The division by l + 1 is exact
+(checked, never floored).
 """
 
 from fractions import Fraction
@@ -16,9 +31,11 @@ from math import lcm
 from padic_sr.analyzer import new_tail_locus
 from padic_sr.errors import CenterOnBranchLocus
 from padic_sr.series import (
+    CubicCentre,
+    ReductionVerdict,
     _check_premises,
     _scaled,
-    classify_torsor_reduction,
+    check_tail_dominated,
 )
 from padic_sr.tower import vp_int, vp_rational
 
@@ -75,6 +92,78 @@ class RationalExpansion:
                         vp_rational(self.d - 1, p))
 
 
+def _cmul(x, y, r):
+    """The product of two triples in Z[t]/(t^3 - r)."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return (x0 * y0 + r * (x1 * y2 + x2 * y1),
+            x0 * y1 + x1 * y0 + r * x2 * y2,
+            x0 * y2 + x1 * y1 + x2 * y0)
+
+
+class CubicExpansion(RationalExpansion):
+    """The disk x = d + e t of a `CubicCentre` d, as the integer triples
+    K_0 .. K_L with c_l = r^l K_l, r = N e / (delta delta') and r_factors =
+    (N, delta, delta'); e is given only by its valuation v_e.  Valuations
+    are scaled by E = lcm(den v_e, 3, p - 1), so they are integers: a
+    triple is valued as the least v_p(c_j) + j v(t), v(t) = v_p(r)/3
+    (series module docstring, "Cubic centres"), which needs v_p(r) prime
+    to 3."""
+
+    def __init__(self, spec, d, v_e, coeffs, r_factors):
+        if not isinstance(d, CubicCentre):
+            raise TypeError(f"CubicExpansion takes a CubicCentre, not "
+                            f"{type(d).__name__}")
+        if not isinstance(v_e, (int, Fraction)):
+            raise TypeError(f"v(e) is an int or a Fraction, not "
+                            f"{type(v_e).__name__}")
+        super().__init__(spec, d, v_e, coeffs, r_factors)
+        self.scale = lcm(v_e.denominator, 3, spec.p - 1)
+        self._vr = vp_int(d.r, spec.p)  # v_p(r); checks that p is prime
+        if self._vr % 3 == 0:
+            raise ValueError("a cubic centre needs v_p(r) prime to 3")
+
+    @classmethod
+    def of_disk(cls, disk):
+        """The CubicExpansion of the K_1, K_2 and K_3 that
+        `series.expand_disk` returns, with K_0 = 1."""
+        (c0, c1, c2), N = disk.d.nums, disk.d.den
+        return cls(disk.spec, disk.d, disk.v_e, [(1, 0, 0), *disk.ks],
+                   (N, (c0, c1, c2), (c0 - N, c1, c2)))
+
+    def _scaled_val(self, x) -> int:
+        """E v(x) for a nonzero integer or triple of the centre's ring."""
+        E, p = self.scale, self.spec.p
+        if isinstance(x, tuple):
+            et = E * self._vr // 3
+            return min(E * vp_int(c, p) + j * et for j, c in enumerate(x)
+                       if c)
+        return E * vp_int(x, p)
+
+    def scaled_profile(self):
+        slope = self.slope
+        return [l * slope + self._scaled_val(k) if any(k) else None
+                for l, k in enumerate(self.ks)]
+
+    def _scaled_defect(self, M: int):
+        p = self.spec.p
+        k1, kp = self.ks[1], self.ks[p]
+        power = k1
+        for _ in range(p - 1):
+            power = _cmul(power, k1, self.d.r)
+        y = tuple(p ** M * u - w for u, w in zip(kp, power))
+        return self._scaled_val(y) if any(y) else None
+
+    def check_tail_premises(self):
+        """v(d) = 0 and v(d - 1) = v_p(b) = n - s, read from the triples."""
+        E, (c0, c1, c2), den = self.scale, self.d.nums, self.d.den
+        v_den = self._scaled_val(den)
+        _check_premises(self.spec,
+                        Fraction(self._scaled_val(self.d.nums) - v_den, E),
+                        Fraction(self._scaled_val((c0 - den, c1, c2)) - v_den,
+                                 E))
+
+
 def expand_rational(spec, d: Fraction, v_e, L=None) -> RationalExpansion:
     """K_0 .. K_L, L = 2p by default, on the disk of the rational centre d
     by the integer recurrence, whose division by l + 1 is checked."""
@@ -100,11 +189,116 @@ def expand_rational(spec, d: Fraction, v_e, L=None) -> RationalExpansion:
     return RationalExpansion(spec, d, v_e, ks, (N, delta, delta1))
 
 
+def expand_cubic(spec, d, v_e, L=3) -> CubicExpansion:
+    """K_0 .. K_L, L = 3 by default, on the disk of any CubicCentre d by the
+    same recurrence on integer triples, whose division by l + 1 is checked
+    in each coordinate."""
+    N, delta, r = d.den, d.nums, d.r
+    if delta in ((0, 0, 0), (N, 0, 0)):
+        raise CenterOnBranchLocus("disk center lies on the branch locus")
+    a, b = spec.a, spec.b
+    delta1 = (delta[0] - N, delta[1], delta[2])
+    A = tuple(a * u + b * w for u, w in zip(delta1, delta))
+    S = (2 * delta[0] - N, 2 * delta[1], 2 * delta[2])
+    P = _cmul(delta, delta1, r)
+    ks = [(0, 0, 0), (1, 0, 0)]  # K_{-1}, K_0
+    for l in range(L):
+        c = a + b - l + 1
+        nxt = []
+        for u, w in zip(_cmul(A, ks[-1], r), _cmul(P, ks[-2], r)):
+            q, rem = divmod(u + c * w, l + 1)
+            if rem:
+                raise ArithmeticError(f"{u + c * w} is not divisible by "
+                                      f"{l + 1}")
+            nxt.append(q)
+        ks.append(tuple(nxt))
+        A = (A[0] - S[0], A[1] - S[1], A[2] - S[2])
+    return CubicExpansion(spec, d, v_e, ks[1:], (N, delta, delta1))
+
+
+def classify_expansion(exp) -> ReductionVerdict:
+    """The general classifier: the reduction type of the Artin-Schreier
+    torsor (p odd) from the valuation profile of an expansion to any L >= p,
+    compared as integers scaled by E = exp.scale against E tau,
+    tau = n + 1/(p-1), by conditions (i) and (ii) of the series module
+    docstring.  Reads the K_l, exp.slope, exp._scaled_defect and
+    exp.check_tail_premises only, of a RationalExpansion, CubicExpansion or
+    TowerExpansion.  An expansion not normalized to c_0 = 1, or one that
+    stops before c_p (both conditions read c_p), is refused with
+    ValueError, and so is a p = 2 expansion."""
+    spec = exp.spec
+    p, n = spec.p, spec.n
+    if not exp.ks or (exp.ks[0] != 1 and exp.ks[0] != (1, 0, 0)):
+        raise ValueError("expansion is not normalized to c_0 = 1")
+    if exp.truncation < p:
+        raise ValueError(f"expansion stops at c_{exp.truncation}, before "
+                         f"c_p = c_{p}")
+    if p == 2:
+        raise ValueError("p = 2 torsors are classified by "
+                         "classify_p2_torsor")
+    prof = exp.scaled_profile()
+    E = exp.scale
+    tau = n + Fraction(1, p - 1)
+    T, En = E * n + E // (p - 1), E * n  # E tau, E n
+
+    finite = [(l, prof[l]) for l in range(1, exp.truncation + 1)
+              if prof[l] is not None]
+    if not finite:
+        return ReductionVerdict("NotCertified",
+                                reason="all coefficients vanish")
+    exp.check_tail_premises()
+    check_tail_dominated(spec, exp.v_e, exp.truncation, tau, strict=True)
+    minv = min(val for _, val in finite)
+
+    def p_indices_above(start):
+        # v(c_i) > tau at every i >= start divisible by p
+        return all(prof[l] is None or prof[l] > T
+                   for l in range(start, exp.truncation + 1, p))
+
+    # condition (i): min_i v(c_i) = tau, strict above tau at p-divisible i
+    if minv == T and p_indices_above(p):
+        h = max(l for l, val in finite if val == T)
+        return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
+                                conductor=h, notes=("condition (i)",))
+
+    # condition (ii)
+    reasons = []
+    v1 = prof[1]
+    vp_ = prof[p]
+    if not (v1 is None or v1 > En):
+        reasons.append("v(c_1) <= n")
+    if not (vp_ is None or vp_ > En):
+        reasons.append("v(c_p) <= n")
+    rest = [(l, val) for l, val in finite if l not in (1, p)]
+    if not rest or min(val for _, val in rest) != T:
+        reasons.append("min over i != 1, p is not n + 1/(p-1)")
+    if not p_indices_above(2 * p):
+        reasons.append("v(c_i) <= n + 1/(p-1) at an index i > p divisible by p")
+    if not reasons:
+        # c_p - c_1^p / p^M = r^p p^(-M) Y
+        M = (p - 1) * n + 1
+        vy = exp._scaled_defect(M)
+        if vy is None or p * exp.slope + vy - E * M > T:
+            h = max(l for l, val in rest if val == T)
+            return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
+                                    conductor=h, notes=("condition (ii)",))
+        reasons.append("v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
+    if minv == T:
+        # name the clause the way the nearest condition fails
+        bad = [l for l, val in finite if val == minv and l % p == 0]
+        if bad and all(val > minv for l, val in finite if l % p != 0):
+            return ReductionVerdict(
+                "NotCertified", reason="minimum at index divisible by p")
+    return ReductionVerdict("NotCertified", reason="; ".join(reasons) or
+                            "minimum valuation is not n + 1/(p-1)")
+
+
 def certify_tail(spec):
-    """certify_tail of a rational-centre spec as it was: the expansion to
-    c_2p and its classification."""
+    """certify_tail of an odd-p spec as it was: the expansion of the
+    rational centre to c_2p, or of the case (iii) centre to c_3, and its
+    classification."""
     locus = new_tail_locus(spec)
-    if not isinstance(locus.d, Fraction) or locus.rho is not None:
-        raise ValueError("not a rational-centre spec")
-    return classify_torsor_reduction(expand_rational(spec, locus.d,
-                                                     locus.v_e))
+    if locus.rho is not None:
+        raise ValueError("not an odd-p spec")
+    expand = expand_rational if isinstance(locus.d, Fraction) else expand_cubic
+    return classify_expansion(expand(spec, locus.d, locus.v_e))

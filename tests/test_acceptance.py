@@ -48,6 +48,7 @@ from padic_sr.ramification import (
 )
 from padic_sr.series import expand_disk
 from padic_sr.tower import square_class_K2_K3
+from rational_oracle import CubicExpansion
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -118,12 +119,14 @@ def test_criterion_2_small_prime_cells():
                 v = certify_tail(spec)
                 ok = ok and v.kind == "SplitsArtinSchreier"
                 if s == 1:
-                    # the cubic centre; the quoted valuations, exactly
+                    # the cubic centre; the quoted valuations, exactly,
+                    # valued by the oracle from the K_l of expand_disk
                     locus = new_tail_locus(spec)
                     exp = expand_disk(spec, locus.d, locus.v_e)
+                    prof = CubicExpansion.of_disk(exp).profile()
                     ok = ok and "condition (ii)" in v.notes
-                    ok = ok and exp.profile()[1] == n + Fraction(5, 12)
-                    ok = ok and exp.profile()[3] == n + Fraction(1, 4)
+                    ok = ok and prof[1] == n + Fraction(5, 12)
+                    ok = ok and prof[3] == n + Fraction(1, 4)
                 else:
                     # (n, s) = (3, 2) has a rational-center disk and
                     # certifies through condition (i), in closed form

@@ -355,6 +355,17 @@ def test_conductor_certification_failure_detected():
         conductor_bound(bad)
 
 
+@pytest.mark.parametrize("args,a", [((5, 2, 3, 10), 25), ((3, 3, 1, 9), 27)])
+def test_conductor_bound_checks_the_unit_centre(args, a):
+    """A spec of case (ii) or (iii) whose centre a/(a+b) is no unit, 25/35
+    or 27/36, is refused naming that fact, which no other check of
+    conductor_bound reads first (a = 5 and a = 3 give the units 1/3 and
+    1/4)."""
+    with pytest.raises(CertificationFailed,
+                       match=r"^v\(a/\(a\+b\)\) = 0 fails$"):
+        conductor_bound(_doctored(args, a=a))
+
+
 @pytest.mark.parametrize("meta,match", [
     ({"b": 9}, "v_3"),  # radicand valuation 6, expected 5
     ({"a": 3}, r"v\(d''-1\) = n-s\+2/3 fails"),

@@ -49,6 +49,31 @@ def test_emitted_graphs_pass_all_checks(emitted):
     assert all(v == 0 for v in check_local_vanishing(g).values())
 
 
+def test_doctored_graphs_break_each_identity(emitted):
+    """Each identity can fail: a new tail's sigma_b raised by 1 leaves the
+    vanishing-cycles residual 1, and the sigma_eff of an edge out of a
+    genus-0 component with deformation data raised by 1 moves its local
+    residual by 1, and that of the edge's other end, if it has one, by -1,
+    every other residual as it was."""
+    spec, g = emitted
+    doc = g.to_json()
+    new = next(c for c in doc["components"] if c.get("tail_kind") == "new")
+    new["sigma_b"] = str(Fraction(new["sigma_b"]) + 1)
+    assert check_vanishing_cycles(DecoratedGraph.from_json(doc)) == 1
+    doc = g.to_json()
+    local = check_local_vanishing(g)
+    genus = {c.id: c.genus for c in g.components}
+    edge = next(e for e in doc["edges"]
+                if e["source"] in local and genus[e["source"]] == 0
+                and "sigma_eff" in e)
+    edge["sigma_eff"] = str(Fraction(edge["sigma_eff"]) + 1)
+    want = dict(local)
+    want[edge["source"]] += 1
+    if edge["target"] in want:
+        want[edge["target"]] -= 1
+    assert check_local_vanishing(DecoratedGraph.from_json(doc)) == want
+
+
 def test_sigma_eff_antisymmetry(emitted):
     spec, g = emitted
     for e in g.edges:

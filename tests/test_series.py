@@ -1,11 +1,11 @@
 """Disk expansions and torsor-reduction classification: frozen oracle
 values, the independent sympy expansion oracle, brute-force oracles for the
-expansion recurrence and the closed-form tail bound, sympy identities for
-the closed forms of h_1, h_2 and h_3, the integer recurrence of
-tests/rational_oracle.py as the oracle of the closed-form certificate of a
-rational centre, the tower expansion of tests/tower_helpers.py as the
-oracle of the rational and cubic centres, and the classifier's certified
-verdicts."""
+expansion recurrences and the closed-form tail bound, sympy identities for
+the closed forms of h_1, h_2 and h_3 and of K_1, K_2 and K_3, the
+recurrences and general classifier of tests/rational_oracle.py as the
+oracles of the closed-form certificates of the rational and cubic centres,
+the tower expansion of tests/tower_helpers.py as the oracle of both
+centres, and the certified verdicts."""
 
 import math
 import random
@@ -29,12 +29,15 @@ from padic_sr.analyzer import (
 from padic_sr.errors import (
     ArtifactError,
     CenterOnBranchLocus,
+    CertificationFailed,
     PrecisionExhausted,
 )
 from padic_sr.series import (
     CubicCentre,
     DiskExpansion,
     ReductionVerdict,
+    _cube_radicand,
+    _val3,
     binom_falling,
     check_tail_dominated,
     classify_rational_centre,
@@ -47,8 +50,11 @@ import p2_oracle
 import rational_oracle
 from p2_oracle import classify_p2, tower_locus
 from rational_oracle import (
+    CubicExpansion,
     RationalExpansion,
+    classify_expansion,
     default_truncation,
+    expand_cubic,
     expand_rational,
 )
 from tower_helpers import (
@@ -85,17 +91,18 @@ def _tower_disk(spec, locus):
 
 
 def _expand(spec, d, v_e):
-    """The expansion of a disk given by its centre and v(e): a rational
-    centre's by the integer recurrence of the oracle, to c_2p, and a cubic
-    centre's by expand_disk, to c_3."""
+    """The expansion of a disk given by its centre and v(e), by the
+    oracle's recurrences: a rational centre's in integers, to c_2p, and a
+    cubic centre's in integer triples, to c_3, as far as expand_disk's
+    closed forms reach."""
     if isinstance(d, Fraction):
         return expand_rational(spec, d, v_e)
-    return expand_disk(spec, d, v_e)
+    return expand_cubic(spec, d, v_e)
 
 
 def _expansion(spec, d, v_e, ks, r_factors):
     """The expansion made from a list of K_l, of the class of the centre."""
-    cls = RationalExpansion if isinstance(d, Fraction) else DiskExpansion
+    cls = RationalExpansion if isinstance(d, Fraction) else CubicExpansion
     return cls(spec, d, v_e, ks, r_factors)
 
 
@@ -205,8 +212,9 @@ def _reference_tail_bound(p, n, s, v_e, l, vp_table):
 
 def test_default_truncation():
     """The oracle's integer recurrence of a rational centre runs to
-    L = 2p, the length every expansion once had, and expand_disk runs a
-    cubic centre to L = 3, whatever p is."""
+    L = 2p, the length every expansion once had, and its triple recurrence
+    runs a cubic centre to L = 3, whatever p is, as far as expand_disk's
+    closed forms K_1, K_2 and K_3 reach."""
     for p in (2, 3, 5, 13):
         assert default_truncation(p) == 2 * p
         spec = _spec(p, 1, 1, 1, 1)
@@ -247,7 +255,8 @@ def test_frozen_p5_n1_expansion():
 
 def test_center_on_branch_locus():
     """A centre 0 or 1 is refused by the closed form of a rational centre,
-    by its oracle and by the expansion of a cubic centre."""
+    by its oracle and by the oracle's expansion of a cubic centre;
+    expand_disk refuses such a cubic centre as no case (iii) centre."""
     spec = _spec(5, 1, 1, 1, 1)
     for d in (Fraction(0), Fraction(1)):
         for certify in (classify_rational_centre, expand_rational):
@@ -255,13 +264,16 @@ def test_center_on_branch_locus():
                 certify(spec, d, Fraction(5, 8))
     for d in (CubicCentre((0, 0, 0), 1, 3), CubicCentre((2, 0, 0), 2, 3)):
         with pytest.raises(CenterOnBranchLocus):
+            expand_cubic(spec, d, Fraction(5, 8))
+        with pytest.raises(CertificationFailed, match="case \\(iii\\) centre"):
             expand_disk(spec, d, Fraction(5, 8))
 
 
 def test_radius_given_once():
     """An expansion takes a CubicCentre with v(e): a tower element or a
     Fraction as the centre raises TypeError naming the one kind, in
-    expand_disk and in DiskExpansion, and so does a missing v(e)."""
+    expand_disk and in the oracle's CubicExpansion, and so does a missing
+    v(e)."""
     t = make_tower(5, [(8, 5)])
     spec = _spec(5, 1, 1, 1, 1)
     for d in (t.rational(Fraction(1, 2)), t.gen(0) + 2, Fraction(1, 2)):
@@ -270,7 +282,7 @@ def test_radius_given_once():
                                             f"CubicCentre, not {kind}$"):
             expand_disk(spec, d, Fraction(5, 8))
         with pytest.raises(TypeError, match="takes a CubicCentre"):
-            DiskExpansion(spec, d, Fraction(5, 8), [1], (2, 1, -1))
+            CubicExpansion(spec, d, Fraction(5, 8), [1], (2, 1, -1))
     d = CubicCentre((1, 1, 0), 2, 5)
     with pytest.raises(TypeError, match="v_e"):
         expand_disk(spec, d)
@@ -347,20 +359,23 @@ def test_verdict_p5_n1():
 
 def test_verdict_p3_condition_ii():
     spec = branch_signature(3, 2, 1, 3)
-    exp = _expand_locus(spec)
+    locus = new_tail_locus(spec)
+    exp = expand_disk(spec, locus.d, locus.v_e)
     verdict = classify_torsor_reduction(exp)
     assert verdict.kind == "SplitsArtinSchreier"
     assert verdict.count == 3
     assert "condition (ii)" in verdict.notes
-    # the quoted valuations: v(c_1) = n + 5/12, v(c_3) = n + 1/4
-    assert exp.profile()[1] == 2 + Fraction(5, 12)
-    assert exp.profile()[3] == 2 + Fraction(1, 4)
+    # the quoted valuations: v(c_1) = n + 5/12, v(c_3) = n + 1/4, read by
+    # the oracle from the K_l of expand_disk
+    profile = CubicExpansion.of_disk(exp).profile()
+    assert profile[1] == 2 + Fraction(5, 12)
+    assert profile[3] == 2 + Fraction(1, 4)
 
 
 def _crafted(spec, coeffs):
     """The TowerExpansion of a crafted profile c_0 .. c_L in Q_5(pi),
     pi^8 = 5, on the disk of centre 1/2 and e = pi^5, made from the list,
-    with r = 1.  classify_torsor_reduction reads it as it is, its tail
+    with r = 1.  classify_expansion reads it as it is, its tail
     premises v_5(d) = v_5(d - 1) = 0 from the tower."""
     t = coeffs[0].tower
     return TowerExpansion(spec, t.rational(Fraction(1, 2)), t.gen(0) ** 5,
@@ -372,29 +387,30 @@ def test_not_certified_min_at_p_index():
     spec = _spec(5, 1, 1, 1, 1)
     coeffs = [t.one(), t.zero(), t.zero(), t.zero(), t.zero(),
               t.gen(0) ** 10, t.zero()]
-    verdict = classify_torsor_reduction(_crafted(spec, coeffs))
+    verdict = classify_expansion(_crafted(spec, coeffs))
     assert verdict.kind == "NotCertified"
     assert verdict.reason == "minimum at index divisible by p"
 
 
 def test_classifier_refuses_unnormalized_expansion():
-    """c_0 must be 1, read as K_0 == 1 of the expansion, on a Fraction
-    centre and on a cubic centre, and the expansion must reach c_p, which
-    raised IndexError before it was checked."""
+    """The general classifier of the oracle: c_0 must be 1, read as
+    K_0 == 1 of the expansion, on a Fraction centre and on a cubic centre,
+    and the expansion must reach c_p, which raised IndexError before it was
+    checked."""
     spec = _spec(5, 1, 1, 1, 1)
     for d, ks in ((Fraction(1, 2), []), (Fraction(1, 2), [2] + [0] * 10),
                   (CubicCentre((1, 1, 0), 2, 5), [(2, 0, 0)] +
                    [(0, 0, 0)] * 10)):
         exp = _expansion(spec, d, Fraction(5, 8), ks, (2, 1, -1))
         with pytest.raises(ValueError, match="normalized to c_0 = 1"):
-            classify_torsor_reduction(exp)
+            classify_expansion(exp)
     for d, ks in ((Fraction(1, 2), [1, 1, 0]), (Fraction(1, 2), [1] * 5),
                   (CubicCentre((1, 1, 0), 2, 5), [(1, 0, 0)] * 3)):
         exp = _expansion(spec, d, Fraction(5, 8), ks, (2, 1, -1))
         with pytest.raises(ValueError, match=rf"^expansion stops at "
                                              rf"c_{len(ks) - 1}, before "
                                              rf"c_p = c_5$"):
-            classify_torsor_reduction(exp)
+            classify_expansion(exp)
 
 
 def test_verdict_json_keys():
@@ -427,8 +443,9 @@ def test_tail_bound_is_a_true_lower_bound():
 def test_expansion_matches_double_sum(p, n, a, b, case):
     """The recurrence gives exactly the coordinates of the double sum at the
     default truncation, for every new-tail locus case: the tower oracle's
-    coefficients, and the K_l of a rational centre, to c_2p, and of a cubic
-    centre, to c_3."""
+    coefficients, and the oracle's K_l of a rational centre, to c_2p, and of
+    a cubic centre, to c_3, where expand_disk's closed forms give K_1, K_2
+    and K_3 too."""
     spec = branch_signature(p, n, a, b)
     locus = new_tail_locus(spec)
     assert isinstance(locus.d, CubicCentre) == (case == "p3s1")
@@ -445,6 +462,9 @@ def test_expansion_matches_double_sum(p, n, a, b, case):
         assert fast.truncation == (3 if case == "p3s1" else L)
         assert (fast.ks, fast.r_factors) == \
             _reference_ks(spec, locus.d, fast.truncation)
+        if case == "p3s1":
+            assert list(expand_disk(spec, locus.d, locus.v_e).ks) == \
+                fast.ks[1:]
 
 
 DOUBLE_SUM_CASES = [
@@ -576,16 +596,19 @@ def _case_iii_grid():
 
 
 def test_cubic_centre_matches_the_tower_path():
-    """The case (iii) centre as integer triples of Z[t]/(t^3 - r) gives the
-    v(e), scale, slope and scaled profile that the same disk gives in
-    Q_3(pi)(t), pi^4 = 3, with e = pi^(4n-1), on the tower oracle, as far
-    as it runs (to c_3, the tower to c_6), and the verdict of the Fraction
-    reference classifier there, on every cover of the case (iii) grid.
-    Seeded centres off the locus, (c_0 + c_1 t + c_2 t^2)/den with 3
-    dividing some coordinates, reach the failing tail premises and
-    condition (ii)'s failing clauses on both paths alike."""
+    """The case (iii) centre as integer triples of Z[t]/(t^3 - r), expanded
+    by the oracle's triple recurrence, gives the v(e), scale, slope and
+    scaled profile that the same disk gives in Q_3(pi)(t), pi^4 = 3, with
+    e = pi^(4n-1), on the tower oracle, as far as it runs (to c_3, the
+    tower to c_6), and the verdict of the Fraction reference classifier
+    there, on every cover of the case (iii) grid; there expand_disk's
+    closed forms give the same K_1, K_2 and K_3 and certify_tail the same
+    verdict.  Seeded centres off the locus, (c_0 + c_1 t + c_2 t^2)/den
+    with 3 dividing some coordinates, reach the failing tail premises and
+    condition (ii)'s failing clauses on the oracle and the tower alike,
+    and expand_disk refuses each of them."""
     def agree(spec, locus):
-        fast = expand_disk(spec, locus.d, locus.v_e)
+        fast = expand_cubic(spec, locus.d, locus.v_e)
         slow = tower_expand_disk(spec, *cubic_tower_disk(locus))
         assert (fast.v_e, fast.scale, fast.slope) == \
             (slow.v_e, slow.scale, slow.slope), (spec, locus.d)
@@ -593,9 +616,9 @@ def test_cubic_centre_matches_the_tower_path():
         assert fast.scaled_profile() == slow.scaled_profile()[:4], \
             (spec, locus.d)
         want = _verdict_or_error(_reference_classify, slow)
-        assert _verdict_or_error(classify_torsor_reduction, fast) == want, \
+        assert _verdict_or_error(classify_expansion, fast) == want, \
             (spec, locus.d)
-        return want
+        return fast, want
 
     rng = random.Random(3)
     covers, seen = 0, set()
@@ -603,9 +626,12 @@ def test_cubic_centre_matches_the_tower_path():
         locus = new_tail_locus(spec)
         assert isinstance(locus.d, CubicCentre) and locus.rho is None
         assert locus.d[:2] == ((spec.a, 1, 0), spec.a + spec.b), spec
-        got = agree(spec, locus)
+        oracle, got = agree(spec, locus)
         assert got.kind == "SplitsArtinSchreier", spec
-        assert expand_disk(spec, locus.d, locus.v_e).scale == 12
+        assert oracle.scale == 12
+        assert list(expand_disk(spec, locus.d, locus.v_e).ks) == \
+            oracle.ks[1:], spec
+        assert certify_tail(spec) == got, spec
         covers += 1
         if covers % 4 == 0:
             nums = tuple(rng.choice((1, 3, 9)) * rng.randint(-9, 9)
@@ -617,8 +643,12 @@ def test_cubic_centre_matches_the_tower_path():
                 continue
             off = SimpleNamespace(d=CubicCentre(nums, den, locus.d.r),
                                   v_e=locus.v_e)
-            got = agree(spec, off)
+            _, got = agree(spec, off)
             seen.add(got[0] if isinstance(got, tuple) else got.reason)
+            if off.d != locus.d:
+                with pytest.raises(CertificationFailed,
+                                   match="case \\(iii\\) centre"):
+                    expand_disk(spec, off.d, off.v_e)
     assert covers == 223, covers
     assert {"PrecisionExhausted", "v(c_1) <= n",
             "v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)"} <= seen, seen
@@ -628,7 +658,8 @@ def test_cubic_valuation_matches_the_norm():
     """E v(x) of a triple x = c_0 + c_1 t + c_2 t^2, t^3 = r, the least
     v_p(c_j) + j v(t), equals E v_p(N(x)) / 3 with N(x) = c_0^3 + r c_1^3 +
     r^2 c_2^3 - 3 r c_0 c_1 c_2 the norm from Q(t), as Q_p(t) is totally
-    ramified of degree 3.  Seeded triples with zero coordinates and
+    ramified of degree 3: the oracle's valuation, and for p = 3 the
+    certificate's.  Seeded triples with zero coordinates and
     coordinates divisible by p, over radicands with v_p(r) prime to 3, of
     either sign, for several primes."""
     rng = random.Random(24)
@@ -639,8 +670,8 @@ def test_cubic_valuation_matches_the_norm():
             unit = rng.choice([u for u in range(-40, 41) if u % p])
             r = p ** vr * unit
             spec = _spec(p, 1, 1, 1, 1)
-            exp = expand_disk(spec, CubicCentre((1, 1, 0), 2, r),
-                              Fraction(1, 4))
+            exp = expand_cubic(spec, CubicCentre((1, 1, 0), 2, r),
+                               Fraction(1, 4))
             for _ in range(10):
                 x = tuple(rng.choice((0, 1, p, p * p)) *
                           rng.randint(-50, 50) for _ in range(3))
@@ -651,6 +682,9 @@ def test_cubic_valuation_matches_the_norm():
                         - 3 * r * c0 * c1 * c2)
                 assert 3 * exp._scaled_val(x) == \
                     exp.scale * vp_int(norm, p), (p, r, x)
+                if p == 3:  # the certificate's own valuation, E = 6
+                    assert 3 * _val3(x, 6, 2 * vr) == 6 * vp_int(norm, 3), \
+                        (r, x)
                 checked += 1
     assert checked > 2000, checked
 
@@ -659,9 +693,9 @@ def test_no_truncation_changes_a_verdict():
     """Expanding past c_3 cannot change a verdict: on every odd-p cover
     of the identity grid, the expansion to L = 3p and to L = 40 (where
     that is past 2p), built by the defining double sum and classified
-    through the list constructor, gets certify_tail's verdict, every field
-    of it: the closed form's at a rational centre, the expansion to c_3's
-    at a cubic one."""
+    by the oracle's general classifier through the list constructor, gets
+    certify_tail's verdict, every field of it: the closed form's at a
+    rational centre and at a cubic one."""
     covers = 0
     for spec, locus in _identity_grid_odd_covers():
         p = spec.p
@@ -672,7 +706,7 @@ def test_no_truncation_changes_a_verdict():
             ks, r_factors = _reference_ks(spec, locus.d, L)
             exp = _expansion(spec, locus.d, locus.v_e, ks, r_factors)
             assert exp.truncation == L
-            assert _outcome(classify_torsor_reduction, exp) == want, (spec, L)
+            assert _outcome(classify_expansion, exp) == want, (spec, L)
         covers += 1
     assert covers > 1000, covers
 
@@ -731,6 +765,57 @@ def test_closed_forms_of_h1_h2_h3_sympy():
         T = a * delta1 ** k + b * delta ** k
         assert sp.cancel(S[k].subs(d, delta / N)
                          - N ** k * T / (delta * delta1) ** k) == 0
+
+
+def test_closed_forms_of_k1_k2_k3_sympy():
+    """The closed forms of the series module docstring ("Cubic centres"),
+    as identities of polynomials in a, b and r: K_l = sum_j C(a, l-j)
+    C(b, j) delta^j delta'^(l-j) at delta = a + t, delta' = t - b, reduced
+    mod t^3 - r, equals the triple expand_disk writes down; the derivative
+    identity P_l' = (m - l + 1) P_(l-1) and the values P_2(a/m) and
+    P_3(a/m) that the docstring's Taylor expansion reads; and the closed
+    form of the defect Y = 3^M K_3 - m^3 r at r = 3^M C(b, 3),
+    M = 2n + 1.  expand_disk gives those triples on a few covers."""
+    a, b, r, t, d, w = sp.symbols("a b r t d w")
+    m = a + b
+
+    def binom(x, k):
+        return sp.ff(x, k) / sp.factorial(k)
+
+    def reduced(expr):
+        rem = sp.rem(sp.Poly(sp.expand(expr), t), sp.Poly(t ** 3 - r, t))
+        return tuple(rem.as_expr().coeff(t, j) for j in range(3))
+
+    closed = [(0, m, 0),
+              (-a * b * m / 2, 0, m * (m - 1) / 2),
+              (m * (2 * a * b * (a - b) + (m - 1) * (m - 2) * r) / 6,
+               -a * b * m * (m - 2) / 2, 0)]
+    P = [sum(binom(a, l - j) * binom(b, j) * d ** j * (d - 1) ** (l - j)
+             for j in range(l + 1)) for l in range(5)]
+    for l in (1, 2, 3):
+        K = sum(binom(a, l - j) * binom(b, j) * (a + t) ** j
+                * (t - b) ** (l - j) for j in range(l + 1))
+        assert all(sp.expand(u - v) == 0
+                   for u, v in zip(reduced(K), closed[l - 1])), l
+        assert sp.cancel(K - m ** l * P[l].subs(d, (a + t) / m)) == 0
+    for l in range(1, 5):
+        assert sp.expand(sp.diff(P[l], d) - (m - l + 1) * P[l - 1]) == 0
+    x = a / m
+    assert sp.cancel(P[2].subs(d, x) + a * b / (2 * m)) == 0
+    assert sp.cancel(P[3].subs(d, x) - a * b * (a - b) / (3 * m ** 2)) == 0
+    # Y at r = w C(b, 3), w = 3^M: the docstring's first coordinate
+    y0 = (w * closed[2][0] - m ** 3 * r).subs(r, w * b * (b - 1) * (b - 2) / 6)
+    want = (w / 3 * m * (m - 2) / 2
+            * ((m - 1) * r - b ** 2 * (b * (m - 1) - 3 * a))
+            ).subs(r, w * b * (b - 1) * (b - 2) / 6)
+    assert sp.expand(y0 - want) == 0
+    for args in ((3, 2, 1, 3), (3, 3, 2, -9), (3, 5, 4, 81)):
+        spec = branch_signature(*args)
+        locus = new_tail_locus(spec)
+        subs = {a: spec.a, b: spec.b, r: locus.d.r}
+        exp = expand_disk(spec, locus.d, locus.v_e)
+        assert exp.ks == tuple(tuple(int(sp.sympify(c).subs(subs)) for c in k)
+                               for k in closed), args
 
 
 def _rational_centre_covers():
@@ -803,18 +888,36 @@ DOCTORED_PREMISES = [
 ]
 
 
-@pytest.mark.parametrize("args,fields,message", DOCTORED_PREMISES)
+#: the same for the case (iii) centre (a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3),
+#: whose certificate checks v_3(b) = n - s before it values a triple.  In
+#: the first two 3 divides v_3(r) = 2n + v_3(b), so t has no valuation of
+#: the certificate's form, and the oracle's triple recurrence raised
+#: ValueError there; in the third b = 0, where it raised ZeroElement; the
+#: fourth fails only v(d) = 0 (v(d) = 5/3 - 1) and the last only
+#: v(d - 1) = n - s (v(d) = 1 - 1, v(d - 1) = 1 - 1)
+DOCTORED_CUBIC_PREMISES = [
+    ((3, 2, 1, 3), {"b": 9}, "tail bound needs v(b) = n - s"),
+    ((3, 3, 1, 9), {"b": 27}, "tail bound needs v(b) = n - s"),
+    ((3, 2, 1, 3), {"b": 0}, "tail bound needs v(b) = n - s"),
+    ((3, 2, 1, 3), {"a": 9}, "tail bound needs v(d) = 0"),
+    ((3, 2, 1, 3), {"a": 3}, "tail bound needs v(d - 1) = n - s"),
+]
+
+
+@pytest.mark.parametrize("args,fields,message",
+                         DOCTORED_PREMISES + DOCTORED_CUBIC_PREMISES)
 def test_each_tail_premise_is_checked(args, fields, message):
     """A doctored spec that fails one premise of the tail bound is refused
-    by certify_tail with PrecisionExhausted naming that premise: each spec
-    reaches its own check, so leaving out any one of the three checks
-    fails this test."""
+    by certify_tail with PrecisionExhausted naming that premise, at a
+    rational centre and at the cubic centre of case (iii): each spec
+    reaches its own check, so leaving out any one of the checks fails this
+    test."""
     spec = replace(branch_signature(*args), **fields)
-    assert isinstance(new_tail_locus(spec).d, Fraction)
+    d = new_tail_locus(spec).d
+    assert isinstance(d, Fraction) == (spec.p != 3)
     with pytest.raises(PrecisionExhausted, match=rf"^{re.escape(message)}$"):
         certify_tail(spec)
-    if message.endswith("v(b) = n - s"):
-        d = new_tail_locus(spec).d
+    if message.endswith("v(b) = n - s") and isinstance(d, Fraction):
         assert (vp_rational(d, 5), vp_rational(d - 1, 5)) == \
             (0, spec.n - spec.s)
 
@@ -833,6 +936,140 @@ def test_closed_form_names_each_failed_fact():
     assert classify_rational_centre(
         spec, locus.d, locus.v_e + Fraction(1, 8)) == \
         ReductionVerdict("NotCertified", reason="v(c_2) != n + 1/(p-1)")
+
+
+#: case (iii) covers of large n, where the closed forms are checked
+#: against the triple recurrence too
+LARGE_N_CUBIC = [(3, 45, 1, 3 ** 44), (3, 200, 1, 3 ** 199),
+                 (3, 60, 2, -2 * 3 ** 59), (3, 31, 5, 7 * 3 ** 30)]
+
+
+def _case_iii_covers():
+    """The covers of the case (iii) grid, then LARGE_N_CUBIC."""
+    yield from _case_iii_grid()
+    for args in LARGE_N_CUBIC:
+        yield branch_signature(*args)
+
+
+def test_cubic_certificate_matches_the_triple_recurrence():
+    """certify_tail at the case (iii) centre, from expand_disk's closed-form
+    K_1, K_2 and K_3, gives the verdict of the triple recurrence to c_3
+    and the general classifier (tests/rational_oracle.py), every field of
+    it, on every cover of the case (iii) grid and on large-n covers; the
+    oracle's K_l equal the closed forms there.  On the doctored specs that
+    fail v(d) = 0 or v(d - 1) = n - s both raise the same error; where
+    v_3(b) = n - s fails, the oracle raised ValueError, or ZeroElement at
+    b = 0."""
+    covers = 0
+    for spec in _case_iii_covers():
+        got = _verdict_or_error(certify_tail, spec)
+        assert got == _verdict_or_error(rational_oracle.certify_tail, spec), \
+            spec
+        assert got == ReductionVerdict(
+            "SplitsArtinSchreier", count=3 ** (spec.n - 1), conductor=2,
+            notes=("condition (ii)",)), spec
+        locus = new_tail_locus(spec)
+        assert list(expand_disk(spec, locus.d, locus.v_e).ks) == \
+            expand_cubic(spec, locus.d, locus.v_e).ks[1:], spec
+        covers += 1
+    assert covers == 223 + len(LARGE_N_CUBIC), covers
+    for args, fields, message in DOCTORED_CUBIC_PREMISES:
+        spec = replace(branch_signature(*args), **fields)
+        want = ("PrecisionExhausted", message)
+        old = _verdict_or_error(rational_oracle.certify_tail, spec)
+        assert _verdict_or_error(certify_tail, spec) == want, spec
+        assert old == (want if "v(b)" not in message else
+                       ("ZeroElement", "v(0) is +infinity") if not spec.b else
+                       ("ValueError", "a cubic centre needs v_p(r) prime "
+                                      "to 3")), spec
+
+
+def test_cubic_certificate_names_each_failed_fact():
+    """classify_torsor_reduction refuses a radius other than the locus's,
+    naming the first failed clause of condition (ii): as v(c_1) = v(e) +
+    2/3, v(c_3) = 3 v(e) - 2n + 1 and v(c_2) = 2 v(e) - n + 1 once the
+    premises hold (module docstring), v(e) = n - 2/3 puts v(c_1) at n,
+    v(e) = n - 1/3 puts v(c_3) at n with v(c_1) above it, and
+    v(e) = n - 1/6 puts v(c_2) above tau with both others above n, where
+    Y and the tail bound would pass.  At the locus radius n - 1/4 the
+    cover certifies."""
+    for args in ((3, 2, 1, 3), (3, 3, 1, 9), (3, 4, 2, -27)):
+        spec = branch_signature(*args)
+        n, locus = spec.n, new_tail_locus(spec)
+        assert locus.v_e == n - Fraction(1, 4)
+        for v_e, reason in (
+                (n - Fraction(2, 3), "v(c_1) <= n"),
+                (n - Fraction(1, 3), "v(c_p) <= n"),
+                (n - Fraction(1, 6), "min over i != 1, p is not n + 1/(p-1)")):
+            verdict = classify_torsor_reduction(
+                expand_disk(spec, locus.d, v_e))
+            assert verdict == ReductionVerdict("NotCertified",
+                                               reason=reason), (args, v_e)
+        assert classify_torsor_reduction(
+            expand_disk(spec, locus.d, locus.v_e)).kind == \
+            "SplitsArtinSchreier"
+
+
+def test_cubic_defect_needs_the_cancellation():
+    """Condition (ii)'s defect Y = 3^M K_3 - m^3 r, M = 2n + 1, has the
+    closed form of the module docstring and v(Y) >= 4n - 1 (or Y = 0, at
+    a + b = 2), so E (v(c_3 - c_1^3 / 3^M) - tau) is positive; with m^3 r
+    added instead, v(Y) is exactly 3n - 1 and the check would refuse the
+    cover.  On every cover of the case (iii) grid and the large-n covers,
+    in the certificate's own valuation _val3 at E = 12."""
+    zero = 0
+    for spec in _case_iii_covers():
+        n, a, b = spec.n, spec.a, spec.b
+        m, M = a + b, 2 * n + 1
+        locus = new_tail_locus(spec)
+        r = locus.d.r
+        k3 = expand_disk(spec, locus.d, locus.v_e).ks[2]
+        assert k3[2] == 0
+
+        def defect(sign):
+            return (3 ** M * k3[0] + sign * m ** 3 * r, 3 ** M * k3[1], 0)
+
+        y = defect(-1)
+        assert y[:2] == (3 ** (2 * n) * m * (m - 2) * (
+            (m - 1) * r - b * b * (b * (m - 1) - 3 * a)) // 2,
+            -3 ** M * a * b * m * (m - 2) // 2), spec
+        E, et = 12, 12 * n - 4
+        margin = 3 * 9 - E * M - (E * n + 6)  # 3 slope - E M - E tau
+        if any(y):
+            assert _val3(y, E, et) >= E * (4 * n - 1), spec
+            assert margin + _val3(y, E, et) > 0, spec
+        else:
+            assert m == 2, spec
+            zero += 1
+        assert _val3(defect(1), E, et) == E * (3 * n - 1), spec
+        assert margin + _val3(defect(1), E, et) <= 0, spec
+    assert zero > 0
+
+
+def test_expand_disk_refuses_other_centres():
+    """The closed forms hold only at (a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3),
+    of a spec with p = 3 and s = 1 < n: expand_disk refuses with
+    CertificationFailed a spec that differs in p, in s or in n < 2 only,
+    and a centre that differs in one coordinate, the denominator or the
+    radicand only."""
+    spec = branch_signature(3, 3, 1, 9)
+    d = new_tail_locus(spec).d
+    assert isinstance(expand_disk(spec, d, Fraction(11, 4)), DiskExpansion)
+    (c0, c1, c2), den, r = d
+    refused = [
+        (replace(spec, p=5), d),
+        (replace(spec, s=2), d._replace(r=_cube_radicand(3, 2, 9))),
+        (replace(spec, n=1), d._replace(r=_cube_radicand(1, 1, 9))),
+        (spec, d._replace(nums=(c0 + 3, c1, c2))),
+        (spec, d._replace(nums=(c0, c1, 1))),
+        (spec, d._replace(den=den + 1)),
+        (spec, d._replace(r=3 * r)),
+    ]
+    for other, centre in refused:
+        with pytest.raises(CertificationFailed,
+                           match=r"^K_1, K_2 and K_3 are known only at the "
+                                 r"case \(iii\) centre"):
+            expand_disk(other, centre, Fraction(11, 4))
 
 
 def test_tail_premises_on_a_fraction_centre():
@@ -1110,7 +1347,7 @@ def _reference_tail_failure(p, n, s, v_e, L, threshold, strict):
 
 
 def _reference_classify(exp):
-    """classify_torsor_reduction on the Fraction profile of a
+    """classify_expansion on the Fraction profile of a
     TowerExpansion, with the reference tail check."""
     spec = exp.spec
     p, n = spec.p, spec.n
@@ -1262,7 +1499,7 @@ def test_classifier_matches_fraction_reference():
             if p == 2:
                 fast = _outcome(classify_p2, oracle)
             else:
-                fast = _outcome(classify_torsor_reduction,
+                fast = _outcome(classify_expansion,
                                 _expand(spec, locus.d, oracle.v_e))
             ref = _outcome(_reference_classify, oracle)
             assert fast == ref, (spec, e)
@@ -1297,7 +1534,7 @@ def test_classifier_matches_fraction_reference_on_crafted_profiles():
                 if rng.randrange(4) else t.zero()
                 for _ in range(10)]
             oracle = _crafted(spec, coeffs)
-            fast = _outcome(classify_torsor_reduction, oracle)
+            fast = _outcome(classify_expansion, oracle)
             ref = _outcome(_reference_classify, oracle)
             assert fast == ref, (n, coeffs)
             verdicts.add(fast[1].reason or fast[1].notes)
@@ -1309,9 +1546,11 @@ def test_condition_ii_close_to_its_threshold():
     centre a/(a+b) + ... + 9 of the (3, 2, 1, 3) new-tail disk (v(9) = 2 >=
     v(e) = 7/4, so the same disk), E v(c_3 - c_1^3 / 3^5) clears E tau by
     exactly the slope, so a classifier that lost one power of r there would
-    refuse the cover.  The centre as integer triples, Y = 3^5 K_3 - K_1^3
-    read there, agrees with the Fraction reference on the tower oracle,
-    which builds the c_l, and certifies by condition (ii)."""
+    refuse the cover.  The centre as integer triples, expanded by the
+    oracle's recurrence (expand_disk takes only the locus centre), with
+    Y = 3^5 K_3 - K_1^3 read there by the general classifier, agrees with
+    the Fraction reference on the tower oracle, which builds the c_l, and
+    certifies by condition (ii)."""
     spec = branch_signature(3, 2, 1, 3)
     locus = new_tail_locus(spec)
     d, e = cubic_tower_disk(locus)
@@ -1321,11 +1560,11 @@ def test_condition_ii_close_to_its_threshold():
     tau = 2 + Fraction(1, 2)
     assert exp.scale * (d.tower.val(corr) - tau) == exp.slope > 0
     (c0, c1, c2), den = locus.d.nums, locus.d.den
-    cubic = expand_disk(spec, CubicCentre((c0 + 9 * den, c1, c2), den,
-                                          locus.d.r), locus.v_e)
+    cubic = expand_cubic(spec, CubicCentre((c0 + 9 * den, c1, c2), den,
+                                           locus.d.r), locus.v_e)
     assert (cubic.scale, cubic.slope) == (exp.scale, exp.slope)
     assert cubic.scaled_profile() == exp.scaled_profile()[:4]
-    verdict = classify_torsor_reduction(cubic)
+    verdict = classify_expansion(cubic)
     assert verdict == _reference_classify(exp)
     assert verdict.notes == ("condition (ii)",)
 
