@@ -43,13 +43,14 @@ from .ramification import (
 from .series import (
     CubicCentre,
     ReductionVerdict,
+    _check_cover,
     _cube_radicand,
     classify_p2_torsor,
     classify_rational_centre,
     classify_torsor_reduction,
     expand_disk,
 )
-from .tower import check_prime, vp_int, vp_rational
+from .tower import check_prime, vp_int
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,16 @@ def _stable_case(p: int, n: int, s: int) -> str:
     return "iii" if s == 1 else "iv"
 
 
+def _cover_case(spec: CoverSpec) -> str:
+    """The case of a spec that is a cover's normal form: _stable_case, then
+    the cover rule (series._check_cover), each refusing with
+    CertificationFailed.  new_tail_locus and conductor_bound call it first,
+    so every valuation they quote follows from the rule."""
+    case = _stable_case(spec.p, spec.n, spec.s)
+    _check_cover(spec)
+    return case
+
+
 # -- no fields ---------------------------------------------------------------
 # analyze builds no Tower.  The rational centre of cases (i), (ii) and (iv)
 # is exact data (new_tail_locus), and the case (iii) centre (a + t)/(a+b),
@@ -154,8 +165,8 @@ def _stable_case(p: int, n: int, s: int) -> str:
 # (conductor_bound).  Case (v) centres are Gaussian rationals plus a square
 # root R of one, valued in closed form (classify_p2_torsor,
 # conductor_bound), the step w^2 = u behind R is certified from b' mod 8
-# (_certify_p2_step), and the square classes are read from the parity of
-# v_2 (conductor_bound).  The shape half of the report (the graph, its
+# (_certify_p2_step), and the square classes follow from the cover rule
+# (conductor_bound).  The shape half of the report (the graph, its
 # checks, the inseparable tails and the field steps) depends on (p, n, s)
 # alone and is computed once per shape from one case record, in an LRU of
 # 256 shapes (_report_shape, below); only callers that repeat a shape gain
@@ -210,15 +221,12 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     itself, the case (iii) centre (a + t)/(a+b), t^3 = 3^(2n+1) C(b,3), is
     a CubicCentre, and the case (v) centre is a/(a+b) + R with
     R^2 = rho i/(a+b)^4, the one locus with a rho; none needs a tower or an
-    e.  A spec with a + b = 0, which no cover has, is refused before any
-    centre is built, as conductor_bound refuses it.  In case (v) the step
-    w^2 = u behind R is certified in integers, from b' mod 8
-    (_certify_p2_step), as the tie rule of classify_p2_torsor needs it, and
-    no field is built."""
+    e.  A spec that is no cover's normal form is refused before any centre
+    is built (_cover_case), as conductor_bound refuses it.  In case (v) the
+    step w^2 = u behind R is certified in integers, from b' mod 8
+    (_certify_p2_step), and no field is built."""
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
-    case = _stable_case(p, n, s)
-    if a + b == 0:
-        raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
+    case = _cover_case(spec)
     v_e = Fraction((2 * n - s) * (p - 1) + 1, 2 * (p - 1))
     if case == "v":
         # sqrt(2^n b i) = (1+i)^k i^(k//2) w, k = 2n - s, b' = b/2^(n-s)
@@ -242,7 +250,7 @@ def certify_tail(spec: CoverSpec) -> ReductionVerdict:
     The tail bound certifies every later c_l (series module docstring)."""
     locus = new_tail_locus(spec)
     if locus.rho is not None:
-        return classify_p2_torsor(spec, locus.v_e, locus.rho)
+        return classify_p2_torsor(spec, locus.v_e)
     if isinstance(locus.d, Fraction):
         return classify_rational_centre(spec, locus.d, locus.v_e)
     return classify_torsor_reduction(
@@ -517,16 +525,23 @@ def conductor_bound(spec: CoverSpec) -> dict:
     """Certify that the n-th upper-numbering ramification group of the
     stable-model field over the base vanishes, from exactly verified
     valuation facts of the steps stab_field_tower lists for the case of
-    (p, n, s).  Like every spec stage, it reads p, n, s, a and b from the
-    spec and the case from _stable_case, which refuses an s no cover has;
-    a + b = 0 is refused too.  Returns {vanishes_at_n, conductor, detail};
-    the conductor is exact in case (i) and a bound otherwise.
+    (p, n, s).  Like every per-cover stage, it reads p, n, s, a and b from
+    the spec and refuses a spec that is no cover's normal form first
+    (_cover_case): the shape by _stable_case, then the cover rule
+    a + b != 0, v_p(b) = n - s, v_p(a+b) = 0 and v_p(a) = 0.  Every
+    valuation the detail quotes is derived from that rule, below, and not
+    computed again; only the w steps of case (v) read more than the rule
+    (b' mod 8, _certify_p2_step).  Returns {vanishes_at_n, conductor,
+    detail}; the conductor is exact in case (i) and a bound otherwise.
 
-    The cube roots of cases (iii) and (iv) are certified in closed form.
-    K_1 = Q_3(zeta_3) has e = 2, and the radicand rad = 3^(2(n-s)+3)
-    C(b,3) is rational.  Once v_3(rad) = 3(n-s)+2 is checked,
-    v_{K_1}(rad) = 2 (3(n-s)+2) = 1 mod 3 is prime to 3, so the Newton
-    polygon of x^3 - rad over K_1 is one slope of denominator 3:
+    Cases (ii)-(iv): a/(a+b) is a unit, as v_p(a) = v_p(a+b) = 0, so its
+    p^(n-s)-th root over K_n has conductor < n.
+
+    Cases (iii) and (iv), p = 3 and s < n: v_3(b) = n - s >= 1, so b - 1
+    and b - 2 are units and the radicand rad = 3^(2(n-s)+3) C(b,3) has
+    v_3(rad) = 2(n-s) + 3 + (n-s) - 1 = 3(n-s) + 2.  K_1 = Q_3(zeta_3) has
+    e = 2, so v_{K_1}(rad) = 2 (3(n-s)+2) = 1 mod 3 is prime to 3, and the
+    Newton polygon of x^3 - rad over K_1 is one slope of denominator 3:
     L = K_1(cbrt rad) is totally ramified of degree 3, v(cbrt rad) =
     v_3(rad)/3, and as the radicand's valuation is prime to p the jump of
     L/K_1 is the maximal p e/(p-1) = 3 (Serre, Local Fields, IV 2), exact.
@@ -535,91 +550,53 @@ def conductor_bound(spec: CoverSpec) -> dict:
     the subgroup Gal(L/K_1): its lower filtration is |G_u| = 6 at u = 0,
     3 for 0 < u <= 3 and 1 beyond.  So phi_{L/K_0}(u) = u/2 on [0, 3] and
     3/2 + (u - 3)/6 past it, and the conductor of L/K_0 is phi(3) = 3/2.
-    In case (iv), M/L is one more cube root over L, where e_L = 3 e_{K_1} =
-    6, so its jump is at most the cap 3 e_L/2 = 9, and phi(9) = 5/2 bounds
-    the conductor of M/K_0.  Both lie below n: _stable_case gives case
-    (iii) only for n > s = 1 and case (iv) only for n > s > 1, so n >= 2
-    and n >= 3."""
-    p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
-    case = _stable_case(p, n, s)
-    if a + b == 0:
-        raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
+    In case (iv), d'' - 1 = cbrt(rad)/a lies in L, of valuation
+    v_3(rad)/3 - v_3(a) = n - s + 2/3, and M/L is one more cube root over
+    L, where e_L = 3 e_{K_1} = 6, so its jump is at most the cap
+    3 e_L/2 = 9, and phi(9) = 5/2 bounds the conductor of M/K_0.  Both lie
+    below n: _stable_case gives case (iii) only for n > s = 1 and case (iv)
+    only for n > s > 1, so n >= 2 and n >= 3.
+
+    Case (v), p = 2 and 1 <= s < n: v_2(b) = n - s and a, a + b are odd.
+    For j < s let k = 2n - s - j and d_j = a/(a+b) + R_j,
+    R_j^2 = 2^(n-j) b i/(a+b)^4, so 2 v(R_j) = k.  l(j) asks that
+    2^(n-j) b i be a square over the unramified closure of K_2 (l = 2), or
+    of K_3 but not K_2 (l = 3); it is one over K_3 always, and over K_2
+    exactly when v_2(2^(n-j) b) = 2n - s - j is odd (square_class_K2_K3),
+    that is when s + j is odd.  As 2 v(R_j) = k > 2(n - s) = 2 v(b/(a+b)),
+    v(d_j - 1) = v(R_j - b/(a+b)) = n - s with no tie; t_j = d_j (a+b)/a
+    - 1 = R_j (a+b)/a has v(t_j) = k/2, and alpha'_j - 1 = (d_j - 1)
+    (a+b)/(-b) - 1 = R_j (a+b)/(-b) has v(alpha'_j - 1) = (s - j)/2.
+    Finally v(b/(a+b)) = n - s.  The w step of R_j depends on k mod 2 only,
+    so j = 0 and 1 certify every step."""
+    n, s, b = spec.n, spec.s, spec.b
+    case = _cover_case(spec)
     detail = [f"K_{n}/K_0 is cyclotomic: conductor exactly {n - 1} < {n}"]
     parts = [Fraction(n - 1)]
-
-    if case in ("iii", "iv"):
-        # the constants of the docstring: L/K_1 has jump 3, L/K_0
-        # conductor 3/2, and M/L cap 9 and M/K_0 bound 5/2
-        rad = _cube_radicand(n, s, b)  # (iii) is the s = 1 instance of (iv)
-        v = vp_int(rad, 3)
-        if v != 3 * (n - s) + 2:
-            raise CertificationFailed(
-                f"v_3(3^(2(n-s)+3) binom(b,3)) = {v}, expected "
-                f"{3 * (n - s) + 2}"
-            )
-        h = Fraction(3, 2)
-        if case == "iii":
-            detail += [f"cube-root radicand valuation {v} verified",
-                       f"conductor of K_1(cbrt)/K_0 is 3/2 (exact) < {n}"]
-        else:
-            # d'' - 1 = cbrt(rad)/a lies in L, of valuation v/3 - v_3(a)
-            if Fraction(v, 3) - vp_int(a, 3) != n - s + Fraction(2, 3):
-                raise CertificationFailed("v(d''-1) = n-s+2/3 fails")
-            h = Fraction(5, 2)
-            detail += ["v(d''-1) = n-s+2/3 verified",
-                       "conductor of L/K_0 is 3/2 with L/K_1 conductor 3 "
-                       "(exact)",
-                       "conductor of M/L is at most 9",
-                       f"conductor of M/K_0 is at most 5/2 < {n}"]
-        parts.append(h)
+    if case == "iii":
+        parts.append(Fraction(3, 2))
+        detail += [f"cube-root radicand valuation {3 * (n - s) + 2} verified",
+                   f"conductor of K_1(cbrt)/K_0 is 3/2 (exact) < {n}"]
+    elif case == "iv":
+        parts.append(Fraction(5, 2))
+        detail += ["v(d''-1) = n-s+2/3 verified",
+                   "conductor of L/K_0 is 3/2 with L/K_1 conductor 3 (exact)",
+                   "conductor of M/L is at most 9",
+                   f"conductor of M/K_0 is at most 5/2 < {n}"]
     elif case == "v":
-        for j in range(0, s):
-            # l(j) asks that 2^(n-j) b i be a square over the unramified
-            # closure of K_2 (l = 2), or of K_3 but not K_2 (l = 3).  It is
-            # one over K_3 always, and over K_2 exactly when v_2(2^(n-j) b)
-            # is odd (square_class_K2_K3): both read v_2 = s + j mod 2
-            ell = 2 if (s + j) % 2 == 1 else 3
-            if (vp_int(2 ** (n - j) * b, 2) - s - j) % 2:
-                raise CertificationFailed(f"square class of 2^(n-{j}) b i "
-                                          f"disagrees with l({j}) = {ell}")
-            # d_j = a/(a+b) + R_j, R_j^2 = 2^(n-j) b i/(a+b)^4: every fact
-            # is v(R_j) plus the valuation of a rational, all doubled into
-            # integers, and no d_j is built.  The w step depends on k mod 2
-            # only, k = 2n - s - j, so j = 0 and 1 certify every step; it
-            # admits only odd b', so 2 v(R_j) = k - 4 v_2(a+b)
-            k = 2 * n - s - j
-            if j < 2:
-                _certify_p2_step(b // 2 ** (n - s), k % 2)
-            vm, vb = vp_int(a + b, 2), vp_int(b, 2)
-            v_r = k - 4 * vm
-            # d_j - 1 = R_j - b/(a+b), and v_2(b) <= n - s; a tie then
-            # forces v_2(a+b) > 0, and the min fails the check below as
-            # v(d_j - 1) = v(R_j) + 1/4 fails it in the field.  It fails
-            # for a = 0 too, so v_2(a) is taken below only for a != 0
-            if min(v_r, 2 * (vb - vm)) != 2 * (n - s):
-                raise CertificationFailed(f"v(d_{j} - 1) = n - s fails")
-            # t_j = d_j (a+b)/a - 1 = R_j (a+b)/a
-            if v_r + 2 * (vm - vp_int(a, 2)) != k:
-                raise CertificationFailed(f"v(t_{j}) = n - (s+{j})/2 fails")
-            # alpha'_j - 1 = (d_j - 1) (a+b)/(-b) - 1 = R_j (a+b)/(-b)
-            if v_r + 2 * (vm - vb) != s - j:
-                raise CertificationFailed(
-                    f"v(alpha'_{j} - 1) = (s-{j})/2 fails")
-            vt, va = Fraction(k, 2), Fraction(s - j, 2)
-            detail.append(f"d_{j}: l({j}) = {ell}, v(d_{j}-1) = {n - s}, "
-                          f"v(t_{j}) = {ratstr(vt)}, "
-                          f"v(alpha'_{j}-1) = {ratstr(va)} verified")
-        if vp_rational(Fraction(-b, a + b), 2) != n - s:
-            raise CertificationFailed("v(b/(a+b)) = n - s fails")
+        for j in range(min(s, 2)):
+            _certify_p2_step(b // 2 ** (n - s), (2 * n - s - j) % 2)
+        for j in range(s):
+            detail.append(
+                f"d_{j}: l({j}) = {2 if (s + j) % 2 else 3}, "
+                f"v(d_{j}-1) = {n - s}, "
+                f"v(t_{j}) = {ratstr(Fraction(2 * n - s - j, 2))}, "
+                f"v(alpha'_{j}-1) = {ratstr(Fraction(s - j, 2))} verified")
         detail.append("square classes and unit levels match the certified "
                       "p = 2 table; conductor of K/K_0 is < n")
     if case in ("ii", "iii", "iv"):
-        # the p^(n-s)-th root of the unit a/(a+b)
-        if vp_rational(Fraction(a, a + b), p) != 0:
-            raise CertificationFailed("v(a/(a+b)) = 0 fails")
         detail.append("v(a/(a+b)) = 0 verified; p^k-th root of a unit over "
                       "K_n has conductor < n")
-
     return {
         "vanishes_at_n": True,
         "conductor": ConductorValue("exact" if case == "i" else "bound",

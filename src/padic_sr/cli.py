@@ -152,7 +152,7 @@ def conductor_cmd(p, n, a, b):
 @click.option("--a2", type=int, required=True)
 @click.option("--a3", type=int, required=True)
 def signature_cmd(p, n, m, a1, a2, a3):
-    """Signatures, tails graph and moduli-field report for a nontrivial
+    """Signatures and the moduli-field report for a nontrivial
     prime-to-p action."""
     try:
         report = moduli_and_tails_note(MetacyclicSpec(p, n, m, (a1, a2, a3)))

@@ -15,13 +15,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NoSolution, NotFaithful
-from .graph import (
-    Component,
-    DecoratedGraph,
-    GraphEdge,
-    check_vanishing_cycles,
-    validate_structure,
-)
 from .jsonutil import ratstr
 from .tower import check_prime
 
@@ -125,43 +118,19 @@ def _check_faithful(p: int, n: int, m: int):
     # for odd p the unit group is cyclic, so divisibility suffices
 
 
-def tails_graph(spec: MetacyclicSpec, sol: SignatureSolution) -> DecoratedGraph:
-    """The star-shaped decorated graph forced when the prime-to-p action is
-    nontrivial: the original p^n-component plus one primitive etale tail per
-    branch point with sigma_i > 0."""
-    comps = [Component(id="X0", inertia_exponent=spec.n, kind="original",
-                       branch_points={f"x{i + 1}": spec.n
-                                      for i, (_, _, s) in
-                                      enumerate(sol.points) if s == 0})]
-    edges = []
-    for i, (h, mi, sig) in enumerate(sol.points):
-        if sig == 0:
-            continue
-        cid = f"T{i + 1}"
-        comps.append(Component(id=cid, inertia_exponent=0, kind="tail",
-                               tail_kind="primitive",
-                               branch_points={f"x{i + 1}": 0},
-                               sigma_b=sig))
-        edges.append(GraphEdge("X0", cid, sigma_eff=sig))
-    return DecoratedGraph(spec.p, spec.n, tuple(comps), tuple(edges),
-                          mG=spec.m)
-
-
 def moduli_and_tails_note(spec: MetacyclicSpec) -> dict:
-    """Report for m_G > 1: the signature and the star-shaped tails graph
-    with its structure and vanishing-cycle checks, which are computed, and
-    under "cited" the source paper's conclusions for that case, which are
-    not: every tail is primitive, the field of moduli lies in K_n, the
-    stable model is defined over a tame extension of K_n, and hence the
-    upper ramification groups G^u over K_0 vanish for u >= n."""
+    """Report for m_G > 1: the signature, which is computed (its sigmas
+    sum to 1, the vanishing-cycles count of the star of primitive tails,
+    or signature_solver raises), and under "cited" the source paper's
+    conclusions for that case, which are not: every tail is primitive, the
+    field of moduli lies in K_n, the stable model is defined over a tame
+    extension of K_n, and hence the upper ramification groups G^u over K_0
+    vanish for u >= n."""
     sol = signature_solver(spec)
-    g = tails_graph(spec, sol)
     n, p = spec.n, spec.p
     return {
         "spec": spec.to_json(),
         "signature": sol.to_json(),
-        "graph_violations": validate_structure(g),
-        "vanishing_cycles_residual": ratstr(check_vanishing_cycles(g)),
         "cited": {
             "result": "Obus, Fields of moduli of three-point G-covers with "
                       "cyclic p-Sylow, I (arXiv:0911.1103): the case "

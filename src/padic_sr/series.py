@@ -28,6 +28,26 @@ general classifier of an expansion c_0 .. c_L, and the recurrences that
 expand a disk to any L, are the test oracles of these closed forms
 (tests/rational_oracle.py).
 
+The cover rule.  A spec is a cover's normal form, the one
+branch_signature makes (totally ramified above 0 and infinity, of index
+p^s above 1), exactly when 1 <= s <= n (s < n for p = 2) and
+
+    a + b != 0,   v_p(b) = n - s,   v_p(a+b) = 0,   v_p(a) = 0.
+
+`_check_cover` checks these four facts in this order and raises
+CertificationFailed naming the first that fails (b = 0 fails the second,
+a = 0 the last); the analyzer checks the shape first (_stable_case).
+Every per-cover stage calls it before anything else: new_tail_locus and
+conductor_bound through the analyzer, and the two certificates whose
+centre the spec fixes, `classify_torsor_reduction` (case iii) and
+`classify_p2_torsor` (case v).  So the valuations of their centres are
+derived values, proved below, and not a second computation: the cubic
+certificate reads v(d) = 0, v(d - 1) = n - s and v_3(a+b) = 0 from the
+cover, and the p = 2 certificate v(d) = 0, v(d - 1) = n - s and
+v_2(a+b) = 0.  `classify_rational_centre` takes any rational centre, so
+it reads v(d) = 0 and v(d - 1) = n - s from its centre and v_p(b) = n - s
+from the spec (_check_premises).
+
 Rational centres.  In cases (i), (ii) and (iv) p is odd, the centre is
 d = a/(a+b) and v(e) = (2n - s + 1/(p-1))/2, and `classify_rational_centre`
 certifies the disk from c_1, c_2 and c_3 in closed form, with no
@@ -111,16 +131,18 @@ Y = 3^M K_3 - m^3 r needs no product of triples, and
 v(c_3 - c_1^3 / 3^M) > tau exactly when Y = 0 or
 3 slope + E v(Y) - E M > E tau.
 
-`classify_torsor_reduction` checks, in order: v_3(b) = n - s, before it
-values any triple, as then v_3(r) = 2n + 1 + v_3(b) - 1 = 3n - 1 and
-v(t) = n - 1/3 (with v_3(b) = n - s unchecked, 3 may divide v_3(r));
-v(d) = 0 and v(d - 1) = n - s, from the triples a + t and t - b over m;
-v(c_1) > n, v(c_3) > n and v(c_2) = tau, the clauses of condition (ii)
-that read a valuation, in the order in which they are named; Y; and the
-tail bound past L = 3.  A failed premise or tail bound raises
-PrecisionExhausted, any other failed fact returns NotCertified naming
-it.  Once the premises hold, v_3(m) = v(t - b) - v(d - 1) = 0 and
-v_3(a) = 0 (v(a + t) = v(d) = 0 < v(t)), so v_3(a - b) = 0, and the
+`classify_torsor_reduction` checks, in order: the cover rule, before it
+values any triple; v(c_1) > n, v(c_3) > n and v(c_2) = tau, the clauses
+of condition (ii) that read a valuation, in the order in which they are
+named; Y; and the tail bound past L = 3.  A failed cover fact raises
+CertificationFailed, a failed tail bound PrecisionExhausted, and any
+other failed fact returns NotCertified naming it.  The cover rule gives
+every valuation of the centre, with s = 1: v_3(b) = n - 1 >= 1, so b - 1
+and b - 2 are units, v_3(r) = 2n + 1 + v_3(b) - 1 = 3n - 1 and
+v(t) = n - 1/3; v(delta) = v(a + t) = 0, as v_3(a) = 0 < v(t);
+v(delta') = v(t - b) = min(n - 1/3, n - 1) = n - 1, with no tie; and
+v_3(N) = v_3(m) = 0.  So v(d) = 0 and v(d - 1) = n - s, the tail
+premises, and v_3(a - b) = 0 (b is divisible by 3 and a is not), and the
 closed forms give v(K_1) = n - 1/3, v(K_2) = v_3(abm/2) = n - 1 and
 v(K_3) = v_3(m ab (a-b)/3) = n - 2 (each other term lies higher), and
 v(u) = v(e) - n + 1.  So
@@ -228,26 +250,25 @@ v(1 + i) = 1/2 and v(z) is half the 2-adic valuation of the norm of z, so
 the classifier compares integers at the scale E = 4, with v(R) =
 v(R^2) / 2.
 
-The tie rule.  v(d) = min(v(x), v(R)) and v(d - 1) = min(v(x - 1), v(R))
-unless the two terms tie.  R is (1+i)^k i^(k//2) w / m^2 with k = 2n - s
-and w^2 = (-i)^(k%2) b' i, b' = b/2^(n-s) odd, so 2 v(R) = k - 4 v_2(m),
-while v(x) and v(x - 1) are integers: a tie needs k even.  Then w^2 = b' i,
-which is never +-1, and x^2 - b' i is irreducible over Q_2(i), as b' i is
-no square there (the proof is at the analyzer's _certify_p2_step): i is
-none, as Q_2(zeta_8) has degree 4 over Q_2, and b' is +-1 or +-5 times a
-square of Q_2, where Q_2(i)(sqrt 5) is unramified over Q_2(i) and
-Q_2(i)(sqrt i) is not.  The valuation of Q_2(i)
-therefore extends uniquely to Q_2(i)(R), and v(x + R) is half the
-valuation of its norm x^2 - R^2 in Q(i).  When w^2 = +-1, R lies in Q(i)
-itself, but k is odd and no tie occurs.
+No tie at a cover's locus.  d = x + R lies in Q_2(i) or in Q_2(i)(R),
+and v(d) = min(v(x), v(R)) and v(d - 1) = min(v(x - 1), v(R)) for every
+extension of v to that field, unless the two terms tie.  On a cover
+v_2(m) = 0 and v_2(b) = n - s, so v(x) = 0, v(x - 1) = v(-b/m) = n - s and
+v(R) = v(R^2)/2 = (n + n - s)/2 = n - s/2, which lies strictly between
+them when 1 <= s < n: n - s < n - s/2 as s > 0, and n - s/2 > 0 as
+s < 2n.  So no tie occurs, and v(d) = 0 and v(d - 1) = n - s whichever
+way v extends: the certificate reads no irreducibility, and neither
+square root of R^2 changes a valuation.  `classify_p2_torsor` refuses an
+s outside 1 <= s < n, and then a spec that breaks the cover rule, before
+it reads these values.
 
-The l >= 3 bound.  Once the premises v(d) = 0 and v(d - 1) = v(b) = n - s
-are checked, the tail bound holds at every l, and on the locus v(e) =
-(2n - s + 1)/2, sigma = (s + 1)/2, so check_tail_dominated(spec, v_e, 2,
-n + 1, strict=False) reads g(3) = n + (s + 1)/2 and g(4) = n + s, both at
-least n + 1 (s >= 1), and stops there as 4 sigma >= 1.  So every l >= 3 is
-certified: no c_l past c_2 is computed, and case (v) has no expansion
-length at all.
+The l >= 3 bound.  On a cover v(d) = 0 and v(d - 1) = v(b) = n - s, the
+premises of the tail bound, so it holds at every l, and on the locus
+v(e) = (2n - s + 1)/2, sigma = (s + 1)/2, so check_tail_dominated(spec,
+v_e, 2, n + 1, strict=False) reads g(3) = n + (s + 1)/2 and g(4) = n + s,
+both at least n + 1 (s >= 1), and stops there as 4 sigma >= 1.  So every
+l >= 3 is certified: no c_l past c_2 is computed, and case (v) has no
+expansion length at all.
 """
 
 from __future__ import annotations
@@ -389,6 +410,22 @@ def tail_bound(spec, v_e, l):
                          for j in range(max(1, l - k), l + 1))
 
 
+def _check_cover(spec) -> None:
+    """Raise CertificationFailed naming the first fact of the cover rule
+    that spec breaks: a + b != 0, v_p(b) = n - s, v_p(a+b) = 0 and
+    v_p(a) = 0 (module docstring, "The cover rule").  b = 0 fails the
+    second and a = 0 the last."""
+    p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
+    if a + b == 0:
+        raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
+    if not b or vp_int(b, p) != n - s:
+        raise CertificationFailed("v_p(b) = n - s fails")
+    if (a + b) % p == 0:
+        raise CertificationFailed("v_p(a+b) = 0 fails")
+    if a % p == 0:
+        raise CertificationFailed("v_p(a) = 0 fails")
+
+
 def _check_premises(spec, v_d, v_d1):
     """Raise PrecisionExhausted naming the first of v(d) = 0,
     v(d - 1) = n - s and v_p(b) = n - s that fails, given v(d) and
@@ -458,22 +495,20 @@ def _val3(x, E: int, et: int) -> int:
 def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     """Reduction type of the Artin-Schreier torsor on the case (iii) disk of
     `expand_disk`, from its K_1, K_2 and K_3 (module docstring, "Valuations
-    without coefficients").  It checks the tail premises, v_3(b) = n - s
-    first (b = 0 fails it); v(c_1) > n, v(c_3) > n and v(c_2) = tau;
-    Y = 3^M K_3 - m^3 r; and the tail bound above tau past c_3, comparing
-    integers scaled by E = lcm(den v(e), 6).  A failed premise or tail bound raises
-    PrecisionExhausted, any other failed fact returns NotCertified naming
-    the clause of condition (ii) that fails."""
-    spec, (c0, c1, c2), m = exp.spec, exp.d.nums, exp.d.den
-    n, s = spec.n, spec.s
-    if not spec.b or vp_int(spec.b, 3) != n - s:
-        raise PrecisionExhausted("tail bound needs v(b) = n - s")
+    without coefficients").  It checks the cover rule first (_check_cover),
+    from which v(d) = 0, v(d - 1) = n - s and v_3(a+b) = 0 follow; then
+    v(c_1) > n, v(c_3) > n and v(c_2) = tau; Y = 3^M K_3 - m^3 r; and the
+    tail bound above tau past c_3, comparing integers scaled by
+    E = lcm(den v(e), 6).  A failed cover fact raises CertificationFailed,
+    a failed tail bound PrecisionExhausted, and any other failed fact
+    returns NotCertified naming the clause of condition (ii) that fails."""
+    spec, m = exp.spec, exp.d.den
+    _check_cover(spec)
+    n = spec.n
     E = lcm(exp.v_e.denominator, 6)
-    et, vm = E * n - E // 3, E * vp_int(m, 3)  # v(t) = n - 1/3
-    vd = _val3((c0, c1, c2), E, et) - vm
-    vd1 = _val3((c0 - m, c1, c2), E, et) - vm
-    _check_premises(spec, Fraction(vd, E), Fraction(vd1, E))
-    slope = _scaled(exp.v_e, E) - vd - vd1 - vm  # E v(N e / (delta delta'))
+    et = E * n - E // 3  # v(t) = n - 1/3
+    # E v(N e / (delta delta')), as v(N) = v(delta) = 0, v(delta') = n - s
+    slope = _scaled(exp.v_e, E) - E * (n - spec.s)
     k1, k2, k3 = exp.ks
     T = E * n + E // 2  # E tau
     if slope + _val3(k1, E, et) <= E * n:
@@ -539,56 +574,35 @@ def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
                             conductor=2, notes=("condition (i)",))
 
 
-def _v4(re: int, im: int, den: int = 1):
-    """4 v(z) for z = (re + im i)/den in Q_2(i), v(1 + i) = 1/2, or None
-    for z = 0: v(z) is half the 2-adic valuation of the norm (re^2 + im^2)
-    / den^2, so 4 v(z) is an even integer."""
+def _v4(re: int, im: int):
+    """4 v(z) for the Gaussian integer z = re + im i, v(1 + i) = 1/2, or
+    None for z = 0: v(z) is half the 2-adic valuation of the norm
+    re^2 + im^2, so 4 v(z) is an even integer."""
     norm = re * re + im * im
-    if not norm:
-        return None
-    return 2 * vp_int(norm, 2) - 4 * vp_int(den, 2)
+    return 2 * vp_int(norm, 2) if norm else None
 
 
-def _v4_centre(x: Fraction, rho: int, m: int, vr: int) -> int:
-    """4 v(x + R) for a rational x, R^2 = rho i / m^4 of 4 v(R) = vr, by
-    the tie rule of the module docstring: on a tie, x^2 - R^2 is the norm
-    of x + R down to Q_2(i)."""
-    if not x:
-        return vr
-    num, den = x.numerator, x.denominator
-    vx = 4 * (vp_int(num, 2) - vp_int(den, 2))
-    if vx != vr:
-        return min(vx, vr)
-    m4 = m ** 4
-    return _v4(num * num * m4, -rho * den * den, den * den * m4) // 2
-
-
-def classify_p2_torsor(spec, v_e: Fraction, rho: int) -> ReductionVerdict:
-    """Reduction type of the mu_4-torsor on the case (v) disk centred at
-    d = a/(a+b) + R, R^2 = rho i/(a+b)^4 (rho = 2^n b on the locus), of
-    radius v(e) = v_e, from the closed forms of the module docstring: no
-    tower, no expansion.  The caller has certified that rho i is no square
-    in Q_2(i) when v_2(rho) is even, the one case where the tie rule needs
-    it.  Every l >= 3 is certified by the tail bound."""
-    n, a, b = spec.n, spec.a, spec.b
-    if n < 2:
-        return ReductionVerdict("NotCertified",
-                                reason="p = 2 requires n >= 2")
-    m = a + b
-    x = Fraction(a, m)
-    vm = vp_int(m, 2)
-    vr = 2 * vp_int(rho, 2) - 8 * vm  # 4 v(R) = 2 v(R^2)
-    vd = _v4_centre(x, rho, m, vr)
-    vd1 = _v4_centre(x - 1, rho, m, vr)
-    # E v(c_l) = l slope + E v(K_l / N^l), E = 4
-    slope = _scaled(v_e, 4) - vd - vd1
+def classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
+    """Reduction type of the mu_4-torsor on the case (v) disk of radius
+    v(e) = v_e centred at d = a/(a+b) + R, R^2 = rho i/(a+b)^4 with
+    rho = 2^n b, from the closed forms of the module docstring: no tower,
+    no expansion.  It refuses an s outside 1 <= s < n, then a spec that
+    breaks the cover rule (_check_cover), with CertificationFailed; on a
+    cover v(d) = 0 and v(d - 1) = n - s with no tie (module docstring, "No
+    tie at a cover's locus").  Every l >= 3 is certified by the tail
+    bound."""
+    n, s, a, b = spec.n, spec.s, spec.a, spec.b
+    if not 1 <= s < n:
+        raise CertificationFailed(f"no cover of p = 2, n = {n} has s = {s}")
+    _check_cover(spec)
+    m, rho = a + b, 2 ** n * b
+    # E v(c_l) = l slope + E v(K_l / N^l), E = 4, v(d) = 0, v(d - 1) = n - s
+    slope = _scaled(v_e, 4) - 4 * (n - s)
     reasons = []
-    # K_2 / N^2 = (-a b m^2 + (m - 1) rho i) / (2 m^3)
-    vk2 = _v4(-a * b * m * m, (m - 1) * rho)
-    if vk2 is None or 2 * slope + vk2 - 4 - 12 * vm != 4 * n:
+    # K_2 / N^2 = (-a b m^2 + (m - 1) rho i) / (2 m^3), nonzero as a b m is
+    if 2 * slope + _v4(-a * b * m * m, (m - 1) * rho) - 4 != 4 * n:
         reasons.append("v(c_2) != n")
     try:
-        _check_premises(spec, Fraction(vd, 4), Fraction(vd1, 4))
         check_tail_dominated(spec, v_e, 2, Fraction(n + 1), strict=False)
     except PrecisionExhausted as exc:
         reasons.append(str(exc))
@@ -599,7 +613,7 @@ def classify_p2_torsor(spec, v_e: Fraction, rho: int) -> ReductionVerdict:
     notes = ["sqrt(c_2) adjoined on demand"]
     # X / N^2 = (2^n (m - 1) rho + (rho m + 2^n a b m^2) i) / m^3
     vx = _v4(2 ** n * (m - 1) * rho, rho * m + 2 ** n * a * b * m * m)
-    if not (vx is None or vx - 12 * vm + 2 * slope >= 4 * (2 * n + 2)):
+    if not (vx is None or vx + 2 * slope >= 4 * (2 * n + 2)):
         return ReductionVerdict(
             "NotCertified",
             reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i")

@@ -126,14 +126,6 @@ MUTANTS = [
            "         -ab * m * (m - 2) // 2, 0)))",
            "         -ab * m * (m - 1) // 2, 0)))",
            (TS + "test_closed_forms_of_k1_k2_k3_sympy",)),
-    Mutant("cubic-v(b)-first", SERIES,
-           "    if not spec.b or vp_int(spec.b, 3) != n - s:",
-           "    if not spec.b:",
-           (TS + "test_each_tail_premise_is_checked",)),
-    Mutant("cubic-b-zero", SERIES,
-           "    if not spec.b or vp_int(spec.b, 3) != n - s:",
-           "    if vp_int(spec.b, 3) != n - s:",
-           (TS + "test_each_tail_premise_is_checked",)),
     Mutant("cubic-c1-deleted", SERIES,
            "    if slope + _val3(k1, E, et) <= E * n:", "    if False:",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
@@ -168,25 +160,44 @@ MUTANTS = [
            (TS + "test_verdict_p3_condition_ii",)),
     # -- case (v) ------------------------------------------------------------
     Mutant("p2-congruence-strict", SERIES,
-           "vx - 12 * vm + 2 * slope >= 4 * (2 * n + 2)",
-           "vx - 12 * vm + 2 * slope > 4 * (2 * n + 2)",
+           "vx + 2 * slope >= 4 * (2 * n + 2)",
+           "vx + 2 * slope > 4 * (2 * n + 2)",
            (TS + "test_case_v_closed_form_matches_the_tower_path",)),
-    Mutant("conductor-unit-centre", ANALYZER,
-           "        if vp_rational(Fraction(a, a + b), p) != 0:",
-           "        if False:",
-           (TA + "test_conductor_bound_checks_the_unit_centre",)),
-    Mutant("conductor-v-alpha", ANALYZER,
-           "            if v_r + 2 * (vm - vb) != s - j:",
-           "            if False:",
-           (TA + "test_conductor_certification_failure_detected_case_v",
-            TA + "test_case_v_conductor_bound_matches_the_tower_path")),
+    Mutant("p2-shape", SERIES,
+           "    if not 1 <= s < n:", "    if False:",
+           (TS + "test_p2_certificate_refuses_a_non_cover",)),
+    # -- the cover rule ------------------------------------------------------
+    Mutant("cover-a-plus-b", SERIES,
+           "    if a + b == 0:", "    if False:",
+           (TA + "test_cover_rule_names_each_broken_fact",
+            TA + "test_conductor_bound_refuses_a_zero_a_plus_b")),
+    Mutant("cover-v(b)", SERIES,
+           "    if not b or vp_int(b, p) != n - s:", "    if False:",
+           (TA + "test_cover_rule_names_each_broken_fact",)),
+    Mutant("cover-b-zero", SERIES,
+           "    if not b or vp_int(b, p) != n - s:",
+           "    if vp_int(b, p) != n - s:",
+           (TA + "test_cover_rule_names_each_broken_fact",)),
+    Mutant("cover-v(a+b)", SERIES,
+           "    if (a + b) % p == 0:", "    if False:",
+           (TA + "test_cover_rule_names_each_broken_fact",)),
+    Mutant("cover-v(a)", SERIES,
+           "    if a % p == 0:", "    if False:",
+           (TA + "test_cover_rule_names_each_broken_fact",)),
+    Mutant("cover-rule-analyzer", ANALYZER,
+           "    _check_cover(spec)\n    return case", "    return case",
+           (TA + "test_only_a_cover_certifies",)),
+    Mutant("cover-rule-cubic", SERIES,
+           "    spec, m = exp.spec, exp.d.den\n    _check_cover(spec)\n",
+           "    spec, m = exp.spec, exp.d.den\n",
+           (TS + "test_cubic_certificate_checks_the_cover_rule",)),
+    Mutant("cover-rule-p2", SERIES,
+           "    _check_cover(spec)\n    m, rho = a + b, 2 ** n * b",
+           "    m, rho = a + b, 2 ** n * b",
+           (TS + "test_p2_certificate_refuses_a_non_cover",)),
 ]
 
 EQUIVALENT = [
-    Mutant("tie-rule-rho-sign", SERIES,
-           "_v4(num * num * m4, -rho * den * den,",
-           "_v4(num * num * m4, rho * den * den,", (),
-           "_v4 takes the norm re^2 + im^2, even in im"),
     Mutant("rational-n1-v3-of-3", SERIES,
            "(vp_int(t3, p) - 3 * w - 1) <= T", "(vp_int(t3, p) - 3 * w) <= T",
            (), "past the premises and v(c_2) = tau, v(c_3) >= 9/4 > tau = "
@@ -207,10 +218,6 @@ EQUIVALENT = [
            (),
            "past v(c_2) = tau, v(e) = n - 1/4 and s = 1, and the bound clears "
            "tau past c_3 there (series docstring, \"The expansion length\")"),
-    Mutant("cubic-slope-v(m)", SERIES,
-           "    slope = _scaled(exp.v_e, E) - vd - vd1 - vm",
-           "    slope = _scaled(exp.v_e, E) - vd - vd1", (),
-           "the premises force v_3(m) = v(t - b) - v(d - 1) = 0"),
 ]
 
 

@@ -4,6 +4,7 @@ compatibility."""
 
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -11,6 +12,7 @@ from functools import cache
 import pytest
 
 from padic_sr.analyzer import (
+    CoverSpec,
     _certify_p2_step,
     _report_shape,
     _stable_case,
@@ -355,35 +357,126 @@ def test_conductor_certification_failure_detected():
         conductor_bound(bad)
 
 
+#: the refusals of the cover rule (series._check_cover), one per fact, in
+#: the order in which it checks them
+COVER_FACTS = ("a + b = 0: the centre a/(a+b) is undefined",
+               "v_p(b) = n - s fails", "v_p(a+b) = 0 fails",
+               "v_p(a) = 0 fails")
+
+
+def _is_normal_form(spec):
+    """Is spec the normal form that branch_signature makes of its own
+    (p, n, a, b): the same a, b and s, and no swap?  The cover rule read
+    off the branch signature, independently of series._check_cover."""
+    try:
+        made = branch_signature(spec.p, spec.n, spec.a, spec.b)
+    except ArtifactError:
+        return False
+    return (made.a, made.b, made.s, made.swaps) == (spec.a, spec.b, spec.s,
+                                                    ())
+
+
+def _refused_by_the_cover_rule(outcome):
+    """Is outcome, as _outcome gives it, a refusal of one cover fact?"""
+    return (isinstance(outcome, tuple) and len(outcome) == 2
+            and outcome[0] == "CertificationFailed"
+            and outcome[1] in COVER_FACTS)
+
+
 @pytest.mark.parametrize("args,a", [((5, 2, 3, 10), 25), ((3, 3, 1, 9), 27)])
 def test_conductor_bound_checks_the_unit_centre(args, a):
     """A spec of case (ii) or (iii) whose centre a/(a+b) is no unit, 25/35
-    or 27/36, is refused naming that fact, which no other check of
-    conductor_bound reads first (a = 5 and a = 3 give the units 1/3 and
+    or 27/36, breaks the cover rule at v_p(a+b) = 0 and is refused naming
+    that fact, before any valuation is quoted: conductor_bound derives
+    v(a/(a+b)) = 0 from the rule (a = 5 and a = 3 give the units 1/3 and
     1/4)."""
     with pytest.raises(CertificationFailed,
-                       match=r"^v\(a/\(a\+b\)\) = 0 fails$"):
+                       match=r"^v_p\(a\+b\) = 0 fails$"):
         conductor_bound(_doctored(args, a=a))
 
 
-@pytest.mark.parametrize("meta,match", [
+@pytest.mark.parametrize("meta,deleted", [
     ({"b": 9}, "v_3"),  # radicand valuation 6, expected 5
     ({"a": 3}, r"v\(d''-1\) = n-s\+2/3 fails"),
 ])
-def test_conductor_certification_failure_detected_case_iv(meta, match):
+def test_conductor_certification_failure_detected_case_iv(meta, deleted):
+    """Each doctored case (iv) spec reached a check that the cover rule now
+    derives (the radicand's v_3 and v(d''-1), named by `deleted`); it is
+    refused by the fact of the rule it breaks: v_3(9) = 2 != n - s, and
+    v_3(3 + 3) = 1."""
     bad = _doctored((3, 3, 1, 3), **meta)
     assert _stable_case(bad.p, bad.n, bad.s) == "iv"
-    with pytest.raises(CertificationFailed, match=match):
+    fact = COVER_FACTS[1] if "b" in meta else COVER_FACTS[2]
+    with pytest.raises(CertificationFailed, match=rf"^{re.escape(fact)}$"):
         conductor_bound(bad)
 
 
 def test_conductor_certification_failure_detected_case_v():
+    """b = 12 over n - s = 1 fails the square class of 2^(n-0) b i, which
+    the cover rule now derives: it breaks v_2(b) = n - s first."""
     bad = _doctored((2, 3, 1, 6), b=12)
     assert _stable_case(bad.p, bad.n, bad.s) == "v"
     with pytest.raises(CertificationFailed,
-                       match=r"square class of 2\^\(n-0\) b i disagrees "
-                             r"with l\(0\) = 3"):
+                       match=r"^v_p\(b\) = n - s fails$"):
         conductor_bound(bad)
+
+
+#: doctored specs that break a cover fact and none checked before it, each
+#: fact and b = 0 and a = 0 among them.  conductor_bound certified the last
+#: three before the cover rule: v_5(b) = 0 != 2; v_3(b) = 0 != 2, yet the
+#: radicand 3^7 C(10, 3) has the v_3 the cube root needs; v_5(a) = 1
+BROKEN_FACTS = [
+    (CoverSpec(5, 2, 3, -3, 1, ()), COVER_FACTS[0]),
+    (CoverSpec(5, 2, 3, 0, 1, ()), COVER_FACTS[1]),
+    (CoverSpec(5, 2, 3, 50, 1, ()), COVER_FACTS[1]),
+    (CoverSpec(5, 2, 5, 10, 1, ()), COVER_FACTS[2]),
+    (CoverSpec(5, 2, 0, 3, 2, ()), COVER_FACTS[3]),
+    (CoverSpec(3, 2, 3, 1, 2, ()), COVER_FACTS[3]),
+    (CoverSpec(5, 3, 1, 1, 1, ()), COVER_FACTS[1]),
+    (CoverSpec(3, 3, 1, 10, 1, ()), COVER_FACTS[1]),
+    (CoverSpec(5, 2, 5, 1, 2, ()), COVER_FACTS[3]),
+]
+
+
+@pytest.mark.parametrize("spec,fact", BROKEN_FACTS)
+@pytest.mark.parametrize("stage", [new_tail_locus, certify_tail,
+                                   conductor_bound])
+def test_cover_rule_names_each_broken_fact(stage, spec, fact):
+    """Each fact of the cover rule is checked, in order, by every
+    per-cover stage, with CertificationFailed naming it: a + b != 0,
+    v_p(b) = n - s (b = 0 fails it), v_p(a+b) = 0 and v_p(a) = 0 (a = 0
+    fails it), so leaving out any one check fails this test."""
+    assert not _is_normal_form(spec)
+    with pytest.raises(CertificationFailed, match=rf"^{re.escape(fact)}$"):
+        stage(spec)
+
+
+def test_only_a_cover_certifies():
+    """Over an unfiltered grid of hand-built CoverSpecs (p in {2, 3, 5},
+    n <= 3, 1 <= s <= n, |a| <= 6, |b| <= 12), conductor_bound and
+    certify_tail each return only for a spec that is its cover's normal
+    form (_is_normal_form), refuse every other spec with
+    CertificationFailed, and raise nothing outside ArtifactError."""
+    returned, refused = 0, 0
+    for p in (2, 3, 5):
+        for n in range(1, 4):
+            for s in range(1, n + 1):
+                for a in range(-6, 7):
+                    for b in range(-12, 13):
+                        spec = CoverSpec(p, n, a, b, s, ())
+                        cover = _is_normal_form(spec)
+                        for stage in (conductor_bound, certify_tail):
+                            try:
+                                stage(spec)
+                            except ArtifactError as exc:
+                                if not cover:
+                                    assert isinstance(
+                                        exc, CertificationFailed), spec
+                                    refused += 1
+                                continue
+                            assert cover, (stage.__name__, spec)
+                            returned += 1
+    assert returned > 1000 and refused > 5000, (returned, refused)
 
 
 #: (cover, fields replaced in its spec, n): shapes (p, n, s) that no cover
@@ -719,12 +812,14 @@ def _case_v_spec(n, s):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_case_v_conductor_bound_matches_the_tower_path(seed):
-    """On real covers and on specs with a and b doctored, conductor_bound
+    """On real covers, among specs with a and b doctored, conductor_bound
     certifies, or refuses with the same error and message, exactly where
-    the old path through built d_j does.  Seed 1 adds the grid 2 <= n <= 6,
-    every s < n, a in {1, 3, -5, 7} and b' in every class mod 8, where
+    the old path through built d_j does; every other doctored spec is
+    refused by the cover rule.  Seed 1 adds the grid 2 <= n <= 6, every
+    s < n, a in {1, 3, -5, 7} and b' in every class mod 8, where
     b' = +-1 mod 8 (b' != +-1) is refused at the w step on both paths.  The
-    doctored specs include ties v(R_j) = v(a/(a+b) - 1) and a + b = 0."""
+    doctored specs include ties v(R_j) = v(a/(a+b) - 1) and a + b = 0,
+    neither of which a cover has."""
     rng = random.Random(seed)
     draws = [(3, 2, -64, -62), (3, 2, -64, -58), (4, 3, 6, -6)]  # ties, 0
     for n in range(2, 6):
@@ -740,14 +835,19 @@ def test_case_v_conductor_bound_matches_the_tower_path(seed):
                   for n in range(2, 7) for s in range(1, n)
                   for a in (1, 3, -5, 7)
                   for b_odd in (3, -3, 5, -5, 7, -7, 9, 1)]
-    kinds = set()
+    kinds, refused = set(), 0
     for n, s, a, b in draws:
         spec = replace(_case_v_spec(n, s), a=a, b=b, s=s)
+        new = _outcome(_case_v_lines, spec)
+        if not _is_normal_form(spec):
+            assert _refused_by_the_cover_rule(new), (n, s, a, b)
+            refused += 1
+            continue
         old = _outcome(_old_case_v, n, s, a, b)
-        assert _outcome(_case_v_lines, spec) == old, (n, s, a, b)
+        assert new == old, (n, s, a, b)
         kinds.add(old[0] if isinstance(old, tuple) else "certified")
-    assert {"certified", "CertificationFailed", "IrreducibilityUnverified",
-            "ZeroRadicand"} <= kinds, kinds
+    assert kinds == {"certified", "IrreducibilityUnverified"}, kinds
+    assert refused >= 100, refused
     assert _outcome(_old_case_v, 4, 3, 6, -6) == (
         "CertificationFailed", "a + b = 0: the centre a/(a+b) is undefined")
 
@@ -897,7 +997,8 @@ def test_cube_root_closed_forms_match_the_tower_path():
     and 5/2), gives the kind, value and detail of the old path over K_1 on
     every case (iii) and (iv) cover with n <= 5, 1 <= a <= 4 and
     |b| <= 40, and refuses specs with a and b doctored, 3 | a and radicands
-    of the wrong valuation or zero among them, with the same error."""
+    of the wrong valuation or zero among them, by the cover rule: as
+    b = 2 mod 3, none of them is a cover."""
     covers = 0
     for n in range(2, 6):
         for a in range(1, 5):
@@ -912,7 +1013,7 @@ def test_cube_root_closed_forms_match_the_tower_path():
                     n, spec.s, spec.a, spec.b), spec
                 covers += 1
     assert covers == 780, covers
-    kinds = set()
+    refused = 0
     for n in range(2, 6):
         for s in range(1, n):
             spec0 = branch_signature(3, n, 1, 3 ** (n - s))
@@ -921,10 +1022,11 @@ def test_cube_root_closed_forms_match_the_tower_path():
                     if a + b == 0:
                         continue
                     spec = replace(spec0, a=a, b=b)
-                    old = _outcome(_old_cube_case, n, s, a, b)
-                    assert _outcome(_new_cube_case, spec) == old, (n, s, a, b)
-                    kinds.add(old[0] if len(old) == 2 else "certified")
-    assert kinds == {"certified", "CertificationFailed", "ZeroElement"}, kinds
+                    assert not _is_normal_form(spec)
+                    assert _refused_by_the_cover_rule(
+                        _outcome(_new_cube_case, spec)), (n, s, a, b)
+                    refused += 1
+    assert refused == 1330, refused
 
 
 @pytest.mark.parametrize("args", [(2, 4, 1, 6), (2, 6, 3, -6), (2, 3, 1, 6)])

@@ -124,7 +124,7 @@ def test_signature_subcommand(runner):
     assert doc["spec"] == spec.to_json()
     assert doc["signature"] == signature_solver(spec).to_json()
     assert doc == json.loads(json.dumps(moduli_and_tails_note(spec)))
-    assert doc["graph_violations"] == []
+    assert set(doc) == {"spec", "signature", "cited"}
     assert "m_G > 1" in doc["cited"]["result"]
     res = runner.invoke(main, ["signature", "--p", "5", "--n", "1", "--m",
                                "3", "--a1", "1", "--a2", "2", "--a3", "0"])
@@ -134,15 +134,15 @@ def test_signature_subcommand(runner):
 
 def test_signature_holds_on_every_admissible_spec(runner):
     """Every admissible spec with p <= 13, n <= 3 and m in 2..12, all 1945 of
-    them, exits 0 with a tails graph that has no violation and a zero
-    vanishing-cycle residual."""
+    them, exits 0 with the solver's signature, whose sigmas sum to 1: the
+    vanishing-cycles count of the star of primitive tails."""
     checked = 0
     for p in (2, 3, 5, 7, 11, 13):
         for n in (1, 2, 3):
             for m in range(2, 13):
                 for a in itertools.product(range(m), repeat=3):
                     try:
-                        MetacyclicSpec(p, n, m, a)
+                        spec = MetacyclicSpec(p, n, m, a)
                     except ArtifactError:
                         continue
                     args = ["signature", "--p", p, "--n", n, "--m", m]
@@ -151,8 +151,9 @@ def test_signature_holds_on_every_admissible_spec(runner):
                     res = runner.invoke(main, [str(x) for x in args])
                     assert res.exit_code == 0, (p, n, m, a, res.output)
                     doc = json.loads(res.output)
-                    assert doc["graph_violations"] == [], (p, n, m, a)
-                    assert doc["vanishing_cycles_residual"] == "0"
+                    sol = signature_solver(spec)
+                    assert doc["signature"] == sol.to_json(), (p, n, m, a)
+                    assert sum(sol.sigmas()) == 1, (p, n, m, a)
                     checked += 1
     assert checked == 1945
 

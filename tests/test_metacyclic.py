@@ -13,9 +13,7 @@ from padic_sr.metacyclic import (
     MetacyclicSpec,
     moduli_and_tails_note,
     signature_solver,
-    tails_graph,
 )
-from padic_sr.graph import check_vanishing_cycles, validate_structure
 
 
 def _p_for(m):
@@ -124,21 +122,13 @@ def test_spec_checks_faithfulness():
         MetacyclicSpec(2, 4, 8, (1, 7, 0))
 
 
-def test_tails_graph_satisfies_vanishing_cycles():
-    for m, a in [(2, (1, 1, 0)), (4, (3, 3, 2)), (6, (1, 2, 3))]:
-        p, n = _p_for(m)
-        spec = MetacyclicSpec(p, n, m, a)
-        sol = signature_solver(spec)
-        g = tails_graph(spec, sol)
-        assert g.mG == m
-        assert validate_structure(g) == []
-        assert check_vanishing_cycles(g) == 0
-
-
 def test_moduli_and_tails_note():
     rep = moduli_and_tails_note(MetacyclicSpec(5, 2, 2, (1, 1, 0)))
-    assert rep["graph_violations"] == []
-    assert rep["vanishing_cycles_residual"] == "0"
+    # no field that holds by construction: the star of primitive tails
+    # passes its checks exactly when the sigmas sum to 1
+    assert set(rep) == {"spec", "signature", "cited"}
+    assert sum(Fraction(pt["sigma"]) for pt in rep["signature"]["points"]) \
+        == 1
     cited = rep["cited"]
     assert "arXiv:0911.1103" in cited["result"]
     assert "K_2" in cited["moduli_field"]

@@ -40,6 +40,7 @@ from padic_sr.series import (
     _val3,
     binom_falling,
     check_tail_dominated,
+    classify_p2_torsor,
     classify_rational_centre,
     classify_torsor_reduction,
     expand_disk,
@@ -57,6 +58,7 @@ from rational_oracle import (
     expand_cubic,
     expand_rational,
 )
+from test_analyzer import _is_normal_form, _refused_by_the_cover_rule
 from tower_helpers import (
     TowerExpansion,
     cubic_tower_disk,
@@ -833,8 +835,10 @@ def test_closed_form_matches_the_integer_recurrence():
     of the integer recurrence to c_2p and its classification
     (tests/rational_oracle.py), every field of it, on every
     rational-centre cover of the identity grid, of the large-n covers and
-    of the p = 3, n = 1 covers, whose c_3 the closed form reads, and the
-    same error on doctored specs whose premises fail."""
+    of the p = 3, n = 1 covers, whose c_3 the closed form reads.  On
+    doctored specs whose premises fail, which the cover rule refuses in
+    certify_tail, classify_rational_centre and the oracle's classifier
+    raise the same error at the centre a/(a+b)."""
     covers = 0
     for spec in _rational_centre_covers():
         got = _verdict_or_error(certify_tail, spec)
@@ -845,9 +849,12 @@ def test_closed_form_matches_the_integer_recurrence():
     assert covers > 1000, covers
     for args, fields, message in DOCTORED_PREMISES:
         spec = replace(branch_signature(*args), **fields)
-        assert _verdict_or_error(certify_tail, spec) == \
-            _verdict_or_error(rational_oracle.certify_tail, spec) == \
-            ("PrecisionExhausted", message), spec
+        d, v_e = _doctored_locus(spec)
+        closed = _verdict_or_error(
+            lambda sp: classify_rational_centre(sp, d, v_e), spec)
+        oracle = _verdict_or_error(
+            lambda sp: classify_expansion(expand_rational(sp, d, v_e)), spec)
+        assert closed == oracle == ("PrecisionExhausted", message), spec
 
 
 #: covers whose expansion to c_2p took from 1 ms to 12 s, and two of
@@ -904,20 +911,50 @@ DOCTORED_CUBIC_PREMISES = [
 ]
 
 
+#: the fact of the cover rule that each doctored spec above breaks first,
+#: by (p, n, a, b, s)
+FIRST_BROKEN_FACT = {
+    (5, 2, 5, 1, 2): "v_p(a) = 0 fails",
+    (5, 2, 3, 3, 1): "v_p(b) = n - s fails",
+    (5, 2, 5, 25, 1): "v_p(b) = n - s fails",
+    (3, 2, 1, 9, 1): "v_p(b) = n - s fails",
+    (3, 3, 1, 27, 1): "v_p(b) = n - s fails",
+    (3, 2, 1, 0, 1): "v_p(b) = n - s fails",
+    (3, 2, 9, 3, 1): "v_p(a+b) = 0 fails",
+    (3, 2, 3, 3, 1): "v_p(a+b) = 0 fails",
+}
+
+
+def _doctored_locus(spec):
+    """The centre a/(a+b) and the radius valuation of the new-tail disk of
+    a doctored spec, which new_tail_locus refuses."""
+    p, n, s = spec.p, spec.n, spec.s
+    return (Fraction(spec.a, spec.a + spec.b),
+            Fraction((2 * n - s) * (p - 1) + 1, 2 * (p - 1)))
+
+
 @pytest.mark.parametrize("args,fields,message",
                          DOCTORED_PREMISES + DOCTORED_CUBIC_PREMISES)
 def test_each_tail_premise_is_checked(args, fields, message):
-    """A doctored spec that fails one premise of the tail bound is refused
-    by certify_tail with PrecisionExhausted naming that premise, at a
-    rational centre and at the cubic centre of case (iii): each spec
-    reaches its own check, so leaving out any one of the checks fails this
-    test."""
+    """A doctored spec that fails one premise of the tail bound breaks the
+    cover rule, and certify_tail refuses it with CertificationFailed
+    naming the first fact it breaks, at a rational centre and at the cubic
+    centre of case (iii), whose certificate derives its premises from the
+    rule.  classify_rational_centre takes any rational centre and checks
+    the premises itself: at a/(a+b) it raises PrecisionExhausted naming
+    the premise, each spec reaching its own check, so leaving out any one
+    of the checks fails this test."""
     spec = replace(branch_signature(*args), **fields)
-    d = new_tail_locus(spec).d
-    assert isinstance(d, Fraction) == (spec.p != 3)
-    with pytest.raises(PrecisionExhausted, match=rf"^{re.escape(message)}$"):
+    key = (spec.p, spec.n, spec.a, spec.b, spec.s)
+    with pytest.raises(CertificationFailed,
+                       match=rf"^{re.escape(FIRST_BROKEN_FACT[key])}$"):
         certify_tail(spec)
-    if message.endswith("v(b) = n - s") and isinstance(d, Fraction):
+    if spec.p == 3:
+        return
+    d, v_e = _doctored_locus(spec)
+    with pytest.raises(PrecisionExhausted, match=rf"^{re.escape(message)}$"):
+        classify_rational_centre(spec, d, v_e)
+    if message.endswith("v(b) = n - s"):
         assert (vp_rational(d, 5), vp_rational(d - 1, 5)) == \
             (0, spec.n - spec.s)
 
@@ -956,10 +993,9 @@ def test_cubic_certificate_matches_the_triple_recurrence():
     K_1, K_2 and K_3, gives the verdict of the triple recurrence to c_3
     and the general classifier (tests/rational_oracle.py), every field of
     it, on every cover of the case (iii) grid and on large-n covers; the
-    oracle's K_l equal the closed forms there.  On the doctored specs that
-    fail v(d) = 0 or v(d - 1) = n - s both raise the same error; where
-    v_3(b) = n - s fails, the oracle raised ValueError, or ZeroElement at
-    b = 0."""
+    oracle's K_l equal the closed forms there.  The doctored specs that
+    fail a premise break the cover rule, and certify_tail refuses them
+    naming the fact."""
     covers = 0
     for spec in _case_iii_covers():
         got = _verdict_or_error(certify_tail, spec)
@@ -973,15 +1009,11 @@ def test_cubic_certificate_matches_the_triple_recurrence():
             expand_cubic(spec, locus.d, locus.v_e).ks[1:], spec
         covers += 1
     assert covers == 223 + len(LARGE_N_CUBIC), covers
-    for args, fields, message in DOCTORED_CUBIC_PREMISES:
+    for args, fields, _ in DOCTORED_CUBIC_PREMISES:
         spec = replace(branch_signature(*args), **fields)
-        want = ("PrecisionExhausted", message)
-        old = _verdict_or_error(rational_oracle.certify_tail, spec)
-        assert _verdict_or_error(certify_tail, spec) == want, spec
-        assert old == (want if "v(b)" not in message else
-                       ("ZeroElement", "v(0) is +infinity") if not spec.b else
-                       ("ValueError", "a cubic centre needs v_p(r) prime "
-                                      "to 3")), spec
+        key = (spec.p, spec.n, spec.a, spec.b, spec.s)
+        assert _verdict_or_error(certify_tail, spec) == \
+            ("CertificationFailed", FIRST_BROKEN_FACT[key]), spec
 
 
 def test_cubic_certificate_names_each_failed_fact():
@@ -1196,7 +1228,10 @@ def test_case_v_closed_form_matches_the_tower_path():
     error type and message.  The inputs are the p = 2 identity grid, seeded
     draws with every class of b' mod 8, and doctored specs whose premises
     may fail; there the tower path may also list "v(c_l) < n + 1", which
-    the closed form cannot, and every other reason must agree."""
+    the closed form cannot, and every other reason must agree.  Only the
+    doctored specs that are covers (a odd with b' = +-1) are compared; the
+    others break the cover rule, and certify_tail refuses them naming the
+    fact."""
     seen = set()
     for args in _case_v_grid_and_draws(31):
         try:
@@ -1207,15 +1242,18 @@ def test_case_v_closed_form_matches_the_tower_path():
         assert new == _verdict_or_error(p2_oracle.certify_tail, spec), args
         seen.add(new[0] if isinstance(new, tuple) else new.kind)
     assert seen == {"SplitsZ4", "IrreducibilityUnverified"}
-    reasons = set()
+    compared, refused = 0, 0
     for spec in _doctored_case_v_specs(32):
         new = _verdict_or_error(certify_tail, spec)
+        if not _is_normal_form(spec):
+            assert _refused_by_the_cover_rule(new), spec
+            refused += 1
+            continue
         old = _verdict_or_error(p2_oracle.certify_tail, spec)
         assert new == _without_cl_reasons(old), spec
-        if not isinstance(new, tuple):
-            reasons.add(new.reason)
-    assert {None, "v(c_2) != n; tail bound needs v(d) = 0",
-            "v(c_2) != n; tail bound needs v(d - 1) = n - s"} <= reasons
+        assert new.kind == "SplitsZ4", spec
+        compared += 1
+    assert compared >= 100 and refused >= 600, (compared, refused)
 
 
 def test_case_v_closed_forms_match_the_tower_k_l():
@@ -1245,6 +1283,41 @@ def test_case_v_closed_forms_match_the_tower_k_l():
         assert x == chi * i * Fraction(N * N * 2 ** n * b, m ** 3), args
         checked += 1
     assert checked >= 500, checked
+
+
+#: (spec, what classify_p2_torsor raises): specs that only a direct call
+#: reaches, as new_tail_locus refuses them first.  s = 0 and s = n = 3
+#: break no cover fact of (2, 3, 1, 8) and (2, 3, 1, 1) but the shape, where
+#: v(R) need not lie strictly between v(x) = 0 and v(x - 1) = n - s
+P2_NON_COVERS = [
+    (CoverSpec(2, 3, 1, 8, 0, ()), "no cover of p = 2, n = 3 has s = 0"),
+    (CoverSpec(2, 3, 1, 1, 3, ()), "no cover of p = 2, n = 3 has s = 3"),
+    (CoverSpec(2, 3, 2, 6, 2, ()), "v_p(a+b) = 0 fails"),
+    (CoverSpec(2, 3, 1, 12, 2, ()), "v_p(b) = n - s fails"),
+]
+
+
+@pytest.mark.parametrize("spec,message", P2_NON_COVERS)
+def test_p2_certificate_refuses_a_non_cover(spec, message):
+    """classify_p2_torsor derives v(d) = 0 and v(d - 1) = n - s from the
+    cover rule and 1 <= s < n, so it refuses a spec that breaks either,
+    with CertificationFailed naming what fails, before it reads a
+    valuation."""
+    v_e = Fraction(2 * spec.n - spec.s + 1, 2)
+    with pytest.raises(CertificationFailed, match=rf"^{re.escape(message)}$"):
+        classify_p2_torsor(spec, v_e)
+
+
+def test_cubic_certificate_checks_the_cover_rule():
+    """classify_torsor_reduction derives the valuations of its centre from
+    the cover rule, so it refuses a spec that breaks it before it values a
+    triple, also when expand_disk admits the centre: (3, 2, 1, 9, s = 1)
+    has v_3(b) = 2 != n - s, and 3 divides v_3(r) there."""
+    spec = CoverSpec(3, 2, 1, 9, 1, ())
+    d = CubicCentre((1, 1, 0), 10, _cube_radicand(2, 1, 9))
+    exp = expand_disk(spec, d, Fraction(7, 4))
+    with pytest.raises(CertificationFailed, match=r"^v_p\(b\) = n - s fails$"):
+        classify_torsor_reduction(exp)
 
 
 def test_p2_congruence_needs_no_tower_product(monkeypatch):
