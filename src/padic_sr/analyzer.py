@@ -17,11 +17,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
-    CertificationFailed,
     Disconnected,
     IrreducibilityUnverified,
     NotThreePoint,
-    ZeroRadicand,
 )
 from .graph import (
     Component,
@@ -41,36 +39,18 @@ from .ramification import (
     compositum_conductor,
 )
 from .series import (
+    CoverSpec,
     CubicCentre,
     ReductionVerdict,
-    _check_cover,
     _cube_radicand,
+    _require_cover,
+    _stable_case,
     classify_p2_torsor,
     classify_rational_centre,
     classify_torsor_reduction,
     expand_disk,
 )
 from .tower import check_prime, vp_int
-
-
-@dataclass(frozen=True)
-class CoverSpec:
-    p: int
-    n: int
-    a: int
-    b: int
-    s: int
-    indices: tuple  # ramification indices above (0, 1, infinity)
-    swaps: tuple = ()  # Moebius normalizations applied, outermost first
-    original: tuple = ()  # (a, b) as given before normalization
-
-    def to_json(self):
-        return {
-            "p": self.p, "n": self.n, "a": self.a, "b": self.b, "s": self.s,
-            "indices": list(self.indices),
-            "swaps": list(self.swaps),
-            "original": list(self.original),
-        }
 
 
 def _as_int(name: str, value) -> int:
@@ -126,51 +106,23 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
     return CoverSpec(p, n, a, b, s, indices, tuple(swaps), original)
 
 
-# -- the stable-model case split ----------------------------------------------
-
-def _stable_case(p: int, n: int, s: int) -> str:
-    """The case (i)-(v) of the cover.  _case_record lists what each case
-    builds; only new_tail_locus and conductor_bound dispatch on the label
-    besides.  Every spec stage asks for the case first, so this one rule
-    refuses a shape no cover has, for all of them: an s outside
-    1 <= s <= n, or s = n for p = 2, where the cover would have three
-    totally ramified points (branch_signature never makes one)."""
-    if not 1 <= s <= n or (p == 2 and s == n):
-        raise CertificationFailed(f"no cover of p = {p}, n = {n} has s = {s}")
-    if p == 2:
-        return "v"
-    if s == n:
-        return "i"
-    if p > 3:
-        return "ii"
-    return "iii" if s == 1 else "iv"
-
-
-def _cover_case(spec: CoverSpec) -> str:
-    """The case of a spec that is a cover's normal form: _stable_case, then
-    the cover rule (series._check_cover), each refusing with
-    CertificationFailed.  new_tail_locus and conductor_bound call it first,
-    so every valuation they quote follows from the rule."""
-    case = _stable_case(spec.p, spec.n, spec.s)
-    _check_cover(spec)
-    return case
-
-
 # -- no fields ---------------------------------------------------------------
-# analyze builds no Tower.  The rational centre of cases (i), (ii) and (iv)
-# is exact data (new_tail_locus), and the case (iii) centre (a + t)/(a+b),
-# t^3 = r, is an integer triple over a + b, valued in closed form (series
-# module docstring, "Cubic centres").  The cube roots of cases (iii) and
-# (iv) are certified from v_3 of their radicand, with constant conductors
+# analyze builds no Tower.  Its spec is a CoverSpec, so the cover rule holds
+# (series module docstring, "The cover rule"), and every valuation below is
+# derived from it.  The rational centre of cases (i), (ii) and (iv) is exact
+# data (new_tail_locus), and the case (iii) centre (a + t)/(a+b), t^3 = r,
+# is an integer triple over a + b, valued in closed form (series module
+# docstring, "Cubic centres").  The cube roots of cases (iii) and (iv) are
+# certified from v_3 of their radicand, with constant conductors
 # (conductor_bound).  Case (v) centres are Gaussian rationals plus a square
 # root R of one, valued in closed form (classify_p2_torsor,
 # conductor_bound), the step w^2 = u behind R is certified from b' mod 8
-# (_certify_p2_step), and the square classes follow from the cover rule
-# (conductor_bound).  The shape half of the report (the graph, its
-# checks, the inseparable tails and the field steps) depends on (p, n, s)
-# alone and is computed once per shape from one case record, in an LRU of
-# 256 shapes (_report_shape, below); only callers that repeat a shape gain
-# from it.
+# (_certify_p2_step), and the square classes follow from the parity of
+# v_2(b) = n - s (conductor_bound).  The shape half of the report (the
+# graph, its checks, the inseparable tails and the field steps) depends on
+# (p, n, s) alone and is computed once per shape from one case record, in an
+# LRU of 256 shapes (_report_shape, below); only callers that repeat a shape
+# gain from it.
 
 def _certify_p2_step(b_odd: int, c: int) -> None:
     """Certify the case (v) step w^2 = u = (-i)^c b' i, b' = b_odd, over
@@ -178,9 +130,7 @@ def _certify_p2_step(b_odd: int, c: int) -> None:
     adjoining the step would.  u = +-1 needs no step: w = 1 or i lies in
     Q_2(i).
 
-    An even b' gives u the valuation v_2(b') >= 1, 2 v_2(b') in the
-    uniformizer 1 + i, so the Newton polygon of x^2 - u has integral slope
-    and certifies nothing, as certify_radical refuses it.  An odd b' is a
+    b' = b/2^(n-s) is odd, as v_2(b) = n - s on a CoverSpec.  An odd b' is a
     square in Q_2(i) exactly when b' or -b' is a square in Q_2, that is
     b' = +-1 mod 8: then b' or -b' is a square of Q_2, and -1 = i^2.  For
     b' = +-3 mod 8, b' is +-5 times a square of Q_2, and Q_2(i)(sqrt 5) is
@@ -190,12 +140,6 @@ def _certify_p2_step(b_odd: int, c: int) -> None:
     b' = +-3 mod 8, sqrt(b' i) in Q_2(i) would make Q_2(i)(sqrt b') =
     Q_2(i)(sqrt i), but the first is unramified over Q_2(i) and the second
     ramified."""
-    if b_odd == 0:
-        raise ZeroRadicand("radicand is zero")
-    if b_odd % 2 == 0:
-        raise IrreducibilityUnverified(
-            f"x^2 - r with v(r) = {vp_int(b_odd, 2)}: slope denominator is "
-            f"not 2")
     if c and b_odd % 8 in (1, 7) and b_odd not in (1, -1):
         raise IrreducibilityUnverified(
             "radicand is a 2-th power in the 2-adic completion; x^2 - r is "
@@ -207,11 +151,12 @@ def _certify_p2_step(b_odd: int, c: int) -> None:
 @dataclass(frozen=True)
 class NewTailLocus:
     """The disk of the new etale tail (new_tail_locus): its centre and v(e).
-    No case label: certify_tail tells a case (v) locus by its rho, and a
-    Fraction centre from a CubicCentre by its type."""
-    d: object  # CubicCentre (a + t)/(a+b) in case (iii), else Fraction a/(a+b)
+    No case label: certify_tail tells case (v) by p = 2, and a Fraction
+    centre from a CubicCentre by its type."""
+    # CubicCentre (a + t)/(a+b) in case (iii), else the Fraction a/(a+b); in
+    # case (v) the centre is d + R, R^2 = 2^n b i/(a+b)^4
+    d: object
     v_e: Fraction  # v(e) = (2n - s + 1/(p-1))/2, in closed form
-    rho: int | None = None  # case (v): the centre is d + R, R^2 = rho i/(a+b)^4
 
 
 def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
@@ -220,25 +165,23 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     rational centre a/(a+b) of cases (i), (ii) and (iv) is the Fraction
     itself, the case (iii) centre (a + t)/(a+b), t^3 = 3^(2n+1) C(b,3), is
     a CubicCentre, and the case (v) centre is a/(a+b) + R with
-    R^2 = rho i/(a+b)^4, the one locus with a rho; none needs a tower or an
-    e.  A spec that is no cover's normal form is refused before any centre
-    is built (_cover_case), as conductor_bound refuses it.  In case (v) the
-    step w^2 = u behind R is certified in integers, from b' mod 8
-    (_certify_p2_step), and no field is built."""
+    R^2 = 2^n b i/(a+b)^4, and its locus holds d = a/(a+b); none needs a
+    tower or an e.  The spec is a CoverSpec, so a + b != 0.  In case (v)
+    the step w^2 = u behind R is certified in integers, from b' mod 8
+    (_certify_p2_step), and no field is built.  A spec that is no
+    CoverSpec raises TypeError."""
+    _require_cover(spec, "new_tail_locus")
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
-    case = _cover_case(spec)
+    case = _stable_case(p, n, s)
     v_e = Fraction((2 * n - s) * (p - 1) + 1, 2 * (p - 1))
-    if case == "v":
-        # sqrt(2^n b i) = (1+i)^k i^(k//2) w, k = 2n - s, b' = b/2^(n-s)
-        # odd and w^2 = (-i)^(k%2) b' i, as (1+i)^2 = 2i and (-i)^2 = -1
-        k = 2 * n - s
-        b_odd = b // 2 ** (n - s)
-        _certify_p2_step(b_odd, k % 2)
-        return NewTailLocus(Fraction(a, a + b), v_e, 2 ** k * b_odd)
     if case == "iii":
         return NewTailLocus(CubicCentre((a, 1, 0), a + b,
                                         _cube_radicand(n, s, b)), v_e)
-    # cases (i), (ii) and (iv): rational center, the disk given by v_e
+    if case == "v":
+        # sqrt(2^n b i) = (1+i)^k i^(k//2) w, k = 2n - s, b' = b/2^(n-s)
+        # odd and w^2 = (-i)^(k%2) b' i, as (1+i)^2 = 2i and (-i)^2 = -1
+        _certify_p2_step(b // 2 ** (n - s), (2 * n - s) % 2)
+    # a rational center, the disk given by v_e
     return NewTailLocus(Fraction(a, a + b), v_e)
 
 
@@ -249,7 +192,7 @@ def certify_tail(spec: CoverSpec) -> ReductionVerdict:
     expand_disk writes down, and at a case (v) centre from c_1 and c_2.
     The tail bound certifies every later c_l (series module docstring)."""
     locus = new_tail_locus(spec)
-    if locus.rho is not None:
+    if spec.p == 2:
         return classify_p2_torsor(spec, locus.v_e)
     if isinstance(locus.d, Fraction):
         return classify_rational_centre(spec, locus.d, locus.v_e)
@@ -526,12 +469,12 @@ def conductor_bound(spec: CoverSpec) -> dict:
     stable-model field over the base vanishes, from exactly verified
     valuation facts of the steps stab_field_tower lists for the case of
     (p, n, s).  Like every per-cover stage, it reads p, n, s, a and b from
-    the spec and refuses a spec that is no cover's normal form first
-    (_cover_case): the shape by _stable_case, then the cover rule
-    a + b != 0, v_p(b) = n - s, v_p(a+b) = 0 and v_p(a) = 0.  Every
-    valuation the detail quotes is derived from that rule, below, and not
-    computed again; only the w steps of case (v) read more than the rule
-    (b' mod 8, _certify_p2_step).  Returns {vanishes_at_n, conductor,
+    the spec, a CoverSpec (any other spec raises TypeError), so the cover
+    rule a + b != 0, v_p(b) = n - s, v_p(a+b) = 0 and v_p(a) = 0 holds.
+    Every valuation the detail quotes
+    is derived from that rule, below, and not computed again; only the w
+    steps of case (v) read more than the rule (b' mod 8,
+    _certify_p2_step).  Returns {vanishes_at_n, conductor,
     detail}; the conductor is exact in case (i) and a bound otherwise.
 
     Cases (ii)-(iv): a/(a+b) is a unit, as v_p(a) = v_p(a+b) = 0, so its
@@ -567,10 +510,14 @@ def conductor_bound(spec: CoverSpec) -> dict:
     v(d_j - 1) = v(R_j - b/(a+b)) = n - s with no tie; t_j = d_j (a+b)/a
     - 1 = R_j (a+b)/a has v(t_j) = k/2, and alpha'_j - 1 = (d_j - 1)
     (a+b)/(-b) - 1 = R_j (a+b)/(-b) has v(alpha'_j - 1) = (s - j)/2.
-    Finally v(b/(a+b)) = n - s.  The w step of R_j depends on k mod 2 only,
-    so j = 0 and 1 certify every step."""
+    Finally v(b/(a+b)) = n - s.  The w step of R_j depends on c = k mod 2
+    only, and b' is odd, so c = 0 never refuses (_certify_p2_step).  At
+    j = 0 and s = 1, k = 2n - 1 is odd; for s >= 2, j = 0 and 1 give both
+    parities.  So some step has c = 1, and the one call with c = 1 decides
+    every step, with the same error and message."""
+    _require_cover(spec, "conductor_bound")
     n, s, b = spec.n, spec.s, spec.b
-    case = _cover_case(spec)
+    case = _stable_case(spec.p, n, s)
     detail = [f"K_{n}/K_0 is cyclotomic: conductor exactly {n - 1} < {n}"]
     parts = [Fraction(n - 1)]
     if case == "iii":
@@ -584,8 +531,7 @@ def conductor_bound(spec: CoverSpec) -> dict:
                    "conductor of M/L is at most 9",
                    f"conductor of M/K_0 is at most 5/2 < {n}"]
     elif case == "v":
-        for j in range(min(s, 2)):
-            _certify_p2_step(b // 2 ** (n - s), (2 * n - s - j) % 2)
+        _certify_p2_step(b // 2 ** (n - s), 1)
         for j in range(s):
             detail.append(
                 f"d_{j}: l({j}) = {2 if (s + j) % 2 else 3}, "

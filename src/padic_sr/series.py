@@ -34,19 +34,22 @@ p^s above 1), exactly when 1 <= s <= n (s < n for p = 2) and
 
     a + b != 0,   v_p(b) = n - s,   v_p(a+b) = 0,   v_p(a) = 0.
 
-`_check_cover` checks these four facts in this order and raises
+`CoverSpec.__post_init__` checks the shape first (_stable_case), then
+these four facts in this order (_check_cover), and raises
 CertificationFailed naming the first that fails (b = 0 fails the second,
-a = 0 the last); the analyzer checks the shape first (_stable_case).
-Every per-cover stage calls it before anything else: new_tail_locus and
-conductor_bound through the analyzer, and the two certificates whose
-centre the spec fixes, `classify_torsor_reduction` (case iii) and
-`classify_p2_torsor` (case v).  So the valuations of their centres are
+a = 0 the last).  `dataclasses.replace` builds through it too, so every
+CoverSpec is a cover, and no stage checks the rule again; each stage
+that trusts it refuses any spec that is no CoverSpec with TypeError
+(_require_cover).  So the valuations that the stages and the two
+certificates whose centre the spec fixes, `classify_torsor_reduction`
+(case iii) and `classify_p2_torsor` (case v), read of their centres are
 derived values, proved below, and not a second computation: the cubic
 certificate reads v(d) = 0, v(d - 1) = n - s and v_3(a+b) = 0 from the
 cover, and the p = 2 certificate v(d) = 0, v(d - 1) = n - s and
-v_2(a+b) = 0.  `classify_rational_centre` takes any rational centre, so
-it reads v(d) = 0 and v(d - 1) = n - s from its centre and v_p(b) = n - s
-from the spec (_check_premises).
+v_2(a+b) = 0.
+`classify_rational_centre` takes any rational centre, so it reads
+v(d) = 0 and v(d - 1) = n - s from its centre and v_p(b) = n - s from the
+spec (_check_premises).
 
 Rational centres.  In cases (i), (ii) and (iv) p is odd, the centre is
 d = a/(a+b) and v(e) = (2n - s + 1/(p-1))/2, and `classify_rational_centre`
@@ -131,14 +134,14 @@ Y = 3^M K_3 - m^3 r needs no product of triples, and
 v(c_3 - c_1^3 / 3^M) > tau exactly when Y = 0 or
 3 slope + E v(Y) - E M > E tau.
 
-`classify_torsor_reduction` checks, in order: the cover rule, before it
-values any triple; v(c_1) > n, v(c_3) > n and v(c_2) = tau, the clauses
-of condition (ii) that read a valuation, in the order in which they are
-named; Y; and the tail bound past L = 3.  A failed cover fact raises
-CertificationFailed, a failed tail bound PrecisionExhausted, and any
-other failed fact returns NotCertified naming it.  The cover rule gives
-every valuation of the centre, with s = 1: v_3(b) = n - 1 >= 1, so b - 1
-and b - 2 are units, v_3(r) = 2n + 1 + v_3(b) - 1 = 3n - 1 and
+`classify_torsor_reduction` checks, in order: v(c_1) > n, v(c_3) > n
+and v(c_2) = tau, the clauses of condition (ii) that read a valuation,
+in the order in which they are named; Y; and the tail bound past L = 3.
+A failed tail bound raises PrecisionExhausted, and any other failed fact
+returns NotCertified naming it.  The spec is a CoverSpec, as expand_disk
+requires, so the cover rule gives every valuation of the centre, with
+s = 1: v_3(b) = n - 1 >= 1, so b - 1 and b - 2 are units,
+v_3(r) = 2n + 1 + v_3(b) - 1 = 3n - 1 and
 v(t) = n - 1/3; v(delta) = v(a + t) = 0, as v_3(a) = 0 < v(t);
 v(delta') = v(t - b) = min(n - 1/3, n - 1) = n - 1, with no tie; and
 v_3(N) = v_3(m) = 0.  So v(d) = 0 and v(d - 1) = n - s, the tail
@@ -258,9 +261,9 @@ v(R) = v(R^2)/2 = (n + n - s)/2 = n - s/2, which lies strictly between
 them when 1 <= s < n: n - s < n - s/2 as s > 0, and n - s/2 > 0 as
 s < 2n.  So no tie occurs, and v(d) = 0 and v(d - 1) = n - s whichever
 way v extends: the certificate reads no irreducibility, and neither
-square root of R^2 changes a valuation.  `classify_p2_torsor` refuses an
-s outside 1 <= s < n, and then a spec that breaks the cover rule, before
-it reads these values.
+square root of R^2 changes a valuation.  certify_tail hands
+`classify_p2_torsor` a CoverSpec, so 1 <= s < n and the cover rule hold
+before it reads these values.
 
 The l >= 3 bound.  On a cover v(d) = 0 and v(d - 1) = v(b) = n - s, the
 premises of the tail bound, so it holds at every l, and on the locus
@@ -285,6 +288,81 @@ from .errors import (
 )
 from .tower import vp_int
 
+
+# -- the cover ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CoverSpec:
+    """The normal form of a cover y^(p^n) = x^a (x-1)^b, ramified of index
+    p^s above 1, as branch_signature makes it.  Building one, directly or
+    by dataclasses.replace, checks the shape (_stable_case) and the cover
+    rule (_check_cover), so every CoverSpec is a cover (module docstring,
+    "The cover rule")."""
+    p: int
+    n: int
+    a: int
+    b: int
+    s: int
+    indices: tuple  # ramification indices above (0, 1, infinity)
+    swaps: tuple = ()  # Moebius normalizations applied, outermost first
+    original: tuple = ()  # (a, b) as given before normalization
+
+    def __post_init__(self):
+        _stable_case(self.p, self.n, self.s)
+        _check_cover(self)
+
+    def to_json(self):
+        return {
+            "p": self.p, "n": self.n, "a": self.a, "b": self.b, "s": self.s,
+            "indices": list(self.indices),
+            "swaps": list(self.swaps),
+            "original": list(self.original),
+        }
+
+
+def _stable_case(p: int, n: int, s: int) -> str:
+    """The case (i)-(v) of a cover of shape (p, n, s).  _case_record lists
+    what each case builds; only new_tail_locus and conductor_bound dispatch
+    on the label besides.  It refuses a shape no cover has: an s outside
+    1 <= s <= n, or s = n for p = 2, where the cover would have three
+    totally ramified points (branch_signature never makes one)."""
+    if not 1 <= s <= n or (p == 2 and s == n):
+        raise CertificationFailed(f"no cover of p = {p}, n = {n} has s = {s}")
+    if p == 2:
+        return "v"
+    if s == n:
+        return "i"
+    if p > 3:
+        return "ii"
+    return "iii" if s == 1 else "iv"
+
+
+def _check_cover(spec) -> None:
+    """Raise CertificationFailed naming the first fact of the cover rule
+    that spec breaks: a + b != 0, v_p(b) = n - s, v_p(a+b) = 0 and
+    v_p(a) = 0 (module docstring, "The cover rule").  b = 0 fails the
+    second and a = 0 the last."""
+    p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
+    if a + b == 0:
+        raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
+    if not b or vp_int(b, p) != n - s:
+        raise CertificationFailed("v_p(b) = n - s fails")
+    if (a + b) % p == 0:
+        raise CertificationFailed("v_p(a+b) = 0 fails")
+    if a % p == 0:
+        raise CertificationFailed("v_p(a) = 0 fails")
+
+
+def _require_cover(spec, stage: str) -> None:
+    """Raise TypeError unless spec is a CoverSpec: every public stage that
+    reads the cover rule off its spec refuses any other object, so none
+    certifies a stand-in that no rule checked."""
+    if not isinstance(spec, CoverSpec):
+        raise TypeError(f"{stage} takes a CoverSpec, not "
+                        f"{type(spec).__name__}")
+
+
+# -- the new-tail disk -------------------------------------------------------
 
 class CubicCentre(NamedTuple):
     """The centre (c_0 + c_1 t + c_2 t^2)/den of a disk, t^3 = r: nums =
@@ -320,7 +398,7 @@ class DiskExpansion(NamedTuple):
     by v_e = v(e) alone, and ks = (K_1, K_2, K_3), the integer triples with
     c_l = u^l K_l, u = N e / (delta delta') (module docstring, "Cubic
     centres")."""
-    spec: object  # anything with fields p, n, a, b, s
+    spec: CoverSpec
     d: CubicCentre
     v_e: Fraction
     ks: tuple
@@ -360,9 +438,10 @@ def expand_disk(spec, d, v_e) -> DiskExpansion:
     """K_1, K_2 and K_3 on the disk x = d + e t of the case (iii) centre d,
     of radius valuation v_e = v(e), in closed form (module docstring,
     "Cubic centres"): no recurrence.  A rational centre is certified by
-    classify_rational_centre.  A centre that is no CubicCentre, or a v_e
-    that is no int or Fraction, raises TypeError; any other CubicCentre or
-    a spec other than p = 3, s = 1 < n raises CertificationFailed, as the
+    classify_rational_centre.  A centre that is no CubicCentre, a v_e that
+    is no int or Fraction, or a spec that is no CoverSpec raises
+    TypeError, so the expansion's spec is a cover; any other CubicCentre or
+    a cover other than p = 3, s = 1 < n raises CertificationFailed, as the
     closed forms hold only at (a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3)."""
     if not isinstance(d, CubicCentre):
         raise TypeError(f"expand_disk takes a CubicCentre, not "
@@ -370,6 +449,7 @@ def expand_disk(spec, d, v_e) -> DiskExpansion:
     if not isinstance(v_e, (int, Fraction)):
         raise TypeError(f"v(e) is an int or a Fraction, not "
                         f"{type(v_e).__name__}")
+    _require_cover(spec, "expand_disk")
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
     m, r = a + b, d.r
     if (p, s) != (3, 1) or n < 2 or \
@@ -408,22 +488,6 @@ def tail_bound(spec, v_e, l):
     m = n - s
     return l * v_e + min(m - vp_int(j, p) - j * m
                          for j in range(max(1, l - k), l + 1))
-
-
-def _check_cover(spec) -> None:
-    """Raise CertificationFailed naming the first fact of the cover rule
-    that spec breaks: a + b != 0, v_p(b) = n - s, v_p(a+b) = 0 and
-    v_p(a) = 0 (module docstring, "The cover rule").  b = 0 fails the
-    second and a = 0 the last."""
-    p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
-    if a + b == 0:
-        raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
-    if not b or vp_int(b, p) != n - s:
-        raise CertificationFailed("v_p(b) = n - s fails")
-    if (a + b) % p == 0:
-        raise CertificationFailed("v_p(a+b) = 0 fails")
-    if a % p == 0:
-        raise CertificationFailed("v_p(a) = 0 fails")
 
 
 def _check_premises(spec, v_d, v_d1):
@@ -495,15 +559,14 @@ def _val3(x, E: int, et: int) -> int:
 def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     """Reduction type of the Artin-Schreier torsor on the case (iii) disk of
     `expand_disk`, from its K_1, K_2 and K_3 (module docstring, "Valuations
-    without coefficients").  It checks the cover rule first (_check_cover),
-    from which v(d) = 0, v(d - 1) = n - s and v_3(a+b) = 0 follow; then
-    v(c_1) > n, v(c_3) > n and v(c_2) = tau; Y = 3^M K_3 - m^3 r; and the
-    tail bound above tau past c_3, comparing integers scaled by
-    E = lcm(den v(e), 6).  A failed cover fact raises CertificationFailed,
-    a failed tail bound PrecisionExhausted, and any other failed fact
-    returns NotCertified naming the clause of condition (ii) that fails."""
+    without coefficients").  The spec is a CoverSpec, so v(d) = 0,
+    v(d - 1) = n - s and v_3(a+b) = 0 follow from the cover rule.  It
+    checks v(c_1) > n, v(c_3) > n and v(c_2) = tau; Y = 3^M K_3 - m^3 r;
+    and the tail bound above tau past c_3, comparing integers scaled by
+    E = lcm(den v(e), 6).  A failed tail bound raises PrecisionExhausted,
+    and any other failed fact returns NotCertified naming the clause of
+    condition (ii) that fails."""
     spec, m = exp.spec, exp.d.den
-    _check_cover(spec)
     n = spec.n
     E = lcm(exp.v_e.denominator, 6)
     et = E * n - E // 3  # v(t) = n - 1/3
@@ -586,15 +649,12 @@ def classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
     """Reduction type of the mu_4-torsor on the case (v) disk of radius
     v(e) = v_e centred at d = a/(a+b) + R, R^2 = rho i/(a+b)^4 with
     rho = 2^n b, from the closed forms of the module docstring: no tower,
-    no expansion.  It refuses an s outside 1 <= s < n, then a spec that
-    breaks the cover rule (_check_cover), with CertificationFailed; on a
-    cover v(d) = 0 and v(d - 1) = n - s with no tie (module docstring, "No
-    tie at a cover's locus").  Every l >= 3 is certified by the tail
-    bound."""
+    no expansion.  The spec is a CoverSpec, so v(d) = 0 and
+    v(d - 1) = n - s with no tie (module docstring, "No tie at a cover's
+    locus"); any other spec raises TypeError.  Every l >= 3 is certified
+    by the tail bound."""
+    _require_cover(spec, "classify_p2_torsor")
     n, s, a, b = spec.n, spec.s, spec.a, spec.b
-    if not 1 <= s < n:
-        raise CertificationFailed(f"no cover of p = 2, n = {n} has s = {s}")
-    _check_cover(spec)
     m, rho = a + b, 2 ** n * b
     # E v(c_l) = l slope + E v(K_l / N^l), E = 4, v(d) = 0, v(d - 1) = n - s
     slope = _scaled(v_e, 4) - 4 * (n - s)

@@ -163,10 +163,38 @@ MUTANTS = [
            "vx + 2 * slope >= 4 * (2 * n + 2)",
            "vx + 2 * slope > 4 * (2 * n + 2)",
            (TS + "test_case_v_closed_form_matches_the_tower_path",)),
-    Mutant("p2-shape", SERIES,
-           "    if not 1 <= s < n:", "    if False:",
+    Mutant("w-step-new-tail-locus", ANALYZER,
+           "        _certify_p2_step(b // 2 ** (n - s), (2 * n - s) % 2)\n",
+           "        pass\n",
+           (TA + "test_p2_identity_grid_builds_no_field",)),
+    Mutant("w-step-conductor", ANALYZER,
+           "        _certify_p2_step(b // 2 ** (n - s), 1)\n", "",
+           (TA + "test_p2_identity_grid_builds_no_field",)),
+    # -- the cover rule, checked when a CoverSpec is built -------------------
+    Mutant("post-init-shape", SERIES,
+           "        _stable_case(self.p, self.n, self.s)\n", "",
+           (TA + "test_conductor_bound_refuses_an_s_no_cover_has",
+            TS + "test_p2_certificate_refuses_a_non_cover")),
+    Mutant("post-init-cover-rule", SERIES,
+           "        _check_cover(self)\n", "",
+           (TA + "test_cover_rule_names_each_broken_fact",
+            TA + "test_only_a_cover_certifies")),
+    # -- each stage that trusts the rule refuses any spec but a CoverSpec ---
+    Mutant("expand-disk-cover-spec", SERIES,
+           '    _require_cover(spec, "expand_disk")\n', "",
+           (TS + "test_expand_disk_refuses_other_centres",
+            TS + "test_cubic_certificate_checks_the_cover_rule")),
+    Mutant("p2-torsor-cover-spec", SERIES,
+           '    _require_cover(spec, "classify_p2_torsor")\n', "",
            (TS + "test_p2_certificate_refuses_a_non_cover",)),
-    # -- the cover rule ------------------------------------------------------
+    Mutant("new-tail-locus-cover-spec", ANALYZER,
+           '    _require_cover(spec, "new_tail_locus")\n', "",
+           (TA + "test_cover_rule_names_each_broken_fact",
+            TA + "test_every_spec_stage_refuses_an_s_no_cover_has")),
+    Mutant("conductor-cover-spec", ANALYZER,
+           '    _require_cover(spec, "conductor_bound")\n', "",
+           (TA + "test_cover_rule_names_each_broken_fact",
+            TA + "test_every_spec_stage_refuses_an_s_no_cover_has")),
     Mutant("cover-a-plus-b", SERIES,
            "    if a + b == 0:", "    if False:",
            (TA + "test_cover_rule_names_each_broken_fact",
@@ -184,17 +212,6 @@ MUTANTS = [
     Mutant("cover-v(a)", SERIES,
            "    if a % p == 0:", "    if False:",
            (TA + "test_cover_rule_names_each_broken_fact",)),
-    Mutant("cover-rule-analyzer", ANALYZER,
-           "    _check_cover(spec)\n    return case", "    return case",
-           (TA + "test_only_a_cover_certifies",)),
-    Mutant("cover-rule-cubic", SERIES,
-           "    spec, m = exp.spec, exp.d.den\n    _check_cover(spec)\n",
-           "    spec, m = exp.spec, exp.d.den\n",
-           (TS + "test_cubic_certificate_checks_the_cover_rule",)),
-    Mutant("cover-rule-p2", SERIES,
-           "    _check_cover(spec)\n    m, rho = a + b, 2 ** n * b",
-           "    m, rho = a + b, 2 ** n * b",
-           (TS + "test_p2_certificate_refuses_a_non_cover",)),
 ]
 
 EQUIVALENT = [

@@ -297,8 +297,8 @@ def certify_tail(spec):
     """certify_tail of an odd-p spec as it was: the expansion of the
     rational centre to c_2p, or of the case (iii) centre to c_3, and its
     classification."""
-    locus = new_tail_locus(spec)
-    if locus.rho is not None:
+    if spec.p == 2:
         raise ValueError("not an odd-p spec")
+    locus = new_tail_locus(spec)
     expand = expand_rational if isinstance(locus.d, Fraction) else expand_cubic
     return classify_expansion(expand(spec, locus.d, locus.v_e))

@@ -5,9 +5,11 @@ compatibility."""
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,7 +163,6 @@ def test_p2_always_partial():
 def test_locus_rational_case():
     spec = branch_signature(5, 2, 3, 10)
     loc = new_tail_locus(spec)
-    assert loc.rho is None
     assert loc.v_e == Fraction(2 * 2 - 1 + Fraction(1, 4), 2)
     assert loc.d == Fraction(3, 13)
     # the closed form is v(pi^((2n-s)(p-1)+1)) in Q_5(pi), pi^8 = 5
@@ -176,7 +177,7 @@ def test_locus_p3_s1_case():
     spec = branch_signature(3, 2, 1, 3)
     loc = new_tail_locus(spec)
     assert isinstance(loc.d, CubicCentre)
-    assert loc.d == CubicCentre((1, 1, 0), 4, 3 ** 5) and loc.rho is None
+    assert loc.d == CubicCentre((1, 1, 0), 4, 3 ** 5)
     assert loc.v_e == Fraction(7, 4)
     d, e = cubic_tower_disk(loc)
     assert d.tower.val(e) == loc.v_e
@@ -184,12 +185,12 @@ def test_locus_p3_s1_case():
 
 
 def test_locus_p2_case():
-    """The case (v) locus is a/(a+b) and R^2 = rho i/(a+b)^4 with no tower;
-    the centre the tower oracle builds from it has the listed valuations."""
+    """The case (v) locus is a/(a+b), and R^2 = 2^n b i/(a+b)^4 with no
+    tower; the centre the tower oracle builds from it has the listed
+    valuations."""
     spec = branch_signature(2, 3, 1, 6)
     loc = new_tail_locus(spec)
-    assert loc.rho is not None
-    assert loc.d == Fraction(1, 7) and loc.rho == 2 ** 3 * 6
+    assert loc.d == Fraction(1, 7)
     assert loc.v_e == Fraction(2 * 3 - 2 + 1, 2)
     d, e = tower_locus(spec)
     t = d.tower
@@ -197,7 +198,7 @@ def test_locus_p2_case():
     assert t.val(d - 1) == spec.n - spec.s
     # sqrt(2^n b i) bookkeeping: v(d - a/(a+b)) = (2n - s)/2
     assert t.val(d - loc.d) == Fraction(2 * 3 - 2, 2)
-    assert (d - loc.d) ** 2 == t.gen(0) * Fraction(loc.rho, 7 ** 4)
+    assert (d - loc.d) ** 2 == t.gen(0) * Fraction(2 ** 3 * 6, 7 ** 4)
 
 
 # -- certification grid (small sample; the big grid is in acceptance) --------
@@ -344,17 +345,33 @@ def test_conductor_bound_case_iii_radicand_valuation():
     assert any("valuation 8 verified" in line for line in cb["detail"])
 
 
+def _spec(p, n, a, b, s):
+    """A stand-in for a spec that no rule checks: it reaches checks that no
+    CoverSpec can fail."""
+    return SimpleNamespace(p=p, n=n, a=a, b=b, s=s)
+
+
 def _doctored(args, **fields):
-    """The spec of the cover `args` with some of a, b, n and s replaced."""
+    """The spec of the cover `args` with some of a, b, n and s replaced; a
+    CoverSpec is a cover, so a spec that breaks the cover rule raises
+    CertificationFailed here."""
     return replace(branch_signature(*args), **fields)
 
 
+def _stand_in(args, **fields):
+    """_doctored as a _spec stand-in, which no rule checks."""
+    spec = branch_signature(*args)
+    return _spec(**{"p": spec.p, "n": spec.n, "a": spec.a, "b": spec.b,
+                    "s": spec.s, **fields})
+
+
 def test_conductor_certification_failure_detected():
-    """A spec whose quoted valuation facts are false is refused."""
-    bad = _doctored((3, 3, 1, 9), b=5)
-    assert _stable_case(bad.p, bad.n, bad.s) == "iii"
-    with pytest.raises(CertificationFailed):
-        conductor_bound(bad)
+    """A case (iii) spec whose quoted valuation facts are false is no cover,
+    and building it is refused: v_3(5) != n - s."""
+    assert _stable_case(3, 3, branch_signature(3, 3, 1, 9).s) == "iii"
+    with pytest.raises(CertificationFailed,
+                       match=r"^v_p\(b\) = n - s fails$"):
+        _doctored((3, 3, 1, 9), b=5)
 
 
 #: the refusals of the cover rule (series._check_cover), one per fact, in
@@ -386,13 +403,12 @@ def _refused_by_the_cover_rule(outcome):
 @pytest.mark.parametrize("args,a", [((5, 2, 3, 10), 25), ((3, 3, 1, 9), 27)])
 def test_conductor_bound_checks_the_unit_centre(args, a):
     """A spec of case (ii) or (iii) whose centre a/(a+b) is no unit, 25/35
-    or 27/36, breaks the cover rule at v_p(a+b) = 0 and is refused naming
-    that fact, before any valuation is quoted: conductor_bound derives
-    v(a/(a+b)) = 0 from the rule (a = 5 and a = 3 give the units 1/3 and
-    1/4)."""
+    or 27/36, breaks the cover rule at v_p(a+b) = 0, and building it is
+    refused naming that fact: conductor_bound derives v(a/(a+b)) = 0 from
+    the rule (a = 5 and a = 3 give the units 1/3 and 1/4)."""
     with pytest.raises(CertificationFailed,
                        match=r"^v_p\(a\+b\) = 0 fails$"):
-        conductor_bound(_doctored(args, a=a))
+        _doctored(args, a=a)
 
 
 @pytest.mark.parametrize("meta,deleted", [
@@ -401,40 +417,38 @@ def test_conductor_bound_checks_the_unit_centre(args, a):
 ])
 def test_conductor_certification_failure_detected_case_iv(meta, deleted):
     """Each doctored case (iv) spec reached a check that the cover rule now
-    derives (the radicand's v_3 and v(d''-1), named by `deleted`); it is
-    refused by the fact of the rule it breaks: v_3(9) = 2 != n - s, and
-    v_3(3 + 3) = 1."""
-    bad = _doctored((3, 3, 1, 3), **meta)
-    assert _stable_case(bad.p, bad.n, bad.s) == "iv"
+    derives (the radicand's v_3 and v(d''-1), named by `deleted`); building
+    it is refused by the fact of the rule it breaks: v_3(9) = 2 != n - s,
+    and v_3(3 + 3) = 1."""
+    assert _stable_case(3, 3, branch_signature(3, 3, 1, 3).s) == "iv"
     fact = COVER_FACTS[1] if "b" in meta else COVER_FACTS[2]
     with pytest.raises(CertificationFailed, match=rf"^{re.escape(fact)}$"):
-        conductor_bound(bad)
+        _doctored((3, 3, 1, 3), **meta)
 
 
 def test_conductor_certification_failure_detected_case_v():
     """b = 12 over n - s = 1 fails the square class of 2^(n-0) b i, which
-    the cover rule now derives: it breaks v_2(b) = n - s first."""
-    bad = _doctored((2, 3, 1, 6), b=12)
-    assert _stable_case(bad.p, bad.n, bad.s) == "v"
+    the cover rule now derives: building the spec breaks v_2(b) = n - s."""
     with pytest.raises(CertificationFailed,
                        match=r"^v_p\(b\) = n - s fails$"):
-        conductor_bound(bad)
+        _doctored((2, 3, 1, 6), b=12)
 
 
-#: doctored specs that break a cover fact and none checked before it, each
-#: fact and b = 0 and a = 0 among them.  conductor_bound certified the last
-#: three before the cover rule: v_5(b) = 0 != 2; v_3(b) = 0 != 2, yet the
-#: radicand 3^7 C(10, 3) has the v_3 the cube root needs; v_5(a) = 1
+#: (p, n, a, b, s) of doctored specs that break a cover fact and none
+#: checked before it, each fact and b = 0 and a = 0 among them.
+#: conductor_bound certified the last three before the cover rule:
+#: v_5(b) = 0 != 2; v_3(b) = 0 != 2, yet the radicand 3^7 C(10, 3) has the
+#: v_3 the cube root needs; v_5(a) = 1
 BROKEN_FACTS = [
-    (CoverSpec(5, 2, 3, -3, 1, ()), COVER_FACTS[0]),
-    (CoverSpec(5, 2, 3, 0, 1, ()), COVER_FACTS[1]),
-    (CoverSpec(5, 2, 3, 50, 1, ()), COVER_FACTS[1]),
-    (CoverSpec(5, 2, 5, 10, 1, ()), COVER_FACTS[2]),
-    (CoverSpec(5, 2, 0, 3, 2, ()), COVER_FACTS[3]),
-    (CoverSpec(3, 2, 3, 1, 2, ()), COVER_FACTS[3]),
-    (CoverSpec(5, 3, 1, 1, 1, ()), COVER_FACTS[1]),
-    (CoverSpec(3, 3, 1, 10, 1, ()), COVER_FACTS[1]),
-    (CoverSpec(5, 2, 5, 1, 2, ()), COVER_FACTS[3]),
+    ((5, 2, 3, -3, 1), COVER_FACTS[0]),
+    ((5, 2, 3, 0, 1), COVER_FACTS[1]),
+    ((5, 2, 3, 50, 1), COVER_FACTS[1]),
+    ((5, 2, 5, 10, 1), COVER_FACTS[2]),
+    ((5, 2, 0, 3, 2), COVER_FACTS[3]),
+    ((3, 2, 3, 1, 2), COVER_FACTS[3]),
+    ((5, 3, 1, 1, 1), COVER_FACTS[1]),
+    ((3, 3, 1, 10, 1), COVER_FACTS[1]),
+    ((5, 2, 5, 1, 2), COVER_FACTS[3]),
 ]
 
 
@@ -442,41 +456,51 @@ BROKEN_FACTS = [
 @pytest.mark.parametrize("stage", [new_tail_locus, certify_tail,
                                    conductor_bound])
 def test_cover_rule_names_each_broken_fact(stage, spec, fact):
-    """Each fact of the cover rule is checked, in order, by every
-    per-cover stage, with CertificationFailed naming it: a + b != 0,
+    """Each fact of the cover rule is checked, in order, when a CoverSpec
+    is built, with CertificationFailed naming it: a + b != 0,
     v_p(b) = n - s (b = 0 fails it), v_p(a+b) = 0 and v_p(a) = 0 (a = 0
-    fails it), so leaving out any one check fails this test."""
-    assert not _is_normal_form(spec)
+    fails it), so leaving out any one check fails this test.  No per-cover
+    stage checks the rule again, so each refuses the same fields in any
+    object but a CoverSpec with TypeError, and certifies none of them."""
+    assert not _is_normal_form(_spec(*spec))
     with pytest.raises(CertificationFailed, match=rf"^{re.escape(fact)}$"):
-        stage(spec)
+        CoverSpec(*spec, ())
+    with pytest.raises(TypeError,
+                       match=r" takes a CoverSpec, not SimpleNamespace$"):
+        stage(_spec(*spec))
 
 
 def test_only_a_cover_certifies():
-    """Over an unfiltered grid of hand-built CoverSpecs (p in {2, 3, 5},
-    n <= 3, 1 <= s <= n, |a| <= 6, |b| <= 12), conductor_bound and
-    certify_tail each return only for a spec that is its cover's normal
-    form (_is_normal_form), refuse every other spec with
-    CertificationFailed, and raise nothing outside ArtifactError."""
-    returned, refused = 0, 0
+    """Over an unfiltered grid of hand-built specs (p in {2, 3, 5}, n <= 3,
+    1 <= s <= n, |a| <= 6, |b| <= 12), a CoverSpec builds exactly when it
+    is its cover's normal form (_is_normal_form), and building any other
+    refuses it with CertificationFailed naming a fact of the cover rule or
+    the shape.  conductor_bound and certify_tail each return on every spec
+    that builds."""
+    built, refused, returned = 0, 0, 0
     for p in (2, 3, 5):
         for n in range(1, 4):
             for s in range(1, n + 1):
                 for a in range(-6, 7):
                     for b in range(-12, 13):
-                        spec = CoverSpec(p, n, a, b, s, ())
-                        cover = _is_normal_form(spec)
+                        spec = _outcome(CoverSpec, p, n, a, b, s, ())
+                        if not _is_normal_form(_spec(p, n, a, b, s)):
+                            assert spec[0] == "CertificationFailed" and (
+                                spec[1] in COVER_FACTS or spec[1] ==
+                                f"no cover of p = 2, n = {n} has s = {n}"), \
+                                (p, n, a, b, s, spec)
+                            refused += 1
+                            continue
+                        assert isinstance(spec, CoverSpec), spec
                         for stage in (conductor_bound, certify_tail):
                             try:
                                 stage(spec)
-                            except ArtifactError as exc:
-                                if not cover:
-                                    assert isinstance(
-                                        exc, CertificationFailed), spec
-                                    refused += 1
+                            except ArtifactError:
                                 continue
-                            assert cover, (stage.__name__, spec)
                             returned += 1
-    assert returned > 1000 and refused > 5000, (returned, refused)
+                        built += 1
+    assert (built, refused, returned) == (930, 4920, 1860), \
+        (built, refused, returned)
 
 
 #: (cover, fields replaced in its spec, n): shapes (p, n, s) that no cover
@@ -497,13 +521,16 @@ def _no_cover_message(args, meta, n):
 
 @pytest.mark.parametrize("args,meta,n", NO_COVER_SHAPES)
 def test_conductor_bound_refuses_an_s_no_cover_has(args, meta, n):
-    """A spec with s outside 1 <= s <= n, or s = n for p = 2, is refused:
-    only such an s lets case (iii) or (iv) fall on n <= 2, where the
-    conductors 3/2 and 5/2 of the cube roots are not below n."""
-    bad = _doctored(args, **meta)
-    with pytest.raises(CertificationFailed,
-                       match=_no_cover_message(args, meta, n)):
-        conductor_bound(bad)
+    """A spec with s outside 1 <= s <= n, or s = n for p = 2, is refused
+    when it is built, by the shape rule _stable_case, which refuses the
+    bare shape with the same message: only such an s lets case (iii) or
+    (iv) fall on n <= 2, where the conductors 3/2 and 5/2 of the cube
+    roots that conductor_bound quotes are not below n."""
+    message = _no_cover_message(args, meta, n)
+    with pytest.raises(CertificationFailed, match=message):
+        _doctored(args, **meta)
+    with pytest.raises(CertificationFailed, match=message):
+        _stable_case(args[0], n, meta["s"])
 
 
 @pytest.mark.parametrize("args,meta,n", NO_COVER_SHAPES)
@@ -511,13 +538,22 @@ def test_conductor_bound_refuses_an_s_no_cover_has(args, meta, n):
                                    build_stable_graph, inseparable_tails,
                                    stab_field_tower, conductor_bound])
 def test_every_spec_stage_refuses_an_s_no_cover_has(stage, args, meta, n):
-    """One rule, in _stable_case, refuses a shape no cover has for every
-    stage that takes a spec, with the same error and message; before it,
-    build_stable_graph of s = 0 or s > n returned a graph, and a p = 2 spec
-    with s = n raised UnsupportedCase."""
-    with pytest.raises(CertificationFailed,
-                       match=_no_cover_message(args, meta, n)):
-        stage(_doctored(args, **meta))
+    """No stage that takes a spec accepts a shape no cover has.  Building
+    the CoverSpec refuses it (_stable_case).  The per-cover stages refuse a
+    stand-in with its fields by type, TypeError, and the shape stages,
+    which read (p, n, s) alone, refuse it by the same rule, as their case
+    record asks _stable_case for the case first.  Before the rule,
+    build_stable_graph of s = 0 or s > n returned a graph, and a p = 2
+    spec with s = n raised UnsupportedCase."""
+    message = _no_cover_message(args, meta, n)
+    with pytest.raises(CertificationFailed, match=message):
+        _doctored(args, **meta)
+    if stage in (new_tail_locus, certify_tail, conductor_bound):
+        error, message = TypeError, r" takes a CoverSpec, not SimpleNamespace$"
+    else:
+        error = CertificationFailed
+    with pytest.raises(error, match=message):
+        stage(_stand_in(args, **meta))
 
 
 #: one cover per case (i)-(v)
@@ -537,15 +573,13 @@ def _zero_a_plus_b(args, key):
 @pytest.mark.parametrize("key", ["a", "b"])
 def test_conductor_bound_refuses_a_zero_a_plus_b(args, key):
     """A spec with a + b = 0, which no cover has, is refused with
-    CertificationFailed in every case; without the check cases (ii)-(v) could
-    raise ZeroDivisionError from Fraction(a, a + b).  new_tail_locus, and
-    certify_tail through it, refuse it the same way before building a
-    centre: certify_tail of (5, 2, 1, -1, s = 2) raised ZeroDivisionError,
-    and of the case (iii) spec (3, 3, 1, -1, s = 1) ZeroElement."""
-    bad = _zero_a_plus_b(args, key)
-    for stage in (conductor_bound, new_tail_locus, certify_tail):
-        with pytest.raises(CertificationFailed, match=ZERO_CENTRE):
-            stage(bad)
+    CertificationFailed when it is built, in every case, so no stage sees
+    it: without the check conductor_bound and new_tail_locus of cases
+    (ii)-(v) could raise ZeroDivisionError from Fraction(a, a + b),
+    certify_tail of (5, 2, 1, -1, s = 2) raised ZeroDivisionError, and of
+    the case (iii) spec (3, 3, 1, -1, s = 1) ZeroElement."""
+    with pytest.raises(CertificationFailed, match=ZERO_CENTRE):
+        _zero_a_plus_b(args, key)
 
 
 #: conductor_bound output of one cover per case (i)-(v): kind, value, detail
@@ -599,25 +633,30 @@ def test_conductor_bound_golden(args):
 
 # -- quotient compatibility --------------------------------------------------
 
+def _lowered(label, j):
+    """A centre label of Y as the quotient Y/Q_j names it: d_(j+k) is its
+    d_k, and d_j its d; every other label is kept."""
+    if not label.startswith("d_"):
+        return label
+    k = int(label[2:]) - j
+    return f"d_{k}" if k else "d"
+
+
 def _assert_quotient_embeds(spec, j):
+    """Relation R1 between Y and Y/Q_j, as multisets of (inertia, radius,
+    centre label): the components of Y of inertia > j, with the inertia
+    lowered by j and each label as the quotient names it, are the
+    components of Y/Q_j of inertia > 0."""
     q = quotient_spec(spec, j)
     assert (q.n, q.s) == (spec.n - j, spec.s - j)
-    gf = build_stable_graph(spec)
-    gq = build_stable_graph(q)
-    full = {(c.inertia_exponent + j, c.radius_valuation)
-            for c in gf.components if c.kind != "augmented"}
-    full_pairs = {(c.inertia_exponent + 0, c.radius_valuation)
-                  for c in gf.components if c.kind != "augmented"}
-    for c in gq.components:
-        if c.kind in ("augmented", "original"):
-            continue
-        assert (c.inertia_exponent + j, c.radius_valuation) in full_pairs | {
-            (c.inertia_exponent + j, c.radius_valuation)}
-        assert any(
-            f.inertia_exponent == c.inertia_exponent + j
-            and f.radius_valuation == c.radius_valuation
-            for f in gf.components if f.kind != "augmented"
-        )
+    lowered = Counter(
+        (c.inertia_exponent - j, c.radius_valuation,
+         _lowered(c.disk_center, j))
+        for c in build_stable_graph(spec).components if c.inertia_exponent > j)
+    quotient = Counter(
+        (c.inertia_exponent, c.radius_valuation, c.disk_center)
+        for c in build_stable_graph(q).components if c.inertia_exponent > 0)
+    assert lowered == quotient, (spec, j)
 
 
 @pytest.mark.parametrize("p,n,a,b,j", [(5, 3, 2, 5, 1), (7, 3, 1, 7, 1),
@@ -628,6 +667,23 @@ def test_quotient_compatibility(p, n, a, b, j):
     if not (0 < j < spec.s):
         pytest.skip("quotient requires 0 < j < s")
     _assert_quotient_embeds(spec, j)
+
+
+def test_quotient_relation_r1_on_every_shape():
+    """R1 holds on one cover per shape (p, n, s), p in {2, 3, 5, 7} and
+    2 <= n <= 7, at every 0 < j < s: 78 pairs with j = 1 and 125 with
+    j > 1.  The cover is (p, n, 1, p^(n-s)), or (2, n, 1, 3 * 2^(n-s))."""
+    pairs = Counter()
+    for p in (2, 3, 5, 7):
+        for n in range(2, 8):
+            for s in range(2, n if p == 2 else n + 1):
+                spec = branch_signature(p, n, 1,
+                                        p ** (n - s) * (3 if p == 2 else 1))
+                assert spec.s == s, spec
+                for j in range(1, s):
+                    _assert_quotient_embeds(spec, j)
+                    pairs[j == 1] += 1
+    assert (pairs[True], pairs[False]) == (78, 125), pairs
 
 
 def test_quotient_range_enforced():
@@ -814,8 +870,8 @@ def _case_v_spec(n, s):
 def test_case_v_conductor_bound_matches_the_tower_path(seed):
     """On real covers, among specs with a and b doctored, conductor_bound
     certifies, or refuses with the same error and message, exactly where
-    the old path through built d_j does; every other doctored spec is
-    refused by the cover rule.  Seed 1 adds the grid 2 <= n <= 6, every
+    the old path through built d_j does; building every other doctored
+    spec is refused by the cover rule.  Seed 1 adds the grid 2 <= n <= 6, every
     s < n, a in {1, 3, -5, 7} and b' in every class mod 8, where
     b' = +-1 mod 8 (b' != +-1) is refused at the w step on both paths.  The
     doctored specs include ties v(R_j) = v(a/(a+b) - 1) and a + b = 0,
@@ -837,12 +893,12 @@ def test_case_v_conductor_bound_matches_the_tower_path(seed):
                   for b_odd in (3, -3, 5, -5, 7, -7, 9, 1)]
     kinds, refused = set(), 0
     for n, s, a, b in draws:
-        spec = replace(_case_v_spec(n, s), a=a, b=b, s=s)
-        new = _outcome(_case_v_lines, spec)
-        if not _is_normal_form(spec):
-            assert _refused_by_the_cover_rule(new), (n, s, a, b)
+        spec = _outcome(lambda: replace(_case_v_spec(n, s), a=a, b=b, s=s))
+        if not _is_normal_form(_spec(2, n, a, b, s)):
+            assert _refused_by_the_cover_rule(spec), (n, s, a, b)
             refused += 1
             continue
+        new = _outcome(_case_v_lines, spec)
         old = _outcome(_old_case_v, n, s, a, b)
         assert new == old, (n, s, a, b)
         kinds.add(old[0] if isinstance(old, tuple) else "certified")
@@ -854,9 +910,10 @@ def test_case_v_conductor_bound_matches_the_tower_path(seed):
 
 def test_w_step_rule_matches_certify_radical():
     """The integer rule of _certify_p2_step against the certificate of
-    adjoin_radical on a freshly built Q_2(i): for every |b'| <= 255, zero
-    and even included, and c in {0, 1}, the same outcome, or the same error
-    type and message.  u = +-1 needs no step, as w = 1 or i is in Q_2(i)."""
+    adjoin_radical on a freshly built Q_2(i): for every odd |b'| <= 255,
+    the only b' a CoverSpec has, and c in {0, 1}, the same outcome, or the
+    same error type and message.  u = +-1 needs no step, as w = 1 or i is
+    in Q_2(i)."""
     t = make_tower(2, [(2, -1)])
     i = t.gen(0)
 
@@ -866,15 +923,13 @@ def test_w_step_rule_matches_certify_radical():
             t.certify_radical(2, u)
 
     seen = set()
-    for b_odd in range(-255, 256):
+    for b_odd in range(-255, 256, 2):
         for c in (0, 1):
             want = _outcome(by_field, b_odd, c)
             assert _outcome(_certify_p2_step, b_odd, c) == want, (b_odd, c)
             seen.add(want)
-    assert seen >= {
-        None, ("ZeroRadicand", "radicand is zero"),
-        ("IrreducibilityUnverified",
-         "x^2 - r with v(r) = 7: slope denominator is not 2"),
+    assert seen == {
+        None,
         ("IrreducibilityUnverified", "radicand is a 2-th power in the "
          "2-adic completion; x^2 - r is reducible there")}, seen
 
@@ -915,7 +970,8 @@ def test_p2_identity_grid_builds_no_field(monkeypatch):
     """analyze over every p = 2 cover of the identity grid, with the
     analyzer's caches cleared first, builds no Tower and makes no q-th
     power test: the refused covers included, every p = 2 fact is an
-    integer rule."""
+    integer rule.  Of the 124 covers refused at a w step, new_tail_locus
+    refuses the 64 with 2n - s odd, and conductor_bound the other 60."""
     _report_shape.cache_clear()
     calls = _count_field_work(monkeypatch)
     covers = [args for args in _identity_grid() if args[0] == 2]
@@ -923,6 +979,10 @@ def test_p2_identity_grid_builds_no_field(monkeypatch):
                if isinstance(r, tuple)]
     assert len(covers) == 1776
     assert refused.count("IrreducibilityUnverified") == 124
+    at_locus = [_outcome(lambda args=args: new_tail_locus(
+        branch_signature(*args))) for args in covers]
+    assert sum(isinstance(r, tuple) and r[0] == "IrreducibilityUnverified"
+               for r in at_locus) == 64
     assert calls == []
 
 
@@ -996,9 +1056,9 @@ def test_cube_root_closed_forms_match_the_tower_path():
     closed form (jump 3 over K_1, v(cbrt rad) = v_3(rad)/3, conductors 3/2
     and 5/2), gives the kind, value and detail of the old path over K_1 on
     every case (iii) and (iv) cover with n <= 5, 1 <= a <= 4 and
-    |b| <= 40, and refuses specs with a and b doctored, 3 | a and radicands
-    of the wrong valuation or zero among them, by the cover rule: as
-    b = 2 mod 3, none of them is a cover."""
+    |b| <= 40.  Building specs with a and b doctored, 3 | a and radicands
+    of the wrong valuation or zero among them, is refused by the cover
+    rule: as b = 2 mod 3, none of them is a cover."""
     covers = 0
     for n in range(2, 6):
         for a in range(1, 5):
@@ -1021,10 +1081,10 @@ def test_cube_root_closed_forms_match_the_tower_path():
                 for b in range(-40, 41, 3):
                     if a + b == 0:
                         continue
-                    spec = replace(spec0, a=a, b=b)
-                    assert not _is_normal_form(spec)
+                    assert not _is_normal_form(_spec(3, n, a, b, s))
                     assert _refused_by_the_cover_rule(
-                        _outcome(_new_cube_case, spec)), (n, s, a, b)
+                        _outcome(lambda: replace(spec0, a=a, b=b))), \
+                        (n, s, a, b)
                     refused += 1
     assert refused == 1330, refused
 

@@ -86,7 +86,7 @@ GOLDEN = {
         '832add47e44ecdfbc117f4b7e9c6d2dae683c854b4cda2c9d371cfc05c1278c8',
     (17, 2, 1, 17):
         'c0415ce4451143aa54e5937f1488ee64cdd97dd3911492fc30bb8c61330979fd',
-    # scaling points: truncation L = 2p up to 394
+    # scaling points: p up to 197 and n up to 8
     (61, 4, 1, 1):
         'b1f8fcdd47846504acb861aa7381d168e1a23b00ecd237e2695063f6d2f71ced',
     (97, 6, 2, 3):

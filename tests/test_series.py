@@ -58,17 +58,18 @@ from rational_oracle import (
     expand_cubic,
     expand_rational,
 )
-from test_analyzer import _is_normal_form, _refused_by_the_cover_rule
+from test_analyzer import (
+    _is_normal_form,
+    _refused_by_the_cover_rule,
+    _spec,
+    _stand_in,
+)
 from tower_helpers import (
     TowerExpansion,
     cubic_tower_disk,
     make_tower,
     tower_expand_disk,
 )
-
-
-def _spec(p, n, a, b, s):
-    return SimpleNamespace(p=p, n=n, a=a, b=b, s=s)
 
 
 @cache
@@ -85,7 +86,7 @@ def _tower_disk(spec, locus):
     locus.v_e."""
     if isinstance(locus.d, CubicCentre):
         return cubic_tower_disk(locus)
-    if locus.rho is not None:
+    if spec.p == 2:
         return tower_locus(spec)
     p, n, s = spec.p, spec.n, spec.s
     t = _q_p_pi(p)
@@ -259,7 +260,7 @@ def test_center_on_branch_locus():
     """A centre 0 or 1 is refused by the closed form of a rational centre,
     by its oracle and by the oracle's expansion of a cubic centre;
     expand_disk refuses such a cubic centre as no case (iii) centre."""
-    spec = _spec(5, 1, 1, 1, 1)
+    spec = branch_signature(5, 1, 1, 1)
     for d in (Fraction(0), Fraction(1)):
         for certify in (classify_rational_centre, expand_rational):
             with pytest.raises(CenterOnBranchLocus):
@@ -451,7 +452,7 @@ def test_expansion_matches_double_sum(p, n, a, b, case):
     spec = branch_signature(p, n, a, b)
     locus = new_tail_locus(spec)
     assert isinstance(locus.d, CubicCentre) == (case == "p3s1")
-    assert (locus.rho is not None) == (case == "p2")
+    assert (spec.p == 2) == (case == "p2")
     d, e = _tower_disk(spec, locus)
     L = default_truncation(p)
     exp = tower_expand_disk(spec, d, e)
@@ -503,7 +504,7 @@ def test_profile_matches_eager_valuations(p, n, a, b):
     locus = new_tail_locus(spec)
     d, e = _tower_disk(spec, locus)
     _check_against_reference(spec, d, e,
-                             None if locus.rho is not None else locus.d)
+                             None if spec.p == 2 else locus.d)
 
 
 def test_profile_matches_eager_valuations_off_locus():
@@ -626,7 +627,7 @@ def test_cubic_centre_matches_the_tower_path():
     covers, seen = 0, set()
     for spec in _case_iii_grid():
         locus = new_tail_locus(spec)
-        assert isinstance(locus.d, CubicCentre) and locus.rho is None
+        assert isinstance(locus.d, CubicCentre)
         assert locus.d[:2] == ((spec.a, 1, 0), spec.a + spec.b), spec
         oracle, got = agree(spec, locus)
         assert got.kind == "SplitsArtinSchreier", spec
@@ -838,7 +839,8 @@ def test_closed_form_matches_the_integer_recurrence():
     of the p = 3, n = 1 covers, whose c_3 the closed form reads.  On
     doctored specs whose premises fail, which the cover rule refuses in
     certify_tail, classify_rational_centre and the oracle's classifier
-    raise the same error at the centre a/(a+b)."""
+    raise the same error at the centre a/(a+b), on stand-ins that no rule
+    checks."""
     covers = 0
     for spec in _rational_centre_covers():
         got = _verdict_or_error(certify_tail, spec)
@@ -848,7 +850,7 @@ def test_closed_form_matches_the_integer_recurrence():
         covers += 1
     assert covers > 1000, covers
     for args, fields, message in DOCTORED_PREMISES:
-        spec = replace(branch_signature(*args), **fields)
+        spec = _stand_in(args, **fields)
         d, v_e = _doctored_locus(spec)
         closed = _verdict_or_error(
             lambda sp: classify_rational_centre(sp, d, v_e), spec)
@@ -927,7 +929,7 @@ FIRST_BROKEN_FACT = {
 
 def _doctored_locus(spec):
     """The centre a/(a+b) and the radius valuation of the new-tail disk of
-    a doctored spec, which new_tail_locus refuses."""
+    a doctored spec, which no CoverSpec has."""
     p, n, s = spec.p, spec.n, spec.s
     return (Fraction(spec.a, spec.a + spec.b),
             Fraction((2 * n - s) * (p - 1) + 1, 2 * (p - 1)))
@@ -937,18 +939,18 @@ def _doctored_locus(spec):
                          DOCTORED_PREMISES + DOCTORED_CUBIC_PREMISES)
 def test_each_tail_premise_is_checked(args, fields, message):
     """A doctored spec that fails one premise of the tail bound breaks the
-    cover rule, and certify_tail refuses it with CertificationFailed
-    naming the first fact it breaks, at a rational centre and at the cubic
-    centre of case (iii), whose certificate derives its premises from the
-    rule.  classify_rational_centre takes any rational centre and checks
-    the premises itself: at a/(a+b) it raises PrecisionExhausted naming
-    the premise, each spec reaching its own check, so leaving out any one
-    of the checks fails this test."""
-    spec = replace(branch_signature(*args), **fields)
+    cover rule, and building it is refused with CertificationFailed naming
+    the first fact it breaks, at a rational centre and at the cubic centre
+    of case (iii), whose certificate derives its premises from the rule.
+    classify_rational_centre takes any rational centre and checks the
+    premises itself: at a/(a+b), on a stand-in that no rule checks, it
+    raises PrecisionExhausted naming the premise, each spec reaching its
+    own check, so leaving out any one of the checks fails this test."""
+    spec = _stand_in(args, **fields)
     key = (spec.p, spec.n, spec.a, spec.b, spec.s)
     with pytest.raises(CertificationFailed,
                        match=rf"^{re.escape(FIRST_BROKEN_FACT[key])}$"):
-        certify_tail(spec)
+        replace(branch_signature(*args), **fields)
     if spec.p == 3:
         return
     d, v_e = _doctored_locus(spec)
@@ -994,7 +996,7 @@ def test_cubic_certificate_matches_the_triple_recurrence():
     and the general classifier (tests/rational_oracle.py), every field of
     it, on every cover of the case (iii) grid and on large-n covers; the
     oracle's K_l equal the closed forms there.  The doctored specs that
-    fail a premise break the cover rule, and certify_tail refuses them
+    fail a premise break the cover rule, and building them is refused
     naming the fact."""
     covers = 0
     for spec in _case_iii_covers():
@@ -1010,9 +1012,10 @@ def test_cubic_certificate_matches_the_triple_recurrence():
         covers += 1
     assert covers == 223 + len(LARGE_N_CUBIC), covers
     for args, fields, _ in DOCTORED_CUBIC_PREMISES:
-        spec = replace(branch_signature(*args), **fields)
+        spec = _stand_in(args, **fields)
         key = (spec.p, spec.n, spec.a, spec.b, spec.s)
-        assert _verdict_or_error(certify_tail, spec) == \
+        assert _verdict_or_error(
+            lambda f: replace(branch_signature(*args), **f), fields) == \
             ("CertificationFailed", FIRST_BROKEN_FACT[key]), spec
 
 
@@ -1080,18 +1083,29 @@ def test_cubic_defect_needs_the_cancellation():
 
 def test_expand_disk_refuses_other_centres():
     """The closed forms hold only at (a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3),
-    of a spec with p = 3 and s = 1 < n: expand_disk refuses with
-    CertificationFailed a spec that differs in p, in s or in n < 2 only,
-    and a centre that differs in one coordinate, the denominator or the
-    radicand only."""
+    of a cover with p = 3 and s = 1 < n: expand_disk refuses with
+    CertificationFailed a cover with p = 5, with s = 2 or with n = 1, each
+    at the centre (a + t)/(a+b) of its own a, b, n and s, and a centre
+    that differs in one coordinate, the denominator or the radicand only.
+    A spec that is no CoverSpec, though its fields are the cover's, raises
+    TypeError, so every expansion is of a cover."""
     spec = branch_signature(3, 3, 1, 9)
     d = new_tail_locus(spec).d
     assert isinstance(expand_disk(spec, d, Fraction(11, 4)), DiskExpansion)
+    with pytest.raises(TypeError, match=r"^expand_disk takes a CoverSpec, "
+                                        r"not SimpleNamespace$"):
+        expand_disk(_spec(3, 3, 1, 9, 1), d, Fraction(11, 4))
     (c0, c1, c2), den, r = d
+
+    def own_centre(args):
+        other = branch_signature(*args)
+        return other, CubicCentre((other.a, 1, 0), other.a + other.b,
+                                  _cube_radicand(other.n, other.s, other.b))
+
     refused = [
-        (replace(spec, p=5), d),
-        (replace(spec, s=2), d._replace(r=_cube_radicand(3, 2, 9))),
-        (replace(spec, n=1), d._replace(r=_cube_radicand(1, 1, 9))),
+        own_centre((5, 3, 1, 25)),  # p = 5, s = 1
+        own_centre((3, 3, 1, 3)),  # s = 2
+        own_centre((3, 1, 1, 1)),  # n = 1
         (spec, d._replace(nums=(c0 + 3, c1, c2))),
         (spec, d._replace(nums=(c0, c1, 1))),
         (spec, d._replace(den=den + 1)),
@@ -1152,7 +1166,7 @@ def test_rational_centre_needs_no_tower_arithmetic(monkeypatch, p, n, a, b):
     monkeypatch.setattr(Tower, "__init__", counted_init)
     monkeypatch.setattr(TowerElement, "__mul__", counted_mul)
     locus = new_tail_locus(spec)
-    assert isinstance(locus.d, Fraction) and locus.rho is None
+    assert isinstance(locus.d, Fraction)
     verdict = certify_tail(spec)
     assert verdict.kind == "SplitsArtinSchreier"
     assert calls == {"Tower": 0, "mul": 0}
@@ -1181,8 +1195,9 @@ def _case_v_grid_and_draws(seed):
 
 
 def _doctored_case_v_specs(seed):
-    """CoverSpecs that no branch_signature makes: a + b even (so v(a/(a+b))
-    and v(R) can tie), b' even, and b' = +-1 with any a."""
+    """(p, n, a, b, s) of case (v) specs that branch_signature need not make:
+    a + b even (so v(a/(a+b)) and v(R) can tie), b' even, and b' = +-1 with
+    any a."""
     rng = random.Random(seed)
     specs = []
     while len(specs) < 900:
@@ -1198,7 +1213,7 @@ def _doctored_case_v_specs(seed):
             b_odd = rng.choice((-1, 1))
         b = b_odd * 2 ** (n - s)
         if a and a + b:
-            specs.append(CoverSpec(2, n, a, b, s, ()))
+            specs.append((2, n, a, b, s))
     return specs
 
 
@@ -1230,7 +1245,7 @@ def test_case_v_closed_form_matches_the_tower_path():
     may fail; there the tower path may also list "v(c_l) < n + 1", which
     the closed form cannot, and every other reason must agree.  Only the
     doctored specs that are covers (a odd with b' = +-1) are compared; the
-    others break the cover rule, and certify_tail refuses them naming the
+    others break the cover rule, and building them is refused naming the
     fact."""
     seen = set()
     for args in _case_v_grid_and_draws(31):
@@ -1243,12 +1258,13 @@ def test_case_v_closed_form_matches_the_tower_path():
         seen.add(new[0] if isinstance(new, tuple) else new.kind)
     assert seen == {"SplitsZ4", "IrreducibilityUnverified"}
     compared, refused = 0, 0
-    for spec in _doctored_case_v_specs(32):
-        new = _verdict_or_error(certify_tail, spec)
-        if not _is_normal_form(spec):
-            assert _refused_by_the_cover_rule(new), spec
+    for fields in _doctored_case_v_specs(32):
+        spec = _verdict_or_error(lambda f: CoverSpec(*f, ()), fields)
+        if not _is_normal_form(_spec(*fields)):
+            assert _refused_by_the_cover_rule(spec), fields
             refused += 1
             continue
+        new = _verdict_or_error(certify_tail, spec)
         old = _verdict_or_error(p2_oracle.certify_tail, spec)
         assert new == _without_cl_reasons(old), spec
         assert new.kind == "SplitsZ4", spec
@@ -1285,46 +1301,50 @@ def test_case_v_closed_forms_match_the_tower_k_l():
     assert checked >= 500, checked
 
 
-#: (spec, what classify_p2_torsor raises): specs that only a direct call
-#: reaches, as new_tail_locus refuses them first.  s = 0 and s = n = 3
+#: ((p, n, a, b, s), what building the spec raises): s = 0 and s = n = 3
 #: break no cover fact of (2, 3, 1, 8) and (2, 3, 1, 1) but the shape, where
 #: v(R) need not lie strictly between v(x) = 0 and v(x - 1) = n - s
 P2_NON_COVERS = [
-    (CoverSpec(2, 3, 1, 8, 0, ()), "no cover of p = 2, n = 3 has s = 0"),
-    (CoverSpec(2, 3, 1, 1, 3, ()), "no cover of p = 2, n = 3 has s = 3"),
-    (CoverSpec(2, 3, 2, 6, 2, ()), "v_p(a+b) = 0 fails"),
-    (CoverSpec(2, 3, 1, 12, 2, ()), "v_p(b) = n - s fails"),
+    ((2, 3, 1, 8, 0), "no cover of p = 2, n = 3 has s = 0"),
+    ((2, 3, 1, 1, 3), "no cover of p = 2, n = 3 has s = 3"),
+    ((2, 3, 2, 6, 2), "v_p(a+b) = 0 fails"),
+    ((2, 3, 1, 12, 2), "v_p(b) = n - s fails"),
 ]
 
 
 @pytest.mark.parametrize("spec,message", P2_NON_COVERS)
 def test_p2_certificate_refuses_a_non_cover(spec, message):
     """classify_p2_torsor derives v(d) = 0 and v(d - 1) = n - s from the
-    cover rule and 1 <= s < n, so it refuses a spec that breaks either,
-    with CertificationFailed naming what fails, before it reads a
-    valuation."""
-    v_e = Fraction(2 * spec.n - spec.s + 1, 2)
+    cover rule and 1 <= s < n, which every CoverSpec meets: building a
+    spec that breaks either is refused, with CertificationFailed naming
+    what fails, and the certificate refuses a stand-in with its fields,
+    which is no CoverSpec, with TypeError."""
     with pytest.raises(CertificationFailed, match=rf"^{re.escape(message)}$"):
-        classify_p2_torsor(spec, v_e)
+        CoverSpec(*spec, ())
+    with pytest.raises(TypeError, match="^classify_p2_torsor takes a "
+                                        "CoverSpec, not SimpleNamespace$"):
+        classify_p2_torsor(_spec(*spec), Fraction(3, 2))
 
 
 def test_cubic_certificate_checks_the_cover_rule():
     """classify_torsor_reduction derives the valuations of its centre from
-    the cover rule, so it refuses a spec that breaks it before it values a
-    triple, also when expand_disk admits the centre: (3, 2, 1, 9, s = 1)
-    has v_3(b) = 2 != n - s, and 3 divides v_3(r) there."""
-    spec = CoverSpec(3, 2, 1, 9, 1, ())
-    d = CubicCentre((1, 1, 0), 10, _cube_radicand(2, 1, 9))
-    exp = expand_disk(spec, d, Fraction(7, 4))
+    the cover rule, and expand_disk takes only a CoverSpec, which meets
+    it: building (3, 2, 1, 9, s = 1), where v_3(b) = 2 != n - s and 3
+    divides v_3(r), is refused, and a stand-in with its fields is no
+    CoverSpec, so expand_disk refuses it even at the centre
+    (1 + t)/10."""
     with pytest.raises(CertificationFailed, match=r"^v_p\(b\) = n - s fails$"):
-        classify_torsor_reduction(exp)
+        CoverSpec(3, 2, 1, 9, 1, ())
+    d = CubicCentre((1, 1, 0), 10, _cube_radicand(2, 1, 9))
+    with pytest.raises(TypeError, match="takes a CoverSpec"):
+        expand_disk(_spec(3, 2, 1, 9, 1), d, Fraction(7, 4))
 
 
 def test_p2_congruence_needs_no_tower_product(monkeypatch):
     """The p = 2 congruence is decided in closed form, with no tower
     product or inverse at all."""
     spec = branch_signature(2, 3, 1, 6)
-    assert new_tail_locus(spec).rho is not None
+    assert new_tail_locus(spec).d == Fraction(1, 7)
     calls = _count_tower_calls(monkeypatch)
     verdict = certify_tail(spec)
     assert "congruence holds with i -> +i" in verdict.notes

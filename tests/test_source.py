@@ -233,7 +233,6 @@ def test_environment_checker_flags_each_form():
 #: __init__.py and perfbench/, each with the reason it stays public
 PUBLIC_WITHOUT_CALLER = {
     # return types of public functions
-    "CoverSpec": "return type of branch_signature",
     "DiskExpansion": "return type of expand_disk",
     "SignatureSolution": "return type of signature_solver",
     # the acceptance contract
@@ -480,14 +479,20 @@ CASE_READERS = {"build_stable_graph", "inseparable_tails", "stab_field_tower",
                 "_report_shape"}
 
 
-def _label_comparisons(tree, labels=CASE_LABELS):
-    """(line, enclosing function or None) of each comparison with one of
-    labels, the case labels by default: case == "v" and
-    case in ("ii", "iii") alike."""
+def _owners(tree):
+    """{id(node): qualified name of the function that encloses it}."""
     owner = {}
     for name, node in _functions(tree).items():
         for sub in ast.walk(node):
             owner[id(sub)] = name
+    return owner
+
+
+def _label_comparisons(tree, labels=CASE_LABELS):
+    """(line, enclosing function or None) of each comparison with one of
+    labels, the case labels by default: case == "v" and
+    case in ("ii", "iii") alike."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Compare):
             continue
@@ -528,7 +533,7 @@ def test_label_checker_reads_each_form():
 
 
 #: the labels of the second case vocabulary, that of the new-tail locus:
-#: certify_tail tells a case (v) locus by its rho, and the other two by the
+#: certify_tail tells a case (v) locus by p = 2, and the other two by the
 #: type of the centre
 LOCUS_LABELS = {"rational", "p3s1", "p2"}
 
@@ -539,6 +544,43 @@ def test_no_module_compares_a_locus_label():
              for line, name in _label_comparisons(
                  ast.parse(path.read_text(), str(path)), LOCUS_LABELS)]
     assert not found, "\n".join(found)
+
+
+def _call_sites(tree, name):
+    """(line, enclosing function or None) of each call of name, as
+    name(...) or x.name(...)."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute)
+                      else None)
+            if called == name:
+                yield node.lineno, owner.get(id(node))
+
+
+def test_one_call_checks_the_cover_rule():
+    """A CoverSpec is a cover, checked once: in the package, _check_cover
+    is called only from CoverSpec.__post_init__, and no module defines
+    _cover_case, the per-stage check it replaced."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    sites = [(name, line, owner) for name, tree in trees.items()
+             for line, owner in _call_sites(tree, "_check_cover")]
+    assert [(name, owner) for name, _, owner in sites] == [
+        ("series.py", "CoverSpec.__post_init__")], sites
+    found = [f"{name}:{line}: {what}" for name, tree in trees.items()
+             for line, what in _named(tree, {"_cover_case"})]
+    assert not found, "\n".join(found)
+
+
+def test_call_site_checker_reads_each_form():
+    src = ("class C:\n    def __post_init__(self):\n        f(self)\n\n"
+           "def g(m):\n    return m.f(1), f\n\nf(2)\n")
+    assert sorted(_call_sites(ast.parse(src), "f"),
+                  key=lambda site: site[0]) == [
+        (3, "C.__post_init__"), (6, "g"), (8, None)]
 
 
 #: the names of the tower-meta round trip, and the error that only the

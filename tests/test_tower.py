@@ -492,7 +492,7 @@ def test_qth_power_test_tries_few_candidates(monkeypatch, args, square):
         with pytest.raises(IrreducibilityUnverified):
             new_tail_locus(spec)
     else:
-        assert new_tail_locus(spec).rho is not None
+        assert new_tail_locus(spec).d == Fraction(spec.a, spec.a + spec.b)
 
 
 # -- closed forms against the brute-force path -------------------------------
