@@ -11,6 +11,7 @@ and infinity and ramified of index p^s above 1.
 from __future__ import annotations
 
 import operator
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -95,12 +96,13 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
         # x -> 1 - x exchanges 0 and 1
         a, b = b, a
         swaps.append("x -> 1 - x")
-    if vp_int(a + b, p) > 0:
+    # the first swap keeps a + b, and only one exponent has v_p > 0
+    if vals["inf"] > 0:
         # x -> x/(x-1) fixes 0 and exchanges 1 and infinity;
         # the exponent above the new x = 1 is the old exponent at infinity
         b = -(a + b)
         swaps.append("x -> x/(x-1)")
-    s = n - vp_int(b, p)
+    s = n - max(vals.values())  # v_p(b): b now has the one v_p > 0, if any
     indices = (p ** (n - vals["0"]), p ** (n - vals["1"]),
                p ** (n - vals["inf"]))
     return CoverSpec(p, n, a, b, s, indices, tuple(swaps), original)
@@ -120,9 +122,9 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
 # (_certify_p2_step), and the square classes follow from the parity of
 # v_2(b) = n - s (conductor_bound).  The shape half of the report (the
 # graph, its checks, the inseparable tails and the field steps) depends on
-# (p, n, s) alone and is computed once per shape from one case record, in an
-# LRU of 256 shapes (_report_shape, below); only callers that repeat a shape
-# gain from it.
+# (p, n, s) alone: it is computed once per shape from one case record, and
+# its report fields are serialized once, in an LRU of 256 shapes
+# (_report_shape, below); only callers that repeat a shape gain from it.
 
 def _certify_p2_step(b_odd: int, c: int) -> None:
     """Certify the case (v) step w^2 = u = (-i)^c b' i, b' = b_odd, over
@@ -555,48 +557,56 @@ def conductor_bound(spec: CoverSpec) -> dict:
 
 class _ReportShape(NamedTuple):
     """Everything of a report that depends on (p, n, s) alone, read off one
-    case record: the graph and everything checked on it, the inseparable
-    tails, and the case and steps of the stable-model field, which analyze
-    gives each cover's tower.  Every field is immutable or never handed
-    out: analyze serializes afresh."""
-    graph: DecoratedGraph
-    violations: tuple  # (code, detail) pairs
-    residual: Fraction  # of the vanishing-cycles count
-    local: tuple  # (component id, local vanishing residual) pairs
-    profile: tuple  # (component id, effective different) pairs
-    tails: tuple  # InsepTail
+    case record: the case and steps of the stable-model field, which
+    analyze gives each cover's tower, whether the graph passed every check,
+    and the six graph fields of the report, already serialized."""
     case: str  # the label of _stable_case
     steps: tuple  # TowerStep of the stable-model field
+    sound: bool  # no violation, a zero residual and every local residual 0
+    doc: bytes  # pickle of the report's graph fields, in report key order
 
 
 # Bounded: traffic that cycles through more shapes than an LRU keeps never
 # hits it, and the benchmark's odd_survey cycles through 50.
 @lru_cache(maxsize=256)
 def _report_shape(p: int, n: int, s: int) -> _ReportShape:
-    """The shape half of the report of (p, n, s), computed once per shape
-    from one case record.  The arguments are the plain ints
-    branch_signature makes, so equal shapes share one entry."""
+    """The shape half of the report of (p, n, s), computed and serialized
+    once per shape from one case record: the graph, its violations, the
+    vanishing-cycles and local residuals, the effective-different profile
+    and the inseparable tails, as the report prints them, pickled into doc.
+    The arguments are the plain ints branch_signature makes, so equal
+    shapes share one entry.
+
+    doc is written here and unpickled only by analyze, in the same process:
+    no bytes from outside the process are ever unpickled."""
     record = _case_record(p, n, s)
     graph = _graph(record)
     violations = validate_structure(graph) + tail_invariant_checks(graph)
-    return _ReportShape(
-        graph,
-        tuple(violations),
-        check_vanishing_cycles(graph),
-        tuple(check_local_vanishing(graph).items()),
-        tuple(effective_different_profile(graph).items()),
-        _tails(record),
-        record.case,
-        record.steps,
+    residual = check_vanishing_cycles(graph)
+    local = check_local_vanishing(graph)
+    sound = (
+        not violations
+        and residual == 0
+        and all(v == 0 for v in local.values())
     )
+    profile = effective_different_profile(graph)
+    doc = {
+        "graph": graph.to_json(),
+        "graph_violations": violations,
+        "vanishing_cycles_residual": ratstr(residual),
+        "local_vanishing_residuals": {k: ratstr(v) for k, v in local.items()},
+        "effective_different": {k: ratstr(v) for k, v in profile.items()},
+        "inseparable_tails": [t.to_json() for t in _tails(record)],
+    }
+    return _ReportShape(record.case, record.steps, sound, pickle.dumps(doc))
 
 
 # -- report assembly ---------------------------------------------------------
 
 def analyze(p: int, n: int, a: int, b: int) -> dict:
     """Full self-certifying report for one cover.  The graph half comes from
-    _report_shape and is serialized on every call, so no report shares a
-    container with another."""
+    _report_shape, serialized once per shape; each call unpickles it into
+    new containers, so no report shares a container with another."""
     spec = branch_signature(p, n, a, b)
     p, n = spec.p, spec.n
     verdict = certify_tail(spec)
@@ -606,20 +616,13 @@ def analyze(p: int, n: int, a: int, b: int) -> dict:
     expected = "SplitsZ4" if p == 2 else "SplitsArtinSchreier"
     certified = (
         verdict.kind == expected
-        and not shape.violations
-        and shape.residual == 0
-        and all(v == 0 for _, v in shape.local)
+        and shape.sound
         and conductor["vanishes_at_n"]
     )
     return {
         "spec": spec.to_json(),
         "certificate": verdict.to_json(),
-        "graph": shape.graph.to_json(),
-        "graph_violations": list(shape.violations),
-        "vanishing_cycles_residual": ratstr(shape.residual),
-        "local_vanishing_residuals": {k: ratstr(v) for k, v in shape.local},
-        "effective_different": {k: ratstr(v) for k, v in shape.profile},
-        "inseparable_tails": [t.to_json() for t in shape.tails],
+        **pickle.loads(shape.doc),
         "tower": tower.to_json(),
         "conductor": {
             "vanishes_at_n": conductor["vanishes_at_n"],

@@ -651,9 +651,14 @@ def classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
     rho = 2^n b, from the closed forms of the module docstring: no tower,
     no expansion.  The spec is a CoverSpec, so v(d) = 0 and
     v(d - 1) = n - s with no tie (module docstring, "No tie at a cover's
-    locus"); any other spec raises TypeError.  Every l >= 3 is certified
-    by the tail bound."""
+    locus"); any other spec raises TypeError.  The closed forms are those
+    of p = 2, so a cover of odd p raises ValueError.  Every l >= 3 is
+    certified by the tail bound."""
     _require_cover(spec, "classify_p2_torsor")
+    if spec.p != 2:
+        raise ValueError("odd p torsors are classified by "
+                         "classify_rational_centre and "
+                         "classify_torsor_reduction")
     n, s, a, b = spec.n, spec.s, spec.a, spec.b
     m, rho = a + b, 2 ** n * b
     # E v(c_l) = l slope + E v(K_l / N^l), E = 4, v(d) = 0, v(d - 1) = n - s

@@ -49,15 +49,18 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # -- the graph conjuncts of analyze's certified ------------------------
+    # -- the graph conjuncts of analyze's certified, in the shape's sound ---
     Mutant("certified-violations", ANALYZER,
-           "        and not shape.violations\n", "",
+           "        not violations\n", "        True\n",
            (TA + "test_each_graph_check_reaches_certified",)),
     Mutant("certified-residual", ANALYZER,
-           "        and shape.residual == 0\n", "",
+           "        and residual == 0\n", "",
            (TA + "test_each_graph_check_reaches_certified",)),
     Mutant("certified-local", ANALYZER,
-           "        and all(v == 0 for _, v in shape.local)\n", "",
+           "        and all(v == 0 for v in local.values())\n", "",
+           (TA + "test_each_graph_check_reaches_certified",)),
+    Mutant("certified-shape", ANALYZER,
+           "        and shape.sound\n", "",
            (TA + "test_each_graph_check_reaches_certified",)),
     # -- the graph identities ----------------------------------------------
     Mutant("vanishing-cycles-zero", GRAPH,
@@ -187,6 +190,9 @@ MUTANTS = [
     Mutant("p2-torsor-cover-spec", SERIES,
            '    _require_cover(spec, "classify_p2_torsor")\n', "",
            (TS + "test_p2_certificate_refuses_a_non_cover",)),
+    Mutant("p2-torsor-odd-p", SERIES,
+           "    if spec.p != 2:\n", "    if False:\n",
+           (TS + "test_p2_certificate_refuses_an_odd_p",)),
     Mutant("new-tail-locus-cover-spec", ANALYZER,
            '    _require_cover(spec, "new_tail_locus")\n', "",
            (TA + "test_cover_rule_names_each_broken_fact",

@@ -3,6 +3,7 @@ with frozen radii, field towers, conductor certificates, and quotient
 compatibility."""
 
 import json
+import pickle
 import random
 import re
 from collections import Counter
@@ -97,6 +98,32 @@ def test_signature_errors():
         branch_signature(2, 1, 1, 1)  # no three-point Z/2-covers
     with pytest.raises(NotThreePoint):
         branch_signature(5, 1, 1, -1)  # a + b = 0: unramified above infinity
+
+
+def test_signature_reads_each_valuation_once():
+    """branch_signature takes its second swap and s from the valuations it
+    computed before any swap: on every admissible input with p in
+    {2, 3, 5, 7}, n <= 5, |a| <= 12 and |b| <= 30, the second swap is taken
+    exactly when v_p(a + b) > 0 after the first swap, and s = n - v_p(b)
+    of the returned b."""
+    admissible = 0
+    for p in (2, 3, 5, 7):
+        for n in range(1, 6):
+            for a in range(-12, 13):
+                for b in range(-30, 31):
+                    try:
+                        spec = branch_signature(p, n, a, b)
+                    except (Disconnected, NotThreePoint):
+                        continue
+                    admissible += 1
+                    x, y = (b, a) if a % p == 0 else (a, b)
+                    second = vp_int(x + y, p) > 0
+                    assert ("x -> x/(x-1)" in spec.swaps) == second
+                    if second:
+                        y = -(x + y)
+                    assert (spec.a, spec.b) == (x, y)
+                    assert spec.s == n - vp_int(y, p)
+    assert admissible == 21236
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3])
@@ -707,38 +734,47 @@ def test_analyze_report_shape():
     assert rep["effective_different"]["X0"] == "9/4"
 
 
-def _break_local(shape):
-    """The first local vanishing residual of the shape set to 1."""
-    (first, _), *rest = shape.local
-    return {"local": ((first, Fraction(1)), *rest)}
+def _break_local(graph):
+    """The local vanishing residuals of graph, the first set to 1."""
+    local = check_local_vanishing(graph)
+    local[next(iter(local))] = Fraction(1)
+    return local
+
+
+#: the analyzer's name of the graph check behind each field of the report
+CHECK_OF_FIELD = {"graph_violations": "validate_structure",
+                  "vanishing_cycles_residual": "check_vanishing_cycles",
+                  "local_vanishing_residuals": "check_local_vanishing"}
 
 
 @pytest.mark.parametrize("args", ONE_COVER_PER_CASE)
-@pytest.mark.parametrize("break_shape,field,shown", [
-    (lambda shape: {"violations": (("doctored", "a violation"),)},
+@pytest.mark.parametrize("doctored,field,shown", [
+    (lambda graph: [("doctored", "a violation")],
      "graph_violations", [("doctored", "a violation")]),
-    (lambda shape: {"residual": Fraction(1)},
-     "vanishing_cycles_residual", "1"),
+    (lambda graph: Fraction(1), "vanishing_cycles_residual", "1"),
     (_break_local, "local_vanishing_residuals", "1"),
 ])
-def test_each_graph_check_reaches_certified(monkeypatch, args, break_shape,
+def test_each_graph_check_reaches_certified(monkeypatch, args, doctored,
                                             field, shown):
-    """A shape with a structure violation, a nonzero vanishing-cycles
-    residual or a nonzero local residual makes the report uncertified, each
-    on its own: with _report_shape giving the cover's shape with one of
-    them broken, analyze reports the broken value and certified: false,
-    where the cover certifies with its own shape."""
+    """A structure violation, a nonzero vanishing-cycles residual or a
+    nonzero local residual makes the report uncertified, each on its own:
+    with one graph check doctored in the analyzer, and the shape cache
+    cleared before and after, analyze reports the doctored value and
+    certified: false, where the cover certifies with the real checks."""
     import padic_sr.analyzer as analyzer
     assert analyze(*args)["certified"] is True
-    spec = branch_signature(*args)
-    shape = _report_shape(spec.p, spec.n, spec.s)
-    broken = shape._replace(**break_shape(shape))
-    monkeypatch.setattr(analyzer, "_report_shape", lambda *key: broken)
-    report = analyze(*args)
+    first = next(iter(check_local_vanishing(
+        build_stable_graph(branch_signature(*args)))))
+    monkeypatch.setattr(analyzer, CHECK_OF_FIELD[field], doctored)
+    _report_shape.cache_clear()
+    try:
+        report = analyze(*args)
+    finally:
+        _report_shape.cache_clear()
     assert report["certified"] is False
     value = report[field]
     if field == "local_vanishing_residuals":
-        value = value[shape.local[0][0]]
+        value = value[first]
     assert value == shown
 
 
@@ -1213,15 +1249,7 @@ def _cached_shape(spec):
     try:
         report = analyze(spec.p, spec.n, spec.original[0], spec.original[1])
     except ArtifactError:
-        sh = _report_shape(spec.p, spec.n, spec.s)
-        return {
-            "graph": sh.graph.to_json(),
-            "graph_violations": list(sh.violations),
-            "vanishing_cycles_residual": ratstr(sh.residual),
-            "local_vanishing_residuals": {k: ratstr(v) for k, v in sh.local},
-            "effective_different": {k: ratstr(v) for k, v in sh.profile},
-            "inseparable_tails": [t.to_json() for t in sh.tails],
-        }
+        return pickle.loads(_report_shape(spec.p, spec.n, spec.s).doc)
     return {key: report[key] for key in _fresh_shape(spec)}
 
 
@@ -1278,7 +1306,10 @@ def test_case_record_matches_the_oracle():
     """On 210 shapes, past the n <= 4 (odd p) and n <= 5 (p = 2) of the
     identity grid, the graph, the inseparable tails and the field tower
     read off the case record equal those of the case split written out per
-    builder (tests/case_oracle.py), uncached and through _report_shape."""
+    builder (tests/case_oracle.py), uncached and through _report_shape.
+    Each _report_shape entry holds the report fields of the uncached
+    computation, and its sound flag is the conjunct of the uncached
+    checks."""
     shapes = list(_oracle_shapes())
     assert len(shapes) == 210
     for p, n, s in shapes:
@@ -1290,9 +1321,16 @@ def test_case_record_matches_the_oracle():
         assert [t.to_json() for t in inseparable_tails(spec)] == tails
         assert (stab_field_tower(spec).to_json()
                 == case_oracle.stab_field_tower(spec).to_json())
-        shape = _report_shape(p, n, s)
-        assert shape.graph.to_json() == graph
-        assert [t.to_json() for t in shape.tails] == tails
+        entry = _report_shape(p, n, s)
+        doc = pickle.loads(entry.doc)
+        assert doc["graph"] == graph
+        assert doc["inseparable_tails"] == tails
+        assert doc == _fresh_shape(spec)
+        fresh = build_stable_graph(spec)
+        assert entry.sound == (
+            not validate_structure(fresh) + tail_invariant_checks(fresh)
+            and check_vanishing_cycles(fresh) == 0
+            and all(v == 0 for v in check_local_vanishing(fresh).values()))
 
 
 def _vandalize(doc):

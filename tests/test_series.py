@@ -1326,6 +1326,18 @@ def test_p2_certificate_refuses_a_non_cover(spec, message):
         classify_p2_torsor(_spec(*spec), Fraction(3, 2))
 
 
+@pytest.mark.parametrize("args", [(5, 2, 1, 1), (7, 3, 1, 49),
+                                  (3, 3, 1, 9)])
+def test_p2_certificate_refuses_an_odd_p(args):
+    """classify_p2_torsor applies the closed forms of p = 2 only: a cover
+    of odd p, of case (i), (ii) or (iii), is refused with ValueError, as
+    classify_rational_centre refuses p = 2, and not classified."""
+    spec = branch_signature(*args)
+    v_e = new_tail_locus(spec).v_e
+    with pytest.raises(ValueError, match="^odd p torsors are classified by "):
+        classify_p2_torsor(spec, v_e)
+
+
 def test_cubic_certificate_checks_the_cover_rule():
     """classify_torsor_reduction derives the valuations of its centre from
     the cover rule, and expand_disk takes only a CoverSpec, which meets
