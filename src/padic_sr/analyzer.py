@@ -116,14 +116,15 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
 # is an integer triple over a + b, valued in closed form (series module
 # docstring, "Cubic centres").  The cube roots of cases (iii) and (iv) are
 # certified from v_3 of their radicand, with constant conductors
-# (conductor_bound).  Case (v) centres are Gaussian rationals plus a square
-# root R of one, valued in closed form (classify_p2_torsor,
-# conductor_bound), the step w^2 = u behind R is certified from b' mod 8
+# (_case_record).  Case (v) centres are Gaussian rationals plus a square
+# root R of one, valued in closed form (classify_p2_torsor, _case_record),
+# the step w^2 = u behind R is certified per cover from b' mod 8
 # (_certify_p2_step), and the square classes follow from the parity of
-# v_2(b) = n - s (conductor_bound).  The shape half of the report (the
-# graph, its checks, the inseparable tails and the field steps) depends on
-# (p, n, s) alone: it is computed once per shape from one case record, and
-# its report fields are serialized once, in an LRU of 256 shapes
+# v_2(b) = n - s (_case_record).  Everything of the report but the spec, the tail
+# certificate, a and b and the certified flag (the graph, its checks, the
+# inseparable tails, the field tower and the conductor certificate) depends
+# on (p, n, s) alone: it is computed once per shape from one case record,
+# and serialized once as a report template, in an LRU of 256 shapes
 # (_report_shape, below); only callers that repeat a shape gain from it.
 
 def _certify_p2_step(b_odd: int, c: int) -> None:
@@ -226,14 +227,17 @@ class _CaseRecord(NamedTuple):
     pieces: tuple  # _Piece, from X0 outward
     steps: tuple  # TowerStep of the stable-model field over K_0
     flag: str | None  # the graph's lower-confidence note, if any
+    conductor: ConductorValue  # of the stable-model field over K_0
+    detail: tuple  # the lines of the conductor certificate
 
 
 def _case_record(p: int, n: int, s: int) -> _CaseRecord:
     """The case split of the stable model of a cover of shape (p, n, s), in
     one place: every component from X0 outward with the curve over it, the
-    extra-tail centres and the field steps.  build_stable_graph,
-    inseparable_tails and stab_field_tower read it, and nothing else
-    dispatches on the case to build them.
+    extra-tail centres, the field steps and the conductor certificate of
+    the field, with its proof beside each case.  build_stable_graph,
+    inseparable_tails, stab_field_tower, conductor_bound and _report_shape
+    read it, and nothing else dispatches on the case to build them.
 
     The stable model is defined over K_n = K_0(zeta_{p^n}), the Kummer
     steps below over it (d', d_j: the centres of the extra tails), and a
@@ -248,6 +252,14 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
                             of (d')^a (d'-1)^b / (a^a b^b (a+b)^-(a+b))
     v     p = 2 (so s < n)  d_0^(1/2^(n-1)), (d_0 - 1)^(1/2^(s-1)) if s >= 2,
                             and d_j^(1/2^(n-j)), (d_j - 1)^(1/2^(s-j)), 0<j<s
+
+    The conductor certificate says that the n-th upper-numbering
+    ramification group of the field vanishes: each step's conductor is
+    below n.  Every valuation it quotes is derived from the cover rule
+    a + b != 0, v_p(b) = n - s, v_p(a+b) = 0 and v_p(a) = 0, which every
+    cover of the shape satisfies, so it depends on (p, n, s) alone; the
+    conductor is exact in case (i) and a bound otherwise.  Only the w steps
+    of case (v) read more of the cover (conductor_bound).
     """
     case = _stable_case(p, n, s)
     q = Fraction(1, p - 1)
@@ -281,6 +293,10 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
     def step(exponent, radicand):
         kummer.append(TowerStep("kummer", exponent=exponent, radicand=radicand))
 
+    # K_n/K_0 is cyclotomic, with conductor n - 1
+    detail = [f"K_{n}/K_0 is cyclotomic: conductor exactly {n - 1} < {n}"]
+    parts, kind = [Fraction(n - 1)], "bound"
+
     if case == "i":
         # chain: X_i has inertia p^(n-i) at radius valuation (i + 1/(p-1))/2
         prev = piece("X0", None, n, 0,
@@ -304,11 +320,36 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
                  else Fraction(2 * n - s - i + q, 2))
             prev = piece(f"X{n - i}", prev, i, r, "new" if i == 0 else "none")
 
-    if case == "ii":
+    # Cases (iii) and (iv), p = 3 and s < n: v_3(b) = n - s >= 1, so b - 1
+    # and b - 2 are units and the radicand rad = 3^(2(n-s)+3) C(b,3) has
+    # v_3(rad) = 2(n-s) + 3 + (n-s) - 1 = 3(n-s) + 2.  K_1 = Q_3(zeta_3)
+    # has e = 2, so v_{K_1}(rad) = 2 (3(n-s)+2) = 1 mod 3 is prime to 3,
+    # and the Newton polygon of x^3 - rad over K_1 is one slope of
+    # denominator 3: L = K_1(cbrt rad) is totally ramified of degree 3,
+    # v(cbrt rad) = v_3(rad)/3, and as the radicand's valuation is prime to
+    # p the jump of L/K_1 is the maximal p e/(p-1) = 3 (Serre, Local
+    # Fields, IV 2), exact.  L/K_0 is Galois of degree 6 (rad lies in K_0,
+    # zeta_3 in L) and totally ramified, with tame quotient of order 2, and
+    # lower numbering passes to the subgroup Gal(L/K_1): its lower
+    # filtration is |G_u| = 6 at u = 0, 3 for 0 < u <= 3 and 1 beyond.  So
+    # phi_{L/K_0}(u) = u/2 on [0, 3] and 3/2 + (u - 3)/6 past it, and the
+    # conductor of L/K_0 is phi(3) = 3/2.  In case (iv), d'' - 1 =
+    # cbrt(rad)/a lies in L, of valuation v_3(rad)/3 - v_3(a) = n - s + 2/3,
+    # and M/L is one more cube root over L, where e_L = 3 e_{K_1} = 6, so
+    # its jump is at most the cap 3 e_L/2 = 9, and phi(9) = 5/2 bounds the
+    # conductor of M/K_0.  Both lie below n: _stable_case gives case (iii)
+    # only for n > s = 1 and case (iv) only for n > s > 1, so n >= 2 and
+    # n >= 3.
+    if case == "i":
+        kind = "exact"
+    elif case == "ii":
         step(p ** (n - s), "a/(a+b)")
     elif case == "iii":
         step(3, "3^(2n+1) binom(b,3)")
         step(3 ** (n - s), "a/(a+b)")
+        parts.append(Fraction(3, 2))
+        detail += [f"cube-root radicand valuation {3 * (n - s) + 2} verified",
+                   f"conductor of K_1(cbrt)/K_0 is 3/2 (exact) < {n}"]
     elif case == "iv":
         step(3, "3^(2(n-s)+3) binom(b,3)  [gives d']")
         step(3 ** (n - s), "a/(a+b)")
@@ -317,6 +358,11 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
               "d'", "d' = a/(a+b) + cbrt(3^(2(n-s)+3) binom(b,3))/(a+b)")
         flag = ("p = 3 with 1 < s < n: graph shape beyond the certified "
                 "tails is lower-confidence")
+        parts.append(Fraction(5, 2))
+        detail += ["v(d''-1) = n-s+2/3 verified",
+                   "conductor of L/K_0 is 3/2 with L/K_1 conductor 3 (exact)",
+                   "conductor of M/L is at most 9",
+                   f"conductor of M/K_0 is at most 5/2 < {n}"]
     elif case == "v":
         step(2 ** (n - 1), "d_0")
         if s >= 2:
@@ -329,8 +375,34 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
                   f"d_{j} = a/(a+b) + sqrt(2^(n-{j}) b i)/(a+b)^2")
         flag = ("p = 2: graph shape beyond the certified tails is "
                 "lower-confidence")
+        # p = 2 and 1 <= s < n: v_2(b) = n - s and a, a + b are odd.  For
+        # j < s let k = 2n - s - j and d_j = a/(a+b) + R_j,
+        # R_j^2 = 2^(n-j) b i/(a+b)^4, so 2 v(R_j) = k.  l(j) asks that
+        # 2^(n-j) b i be a square over the unramified closure of K_2
+        # (l = 2), or of K_3 but not K_2 (l = 3); it is one over K_3 always,
+        # and over K_2 exactly when v_2(2^(n-j) b) = 2n - s - j is odd
+        # (square_class_K2_K3), that is when s + j is odd.  As
+        # 2 v(R_j) = k > 2(n - s) = 2 v(b/(a+b)), v(d_j - 1) =
+        # v(R_j - b/(a+b)) = n - s with no tie; t_j = d_j (a+b)/a - 1 =
+        # R_j (a+b)/a has v(t_j) = k/2, and alpha'_j - 1 = (d_j - 1)
+        # (a+b)/(-b) - 1 = R_j (a+b)/(-b) has v(alpha'_j - 1) = (s - j)/2.
+        # Finally v(b/(a+b)) = n - s.
+        detail += [f"d_{j}: l({j}) = {2 if (s + j) % 2 else 3}, "
+                   f"v(d_{j}-1) = {n - s}, "
+                   f"v(t_{j}) = {ratstr(Fraction(2 * n - s - j, 2))}, "
+                   f"v(alpha'_{j}-1) = {ratstr(Fraction(s - j, 2))} verified"
+                   for j in range(s)]
+        detail.append("square classes and unit levels match the certified "
+                      "p = 2 table; conductor of K/K_0 is < n")
+    if case in ("ii", "iii", "iv"):
+        # a/(a+b) is a unit, as v_p(a) = v_p(a+b) = 0, so its p^(n-s)-th
+        # root over K_n has conductor < n
+        detail.append("v(a/(a+b)) = 0 verified; p^k-th root of a unit over "
+                      "K_n has conductor < n")
     steps = (TowerStep("cyclotomic", level=n), *kummer, TowerStep("tame"))
-    return _CaseRecord(p, n, s, case, tuple(pieces), steps, flag)
+    return _CaseRecord(p, n, s, case, tuple(pieces), steps, flag,
+                       ConductorValue(kind, compositum_conductor(parts)),
+                       tuple(detail))
 
 
 # -- inseparable tails -------------------------------------------------------
@@ -446,135 +518,83 @@ def quotient_spec(spec: CoverSpec, j: int) -> CoverSpec:
 
 # -- stable-model field tower ------------------------------------------------
 
-def _field_tower(spec: CoverSpec, case: str, steps: tuple) -> FieldTower:
-    """The tower of the steps of spec's shape, with the meta of spec that
-    the report prints: a, b, the case, n and s."""
-    meta = (("a", spec.a), ("b", spec.b), ("case", case),
-            ("n", spec.n), ("s", spec.s))  # in key order
-    return FieldTower(spec.p, steps, meta)
+def _field_tower(record: _CaseRecord, a, b) -> FieldTower:
+    """The tower of the steps of a case record, with the meta the report
+    prints: a, b, the case, n and s."""
+    meta = (("a", a), ("b", b), ("case", record.case),
+            ("n", record.n), ("s", record.s))  # in key order
+    return FieldTower(record.p, record.steps, meta)
 
 
 def stab_field_tower(spec: CoverSpec) -> FieldTower:
     """The field of definition of the stable model as a tower over K_0:
     K_n = K_0(zeta_{p^n}), the Kummer steps that _case_record tabulates for
     the case of (p, n, s), then a tame step.  The steps depend on the shape
-    alone, and analyze takes them from its _report_shape entry.
+    alone, and analyze takes the tower's JSON from its _report_shape entry,
+    filling in a and b.
     """
-    record = _case_record(spec.p, spec.n, spec.s)
-    return _field_tower(spec, record.case, record.steps)
+    return _field_tower(_case_record(spec.p, spec.n, spec.s), spec.a, spec.b)
 
 
 # -- conductor certificate ---------------------------------------------------
+
+def _conductor_certificate(record: _CaseRecord) -> dict:
+    """The conductor certificate of a case record, as conductor_bound
+    returns it, in new containers."""
+    return {"vanishes_at_n": True, "conductor": record.conductor,
+            "detail": list(record.detail)}
+
 
 def conductor_bound(spec: CoverSpec) -> dict:
     """Certify that the n-th upper-numbering ramification group of the
     stable-model field over the base vanishes, from exactly verified
     valuation facts of the steps stab_field_tower lists for the case of
-    (p, n, s).  Like every per-cover stage, it reads p, n, s, a and b from
-    the spec, a CoverSpec (any other spec raises TypeError), so the cover
-    rule a + b != 0, v_p(b) = n - s, v_p(a+b) = 0 and v_p(a) = 0 holds.
-    Every valuation the detail quotes
-    is derived from that rule, below, and not computed again; only the w
-    steps of case (v) read more than the rule (b' mod 8,
-    _certify_p2_step).  Returns {vanishes_at_n, conductor,
-    detail}; the conductor is exact in case (i) and a bound otherwise.
+    (p, n, s).  Returns {vanishes_at_n, conductor, detail}; the conductor
+    is exact in case (i) and a bound otherwise.
 
-    Cases (ii)-(iv): a/(a+b) is a unit, as v_p(a) = v_p(a+b) = 0, so its
-    p^(n-s)-th root over K_n has conductor < n.
+    Like every per-cover stage, it takes a CoverSpec (any other spec raises
+    TypeError), so the cover rule a + b != 0, v_p(b) = n - s, v_p(a+b) = 0
+    and v_p(a) = 0 holds.  Every valuation the detail quotes is derived
+    from that rule, so the certificate is one of the shape (p, n, s), read
+    off its case record, where the proofs stand (_case_record).  Only the
+    w steps of case (v) read more than the rule: b' = b/2^(n-s) mod 8
+    (_certify_p2_step).
 
-    Cases (iii) and (iv), p = 3 and s < n: v_3(b) = n - s >= 1, so b - 1
-    and b - 2 are units and the radicand rad = 3^(2(n-s)+3) C(b,3) has
-    v_3(rad) = 2(n-s) + 3 + (n-s) - 1 = 3(n-s) + 2.  K_1 = Q_3(zeta_3) has
-    e = 2, so v_{K_1}(rad) = 2 (3(n-s)+2) = 1 mod 3 is prime to 3, and the
-    Newton polygon of x^3 - rad over K_1 is one slope of denominator 3:
-    L = K_1(cbrt rad) is totally ramified of degree 3, v(cbrt rad) =
-    v_3(rad)/3, and as the radicand's valuation is prime to p the jump of
-    L/K_1 is the maximal p e/(p-1) = 3 (Serre, Local Fields, IV 2), exact.
-    L/K_0 is Galois of degree 6 (rad lies in K_0, zeta_3 in L) and totally
-    ramified, with tame quotient of order 2, and lower numbering passes to
-    the subgroup Gal(L/K_1): its lower filtration is |G_u| = 6 at u = 0,
-    3 for 0 < u <= 3 and 1 beyond.  So phi_{L/K_0}(u) = u/2 on [0, 3] and
-    3/2 + (u - 3)/6 past it, and the conductor of L/K_0 is phi(3) = 3/2.
-    In case (iv), d'' - 1 = cbrt(rad)/a lies in L, of valuation
-    v_3(rad)/3 - v_3(a) = n - s + 2/3, and M/L is one more cube root over
-    L, where e_L = 3 e_{K_1} = 6, so its jump is at most the cap
-    3 e_L/2 = 9, and phi(9) = 5/2 bounds the conductor of M/K_0.  Both lie
-    below n: _stable_case gives case (iii) only for n > s = 1 and case (iv)
-    only for n > s > 1, so n >= 2 and n >= 3.
-
-    Case (v), p = 2 and 1 <= s < n: v_2(b) = n - s and a, a + b are odd.
-    For j < s let k = 2n - s - j and d_j = a/(a+b) + R_j,
-    R_j^2 = 2^(n-j) b i/(a+b)^4, so 2 v(R_j) = k.  l(j) asks that
-    2^(n-j) b i be a square over the unramified closure of K_2 (l = 2), or
-    of K_3 but not K_2 (l = 3); it is one over K_3 always, and over K_2
-    exactly when v_2(2^(n-j) b) = 2n - s - j is odd (square_class_K2_K3),
-    that is when s + j is odd.  As 2 v(R_j) = k > 2(n - s) = 2 v(b/(a+b)),
-    v(d_j - 1) = v(R_j - b/(a+b)) = n - s with no tie; t_j = d_j (a+b)/a
-    - 1 = R_j (a+b)/a has v(t_j) = k/2, and alpha'_j - 1 = (d_j - 1)
-    (a+b)/(-b) - 1 = R_j (a+b)/(-b) has v(alpha'_j - 1) = (s - j)/2.
-    Finally v(b/(a+b)) = n - s.  The w step of R_j depends on c = k mod 2
-    only, and b' is odd, so c = 0 never refuses (_certify_p2_step).  At
-    j = 0 and s = 1, k = 2n - 1 is odd; for s >= 2, j = 0 and 1 give both
-    parities.  So some step has c = 1, and the one call with c = 1 decides
-    every step, with the same error and message."""
+    The w step of R_j, j < s, depends on c = k mod 2 only, k = 2n - s - j,
+    and b' is odd, so c = 0 never refuses.  At j = 0 and s = 1,
+    k = 2n - 1 is odd; for s >= 2, j = 0 and 1 give both parities.  So
+    some step has c = 1, and the one call with c = 1 decides every step,
+    with the same error and message.  analyze makes the same call."""
     _require_cover(spec, "conductor_bound")
-    n, s, b = spec.n, spec.s, spec.b
-    case = _stable_case(spec.p, n, s)
-    detail = [f"K_{n}/K_0 is cyclotomic: conductor exactly {n - 1} < {n}"]
-    parts = [Fraction(n - 1)]
-    if case == "iii":
-        parts.append(Fraction(3, 2))
-        detail += [f"cube-root radicand valuation {3 * (n - s) + 2} verified",
-                   f"conductor of K_1(cbrt)/K_0 is 3/2 (exact) < {n}"]
-    elif case == "iv":
-        parts.append(Fraction(5, 2))
-        detail += ["v(d''-1) = n-s+2/3 verified",
-                   "conductor of L/K_0 is 3/2 with L/K_1 conductor 3 (exact)",
-                   "conductor of M/L is at most 9",
-                   f"conductor of M/K_0 is at most 5/2 < {n}"]
-    elif case == "v":
-        _certify_p2_step(b // 2 ** (n - s), 1)
-        for j in range(s):
-            detail.append(
-                f"d_{j}: l({j}) = {2 if (s + j) % 2 else 3}, "
-                f"v(d_{j}-1) = {n - s}, "
-                f"v(t_{j}) = {ratstr(Fraction(2 * n - s - j, 2))}, "
-                f"v(alpha'_{j}-1) = {ratstr(Fraction(s - j, 2))} verified")
-        detail.append("square classes and unit levels match the certified "
-                      "p = 2 table; conductor of K/K_0 is < n")
-    if case in ("ii", "iii", "iv"):
-        detail.append("v(a/(a+b)) = 0 verified; p^k-th root of a unit over "
-                      "K_n has conductor < n")
-    return {
-        "vanishes_at_n": True,
-        "conductor": ConductorValue("exact" if case == "i" else "bound",
-                                    compositum_conductor(parts)),
-        "detail": detail,
-    }
+    n, s = spec.n, spec.s
+    if spec.p == 2:
+        _certify_p2_step(spec.b // 2 ** (n - s), 1)
+    return _conductor_certificate(_case_record(spec.p, n, s))
 
 
-# -- the shape half of the report --------------------------------------------
+# -- the report template of a shape ------------------------------------------
 
 class _ReportShape(NamedTuple):
-    """Everything of a report that depends on (p, n, s) alone, read off one
-    case record: the case and steps of the stable-model field, which
-    analyze gives each cover's tower, whether the graph passed every check,
-    and the six graph fields of the report, already serialized."""
-    case: str  # the label of _stable_case
-    steps: tuple  # TowerStep of the stable-model field
-    sound: bool  # no violation, a zero residual and every local residual 0
-    doc: bytes  # pickle of the report's graph fields, in report key order
+    """The report of every cover of one shape (p, n, s), read off one case
+    record: whether the graph passed every check and the conductor
+    certificate holds, and the report itself, serialized, with a slot for
+    each field of the cover's own."""
+    sound: bool  # no violation, zero residuals, and the conductor vanishes
+    doc: bytes  # pickle of the report template, in report key order
 
 
 # Bounded: traffic that cycles through more shapes than an LRU keeps never
 # hits it, and the benchmark's odd_survey cycles through 50.
 @lru_cache(maxsize=256)
 def _report_shape(p: int, n: int, s: int) -> _ReportShape:
-    """The shape half of the report of (p, n, s), computed and serialized
-    once per shape from one case record: the graph, its violations, the
-    vanishing-cycles and local residuals, the effective-different profile
-    and the inseparable tails, as the report prints them, pickled into doc.
-    The arguments are the plain ints branch_signature makes, so equal
+    """The report template of (p, n, s), computed and serialized once per
+    shape from one case record: every key of the report, in report order.
+    The graph, its violations, the vanishing-cycles and local residuals,
+    the effective-different profile, the inseparable tails, the field
+    tower, the conductor certificate and the moduli note are filled in as
+    the report prints them.  The cover's own fields, spec, certificate,
+    certified and the tower meta's a and b, hold None, for analyze to fill
+    in.  The arguments are the plain ints branch_signature makes, so equal
     shapes share one entry.
 
     doc is written here and unpickled only by analyze, in the same process:
@@ -584,46 +604,24 @@ def _report_shape(p: int, n: int, s: int) -> _ReportShape:
     violations = validate_structure(graph) + tail_invariant_checks(graph)
     residual = check_vanishing_cycles(graph)
     local = check_local_vanishing(graph)
+    conductor = _conductor_certificate(record)
     sound = (
         not violations
         and residual == 0
         and all(v == 0 for v in local.values())
+        and conductor["vanishes_at_n"]
     )
     profile = effective_different_profile(graph)
     doc = {
+        "spec": None,
+        "certificate": None,
         "graph": graph.to_json(),
         "graph_violations": violations,
         "vanishing_cycles_residual": ratstr(residual),
         "local_vanishing_residuals": {k: ratstr(v) for k, v in local.items()},
         "effective_different": {k: ratstr(v) for k, v in profile.items()},
         "inseparable_tails": [t.to_json() for t in _tails(record)],
-    }
-    return _ReportShape(record.case, record.steps, sound, pickle.dumps(doc))
-
-
-# -- report assembly ---------------------------------------------------------
-
-def analyze(p: int, n: int, a: int, b: int) -> dict:
-    """Full self-certifying report for one cover.  The graph half comes from
-    _report_shape, serialized once per shape; each call unpickles it into
-    new containers, so no report shares a container with another."""
-    spec = branch_signature(p, n, a, b)
-    p, n = spec.p, spec.n
-    verdict = certify_tail(spec)
-    shape = _report_shape(p, n, spec.s)
-    tower = _field_tower(spec, shape.case, shape.steps)
-    conductor = conductor_bound(spec)
-    expected = "SplitsZ4" if p == 2 else "SplitsArtinSchreier"
-    certified = (
-        verdict.kind == expected
-        and shape.sound
-        and conductor["vanishes_at_n"]
-    )
-    return {
-        "spec": spec.to_json(),
-        "certificate": verdict.to_json(),
-        **pickle.loads(shape.doc),
-        "tower": tower.to_json(),
+        "tower": _field_tower(record, None, None).to_json(),
         "conductor": {
             "vanishes_at_n": conductor["vanishes_at_n"],
             "conductor": conductor["conductor"].to_json(),
@@ -633,5 +631,34 @@ def analyze(p: int, n: int, a: int, b: int) -> dict:
             f"the field of moduli relative to K_0 is K_{n} = "
             f"K_0(zeta_{{{p}^{n}}})"
         ),
-        "certified": certified,
+        "certified": None,
     }
+    return _ReportShape(sound, pickle.dumps(doc))
+
+
+# -- report assembly ---------------------------------------------------------
+
+def analyze(p: int, n: int, a: int, b: int) -> dict:
+    """Full self-certifying report for one cover.  Every field of the shape
+    (p, n, s) comes from the report template of _report_shape, serialized
+    once per shape; each call unpickles it into new containers, so no
+    report shares a container with another, and fills in the cover's own
+    fields: the spec, the tail certificate, a and b in the tower's meta,
+    and certified.  The conductor certificate is the shape's, once the
+    cover passes the w step that conductor_bound makes in case (v)."""
+    spec = branch_signature(p, n, a, b)
+    verdict = certify_tail(spec)
+    if spec.p == 2:
+        _certify_p2_step(spec.b // 2 ** (spec.n - spec.s), 1)
+    shape = _report_shape(spec.p, spec.n, spec.s)
+    report = pickle.loads(shape.doc)
+    report["spec"] = spec.to_json()
+    report["certificate"] = verdict.to_json()
+    meta = report["tower"]["meta"]
+    meta["a"], meta["b"] = spec.a, spec.b
+    expected = "SplitsZ4" if spec.p == 2 else "SplitsArtinSchreier"
+    report["certified"] = (
+        verdict.kind == expected
+        and shape.sound
+    )
+    return report

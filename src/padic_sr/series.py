@@ -322,8 +322,8 @@ class CoverSpec:
 
 def _stable_case(p: int, n: int, s: int) -> str:
     """The case (i)-(v) of a cover of shape (p, n, s).  _case_record lists
-    what each case builds; only new_tail_locus and conductor_bound dispatch
-    on the label besides.  It refuses a shape no cover has: an s outside
+    what each case builds, the conductor certificate included; only
+    new_tail_locus dispatches on the label besides.  It refuses a shape no cover has: an s outside
     1 <= s <= n, or s = n for p = 2, where the cover would have three
     totally ramified points (branch_signature never makes one)."""
     if not 1 <= s <= n or (p == 2 and s == n):

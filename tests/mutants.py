@@ -171,8 +171,20 @@ MUTANTS = [
            "        pass\n",
            (TA + "test_p2_identity_grid_builds_no_field",)),
     Mutant("w-step-conductor", ANALYZER,
-           "        _certify_p2_step(b // 2 ** (n - s), 1)\n", "",
+           "        _certify_p2_step(spec.b // 2 ** (n - s), 1)\n",
+           "        pass\n",
+           (TA + "test_case_v_conductor_bound_matches_the_tower_path",)),
+    Mutant("w-step-analyze", ANALYZER,
+           "        _certify_p2_step(spec.b // 2 ** (spec.n - spec.s), 1)\n",
+           "        pass\n",
            (TA + "test_p2_identity_grid_builds_no_field",)),
+    # -- the cover's own fields of the report template ---------------------
+    Mutant("fill-meta", ANALYZER,
+           '    meta["a"], meta["b"] = spec.a, spec.b\n', "",
+           (TA + "test_report_template_matches_the_per_cover_path",)),
+    Mutant("fill-certificate", ANALYZER,
+           '    report["certificate"] = verdict.to_json()\n', "",
+           (TA + "test_report_template_matches_the_per_cover_path",)),
     # -- the cover rule, checked when a CoverSpec is built -------------------
     Mutant("post-init-shape", SERIES,
            "        _stable_case(self.p, self.n, self.s)\n", "",

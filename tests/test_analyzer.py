@@ -1227,6 +1227,12 @@ def _shape_covers(seed):
     return covers
 
 
+#: the report fields of the graph half, in report order
+GRAPH_FIELDS = ("graph", "graph_violations", "vanishing_cycles_residual",
+                "local_vanishing_residuals", "effective_different",
+                "inseparable_tails")
+
+
 def _fresh_shape(spec):
     """The graph half of the report, computed the uncached way."""
     graph = build_stable_graph(spec)
@@ -1243,14 +1249,27 @@ def _fresh_shape(spec):
     }
 
 
+#: the slots of the report template that analyze fills in per cover
+COVER_SLOTS = ("spec", "certificate", "certified")
+
+
+def _template_graph_fields(p, n, s):
+    """The graph fields of the _report_shape template of (p, n, s), after
+    checking that each of the cover's own fields is an empty slot."""
+    doc = pickle.loads(_report_shape(p, n, s).doc)
+    assert [doc[key] for key in COVER_SLOTS] == [None] * len(COVER_SLOTS)
+    assert [doc["tower"]["meta"][key] for key in "ab"] == [None, None]
+    return {key: doc[key] for key in GRAPH_FIELDS}
+
+
 def _cached_shape(spec):
-    """The same fields as analyze reports them from _report_shape, or from
-    the analyze report itself when the cover certifies or fails late."""
+    """The same fields as analyze reports them, or as the _report_shape
+    template holds them when the cover fails."""
     try:
         report = analyze(spec.p, spec.n, spec.original[0], spec.original[1])
     except ArtifactError:
-        return pickle.loads(_report_shape(spec.p, spec.n, spec.s).doc)
-    return {key: report[key] for key in _fresh_shape(spec)}
+        return _template_graph_fields(spec.p, spec.n, spec.s)
+    return {key: report[key] for key in GRAPH_FIELDS}
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -1307,9 +1326,9 @@ def test_case_record_matches_the_oracle():
     identity grid, the graph, the inseparable tails and the field tower
     read off the case record equal those of the case split written out per
     builder (tests/case_oracle.py), uncached and through _report_shape.
-    Each _report_shape entry holds the report fields of the uncached
-    computation, and its sound flag is the conjunct of the uncached
-    checks."""
+    Each _report_shape template holds the graph fields of the uncached
+    computation and an empty slot for each field of the cover's own, and
+    its sound flag is the conjunct of the uncached checks."""
     shapes = list(_oracle_shapes())
     assert len(shapes) == 210
     for p, n, s in shapes:
@@ -1321,16 +1340,73 @@ def test_case_record_matches_the_oracle():
         assert [t.to_json() for t in inseparable_tails(spec)] == tails
         assert (stab_field_tower(spec).to_json()
                 == case_oracle.stab_field_tower(spec).to_json())
-        entry = _report_shape(p, n, s)
-        doc = pickle.loads(entry.doc)
+        doc = _template_graph_fields(p, n, s)
         assert doc["graph"] == graph
         assert doc["inseparable_tails"] == tails
         assert doc == _fresh_shape(spec)
         fresh = build_stable_graph(spec)
-        assert entry.sound == (
+        assert _report_shape(p, n, s).sound == (
             not validate_structure(fresh) + tail_invariant_checks(fresh)
             and check_vanishing_cycles(fresh) == 0
             and all(v == 0 for v in check_local_vanishing(fresh).values()))
+
+
+def _oracle_covers(p, n, s):
+    """Covers of shape (p, n, s) with different (a, b), none swapped by
+    branch_signature: for p = 2, b' = b/2^(n-s) in {1, -3, 7}, where
+    b' = 7 is refused at a w step; for odd p, a = 1 and 2."""
+    k = n - s
+    if p == 2:
+        return [(2, n, 1, 2 ** k), (2, n, 3, -3 * 2 ** k),
+                (2, n, 1, 7 * 2 ** k)]
+    return [(p, n, 1, p ** k), (p, n, 2, -p ** k)]
+
+
+def _per_cover_report(p, n, a, b):
+    """The fields analyze fills from the report template, computed per cover
+    the uncached way: the tower, the conductor certificate and the moduli
+    note, with the spec and the tail certificate."""
+    spec = branch_signature(p, n, a, b)
+    verdict = certify_tail(spec)
+    cb = conductor_bound(spec)
+    return {
+        "spec": spec.to_json(),
+        "certificate": verdict.to_json(),
+        "tower": stab_field_tower(spec).to_json(),
+        "conductor": {"vanishes_at_n": cb["vanishes_at_n"],
+                      "conductor": cb["conductor"].to_json(),
+                      "detail": cb["detail"]},
+        "moduli_field_note": (f"the field of moduli relative to K_0 is "
+                              f"K_{n} = K_0(zeta_{{{p}^{n}}})"),
+    }
+
+
+def test_report_template_matches_the_per_cover_path():
+    """On the 210 oracle shapes, two or three covers each: the tower, the
+    conductor certificate, the moduli note, the spec and the tail
+    certificate that analyze reports from its _report_shape template equal
+    stab_field_tower, conductor_bound and the other per-cover calls, or
+    analyze raises the error and message that they raise (p = 2, b' = 7).
+    Every cover after the first of a shape takes the shape's template from
+    the cache."""
+    refused = Counter()
+    for p, n, s in _oracle_shapes():
+        for args in _oracle_covers(p, n, s):
+            assert branch_signature(*args).s == s
+            want = _outcome(_per_cover_report, *args)
+            got = _outcome(analyze, *args)
+            if isinstance(want, tuple):
+                assert got == want, args
+                refused[want[0]] += 1
+                continue
+            assert {key: got[key] for key in want} == want, args
+            assert list(got) == ["spec", "certificate", *GRAPH_FIELDS,
+                                 "tower", "conductor", "moduli_field_note",
+                                 "certified"]
+            assert got["certified"] is True, args
+    # b' = 7 is refused at the locus when s is odd, and at the conductor's
+    # w step when s is even
+    assert refused == {"IrreducibilityUnverified": 66}, refused
 
 
 def _vandalize(doc):

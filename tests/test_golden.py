@@ -2,7 +2,7 @@
 about thirty covers (every stable-model case (i)-(v), large p up to 197,
 and covers that raise), or the class and message of the exception a cover
 raises.  `test_identity_grid_digest` pins the reports of a 3656-input grid
-in one hash.
+in one hash, and in a second one the key order of each report.
 
 A report change fails here and prints the new report, so every change of
 `analyze` output is a reviewed edit of this table.
@@ -140,20 +140,30 @@ def _identity_grid():
 IDENTITY_GRID_DIGEST = (
     '5cdbcaf869349f265976352e646e0a277dd6a99b730e9281b2e41b6f8c2e392e')
 
+#: the same hash over the JSON report in the key order analyze builds, the
+#: order `padic-sr analyze` prints
+IDENTITY_GRID_ORDERED_DIGEST = (
+    'cbdf8570587eb2ece9397aec1fdc90ee464dfadcca02d13f328955da747d9bc0')
+
 
 def test_identity_grid_digest():
     """Every report and every exception of the identity grid, pinned in one
-    hash; a report change updates the digest as a reviewed edit."""
-    digest = hashlib.sha256()
+    hash, and again with the report's own key order; a report change
+    updates the digests as a reviewed edit."""
+    digest, ordered = hashlib.sha256(), hashlib.sha256()
     outcomes = Counter()
     for args in _identity_grid():
         try:
-            line = json.dumps(analyze(*args), sort_keys=True)
+            report = analyze(*args)
+            line = json.dumps(report, sort_keys=True)
+            ordered_line = json.dumps(report)
             outcomes["certified"] += 1
         except Exception as exc:  # the class and message are pinned
-            line = f"{type(exc).__name__}: {exc}"
+            line = ordered_line = f"{type(exc).__name__}: {exc}"
             outcomes[type(exc).__name__] += 1
         digest.update(line.encode() + b"\n")
+        ordered.update(ordered_line.encode() + b"\n")
     assert outcomes == {"certified": 2487, "NotThreePoint": 561,
                         "Disconnected": 484, "IrreducibilityUnverified": 124}
     assert digest.hexdigest() == IDENTITY_GRID_DIGEST
+    assert ordered.hexdigest() == IDENTITY_GRID_ORDERED_DIGEST

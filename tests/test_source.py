@@ -472,11 +472,11 @@ CASE_LABELS = {"i", "ii", "iii", "iv", "v"}
 
 #: the analyzer functions that may compare a case label: the case record,
 #: and the facts that depend on more than the shape (p, n, s) of a cover
-CASE_DISPATCHERS = {"_case_record", "new_tail_locus", "conductor_bound"}
+CASE_DISPATCHERS = {"_case_record", "new_tail_locus"}
 
 #: the readers of the case record, which compare no case label
 CASE_READERS = {"build_stable_graph", "inseparable_tails", "stab_field_tower",
-                "_report_shape"}
+                "conductor_bound", "_report_shape"}
 
 
 def _owners(tree):
@@ -506,9 +506,10 @@ def _label_comparisons(tree, labels=CASE_LABELS):
 
 
 def test_only_the_case_record_builds_by_case():
-    """The graph, the inseparable tails and the field steps are read off
-    _case_record: no reader of it compares a case label, and only the case
-    record and the facts that depend on a, b or a component compare one."""
+    """The graph, the inseparable tails, the field steps and the conductor
+    certificate are read off _case_record: no reader of it compares a case
+    label, and only the case record and the facts that depend on a, b or a
+    component compare one."""
     path = next(path for path in SOURCES if path.name == "analyzer.py")
     tree = ast.parse(path.read_text(), str(path))
     sites = sorted(_label_comparisons(tree))
