@@ -11,7 +11,6 @@ and infinity and ramified of index p^s above 1.
 from __future__ import annotations
 
 import operator
-import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -124,8 +123,9 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
 # certificate, a and b and the certified flag (the graph, its checks, the
 # inseparable tails, the field tower and the conductor certificate) depends
 # on (p, n, s) alone: it is computed once per shape from one case record,
-# and serialized once as a report template, in an LRU of 256 shapes
-# (_report_shape, below); only callers that repeat a shape gain from it.
+# and kept as a JSON report template, in an LRU of 256 shapes
+# (_report_shape, below), which each report copies; only callers that
+# repeat a shape gain from it.
 
 def _certify_p2_step(b_odd: int, c: int) -> None:
     """Certify the case (v) step w^2 = u = (-i)^c b' i, b' = b_odd, over
@@ -231,6 +231,8 @@ class _CaseRecord(NamedTuple):
     detail: tuple  # the lines of the conductor certificate
 
 
+# Bounded like _report_shape, which reads through it on a miss.
+@lru_cache(maxsize=256)
 def _case_record(p: int, n: int, s: int) -> _CaseRecord:
     """The case split of the stable model of a cover of shape (p, n, s), in
     one place: every component from X0 outward with the curve over it, the
@@ -238,6 +240,12 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
     the field, with its proof beside each case.  build_stable_graph,
     inseparable_tails, stab_field_tower, conductor_bound and _report_shape
     read it, and nothing else dispatches on the case to build them.
+
+    It is built once per shape and kept in an LRU of 256 shapes, so a
+    direct call of conductor_bound or stab_field_tower on a shape seen
+    before reads it without building it.  The record is immutable, so its
+    readers share it: NamedTuples of tuples, ints, strs and Fractions, and
+    the frozen dataclasses TowerStep and ConductorValue.
 
     The stable model is defined over K_n = K_0(zeta_{p^n}), the Kummer
     steps below over it (d', d_j: the centres of the extra tails), and a
@@ -577,28 +585,23 @@ def conductor_bound(spec: CoverSpec) -> dict:
 class _ReportShape(NamedTuple):
     """The report of every cover of one shape (p, n, s), read off one case
     record: whether the graph passed every check and the conductor
-    certificate holds, and the report itself, serialized, with a slot for
-    each field of the cover's own."""
+    certificate holds, and the shape's fields of the report as JSON."""
     sound: bool  # no violation, zero residuals, and the conductor vanishes
-    doc: bytes  # pickle of the report template, in report key order
+    doc: dict  # the report template; analyze copies it and never hands it out
 
 
 # Bounded: traffic that cycles through more shapes than an LRU keeps never
 # hits it, and the benchmark's odd_survey cycles through 50.
 @lru_cache(maxsize=256)
 def _report_shape(p: int, n: int, s: int) -> _ReportShape:
-    """The report template of (p, n, s), computed and serialized once per
-    shape from one case record: every key of the report, in report order.
-    The graph, its violations, the vanishing-cycles and local residuals,
-    the effective-different profile, the inseparable tails, the field
-    tower, the conductor certificate and the moduli note are filled in as
-    the report prints them.  The cover's own fields, spec, certificate,
-    certified and the tower meta's a and b, hold None, for analyze to fill
-    in.  The arguments are the plain ints branch_signature makes, so equal
-    shapes share one entry.
-
-    doc is written here and unpickled only by analyze, in the same process:
-    no bytes from outside the process are ever unpickled."""
+    """The report template of (p, n, s), computed once per shape from one
+    case record, as the report prints it: the graph, its violations, the
+    vanishing-cycles and local residuals, the effective-different profile,
+    the inseparable tails, the field tower, the conductor certificate and
+    the moduli note, in report key order.  The tower meta's a and b hold
+    None; the cover's own fields, spec, certificate and certified, are
+    left to analyze.  The arguments are the plain ints branch_signature
+    makes, so equal shapes share one entry."""
     record = _case_record(p, n, s)
     graph = _graph(record)
     violations = validate_structure(graph) + tail_invariant_checks(graph)
@@ -613,8 +616,6 @@ def _report_shape(p: int, n: int, s: int) -> _ReportShape:
     )
     profile = effective_different_profile(graph)
     doc = {
-        "spec": None,
-        "certificate": None,
         "graph": graph.to_json(),
         "graph_violations": violations,
         "vanishing_cycles_residual": ratstr(residual),
@@ -631,34 +632,60 @@ def _report_shape(p: int, n: int, s: int) -> _ReportShape:
             f"the field of moduli relative to K_0 is K_{n} = "
             f"K_0(zeta_{{{p}^{n}}})"
         ),
-        "certified": None,
     }
-    return _ReportShape(sound, pickle.dumps(doc))
+    return _ReportShape(sound, doc)
 
 
 # -- report assembly ---------------------------------------------------------
 
+def _component(doc: dict) -> dict:
+    """A component of a graph's JSON in new containers: its branch points,
+    disk and upstairs data are the only containers in it."""
+    doc = doc.copy()
+    if "branch_points" in doc:
+        doc["branch_points"] = doc["branch_points"].copy()
+    if "disk" in doc:
+        doc["disk"] = doc["disk"].copy()
+    if "upstairs" in doc:
+        doc["upstairs"] = doc["upstairs"].copy()
+    return doc
+
+
 def analyze(p: int, n: int, a: int, b: int) -> dict:
     """Full self-certifying report for one cover.  Every field of the shape
-    (p, n, s) comes from the report template of _report_shape, serialized
-    once per shape; each call unpickles it into new containers, so no
-    report shares a container with another, and fills in the cover's own
-    fields: the spec, the tail certificate, a and b in the tower's meta,
-    and certified.  The conductor certificate is the shape's, once the
-    cover passes the w step that conductor_bound makes in case (v)."""
+    (p, n, s) comes from the report template of _report_shape, built once
+    per shape.  Each call copies every dict and list of the template and
+    shares only its immutable values (strs, ints, bools, Nones and the
+    tuple of any graph violation), so no report shares a container with
+    another or with the cache.  The cover's own fields are the spec, the
+    tail certificate, a and b in the tower's meta, and certified.  The
+    conductor certificate is the shape's, once the cover passes the w step
+    that conductor_bound makes in case (v)."""
     spec = branch_signature(p, n, a, b)
     verdict = certify_tail(spec)
     if spec.p == 2:
         _certify_p2_step(spec.b // 2 ** (spec.n - spec.s), 1)
     shape = _report_shape(spec.p, spec.n, spec.s)
-    report = pickle.loads(shape.doc)
-    report["spec"] = spec.to_json()
-    report["certificate"] = verdict.to_json()
-    meta = report["tower"]["meta"]
-    meta["a"], meta["b"] = spec.a, spec.b
+    doc = shape.doc
+    graph, tower, conductor = doc["graph"], doc["tower"], doc["conductor"]
     expected = "SplitsZ4" if spec.p == 2 else "SplitsArtinSchreier"
-    report["certified"] = (
-        verdict.kind == expected
-        and shape.sound
-    )
-    return report
+    return {
+        "spec": spec.to_json(),
+        "certificate": verdict.to_json(),
+        "graph": {**graph,
+                  "components": list(map(_component, graph["components"])),
+                  "edges": list(map(dict.copy, graph["edges"])),
+                  "signatures": list(map(dict.copy, graph["signatures"]))},
+        "graph_violations": list(doc["graph_violations"]),
+        "vanishing_cycles_residual": doc["vanishing_cycles_residual"],
+        "local_vanishing_residuals": doc["local_vanishing_residuals"].copy(),
+        "effective_different": doc["effective_different"].copy(),
+        "inseparable_tails": list(map(dict.copy, doc["inseparable_tails"])),
+        "tower": {**tower, "steps": list(map(dict.copy, tower["steps"])),
+                  "meta": {**tower["meta"], "a": spec.a, "b": spec.b}},
+        "conductor": {**conductor,
+                      "conductor": conductor["conductor"].copy(),
+                      "detail": list(conductor["detail"])},
+        "moduli_field_note": doc["moduli_field_note"],
+        "certified": verdict.kind == expected and shape.sound,
+    }

@@ -14,12 +14,15 @@ raises, Type the exception's class name.
 Pytest does not collect this file.  Run it from the root of the repository:
 
     python tests/grid_digest.py
+    python tests/grid_digest.py --expect SHA   # exit 1 unless it is SHA
 
 It analyzes the source under src/ of the tree it belongs to, and prints
 the input count, the count of each outcome (`report`, or the exception's
-class name) and the digest.
+class name) and the digest.  With --expect it exits 1 when the digest is
+another one, so that a report change is never unnoticed.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -46,7 +49,11 @@ def grid():
                     yield p, n, a, b
 
 
-def main() -> None:
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--expect", metavar="SHA",
+                    help="the sha256 the reports must hash to")
+    opts = ap.parse_args()
     lines, outcomes = [], Counter()
     for args in grid():
         try:
@@ -60,7 +67,11 @@ def main() -> None:
         print(f"{name}: {count}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"sha256: {digest}")
+    if opts.expect is not None and digest != opts.expect:
+        print(f"expected sha256: {opts.expect}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

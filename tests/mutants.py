@@ -60,7 +60,7 @@ MUTANTS = [
            "        and all(v == 0 for v in local.values())\n", "",
            (TA + "test_each_graph_check_reaches_certified",)),
     Mutant("certified-shape", ANALYZER,
-           "        and shape.sound\n", "",
+           " and shape.sound,\n", ",\n",
            (TA + "test_each_graph_check_reaches_certified",)),
     # -- the graph identities ----------------------------------------------
     Mutant("vanishing-cycles-zero", GRAPH,
@@ -178,13 +178,30 @@ MUTANTS = [
            "        _certify_p2_step(spec.b // 2 ** (spec.n - spec.s), 1)\n",
            "        pass\n",
            (TA + "test_p2_identity_grid_builds_no_field",)),
-    # -- the cover's own fields of the report template ---------------------
+    # -- the cover's own fields of the report -------------------------------
     Mutant("fill-meta", ANALYZER,
-           '    meta["a"], meta["b"] = spec.a, spec.b\n', "",
+           '"meta": {**tower["meta"], "a": spec.a, "b": spec.b}},',
+           '"meta": {**tower["meta"]}},',
            (TA + "test_report_template_matches_the_per_cover_path",)),
     Mutant("fill-certificate", ANALYZER,
-           '    report["certificate"] = verdict.to_json()\n', "",
+           '        "certificate": verdict.to_json(),\n',
+           '        "certificate": None,\n',
            (TA + "test_report_template_matches_the_per_cover_path",)),
+    # -- each copy of a component of the template ----------------------------
+    Mutant("copy-branch-points", ANALYZER,
+           'doc["branch_points"] = doc["branch_points"].copy()',
+           'doc["branch_points"] = doc["branch_points"]',
+           (TA + "test_no_two_reports_share_a_container",)),
+    Mutant("copy-disk", ANALYZER,
+           'doc["disk"] = doc["disk"].copy()', 'doc["disk"] = doc["disk"]',
+           (TA + "test_no_two_reports_share_a_container",)),
+    Mutant("copy-upstairs", ANALYZER,
+           'doc["upstairs"] = doc["upstairs"].copy()',
+           'doc["upstairs"] = doc["upstairs"]',
+           (TA + "test_no_two_reports_share_a_container",)),
+    Mutant("copy-component", ANALYZER,
+           "    doc = doc.copy()\n", "",
+           (TA + "test_no_two_reports_share_a_container",)),
     # -- the cover rule, checked when a CoverSpec is built -------------------
     Mutant("post-init-shape", SERIES,
            "        _stable_case(self.p, self.n, self.s)\n", "",

@@ -3,7 +3,6 @@ with frozen radii, field towers, conductor certificates, and quotient
 compatibility."""
 
 import json
-import pickle
 import random
 import re
 from collections import Counter
@@ -16,6 +15,7 @@ import pytest
 
 from padic_sr.analyzer import (
     CoverSpec,
+    _case_record,
     _certify_p2_step,
     _report_shape,
     _stable_case,
@@ -1009,6 +1009,7 @@ def test_p2_identity_grid_builds_no_field(monkeypatch):
     integer rule.  Of the 124 covers refused at a w step, new_tail_locus
     refuses the 64 with 2n - s odd, and conductor_bound the other 60."""
     _report_shape.cache_clear()
+    _case_record.cache_clear()
     calls = _count_field_work(monkeypatch)
     covers = [args for args in _identity_grid() if args[0] == 2]
     refused = [r[0] for r in map(_report_or_error, covers)
@@ -1153,11 +1154,12 @@ def _report_or_error(args):
 
 def test_shared_fields_carry_no_cover_state():
     """Analyzing a mixed grid forwards and then backwards, with the shape
-    cache, the one per-process state, reused between covers, gives the
-    reports (or errors) that each cover gives with the cache cleared."""
+    caches, the analyzer's per-process state, reused between covers, gives
+    the reports (or errors) that each cover gives with both cleared."""
     fresh = {}
     for args in MIXED_GRID:
         _report_shape.cache_clear()
+        _case_record.cache_clear()
         fresh[args] = _report_or_error(args)
     assert sum(isinstance(r, tuple) for r in fresh.values()) >= 2
     forwards = {args: _report_or_error(args) for args in MIXED_GRID}
@@ -1249,15 +1251,16 @@ def _fresh_shape(spec):
     }
 
 
-#: the slots of the report template that analyze fills in per cover
-COVER_SLOTS = ("spec", "certificate", "certified")
+#: the fields of the report that analyze makes per cover
+COVER_FIELDS = ("spec", "certificate", "certified")
 
 
 def _template_graph_fields(p, n, s):
     """The graph fields of the _report_shape template of (p, n, s), after
-    checking that each of the cover's own fields is an empty slot."""
-    doc = pickle.loads(_report_shape(p, n, s).doc)
-    assert [doc[key] for key in COVER_SLOTS] == [None] * len(COVER_SLOTS)
+    checking that the template holds none of the cover's own fields, and
+    that a and b of the tower's meta are empty slots."""
+    doc = _report_shape(p, n, s).doc
+    assert not set(COVER_FIELDS) & set(doc)
     assert [doc["tower"]["meta"][key] for key in "ab"] == [None, None]
     return {key: doc[key] for key in GRAPH_FIELDS}
 
@@ -1327,11 +1330,15 @@ def test_case_record_matches_the_oracle():
     read off the case record equal those of the case split written out per
     builder (tests/case_oracle.py), uncached and through _report_shape.
     Each _report_shape template holds the graph fields of the uncached
-    computation and an empty slot for each field of the cover's own, and
-    its sound flag is the conjunct of the uncached checks."""
+    computation, none of the cover's own fields and an empty slot for a
+    and b of the tower's meta, and its sound flag is the conjunct of the
+    uncached checks.  The cached case
+    record each reads is hashable, so it holds no list or dict that a
+    reader could change."""
     shapes = list(_oracle_shapes())
     assert len(shapes) == 210
     for p, n, s in shapes:
+        hash(_case_record(p, n, s))
         spec = branch_signature(p, n, 1, p ** (n - s))
         assert spec.s == s
         graph = case_oracle.build_stable_graph(spec).to_json()
@@ -1453,6 +1460,37 @@ def test_reports_share_no_container_with_the_cache(first, second):
     assert analyze(*second) == fresh_second
     assert analyze(*first) == fresh_first
     assert _report_shape.cache_info().hits >= 2
+
+
+def _containers(doc):
+    """Every dict and list reachable from doc, doc included."""
+    out, stack = [], [doc]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            out.append(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            out.append(item)
+            stack.extend(item)
+    return out
+
+
+def test_no_two_reports_share_a_container():
+    """On the 210 oracle shapes, two covers each: no dict or list is
+    reached twice from the two reports and the shape's cached template
+    together (by id), so each report holds its own copy of every container
+    of the template, whatever keys its components carry.  The second
+    report of each shape takes the template from the cache."""
+    _report_shape.cache_clear()
+    for p, n, s in _oracle_shapes():
+        first, second = (analyze(*args)
+                         for args in _oracle_covers(p, n, s)[:2])
+        template = _report_shape(p, n, s).doc
+        ids = [id(item) for doc in (first, second, template)
+               for item in _containers(doc)]
+        assert len(ids) == len(set(ids)), (p, n, s)
+    assert _report_shape.cache_info().hits == 2 * 210
 
 
 def test_shape_cache_is_bounded():
