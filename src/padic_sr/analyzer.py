@@ -79,31 +79,31 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
     if p == 2 and n < 2:
         raise NotThreePoint("there are no three-point Z/2-covers")
     original = (a, b)
-    exps = {"0": a, "1": b, "inf": -(a + b)}
-    vals = {}
-    for key, ex in exps.items():
-        vals[key] = n if ex == 0 else min(vp_int(ex, p), n)
-    if sum(1 for v in vals.values() if v == 0) < 2:
+    # v_p of the exponents above 0, 1 and infinity, capped at n
+    v0 = n if a == 0 else min(vp_int(a, p), n)
+    v1 = n if b == 0 else min(vp_int(b, p), n)
+    c = a + b
+    vinf = n if c == 0 else min(vp_int(c, p), n)
+    if (v0 == 0) + (v1 == 0) + (vinf == 0) < 2:
         raise Disconnected(
             "fewer than two of a, b, a+b are prime to p; the cover is "
             "disconnected"
         )
-    if any(v >= n for v in vals.values()):
+    if v0 >= n or v1 >= n or vinf >= n:
         raise NotThreePoint("a branch point has trivial ramification index")
     swaps = []
-    if vals["0"] > 0:
+    if v0 > 0:
         # x -> 1 - x exchanges 0 and 1
         a, b = b, a
         swaps.append("x -> 1 - x")
     # the first swap keeps a + b, and only one exponent has v_p > 0
-    if vals["inf"] > 0:
+    if vinf > 0:
         # x -> x/(x-1) fixes 0 and exchanges 1 and infinity;
         # the exponent above the new x = 1 is the old exponent at infinity
-        b = -(a + b)
+        b = -c
         swaps.append("x -> x/(x-1)")
-    s = n - max(vals.values())  # v_p(b): b now has the one v_p > 0, if any
-    indices = (p ** (n - vals["0"]), p ** (n - vals["1"]),
-               p ** (n - vals["inf"]))
+    s = n - max(v0, v1, vinf)  # v_p(b): b now has the one v_p > 0, if any
+    indices = (p ** (n - v0), p ** (n - v1), p ** (n - vinf))
     return CoverSpec(p, n, a, b, s, indices, tuple(swaps), original)
 
 
@@ -162,6 +162,16 @@ class NewTailLocus:
     v_e: Fraction  # v(e) = (2n - s + 1/(p-1))/2, in closed form
 
 
+# Bounded like _report_shape.
+@lru_cache(maxsize=256)
+def _locus_shape(p: int, n: int, s: int) -> tuple:
+    """The case of the shape (p, n, s) and the radius valuation
+    v(e) = (2n - s + 1/(p-1))/2 of its new-tail disk, one Fraction that
+    every cover of the shape shares."""
+    return _stable_case(p, n, s), Fraction((2 * n - s) * (p - 1) + 1,
+                                           2 * (p - 1))
+
+
 def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     """Center and radius valuation v(e) = (2n - s + 1/(p-1))/2 of the disk
     of the unique new etale tail, with the case-correct center.  The
@@ -172,11 +182,11 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     tower or an e.  The spec is a CoverSpec, so a + b != 0.  In case (v)
     the step w^2 = u behind R is certified in integers, from b' mod 8
     (_certify_p2_step), and no field is built.  A spec that is no
-    CoverSpec raises TypeError."""
+    CoverSpec raises TypeError.  The case and v(e) are facts of the shape,
+    computed once per shape (_locus_shape); the centre reads a and b."""
     _require_cover(spec, "new_tail_locus")
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
-    case = _stable_case(p, n, s)
-    v_e = Fraction((2 * n - s) * (p - 1) + 1, 2 * (p - 1))
+    case, v_e = _locus_shape(p, n, s)
     if case == "iii":
         return NewTailLocus(CubicCentre((a, 1, 0), a + b,
                                         _cube_radicand(n, s, b)), v_e)
@@ -660,11 +670,14 @@ def analyze(p: int, n: int, a: int, b: int) -> dict:
     another or with the cache.  The cover's own fields are the spec, the
     tail certificate, a and b in the tower's meta, and certified.  The
     conductor certificate is the shape's, once the cover passes the w step
-    that conductor_bound makes in case (v)."""
+    that conductor_bound makes in case (v).  That step comes first: its
+    c = 1 call decides every w step with the same error and message
+    (conductor_bound), new_tail_locus's among them, so a cover it refuses
+    builds no tail certificate."""
     spec = branch_signature(p, n, a, b)
-    verdict = certify_tail(spec)
     if spec.p == 2:
         _certify_p2_step(spec.b // 2 ** (spec.n - spec.s), 1)
+    verdict = certify_tail(spec)
     shape = _report_shape(spec.p, spec.n, spec.s)
     doc = shape.doc
     graph, tower, conductor = doc["graph"], doc["tower"], doc["conductor"]

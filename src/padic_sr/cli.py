@@ -58,6 +58,12 @@ def _prime(ctx, param, value):
 @click.group()
 def main():
     """Stable reduction of three-point cyclic p^n-covers of the line."""
+    # An admissible a or b, and a report's integers such as the indices
+    # p^n, can have more digits than the 4300 that int() and str() take by
+    # default since Python 3.10.7; the group runs before its command parses
+    # an option, so the limit is lifted for both.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command("analyze")

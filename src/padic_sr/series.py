@@ -272,12 +272,30 @@ v_e, 2, n + 1, strict=False) reads g(3) = n + (s + 1)/2 and g(4) = n + s,
 both at least n + 1 (s >= 1), and stops there as 4 sigma >= 1.  So every
 l >= 3 is certified: no c_l past c_2 is computed, and case (v) has no
 expansion length at all.
+
+Per shape and per cover.  Each classifier reads the facts that no a or b
+enters from one record of the shape and the radius, keyed on the plain
+ints p, n, s and both terms of v(e) and kept in an LRU of 256
+(_rational_shape, _cubic_shape, _p2_shape): the scale E, E v(e), E tau,
+the truncation L, the tail threshold, the outcome of check_tail_dominated
+(None, or its PrecisionExhausted message) and the verdict of a cover that
+passes every check.  The tail check reads p, n, s and v(e) alone
+("Checking the tail"), and the verdict's count, conductor and notes are
+functions of p and n, so the tail check runs once per record, and a
+doctored radius gets a record of its own.  The facts that read the
+cover's a and b run per cover, in the order above: at a rational centre
+the premises, h_1, v(c_2) and, when L = 3, v(c_3); at the cubic centre
+the K_1, K_2, K_3 and Y checks; in case (v) v(c_2) = n, and the
+congruence after the tail.  The record's tail outcome is read where the
+tail check stood, so every check, error and message is the one the
+certificate gave with the check run per cover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -548,6 +566,92 @@ def check_tail_dominated(spec, v_e, L, threshold, strict=True):
             )
 
 
+# -- the shape facts of a certificate ---------------------------------------
+
+class _Shape(NamedTuple):
+    """A cover's shape, all that the tail bound reads of its spec."""
+    p: int
+    n: int
+    s: int
+
+
+class _TailShape(NamedTuple):
+    """What one classifier reads of the shape (p, n, s) and the radius
+    v(e) alone, and no a or b (module docstring, "Per shape and per
+    cover").  Immutable, so every cover of the shape shares it."""
+    E: int  # the scale: E v(e) and E tau are integers
+    ve: int  # E v(e)
+    T: int  # E tau, the value v(c_2) must take, times E
+    L: int  # the truncation: the tail check covers every l > L
+    threshold: Fraction  # the bound every c_l past c_L must clear
+    failure: str | None  # None, or the tail check's PrecisionExhausted message
+    verdict: ReductionVerdict  # of a cover that passes every per-cover check
+
+
+def _tail_outcome(shape: _Shape, v_e: Fraction, L: int, threshold: Fraction,
+                  strict: bool) -> str | None:
+    """None when check_tail_dominated certifies every c_l past c_L, else the
+    message of its PrecisionExhausted."""
+    try:
+        check_tail_dominated(shape, v_e, L, threshold, strict=strict)
+    except PrecisionExhausted as exc:
+        return str(exc)
+    return None
+
+
+# Each record below is keyed on plain ints, p, n, s and both terms of v(e),
+# so a doctored radius gets its own record, and bounded like the analyzer's
+# _report_shape.
+@lru_cache(maxsize=256)
+def _rational_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
+    """The shape facts of classify_rational_centre at v(e) = num/den:
+    E = lcm(den, p - 1), tau = n + 1/(p-1), L = 2, or 3 when p = 3 and
+    n = 1, where the bound misses tau at l = 3, and the tail check above
+    tau past c_L."""
+    v_e = Fraction(num, den)
+    E = lcm(den, p - 1)
+    T = E * n + E // (p - 1)
+    L = 3 if p == 3 and n == 1 else 2
+    threshold = Fraction(T, E)
+    return _TailShape(E, _scaled(v_e, E), T, L, threshold,
+                      _tail_outcome(_Shape(p, n, s), v_e, L, threshold, True),
+                      ReductionVerdict("SplitsArtinSchreier",
+                                       count=p ** (n - 1), conductor=2,
+                                       notes=("condition (i)",)))
+
+
+@lru_cache(maxsize=256)
+def _cubic_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
+    """The shape facts of classify_torsor_reduction at v(e) = num/den:
+    E = lcm(den, 6), tau = n + 1/2, L = 3 and the tail check above tau past
+    c_3."""
+    v_e = Fraction(num, den)
+    E = lcm(den, 6)
+    T = E * n + E // 2
+    threshold = Fraction(T, E)
+    failure = _tail_outcome(_Shape(p, n, s), v_e, 3, threshold, True)
+    return _TailShape(E, _scaled(v_e, E), T, 3, threshold, failure,
+                      ReductionVerdict("SplitsArtinSchreier",
+                                       count=3 ** (n - 1), conductor=2,
+                                       notes=("condition (ii)",)))
+
+
+@lru_cache(maxsize=256)
+def _p2_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
+    """The shape facts of classify_p2_torsor at v(e) = num/den: E = 4,
+    v(c_2) = n, L = 2 and the tail check v(c_l) >= n + 1 past c_2.  A
+    v(e) outside (1/4)Z raises AssertionError, as _scaled does."""
+    v_e = Fraction(num, den)
+    threshold = Fraction(n + 1)
+    # c_2 is a square in R: a square root exists over an at-most-quadratic
+    # extension of K, which the construction permits (adjoined on demand)
+    notes = ("sqrt(c_2) adjoined on demand", "congruence holds with i -> +i")
+    return _TailShape(4, _scaled(v_e, 4), 4 * n, 2, threshold,
+                      _tail_outcome(_Shape(p, n, s), v_e, 2, threshold, False),
+                      ReductionVerdict("SplitsZ4", count=2 ** (n - 2),
+                                       conductor=1, notes=notes))
+
+
 # -- classification ----------------------------------------------------------
 
 def _val3(x, E: int, et: int) -> int:
@@ -565,15 +669,20 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     and the tail bound above tau past c_3, comparing integers scaled by
     E = lcm(den v(e), 6).  A failed tail bound raises PrecisionExhausted,
     and any other failed fact returns NotCertified naming the clause of
-    condition (ii) that fails."""
-    spec, m = exp.spec, exp.d.den
+    condition (ii) that fails.
+
+    Per shape: E, E v(e), E tau, the tail check and the verdict, read from
+    one record of (p, n, s, v(e)) (_cubic_shape).  Per cover: the triple
+    checks of K_1, K_2, K_3 and Y, which read a and b, before the tail
+    check's outcome is read."""
+    spec, m, v_e = exp.spec, exp.d.den, exp.v_e
     n = spec.n
-    E = lcm(exp.v_e.denominator, 6)
+    E, ve, T, _, _, failure, verdict = _cubic_shape(
+        spec.p, n, spec.s, v_e.numerator, v_e.denominator)
     et = E * n - E // 3  # v(t) = n - 1/3
     # E v(N e / (delta delta')), as v(N) = v(delta) = 0, v(delta') = n - s
-    slope = _scaled(exp.v_e, E) - E * (n - spec.s)
+    slope = ve - E * (n - spec.s)
     k1, k2, k3 = exp.ks
-    T = E * n + E // 2  # E tau
     if slope + _val3(k1, E, et) <= E * n:
         return ReductionVerdict("NotCertified", reason="v(c_1) <= n")
     if 3 * slope + _val3(k3, E, et) <= E * n:
@@ -587,9 +696,9 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
         return ReductionVerdict(
             "NotCertified",
             reason="v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
-    check_tail_dominated(spec, exp.v_e, 3, Fraction(T, E), strict=True)
-    return ReductionVerdict("SplitsArtinSchreier", count=3 ** (n - 1),
-                            conductor=2, notes=("condition (ii)",))
+    if failure is not None:
+        raise PrecisionExhausted(failure)
+    return verdict
 
 
 def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
@@ -601,7 +710,12 @@ def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
     bound above tau past c_2 (past c_3 in that shape).  A failed premise or
     tail bound raises PrecisionExhausted, any other failed fact returns
     NotCertified naming it, a centre 0 or 1 raises CenterOnBranchLocus and
-    p = 2 raises ValueError."""
+    p = 2 raises ValueError.
+
+    Per shape: E, E v(e), E tau, L, the tail check and the verdict, read
+    from one record of (p, n, s, v(e)) (_rational_shape).  Per cover: the
+    premises, h_1, v(c_2) and, when L = 3, v(c_3), which read d, a and b,
+    before the tail check's outcome is read."""
     p, n, a, b = spec.p, spec.n, spec.a, spec.b
     if p == 2:
         raise ValueError("p = 2 torsors are classified by "
@@ -615,26 +729,24 @@ def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
     _check_premises(spec, v_d, v_d1)
     if a * delta1 + b * delta:  # T_1 = 0, that is h_1 = 0
         return ReductionVerdict("NotCertified", reason="h_1 != 0")
+    E, ve, T, L, _, failure, verdict = _rational_shape(
+        p, n, spec.s, v_e.numerator, v_e.denominator)
     # E v(c_k) = k E v_e + E (v_p(T_k) - k w - v_p(k)), T_k = a delta'^k +
     # b delta^k, compared with E tau as integers
     w = v_d + v_d1 + v_n
-    E = lcm(v_e.denominator, p - 1)
-    ve, T = _scaled(v_e, E), E * n + E // (p - 1)
     t2 = a * delta1 ** 2 + b * delta ** 2
     if not t2 or 2 * ve + E * (vp_int(t2, p) - 2 * w) != T:
         return ReductionVerdict("NotCertified",
                                 reason="v(c_2) != n + 1/(p-1)")
-    L = 2
-    if p == 3 and n == 1:
-        # the tail bound misses tau at l = 3 in this one shape
+    if L == 3:
+        # p = 3 and n = 1: the tail bound misses tau at l = 3
         t3 = a * delta1 ** 3 + b * delta ** 3
         if t3 and 3 * ve + E * (vp_int(t3, p) - 3 * w - 1) <= T:
             return ReductionVerdict("NotCertified",
                                     reason="v(c_3) <= n + 1/(p-1)")
-        L = 3
-    check_tail_dominated(spec, v_e, L, Fraction(T, E), strict=True)
-    return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
-                            conductor=2, notes=("condition (i)",))
+    if failure is not None:
+        raise PrecisionExhausted(failure)
+    return verdict
 
 
 def _v4(re: int, im: int):
@@ -653,35 +765,35 @@ def classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
     v(d - 1) = n - s with no tie (module docstring, "No tie at a cover's
     locus"); any other spec raises TypeError.  The closed forms are those
     of p = 2, so a cover of odd p raises ValueError.  Every l >= 3 is
-    certified by the tail bound."""
+    certified by the tail bound.
+
+    Per shape: E v(e), the tail check and the verdict, read from one record
+    of (p, n, s, v(e)) (_p2_shape).  Per cover: v(c_2) = n, whose failure
+    is named before the tail check's, and the congruence, which read a
+    and b."""
     _require_cover(spec, "classify_p2_torsor")
     if spec.p != 2:
         raise ValueError("odd p torsors are classified by "
                          "classify_rational_centre and "
                          "classify_torsor_reduction")
     n, s, a, b = spec.n, spec.s, spec.a, spec.b
+    _, ve, T, _, _, failure, verdict = _p2_shape(
+        2, n, s, v_e.numerator, v_e.denominator)
     m, rho = a + b, 2 ** n * b
     # E v(c_l) = l slope + E v(K_l / N^l), E = 4, v(d) = 0, v(d - 1) = n - s
-    slope = _scaled(v_e, 4) - 4 * (n - s)
+    slope = ve - 4 * (n - s)
     reasons = []
     # K_2 / N^2 = (-a b m^2 + (m - 1) rho i) / (2 m^3), nonzero as a b m is
-    if 2 * slope + _v4(-a * b * m * m, (m - 1) * rho) - 4 != 4 * n:
+    if 2 * slope + _v4(-a * b * m * m, (m - 1) * rho) - 4 != T:
         reasons.append("v(c_2) != n")
-    try:
-        check_tail_dominated(spec, v_e, 2, Fraction(n + 1), strict=False)
-    except PrecisionExhausted as exc:
-        reasons.append(str(exc))
+    if failure is not None:
+        reasons.append(failure)
     if reasons:
         return ReductionVerdict("NotCertified", reason="; ".join(reasons))
-    # c_2 is a square in R: a square root exists over an at-most-quadratic
-    # extension of K, which the construction permits (adjoined on demand)
-    notes = ["sqrt(c_2) adjoined on demand"]
     # X / N^2 = (2^n (m - 1) rho + (rho m + 2^n a b m^2) i) / m^3
     vx = _v4(2 ** n * (m - 1) * rho, rho * m + 2 ** n * a * b * m * m)
     if not (vx is None or vx + 2 * slope >= 4 * (2 * n + 2)):
         return ReductionVerdict(
             "NotCertified",
             reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i")
-    notes.append("congruence holds with i -> +i")
-    return ReductionVerdict("SplitsZ4", count=2 ** (n - 2), conductor=1,
-                            notes=tuple(notes))
+    return verdict

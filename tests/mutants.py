@@ -112,7 +112,7 @@ MUTANTS = [
            "(vp_int(t2, p) - 2 * w) != T", "(vp_int(t2, p) - w) != T",
            (TS + "test_large_n_covers_certify",)),
     Mutant("rational-n1-length", SERIES,
-           "        L = 3\n", "        L = 2\n",
+           "    L = 3 if p == 3 and n == 1 else 2\n", "    L = 2\n",
            (TS + "test_rational_centre_cost_does_not_grow_in_p",)),
     # -- the cubic centre of case (iii) ------------------------------------
     Mutant("expand-disk-p-and-s", SERIES,
@@ -158,9 +158,20 @@ MUTANTS = [
            "    if any(y) and 3 * slope", "    if 3 * slope",
            (TS + "test_cubic_certificate_matches_the_triple_recurrence",)),
     Mutant("cubic-tail-length", SERIES,
-           "    check_tail_dominated(spec, exp.v_e, 3, Fraction(T, E)",
-           "    check_tail_dominated(spec, exp.v_e, 2, Fraction(T, E)",
+           "_tail_outcome(_Shape(p, n, s), v_e, 3, threshold, True)",
+           "_tail_outcome(_Shape(p, n, s), v_e, 2, threshold, True)",
            (TS + "test_verdict_p3_condition_ii",)),
+    # -- the shape records of the classifiers: a key dropped ------------------
+    # the case (v) record read as if every cover had s = 1, and the rational
+    # one as if every radius had the locus's denominator 2(p - 1)
+    Mutant("record-key-s", SERIES,
+           "        2, n, s, v_e.numerator, v_e.denominator)",
+           "        2, n, 1, v_e.numerator, v_e.denominator)",
+           (TS + "test_a_doctored_radius_gets_its_own_record",)),
+    Mutant("record-key-den", SERIES,
+           "        p, n, spec.s, v_e.numerator, v_e.denominator)",
+           "        p, n, spec.s, v_e.numerator, 2 * (p - 1))",
+           (TS + "test_a_doctored_radius_gets_its_own_record",)),
     # -- case (v) ------------------------------------------------------------
     Mutant("p2-congruence-strict", SERIES,
            "vx + 2 * slope >= 4 * (2 * n + 2)",
@@ -265,8 +276,8 @@ EQUIVALENT = [
            "the margin of the Y check is at least n - 1/4 >= 7/4, above "
            "v(u) = 3/4"),
     Mutant("cubic-tail-deleted", SERIES,
-           "    check_tail_dominated(spec, exp.v_e, 3, Fraction(T, E)",
-           "    0 and check_tail_dominated(spec, exp.v_e, 3, Fraction(T, E)",
+           "failure = _tail_outcome(_Shape(p, n, s), v_e, 3, threshold, True)",
+           "failure = None",
            (),
            "past v(c_2) = tau, v(e) = n - 1/4 and s = 1, and the bound clears "
            "tau past c_3 there (series docstring, \"The expansion length\")"),

@@ -17,6 +17,7 @@ from padic_sr.analyzer import (
     CoverSpec,
     _case_record,
     _certify_p2_step,
+    _locus_shape,
     _report_shape,
     _stable_case,
     analyze,
@@ -50,7 +51,12 @@ from padic_sr.ramification import (
     herbrand_phi,
     kummer_step_conductor,
 )
-from padic_sr.series import CubicCentre
+from padic_sr.series import (
+    CubicCentre,
+    _cubic_shape,
+    _p2_shape,
+    _rational_shape,
+)
 from padic_sr.tower import Tower, vp_int, vp_rational
 import case_oracle
 from p2_oracle import p2_center, tower_locus
@@ -63,6 +69,13 @@ from tower_helpers import (
     q2_i,
     q2_zeta8,
 )
+
+
+def _clear_tail_records():
+    """Empty the per-shape records of the tail certificate: the case and
+    radius of new_tail_locus and the shape facts of the three classifiers."""
+    for cached in (_locus_shape, _rational_shape, _cubic_shape, _p2_shape):
+        cached.cache_clear()
 
 
 # -- branch signatures -------------------------------------------------------
@@ -171,6 +184,7 @@ def test_integer_arguments_become_plain_ints():
     assert all(type(x) is int for x in (spec.p, spec.n, spec.a, spec.b))
     assert all(type(x) is int for x in spec.original)
     _report_shape.cache_clear()
+    _clear_tail_records()
     with pytest.raises(TypeError):
         analyze(5, True, 1, 1)
     odd = json.dumps(analyze(_Int(5), _Int(1), _Int(1), _Int(1)),
@@ -767,10 +781,12 @@ def test_each_graph_check_reaches_certified(monkeypatch, args, doctored,
         build_stable_graph(branch_signature(*args)))))
     monkeypatch.setattr(analyzer, CHECK_OF_FIELD[field], doctored)
     _report_shape.cache_clear()
+    _clear_tail_records()
     try:
         report = analyze(*args)
     finally:
         _report_shape.cache_clear()
+        _clear_tail_records()
     assert report["certified"] is False
     value = report[field]
     if field == "local_vanishing_residuals":
@@ -1006,9 +1022,11 @@ def test_p2_identity_grid_builds_no_field(monkeypatch):
     """analyze over every p = 2 cover of the identity grid, with the
     analyzer's caches cleared first, builds no Tower and makes no q-th
     power test: the refused covers included, every p = 2 fact is an
-    integer rule.  Of the 124 covers refused at a w step, new_tail_locus
-    refuses the 64 with 2n - s odd, and conductor_bound the other 60."""
+    integer rule.  analyze's own w step, the c = 1 call of
+    conductor_bound, refuses all 124 before any tail certificate; called
+    alone, new_tail_locus refuses the 64 with 2n - s odd."""
     _report_shape.cache_clear()
+    _clear_tail_records()
     _case_record.cache_clear()
     calls = _count_field_work(monkeypatch)
     covers = [args for args in _identity_grid() if args[0] == 2]
@@ -1029,6 +1047,7 @@ def test_p3_identity_grid_builds_no_tower(monkeypatch):
     (iii) centre is a triple of Z[t]/(t^3 - r), and the cube roots of
     cases (iii) and (iv) are certified from v_3 of their radicand."""
     _report_shape.cache_clear()
+    _clear_tail_records()
     calls = _count_field_work(monkeypatch)
     covers = [args for args in _identity_grid() if args[0] == 3]
     reports = [r for r in map(_report_or_error, covers)
@@ -1159,6 +1178,7 @@ def test_shared_fields_carry_no_cover_state():
     fresh = {}
     for args in MIXED_GRID:
         _report_shape.cache_clear()
+        _clear_tail_records()
         _case_record.cache_clear()
         fresh[args] = _report_or_error(args)
     assert sum(isinstance(r, tuple) for r in fresh.values()) >= 2
@@ -1290,6 +1310,7 @@ def test_cached_shape_equals_fresh_computation(seed):
     cold = []
     for spec in specs:
         _report_shape.cache_clear()
+        _clear_tail_records()
         cold.append(_cached_shape(spec))
     assert cold == want
     assert [_cached_shape(spec) for spec in specs] == want
@@ -1446,10 +1467,13 @@ def test_reports_share_no_container_with_the_cache(first, second):
     the next report of the same shape, and of the same cover, equal to a
     report computed with the cache cleared."""
     _report_shape.cache_clear()
+    _clear_tail_records()
     fresh_first = analyze(*first)
     _report_shape.cache_clear()
+    _clear_tail_records()
     fresh_second = analyze(*second)
     _report_shape.cache_clear()
+    _clear_tail_records()
     report = analyze(*first)
     graph = report["graph"]
     assert any("branch_points" in c for c in graph["components"])
@@ -1483,6 +1507,7 @@ def test_no_two_reports_share_a_container():
     of the template, whatever keys its components carry.  The second
     report of each shape takes the template from the cache."""
     _report_shape.cache_clear()
+    _clear_tail_records()
     for p, n, s in _oracle_shapes():
         first, second = (analyze(*args)
                          for args in _oracle_covers(p, n, s)[:2])

@@ -4,6 +4,7 @@ exact-rational output convention."""
 import itertools
 import json
 import re
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -41,6 +42,43 @@ def test_analyze_stdout_json(runner):
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["certificate"]["kind"] == "SplitsArtinSchreier"
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's limit on converting ints to and from decimal
+    strings (None where Python has none), restored after the test: the
+    CLI lifts it, and CliRunner runs the CLI in this process."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    limit = get() if get else None
+    yield limit
+    if get:
+        sys.set_int_max_str_digits(limit)
+
+
+#: b = 10^4400 + 1, a unit at p = 5 with 4401 digits, written as a string
+#: so that no int of that size is converted here
+LONG_B = "1" + "0" * 4399 + "1"
+
+
+@pytest.mark.parametrize("p,n,b", [(1009, 1500, "1"), (5, 1, LONG_B)],
+                         ids=["index-1009^1500", "b-of-4401-digits"])
+def test_analyze_prints_and_parses_integers_of_any_length(runner, digit_limit,
+                                                          p, n, b):
+    """An admissible cover whose report holds an int of more than 4300
+    digits (the index 1009^1500 above 0), or whose b has more, is analyzed
+    and printed, exit 0: the CLI lifts the interpreter's default limit on
+    converting ints to and from decimal strings."""
+    if digit_limit:  # in force before the run: LONG_B cannot be read
+        with pytest.raises(ValueError):
+            int(LONG_B)
+    res = runner.invoke(main, ["analyze", "--p", str(p), "--n", str(n),
+                               "--a", "1", "--b", b])
+    assert res.exit_code == 0, res.output[-500:]
+    doc = json.loads(res.output)
+    assert doc["certified"] is True
+    assert doc["spec"]["b"] == int(b)
+    assert doc["spec"]["indices"][0] == p ** n
 
 
 def test_no_floats_anywhere(runner):

@@ -59,6 +59,7 @@ from rational_oracle import (
     expand_rational,
 )
 from test_analyzer import (
+    _clear_tail_records,
     _is_normal_form,
     _refused_by_the_cover_rule,
     _spec,
@@ -734,6 +735,7 @@ def test_large_n_covers_certify(monkeypatch, args, kind):
     calls = []
     monkeypatch.setattr(series, "tail_bound",
                         lambda *a: calls.append(a) or tail_bound(*a))
+    _clear_tail_records()
     assert certify_tail(branch_signature(*args)).kind == kind
     assert calls == []
     assert analyze(*args)["certified"] is True
@@ -1719,7 +1721,100 @@ def test_tail_check_on_the_locus_needs_no_per_l_bound(monkeypatch):
     calls = []
     monkeypatch.setattr(series, "tail_bound",
                         lambda *args: calls.append(args) or tail_bound(*args))
+    _clear_tail_records()
     for args in ((5, 1, 1, 1), (5, 2, 3, 10), (37, 1, 13, 57), (3, 2, 1, 3),
                  (2, 3, 1, 6), (7, 3, 2, 7)):
         certify_tail(branch_signature(*args))
     assert calls == []
+
+
+#: two covers of one shape for each classifier: rational centre (case ii),
+#: cubic centre (case iii) and case (v)
+SHAPE_PAIRS = [((5, 2, 3, 10), (5, 2, 1, 5)), ((3, 2, 1, 3), (3, 2, 2, 3)),
+               ((2, 3, 1, 6), (2, 3, 3, 2))]
+
+
+def _count_tail_checks(monkeypatch):
+    """The list of the arguments past the spec of every check_tail_dominated
+    call the package makes from now on."""
+    import padic_sr.series as series
+    calls = []
+    monkeypatch.setattr(series, "check_tail_dominated",
+                        lambda *args, **kw: calls.append(args[1:]) or
+                        check_tail_dominated(*args, **kw))
+    return calls
+
+
+def test_one_tail_check_per_shape(monkeypatch):
+    """The tail check reads the shape and v(e) alone, so two covers of one
+    shape run it once, with the records cleared first, and share the
+    record's verdict."""
+    calls = _count_tail_checks(monkeypatch)
+    _clear_tail_records()
+    for pair in SHAPE_PAIRS:
+        first, second = (certify_tail(branch_signature(*args))
+                         for args in pair)
+        assert first.kind.startswith("Splits"), pair
+        assert second is first, pair
+    assert len(calls) == len(SHAPE_PAIRS), calls
+
+
+def test_a_failing_tail_check_fails_alike_on_every_call(monkeypatch):
+    """A tail check that fails is run once and its PrecisionExhausted
+    raised again, with the same message, by every later call.  The
+    stand-in has s = 0, which no cover has: at its rational centre 1/26
+    the premises, h_1 = 0 and v(c_2) = tau hold, and the bound misses tau
+    at l = 5."""
+    spec = _spec(5, 2, 1, 25, 0)
+    d, v_e = Fraction(1, 26), Fraction(17, 8)
+    message = "tail coefficient l=5: bound 13/8 does not clear threshold 9/4"
+    with pytest.raises(PrecisionExhausted, match=rf"^{re.escape(message)}$"):
+        check_tail_dominated(spec, v_e, 2, Fraction(9, 4))
+    calls = _count_tail_checks(monkeypatch)
+    _clear_tail_records()
+    for _ in range(2):
+        with pytest.raises(PrecisionExhausted,
+                           match=rf"^{re.escape(message)}$"):
+            classify_rational_centre(spec, d, v_e)
+    assert len(calls) == 1, calls
+
+
+def _tail_message(spec, v_e, L, threshold, strict):
+    """check_tail_dominated's PrecisionExhausted message, or None."""
+    try:
+        check_tail_dominated(spec, v_e, L, threshold, strict=strict)
+    except PrecisionExhausted as exc:
+        return str(exc)
+    return None
+
+
+def test_a_doctored_radius_gets_its_own_record():
+    """The shape records are keyed on p, n, s and both terms of v(e): a
+    radius with the locus's numerator over another denominator gets the
+    verdict of its own radius, v(c_2) != tau, between calls at the locus,
+    which certify; and case (v) covers of one n and three s, at radii on
+    and off the locus, each name the tail check's failure exactly when
+    check_tail_dominated fails on that spec."""
+    _clear_tail_records()
+    spec = branch_signature(5, 2, 3, 10)
+    locus = new_tail_locus(spec)
+    assert locus.v_e == Fraction(13, 8)
+    for den in (1, 2, 4, 16):
+        assert classify_rational_centre(spec, locus.d, locus.v_e).kind == \
+            "SplitsArtinSchreier"
+        assert classify_rational_centre(
+            spec, locus.d, Fraction(13, den)) == ReductionVerdict(
+                "NotCertified", reason="v(c_2) != n + 1/(p-1)"), den
+    named = 0
+    for b in (24, 12, 6):  # s = 1, 2, 3
+        spec = branch_signature(2, 4, 1, b)
+        for v_e in (new_tail_locus(spec).v_e, Fraction(5, 2), Fraction(3),
+                    Fraction(7, 2)):
+            want = _tail_message(spec, v_e, 2, Fraction(5), False)
+            verdict = classify_p2_torsor(spec, v_e)
+            reasons = verdict.reason.split("; ") if verdict.reason else []
+            assert [r for r in reasons if r != "v(c_2) != n"
+                    and not r.startswith("c_1^2/c_2")] == \
+                ([want] if want else []), (b, v_e)
+            named += want is not None
+    assert 0 < named < 12
