@@ -50,7 +50,7 @@ from .series import (
     classify_torsor_reduction,
     expand_disk,
 )
-from .tower import check_prime, vp_int
+from .tower import _vp_capped, check_prime
 
 
 def _as_int(name: str, value) -> int:
@@ -71,19 +71,22 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
     normalized (by Moebius swaps) so 0 and infinity are totally ramified.
     p, n, a and b are taken as plain ints; a bool or a non-integer raises
     TypeError."""
-    p, n, a, b = (_as_int("p", p), _as_int("n", n), _as_int("a", a),
-                  _as_int("b", b))
+    if not (type(p) is int and type(n) is int and type(a) is int
+            and type(b) is int):
+        p, n, a, b = (_as_int("p", p), _as_int("n", n), _as_int("a", a),
+                      _as_int("b", b))
     check_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if p == 2 and n < 2:
         raise NotThreePoint("there are no three-point Z/2-covers")
     original = (a, b)
-    # v_p of the exponents above 0, 1 and infinity, capped at n
-    v0 = n if a == 0 else min(vp_int(a, p), n)
-    v1 = n if b == 0 else min(vp_int(b, p), n)
+    # v_p of the exponents above 0, 1 and infinity, capped at n (a zero
+    # exponent gives n); one x % p decides a unit
     c = a + b
-    vinf = n if c == 0 else min(vp_int(c, p), n)
+    v0 = _vp_capped(a, p, n) if a % p == 0 else 0
+    v1 = _vp_capped(b, p, n) if b % p == 0 else 0
+    vinf = _vp_capped(c, p, n) if c % p == 0 else 0
     if (v0 == 0) + (v1 == 0) + (vinf == 0) < 2:
         raise Disconnected(
             "fewer than two of a, b, a+b are prime to p; the cover is "
@@ -91,20 +94,20 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
         )
     if v0 >= n or v1 >= n or vinf >= n:
         raise NotThreePoint("a branch point has trivial ramification index")
-    swaps = []
+    swaps = ()
     if v0 > 0:
         # x -> 1 - x exchanges 0 and 1
         a, b = b, a
-        swaps.append("x -> 1 - x")
+        swaps = ("x -> 1 - x",)
     # the first swap keeps a + b, and only one exponent has v_p > 0
     if vinf > 0:
         # x -> x/(x-1) fixes 0 and exchanges 1 and infinity;
         # the exponent above the new x = 1 is the old exponent at infinity
         b = -c
-        swaps.append("x -> x/(x-1)")
+        swaps += ("x -> x/(x-1)",)
     s = n - max(v0, v1, vinf)  # v_p(b): b now has the one v_p > 0, if any
     indices = (p ** (n - v0), p ** (n - v1), p ** (n - vinf))
-    return CoverSpec(p, n, a, b, s, indices, tuple(swaps), original)
+    return CoverSpec(p, n, a, b, s, indices, swaps, original)
 
 
 # -- no fields ---------------------------------------------------------------

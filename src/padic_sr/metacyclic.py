@@ -99,23 +99,17 @@ def signature_solver(spec: MetacyclicSpec) -> SignatureSolution:
 
 
 def _check_faithful(p: int, n: int, m: int):
-    """m must be the order of a cyclic subgroup of (Z/p^n)^x."""
-    if m == 1:
-        return
-    if (p ** (n - 1) * (p - 1)) % m != 0:
+    """m must divide p - 1.  m is m_G = |N_G(P)/Z_G(P)|, the order of the
+    action of the normalizer of the p-Sylow P = Z/p^n on P, and it divides
+    p - 1: P is abelian, so P lies in Z_G(P); P is a Sylow subgroup of
+    N_G(P), so [N_G(P) : P] is prime to p, and so is its quotient
+    N_G(P)/Z_G(P); and that quotient embeds in Aut(P), whose prime-to-p
+    part has order p - 1.  So p = 2 admits no m >= 2."""
+    if (p - 1) % m:
         raise NotFaithful(
-            f"m = {m} does not divide the order p^(n-1)(p-1) of "
-            f"Aut(Z/{p}^{n})"
+            f"m = {m} does not divide p - 1 = {p - 1}, the order of the "
+            f"prime-to-p part of Aut(Z/{p}^{n})"
         )
-    if p == 2:
-        # (Z/2^n)^x is Z/2 x Z/2^(n-2) for n >= 3: largest cyclic subgroup
-        # has order 2^(n-2) (order 2 when n = 2, trivial when n = 1)
-        cyc = 1 if n == 1 else (2 if n == 2 else 2 ** (n - 2))
-        if cyc % m != 0:
-            raise NotFaithful(
-                f"(Z/2^{n})^x has no cyclic subgroup of order {m}"
-            )
-    # for odd p the unit group is cyclic, so divisibility suffices
 
 
 def moduli_and_tails_note(spec: MetacyclicSpec) -> dict:

@@ -37,10 +37,14 @@ p^s above 1), exactly when 1 <= s <= n (s < n for p = 2) and
 `CoverSpec.__post_init__` checks the shape first (_stable_case), then
 these four facts in this order (_check_cover), and raises
 CertificationFailed naming the first that fails (b = 0 fails the second,
-a = 0 the last).  `dataclasses.replace` builds through it too, so every
-CoverSpec is a cover, and no stage checks the rule again; each stage
-that trusts it refuses any spec that is no CoverSpec with TypeError
-(_require_cover).  So the valuations that the stages and the two
+a = 0 the last).  Each is a divisibility test: v_p(b) = n - s is that
+p^(n-s) divides b and p^(n-s+1) does not, tested once b != 0 and p is
+prime (a non-prime p raises ValueError there) and n - s is below the bit
+length of b, which bounds v_p(b); the last two are that p divides
+neither a + b nor a.  `dataclasses.replace` builds through it
+too, so every CoverSpec is a cover, and no stage checks the rule again;
+each stage that trusts it refuses any spec that is no CoverSpec with
+TypeError (_require_cover).  So the valuations that the stages and the two
 certificates whose centre the spec fixes, `classify_torsor_reduction`
 (case iii) and `classify_p2_torsor` (case v), read of their centres are
 derived values, proved below, and not a second computation: the cubic
@@ -70,7 +74,16 @@ v(c_2) = 2 v(e) + v_p(S_2) = tau; when p = 3 and n = 1,
 v(c_3) = 3 v(e) + v_p(S_3) - 1 > tau or c_3 = 0; and the tail bound above
 tau past L = 2 (L = 3 in that one shape).  A failed premise or tail bound
 raises PrecisionExhausted, any other failed fact returns NotCertified
-naming it.  On a cover every fact holds.  The premises give
+naming it.  Each fact is a divisibility test ("Per shape and per
+cover").  As gcd(delta, N) = 1, v(d) = 0 is that p divides neither delta
+nor N.  Then v(N) = 0, so v(d - 1) = n - s is that p^(n-s) divides
+delta' exactly (and p^(n-s+1) does not), and v_p(b) = n - s that it
+divides b exactly.  Past the premises w = v(d) + v(d - 1) + v(N) = n - s,
+and v(c_k) = k v(e) + v_p(T_k) - k w - v_p(k), so v(c_2) = tau is that
+p^k2 divides T_2 exactly, k2 = tau - 2 v(e) + 2w, and v(c_3) > tau or
+c_3 = 0 is that p^k3 divides T_3, k3 = floor(tau - 3 v(e)) + 3w + 2 (or
+0, when that is negative).  On a cover every fact holds.  The premises
+give
 v_p(m) = v_p(b) - v(d - 1) = 0 and v_p(a) = v(d) + v_p(m) = 0, so
 v(c_2) = 2 v(e) + 3 v_p(m) - v_p(a) - v_p(b) = 2n - s + 1/(p-1) - (n - s)
 = tau.  When p = 3 and n = 1, s = 1 and a, b and a + b are prime to 3,
@@ -78,8 +91,10 @@ which forces a = b mod 3, so v(c_3) = 9/4 + v_3(b - a) - 1 >= 9/4 > 3/2 =
 tau.  The
 tail bound is proved under "The expansion length".  So v(c_2) = tau is
 the minimum, reached at l = 2 alone, and every index divisible by p lies
-above it: condition (i) with conductor h = 2 and count p^(n-1).  The cost
-is a few v_p of integers the size of a^4 and b^4, whatever p is.
+above it: condition (i) with conductor h = 2 and count p^(n-1).  On the
+locus k2 = n - s, and when p = 3 and n = 1, k3 = 1.  The cost is a few
+divisions of integers the size of a^3 and b^3 by powers of p, whatever p
+and n are.
 
 Cubic centres.  The case (iii) centre (p = 3, s = 1 < n) is
 d = (a + t)/m, m = a + b, with t^3 = r = 3^(2n+1) C(b, 3).  With N = m,
@@ -133,6 +148,20 @@ Y = 3^M K_3 - K_1^3, M = 2n + 1, and K_1^3 = m^3 r is rational, so
 Y = 3^M K_3 - m^3 r needs no product of triples, and
 v(c_3 - c_1^3 / 3^M) > tau exactly when Y = 0 or
 3 slope + E v(Y) - E M > E tau.
+
+Each clause compares the least term E v_3(c_j) + j et, et = E v(t), over
+the nonzero coordinates c_j of a triple with a bound B that E, slope and
+tau fix, so it is a test of each coordinate.  The least term lies above B
+exactly when 3^k_j divides c_j for every j, k_j = max(floor((B - j et)/E)
++ 1, 0) (_exponents_above; a zero coordinate passes).  It equals B
+exactly when every term lies at or above B and the term of the one
+coordinate j that can meet B equals it: the classes of 0, et and 2 et mod
+E differ, so at most one (B - j et)/E is an integer, and v_3(c_j) must be
+that integer, that is 3^(k_j + 1) does not divide c_j.  When no j has an
+integer target >= 0, the equality cannot hold.  v(c_1) > n and
+v(c_3) > n test K_1 and K_3 against B = E n - slope and E n - 3 slope,
+v(c_2) = tau tests K_2 against E tau - 2 slope, and the Y check tests Y
+against E tau + E M - 3 slope.
 
 `classify_torsor_reduction` checks, in order: v(c_1) > n, v(c_3) > n
 and v(c_2) = tau, the clauses of condition (ii) that read a valuation,
@@ -251,7 +280,10 @@ v(c_l) = l (v(e) - v(d) - v(d - 1)) + v(K_l / N^l), and K_1 / N is R times
 a rational, while K_2 / N^2 and X / N^2 are Gaussian rationals.  In Q_2(i),
 v(1 + i) = 1/2 and v(z) is half the 2-adic valuation of the norm of z, so
 the classifier compares integers at the scale E = 4, with v(R) =
-v(R^2) / 2.
+v(R^2) / 2.  With slope = 4 (v(e) - n + s), v(c_2) = n is that 2^k2
+divides the norm of 2 m^3 K_2 / N^2 exactly, k2 = 2n + 2 - slope, and
+the congruence that 2^kx divides the norm of m^3 X / N^2, kx = 4n + 4 -
+slope (or 0, when that is negative; X = 0 passes).
 
 No tie at a cover's locus.  d = x + R lies in Q_2(i) or in Q_2(i)(R),
 and v(d) = min(v(x), v(R)) and v(d - 1) = min(v(x - 1), v(R)) for every
@@ -276,19 +308,28 @@ expansion length at all.
 Per shape and per cover.  Each classifier reads the facts that no a or b
 enters from one record of the shape and the radius, keyed on the plain
 ints p, n, s and both terms of v(e) and kept in an LRU of 256
-(_rational_shape, _cubic_shape, _p2_shape): the scale E, E v(e), E tau,
-the truncation L, the tail threshold, the outcome of check_tail_dominated
-(None, or its PrecisionExhausted message) and the verdict of a cover that
-passes every check.  The tail check reads p, n, s and v(e) alone
-("Checking the tail"), and the verdict's count, conductor and notes are
-functions of p and n, so the tail check runs once per record, and a
-doctored radius gets a record of its own.  The facts that read the
-cover's a and b run per cover, in the order above: at a rational centre
-the premises, h_1, v(c_2) and, when L = 3, v(c_3); at the cubic centre
-the K_1, K_2, K_3 and Y checks; in case (v) v(c_2) = n, and the
-congruence after the tail.  The record's tail outcome is read where the
-tail check stood, so every check, error and message is the one the
-certificate gave with the check run per cover.
+(_rational_shape, _cubic_shape, _p2_shape): the outcome of
+check_tail_dominated (None, or its PrecisionExhausted message), the
+verdict of a cover that passes every check, and the target exponent of
+each per-cover comparison with the power of p that tests it.  The tail
+check reads p, n, s and v(e) alone ("Checking the tail"), and the
+verdict's count, conductor and notes are functions of p and n, so the
+tail check runs once per record, and a doctored radius gets a record of
+its own.  Every per-cover fact compares a valuation with a value that E,
+E v(e), E tau and the slope fix, so it is a divisibility test of an
+integer the cover gives: v_p(x) = k exactly when p^k divides x and
+p^(k+1) does not, and v_p(x) >= k (or x = 0) exactly when p^k divides x.
+The record holds the pair (p^k, p^(k+1)) for an equality, or (1, 1),
+which no x passes, when the target k is no integer >= 0, so that the
+equality cannot hold; and p^k for a lower bound, 1 when k <= 0.  The
+facts run per cover, in the order above: at a rational centre the
+premises, h_1, v(c_2) and, when L = 3, v(c_3); at the cubic centre the
+K_1, K_2, K_3 and Y checks; in case (v) v(c_2) = n, and the congruence
+after the tail.  The record's tail outcome is read where the tail check
+stood, so every check, error and message is the one the certificate gave
+with the check run per cover and each valuation taken with v_p (the
+oracles of tests/rational_oracle.py).  No v_p is taken per cover, so a
+warm cover costs a few divisions by the record's powers, whatever n is.
 """
 
 from __future__ import annotations
@@ -303,8 +344,9 @@ from .errors import (
     CenterOnBranchLocus,
     CertificationFailed,
     PrecisionExhausted,
+    ZeroElement,
 )
-from .tower import vp_int
+from .tower import check_prime, vp_int
 
 
 # -- the cover ---------------------------------------------------------------
@@ -363,7 +405,11 @@ def _check_cover(spec) -> None:
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
     if a + b == 0:
         raise CertificationFailed("a + b = 0: the centre a/(a+b) is undefined")
-    if not b or vp_int(b, p) != n - s:
+    if b:
+        check_prime(p)
+    # exactly p^(n-s) divides b; as v_p(b) < bit_length(b), a larger n - s,
+    # and b = 0, fail before p^(n-s) is built
+    if n - s >= b.bit_length() or b % (q := p ** (n - s)) or not b % (q * p):
         raise CertificationFailed("v_p(b) = n - s fails")
     if (a + b) % p == 0:
         raise CertificationFailed("v_p(a+b) = 0 fails")
@@ -508,19 +554,6 @@ def tail_bound(spec, v_e, l):
                          for j in range(max(1, l - k), l + 1))
 
 
-def _check_premises(spec, v_d, v_d1):
-    """Raise PrecisionExhausted naming the first of v(d) = 0,
-    v(d - 1) = n - s and v_p(b) = n - s that fails, given v(d) and
-    v(d - 1)."""
-    n, s = spec.n, spec.s
-    if v_d != 0:
-        raise PrecisionExhausted("tail bound needs v(d) = 0")
-    if v_d1 != n - s:
-        raise PrecisionExhausted("tail bound needs v(d - 1) = n - s")
-    if vp_int(spec.b, spec.p) != n - s:
-        raise PrecisionExhausted("tail bound needs v(b) = n - s")
-
-
 def check_tail_dominated(spec, v_e, L, threshold, strict=True):
     """Certify v(c_l) > threshold (or >= when strict=False) for every l > L.
 
@@ -579,11 +612,8 @@ class _TailShape(NamedTuple):
     """What one classifier reads of the shape (p, n, s) and the radius
     v(e) alone, and no a or b (module docstring, "Per shape and per
     cover").  Immutable, so every cover of the shape shares it."""
-    E: int  # the scale: E v(e) and E tau are integers
-    ve: int  # E v(e)
-    T: int  # E tau, the value v(c_2) must take, times E
-    L: int  # the truncation: the tail check covers every l > L
-    threshold: Fraction  # the bound every c_l past c_L must clear
+    exponents: tuple  # the target exponent of each per-cover comparison
+    powers: tuple  # p to those exponents, the divisors that decide them
     failure: str | None  # None, or the tail check's PrecisionExhausted message
     verdict: ReductionVerdict  # of a cover that passes every per-cover check
 
@@ -599,6 +629,15 @@ def _tail_outcome(shape: _Shape, v_e: Fraction, L: int, threshold: Fraction,
     return None
 
 
+def _exactly(k, p: int) -> tuple:
+    """(p^k, p^(k+1)), which test v_p(x) = k; (1, 1), which no x passes,
+    for a k that is None or negative, where the equality cannot hold."""
+    if k is None or k < 0:
+        return 1, 1
+    q = p ** k
+    return q, q * p
+
+
 # Each record below is keyed on plain ints, p, n, s and both terms of v(e),
 # so a doctored radius gets its own record, and bounded like the analyzer's
 # _report_shape.
@@ -606,31 +645,63 @@ def _tail_outcome(shape: _Shape, v_e: Fraction, L: int, threshold: Fraction,
 def _rational_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
     """The shape facts of classify_rational_centre at v(e) = num/den:
     E = lcm(den, p - 1), tau = n + 1/(p-1), L = 2, or 3 when p = 3 and
-    n = 1, where the bound misses tau at l = 3, and the tail check above
-    tau past c_L."""
+    n = 1, where the bound misses tau at l = 3, the tail check above tau
+    past c_L, and the exponents (n - s, k2, k3) with their powers
+    (p^(n-s), p^(n-s+1)), (p^k2, p^(k2+1)) and p^k3; k3 is None when L = 2
+    (module docstring, "Rational centres")."""
     v_e = Fraction(num, den)
     E = lcm(den, p - 1)
-    T = E * n + E // (p - 1)
+    ve, T = _scaled(v_e, E), E * n + E // (p - 1)
     L = 3 if p == 3 and n == 1 else 2
+    w = n - s
+    k2, r2 = divmod(T - 2 * ve, E)
+    k2 = None if r2 else k2 + 2 * w
+    k3 = max((T - 3 * ve) // E + 3 * w + 2, 0) if L == 3 else None
     threshold = Fraction(T, E)
-    return _TailShape(E, _scaled(v_e, E), T, L, threshold,
+    return _TailShape((w, k2, k3), (_exactly(w, p), _exactly(k2, p),
+                                    None if k3 is None else p ** k3),
                       _tail_outcome(_Shape(p, n, s), v_e, L, threshold, True),
                       ReductionVerdict("SplitsArtinSchreier",
                                        count=p ** (n - 1), conductor=2,
                                        notes=("condition (i)",)))
 
 
+def _exponents_above(bound: int, E: int, et: int) -> tuple:
+    """The least k >= 0 with E k + j et > bound, for each coordinate j of a
+    triple: 3^k divides c_j exactly when its term c_j t^j lies above
+    bound / E, or c_j = 0."""
+    return tuple(max((bound - j * et) // E + 1, 0) for j in range(3))
+
+
 @lru_cache(maxsize=256)
 def _cubic_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
     """The shape facts of classify_torsor_reduction at v(e) = num/den:
-    E = lcm(den, 6), tau = n + 1/2, L = 3 and the tail check above tau past
-    c_3."""
+    E = lcm(den, 6), tau = n + 1/2, L = 3, the tail check above tau past
+    c_3, and the exponents of 3 that the coordinates of K_1, K_3, K_2 and
+    Y must reach, a triple each, with the coordinate j of K_2 that must
+    meet tau and k_j + 1, and M = 2n + 1; the powers are 3 to each, the
+    pair (j, 3^(k_j + 1)), or (0, 1) when no coordinate can meet tau
+    (module docstring, "Valuations without coefficients")."""
     v_e = Fraction(num, den)
     E = lcm(den, 6)
-    T = E * n + E // 2
-    threshold = Fraction(T, E)
-    failure = _tail_outcome(_Shape(p, n, s), v_e, 3, threshold, True)
-    return _TailShape(E, _scaled(v_e, E), T, 3, threshold, failure,
+    ve, T = _scaled(v_e, E), E * n + E // 2
+    et = E * n - E // 3  # v(t) = n - 1/3
+    # E v(N e / (delta delta')), as v(N) = v(delta) = 0, v(delta') = n - s
+    slope = ve - E * (n - s)
+    M = 2 * n + 1
+    k1 = _exponents_above(E * n - slope, E, et)
+    k3 = _exponents_above(E * n - 3 * slope, E, et)
+    k2 = _exponents_above(T - 2 * slope - 1, E, et)
+    # the one coordinate of K_2 whose term can meet E tau, and the exponent
+    # it must not reach
+    exact = next(((j, k + 1) for j, k in enumerate(k2)
+                  if E * k + j * et == T - 2 * slope), None)
+    ky = _exponents_above(T + E * M - 3 * slope, E, et)
+    q1, q3, q2, qy = (tuple(3 ** k for k in ks) for ks in (k1, k3, k2, ky))
+    powers = (q1, q3, q2, (exact[0], 3 ** exact[1]) if exact else (0, 1), qy,
+              3 ** M)
+    failure = _tail_outcome(_Shape(p, n, s), v_e, 3, Fraction(T, E), True)
+    return _TailShape((k1, k3, k2, exact, ky, M), powers, failure,
                       ReductionVerdict("SplitsArtinSchreier",
                                        count=3 ** (n - 1), conductor=2,
                                        notes=("condition (ii)",)))
@@ -639,14 +710,18 @@ def _cubic_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
 @lru_cache(maxsize=256)
 def _p2_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
     """The shape facts of classify_p2_torsor at v(e) = num/den: E = 4,
-    v(c_2) = n, L = 2 and the tail check v(c_l) >= n + 1 past c_2.  A
-    v(e) outside (1/4)Z raises AssertionError, as _scaled does."""
+    v(c_2) = n, L = 2, the tail check v(c_l) >= n + 1 past c_2, and the
+    exponents (k2, kx) of the two norms with their powers (2^k2, 2^(k2+1))
+    and 2^kx (module docstring, "Case (v) centres").  A v(e) outside
+    (1/4)Z raises AssertionError, as _scaled does."""
     v_e = Fraction(num, den)
+    slope = _scaled(v_e, 4) - 4 * (n - s)
+    k2, kx = 2 * n + 2 - slope, max(4 * n + 4 - slope, 0)
     threshold = Fraction(n + 1)
     # c_2 is a square in R: a square root exists over an at-most-quadratic
     # extension of K, which the construction permits (adjoined on demand)
     notes = ("sqrt(c_2) adjoined on demand", "congruence holds with i -> +i")
-    return _TailShape(4, _scaled(v_e, 4), 4 * n, 2, threshold,
+    return _TailShape((k2, kx), (_exactly(k2, 2), 2 ** kx),
                       _tail_outcome(_Shape(p, n, s), v_e, 2, threshold, False),
                       ReductionVerdict("SplitsZ4", count=2 ** (n - 2),
                                        conductor=1, notes=notes))
@@ -654,45 +729,36 @@ def _p2_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
 
 # -- classification ----------------------------------------------------------
 
-def _val3(x, E: int, et: int) -> int:
-    """E v(c_0 + c_1 t + c_2 t^2) of a nonzero triple, E v(t) = et: the
-    least E v_3(c_j) + j et (module docstring, "Cubic centres")."""
-    return min(E * vp_int(c, 3) + j * et for j, c in enumerate(x) if c)
-
-
 def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     """Reduction type of the Artin-Schreier torsor on the case (iii) disk of
     `expand_disk`, from its K_1, K_2 and K_3 (module docstring, "Valuations
     without coefficients").  The spec is a CoverSpec, so v(d) = 0,
     v(d - 1) = n - s and v_3(a+b) = 0 follow from the cover rule.  It
     checks v(c_1) > n, v(c_3) > n and v(c_2) = tau; Y = 3^M K_3 - m^3 r;
-    and the tail bound above tau past c_3, comparing integers scaled by
-    E = lcm(den v(e), 6).  A failed tail bound raises PrecisionExhausted,
-    and any other failed fact returns NotCertified naming the clause of
-    condition (ii) that fails.
+    and the tail bound above tau past c_3.  A failed tail bound raises
+    PrecisionExhausted, and any other failed fact returns NotCertified
+    naming the clause of condition (ii) that fails.
 
-    Per shape: E, E v(e), E tau, the tail check and the verdict, read from
-    one record of (p, n, s, v(e)) (_cubic_shape).  Per cover: the triple
-    checks of K_1, K_2, K_3 and Y, which read a and b, before the tail
-    check's outcome is read."""
-    spec, m, v_e = exp.spec, exp.d.den, exp.v_e
-    n = spec.n
-    E, ve, T, _, _, failure, verdict = _cubic_shape(
-        spec.p, n, spec.s, v_e.numerator, v_e.denominator)
-    et = E * n - E // 3  # v(t) = n - 1/3
-    # E v(N e / (delta delta')), as v(N) = v(delta) = 0, v(delta') = n - s
-    slope = ve - E * (n - spec.s)
+    Per shape: the tail check, the verdict and the powers of 3, read from
+    one record of (p, n, s, v(e)) (_cubic_shape).  Per cover, in that
+    order: each coordinate of K_1, then of K_3, is divisible by its power;
+    each of K_2 is, and its one coordinate j that can meet tau is not
+    divisible by 3^(k_j + 1); each of Y is divisible by its power; then
+    the tail check's outcome is read."""
+    spec, m = exp.spec, exp.d.den
+    _, powers, failure, verdict = _cubic_shape(
+        spec.p, spec.n, spec.s, exp.v_e.numerator, exp.v_e.denominator)
+    q1, q3, q2, (j, h2), qy, qM = powers
     k1, k2, k3 = exp.ks
-    if slope + _val3(k1, E, et) <= E * n:
+    if any(c % q for c, q in zip(k1, q1)):
         return ReductionVerdict("NotCertified", reason="v(c_1) <= n")
-    if 3 * slope + _val3(k3, E, et) <= E * n:
+    if any(c % q for c, q in zip(k3, q3)):
         return ReductionVerdict("NotCertified", reason="v(c_p) <= n")
-    if 2 * slope + _val3(k2, E, et) != T:
+    if any(c % q for c, q in zip(k2, q2)) or not k2[j] % h2:
         return ReductionVerdict(
             "NotCertified", reason="min over i != 1, p is not n + 1/(p-1)")
-    M = 2 * n + 1
-    y = (3 ** M * k3[0] - m ** 3 * exp.d.r, 3 ** M * k3[1], 3 ** M * k3[2])
-    if any(y) and 3 * slope + _val3(y, E, et) - E * M <= T:
+    y = (qM * k3[0] - m ** 3 * exp.d.r, qM * k3[1], qM * k3[2])
+    if any(c % q for c, q in zip(y, qy)):
         return ReductionVerdict(
             "NotCertified",
             reason="v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
@@ -709,13 +775,15 @@ def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
     v(c_2) = tau and, when p = 3 and n = 1, v(c_3) > tau, then the tail
     bound above tau past c_2 (past c_3 in that shape).  A failed premise or
     tail bound raises PrecisionExhausted, any other failed fact returns
-    NotCertified naming it, a centre 0 or 1 raises CenterOnBranchLocus and
-    p = 2 raises ValueError.
+    NotCertified naming it, a centre 0 or 1 raises CenterOnBranchLocus,
+    p = 2 raises ValueError, and so does a p that is not prime.
 
-    Per shape: E, E v(e), E tau, L, the tail check and the verdict, read
-    from one record of (p, n, s, v(e)) (_rational_shape).  Per cover: the
-    premises, h_1, v(c_2) and, when L = 3, v(c_3), which read d, a and b,
-    before the tail check's outcome is read."""
+    Per shape: the tail check, the verdict and the powers of p, read from
+    one record of (p, n, s, v(e)) (_rational_shape).  Per cover, with
+    d = delta/N in lowest terms and in this order: p divides neither delta
+    nor N; p^(n-s) divides delta - N, then b, exactly (p^(n-s+1) does
+    not); T_1 = 0; p^k2 divides T_2 exactly; when L = 3, p^k3 divides T_3;
+    then the tail check's outcome is read."""
     p, n, a, b = spec.p, spec.n, spec.a, spec.b
     if p == 2:
         raise ValueError("p = 2 torsors are classified by "
@@ -724,37 +792,33 @@ def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
     delta1 = delta - N
     if not delta or not delta1:
         raise CenterOnBranchLocus("disk center lies on the branch locus")
-    v_n = vp_int(N, p)
-    v_d, v_d1 = vp_int(delta, p) - v_n, vp_int(delta1, p) - v_n
-    _check_premises(spec, v_d, v_d1)
+    check_prime(p)
+    _, ((qb, qb1), (q2, q21), q3), failure, verdict = _rational_shape(
+        p, n, spec.s, v_e.numerator, v_e.denominator)
+    if not N % p or not delta % p:
+        raise PrecisionExhausted("tail bound needs v(d) = 0")
+    if delta1 % qb or not delta1 % qb1:
+        raise PrecisionExhausted("tail bound needs v(d - 1) = n - s")
+    if b % qb or not b % qb1:
+        if not b:
+            raise ZeroElement("v(0) is +infinity")
+        raise PrecisionExhausted("tail bound needs v(b) = n - s")
     if a * delta1 + b * delta:  # T_1 = 0, that is h_1 = 0
         return ReductionVerdict("NotCertified", reason="h_1 != 0")
-    E, ve, T, L, _, failure, verdict = _rational_shape(
-        p, n, spec.s, v_e.numerator, v_e.denominator)
-    # E v(c_k) = k E v_e + E (v_p(T_k) - k w - v_p(k)), T_k = a delta'^k +
-    # b delta^k, compared with E tau as integers
-    w = v_d + v_d1 + v_n
+    # T_k = a delta'^k + b delta^k
     t2 = a * delta1 ** 2 + b * delta ** 2
-    if not t2 or 2 * ve + E * (vp_int(t2, p) - 2 * w) != T:
+    if t2 % q2 or not t2 % q21:
         return ReductionVerdict("NotCertified",
                                 reason="v(c_2) != n + 1/(p-1)")
-    if L == 3:
+    if q3 is not None:
         # p = 3 and n = 1: the tail bound misses tau at l = 3
         t3 = a * delta1 ** 3 + b * delta ** 3
-        if t3 and 3 * ve + E * (vp_int(t3, p) - 3 * w - 1) <= T:
+        if t3 % q3:
             return ReductionVerdict("NotCertified",
                                     reason="v(c_3) <= n + 1/(p-1)")
     if failure is not None:
         raise PrecisionExhausted(failure)
     return verdict
-
-
-def _v4(re: int, im: int):
-    """4 v(z) for the Gaussian integer z = re + im i, v(1 + i) = 1/2, or
-    None for z = 0: v(z) is half the 2-adic valuation of the norm
-    re^2 + im^2, so 4 v(z) is an even integer."""
-    norm = re * re + im * im
-    return 2 * vp_int(norm, 2) if norm else None
 
 
 def classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
@@ -767,32 +831,33 @@ def classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
     of p = 2, so a cover of odd p raises ValueError.  Every l >= 3 is
     certified by the tail bound.
 
-    Per shape: E v(e), the tail check and the verdict, read from one record
-    of (p, n, s, v(e)) (_p2_shape).  Per cover: v(c_2) = n, whose failure
-    is named before the tail check's, and the congruence, which read a
-    and b."""
+    Per shape: the tail check, the verdict and the powers of 2, read from
+    one record of (p, n, s, v(e)) (_p2_shape).  Per cover: v(c_2) = n,
+    2^k2 divides the norm of 2 m^3 K_2 / N^2 exactly, whose failure is
+    named before the tail check's; and the congruence, 2^kx divides the
+    norm of m^3 X / N^2."""
     _require_cover(spec, "classify_p2_torsor")
     if spec.p != 2:
         raise ValueError("odd p torsors are classified by "
                          "classify_rational_centre and "
                          "classify_torsor_reduction")
     n, s, a, b = spec.n, spec.s, spec.a, spec.b
-    _, ve, T, _, _, failure, verdict = _p2_shape(
+    _, ((q2, q21), qx), failure, verdict = _p2_shape(
         2, n, s, v_e.numerator, v_e.denominator)
     m, rho = a + b, 2 ** n * b
-    # E v(c_l) = l slope + E v(K_l / N^l), E = 4, v(d) = 0, v(d - 1) = n - s
-    slope = ve - 4 * (n - s)
     reasons = []
     # K_2 / N^2 = (-a b m^2 + (m - 1) rho i) / (2 m^3), nonzero as a b m is
-    if 2 * slope + _v4(-a * b * m * m, (m - 1) * rho) - 4 != T:
+    re, im = a * b * m * m, (m - 1) * rho
+    norm = re * re + im * im
+    if norm % q2 or not norm % q21:
         reasons.append("v(c_2) != n")
     if failure is not None:
         reasons.append(failure)
     if reasons:
         return ReductionVerdict("NotCertified", reason="; ".join(reasons))
     # X / N^2 = (2^n (m - 1) rho + (rho m + 2^n a b m^2) i) / m^3
-    vx = _v4(2 ** n * (m - 1) * rho, rho * m + 2 ** n * a * b * m * m)
-    if not (vx is None or vx + 2 * slope >= 4 * (2 * n + 2)):
+    re, im = 2 ** n * (m - 1) * rho, rho * m + 2 ** n * a * b * m * m
+    if (re * re + im * im) % qx:
         return ReductionVerdict(
             "NotCertified",
             reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i")

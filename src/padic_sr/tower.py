@@ -70,19 +70,37 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
+def _vp_capped(x: int, p: int, cap: int) -> int:
+    """min(v_p(x), cap) for a prime p, which is not checked, and cap >= 0;
+    x = 0 gives cap.  A doubling search: divide by p, p^2, p^4, ... while
+    each divides and the cap allows it, then walk back down the same
+    powers, so it costs O(log v) divisions and one x % p when p does not
+    divide x."""
+    v, k, q, ladder = 0, 1, p, []
+    while v + k <= cap and not x % q:
+        x //= q
+        v += k
+        ladder.append((q, k))
+        q, k = q * q, 2 * k
+    # what is left to take, min(v_p(x), cap - v), is below k: its binary
+    # digits are the powers on the ladder
+    for q, k in reversed(ladder):
+        if v + k <= cap and not x % q:
+            x //= q
+            v += k
+    return v
+
+
 def vp_int(x: int, p: int) -> int:
     """v_p(x) of a nonzero integer x, for a prime p.
 
     Raises ZeroElement on x = 0 and ValueError when p is not prime, so no
-    input can make the division loop run forever."""
+    input can make the search run forever.  v_p(x) < bit_length(x) caps
+    the search (_vp_capped)."""
     if x == 0:
         raise ZeroElement("v(0) is +infinity")
     check_prime(p)
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    return _vp_capped(x, p, x.bit_length())
 
 
 def vp_rational(q: Fraction, p: int) -> Fraction:

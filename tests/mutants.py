@@ -34,9 +34,12 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 SERIES = "src/padic_sr/series.py"
 ANALYZER = "src/padic_sr/analyzer.py"
 GRAPH = "src/padic_sr/graph.py"
+TOWER = "src/padic_sr/tower.py"
+METACYCLIC = "src/padic_sr/metacyclic.py"
 TS = "tests/test_series.py::"
 TA = "tests/test_analyzer.py::"
 TG = "tests/test_graph.py::"
+TD = "tests/test_divisibility.py::"
 
 
 class Mutant(NamedTuple):
@@ -95,24 +98,49 @@ MUTANTS = [
            "    for l in range(L + 1, q):", "    for l in range(L + 2, q):",
            (TS + "test_tail_check_matches_per_l_reference",)),
     Mutant("tail-premise-v(d)", SERIES,
-           "    if v_d != 0:", "    if False:",
+           "    if not N % p or not delta % p:", "    if False:",
            (TS + "test_each_tail_premise_is_checked",)),
     Mutant("tail-premise-v(d-1)", SERIES,
-           "    if v_d1 != n - s:", "    if False:",
+           "    if delta1 % qb or not delta1 % qb1:", "    if False:",
            (TS + "test_each_tail_premise_is_checked",)),
     Mutant("tail-premise-v(b)", SERIES,
-           "    if vp_int(spec.b, spec.p) != n - s:", "    if False:",
+           "    if b % qb or not b % qb1:", "    if False:",
            (TS + "test_each_tail_premise_is_checked",)),
     # -- the rational centre -----------------------------------------------
+    # an exact test "p^k divides x and p^(k+1) does not" gets two mutants,
+    # its exponent off by one and its second clause dropped; a one-sided
+    # test "p^k divides x" gets the first
+    Mutant("rational-premise-exponent", SERIES,
+           "(_exactly(w, p), _exactly(k2, p),",
+           "(_exactly(w + 1, p), _exactly(k2, p),",
+           (TD + "test_certificates_match_the_vp_oracle_on_the_grid",)),
+    Mutant("rational-premise-v(d-1)-exact", SERIES,
+           "    if delta1 % qb or not delta1 % qb1:", "    if delta1 % qb:",
+           (TS + "test_each_tail_premise_is_checked",)),
+    Mutant("rational-premise-v(b)-exact", SERIES,
+           "    if b % qb or not b % qb1:", "    if b % qb:",
+           (TS + "test_each_tail_premise_is_checked",)),
     Mutant("rational-h1", SERIES,
            "    if a * delta1 + b * delta:  # T_1 = 0",
            "    if False:  # T_1 = 0",
            (TS + "test_closed_form_names_each_failed_fact",)),
     Mutant("rational-c2-power-of-w", SERIES,
-           "(vp_int(t2, p) - 2 * w) != T", "(vp_int(t2, p) - w) != T",
+           "    k2 = None if r2 else k2 + 2 * w\n",
+           "    k2 = None if r2 else k2 + w\n",
            (TS + "test_large_n_covers_certify",)),
+    Mutant("rational-c2-exponent", SERIES,
+           "    k2 = None if r2 else k2 + 2 * w\n",
+           "    k2 = None if r2 else k2 + 2 * w + 1\n",
+           (TD + "test_certificates_match_the_vp_oracle_on_the_grid",)),
+    Mutant("rational-c2-exact", SERIES,
+           "    if t2 % q2 or not t2 % q21:", "    if t2 % q2:",
+           (TD + "test_certificates_match_the_vp_oracle_on_doctored_radii",)),
     Mutant("rational-n1-length", SERIES,
            "    L = 3 if p == 3 and n == 1 else 2\n", "    L = 2\n",
+           (TS + "test_rational_centre_cost_does_not_grow_in_p",)),
+    Mutant("rational-n1-c3-exponent", SERIES,
+           "k3 = max((T - 3 * ve) // E + 3 * w + 2, 0)",
+           "k3 = max((T - 3 * ve) // E + 3 * w + 3, 0)",
            (TS + "test_rational_centre_cost_does_not_grow_in_p",)),
     # -- the cubic centre of case (iii) ------------------------------------
     Mutant("expand-disk-p-and-s", SERIES,
@@ -130,37 +158,54 @@ MUTANTS = [
            "         -ab * m * (m - 1) // 2, 0)))",
            (TS + "test_closed_forms_of_k1_k2_k3_sympy",)),
     Mutant("cubic-c1-deleted", SERIES,
-           "    if slope + _val3(k1, E, et) <= E * n:", "    if False:",
+           "    if any(c % q for c, q in zip(k1, q1)):", "    if False:",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
     Mutant("cubic-c1-strict", SERIES,
-           "    if slope + _val3(k1, E, et) <= E * n:",
-           "    if slope + _val3(k1, E, et) < E * n:",
+           "    k1 = _exponents_above(E * n - slope, E, et)",
+           "    k1 = _exponents_above(E * n - slope - 1, E, et)",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
     Mutant("cubic-c3-deleted", SERIES,
-           "    if 3 * slope + _val3(k3, E, et) <= E * n:", "    if False:",
+           "    if any(c % q for c, q in zip(k3, q3)):", "    if False:",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
     Mutant("cubic-c3-strict", SERIES,
-           "    if 3 * slope + _val3(k3, E, et) <= E * n:",
-           "    if 3 * slope + _val3(k3, E, et) < E * n:",
+           "_exponents_above(E * n - 3 * slope, E, et)",
+           "_exponents_above(E * n - 3 * slope - 1, E, et)",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
     Mutant("cubic-c3-power-of-u", SERIES,
-           "    if 3 * slope + _val3(k3, E, et) <= E * n:",
-           "    if 2 * slope + _val3(k3, E, et) <= E * n:",
+           "_exponents_above(E * n - 3 * slope, E, et)",
+           "_exponents_above(E * n - 2 * slope, E, et)",
            (TS + "test_verdict_p3_condition_ii",)),
-    Mutant("cubic-c2-deleted", SERIES,
-           "    if 2 * slope + _val3(k2, E, et) != T:", "    if False:",
+    # every coordinate's exponent one lower: each triple test is weaker
+    Mutant("cubic-exponent", SERIES,
+           "// E + 1, 0) for j in range(3))", "// E, 0) for j in range(3))",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
+    Mutant("cubic-c2-deleted", SERIES,
+           "    if any(c % q for c, q in zip(k2, q2)) or not k2[j] % h2:",
+           "    if False:",
+           (TS + "test_cubic_certificate_names_each_failed_fact",)),
+    Mutant("cubic-c2-exponent", SERIES,
+           "    k2 = _exponents_above(T - 2 * slope - 1, E, et)",
+           "    k2 = _exponents_above(T - 2 * slope - 1 - E, E, et)",
+           (TS + "test_verdict_p3_condition_ii",)),
+    Mutant("cubic-c2-exact", SERIES,
+           "    if any(c % q for c, q in zip(k2, q2)) or not k2[j] % h2:",
+           "    if any(c % q for c, q in zip(k2, q2)):",
+           (TD + "test_certificates_match_the_vp_oracle_on_doctored_radii",)),
     Mutant("cubic-y-sign", SERIES,
-           "    y = (3 ** M * k3[0] - m ** 3 * exp.d.r,",
-           "    y = (3 ** M * k3[0] + m ** 3 * exp.d.r,",
+           "    y = (qM * k3[0] - m ** 3 * exp.d.r,",
+           "    y = (qM * k3[0] + m ** 3 * exp.d.r,",
            (TS + "test_verdict_p3_condition_ii",)),
-    Mutant("cubic-y-zero", SERIES,
-           "    if any(y) and 3 * slope", "    if 3 * slope",
-           (TS + "test_cubic_certificate_matches_the_triple_recurrence",)),
     Mutant("cubic-tail-length", SERIES,
-           "_tail_outcome(_Shape(p, n, s), v_e, 3, threshold, True)",
-           "_tail_outcome(_Shape(p, n, s), v_e, 2, threshold, True)",
+           "_tail_outcome(_Shape(p, n, s), v_e, 3, Fraction(T, E), True)",
+           "_tail_outcome(_Shape(p, n, s), v_e, 2, Fraction(T, E), True)",
            (TS + "test_verdict_p3_condition_ii",)),
+    # no verdict tells this one apart: past v(c_2) = tau, v(e) = n - 1/4
+    # and s = 1, where the bound clears tau past c_3 (series docstring, "The
+    # expansion length"); the test counts the one tail check per record
+    Mutant("cubic-tail-deleted", SERIES,
+           "    failure = _tail_outcome(",
+           "    failure = None and _tail_outcome(",
+           (TS + "test_one_tail_check_per_shape",)),
     # -- the shape records of the classifiers: a key dropped ------------------
     # the case (v) record read as if every cover had s = 1, and the rational
     # one as if every radius had the locus's denominator 2(p - 1)
@@ -174,9 +219,16 @@ MUTANTS = [
            (TS + "test_a_doctored_radius_gets_its_own_record",)),
     # -- case (v) ------------------------------------------------------------
     Mutant("p2-congruence-strict", SERIES,
-           "vx + 2 * slope >= 4 * (2 * n + 2)",
-           "vx + 2 * slope > 4 * (2 * n + 2)",
+           "kx = 2 * n + 2 - slope, max(4 * n + 4 - slope, 0)",
+           "kx = 2 * n + 2 - slope, max(4 * n + 5 - slope, 0)",
            (TS + "test_case_v_closed_form_matches_the_tower_path",)),
+    Mutant("p2-c2-exponent", SERIES,
+           "kx = 2 * n + 2 - slope, max(4 * n + 4 - slope, 0)",
+           "kx = 2 * n + 3 - slope, max(4 * n + 4 - slope, 0)",
+           (TS + "test_case_v_closed_form_matches_the_tower_path",)),
+    Mutant("p2-c2-exact", SERIES,
+           "    if norm % q2 or not norm % q21:", "    if norm % q2:",
+           (TD + "test_certificates_match_the_vp_oracle_on_doctored_radii",)),
     Mutant("w-step-new-tail-locus", ANALYZER,
            "        _certify_p2_step(b // 2 ** (n - s), (2 * n - s) % 2)\n",
            "        pass\n",
@@ -246,12 +298,42 @@ MUTANTS = [
            (TA + "test_cover_rule_names_each_broken_fact",
             TA + "test_conductor_bound_refuses_a_zero_a_plus_b")),
     Mutant("cover-v(b)", SERIES,
-           "    if not b or vp_int(b, p) != n - s:", "    if False:",
+           "    if n - s >= b.bit_length() or b % (q := p ** (n - s)) or",
+           "    if False and",
            (TA + "test_cover_rule_names_each_broken_fact",)),
+    # b = 0 fails the bit-length test before any power of p is built, for
+    # any p: without it 0 % (0^0 * 0) divides by zero
     Mutant("cover-b-zero", SERIES,
-           "    if not b or vp_int(b, p) != n - s:",
-           "    if vp_int(b, p) != n - s:",
+           "    if n - s >= b.bit_length() or b % (q",
+           "    if b % (q",
+           (TA + "test_non_prime_p_refused",)),
+    Mutant("cover-v(b)-exponent", SERIES,
+           "b % (q := p ** (n - s))", "b % (q := p ** (n - s + 1))",
            (TA + "test_cover_rule_names_each_broken_fact",)),
+    Mutant("cover-v(b)-exact", SERIES,
+           " or not b % (q * p):", ":",
+           (TA + "test_cover_rule_names_each_broken_fact",)),
+    Mutant("cover-prime", SERIES,
+           "    if b:\n        check_prime(p)\n", "",
+           (TA + "test_non_prime_p_refused",)),
+    # -- branch_signature's capped valuations and the search behind them ----
+    Mutant("signature-cap", ANALYZER,
+           "    v1 = _vp_capped(b, p, n) if b % p == 0 else 0",
+           "    v1 = _vp_capped(b, p, n - 1) if b % p == 0 else 0",
+           ("tests/test_golden.py",)),
+    Mutant("search-descent", TOWER,
+           "    for q, k in reversed(ladder):", "    for q, k in ladder[-1:]:",
+           ("tests/test_tower.py::test_capped_search_is_the_capped_valuation",)),
+    Mutant("search-cap", TOWER,
+           "    while v + k <= cap and not x % q:",
+           "    while v + k <= cap + 1 and not x % q:",
+           ("tests/test_tower.py::test_capped_search_is_the_capped_valuation",)),
+    # -- the signature of a prime-to-p action -------------------------------
+    Mutant("faithful-p-minus-1", METACYCLIC,
+           "    if (p - 1) % m:", "    if False:",
+           ("tests/test_metacyclic.py::test_spec_checks_faithfulness",
+            "tests/test_cli.py::"
+            "test_signature_refuses_a_group_that_cannot_exist")),
     Mutant("cover-v(a+b)", SERIES,
            "    if (a + b) % p == 0:", "    if False:",
            (TA + "test_cover_rule_names_each_broken_fact",)),
@@ -262,25 +344,27 @@ MUTANTS = [
 
 EQUIVALENT = [
     Mutant("rational-n1-v3-of-3", SERIES,
-           "(vp_int(t3, p) - 3 * w - 1) <= T", "(vp_int(t3, p) - 3 * w) <= T",
+           "k3 = max((T - 3 * ve) // E + 3 * w + 2, 0)",
+           "k3 = max((T - 3 * ve) // E + 3 * w + 1, 0)",
            (), "past the premises and v(c_2) = tau, v(c_3) >= 9/4 > tau = "
            "3/2 when p = 3 and n = 1, so the check never fails, and neither "
-           "does this weaker form (series docstring, \"Rational centres\")"),
+           "does this weaker form, whose exponent 0 passes every T_3 (series "
+           "docstring, \"Rational centres\")"),
     Mutant("cubic-y-deleted", SERIES,
-           "    if any(y) and 3 * slope", "    if False and 3 * slope", (),
+           "    if any(c % q for c, q in zip(y, qy)):", "    if False:", (),
            "past v(c_2) = tau, v(e) = n - 1/4, and v(Y) >= 4n - 1 gives "
            "v(c_3 - c_1^3/3^M) >= 2n + 1/4 > tau (series docstring, "
            "\"Valuations without coefficients\")"),
     Mutant("cubic-y-power-of-u", SERIES,
-           "    if any(y) and 3 * slope", "    if any(y) and 2 * slope", (),
+           "_exponents_above(T + E * M - 3 * slope, E, et)",
+           "_exponents_above(T + E * M - 2 * slope, E, et)", (),
            "the margin of the Y check is at least n - 1/4 >= 7/4, above "
            "v(u) = 3/4"),
-    Mutant("cubic-tail-deleted", SERIES,
-           "failure = _tail_outcome(_Shape(p, n, s), v_e, 3, threshold, True)",
-           "failure = None",
-           (),
-           "past v(c_2) = tau, v(e) = n - 1/4 and s = 1, and the bound clears "
-           "tau past c_3 there (series docstring, \"The expansion length\")"),
+    Mutant("cubic-y-exponent", SERIES,
+           "_exponents_above(T + E * M - 3 * slope, E, et)",
+           "_exponents_above(T + E * M - 3 * slope + E, E, et)", (),
+           "the margin of the Y check is at least n - 1/4 >= 7/4, so one "
+           "more power of 3 in each coordinate of Y still passes"),
 ]
 
 

@@ -1,7 +1,11 @@
 """The recurrences that expand a disk to any length, and the general
 classifier of an expansion, kept as the oracles of the closed-form
 certificates `series.classify_rational_centre` and
-`series.classify_torsor_reduction`.
+`series.classify_torsor_reduction`; and the closed-form certificates as
+they read every valuation with v_p (`vp_classify_rational_centre`,
+`vp_classify_torsor_reduction`, `vp_classify_p2_torsor`), kept as the
+oracles of the package's, which decide each fact with a divisibility test
+against a power of p of the shape's record.
 
 `certify_tail` used to expand the cover on the disk of the rational centre
 a/(a+b) (cases i, ii and iv) to c_2p by the fraction-free recurrence below,
@@ -29,15 +33,28 @@ from fractions import Fraction
 from math import lcm
 
 from padic_sr.analyzer import new_tail_locus
-from padic_sr.errors import CenterOnBranchLocus
+from padic_sr.errors import CenterOnBranchLocus, PrecisionExhausted
 from padic_sr.series import (
     CubicCentre,
     ReductionVerdict,
-    _check_premises,
+    _require_cover,
     _scaled,
     check_tail_dominated,
 )
 from padic_sr.tower import vp_int, vp_rational
+
+
+def _check_premises(spec, v_d, v_d1):
+    """Raise PrecisionExhausted naming the first of v(d) = 0,
+    v(d - 1) = n - s and v_p(b) = n - s that fails, given v(d) and
+    v(d - 1)."""
+    n, s = spec.n, spec.s
+    if v_d != 0:
+        raise PrecisionExhausted("tail bound needs v(d) = 0")
+    if v_d1 != n - s:
+        raise PrecisionExhausted("tail bound needs v(d - 1) = n - s")
+    if vp_int(spec.b, spec.p) != n - s:
+        raise PrecisionExhausted("tail bound needs v(b) = n - s")
 
 
 def default_truncation(p: int) -> int:
@@ -302,3 +319,117 @@ def certify_tail(spec):
     locus = new_tail_locus(spec)
     expand = expand_rational if isinstance(locus.d, Fraction) else expand_cubic
     return classify_expansion(expand(spec, locus.d, locus.v_e))
+
+
+# -- the closed-form certificates, every valuation read with v_p ------------
+# Each computes what the package's shape records hold (E, E v(e), E tau, L,
+# the verdict) on every call, and runs the tail check where the record's
+# outcome is read, so it raises and names what the package does.
+
+def _val3(x, E: int, et: int) -> int:
+    """E v(c_0 + c_1 t + c_2 t^2) of a nonzero triple, E v(t) = et: the
+    least E v_3(c_j) + j et (series module docstring, "Cubic centres")."""
+    return min(E * vp_int(c, 3) + j * et for j, c in enumerate(x) if c)
+
+
+def vp_classify_torsor_reduction(exp) -> ReductionVerdict:
+    """series.classify_torsor_reduction, each triple valued by _val3."""
+    spec, m, v_e = exp.spec, exp.d.den, exp.v_e
+    n = spec.n
+    E = lcm(v_e.denominator, 6)
+    ve, T = _scaled(v_e, E), E * n + E // 2
+    et = E * n - E // 3  # v(t) = n - 1/3
+    # E v(N e / (delta delta')), as v(N) = v(delta) = 0, v(delta') = n - s
+    slope = ve - E * (n - spec.s)
+    k1, k2, k3 = exp.ks
+    if slope + _val3(k1, E, et) <= E * n:
+        return ReductionVerdict("NotCertified", reason="v(c_1) <= n")
+    if 3 * slope + _val3(k3, E, et) <= E * n:
+        return ReductionVerdict("NotCertified", reason="v(c_p) <= n")
+    if 2 * slope + _val3(k2, E, et) != T:
+        return ReductionVerdict(
+            "NotCertified", reason="min over i != 1, p is not n + 1/(p-1)")
+    M = 2 * n + 1
+    y = (3 ** M * k3[0] - m ** 3 * exp.d.r, 3 ** M * k3[1], 3 ** M * k3[2])
+    if any(y) and 3 * slope + _val3(y, E, et) - E * M <= T:
+        return ReductionVerdict(
+            "NotCertified",
+            reason="v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
+    check_tail_dominated(spec, v_e, 3, Fraction(T, E), strict=True)
+    return ReductionVerdict("SplitsArtinSchreier", count=3 ** (n - 1),
+                            conductor=2, notes=("condition (ii)",))
+
+
+def vp_classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
+    """series.classify_rational_centre, each fact read from v_p of an
+    integer; the premises by _check_premises."""
+    p, n, a, b = spec.p, spec.n, spec.a, spec.b
+    if p == 2:
+        raise ValueError("p = 2 torsors are classified by "
+                         "classify_p2_torsor")
+    N, delta = d.denominator, d.numerator
+    delta1 = delta - N
+    if not delta or not delta1:
+        raise CenterOnBranchLocus("disk center lies on the branch locus")
+    v_n = vp_int(N, p)
+    v_d, v_d1 = vp_int(delta, p) - v_n, vp_int(delta1, p) - v_n
+    _check_premises(spec, v_d, v_d1)
+    if a * delta1 + b * delta:  # T_1 = 0, that is h_1 = 0
+        return ReductionVerdict("NotCertified", reason="h_1 != 0")
+    E = lcm(v_e.denominator, p - 1)
+    ve, T = _scaled(v_e, E), E * n + E // (p - 1)
+    L = 3 if p == 3 and n == 1 else 2
+    # E v(c_k) = k E v_e + E (v_p(T_k) - k w - v_p(k)), T_k = a delta'^k +
+    # b delta^k, compared with E tau as integers
+    w = v_d + v_d1 + v_n
+    t2 = a * delta1 ** 2 + b * delta ** 2
+    if not t2 or 2 * ve + E * (vp_int(t2, p) - 2 * w) != T:
+        return ReductionVerdict("NotCertified",
+                                reason="v(c_2) != n + 1/(p-1)")
+    if L == 3:
+        t3 = a * delta1 ** 3 + b * delta ** 3
+        if t3 and 3 * ve + E * (vp_int(t3, p) - 3 * w - 1) <= T:
+            return ReductionVerdict("NotCertified",
+                                    reason="v(c_3) <= n + 1/(p-1)")
+    check_tail_dominated(spec, v_e, L, Fraction(T, E), strict=True)
+    return ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
+                            conductor=2, notes=("condition (i)",))
+
+
+def _v4(re: int, im: int):
+    """4 v(z) for the Gaussian integer z = re + im i, v(1 + i) = 1/2, or
+    None for z = 0: half the 2-adic valuation of the norm, times 4."""
+    norm = re * re + im * im
+    return 2 * vp_int(norm, 2) if norm else None
+
+
+def vp_classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
+    """series.classify_p2_torsor, each Gaussian rational valued by _v4."""
+    _require_cover(spec, "classify_p2_torsor")
+    if spec.p != 2:
+        raise ValueError("odd p torsors are classified by "
+                         "classify_rational_centre and "
+                         "classify_torsor_reduction")
+    n, s, a, b = spec.n, spec.s, spec.a, spec.b
+    ve, T = _scaled(v_e, 4), 4 * n
+    m, rho = a + b, 2 ** n * b
+    # E v(c_l) = l slope + E v(K_l / N^l), E = 4, v(d) = 0, v(d - 1) = n - s
+    slope = ve - 4 * (n - s)
+    reasons = []
+    if 2 * slope + _v4(-a * b * m * m, (m - 1) * rho) - 4 != T:
+        reasons.append("v(c_2) != n")
+    try:
+        check_tail_dominated(spec, v_e, 2, Fraction(n + 1), strict=False)
+    except PrecisionExhausted as exc:
+        reasons.append(str(exc))
+    if reasons:
+        return ReductionVerdict("NotCertified", reason="; ".join(reasons))
+    vx = _v4(2 ** n * (m - 1) * rho, rho * m + 2 ** n * a * b * m * m)
+    if not (vx is None or vx + 2 * slope >= 4 * (2 * n + 2)):
+        return ReductionVerdict(
+            "NotCertified",
+            reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i")
+    return ReductionVerdict(
+        "SplitsZ4", count=2 ** (n - 2), conductor=1,
+        notes=("sqrt(c_2) adjoined on demand",
+               "congruence holds with i -> +i"))

@@ -142,11 +142,18 @@ def test_signature_reads_each_valuation_once():
 @pytest.mark.parametrize("p", [0, 1, 4, -3])
 def test_non_prime_p_refused(p):
     """A non-prime p is refused before any p-adic valuation is taken (p = 1
-    used to loop forever in v_p, p = 0 to divide by zero)."""
+    used to loop forever in v_p, p = 0 to divide by zero), and by the
+    cover rule before it tests v_p(b) = n - s, once a + b != 0 and b != 0
+    hold; a + b = 0 and b = 0, at any s, fail the rule first."""
     with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
         branch_signature(p, 2, 1, 1)
     with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
         analyze(p, 1, 1, 1)
+    with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
+        CoverSpec(p, 2, 1, 3, 1, ())
+    for a, b, s in ((1, -1, 1), (1, 0, 1), (1, 0, 2)):
+        with pytest.raises(CertificationFailed):
+            CoverSpec(p, 2, a, b, s, ())
 
 
 class _Int(int):

@@ -170,10 +170,21 @@ def test_signature_subcommand(runner):
     assert "NotFaithful" in res.output
 
 
+def test_signature_refuses_a_group_that_cannot_exist(runner):
+    """m_G divides p - 1, so Z/3^2 with m = 3, which 3 divides, is refused:
+    exit 1 with NotFaithful, not a signature."""
+    res = runner.invoke(main, ["signature", "--p", "3", "--n", "2", "--m",
+                               "3", "--a1", "1", "--a2", "1", "--a3", "1"])
+    assert res.exit_code == 1, res.output
+    assert "NotFaithful" in res.output
+    assert "m = 3 does not divide p - 1 = 2" in res.output
+
+
 def test_signature_holds_on_every_admissible_spec(runner):
-    """Every admissible spec with p <= 13, n <= 3 and m in 2..12, all 1945 of
-    them, exits 0 with the solver's signature, whose sigmas sum to 1: the
-    vanishing-cycles count of the star of primitive tails."""
+    """Every admissible spec with p <= 13, n <= 3 and m in 2..12, all 1191 of
+    them (m divides p - 1, so p = 2 has none), exits 0 with the solver's
+    signature, whose sigmas sum to 1: the vanishing-cycles count of the
+    star of primitive tails."""
     checked = 0
     for p in (2, 3, 5, 7, 11, 13):
         for n in (1, 2, 3):
@@ -193,7 +204,7 @@ def test_signature_holds_on_every_admissible_spec(runner):
                     assert doc["signature"] == sol.to_json(), (p, n, m, a)
                     assert sum(sol.sigmas()) == 1, (p, n, m, a)
                     checked += 1
-    assert checked == 1945
+    assert checked == 1191
 
 
 def test_batch_table(runner):

@@ -112,14 +112,17 @@ def test_uniqueness_of_window_representative():
 
 
 def test_spec_checks_faithfulness():
-    """m must be the order of a cyclic subgroup of (Z/p^n)^x."""
-    for p, n, m in [(5, 1, 4), (2, 4, 4), (3, 2, 6)]:
+    """m = m_G must divide p - 1 (metacyclic._check_faithful): a divisor of
+    |Aut(Z/p^n)| = p^(n-1)(p-1) that p divides is refused, and p = 2
+    admits no m at all."""
+    for p, n, m in [(5, 1, 4), (7, 2, 6), (13, 3, 12), (3, 4, 2)]:
         MetacyclicSpec(p, n, m, (1, m - 1, 0))
-    with pytest.raises(NotFaithful):
-        MetacyclicSpec(5, 1, 3, (1, 2, 0))  # 3 does not divide 4
-    with pytest.raises(NotFaithful):
-        # (Z/16)^x has no cyclic order-8 subgroup
-        MetacyclicSpec(2, 4, 8, (1, 7, 0))
+    for p, n, m in [(5, 1, 3),  # 3 does not divide 4
+                    (2, 4, 4), (2, 4, 8), (2, 2, 2),  # p = 2 has no m
+                    (3, 2, 3), (3, 2, 6), (5, 3, 10)]:  # p divides m
+        with pytest.raises(NotFaithful, match=rf"^m = {m} does not divide "
+                                              rf"p - 1 = {p - 1}, "):
+            MetacyclicSpec(p, n, m, (1, m - 1, 0))
 
 
 def test_moduli_and_tails_note():

@@ -37,7 +37,6 @@ from padic_sr.series import (
     DiskExpansion,
     ReductionVerdict,
     _cube_radicand,
-    _val3,
     binom_falling,
     check_tail_dominated,
     classify_p2_torsor,
@@ -53,6 +52,7 @@ from p2_oracle import classify_p2, tower_locus
 from rational_oracle import (
     CubicExpansion,
     RationalExpansion,
+    _val3,
     classify_expansion,
     default_truncation,
     expand_cubic,
@@ -851,7 +851,7 @@ def test_closed_form_matches_the_integer_recurrence():
         assert got.notes == ("condition (i)",) and got.conductor == 2, spec
         covers += 1
     assert covers > 1000, covers
-    for args, fields, message in DOCTORED_PREMISES:
+    for args, fields, message in DOCTORED_PREMISES + DOCTORED_PREMISE_ABOVE:
         spec = _stand_in(args, **fields)
         d, v_e = _doctored_locus(spec)
         closed = _verdict_or_error(
@@ -898,6 +898,12 @@ DOCTORED_PREMISES = [
     ((5, 2, 3, 10), {"a": 5, "b": 25}, "tail bound needs v(b) = n - s"),
 ]
 
+#: the same, failing v(d - 1) = n - s = 1 from above: d = 1/26 has
+#: v(d - 1) = 2, so the test of p^(n-s) against d - 1 must be exact
+DOCTORED_PREMISE_ABOVE = [
+    ((5, 2, 3, 10), {"a": 1, "b": 25}, "tail bound needs v(d - 1) = n - s"),
+]
+
 
 #: the same for the case (iii) centre (a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3),
 #: whose certificate checks v_3(b) = n - s before it values a triple.  In
@@ -920,6 +926,7 @@ DOCTORED_CUBIC_PREMISES = [
 FIRST_BROKEN_FACT = {
     (5, 2, 5, 1, 2): "v_p(a) = 0 fails",
     (5, 2, 3, 3, 1): "v_p(b) = n - s fails",
+    (5, 2, 1, 25, 1): "v_p(b) = n - s fails",
     (5, 2, 5, 25, 1): "v_p(b) = n - s fails",
     (3, 2, 1, 9, 1): "v_p(b) = n - s fails",
     (3, 3, 1, 27, 1): "v_p(b) = n - s fails",
@@ -938,7 +945,8 @@ def _doctored_locus(spec):
 
 
 @pytest.mark.parametrize("args,fields,message",
-                         DOCTORED_PREMISES + DOCTORED_CUBIC_PREMISES)
+                         DOCTORED_PREMISES + DOCTORED_CUBIC_PREMISES
+                         + DOCTORED_PREMISE_ABOVE)
 def test_each_tail_premise_is_checked(args, fields, message):
     """A doctored spec that fails one premise of the tail bound breaks the
     cover rule, and building it is refused with CertificationFailed naming

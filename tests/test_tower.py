@@ -30,6 +30,7 @@ from padic_sr.tower import (
     _det_fraction,
     _is_qth_power_local,
     _solve_fraction,
+    _vp_capped,
     square_class_K2_K3,
     unit_level,
     vp_int,
@@ -105,6 +106,43 @@ def test_vp_int_refuses_zero_and_non_primes():
     for p in (1, 4, 0, -3):
         with pytest.raises(ValueError, match="is not prime"):
             vp_int(12, p)
+
+
+def _naive_vp(x, p):
+    """v_p(x) of a nonzero integer, one division per unit: the oracle of
+    the doubling search."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def test_capped_search_is_the_capped_valuation():
+    """_vp_capped(x, p, n) = min(v_p(x), n) for x = +-p^k u with k up to
+    3001 (256 for p > 100), around each power of 2, where the doubling
+    search turns, and seeded draws of u, which may themselves be divisible
+    by p or be 0; x = 0 gives the cap.  Every cap 0 <= n <= k + 2 is read
+    up to k = 256, and beyond it the caps around k and every 97th.  vp_int
+    agrees with the oracle on every nonzero x."""
+    rng = random.Random(41)
+    ks = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 100, 255, 256,
+          1023, 1024, 2047, 2048, 3001]
+    for p in (2, 3, 5, 7, 101, 65537):
+        units = [1, -1, p - 1, p + 1, -(2 * p + 1)]
+        units += [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
+        for k in ks if p < 100 else ks[:-6]:
+            for u in units:
+                x = u * p ** k
+                want = _naive_vp(x, p) if x else None
+                if x:
+                    assert vp_int(x, p) == want, (p, k, u)
+                caps = range(k + 3) if k <= 256 else \
+                    sorted({0, 1, k - 1, k, k + 1, k + 2, *range(0, k, 97)})
+                for cap in caps:
+                    assert _vp_capped(x, p, cap) == \
+                        (cap if want is None else min(want, cap)), \
+                        (p, k, u, cap)
 
 
 @pytest.mark.parametrize("bad", [0.5, 0.75, -2.0])

@@ -20,7 +20,7 @@ from padic_sr.errors import (
 )
 from padic_sr.jsonutil import parse_rat
 from padic_sr.ramification import cyclotomic_tower
-from padic_sr.series import _check_premises, _scaled
+from padic_sr.series import _scaled
 from padic_sr.tower import (
     Tower,
     _element,
@@ -28,7 +28,7 @@ from padic_sr.tower import (
     vp_int,
     vp_rational,
 )
-from rational_oracle import default_truncation
+from rational_oracle import _check_premises, default_truncation
 
 
 def make_tower(p: int, steps) -> Tower:
