@@ -10,10 +10,10 @@ and infinity and ramified of index p^s above 1.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .errors import (
@@ -42,28 +42,16 @@ from .series import (
     CoverSpec,
     CubicCentre,
     ReductionVerdict,
+    _as_int,
     _cube_radicand,
+    _cubic_verdict,
+    _disk_ks,
+    _p2_verdict,
+    _rational_verdict,
     _require_cover,
     _stable_case,
-    classify_p2_torsor,
-    classify_rational_centre,
-    classify_torsor_reduction,
-    expand_disk,
 )
 from .tower import _vp_capped, check_prime
-
-
-def _as_int(name: str, value) -> int:
-    """value as a plain int (operator.index), so that equal inputs give
-    equal specs and reports; a bool, a float or any other non-integer raises
-    TypeError naming the argument."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, not bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not "
-                        f"{type(value).__name__}") from None
 
 
 def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
@@ -157,8 +145,8 @@ def _certify_p2_step(b_odd: int, c: int) -> None:
 @dataclass(frozen=True)
 class NewTailLocus:
     """The disk of the new etale tail (new_tail_locus): its centre and v(e).
-    No case label: certify_tail tells case (v) by p = 2, and a Fraction
-    centre from a CubicCentre by its type."""
+    No case label: a reader tells case (v) by p = 2, and a Fraction centre
+    from a CubicCentre by its type."""
     # CubicCentre (a + t)/(a+b) in case (iii), else the Fraction a/(a+b); in
     # case (v) the centre is d + R, R^2 = 2^n b i/(a+b)^4
     d: object
@@ -186,7 +174,11 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     the step w^2 = u behind R is certified in integers, from b' mod 8
     (_certify_p2_step), and no field is built.  A spec that is no
     CoverSpec raises TypeError.  The case and v(e) are facts of the shape,
-    computed once per shape (_locus_shape); the centre reads a and b."""
+    computed once per shape (_locus_shape); the centre reads a and b.
+
+    Neither certify_tail nor analyze reads it: each makes its own w step,
+    and _tail_certificate takes the integers of this centre without
+    building it."""
     _require_cover(spec, "new_tail_locus")
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
     case, v_e = _locus_shape(p, n, s)
@@ -206,14 +198,41 @@ def certify_tail(spec: CoverSpec) -> ReductionVerdict:
     rational centre (cases i, ii and iv) from c_1, c_2 and c_3, at the
     cubic centre of case (iii) from the closed-form K_1, K_2 and K_3 that
     expand_disk writes down, and at a case (v) centre from c_1 and c_2.
-    The tail bound certifies every later c_l (series module docstring)."""
-    locus = new_tail_locus(spec)
-    if spec.p == 2:
-        return classify_p2_torsor(spec, locus.v_e)
-    if isinstance(locus.d, Fraction):
-        return classify_rational_centre(spec, locus.d, locus.v_e)
-    return classify_torsor_reduction(
-        expand_disk(spec, locus.d, locus.v_e))
+    The tail bound certifies every later c_l (series module docstring).
+
+    It makes new_tail_locus's w step, with the same error and message, and
+    then hands the spec to _tail_certificate, the core analyze calls, so it
+    builds no locus, centre or expansion.  The public stages,
+    new_tail_locus and a classifier, compose to the same verdict or error;
+    the tests hold the two paths to each other."""
+    _require_cover(spec, "certify_tail")
+    p, n, s = spec.p, spec.n, spec.s
+    if p == 2:
+        _certify_p2_step(spec.b // 2 ** (n - s), (2 * n - s) % 2)
+    return _tail_certificate(spec, *_locus_shape(p, n, s))
+
+
+def _tail_certificate(spec: CoverSpec, case: str, v_e) -> ReductionVerdict:
+    """The tail verdict, or its error, on the cover spec of that case, at
+    the radius v_e, with no w step (certify_tail and analyze each make
+    theirs first) and no object but the verdict: the checks of the three
+    classifiers, handed the integers of the centre that new_tail_locus
+    builds.  At the rational centre those are a and a + b in lowest terms,
+    with the denominator's sign positive, as Fraction(a, a + b) holds
+    them; in case (iii) the radicand r and the K-triples (_disk_ks) are
+    computed once, at the centre that expand_disk accepts; case (v) reads
+    the spec alone."""
+    a, b = spec.a, spec.b
+    m = a + b
+    if case == "iii":
+        r = _cube_radicand(spec.n, spec.s, b)
+        return _cubic_verdict(spec, m, r, _disk_ks(a, b, m, r), v_e)
+    if case == "v":
+        return _p2_verdict(spec, v_e)
+    g = gcd(a, m)
+    if m < 0:
+        g = -g
+    return _rational_verdict(spec, a // g, m // g, v_e)
 
 
 # -- the case record ---------------------------------------------------------
@@ -676,11 +695,14 @@ def analyze(p: int, n: int, a: int, b: int) -> dict:
     that conductor_bound makes in case (v).  That step comes first: its
     c = 1 call decides every w step with the same error and message
     (conductor_bound), new_tail_locus's among them, so a cover it refuses
-    builds no tail certificate."""
+    builds no tail certificate, and it is the only w step analyze makes.
+    The tail certificate is certify_tail's verdict, taken from the
+    integers of the centre (_tail_certificate), so no locus, centre or
+    expansion is built."""
     spec = branch_signature(p, n, a, b)
     if spec.p == 2:
         _certify_p2_step(spec.b // 2 ** (spec.n - spec.s), 1)
-    verdict = certify_tail(spec)
+    verdict = _tail_certificate(spec, *_locus_shape(spec.p, spec.n, spec.s))
     shape = _report_shape(spec.p, spec.n, spec.s)
     doc = shape.doc
     graph, tower, conductor = doc["graph"], doc["tower"], doc["conductor"]

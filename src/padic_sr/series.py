@@ -34,7 +34,9 @@ p^s above 1), exactly when 1 <= s <= n (s < n for p = 2) and
 
     a + b != 0,   v_p(b) = n - s,   v_p(a+b) = 0,   v_p(a) = 0.
 
-`CoverSpec.__post_init__` checks the shape first (_stable_case), then
+Building a CoverSpec takes p, n, a, b and s as plain ints (a bool or a
+non-integer raises TypeError naming the field), then
+`CoverSpec.__post_init__` checks the shape (_stable_case), then
 these four facts in this order (_check_cover), and raises
 CertificationFailed naming the first that fails (b = 0 fails the second,
 a = 0 the last).  Each is a divisibility test: v_p(b) = n - s is that
@@ -53,7 +55,7 @@ cover, and the p = 2 certificate v(d) = 0, v(d - 1) = n - s and
 v_2(a+b) = 0.
 `classify_rational_centre` takes any rational centre, so it reads
 v(d) = 0 and v(d - 1) = n - s from its centre and v_p(b) = n - s from the
-spec (_check_premises).
+spec (_rational_verdict).
 
 Rational centres.  In cases (i), (ii) and (iv) p is odd, the centre is
 d = a/(a+b) and v(e) = (2n - s + 1/(p-1))/2, and `classify_rational_centre`
@@ -293,9 +295,9 @@ v(R) = v(R^2)/2 = (n + n - s)/2 = n - s/2, which lies strictly between
 them when 1 <= s < n: n - s < n - s/2 as s > 0, and n - s/2 > 0 as
 s < 2n.  So no tie occurs, and v(d) = 0 and v(d - 1) = n - s whichever
 way v extends: the certificate reads no irreducibility, and neither
-square root of R^2 changes a valuation.  certify_tail hands
-`classify_p2_torsor` a CoverSpec, so 1 <= s < n and the cover rule hold
-before it reads these values.
+square root of R^2 changes a valuation.  `classify_p2_torsor` and
+analyzer._tail_certificate read them off a CoverSpec only, so
+1 <= s < n and the cover rule hold before either reads these values.
 
 The l >= 3 bound.  On a cover v(d) = 0 and v(d - 1) = v(b) = n - s, the
 premises of the tail bound, so it holds at every l, and on the locus
@@ -330,10 +332,25 @@ stood, so every check, error and message is the one the certificate gave
 with the check run per cover and each valuation taken with v_p (the
 oracles of tests/rational_oracle.py).  No v_p is taken per cover, so a
 warm cover costs a few divisions by the record's powers, whatever n is.
+
+The per-cover checks of each classifier are one private function, which
+takes the spec, the centre's integers and v(e) (_rational_verdict at
+d = delta/N in lowest terms, N > 0; _cubic_verdict at (a + t)/m, t^3 = r,
+with the K-triples of _disk_ks; _p2_verdict from the spec alone).  The
+public classifiers and expand_disk keep their own refusals of their
+arguments and hand those functions the integers of the centre they are
+given.  analyze and certify_tail hand them the integers of the centre
+new_tail_locus would build, computed once (analyzer._tail_certificate):
+at a rational centre a and a + b reduced by one gcd, with the
+denominator made positive, as Fraction(a, a + b) holds them.  So a warm
+cover builds no Fraction, CubicCentre, DiskExpansion or NewTailLocus,
+and gets the verdict or error that the public stages give past their w
+step, as the tests check.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -351,13 +368,31 @@ from .tower import check_prime, vp_int
 
 # -- the cover ---------------------------------------------------------------
 
+def _as_int(name: str, value) -> int:
+    """value as a plain int (operator.index), so that equal inputs give
+    equal specs and reports; a bool, a float or any other non-integer raises
+    TypeError naming the argument."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not "
+                        f"{type(value).__name__}") from None
+
+
 @dataclass(frozen=True)
 class CoverSpec:
     """The normal form of a cover y^(p^n) = x^a (x-1)^b, ramified of index
     p^s above 1, as branch_signature makes it.  Building one, directly or
-    by dataclasses.replace, checks the shape (_stable_case) and the cover
-    rule (_check_cover), so every CoverSpec is a cover (module docstring,
-    "The cover rule")."""
+    by dataclasses.replace, takes p, n, a, b and s as plain ints (_as_int:
+    a bool or a non-integer raises TypeError naming the field), then checks
+    the shape (_stable_case) and the cover rule (_check_cover), so every
+    CoverSpec is a cover (module docstring, "The cover rule").
+
+    A frozen dataclass, with its equality, hash, repr and
+    FrozenInstanceError; only __init__ is its own, which fills __dict__ in
+    one step rather than with one frozen setattr per field."""
     p: int
     n: int
     a: int
@@ -366,6 +401,16 @@ class CoverSpec:
     indices: tuple  # ramification indices above (0, 1, infinity)
     swaps: tuple = ()  # Moebius normalizations applied, outermost first
     original: tuple = ()  # (a, b) as given before normalization
+
+    def __init__(self, p, n, a, b, s, indices, swaps=(), original=()):
+        if not (type(p) is int and type(n) is int and type(a) is int
+                and type(b) is int and type(s) is int):
+            p, n, a, b, s = (_as_int("p", p), _as_int("n", n),
+                             _as_int("a", a), _as_int("b", b),
+                             _as_int("s", s))
+        self.__dict__.update(p=p, n=n, a=a, b=b, s=s, indices=indices,
+                             swaps=swaps, original=original)
+        self.__post_init__()
 
     def __post_init__(self):
         _stable_case(self.p, self.n, self.s)
@@ -383,9 +428,10 @@ class CoverSpec:
 def _stable_case(p: int, n: int, s: int) -> str:
     """The case (i)-(v) of a cover of shape (p, n, s).  _case_record lists
     what each case builds, the conductor certificate included; only
-    new_tail_locus dispatches on the label besides.  It refuses a shape no cover has: an s outside
-    1 <= s <= n, or s = n for p = 2, where the cover would have three
-    totally ramified points (branch_signature never makes one)."""
+    new_tail_locus and analyzer._tail_certificate dispatch on the label
+    besides.  It refuses a shape no cover has: an s outside 1 <= s <= n,
+    or s = n for p = 2, where the cover would have three totally ramified
+    points (branch_signature never makes one)."""
     if not 1 <= s <= n or (p == 2 and s == n):
         raise CertificationFailed(f"no cover of p = {p}, n = {n} has s = {s}")
     if p == 2:
@@ -521,12 +567,18 @@ def expand_disk(spec, d, v_e) -> DiskExpansion:
         raise CertificationFailed(
             "K_1, K_2 and K_3 are known only at the case (iii) centre "
             "(a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3)")
+    return DiskExpansion(spec, d, v_e, _disk_ks(a, b, m, r))
+
+
+def _disk_ks(a: int, b: int, m: int, r: int) -> tuple:
+    """(K_1, K_2, K_3) of the case (iii) disk of a cover with exponents a
+    and b, m = a + b, at its centre (a + t)/m, t^3 = r (module docstring,
+    "Cubic centres")."""
     ab = a * b
-    return DiskExpansion(spec, d, v_e, (
-        (0, m, 0),
-        (-ab * m // 2, 0, m * (m - 1) // 2),
-        (m * (2 * ab * (a - b) + (m - 1) * (m - 2) * r) // 6,
-         -ab * m * (m - 2) // 2, 0)))
+    return ((0, m, 0),
+            (-ab * m // 2, 0, m * (m - 1) // 2),
+            (m * (2 * ab * (a - b) + (m - 1) * (m - 2) * r) // 6,
+             -ab * m * (m - 2) // 2, 0))
 
 
 # -- rigorous tail bound -----------------------------------------------------
@@ -737,7 +789,20 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     checks v(c_1) > n, v(c_3) > n and v(c_2) = tau; Y = 3^M K_3 - m^3 r;
     and the tail bound above tau past c_3.  A failed tail bound raises
     PrecisionExhausted, and any other failed fact returns NotCertified
-    naming the clause of condition (ii) that fails.
+    naming the clause of condition (ii) that fails.  The checks are
+    _cubic_verdict's, which analyze calls with the same integers."""
+    return _cubic_verdict(exp.spec, exp.d.den, exp.d.r, exp.ks, exp.v_e)
+
+
+def _divisible(cs: tuple, qs: tuple) -> bool:
+    """Is each coordinate of the triple cs divisible by its power in qs?"""
+    return not (cs[0] % qs[0] or cs[1] % qs[1] or cs[2] % qs[2])
+
+
+def _cubic_verdict(spec, m: int, r: int, ks: tuple, v_e) -> ReductionVerdict:
+    """classify_torsor_reduction's checks on the disk of radius v_e = v(e)
+    at the case (iii) centre (a + t)/m, t^3 = r, of the cover spec, whose
+    K_1, K_2 and K_3 are ks.
 
     Per shape: the tail check, the verdict and the powers of 3, read from
     one record of (p, n, s, v(e)) (_cubic_shape).  Per cover, in that
@@ -745,20 +810,19 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     each of K_2 is, and its one coordinate j that can meet tau is not
     divisible by 3^(k_j + 1); each of Y is divisible by its power; then
     the tail check's outcome is read."""
-    spec, m = exp.spec, exp.d.den
     _, powers, failure, verdict = _cubic_shape(
-        spec.p, spec.n, spec.s, exp.v_e.numerator, exp.v_e.denominator)
+        spec.p, spec.n, spec.s, v_e.numerator, v_e.denominator)
     q1, q3, q2, (j, h2), qy, qM = powers
-    k1, k2, k3 = exp.ks
-    if any(c % q for c, q in zip(k1, q1)):
+    k1, k2, k3 = ks
+    if not _divisible(k1, q1):
         return ReductionVerdict("NotCertified", reason="v(c_1) <= n")
-    if any(c % q for c, q in zip(k3, q3)):
+    if not _divisible(k3, q3):
         return ReductionVerdict("NotCertified", reason="v(c_p) <= n")
-    if any(c % q for c, q in zip(k2, q2)) or not k2[j] % h2:
+    if not _divisible(k2, q2) or not k2[j] % h2:
         return ReductionVerdict(
             "NotCertified", reason="min over i != 1, p is not n + 1/(p-1)")
-    y = (qM * k3[0] - m ** 3 * exp.d.r, qM * k3[1], qM * k3[2])
-    if any(c % q for c, q in zip(y, qy)):
+    y = (qM * k3[0] - m ** 3 * r, qM * k3[1], qM * k3[2])
+    if not _divisible(y, qy):
         return ReductionVerdict(
             "NotCertified",
             reason="v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
@@ -776,19 +840,25 @@ def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
     bound above tau past c_2 (past c_3 in that shape).  A failed premise or
     tail bound raises PrecisionExhausted, any other failed fact returns
     NotCertified naming it, a centre 0 or 1 raises CenterOnBranchLocus,
-    p = 2 raises ValueError, and so does a p that is not prime.
-
-    Per shape: the tail check, the verdict and the powers of p, read from
-    one record of (p, n, s, v(e)) (_rational_shape).  Per cover, with
-    d = delta/N in lowest terms and in this order: p divides neither delta
-    nor N; p^(n-s) divides delta - N, then b, exactly (p^(n-s+1) does
-    not); T_1 = 0; p^k2 divides T_2 exactly; when L = 3, p^k3 divides T_3;
-    then the tail check's outcome is read."""
-    p, n, a, b = spec.p, spec.n, spec.a, spec.b
-    if p == 2:
+    p = 2 raises ValueError, and so does a p that is not prime.  Past the
+    p = 2 refusal the checks are _rational_verdict's, at the numerator and
+    denominator of d; analyze calls it with the same integers."""
+    if spec.p == 2:
         raise ValueError("p = 2 torsors are classified by "
                          "classify_p2_torsor")
-    N, delta = d.denominator, d.numerator
+    return _rational_verdict(spec, d.numerator, d.denominator, v_e)
+
+
+def _rational_verdict(spec, delta: int, N: int, v_e) -> ReductionVerdict:
+    """classify_rational_centre's checks past its p = 2 refusal, at the
+    centre d = delta/N in lowest terms, N > 0, as a Fraction holds it.
+
+    Per shape: the tail check, the verdict and the powers of p, read from
+    one record of (p, n, s, v(e)) (_rational_shape).  Per cover, in this
+    order: p divides neither delta nor N; p^(n-s) divides delta - N, then
+    b, exactly (p^(n-s+1) does not); T_1 = 0; p^k2 divides T_2 exactly;
+    when L = 3, p^k3 divides T_3; then the tail check's outcome is read."""
+    p, n, a, b = spec.p, spec.n, spec.a, spec.b
     delta1 = delta - N
     if not delta or not delta1:
         raise CenterOnBranchLocus("disk center lies on the branch locus")
@@ -829,18 +899,25 @@ def classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
     v(d - 1) = n - s with no tie (module docstring, "No tie at a cover's
     locus"); any other spec raises TypeError.  The closed forms are those
     of p = 2, so a cover of odd p raises ValueError.  Every l >= 3 is
-    certified by the tail bound.
+    certified by the tail bound.  Past those refusals the checks are
+    _p2_verdict's, which analyze calls alike."""
+    _require_cover(spec, "classify_p2_torsor")
+    if spec.p != 2:
+        raise ValueError("odd p torsors are classified by "
+                         "classify_rational_centre and "
+                         "classify_torsor_reduction")
+    return _p2_verdict(spec, v_e)
+
+
+def _p2_verdict(spec, v_e) -> ReductionVerdict:
+    """classify_p2_torsor's checks on the case (v) disk of the cover spec,
+    of radius v_e = v(e).
 
     Per shape: the tail check, the verdict and the powers of 2, read from
     one record of (p, n, s, v(e)) (_p2_shape).  Per cover: v(c_2) = n,
     2^k2 divides the norm of 2 m^3 K_2 / N^2 exactly, whose failure is
     named before the tail check's; and the congruence, 2^kx divides the
     norm of m^3 X / N^2."""
-    _require_cover(spec, "classify_p2_torsor")
-    if spec.p != 2:
-        raise ValueError("odd p torsors are classified by "
-                         "classify_rational_centre and "
-                         "classify_torsor_reduction")
     n, s, a, b = spec.n, spec.s, spec.a, spec.b
     _, ((q2, q21), qx), failure, verdict = _p2_shape(
         2, n, s, v_e.numerator, v_e.denominator)

@@ -40,6 +40,7 @@ TS = "tests/test_series.py::"
 TA = "tests/test_analyzer.py::"
 TG = "tests/test_graph.py::"
 TD = "tests/test_divisibility.py::"
+FORGED = TD + "test_cubic_certificate_matches_the_vp_oracle_on_forged_triples"
 
 
 class Mutant(NamedTuple):
@@ -154,18 +155,18 @@ MUTANTS = [
            "False:",
            (TS + "test_expand_disk_refuses_other_centres",)),
     Mutant("expand-disk-k3", SERIES,
-           "         -ab * m * (m - 2) // 2, 0)))",
-           "         -ab * m * (m - 1) // 2, 0)))",
+           "             -ab * m * (m - 2) // 2, 0))",
+           "             -ab * m * (m - 1) // 2, 0))",
            (TS + "test_closed_forms_of_k1_k2_k3_sympy",)),
     Mutant("cubic-c1-deleted", SERIES,
-           "    if any(c % q for c, q in zip(k1, q1)):", "    if False:",
+           "    if not _divisible(k1, q1):", "    if False:",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
     Mutant("cubic-c1-strict", SERIES,
            "    k1 = _exponents_above(E * n - slope, E, et)",
            "    k1 = _exponents_above(E * n - slope - 1, E, et)",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
     Mutant("cubic-c3-deleted", SERIES,
-           "    if any(c % q for c, q in zip(k3, q3)):", "    if False:",
+           "    if not _divisible(k3, q3):", "    if False:",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
     Mutant("cubic-c3-strict", SERIES,
            "_exponents_above(E * n - 3 * slope, E, et)",
@@ -179,8 +180,18 @@ MUTANTS = [
     Mutant("cubic-exponent", SERIES,
            "// E + 1, 0) for j in range(3))", "// E, 0) for j in range(3))",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
+    # a coordinate dropped from every triple test
+    Mutant("cubic-divisible-c0", SERIES,
+           "    return not (cs[0] % qs[0] or cs[1] % qs[1] or cs[2] % qs[2])",
+           "    return not (cs[1] % qs[1] or cs[2] % qs[2])",
+           (TD + "test_certificates_match_the_vp_oracle_on_doctored_radii",)),
+    # only a forged K_2 at a small radius has a t^2 term below tau
+    Mutant("cubic-divisible-c2", SERIES,
+           "    return not (cs[0] % qs[0] or cs[1] % qs[1] or cs[2] % qs[2])",
+           "    return not (cs[0] % qs[0] or cs[1] % qs[1])",
+           (FORGED,)),
     Mutant("cubic-c2-deleted", SERIES,
-           "    if any(c % q for c, q in zip(k2, q2)) or not k2[j] % h2:",
+           "    if not _divisible(k2, q2) or not k2[j] % h2:",
            "    if False:",
            (TS + "test_cubic_certificate_names_each_failed_fact",)),
     Mutant("cubic-c2-exponent", SERIES,
@@ -188,13 +199,27 @@ MUTANTS = [
            "    k2 = _exponents_above(T - 2 * slope - 1 - E, E, et)",
            (TS + "test_verdict_p3_condition_ii",)),
     Mutant("cubic-c2-exact", SERIES,
-           "    if any(c % q for c, q in zip(k2, q2)) or not k2[j] % h2:",
-           "    if any(c % q for c, q in zip(k2, q2)):",
+           "    if not _divisible(k2, q2) or not k2[j] % h2:",
+           "    if not _divisible(k2, q2):",
            (TD + "test_certificates_match_the_vp_oracle_on_doctored_radii",)),
     Mutant("cubic-y-sign", SERIES,
-           "    y = (qM * k3[0] - m ** 3 * exp.d.r,",
-           "    y = (qM * k3[0] + m ** 3 * exp.d.r,",
+           "    y = (qM * k3[0] - m ** 3 * r,",
+           "    y = (qM * k3[0] + m ** 3 * r,",
            (TS + "test_verdict_p3_condition_ii",)),
+    # the Y check cannot fail on an expansion of expand_disk past the
+    # clauses before it (series docstring, "Valuations without
+    # coefficients"), but it can on a forged K_3
+    Mutant("cubic-y-deleted", SERIES,
+           "    if not _divisible(y, qy):", "    if False:",
+           (FORGED,)),
+    Mutant("cubic-y-power-of-u", SERIES,
+           "_exponents_above(T + E * M - 3 * slope, E, et)",
+           "_exponents_above(T + E * M - 2 * slope, E, et)",
+           (FORGED,)),
+    Mutant("cubic-y-exponent", SERIES,
+           "_exponents_above(T + E * M - 3 * slope, E, et)",
+           "_exponents_above(T + E * M - 3 * slope + E, E, et)",
+           (FORGED,)),
     Mutant("cubic-tail-length", SERIES,
            "_tail_outcome(_Shape(p, n, s), v_e, 3, Fraction(T, E), True)",
            "_tail_outcome(_Shape(p, n, s), v_e, 2, Fraction(T, E), True)",
@@ -233,6 +258,10 @@ MUTANTS = [
            "        _certify_p2_step(b // 2 ** (n - s), (2 * n - s) % 2)\n",
            "        pass\n",
            (TA + "test_p2_identity_grid_builds_no_field",)),
+    Mutant("w-step-certify-tail", ANALYZER,
+           "        _certify_p2_step(spec.b // 2 ** (n - s), (2 * n - s) % 2)\n",
+           "        pass\n",
+           (TD + "test_certificates_match_the_vp_oracle_on_the_grid",)),
     Mutant("w-step-conductor", ANALYZER,
            "        _certify_p2_step(spec.b // 2 ** (n - s), 1)\n",
            "        pass\n",
@@ -241,6 +270,15 @@ MUTANTS = [
            "        _certify_p2_step(spec.b // 2 ** (spec.n - spec.s), 1)\n",
            "        pass\n",
            (TA + "test_p2_identity_grid_builds_no_field",)),
+    # -- analyze's tail certificate, from the integers of the centre ---------
+    # a common factor of a and b that p divides fails v(d) = 0 unreduced
+    Mutant("analyze-centre-gcd", ANALYZER,
+           "    g = gcd(a, m)\n", "    g = 1\n",
+           (TD + "test_analyze_reduces_the_rational_centre_as_fraction_does",)),
+    Mutant("analyze-cubic-radicand", ANALYZER,
+           "        r = _cube_radicand(spec.n, spec.s, b)\n",
+           "        r = _cube_radicand(spec.n, spec.s, b) * 3\n",
+           (TD + "test_analyze_path_matches_the_public_stages_on_the_grid",)),
     # -- the cover's own fields of the report -------------------------------
     Mutant("fill-meta", ANALYZER,
            '"meta": {**tower["meta"], "a": spec.a, "b": spec.b}},',
@@ -274,6 +312,15 @@ MUTANTS = [
            "        _check_cover(self)\n", "",
            (TA + "test_cover_rule_names_each_broken_fact",
             TA + "test_only_a_cover_certifies")),
+    Mutant("init-post-init", SERIES,
+           "        self.__post_init__()\n", "",
+           (TA + "test_cover_rule_names_each_broken_fact",
+            TA + "test_cover_spec_stays_a_frozen_dataclass")),
+    Mutant("init-field-types", SERIES,
+           "        if not (type(p) is int and type(n) is int",
+           "        if False and (type(p) is int and type(n) is int",
+           (TA + "test_cover_spec_refuses_non_integer_fields",
+            TA + "test_cover_spec_reads_integer_fields_as_plain_ints")),
     # -- each stage that trusts the rule refuses any spec but a CoverSpec ---
     Mutant("expand-disk-cover-spec", SERIES,
            '    _require_cover(spec, "expand_disk")\n', "",
@@ -343,6 +390,12 @@ MUTANTS = [
 ]
 
 EQUIVALENT = [
+    Mutant("analyze-centre-sign", ANALYZER,
+           "    if m < 0:\n        g = -g\n", "", (),
+           "it negates delta and N together, so delta - N, T_1 and T_3 "
+           "change sign and T_2 does not, and every check of the rational "
+           "certificate is a zero or divisibility test of these, which no "
+           "sign changes"),
     Mutant("rational-n1-v3-of-3", SERIES,
            "k3 = max((T - 3 * ve) // E + 3 * w + 2, 0)",
            "k3 = max((T - 3 * ve) // E + 3 * w + 1, 0)",
@@ -350,21 +403,6 @@ EQUIVALENT = [
            "3/2 when p = 3 and n = 1, so the check never fails, and neither "
            "does this weaker form, whose exponent 0 passes every T_3 (series "
            "docstring, \"Rational centres\")"),
-    Mutant("cubic-y-deleted", SERIES,
-           "    if any(c % q for c, q in zip(y, qy)):", "    if False:", (),
-           "past v(c_2) = tau, v(e) = n - 1/4, and v(Y) >= 4n - 1 gives "
-           "v(c_3 - c_1^3/3^M) >= 2n + 1/4 > tau (series docstring, "
-           "\"Valuations without coefficients\")"),
-    Mutant("cubic-y-power-of-u", SERIES,
-           "_exponents_above(T + E * M - 3 * slope, E, et)",
-           "_exponents_above(T + E * M - 2 * slope, E, et)", (),
-           "the margin of the Y check is at least n - 1/4 >= 7/4, above "
-           "v(u) = 3/4"),
-    Mutant("cubic-y-exponent", SERIES,
-           "_exponents_above(T + E * M - 3 * slope, E, et)",
-           "_exponents_above(T + E * M - 3 * slope + E, E, et)", (),
-           "the margin of the Y check is at least n - 1/4 >= 7/4, so one "
-           "more power of 3 in each coordinate of Y still passes"),
 ]
 
 

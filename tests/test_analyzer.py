@@ -2,11 +2,13 @@
 with frozen radii, field towers, conductor certificates, and quotient
 compatibility."""
 
+import copy
 import json
+import pickle
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
@@ -549,6 +551,93 @@ def test_only_a_cover_certifies():
                         built += 1
     assert (built, refused, returned) == (930, 4920, 1860), \
         (built, refused, returned)
+
+
+#: a field of the cover (5, 2, 1, 5), a value of it that is a bool or no
+#: integer, and the type the TypeError names
+NON_INTEGER_FIELDS = [
+    ("p", 5.0, "float"), ("n", 2.0, "float"), ("b", 5.0, "float"),
+    ("a", True, "bool"), ("s", 1.0, "float"), ("n", True, "bool"),
+    ("b", Fraction(5), "Fraction"), ("a", "1", "str"), ("p", None, "NoneType"),
+]
+
+
+@pytest.mark.parametrize("field,value,kind", NON_INTEGER_FIELDS)
+def test_cover_spec_refuses_non_integer_fields(field, value, kind):
+    """Building a CoverSpec, directly or by dataclasses.replace, refuses a
+    bool or a non-integer p, n, a, b or s with TypeError naming the field,
+    as branch_signature refuses its arguments.  A float p or n used to
+    build, and fail later inside Fraction; a float b raised
+    AttributeError; a = True built and certified."""
+    cover = branch_signature(5, 2, 1, 5)
+    fields = {"p": 5, "n": 2, "a": 1, "b": 5, "s": 1, "indices": (25, 5, 25)}
+    assert CoverSpec(**fields) == replace(cover, original=())
+    msg = rf"^{field} must be an integer, not {kind}$"
+    with pytest.raises(TypeError, match=msg):
+        CoverSpec(**{**fields, field: value})
+    with pytest.raises(TypeError, match=msg):
+        replace(cover, **{field: value})
+
+
+def test_cover_spec_reads_integer_fields_as_plain_ints():
+    """An int subclass in a field is read as its value, as branch_signature
+    reads its arguments: the spec holds plain ints and equals the plain
+    spec."""
+    spec = CoverSpec(_Int(5), _Int(2), _Int(3), _Int(10), _Int(1), (25, 5, 25))
+    assert spec == CoverSpec(5, 2, 3, 10, 1, (25, 5, 25))
+    assert all(type(x) is int for x in (spec.p, spec.n, spec.a, spec.b,
+                                        spec.s))
+    assert type(replace(spec, a=_Int(8)).a) is int
+
+
+def test_cover_spec_stays_a_frozen_dataclass():
+    """CoverSpec's own __init__ keeps the dataclass's contract: positional
+    and keyword construction with the defaults of swaps and original,
+    equality and hash over all eight fields, repr, pickling and copying,
+    FrozenInstanceError on setting or deleting a field, and
+    dataclasses.replace building through the checks.  Every refusal of
+    the shape and the cover rule is raised by keyword construction and by
+    replace alike."""
+    spec = branch_signature(5, 2, 3, 10)
+    same = CoverSpec(p=5, n=2, a=3, b=10, s=1, indices=(25, 5, 25),
+                     original=(3, 10))
+    assert same == spec and hash(same) == hash(spec) and same is not spec
+    assert repr(spec) == ("CoverSpec(p=5, n=2, a=3, b=10, s=1, "
+                          "indices=(25, 5, 25), swaps=(), original=(3, 10))")
+    assert [f.name for f in fields(CoverSpec)] == [
+        "p", "n", "a", "b", "s", "indices", "swaps", "original"]
+    assert vars(spec) == {"p": 5, "n": 2, "a": 3, "b": 10, "s": 1,
+                          "indices": (25, 5, 25), "swaps": (),
+                          "original": (3, 10)}
+    assert CoverSpec(5, 2, 3, 10, 1, (25, 5, 25)) == replace(spec,
+                                                             original=())
+    for other in (replace(spec, a=8), replace(spec, swaps=("x -> 1 - x",)),
+                  replace(spec, indices=(25, 25, 25))):
+        assert other != spec
+    assert replace(spec, a=8).a == 8 and spec.a == 3
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert copy.deepcopy(spec) == spec == copy.copy(spec)
+    assert {spec: 1}[same] == 1
+    with pytest.raises(FrozenInstanceError):
+        spec.a = 8
+    with pytest.raises(FrozenInstanceError):
+        del spec.b
+    assert spec.a == 3 and spec.b == 10
+    names = ("p", "n", "a", "b", "s")
+    for fields_, fact in BROKEN_FACTS:
+        with pytest.raises(CertificationFailed,
+                           match=rf"^{re.escape(fact)}$"):
+            CoverSpec(**dict(zip(names, fields_)), indices=())
+        with pytest.raises(CertificationFailed,
+                           match=rf"^{re.escape(fact)}$"):
+            replace(branch_signature(5, 2, 3, 10),
+                    **dict(zip(names, fields_)))
+    for s in (0, 3):
+        with pytest.raises(CertificationFailed,
+                           match=rf"^no cover of p = 5, n = 2 has s = {s}$"):
+            replace(spec, s=s)
+    with pytest.raises(ValueError, match=r"^p = 4 is not prime$"):
+        replace(spec, p=4)
 
 
 #: (cover, fields replaced in its spec, n): shapes (p, n, s) that no cover
@@ -1165,10 +1254,16 @@ def test_case_v_conductor_bound_takes_no_norm_and_builds_no_centre(
     assert calls == []
 
 
+#: covers of every case, among them the split-case IrreducibilityUnverified
+#: defect (item 1 of the roadmap), and inputs refused whatever becomes of
+#: it: (5, 1, 5, 1) has a branch point of trivial ramification index
+#: (NotThreePoint), and in (5, 2, 5, 10) 5 divides a, b and a + b
+#: (Disconnected)
 MIXED_GRID = [(2, 3, 1, 6), (2, 4, 1, 56), (2, 4, 1, 6), (2, 5, 1, 6),
               (2, 5, 3, -10), (2, 4, 1, 14), (2, 4, 1, 2), (3, 2, 1, 3),
               (3, 3, 1, 9), (3, 3, 2, 3), (3, 4, 1, 9), (5, 2, 1, 5),
-              (7, 1, 1, 1), (11, 3, 2, 11), (17, 2, 1, 17), (37, 1, 1, 1)]
+              (7, 1, 1, 1), (11, 3, 2, 11), (17, 2, 1, 17), (37, 1, 1, 1),
+              (5, 1, 5, 1), (5, 2, 5, 10)]
 
 
 def _report_or_error(args):
@@ -1181,14 +1276,17 @@ def _report_or_error(args):
 def test_shared_fields_carry_no_cover_state():
     """Analyzing a mixed grid forwards and then backwards, with the shape
     caches, the analyzer's per-process state, reused between covers, gives
-    the reports (or errors) that each cover gives with both cleared."""
+    the reports (or errors) that each cover gives with both cleared.  The
+    grid holds refused inputs of two kinds that no certificate decides, so
+    a cover's error is checked for carried state too."""
     fresh = {}
     for args in MIXED_GRID:
         _report_shape.cache_clear()
         _clear_tail_records()
         _case_record.cache_clear()
         fresh[args] = _report_or_error(args)
-    assert sum(isinstance(r, tuple) for r in fresh.values()) >= 2
+    refused = Counter(r[0] for r in fresh.values() if isinstance(r, tuple))
+    assert refused["NotThreePoint"] == refused["Disconnected"] == 1, refused
     forwards = {args: _report_or_error(args) for args in MIXED_GRID}
     backwards = {args: _report_or_error(args) for args in MIXED_GRID[::-1]}
     assert forwards == fresh

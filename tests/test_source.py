@@ -447,7 +447,7 @@ def _tower_arm_sites(tree):
 
 
 def test_series_has_no_tower_arm():
-    """series.py expands only the two centres certify_tail makes, a
+    """series.py expands only the two centres new_tail_locus makes, a
     Fraction and a CubicCentre, each given with v(e): it reads no tower
     and takes no e.  The tower expansion is the oracle TowerExpansion of
     tests/tower_helpers.py."""
@@ -471,8 +471,9 @@ def test_tower_arm_checker_reads_each_form():
 CASE_LABELS = {"i", "ii", "iii", "iv", "v"}
 
 #: the analyzer functions that may compare a case label: the case record,
-#: and the facts that depend on more than the shape (p, n, s) of a cover
-CASE_DISPATCHERS = {"_case_record", "new_tail_locus"}
+#: and the facts that depend on more than the shape (p, n, s) of a cover,
+#: the new-tail locus and analyze's tail certificate
+CASE_DISPATCHERS = {"_case_record", "new_tail_locus", "_tail_certificate"}
 
 #: the readers of the case record, which compare no case label
 CASE_READERS = {"build_stable_graph", "inseparable_tails", "stab_field_tower",
@@ -534,8 +535,8 @@ def test_label_checker_reads_each_form():
 
 
 #: the labels of the second case vocabulary, that of the new-tail locus:
-#: certify_tail tells a case (v) locus by p = 2, and the other two by the
-#: type of the centre
+#: a reader of a NewTailLocus tells case (v) by p = 2, and the other two by
+#: the type of the centre
 LOCUS_LABELS = {"rational", "p3s1", "p2"}
 
 
