@@ -30,10 +30,6 @@ class ZeroElement(ArtifactError):
 
 # -- series ------------------------------------------------------------------
 
-class CenterOnBranchLocus(ArtifactError):
-    """Disk center collides with a branch point (0, 1 or infinity)."""
-
-
 class PrecisionExhausted(ArtifactError):
     """The tail bound cannot certify the coefficients past the expansion:
     a premise of the per-term bound fails on the disk, the tail slope is not

@@ -23,10 +23,14 @@ with conductor h, under either condition:
      v(c_l) = tau.
 
 The certificates below read c_1 .. c_L, L = 2 or 3, and the tail bound
-puts every later c_l strictly above tau ("The expansion length").  The
-general classifier of an expansion c_0 .. c_L, and the recurrences that
-expand a disk to any L, are the test oracles of these closed forms
-(tests/rational_oracle.py).
+puts every later c_l strictly above tau ("The expansion length").  On
+the new-tail disk of a cover each fact they read follows from the cover
+rule, so the verdict is one of the shape (p, n, s), proved below for
+each kind of centre; analyzer._case_record holds it, with the tail
+check, the one fact it runs.  The general classifier of an expansion
+c_0 .. c_L, the recurrences that expand a disk to any L, and the
+certificates that check each fact per cover with v_p are the test
+oracles of these proofs (tests/rational_oracle.py).
 
 The cover rule.  A spec is a cover's normal form, the one
 branch_signature makes (totally ramified above 0 and infinity, of index
@@ -35,8 +39,9 @@ p^s above 1), exactly when 1 <= s <= n (s < n for p = 2) and
     a + b != 0,   v_p(b) = n - s,   v_p(a+b) = 0,   v_p(a) = 0.
 
 Building a CoverSpec takes p, n, a, b and s as plain ints (a bool or a
-non-integer raises TypeError naming the field), then
-`CoverSpec.__post_init__` checks the shape (_stable_case), then
+non-integer raises TypeError naming the field) and the swap that made
+the normal form, from which it derives the indices and the (a, b) given;
+then `CoverSpec.__post_init__` checks the shape (_stable_case), then
 these four facts in this order (_check_cover), and raises
 CertificationFailed naming the first that fails (b = 0 fails the second,
 a = 0 the last).  Each is a divisibility test: v_p(b) = n - s is that
@@ -46,21 +51,15 @@ length of b, which bounds v_p(b); the last two are that p divides
 neither a + b nor a.  `dataclasses.replace` builds through it
 too, so every CoverSpec is a cover, and no stage checks the rule again;
 each stage that trusts it refuses any spec that is no CoverSpec with
-TypeError (_require_cover).  So the valuations that the stages and the two
-certificates whose centre the spec fixes, `classify_torsor_reduction`
-(case iii) and `classify_p2_torsor` (case v), read of their centres are
-derived values, proved below, and not a second computation: the cubic
-certificate reads v(d) = 0, v(d - 1) = n - s and v_3(a+b) = 0 from the
-cover, and the p = 2 certificate v(d) = 0, v(d - 1) = n - s and
-v_2(a+b) = 0.
-`classify_rational_centre` takes any rational centre, so it reads
-v(d) = 0 and v(d - 1) = n - s from its centre and v_p(b) = n - s from the
-spec (_rational_verdict).
+TypeError (_require_cover).  So the valuations that the stages read of a
+cover's centres are derived values, proved below, and not a second
+computation: v(d) = 0, v(d - 1) = n - s and v_p(a+b) = 0 at every
+new-tail centre, and with them each fact of the certificate.
 
 Rational centres.  In cases (i), (ii) and (iv) p is odd, the centre is
-d = a/(a+b) and v(e) = (2n - s + 1/(p-1))/2, and `classify_rational_centre`
-certifies the disk from c_1, c_2 and c_3 in closed form, with no
-expansion.  As log h = sum_{k >= 1} (-1)^(k+1) S_k t^k / k with
+d = a/(a+b) and v(e) = (2n - s + 1/(p-1))/2, and the certificate reads
+c_1, c_2 and c_3 in closed form, with no expansion.  As
+log h = sum_{k >= 1} (-1)^(k+1) S_k t^k / k with
 S_k = a/d^k + b/(d-1)^k, exponentiating gives h_1 = S_1,
 h_2 = (S_1^2 - S_2)/2 and h_3 = (S_1^3 - 3 S_1 S_2 + 2 S_3)/6.  With
 d = delta/N in lowest terms and delta' = delta - N, S_k = N^k T_k /
@@ -70,33 +69,26 @@ b/(d-1) = -m, so S_1 = 0, S_2 = m^3/(ab) and S_3 = m^3/a^2 - m^3/b^2:
 
     h_1 = 0,   h_2 = -m^3/(2ab),   h_3 = S_3/3 = m^4 (b - a)/(3 a^2 b^2).
 
-The certificate checks, in order: the tail premises v(d) = 0,
+The certificate's facts are: the tail premises v(d) = 0,
 v(d - 1) = n - s and v_p(b) = n - s ("Tail bound"); h_1 = 0, as T_1 = 0;
 v(c_2) = 2 v(e) + v_p(S_2) = tau; when p = 3 and n = 1,
 v(c_3) = 3 v(e) + v_p(S_3) - 1 > tau or c_3 = 0; and the tail bound above
-tau past L = 2 (L = 3 in that one shape).  A failed premise or tail bound
-raises PrecisionExhausted, any other failed fact returns NotCertified
-naming it.  Each fact is a divisibility test ("Per shape and per
-cover").  As gcd(delta, N) = 1, v(d) = 0 is that p divides neither delta
-nor N.  Then v(N) = 0, so v(d - 1) = n - s is that p^(n-s) divides
-delta' exactly (and p^(n-s+1) does not), and v_p(b) = n - s that it
-divides b exactly.  Past the premises w = v(d) + v(d - 1) + v(N) = n - s,
-and v(c_k) = k v(e) + v_p(T_k) - k w - v_p(k), so v(c_2) = tau is that
-p^k2 divides T_2 exactly, k2 = tau - 2 v(e) + 2w, and v(c_3) > tau or
-c_3 = 0 is that p^k3 divides T_3, k3 = floor(tau - 3 v(e)) + 3w + 2 (or
-0, when that is negative).  On a cover every fact holds.  The premises
-give
-v_p(m) = v_p(b) - v(d - 1) = 0 and v_p(a) = v(d) + v_p(m) = 0, so
-v(c_2) = 2 v(e) + 3 v_p(m) - v_p(a) - v_p(b) = 2n - s + 1/(p-1) - (n - s)
-= tau.  When p = 3 and n = 1, s = 1 and a, b and a + b are prime to 3,
-which forces a = b mod 3, so v(c_3) = 9/4 + v_3(b - a) - 1 >= 9/4 > 3/2 =
-tau.  The
-tail bound is proved under "The expansion length".  So v(c_2) = tau is
-the minimum, reached at l = 2 alone, and every index divisible by p lies
-above it: condition (i) with conductor h = 2 and count p^(n-1).  On the
-locus k2 = n - s, and when p = 3 and n = 1, k3 = 1.  The cost is a few
-divisions of integers the size of a^3 and b^3 by powers of p, whatever p
-and n are.
+tau past L = 2 (L = 3 in that one shape).  Past the premises
+w = v(d) + v(d - 1) + v(N) = n - s and v(c_k) = k v(e) + v_p(T_k) - k w -
+v_p(k), so v(c_2) = tau is that p^k2 divides T_2 exactly,
+k2 = tau - 2 v(e) + 2w, and v(c_3) > tau or c_3 = 0 is that p^k3 divides
+T_3, k3 = floor(tau - 3 v(e)) + 3w + 2.  On a cover every fact holds.
+With g = gcd(a, a+b), delta = a/g and N = (a+b)/g; g divides a, so
+v_p(g) = 0, v(d) = v_p(a) - v_p(a+b) = 0, and delta' = -b/g gives
+v(d - 1) = v_p(b) = n - s.  Then T_1 = 0, T_2 = ab(a+b)/g^2 has
+v_p(T_2) = n - s = k2, as k2 = tau - 2 v(e) + 2(n - s) = n - s on the
+locus, so v(c_2) = tau; and when p = 3 and n = 1, s = 1, k3 = 1 and
+T_3 = ab(a-b)(a+b)/g^3, where a, b and a + b prime to 3 force a = b
+mod 3, so 3 divides T_3 and v(c_3) > tau.  The tail bound is proved
+under "The expansion length".  So v(c_2) = tau is the minimum, reached
+at l = 2 alone, and every index divisible by p lies above it: condition
+(i) with conductor h = 2 and count p^(n-1), on every cover of the shape
+(tests/test_tail_proofs.py checks the identities).
 
 Cubic centres.  The case (iii) centre (p = 3, s = 1 < n) is
 d = (a + t)/m, m = a + b, with t^3 = r = 3^(2n+1) C(b, 3).  With N = m,
@@ -194,7 +186,7 @@ The check needs that cancellation: with K_1^3 added, not subtracted,
 the first coordinate has v_3 exactly 3n - 1 and every cover is refused.
 The tail bound clears tau past c_3 at this radius ("The expansion
 length").  So condition (ii) holds with h = 2, and the verdict has
-count 3^(n-1).
+count 3^(n-1), on every cover of the shape.
 
 Tail bound.  The j-th term of c_l has valuation at least l v(e) when j = 0
 and l v(e) + (n-s) - v_p(j) - j(n-s) when j >= 1 (C(a, k) is an integer,
@@ -260,10 +252,10 @@ expand the same disks to L = 2p and beyond reach the same verdicts.
 
 Case (v) centres.  For p = 2 the new-tail centre is d = x + R with
 x = a/(a+b) and R^2 = 2^n b i/(a+b)^4, so d lies in Q_2(i) or in a
-quadratic extension Q_2(i)(R).  `classify_p2_torsor` decides the three
-facts of the mu_4 criterion (v(c_2) = n, the congruence, v(c_l) >= n + 1
-for l >= 3) from valuations of Gaussian rationals, with no tower and no
-expansion.  Once v(c_2) = n is checked, the congruence c_1^2 / c_2 =
+quadratic extension Q_2(i)(R).  The three facts of the mu_4 criterion
+(v(c_2) = n, the congruence, v(c_l) >= n + 1 for l >= 3) are read from
+valuations of Gaussian rationals, with no tower and no expansion.  Once
+v(c_2) = n holds, the congruence c_1^2 / c_2 =
 2^(n+1) i mod 2^(n+2) reads c_1^2 / c_2 - 2^(n+1) i = X / K_2 with
 X = K_1^2 - 2^(n+1) i K_2 and E v(K_2) = E n - 2 slope, so it holds exactly
 when X = 0 or E v(X) + 2 slope >= E (2n + 2).  The other choice -i of the
@@ -277,15 +269,25 @@ both choices or for neither, and i alone is tested.  With m = a + b,
 
 K_1 = a delta' + b delta = N (m d - a), and K_2 / N^2 is quadratic in d
 with derivative (m - 1)(m d - a), so it is its value -ab/(2m) at x plus
-m (m - 1) R^2 / 2.  N cancels from every valuation the classifier reads:
+m (m - 1) R^2 / 2.  N cancels from every valuation the facts read:
 v(c_l) = l (v(e) - v(d) - v(d - 1)) + v(K_l / N^l), and K_1 / N is R times
 a rational, while K_2 / N^2 and X / N^2 are Gaussian rationals.  In Q_2(i),
 v(1 + i) = 1/2 and v(z) is half the 2-adic valuation of the norm of z, so
-the classifier compares integers at the scale E = 4, with v(R) =
-v(R^2) / 2.  With slope = 4 (v(e) - n + s), v(c_2) = n is that 2^k2
-divides the norm of 2 m^3 K_2 / N^2 exactly, k2 = 2n + 2 - slope, and
-the congruence that 2^kx divides the norm of m^3 X / N^2, kx = 4n + 4 -
-slope (or 0, when that is negative; X = 0 passes).
+the facts compare integers at the scale E = 4, with v(R) = v(R^2) / 2.
+With slope = 4 (v(e) - n + s), v(c_2) = n is that 2^k2 divides the norm
+of 2 m^3 K_2 / N^2 exactly, k2 = 2n + 2 - slope, and the congruence that
+2^kx divides the norm of m^3 X / N^2, kx = 4n + 4 - slope (X = 0 passes).
+
+On a cover both hold.  On the locus v(e) = (2n - s + 1)/2, so
+slope = 2s + 2, k2 = 2(n - s) and kx = 2(2n - s + 1).  a and m are odd,
+as v_2(a) = v_2(a+b) = 0, so m - 1 and 1 + a m are even.
+2 m^3 K_2 / N^2 = -abm^2 + (m - 1) 2^n b i: the real part has
+v_2 = v_2(b) = n - s, the imaginary part v_2 >= 1 + n + (n - s), higher,
+so the norm has v_2 exactly 2(n - s) = k2.  m^3 X / N^2 =
+2^(2n) (m - 1) b + 2^n b m (1 + am) i: both parts have
+v_2 >= 2n - s + 1 = kx/2, so 2^kx divides the norm.  With the l >= 3
+bound below, every cover of the shape gets the verdict of count
+2^(n-2) and first upper jump 1.
 
 No tie at a cover's locus.  d = x + R lies in Q_2(i) or in Q_2(i)(R),
 and v(d) = min(v(x), v(R)) and v(d - 1) = min(v(x - 1), v(R)) for every
@@ -295,9 +297,8 @@ v(R) = v(R^2)/2 = (n + n - s)/2 = n - s/2, which lies strictly between
 them when 1 <= s < n: n - s < n - s/2 as s > 0, and n - s/2 > 0 as
 s < 2n.  So no tie occurs, and v(d) = 0 and v(d - 1) = n - s whichever
 way v extends: the certificate reads no irreducibility, and neither
-square root of R^2 changes a valuation.  `classify_p2_torsor` and
-analyzer._tail_certificate read them off a CoverSpec only, so
-1 <= s < n and the cover rule hold before either reads these values.
+square root of R^2 changes a valuation.  Every cover's spec is a
+CoverSpec, so 1 <= s < n and the cover rule hold.
 
 The l >= 3 bound.  On a cover v(d) = 0 and v(d - 1) = v(b) = n - s, the
 premises of the tail bound, so it holds at every l, and on the locus
@@ -307,62 +308,38 @@ both at least n + 1 (s >= 1), and stops there as 4 sigma >= 1.  So every
 l >= 3 is certified: no c_l past c_2 is computed, and case (v) has no
 expansion length at all.
 
-Per shape and per cover.  Each classifier reads the facts that no a or b
-enters from one record of the shape and the radius, keyed on the plain
-ints p, n, s and both terms of v(e) and kept in an LRU of 256
-(_rational_shape, _cubic_shape, _p2_shape): the outcome of
-check_tail_dominated (None, or its PrecisionExhausted message), the
-verdict of a cover that passes every check, and the target exponent of
-each per-cover comparison with the power of p that tests it.  The tail
-check reads p, n, s and v(e) alone ("Checking the tail"), and the
-verdict's count, conductor and notes are functions of p and n, so the
-tail check runs once per record, and a doctored radius gets a record of
-its own.  Every per-cover fact compares a valuation with a value that E,
-E v(e), E tau and the slope fix, so it is a divisibility test of an
-integer the cover gives: v_p(x) = k exactly when p^k divides x and
-p^(k+1) does not, and v_p(x) >= k (or x = 0) exactly when p^k divides x.
-The record holds the pair (p^k, p^(k+1)) for an equality, or (1, 1),
-which no x passes, when the target k is no integer >= 0, so that the
-equality cannot hold; and p^k for a lower bound, 1 when k <= 0.  The
-facts run per cover, in the order above: at a rational centre the
-premises, h_1, v(c_2) and, when L = 3, v(c_3); at the cubic centre the
-K_1, K_2, K_3 and Y checks; in case (v) v(c_2) = n, and the congruence
-after the tail.  The record's tail outcome is read where the tail check
-stood, so every check, error and message is the one the certificate gave
-with the check run per cover and each valuation taken with v_p (the
-oracles of tests/rational_oracle.py).  No v_p is taken per cover, so a
-warm cover costs a few divisions by the record's powers, whatever n is.
+Per shape and per cover.  The proofs above read only the cover rule,
+so on the new-tail disk of every cover of a shape (p, n, s) the
+certificate reaches one verdict, and each per-cover fact it once checked
+holds; analyzer._case_record builds that verdict once per shape, with
+the tail check at the locus radius, the one fact that is run, and
+certify_tail and analyze hand it out past their w steps.  A failed tail
+check, which no shape has, raises its PrecisionExhausted.  A warm cover
+reads no coefficient, valuation or power of p.  tests/test_tail_proofs.py
+checks each proof's identities with sympy, and tests/rational_oracle.py
+keeps the certificates that check each fact per cover with v_p
+(vp_classify_rational_centre, vp_classify_p2_torsor), the oracles of the
+verdict on every cover of the grids.
 
-The per-cover checks of each classifier are one private function, which
-takes the spec, the centre's integers and v(e) (_rational_verdict at
-d = delta/N in lowest terms, N > 0; _cubic_verdict at (a + t)/m, t^3 = r,
-with the K-triples of _disk_ks; _p2_verdict from the spec alone).  The
-public classifiers and expand_disk keep their own refusals of their
-arguments and hand those functions the integers of the centre they are
-given.  analyze and certify_tail hand them the integers of the centre
-new_tail_locus would build, computed once (analyzer._tail_certificate):
-at a rational centre a and a + b reduced by one gcd, with the
-denominator made positive, as Fraction(a, a + b) holds them.  So a warm
-cover builds no Fraction, CubicCentre, DiskExpansion or NewTailLocus,
-and gets the verdict or error that the public stages give past their w
-step, as the tests check.
+classify_torsor_reduction still classifies any case (iii) expansion of
+expand_disk, at any radius: its facts compare a valuation with a value
+that E, E v(e), E tau and the slope fix, so each is a divisibility test
+of a coordinate, v_3(x) = k exactly when 3^k divides x and 3^(k+1) does
+not, v_3(x) >= k (or x = 0) exactly when 3^k divides x.  _cubic_shape
+computes the exponents, their powers of 3, the tail check's outcome and
+the verdict of the shape and radius on each call; _cubic_verdict tests
+K_1, K_3, K_2 and Y in the order above, then reads the tail outcome.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .errors import (
-    CenterOnBranchLocus,
-    CertificationFailed,
-    PrecisionExhausted,
-    ZeroElement,
-)
+from .errors import CertificationFailed, PrecisionExhausted
 from .tower import check_prime, vp_int
 
 
@@ -381,14 +358,25 @@ def _as_int(name: str, value) -> int:
                         f"{type(value).__name__}") from None
 
 
+#: the Moebius swaps branch_signature can make: none, or one of these
+_SWAP_0_1 = ("x -> 1 - x",)  # exchanges 0 and 1
+_SWAP_1_INF = ("x -> x/(x-1)",)  # fixes 0, exchanges 1 and infinity
+
+
 @dataclass(frozen=True)
 class CoverSpec:
     """The normal form of a cover y^(p^n) = x^a (x-1)^b, ramified of index
     p^s above 1, as branch_signature makes it.  Building one, directly or
     by dataclasses.replace, takes p, n, a, b and s as plain ints (_as_int:
-    a bool or a non-integer raises TypeError naming the field), then checks
-    the shape (_stable_case) and the cover rule (_check_cover), so every
-    CoverSpec is a cover (module docstring, "The cover rule").
+    a bool or a non-integer raises TypeError naming the field) and swaps,
+    (), _SWAP_0_1 or _SWAP_1_INF (any other value raises TypeError), then
+    checks the shape (_stable_case) and the cover rule (_check_cover), so
+    every CoverSpec is a cover (module docstring, "The cover rule").
+
+    indices and original are derived, not given: the normal form is
+    totally ramified above 0 and infinity, so the indices above 0, 1 and
+    infinity of the cover as given are (p^n, p^s, p^n) with the swap's two
+    points exchanged, and the swap is undone on (a, b).
 
     A frozen dataclass, with its equality, hash, repr and
     FrozenInstanceError; only __init__ is its own, which fills __dict__ in
@@ -398,19 +386,33 @@ class CoverSpec:
     a: int
     b: int
     s: int
-    indices: tuple  # ramification indices above (0, 1, infinity)
-    swaps: tuple = ()  # Moebius normalizations applied, outermost first
-    original: tuple = ()  # (a, b) as given before normalization
+    # ramification indices above (0, 1, infinity) of the cover as given
+    indices: tuple = field(init=False)
+    swaps: tuple = ()  # the Moebius normalization applied, if any
+    original: tuple = field(init=False)  # (a, b) as given
 
-    def __init__(self, p, n, a, b, s, indices, swaps=(), original=()):
+    def __init__(self, p, n, a, b, s, swaps=()):
         if not (type(p) is int and type(n) is int and type(a) is int
                 and type(b) is int and type(s) is int):
             p, n, a, b, s = (_as_int("p", p), _as_int("n", n),
                              _as_int("a", a), _as_int("b", b),
                              _as_int("s", s))
-        self.__dict__.update(p=p, n=n, a=a, b=b, s=s, indices=indices,
-                             swaps=swaps, original=original)
+        if swaps == ():
+            swaps, original = (), (a, b)
+        elif swaps == _SWAP_0_1:
+            swaps, original = _SWAP_0_1, (b, a)
+        elif swaps == _SWAP_1_INF:
+            swaps, original = _SWAP_1_INF, (a, -a - b)
+        else:
+            raise TypeError(f"swaps must be (), {_SWAP_0_1} or "
+                            f"{_SWAP_1_INF}, not {swaps!r}")
+        self.__dict__.update(p=p, n=n, a=a, b=b, s=s, swaps=swaps,
+                             original=original)
         self.__post_init__()
+        # after the checks, so that a refused spec builds no p^n
+        q, qs = p ** n, p ** s
+        self.__dict__["indices"] = ((qs, q, q) if swaps == _SWAP_0_1
+                                    else (q, q, qs) if swaps else (q, qs, q))
 
     def __post_init__(self):
         _stable_case(self.p, self.n, self.s)
@@ -427,11 +429,11 @@ class CoverSpec:
 
 def _stable_case(p: int, n: int, s: int) -> str:
     """The case (i)-(v) of a cover of shape (p, n, s).  _case_record lists
-    what each case builds, the conductor certificate included; only
-    new_tail_locus and analyzer._tail_certificate dispatch on the label
-    besides.  It refuses a shape no cover has: an s outside 1 <= s <= n,
-    or s = n for p = 2, where the cover would have three totally ramified
-    points (branch_signature never makes one)."""
+    what each case builds, the conductor certificate and the tail verdict
+    included; only new_tail_locus, whose centre reads a and b, dispatches
+    on the label besides.  It refuses a shape no cover has: an s outside
+    1 <= s <= n, or s = n for p = 2, where the cover would have three
+    totally ramified points (branch_signature never makes one)."""
     if not 1 <= s <= n or (p == 2 and s == n):
         raise CertificationFailed(f"no cover of p = {p}, n = {n} has s = {s}")
     if p == 2:
@@ -547,12 +549,11 @@ class ReductionVerdict:
 def expand_disk(spec, d, v_e) -> DiskExpansion:
     """K_1, K_2 and K_3 on the disk x = d + e t of the case (iii) centre d,
     of radius valuation v_e = v(e), in closed form (module docstring,
-    "Cubic centres"): no recurrence.  A rational centre is certified by
-    classify_rational_centre.  A centre that is no CubicCentre, a v_e that
-    is no int or Fraction, or a spec that is no CoverSpec raises
-    TypeError, so the expansion's spec is a cover; any other CubicCentre or
-    a cover other than p = 3, s = 1 < n raises CertificationFailed, as the
-    closed forms hold only at (a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3)."""
+    "Cubic centres"): no recurrence.  A centre that is no CubicCentre, a
+    v_e that is no int or Fraction, or a spec that is no CoverSpec raises
+    TypeError, so the expansion's spec is a cover; any other CubicCentre
+    or a cover other than p = 3, s = 1 < n raises CertificationFailed, as
+    the closed forms hold only at (a + t)/(a+b), t^3 = 3^(2n+1) C(b, 3)."""
     if not isinstance(d, CubicCentre):
         raise TypeError(f"expand_disk takes a CubicCentre, not "
                         f"{type(d).__name__}")
@@ -661,9 +662,9 @@ class _Shape(NamedTuple):
 
 
 class _TailShape(NamedTuple):
-    """What one classifier reads of the shape (p, n, s) and the radius
-    v(e) alone, and no a or b (module docstring, "Per shape and per
-    cover").  Immutable, so every cover of the shape shares it."""
+    """What classify_torsor_reduction reads of the shape (p, n, s) and the
+    radius v(e) alone, and no a or b (module docstring, "Per shape and per
+    cover")."""
     exponents: tuple  # the target exponent of each per-cover comparison
     powers: tuple  # p to those exponents, the divisors that decide them
     failure: str | None  # None, or the tail check's PrecisionExhausted message
@@ -681,43 +682,6 @@ def _tail_outcome(shape: _Shape, v_e: Fraction, L: int, threshold: Fraction,
     return None
 
 
-def _exactly(k, p: int) -> tuple:
-    """(p^k, p^(k+1)), which test v_p(x) = k; (1, 1), which no x passes,
-    for a k that is None or negative, where the equality cannot hold."""
-    if k is None or k < 0:
-        return 1, 1
-    q = p ** k
-    return q, q * p
-
-
-# Each record below is keyed on plain ints, p, n, s and both terms of v(e),
-# so a doctored radius gets its own record, and bounded like the analyzer's
-# _report_shape.
-@lru_cache(maxsize=256)
-def _rational_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
-    """The shape facts of classify_rational_centre at v(e) = num/den:
-    E = lcm(den, p - 1), tau = n + 1/(p-1), L = 2, or 3 when p = 3 and
-    n = 1, where the bound misses tau at l = 3, the tail check above tau
-    past c_L, and the exponents (n - s, k2, k3) with their powers
-    (p^(n-s), p^(n-s+1)), (p^k2, p^(k2+1)) and p^k3; k3 is None when L = 2
-    (module docstring, "Rational centres")."""
-    v_e = Fraction(num, den)
-    E = lcm(den, p - 1)
-    ve, T = _scaled(v_e, E), E * n + E // (p - 1)
-    L = 3 if p == 3 and n == 1 else 2
-    w = n - s
-    k2, r2 = divmod(T - 2 * ve, E)
-    k2 = None if r2 else k2 + 2 * w
-    k3 = max((T - 3 * ve) // E + 3 * w + 2, 0) if L == 3 else None
-    threshold = Fraction(T, E)
-    return _TailShape((w, k2, k3), (_exactly(w, p), _exactly(k2, p),
-                                    None if k3 is None else p ** k3),
-                      _tail_outcome(_Shape(p, n, s), v_e, L, threshold, True),
-                      ReductionVerdict("SplitsArtinSchreier",
-                                       count=p ** (n - 1), conductor=2,
-                                       notes=("condition (i)",)))
-
-
 def _exponents_above(bound: int, E: int, et: int) -> tuple:
     """The least k >= 0 with E k + j et > bound, for each coordinate j of a
     triple: 3^k divides c_j exactly when its term c_j t^j lies above
@@ -725,7 +689,6 @@ def _exponents_above(bound: int, E: int, et: int) -> tuple:
     return tuple(max((bound - j * et) // E + 1, 0) for j in range(3))
 
 
-@lru_cache(maxsize=256)
 def _cubic_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
     """The shape facts of classify_torsor_reduction at v(e) = num/den:
     E = lcm(den, 6), tau = n + 1/2, L = 3, the tail check above tau past
@@ -759,26 +722,6 @@ def _cubic_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
                                        notes=("condition (ii)",)))
 
 
-@lru_cache(maxsize=256)
-def _p2_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
-    """The shape facts of classify_p2_torsor at v(e) = num/den: E = 4,
-    v(c_2) = n, L = 2, the tail check v(c_l) >= n + 1 past c_2, and the
-    exponents (k2, kx) of the two norms with their powers (2^k2, 2^(k2+1))
-    and 2^kx (module docstring, "Case (v) centres").  A v(e) outside
-    (1/4)Z raises AssertionError, as _scaled does."""
-    v_e = Fraction(num, den)
-    slope = _scaled(v_e, 4) - 4 * (n - s)
-    k2, kx = 2 * n + 2 - slope, max(4 * n + 4 - slope, 0)
-    threshold = Fraction(n + 1)
-    # c_2 is a square in R: a square root exists over an at-most-quadratic
-    # extension of K, which the construction permits (adjoined on demand)
-    notes = ("sqrt(c_2) adjoined on demand", "congruence holds with i -> +i")
-    return _TailShape((k2, kx), (_exactly(k2, 2), 2 ** kx),
-                      _tail_outcome(_Shape(p, n, s), v_e, 2, threshold, False),
-                      ReductionVerdict("SplitsZ4", count=2 ** (n - 2),
-                                       conductor=1, notes=notes))
-
-
 # -- classification ----------------------------------------------------------
 
 def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
@@ -790,7 +733,8 @@ def classify_torsor_reduction(exp: DiskExpansion) -> ReductionVerdict:
     and the tail bound above tau past c_3.  A failed tail bound raises
     PrecisionExhausted, and any other failed fact returns NotCertified
     naming the clause of condition (ii) that fails.  The checks are
-    _cubic_verdict's, which analyze calls with the same integers."""
+    _cubic_verdict's.  On the locus of a cover every check holds, so
+    certify_tail and analyze take the verdict of the shape instead."""
     return _cubic_verdict(exp.spec, exp.d.den, exp.d.r, exp.ks, exp.v_e)
 
 
@@ -804,8 +748,8 @@ def _cubic_verdict(spec, m: int, r: int, ks: tuple, v_e) -> ReductionVerdict:
     at the case (iii) centre (a + t)/m, t^3 = r, of the cover spec, whose
     K_1, K_2 and K_3 are ks.
 
-    Per shape: the tail check, the verdict and the powers of 3, read from
-    one record of (p, n, s, v(e)) (_cubic_shape).  Per cover, in that
+    Of the shape and the radius: the tail check, the verdict and the
+    powers of 3 (_cubic_shape).  Of the disk, in that
     order: each coordinate of K_1, then of K_3, is divisible by its power;
     each of K_2 is, and its one coordinate j that can meet tau is not
     divisible by 3^(k_j + 1); each of Y is divisible by its power; then
@@ -828,114 +772,4 @@ def _cubic_verdict(spec, m: int, r: int, ks: tuple, v_e) -> ReductionVerdict:
             reason="v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
     if failure is not None:
         raise PrecisionExhausted(failure)
-    return verdict
-
-
-def classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
-    """Reduction type of the Artin-Schreier torsor (p odd) on the disk of
-    the rational centre d = a/(a+b) and radius valuation v_e, from the
-    closed forms of c_1, c_2 and c_3 (module docstring, "Rational
-    centres"): no expansion.  It checks the tail premises, h_1 = 0,
-    v(c_2) = tau and, when p = 3 and n = 1, v(c_3) > tau, then the tail
-    bound above tau past c_2 (past c_3 in that shape).  A failed premise or
-    tail bound raises PrecisionExhausted, any other failed fact returns
-    NotCertified naming it, a centre 0 or 1 raises CenterOnBranchLocus,
-    p = 2 raises ValueError, and so does a p that is not prime.  Past the
-    p = 2 refusal the checks are _rational_verdict's, at the numerator and
-    denominator of d; analyze calls it with the same integers."""
-    if spec.p == 2:
-        raise ValueError("p = 2 torsors are classified by "
-                         "classify_p2_torsor")
-    return _rational_verdict(spec, d.numerator, d.denominator, v_e)
-
-
-def _rational_verdict(spec, delta: int, N: int, v_e) -> ReductionVerdict:
-    """classify_rational_centre's checks past its p = 2 refusal, at the
-    centre d = delta/N in lowest terms, N > 0, as a Fraction holds it.
-
-    Per shape: the tail check, the verdict and the powers of p, read from
-    one record of (p, n, s, v(e)) (_rational_shape).  Per cover, in this
-    order: p divides neither delta nor N; p^(n-s) divides delta - N, then
-    b, exactly (p^(n-s+1) does not); T_1 = 0; p^k2 divides T_2 exactly;
-    when L = 3, p^k3 divides T_3; then the tail check's outcome is read."""
-    p, n, a, b = spec.p, spec.n, spec.a, spec.b
-    delta1 = delta - N
-    if not delta or not delta1:
-        raise CenterOnBranchLocus("disk center lies on the branch locus")
-    check_prime(p)
-    _, ((qb, qb1), (q2, q21), q3), failure, verdict = _rational_shape(
-        p, n, spec.s, v_e.numerator, v_e.denominator)
-    if not N % p or not delta % p:
-        raise PrecisionExhausted("tail bound needs v(d) = 0")
-    if delta1 % qb or not delta1 % qb1:
-        raise PrecisionExhausted("tail bound needs v(d - 1) = n - s")
-    if b % qb or not b % qb1:
-        if not b:
-            raise ZeroElement("v(0) is +infinity")
-        raise PrecisionExhausted("tail bound needs v(b) = n - s")
-    if a * delta1 + b * delta:  # T_1 = 0, that is h_1 = 0
-        return ReductionVerdict("NotCertified", reason="h_1 != 0")
-    # T_k = a delta'^k + b delta^k
-    t2 = a * delta1 ** 2 + b * delta ** 2
-    if t2 % q2 or not t2 % q21:
-        return ReductionVerdict("NotCertified",
-                                reason="v(c_2) != n + 1/(p-1)")
-    if q3 is not None:
-        # p = 3 and n = 1: the tail bound misses tau at l = 3
-        t3 = a * delta1 ** 3 + b * delta ** 3
-        if t3 % q3:
-            return ReductionVerdict("NotCertified",
-                                    reason="v(c_3) <= n + 1/(p-1)")
-    if failure is not None:
-        raise PrecisionExhausted(failure)
-    return verdict
-
-
-def classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
-    """Reduction type of the mu_4-torsor on the case (v) disk of radius
-    v(e) = v_e centred at d = a/(a+b) + R, R^2 = rho i/(a+b)^4 with
-    rho = 2^n b, from the closed forms of the module docstring: no tower,
-    no expansion.  The spec is a CoverSpec, so v(d) = 0 and
-    v(d - 1) = n - s with no tie (module docstring, "No tie at a cover's
-    locus"); any other spec raises TypeError.  The closed forms are those
-    of p = 2, so a cover of odd p raises ValueError.  Every l >= 3 is
-    certified by the tail bound.  Past those refusals the checks are
-    _p2_verdict's, which analyze calls alike."""
-    _require_cover(spec, "classify_p2_torsor")
-    if spec.p != 2:
-        raise ValueError("odd p torsors are classified by "
-                         "classify_rational_centre and "
-                         "classify_torsor_reduction")
-    return _p2_verdict(spec, v_e)
-
-
-def _p2_verdict(spec, v_e) -> ReductionVerdict:
-    """classify_p2_torsor's checks on the case (v) disk of the cover spec,
-    of radius v_e = v(e).
-
-    Per shape: the tail check, the verdict and the powers of 2, read from
-    one record of (p, n, s, v(e)) (_p2_shape).  Per cover: v(c_2) = n,
-    2^k2 divides the norm of 2 m^3 K_2 / N^2 exactly, whose failure is
-    named before the tail check's; and the congruence, 2^kx divides the
-    norm of m^3 X / N^2."""
-    n, s, a, b = spec.n, spec.s, spec.a, spec.b
-    _, ((q2, q21), qx), failure, verdict = _p2_shape(
-        2, n, s, v_e.numerator, v_e.denominator)
-    m, rho = a + b, 2 ** n * b
-    reasons = []
-    # K_2 / N^2 = (-a b m^2 + (m - 1) rho i) / (2 m^3), nonzero as a b m is
-    re, im = a * b * m * m, (m - 1) * rho
-    norm = re * re + im * im
-    if norm % q2 or not norm % q21:
-        reasons.append("v(c_2) != n")
-    if failure is not None:
-        reasons.append(failure)
-    if reasons:
-        return ReductionVerdict("NotCertified", reason="; ".join(reasons))
-    # X / N^2 = (2^n (m - 1) rho + (rho m + 2^n a b m^2) i) / m^3
-    re, im = 2 ** n * (m - 1) * rho, rho * m + 2 ** n * a * b * m * m
-    if (re * re + im * im) % qx:
-        return ReductionVerdict(
-            "NotCertified",
-            reason="c_1^2/c_2 != 2^(n+1) i mod 2^(n+2) for either i")
     return verdict

@@ -40,6 +40,7 @@ TS = "tests/test_series.py::"
 TA = "tests/test_analyzer.py::"
 TG = "tests/test_graph.py::"
 TD = "tests/test_divisibility.py::"
+TP = "tests/test_tail_proofs.py::"
 FORGED = TD + "test_cubic_certificate_matches_the_vp_oracle_on_forged_triples"
 
 
@@ -53,7 +54,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # -- the graph conjuncts of analyze's certified, in the shape's sound ---
+    # -- the graph conjuncts of certified, in the shape's template -----------
     Mutant("certified-violations", ANALYZER,
            "        not violations\n", "        True\n",
            (TA + "test_each_graph_check_reaches_certified",)),
@@ -63,8 +64,9 @@ MUTANTS = [
     Mutant("certified-local", ANALYZER,
            "        and all(v == 0 for v in local.values())\n", "",
            (TA + "test_each_graph_check_reaches_certified",)),
-    Mutant("certified-shape", ANALYZER,
-           " and shape.sound,\n", ",\n",
+    Mutant("certified-template", ANALYZER,
+           '        "certified": doc["certified"],\n',
+           '        "certified": True,\n',
            (TA + "test_each_graph_check_reaches_certified",)),
     # -- the graph identities ----------------------------------------------
     Mutant("vanishing-cycles-zero", GRAPH,
@@ -98,51 +100,6 @@ MUTANTS = [
     Mutant("tail-check-per-l-start", SERIES,
            "    for l in range(L + 1, q):", "    for l in range(L + 2, q):",
            (TS + "test_tail_check_matches_per_l_reference",)),
-    Mutant("tail-premise-v(d)", SERIES,
-           "    if not N % p or not delta % p:", "    if False:",
-           (TS + "test_each_tail_premise_is_checked",)),
-    Mutant("tail-premise-v(d-1)", SERIES,
-           "    if delta1 % qb or not delta1 % qb1:", "    if False:",
-           (TS + "test_each_tail_premise_is_checked",)),
-    Mutant("tail-premise-v(b)", SERIES,
-           "    if b % qb or not b % qb1:", "    if False:",
-           (TS + "test_each_tail_premise_is_checked",)),
-    # -- the rational centre -----------------------------------------------
-    # an exact test "p^k divides x and p^(k+1) does not" gets two mutants,
-    # its exponent off by one and its second clause dropped; a one-sided
-    # test "p^k divides x" gets the first
-    Mutant("rational-premise-exponent", SERIES,
-           "(_exactly(w, p), _exactly(k2, p),",
-           "(_exactly(w + 1, p), _exactly(k2, p),",
-           (TD + "test_certificates_match_the_vp_oracle_on_the_grid",)),
-    Mutant("rational-premise-v(d-1)-exact", SERIES,
-           "    if delta1 % qb or not delta1 % qb1:", "    if delta1 % qb:",
-           (TS + "test_each_tail_premise_is_checked",)),
-    Mutant("rational-premise-v(b)-exact", SERIES,
-           "    if b % qb or not b % qb1:", "    if b % qb:",
-           (TS + "test_each_tail_premise_is_checked",)),
-    Mutant("rational-h1", SERIES,
-           "    if a * delta1 + b * delta:  # T_1 = 0",
-           "    if False:  # T_1 = 0",
-           (TS + "test_closed_form_names_each_failed_fact",)),
-    Mutant("rational-c2-power-of-w", SERIES,
-           "    k2 = None if r2 else k2 + 2 * w\n",
-           "    k2 = None if r2 else k2 + w\n",
-           (TS + "test_large_n_covers_certify",)),
-    Mutant("rational-c2-exponent", SERIES,
-           "    k2 = None if r2 else k2 + 2 * w\n",
-           "    k2 = None if r2 else k2 + 2 * w + 1\n",
-           (TD + "test_certificates_match_the_vp_oracle_on_the_grid",)),
-    Mutant("rational-c2-exact", SERIES,
-           "    if t2 % q2 or not t2 % q21:", "    if t2 % q2:",
-           (TD + "test_certificates_match_the_vp_oracle_on_doctored_radii",)),
-    Mutant("rational-n1-length", SERIES,
-           "    L = 3 if p == 3 and n == 1 else 2\n", "    L = 2\n",
-           (TS + "test_rational_centre_cost_does_not_grow_in_p",)),
-    Mutant("rational-n1-c3-exponent", SERIES,
-           "k3 = max((T - 3 * ve) // E + 3 * w + 2, 0)",
-           "k3 = max((T - 3 * ve) // E + 3 * w + 3, 0)",
-           (TS + "test_rational_centre_cost_does_not_grow_in_p",)),
     # -- the cubic centre of case (iii) ------------------------------------
     Mutant("expand-disk-p-and-s", SERIES,
            "    if (p, s) != (3, 1) or n < 2 or", "    if n < 2 or",
@@ -224,36 +181,49 @@ MUTANTS = [
            "_tail_outcome(_Shape(p, n, s), v_e, 3, Fraction(T, E), True)",
            "_tail_outcome(_Shape(p, n, s), v_e, 2, Fraction(T, E), True)",
            (TS + "test_verdict_p3_condition_ii",)),
-    # no verdict tells this one apart: past v(c_2) = tau, v(e) = n - 1/4
-    # and s = 1, where the bound clears tau past c_3 (series docstring, "The
-    # expansion length"); the test counts the one tail check per record
+    # no verdict tells this one apart: past v(c_2) = tau an expansion of
+    # expand_disk has the locus radius, where the bound clears tau past c_3
+    # (series docstring, "The expansion length"); the test reads the
+    # record's tail outcome at doctored radii
     Mutant("cubic-tail-deleted", SERIES,
            "    failure = _tail_outcome(",
            "    failure = None and _tail_outcome(",
-           (TS + "test_one_tail_check_per_shape",)),
-    # -- the shape records of the classifiers: a key dropped ------------------
-    # the case (v) record read as if every cover had s = 1, and the rational
-    # one as if every radius had the locus's denominator 2(p - 1)
-    Mutant("record-key-s", SERIES,
-           "        2, n, s, v_e.numerator, v_e.denominator)",
-           "        2, n, 1, v_e.numerator, v_e.denominator)",
-           (TS + "test_a_doctored_radius_gets_its_own_record",)),
-    Mutant("record-key-den", SERIES,
-           "        p, n, spec.s, v_e.numerator, v_e.denominator)",
-           "        p, n, spec.s, v_e.numerator, 2 * (p - 1))",
-           (TS + "test_a_doctored_radius_gets_its_own_record",)),
-    # -- case (v) ------------------------------------------------------------
-    Mutant("p2-congruence-strict", SERIES,
-           "kx = 2 * n + 2 - slope, max(4 * n + 4 - slope, 0)",
-           "kx = 2 * n + 2 - slope, max(4 * n + 5 - slope, 0)",
-           (TS + "test_case_v_closed_form_matches_the_tower_path",)),
-    Mutant("p2-c2-exponent", SERIES,
-           "kx = 2 * n + 2 - slope, max(4 * n + 4 - slope, 0)",
-           "kx = 2 * n + 3 - slope, max(4 * n + 4 - slope, 0)",
-           (TS + "test_case_v_closed_form_matches_the_tower_path",)),
-    Mutant("p2-c2-exact", SERIES,
-           "    if norm % q2 or not norm % q21:", "    if norm % q2:",
            (TD + "test_certificates_match_the_vp_oracle_on_doctored_radii",)),
+    # -- the new-tail verdict of a shape, in its case record ----------------
+    Mutant("verdict-count-exponent", ANALYZER,
+           "count=p ** (n - 1),", "count=p ** n,",
+           (TS + "test_rational_centre_cost_does_not_grow_in_p",)),
+    Mutant("verdict-conductor", ANALYZER,
+           'conductor=2, notes=("condition (i)",))',
+           'conductor=1, notes=("condition (i)",))',
+           (TS + "test_closed_form_matches_the_integer_recurrence",)),
+    # p = 3, n = 1: the bound misses tau at l = 3
+    Mutant("verdict-rational-length", ANALYZER,
+           "3 if p == 3 and n == 1 else 2", "2",
+           (TS + "test_rational_centre_cost_does_not_grow_in_p",)),
+    # no shape fails its tail check; the test counts one check per shape,
+    # with its L, threshold and strictness
+    Mutant("verdict-tail-deleted", ANALYZER,
+           "        check_tail_dominated(_Shape(p, n, s), v_e, L, threshold, "
+           "strict)\n", "        pass\n",
+           (TS + "test_one_tail_check_per_shape",)),
+    Mutant("verdict-tail-raise", ANALYZER,
+           "        raise PrecisionExhausted(record.tail_failure)\n",
+           "        pass\n",
+           (TS + "test_a_failing_tail_check_fails_alike_on_every_call",)),
+    # -- what the proofs of the verdict pin in the package -------------------
+    Mutant("proof-rational-radius", ANALYZER,
+           "    v_e = Fraction(2 * n - s + q, 2)\n",
+           "    v_e = Fraction(2 * n - s + 2 * q, 2)\n",
+           (TP + "test_rational_centre_checks_hold_on_every_cover",)),
+    Mutant("proof-cubic-slope", SERIES,
+           "    slope = ve - E * (n - s)\n",
+           "    slope = ve - E * (n - s) + 1\n",
+           (TP + "test_cubic_centre_checks_hold_on_every_cover",)),
+    Mutant("proof-case-v-count", ANALYZER,
+           "count=2 ** (n - 2),", "count=2 ** (n - 1),",
+           (TP + "test_case_v_checks_hold_on_every_cover",)),
+    # -- the w steps of case (v) ---------------------------------------------
     Mutant("w-step-new-tail-locus", ANALYZER,
            "        _certify_p2_step(b // 2 ** (n - s), (2 * n - s) % 2)\n",
            "        pass\n",
@@ -270,24 +240,24 @@ MUTANTS = [
            "        _certify_p2_step(spec.b // 2 ** (spec.n - spec.s), 1)\n",
            "        pass\n",
            (TA + "test_p2_identity_grid_builds_no_field",)),
-    # -- analyze's tail certificate, from the integers of the centre ---------
-    # a common factor of a and b that p divides fails v(d) = 0 unreduced
-    Mutant("analyze-centre-gcd", ANALYZER,
-           "    g = gcd(a, m)\n", "    g = 1\n",
-           (TD + "test_analyze_reduces_the_rational_centre_as_fraction_does",)),
-    Mutant("analyze-cubic-radicand", ANALYZER,
-           "        r = _cube_radicand(spec.n, spec.s, b)\n",
-           "        r = _cube_radicand(spec.n, spec.s, b) * 3\n",
-           (TD + "test_analyze_path_matches_the_public_stages_on_the_grid",)),
-    # -- the cover's own fields of the report -------------------------------
+    # -- the report: the template's certificate, the cover's own fields ------
     Mutant("fill-meta", ANALYZER,
            '"meta": {**tower["meta"], "a": spec.a, "b": spec.b}},',
            '"meta": {**tower["meta"]}},',
            (TA + "test_report_template_matches_the_per_cover_path",)),
-    Mutant("fill-certificate", ANALYZER,
+    Mutant("template-certificate", ANALYZER,
            '        "certificate": verdict.to_json(),\n',
-           '        "certificate": None,\n',
+           '        "certificate": {},\n',
            (TA + "test_report_template_matches_the_per_cover_path",)),
+    Mutant("copy-certificate", ANALYZER,
+           '"certificate": {**certificate, '
+           '"notes": list(certificate["notes"])}',
+           '"certificate": certificate',
+           (TA + "test_no_two_reports_share_a_container",)),
+    Mutant("copy-certificate-notes", ANALYZER,
+           '"notes": list(certificate["notes"])',
+           '"notes": certificate["notes"]',
+           (TA + "test_no_two_reports_share_a_container",)),
     # -- each copy of a component of the template ----------------------------
     Mutant("copy-branch-points", ANALYZER,
            'doc["branch_points"] = doc["branch_points"].copy()',
@@ -321,17 +291,23 @@ MUTANTS = [
            "        if False and (type(p) is int and type(n) is int",
            (TA + "test_cover_spec_refuses_non_integer_fields",
             TA + "test_cover_spec_reads_integer_fields_as_plain_ints")),
+    # -- indices and original, derived from the swap -------------------------
+    Mutant("cover-spec-swaps", SERIES,
+           "        elif swaps == _SWAP_1_INF:\n", "        elif True:\n",
+           (TA + "test_cover_spec_refuses_swaps_no_normal_form_makes",)),
+    Mutant("cover-spec-original", SERIES,
+           "swaps, original = _SWAP_0_1, (b, a)",
+           "swaps, original = _SWAP_0_1, (a, b)",
+           (TA + "test_cover_spec_derives_indices_and_original",)),
+    Mutant("cover-spec-indices", SERIES,
+           "((qs, q, q) if swaps == _SWAP_0_1",
+           "((q, qs, q) if swaps == _SWAP_0_1",
+           (TA + "test_cover_spec_derives_indices_and_original",)),
     # -- each stage that trusts the rule refuses any spec but a CoverSpec ---
     Mutant("expand-disk-cover-spec", SERIES,
            '    _require_cover(spec, "expand_disk")\n', "",
            (TS + "test_expand_disk_refuses_other_centres",
             TS + "test_cubic_certificate_checks_the_cover_rule")),
-    Mutant("p2-torsor-cover-spec", SERIES,
-           '    _require_cover(spec, "classify_p2_torsor")\n', "",
-           (TS + "test_p2_certificate_refuses_a_non_cover",)),
-    Mutant("p2-torsor-odd-p", SERIES,
-           "    if spec.p != 2:\n", "    if False:\n",
-           (TS + "test_p2_certificate_refuses_an_odd_p",)),
     Mutant("new-tail-locus-cover-spec", ANALYZER,
            '    _require_cover(spec, "new_tail_locus")\n', "",
            (TA + "test_cover_rule_names_each_broken_fact",
@@ -389,21 +365,7 @@ MUTANTS = [
            (TA + "test_cover_rule_names_each_broken_fact",)),
 ]
 
-EQUIVALENT = [
-    Mutant("analyze-centre-sign", ANALYZER,
-           "    if m < 0:\n        g = -g\n", "", (),
-           "it negates delta and N together, so delta - N, T_1 and T_3 "
-           "change sign and T_2 does not, and every check of the rational "
-           "certificate is a zero or divisibility test of these, which no "
-           "sign changes"),
-    Mutant("rational-n1-v3-of-3", SERIES,
-           "k3 = max((T - 3 * ve) // E + 3 * w + 2, 0)",
-           "k3 = max((T - 3 * ve) // E + 3 * w + 1, 0)",
-           (), "past the premises and v(c_2) = tau, v(c_3) >= 9/4 > tau = "
-           "3/2 when p = 3 and n = 1, so the check never fails, and neither "
-           "does this weaker form, whose exponent 0 passes every T_3 (series "
-           "docstring, \"Rational centres\")"),
-]
+EQUIVALENT = []
 
 
 def _copy_tree(dest: Path) -> None:

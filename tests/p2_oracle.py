@@ -3,8 +3,11 @@
 `certify_tail` builds the new-tail centre d = a/(a+b) + R in Q_2(i)(w),
 expands the cover there and classifies the expansion from its coefficient
 valuations; `p2_center` builds the centres d_j that case (v) of
-`conductor_bound` reads.  The package classifies the same disks from
-valuations of Gaussian rationals, with no tower (`classify_p2_torsor`).
+`conductor_bound` reads.  The package proves the verdict of the same
+disks from valuations of Gaussian rationals, with no tower (series module
+docstring, "Case (v) centres"), and keeps one verdict per shape; the
+per-cover checks of that proof are `vp_classify_p2_torsor` of
+tests/rational_oracle.py.
 """
 
 from fractions import Fraction

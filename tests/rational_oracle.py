@@ -1,11 +1,16 @@
 """The recurrences that expand a disk to any length, and the general
-classifier of an expansion, kept as the oracles of the closed-form
-certificates `series.classify_rational_centre` and
+classifier of an expansion, kept as the oracles of the tail verdict of
+each shape (`analyzer.certify_tail`) and of the closed-form certificate
 `series.classify_torsor_reduction`; and the closed-form certificates as
 they read every valuation with v_p (`vp_classify_rational_centre`,
-`vp_classify_torsor_reduction`, `vp_classify_p2_torsor`), kept as the
-oracles of the package's, which decide each fact with a divisibility test
-against a power of p of the shape's record.
+`vp_classify_torsor_reduction`, `vp_classify_p2_torsor`).  The package
+once checked each fact of the rational and case (v) certificates per
+cover; the series module docstring proves that every cover passes them,
+so it keeps one verdict per shape, and these two are the reference
+versions of the per-cover checks, and the oracles of that verdict.  The
+first still checks what it reads of its centre, so it takes any spec and
+any rational centre, and refuses a centre on the branch locus with
+`CenterOnBranchLocus`.
 
 `certify_tail` used to expand the cover on the disk of the rational centre
 a/(a+b) (cases i, ii and iv) to c_2p by the fraction-free recurrence below,
@@ -33,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 
 from padic_sr.analyzer import new_tail_locus
-from padic_sr.errors import CenterOnBranchLocus, PrecisionExhausted
+from padic_sr.errors import ArtifactError, PrecisionExhausted
 from padic_sr.series import (
     CubicCentre,
     ReductionVerdict,
@@ -42,6 +47,10 @@ from padic_sr.series import (
     check_tail_dominated,
 )
 from padic_sr.tower import vp_int, vp_rational
+
+
+class CenterOnBranchLocus(ArtifactError):
+    """Disk center collides with a branch point (0, 1 or infinity)."""
 
 
 def _check_premises(spec, v_d, v_d1):
@@ -252,7 +261,7 @@ def classify_expansion(exp) -> ReductionVerdict:
                          f"c_p = c_{p}")
     if p == 2:
         raise ValueError("p = 2 torsors are classified by "
-                         "classify_p2_torsor")
+                         "vp_classify_p2_torsor")
     prof = exp.scaled_profile()
     E = exp.scale
     tau = n + Fraction(1, p - 1)
@@ -322,9 +331,9 @@ def certify_tail(spec):
 
 
 # -- the closed-form certificates, every valuation read with v_p ------------
-# Each computes what the package's shape records hold (E, E v(e), E tau, L,
-# the verdict) on every call, and runs the tail check where the record's
-# outcome is read, so it raises and names what the package does.
+# Each computes E, E v(e), E tau, L and the verdict on every call, and runs
+# the tail check where the package's certificate reads its outcome, so it
+# raises and names what a per-cover check would.
 
 def _val3(x, E: int, et: int) -> int:
     """E v(c_0 + c_1 t + c_2 t^2) of a nonzero triple, E v(t) = et: the
@@ -361,12 +370,18 @@ def vp_classify_torsor_reduction(exp) -> ReductionVerdict:
 
 
 def vp_classify_rational_centre(spec, d: Fraction, v_e) -> ReductionVerdict:
-    """series.classify_rational_centre, each fact read from v_p of an
-    integer; the premises by _check_premises."""
+    """The certificate of a rational centre d (p odd), each fact read from
+    v_p of an integer, in this order: the tail premises v(d) = 0,
+    v(d - 1) = n - s and v_p(b) = n - s (_check_premises, PrecisionExhausted
+    naming the one that fails); h_1 = 0, as T_1 = a delta' + b delta = 0;
+    v(c_2) = tau; when p = 3 and n = 1, v(c_3) > tau or c_3 = 0; then the
+    tail bound above tau past L = 2 (L = 3 in that shape).  A failed fact
+    past the premises returns NotCertified naming it (series module
+    docstring, "Rational centres")."""
     p, n, a, b = spec.p, spec.n, spec.a, spec.b
     if p == 2:
         raise ValueError("p = 2 torsors are classified by "
-                         "classify_p2_torsor")
+                         "vp_classify_p2_torsor")
     N, delta = d.denominator, d.numerator
     delta1 = delta - N
     if not delta or not delta1:
@@ -404,12 +419,17 @@ def _v4(re: int, im: int):
 
 
 def vp_classify_p2_torsor(spec, v_e: Fraction) -> ReductionVerdict:
-    """series.classify_p2_torsor, each Gaussian rational valued by _v4."""
-    _require_cover(spec, "classify_p2_torsor")
+    """The certificate of the case (v) disk of radius v_e of a CoverSpec
+    (any other spec raises TypeError, an odd p ValueError), each Gaussian
+    rational valued by _v4: v(c_2) = n and the tail bound v(c_l) >= n + 1
+    past c_2, whose failures are named together, then the congruence
+    c_1^2 / c_2 = 2^(n+1) i mod 2^(n+2) (series module docstring, "Case
+    (v) centres")."""
+    _require_cover(spec, "vp_classify_p2_torsor")
     if spec.p != 2:
         raise ValueError("odd p torsors are classified by "
-                         "classify_rational_centre and "
-                         "classify_torsor_reduction")
+                         "vp_classify_rational_centre and "
+                         "vp_classify_torsor_reduction")
     n, s, a, b = spec.n, spec.s, spec.a, spec.b
     ve, T = _scaled(v_e, 4), 4 * n
     m, rho = a + b, 2 ** n * b

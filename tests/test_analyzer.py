@@ -19,7 +19,6 @@ from padic_sr.analyzer import (
     CoverSpec,
     _case_record,
     _certify_p2_step,
-    _locus_shape,
     _report_shape,
     _stable_case,
     analyze,
@@ -53,15 +52,11 @@ from padic_sr.ramification import (
     herbrand_phi,
     kummer_step_conductor,
 )
-from padic_sr.series import (
-    CubicCentre,
-    _cubic_shape,
-    _p2_shape,
-    _rational_shape,
-)
+from padic_sr.series import CubicCentre
 from padic_sr.tower import Tower, vp_int, vp_rational
 import case_oracle
 from p2_oracle import p2_center, tower_locus
+from grid_digest import grid
 from test_golden import _identity_grid
 from tower_helpers import (
     _k1,
@@ -71,13 +66,6 @@ from tower_helpers import (
     q2_i,
     q2_zeta8,
 )
-
-
-def _clear_tail_records():
-    """Empty the per-shape records of the tail certificate: the case and
-    radius of new_tail_locus and the shape facts of the three classifiers."""
-    for cached in (_locus_shape, _rational_shape, _cubic_shape, _p2_shape):
-        cached.cache_clear()
 
 
 # -- branch signatures -------------------------------------------------------
@@ -152,10 +140,10 @@ def test_non_prime_p_refused(p):
     with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
         analyze(p, 1, 1, 1)
     with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
-        CoverSpec(p, 2, 1, 3, 1, ())
+        CoverSpec(p, 2, 1, 3, 1)
     for a, b, s in ((1, -1, 1), (1, 0, 1), (1, 0, 2)):
         with pytest.raises(CertificationFailed):
-            CoverSpec(p, 2, a, b, s, ())
+            CoverSpec(p, 2, a, b, s)
 
 
 class _Int(int):
@@ -193,7 +181,6 @@ def test_integer_arguments_become_plain_ints():
     assert all(type(x) is int for x in (spec.p, spec.n, spec.a, spec.b))
     assert all(type(x) is int for x in spec.original)
     _report_shape.cache_clear()
-    _clear_tail_records()
     with pytest.raises(TypeError):
         analyze(5, True, 1, 1)
     odd = json.dumps(analyze(_Int(5), _Int(1), _Int(1), _Int(1)),
@@ -514,7 +501,7 @@ def test_cover_rule_names_each_broken_fact(stage, spec, fact):
     object but a CoverSpec with TypeError, and certifies none of them."""
     assert not _is_normal_form(_spec(*spec))
     with pytest.raises(CertificationFailed, match=rf"^{re.escape(fact)}$"):
-        CoverSpec(*spec, ())
+        CoverSpec(*spec)
     with pytest.raises(TypeError,
                        match=r" takes a CoverSpec, not SimpleNamespace$"):
         stage(_spec(*spec))
@@ -533,7 +520,7 @@ def test_only_a_cover_certifies():
             for s in range(1, n + 1):
                 for a in range(-6, 7):
                     for b in range(-12, 13):
-                        spec = _outcome(CoverSpec, p, n, a, b, s, ())
+                        spec = _outcome(CoverSpec, p, n, a, b, s)
                         if not _is_normal_form(_spec(p, n, a, b, s)):
                             assert spec[0] == "CertificationFailed" and (
                                 spec[1] in COVER_FACTS or spec[1] ==
@@ -570,8 +557,8 @@ def test_cover_spec_refuses_non_integer_fields(field, value, kind):
     build, and fail later inside Fraction; a float b raised
     AttributeError; a = True built and certified."""
     cover = branch_signature(5, 2, 1, 5)
-    fields = {"p": 5, "n": 2, "a": 1, "b": 5, "s": 1, "indices": (25, 5, 25)}
-    assert CoverSpec(**fields) == replace(cover, original=())
+    fields = {"p": 5, "n": 2, "a": 1, "b": 5, "s": 1}
+    assert CoverSpec(**fields) == cover
     msg = rf"^{field} must be an integer, not {kind}$"
     with pytest.raises(TypeError, match=msg):
         CoverSpec(**{**fields, field: value})
@@ -583,24 +570,24 @@ def test_cover_spec_reads_integer_fields_as_plain_ints():
     """An int subclass in a field is read as its value, as branch_signature
     reads its arguments: the spec holds plain ints and equals the plain
     spec."""
-    spec = CoverSpec(_Int(5), _Int(2), _Int(3), _Int(10), _Int(1), (25, 5, 25))
-    assert spec == CoverSpec(5, 2, 3, 10, 1, (25, 5, 25))
+    spec = CoverSpec(_Int(5), _Int(2), _Int(3), _Int(10), _Int(1))
+    assert spec == CoverSpec(5, 2, 3, 10, 1)
     assert all(type(x) is int for x in (spec.p, spec.n, spec.a, spec.b,
-                                        spec.s))
+                                        spec.s, *spec.indices,
+                                        *spec.original))
     assert type(replace(spec, a=_Int(8)).a) is int
 
 
 def test_cover_spec_stays_a_frozen_dataclass():
     """CoverSpec's own __init__ keeps the dataclass's contract: positional
-    and keyword construction with the defaults of swaps and original,
-    equality and hash over all eight fields, repr, pickling and copying,
-    FrozenInstanceError on setting or deleting a field, and
-    dataclasses.replace building through the checks.  Every refusal of
-    the shape and the cover rule is raised by keyword construction and by
-    replace alike."""
+    and keyword construction with the default of swaps, equality and hash
+    over all eight fields, repr, pickling and copying, FrozenInstanceError
+    on setting or deleting a field, and dataclasses.replace building
+    through the checks, which derives indices and original anew and
+    refuses to be given either.  Every refusal of the shape and the cover
+    rule is raised by keyword construction and by replace alike."""
     spec = branch_signature(5, 2, 3, 10)
-    same = CoverSpec(p=5, n=2, a=3, b=10, s=1, indices=(25, 5, 25),
-                     original=(3, 10))
+    same = CoverSpec(p=5, n=2, a=3, b=10, s=1)
     assert same == spec and hash(same) == hash(spec) and same is not spec
     assert repr(spec) == ("CoverSpec(p=5, n=2, a=3, b=10, s=1, "
                           "indices=(25, 5, 25), swaps=(), original=(3, 10))")
@@ -609,12 +596,15 @@ def test_cover_spec_stays_a_frozen_dataclass():
     assert vars(spec) == {"p": 5, "n": 2, "a": 3, "b": 10, "s": 1,
                           "indices": (25, 5, 25), "swaps": (),
                           "original": (3, 10)}
-    assert CoverSpec(5, 2, 3, 10, 1, (25, 5, 25)) == replace(spec,
-                                                             original=())
-    for other in (replace(spec, a=8), replace(spec, swaps=("x -> 1 - x",)),
-                  replace(spec, indices=(25, 25, 25))):
+    assert CoverSpec(5, 2, 3, 10, 1, ()) == replace(spec) == spec
+    for other in (replace(spec, a=8), replace(spec, swaps=("x -> 1 - x",))):
         assert other != spec
     assert replace(spec, a=8).a == 8 and spec.a == 3
+    assert replace(spec, a=8).original == (8, 10)
+    assert replace(spec, swaps=("x -> 1 - x",)).indices == (5, 25, 25)
+    for derived in ("indices", "original"):
+        with pytest.raises(ValueError, match=derived):
+            replace(spec, **{derived: getattr(spec, derived)})
     assert pickle.loads(pickle.dumps(spec)) == spec
     assert copy.deepcopy(spec) == spec == copy.copy(spec)
     assert {spec: 1}[same] == 1
@@ -627,7 +617,7 @@ def test_cover_spec_stays_a_frozen_dataclass():
     for fields_, fact in BROKEN_FACTS:
         with pytest.raises(CertificationFailed,
                            match=rf"^{re.escape(fact)}$"):
-            CoverSpec(**dict(zip(names, fields_)), indices=())
+            CoverSpec(**dict(zip(names, fields_)))
         with pytest.raises(CertificationFailed,
                            match=rf"^{re.escape(fact)}$"):
             replace(branch_signature(5, 2, 3, 10),
@@ -638,6 +628,64 @@ def test_cover_spec_stays_a_frozen_dataclass():
             replace(spec, s=s)
     with pytest.raises(ValueError, match=r"^p = 4 is not prime$"):
         replace(spec, p=4)
+
+
+def test_cover_spec_derives_indices_and_original():
+    """indices and original are facts of the cover and its swap: on every
+    input of the 8408-input grid that is a cover, the spec branch_signature
+    makes has indices p^(n - v) for v the v_p, capped at n, of the a, b
+    and a + b given, and original the (a, b) given, and CoverSpec builds
+    the same spec from (p, n, a, b, s, swaps) alone.  Each of the three
+    swaps occurs."""
+    swaps = Counter()
+    for args in grid():
+        try:
+            spec = branch_signature(*args)
+        except ArtifactError:
+            continue
+        p, n, a, b = args
+        vs = (min(vp_int(x, p), n) if x else n for x in (a, b, a + b))
+        assert spec.indices == tuple(p ** (n - v) for v in vs), args
+        assert spec.original == (a, b), args
+        assert CoverSpec(spec.p, spec.n, spec.a, spec.b, spec.s,
+                         spec.swaps) == spec, args
+        swaps[spec.swaps] += 1
+    assert set(swaps) == {(), ("x -> 1 - x",), ("x -> x/(x-1)",)}, swaps
+
+
+def test_cover_spec_prints_its_own_indices():
+    """A hand-built spec of the cover (5, 2, 1, 5) used to print
+    "indices": [], as it was given (); it prints the cover's."""
+    assert CoverSpec(5, 2, 1, 5, 1, ()).to_json() == \
+        branch_signature(5, 2, 1, 5).to_json()
+    assert CoverSpec(5, 2, 1, 5, 1).to_json()["indices"] == [25, 5, 25]
+
+
+@pytest.mark.parametrize("given", [{"indices": [25, 5, 25]},
+                                   {"original": None}])
+def test_cover_spec_takes_no_derived_field(given):
+    """indices=[25, 5, 25] used to build a spec that hash refused, and
+    original=None one whose to_json raised TypeError: CoverSpec takes
+    neither, so both raise TypeError when built."""
+    (name, value), = given.items()
+    with pytest.raises(TypeError, match=name):
+        CoverSpec(5, 2, 1, 5, 1, **given)
+
+
+@pytest.mark.parametrize("swaps", [["x -> 1 - x"], "x -> 1 - x", None,
+                                   ("x -> 1/x",),
+                                   ("x -> 1 - x", "x -> x/(x-1)")])
+def test_cover_spec_refuses_swaps_no_normal_form_makes(swaps):
+    """branch_signature makes at most one swap, so swaps is (),
+    ("x -> 1 - x",) or ("x -> x/(x-1)",): anything else, a list of one of
+    them included, raises TypeError, and each of the three builds a spec
+    that hashes and prints."""
+    with pytest.raises(TypeError, match="^swaps must be "):
+        CoverSpec(5, 2, 1, 5, 1, swaps)
+    for ok in ((), ("x -> 1 - x",), ("x -> x/(x-1)",)):
+        spec = CoverSpec(5, 2, 1, 5, 1, ok)
+        assert {spec: 1}[spec] == 1
+        assert json.loads(json.dumps(spec.to_json()))["swaps"] == list(ok)
 
 
 #: (cover, fields replaced in its spec, n): shapes (p, n, s) that no cover
@@ -877,12 +925,10 @@ def test_each_graph_check_reaches_certified(monkeypatch, args, doctored,
         build_stable_graph(branch_signature(*args)))))
     monkeypatch.setattr(analyzer, CHECK_OF_FIELD[field], doctored)
     _report_shape.cache_clear()
-    _clear_tail_records()
     try:
         report = analyze(*args)
     finally:
         _report_shape.cache_clear()
-        _clear_tail_records()
     assert report["certified"] is False
     value = report[field]
     if field == "local_vanishing_residuals":
@@ -1122,7 +1168,6 @@ def test_p2_identity_grid_builds_no_field(monkeypatch):
     conductor_bound, refuses all 124 before any tail certificate; called
     alone, new_tail_locus refuses the 64 with 2n - s odd."""
     _report_shape.cache_clear()
-    _clear_tail_records()
     _case_record.cache_clear()
     calls = _count_field_work(monkeypatch)
     covers = [args for args in _identity_grid() if args[0] == 2]
@@ -1143,7 +1188,6 @@ def test_p3_identity_grid_builds_no_tower(monkeypatch):
     (iii) centre is a triple of Z[t]/(t^3 - r), and the cube roots of
     cases (iii) and (iv) are certified from v_3 of their radicand."""
     _report_shape.cache_clear()
-    _clear_tail_records()
     calls = _count_field_work(monkeypatch)
     covers = [args for args in _identity_grid() if args[0] == 3]
     reports = [r for r in map(_report_or_error, covers)
@@ -1282,7 +1326,6 @@ def test_shared_fields_carry_no_cover_state():
     fresh = {}
     for args in MIXED_GRID:
         _report_shape.cache_clear()
-        _clear_tail_records()
         _case_record.cache_clear()
         fresh[args] = _report_or_error(args)
     refused = Counter(r[0] for r in fresh.values() if isinstance(r, tuple))
@@ -1376,16 +1419,14 @@ def _fresh_shape(spec):
     }
 
 
-#: the fields of the report that analyze makes per cover
-COVER_FIELDS = ("spec", "certificate", "certified")
-
-
 def _template_graph_fields(p, n, s):
     """The graph fields of the _report_shape template of (p, n, s), after
-    checking that the template holds none of the cover's own fields, and
-    that a and b of the tower's meta are empty slots."""
-    doc = _report_shape(p, n, s).doc
-    assert not set(COVER_FIELDS) & set(doc)
+    checking that the template holds every field of the report but the
+    spec, the cover's own, in report order, and that a and b of the
+    tower's meta are empty slots."""
+    doc = _report_shape(p, n, s)
+    assert list(doc) == ["certificate", *GRAPH_FIELDS, "tower", "conductor",
+                         "moduli_field_note", "certified"]
     assert [doc["tower"]["meta"][key] for key in "ab"] == [None, None]
     return {key: doc[key] for key in GRAPH_FIELDS}
 
@@ -1415,7 +1456,6 @@ def test_cached_shape_equals_fresh_computation(seed):
     cold = []
     for spec in specs:
         _report_shape.cache_clear()
-        _clear_tail_records()
         cold.append(_cached_shape(spec))
     assert cold == want
     assert [_cached_shape(spec) for spec in specs] == want
@@ -1456,11 +1496,10 @@ def test_case_record_matches_the_oracle():
     read off the case record equal those of the case split written out per
     builder (tests/case_oracle.py), uncached and through _report_shape.
     Each _report_shape template holds the graph fields of the uncached
-    computation, none of the cover's own fields and an empty slot for a
-    and b of the tower's meta, and its sound flag is the conjunct of the
-    uncached checks.  The cached case
-    record each reads is hashable, so it holds no list or dict that a
-    reader could change."""
+    computation, every field of the report but the spec and an empty slot
+    for a and b of the tower's meta, and its certified flag is the
+    conjunct of the uncached checks.  The cached case record each reads is
+    hashable, so it holds no list or dict that a reader could change."""
     shapes = list(_oracle_shapes())
     assert len(shapes) == 210
     for p, n, s in shapes:
@@ -1478,7 +1517,7 @@ def test_case_record_matches_the_oracle():
         assert doc["inseparable_tails"] == tails
         assert doc == _fresh_shape(spec)
         fresh = build_stable_graph(spec)
-        assert _report_shape(p, n, s).sound == (
+        assert _report_shape(p, n, s)["certified"] is (
             not validate_structure(fresh) + tail_invariant_checks(fresh)
             and check_vanishing_cycles(fresh) == 0
             and all(v == 0 for v in check_local_vanishing(fresh).values()))
@@ -1572,13 +1611,10 @@ def test_reports_share_no_container_with_the_cache(first, second):
     the next report of the same shape, and of the same cover, equal to a
     report computed with the cache cleared."""
     _report_shape.cache_clear()
-    _clear_tail_records()
     fresh_first = analyze(*first)
     _report_shape.cache_clear()
-    _clear_tail_records()
     fresh_second = analyze(*second)
     _report_shape.cache_clear()
-    _clear_tail_records()
     report = analyze(*first)
     graph = report["graph"]
     assert any("branch_points" in c for c in graph["components"])
@@ -1612,11 +1648,10 @@ def test_no_two_reports_share_a_container():
     of the template, whatever keys its components carry.  The second
     report of each shape takes the template from the cache."""
     _report_shape.cache_clear()
-    _clear_tail_records()
     for p, n, s in _oracle_shapes():
         first, second = (analyze(*args)
                          for args in _oracle_covers(p, n, s)[:2])
-        template = _report_shape(p, n, s).doc
+        template = _report_shape(p, n, s)
         ids = [id(item) for doc in (first, second, template)
                for item in _containers(doc)]
         assert len(ids) == len(set(ids)), (p, n, s)

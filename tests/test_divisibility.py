@@ -1,36 +1,35 @@
-"""The per-cover facts of the three tail certificates are divisibility
-tests against powers of p that the shape's record holds; their oracles
-are the same certificates reading every valuation with v_p
-(tests/rational_oracle.py).  analyze and certify_tail reach those tests
-through _tail_certificate, from the integers of the centre, and their
-oracle is the composition of the public stages, new_tail_locus and a
-classifier.  Every
-input gives the same verdict, every field of it, or the same exception
-class and message: the covers of the 8408-input grid, doctored radii
-(whose targets may lie outside Z), stand-in specs that no rule checks at a
-rational centre, and case (iii) and case (v) covers of n = 200 and
-n = 800.  Inputs are drawn without filtering."""
+"""The tail verdict of every cover is its shape's (analyzer._case_record),
+as the series module docstring proves; its oracles are the closed-form
+certificates that read every valuation with v_p and check each fact per
+cover (tests/rational_oracle.py), composed with new_tail_locus.  The case
+(iii) certificate classify_torsor_reduction still tests each of its facts
+by divisibility against powers of 3 of its record, with the same v_p
+oracle.  Every input gives the same verdict, every field of it, or the
+same exception class and message: the covers of the 8408-input grid,
+doctored radii of the case (iii) disk (whose targets may lie outside Z),
+forged case (iii) triples, and covers of n = 200 and n = 800.  Inputs are
+drawn without filtering."""
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 from padic_sr.analyzer import (
+    _case_record,
     _certify_p2_step,
-    _locus_shape,
-    _tail_certificate,
+    analyze,
     branch_signature,
     certify_tail,
     new_tail_locus,
 )
 from padic_sr.errors import ArtifactError
 from padic_sr.series import (
-    _rational_shape,
-    classify_p2_torsor,
-    classify_rational_centre,
+    _cubic_shape,
+    check_tail_dominated,
     classify_torsor_reduction,
     expand_disk,
 )
+import p2_oracle
+import rational_oracle
 from grid_digest import grid
 from rational_oracle import (
     vp_classify_p2_torsor,
@@ -47,25 +46,9 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def _both(spec, v_e):
-    """The package's and the oracle's outcome on the new-tail disk of the
-    cover spec, at the radius v_e: at its rational or cubic centre for odd
-    p, and from the spec alone for p = 2."""
-    if spec.p == 2:
-        return (_outcome(classify_p2_torsor, spec, v_e),
-                _outcome(vp_classify_p2_torsor, spec, v_e))
-    d = new_tail_locus(spec).d
-    if isinstance(d, Fraction):
-        return (_outcome(classify_rational_centre, spec, d, v_e),
-                _outcome(vp_classify_rational_centre, spec, d, v_e))
-    disk = expand_disk(spec, d, v_e)
-    return (_outcome(classify_torsor_reduction, disk),
-            _outcome(vp_classify_torsor_reduction, disk))
-
-
 def _vp_certify_tail(spec):
-    """The public stages, new_tail_locus and a classifier, composed as
-    certify_tail's verdict, with the oracle's certificates."""
+    """new_tail_locus, its w step included, composed with the oracle's
+    certificate of its centre: the per-cover checks of each fact."""
     locus = new_tail_locus(spec)
     if spec.p == 2:
         return vp_classify_p2_torsor(spec, locus.v_e)
@@ -75,37 +58,10 @@ def _vp_certify_tail(spec):
                                                     locus.v_e))
 
 
-def _analyze_path(spec, v_e):
-    """_tail_certificate as analyze calls it, at the radius v_e; analyze
-    makes its w step, the c = 1 call, before it."""
-    return _tail_certificate(spec, _locus_shape(spec.p, spec.n, spec.s)[0],
-                             v_e)
-
-
-def _both_paths(spec, v_e):
-    """(analyze's outcome, the public stages') at the radius v_e.  Where
-    new_tail_locus refuses at its w step, analyze's outcome is that of its
-    own w step, the c = 1 call, which must refuse with the same error and
-    message (conductor_bound); elsewhere it is _tail_certificate's.  The
-    c = 1 call also refuses some covers whose w step in new_tail_locus
-    (c = 0) passes; on those the two certificates are compared."""
-    public = _outcome(_public_path, spec, v_e)
-    if isinstance(public, tuple) and public[0] == "IrreducibilityUnverified":
-        return _outcome(_certify_p2_step, spec.b // 2 ** (spec.n - spec.s),
-                        1), public
-    return _outcome(_analyze_path, spec, v_e), public
-
-
-def _public_path(spec, v_e):
-    """The public stages composed at the radius v_e, the oracle of
-    certify_tail and analyze: new_tail_locus, its w step included, then
-    the classifier of its centre."""
-    d = new_tail_locus(spec).d
-    if spec.p == 2:
-        return classify_p2_torsor(spec, v_e)
-    if isinstance(d, Fraction):
-        return classify_rational_centre(spec, d, v_e)
-    return classify_torsor_reduction(expand_disk(spec, d, v_e))
+def _analyze_certificate(args):
+    """The certificate analyze reports for args, or its error."""
+    report = _outcome(analyze, *args)
+    return report if isinstance(report, tuple) else report["certificate"]
 
 
 def _grid_covers():
@@ -131,27 +87,54 @@ def test_certificates_match_the_vp_oracle_on_the_grid():
                      "IrreducibilityUnverified": 8}, kinds
 
 
+def test_tail_verdict_matches_the_expansion_oracles_on_the_grid():
+    """On every cover of the 8408-input grid, the shape's verdict that
+    certify_tail returns is the verdict, or the error, of the old paths
+    that expanded the disk: the recurrence to c_2p (c_3 at the cubic
+    centre) and the general classifier for odd p
+    (rational_oracle.certify_tail), and the expansion in Q_2(i)(w) and the
+    mu_4 classifier for p = 2 (p2_oracle.certify_tail), whose centre field
+    refuses the 8 covers that new_tail_locus's w step refuses."""
+    compared = 0
+    for spec in _grid_covers():
+        oracle = (p2_oracle.certify_tail if spec.p == 2
+                  else rational_oracle.certify_tail)
+        assert _outcome(certify_tail, spec) == _outcome(oracle, spec), spec
+        compared += 1
+    assert compared == 4736
+
+
 def test_analyze_path_matches_the_public_stages_on_the_grid():
-    """On every input of the 8408-input grid, analyze's tail certificate
-    and the public stages give the same verdict or the same error, which
-    is certify_tail's: the 4736 covers, 8 of them refused by the w step on
-    both paths, and the other inputs refused by branch_signature before
-    either path."""
-    kinds = {}
+    """On every input of the 8408-input grid, the certificate analyze
+    reports is certify_tail's verdict and the oracle's: the shape's verdict
+    on 4720 covers.  analyze's one w step, the c = 1 call, refuses 16
+    covers with the error and message of conductor_bound's; new_tail_locus
+    and certify_tail, with c = (2n - s) mod 2, refuse 8 of them alike and
+    certify the other 8.  The other inputs are refused by branch_signature
+    before either path."""
+    kinds, certified_past_c1 = {}, 0
     for args in grid():
         try:
             spec = branch_signature(*args)
         except ArtifactError as exc:
             kinds[type(exc).__name__] = kinds.get(type(exc).__name__, 0) + 1
             continue
-        got, public = _both_paths(spec, _locus_shape(spec.p, spec.n,
-                                                     spec.s)[1])
-        assert got == public == _outcome(certify_tail, spec), spec
-        kind = got[0] if isinstance(got, tuple) else got.kind
+        got = _analyze_certificate(args)
+        tail = _outcome(certify_tail, spec)
+        assert tail == _outcome(_vp_certify_tail, spec), spec
+        if isinstance(got, tuple):
+            assert got == _outcome(_certify_p2_step,
+                                   spec.b // 2 ** (spec.n - spec.s), 1)
+            certified_past_c1 += not isinstance(tail, tuple)
+            kind = got[0]
+        else:
+            assert got == tail.to_json(), spec
+            kind = got["kind"]
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert kinds == {"SplitsArtinSchreier": 3528, "SplitsZ4": 1200,
-                     "IrreducibilityUnverified": 8, "NotThreePoint": 2325,
+    assert kinds == {"SplitsArtinSchreier": 3528, "SplitsZ4": 1192,
+                     "IrreducibilityUnverified": 16, "NotThreePoint": 2325,
                      "Disconnected": 1347}, kinds
+    assert certified_past_c1 == 8
 
 
 #: offsets of the doctored radii from the locus's v(e): multiples of 1/24
@@ -161,61 +144,42 @@ OFFSETS = [Fraction(k, 24) for k in range(-30, 31)]
 
 
 def test_certificates_match_the_vp_oracle_on_doctored_radii():
-    """On the first three covers of each shape (p, n, s) of the grid, at
-    every radius locus + OFFSETS, the certificate and its oracle agree,
-    exception or verdict: a radius outside (1/4)Z is refused by both in
-    case (v), a target outside Z fails its equality on both sides, and
-    every failed fact is named alike.  Both verdicts and each named reason
-    occur, but v(c_3) <= tau and the case (v) congruence: past
-    v(c_2) = tau, or n, the radius is the locus's, where no cover fails
-    either (series module docstring, "Rational centres"; in case (v)
-    X / N^2 has chi = m + a m^2 - (m - 1) 2^n i, and 1 + a m is even)."""
-    per_shape, seen = {}, set()
+    """On the first three covers of each case (iii) shape (p, n, s) of the
+    grid, at every radius locus + OFFSETS, classify_torsor_reduction of
+    expand_disk and its oracle agree, exception or verdict: a target
+    outside Z fails its equality on both sides, and every failed fact is
+    named alike.  The verdict and each clause that reads a valuation
+    occur, but not the Y check or the tail check: past v(c_2) = tau the
+    radius is the locus's, where no cover fails either (series module
+    docstring, "Valuations without coefficients").  The record
+    (_cubic_shape) holds the outcome of check_tail_dominated at every
+    radius, failures included, which only a forged expansion reaches."""
+    per_shape, seen, failed = {}, set(), 0
     for spec in _grid_covers():
         shape = (spec.p, spec.n, spec.s)
-        if per_shape.get(shape, 0) == 3:
+        if not (spec.p == 3 and spec.s == 1 < spec.n) \
+                or per_shape.get(shape, 0) == 3:
             continue
         per_shape[shape] = per_shape.get(shape, 0) + 1
-        v0 = _locus_shape(*shape)[1]
+        locus = new_tail_locus(spec)
+        assert locus.v_e == _case_record(*shape).v_e
         for off in OFFSETS:
-            got, want = _both(spec, v0 + off)
-            assert got == want, (spec, v0 + off)
-            if isinstance(got, tuple):
-                seen.add(got[0])
-            else:
-                seen.update((got.reason or got.kind).split("; "))
-    assert {"SplitsArtinSchreier", "SplitsZ4", "AssertionError",
-            "v(c_2) != n + 1/(p-1)", "v(c_1) <= n", "v(c_p) <= n",
-            "min over i != 1, p is not n + 1/(p-1)", "v(c_2) != n"} <= seen, \
-        seen
-    assert any(r.startswith("tail coefficient") for r in seen), seen
-
-
-def test_analyze_path_matches_the_public_stages_on_doctored_radii():
-    """On the first three covers of each shape of the grid, at every
-    radius locus + OFFSETS, analyze's tail certificate and the public
-    stages give the same verdict or the same error, every failed fact and
-    the refused radii outside (1/4)Z among them."""
-    per_shape, seen = {}, set()
-    for spec in _grid_covers():
-        shape = (spec.p, spec.n, spec.s)
-        if per_shape.get(shape, 0) == 3:
-            continue
-        per_shape[shape] = per_shape.get(shape, 0) + 1
-        v0 = _locus_shape(*shape)[1]
-        for off in OFFSETS:
-            got, public = _both_paths(spec, v0 + off)
-            assert got == public, (spec, v0 + off)
-            if isinstance(got, tuple):
-                seen.add(got[0])
-            else:
-                seen.update((got.reason or got.kind).split("; "))
-    assert {"SplitsArtinSchreier", "SplitsZ4", "AssertionError",
-            "IrreducibilityUnverified", "v(c_2) != n + 1/(p-1)",
-            "v(c_1) <= n", "v(c_p) <= n",
-            "min over i != 1, p is not n + 1/(p-1)", "v(c_2) != n"} <= seen, \
-        seen
-    assert any(r.startswith("tail coefficient") for r in seen), seen
+            v_e = locus.v_e + off
+            tail = _outcome(check_tail_dominated, spec, v_e, 3,
+                            spec.n + Fraction(1, 2))
+            failure = _cubic_shape(3, spec.n, 1, v_e.numerator,
+                                   v_e.denominator).failure
+            assert failure == (tail and tail[1]), (spec, off)
+            failed += failure is not None
+            disk = expand_disk(spec, locus.d, v_e)
+            got = _outcome(classify_torsor_reduction, disk)
+            assert got == _outcome(vp_classify_torsor_reduction, disk), \
+                (spec, off)
+            seen.add(got[0] if isinstance(got, tuple)
+                     else got.reason or got.kind)
+    assert len(per_shape) == 5 and failed, (per_shape, failed)
+    assert {"SplitsArtinSchreier", "v(c_1) <= n", "v(c_p) <= n",
+            "min over i != 1, p is not n + 1/(p-1)"} == seen, seen
 
 
 def _forged(rng, triple, n):
@@ -264,74 +228,6 @@ def test_cubic_certificate_matches_the_vp_oracle_on_forged_triples():
             "v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)"} <= seen, seen
 
 
-def _draw_stand_in(rng):
-    """A stand-in spec, a Fraction centre and a radius, none of them
-    checked: p is any of a few primes, 2 and non-primes, n and s run over
-    0..4 (so n < s occurs), a and b are small, or multiples of a power of
-    p, or 0, and the centre is a/(a+b) or drawn alike."""
-    p = rng.choice((3, 5, 7, 11, 3, 5, 7, 2, 4, 9, 1, 0))
-    n, s = rng.randint(0, 4), rng.randint(0, 4)
-
-    def integer():
-        x = rng.randint(-30, 30)
-        if rng.random() < 0.5 and p > 1:
-            x *= p ** rng.randint(0, 4)
-        return x
-
-    a, b = integer(), integer()
-    if rng.random() < 0.5 and a + b:
-        d = Fraction(a, a + b)
-    else:
-        d = Fraction(integer(), rng.choice((1, 1, 2, 3, 5, 7, 9, 25, 26)))
-    v_e = Fraction(rng.randint(-8, 40), rng.choice((1, 2, 3, 4, 6, 8, 12)))
-    return SimpleNamespace(p=p, n=n, a=a, b=b, s=s), d, v_e
-
-
-def test_rational_certificate_matches_the_vp_oracle_on_stand_ins():
-    """classify_rational_centre takes any spec and any centre: on 6000
-    seeded stand-ins it gives what its oracle gives, a verdict or the same
-    error (ValueError for p = 2 or a non-prime p, CenterOnBranchLocus,
-    PrecisionExhausted naming a premise or the tail, ZeroElement for
-    b = 0 past the first two premises).  Both premise exponents are
-    reached from both sides."""
-    rng = random.Random(4101)
-    seen = set()
-    for _ in range(6000):
-        spec, d, v_e = _draw_stand_in(rng)
-        got = _outcome(classify_rational_centre, spec, d, v_e)
-        assert got == _outcome(vp_classify_rational_centre, spec, d, v_e), \
-            (spec, d, v_e)
-        seen.update(got if isinstance(got, tuple)
-                    else (got.reason or got.kind,))
-    assert {"ValueError", "CenterOnBranchLocus", "v(0) is +infinity",
-            "tail bound needs v(d) = 0", "tail bound needs v(d - 1) = n - s",
-            "tail bound needs v(b) = n - s", "h_1 != 0",
-            "v(c_2) != n + 1/(p-1)", "SplitsArtinSchreier"} <= seen, seen
-
-
-def test_analyze_reduces_the_rational_centre_as_fraction_does():
-    """analyze hands the rational certificate a/(a+b) in lowest terms, by
-    one gcd: on the seeded stand-ins of odd p and a + b != 0,
-    _tail_certificate at a rational case gives what
-    classify_rational_centre gives at Fraction(a, a + b), verdict or
-    error.  Where p divides a common factor of a and b, the unreduced pair
-    would fail v(d) = 0, so the reduction is seen; on a cover p divides
-    neither a nor the gcd."""
-    rng = random.Random(4102)
-    compared, common = 0, 0
-    for _ in range(6000):
-        spec, _, v_e = _draw_stand_in(rng)
-        a, b = spec.a, spec.b
-        if spec.p == 2 or not a + b:
-            continue
-        got = _outcome(_tail_certificate, spec, "ii", v_e)
-        assert got == _outcome(classify_rational_centre, spec,
-                               Fraction(a, a + b), v_e), (spec, v_e)
-        compared += 1
-        common += spec.p > 1 and a % spec.p == b % spec.p == 0 != a
-    assert compared > 4000 and common > 300, (compared, common)
-
-
 #: case (iii) and case (v) covers of n = 200 and 800, and a case (ii) one
 LARGE_N = [(3, 200, 1, 3 ** 199), (3, 200, -7, 5 * 3 ** 199),
            (3, 800, 1, 3 ** 799), (3, 800, 2, -4 * 3 ** 799),
@@ -341,22 +237,25 @@ LARGE_N = [(3, 200, 1, 3 ** 199), (3, 200, -7, 5 * 3 ** 199),
 
 
 def test_certificates_match_the_vp_oracle_at_large_n():
-    """The covers of LARGE_N certify on both sides with the same verdict,
-    and agree at the locus radius plus -1/4, -1/12, 1/12, 1/4 and 1/2; the
-    rational record's exponents there are n - s and n - s, and no k3, as
-    L = 2."""
+    """The covers of LARGE_N certify with the same verdict from
+    certify_tail and the oracle, and analyze reports it, or refuses at its
+    c = 1 w step (b' = 7 in (2, 800, -5, 7 * 2^600)); the case record's
+    radius is new_tail_locus's; the case (iii) certificate and its oracle
+    agree at the locus radius plus -1/4, -1/12, 1/12, 1/4 and 1/2."""
     for args in LARGE_N:
         spec = branch_signature(*args)
         got = certify_tail(spec)
         assert got.kind.startswith("Splits"), args
         assert got == _vp_certify_tail(spec), args
-        v0 = _locus_shape(spec.p, spec.n, spec.s)[1]
-        assert _analyze_path(spec, v0) == got, args
+        refused = spec.p == 2 and _outcome(
+            _certify_p2_step, spec.b // 2 ** (spec.n - spec.s), 1)
+        assert _analyze_certificate(args) == (refused or got.to_json()), args
+        locus = new_tail_locus(spec)
+        assert locus.v_e == _case_record(spec.p, spec.n, spec.s).v_e
+        if isinstance(locus.d, Fraction):
+            continue
         for off in (Fraction(-1, 4), Fraction(-1, 12), Fraction(1, 12),
                     Fraction(1, 4), Fraction(1, 2)):
-            mine, oracle = _both(spec, v0 + off)
-            assert mine == oracle, (args, off)
-    spec = branch_signature(*LARGE_N[-1])
-    v0 = _locus_shape(5, 800, spec.s)[1]
-    record = _rational_shape(5, 800, spec.s, v0.numerator, v0.denominator)
-    assert record.exponents == (800 - spec.s, 800 - spec.s, None)
+            disk = expand_disk(spec, locus.d, locus.v_e + off)
+            assert _outcome(classify_torsor_reduction, disk) == \
+                _outcome(vp_classify_torsor_reduction, disk), (args, off)

@@ -1,6 +1,8 @@
 """Property tests: on random admissible covers, analyze is total over the
-domain errors and deterministic; on bounded integer parameters, every CLI
-subcommand ends in exit 0, 1 or 2 and never in a traceback."""
+domain errors and deterministic; on random inputs of the same ranges, none
+redrawn, certify_tail gives the verdict or error of the paths that expand
+the disk; on bounded integer parameters, every CLI subcommand ends in exit
+0, 1 or 2 and never in a traceback."""
 
 import copy
 import functools
@@ -11,9 +13,11 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from padic_sr.analyzer import analyze, branch_signature
+from padic_sr.analyzer import analyze, branch_signature, certify_tail
 from padic_sr.cli import main
 from padic_sr.errors import ArtifactError, Disconnected, NotThreePoint
+import p2_oracle
+import rational_oracle
 
 
 @st.composite
@@ -42,6 +46,35 @@ def _outcome(args):
 @given(covers())
 def test_analyze_is_total_and_deterministic(args):
     assert _outcome(args) == _outcome(args)
+
+
+@st.composite
+def inputs(draw):
+    """(p, n, a, b) over the ranges of covers(), admissible or not: no
+    input is redrawn."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = draw(st.integers(2 if p == 2 else 1, 3))
+    return p, n, draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+
+
+def _tail_outcome(certify, args):
+    try:
+        return certify(branch_signature(*args))
+    except ArtifactError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(inputs())
+def test_tail_verdict_matches_the_expansion_oracles(args):
+    """certify_tail's verdict, the shape's, is that of the expansion in
+    Q_2(i)(w) for p = 2 (p2_oracle) and of the expansion to c_2p, or c_3
+    at the cubic centre, with the general classifier for odd p
+    (rational_oracle), or the error of branch_signature or of the w step
+    on both sides."""
+    oracle = (p2_oracle.certify_tail if args[0] == 2
+              else rational_oracle.certify_tail)
+    assert _tail_outcome(certify_tail, args) == _tail_outcome(oracle, args)
 
 
 # -- the command line ---------------------------------------------------------

@@ -21,6 +21,7 @@ import sympy as sp
 
 from padic_sr.analyzer import (
     CoverSpec,
+    _case_record,
     analyze,
     branch_signature,
     certify_tail,
@@ -28,7 +29,6 @@ from padic_sr.analyzer import (
 )
 from padic_sr.errors import (
     ArtifactError,
-    CenterOnBranchLocus,
     CertificationFailed,
     PrecisionExhausted,
 )
@@ -39,8 +39,6 @@ from padic_sr.series import (
     _cube_radicand,
     binom_falling,
     check_tail_dominated,
-    classify_p2_torsor,
-    classify_rational_centre,
     classify_torsor_reduction,
     expand_disk,
     tail_bound,
@@ -50,6 +48,7 @@ import p2_oracle
 import rational_oracle
 from p2_oracle import classify_p2, tower_locus
 from rational_oracle import (
+    CenterOnBranchLocus,
     CubicExpansion,
     RationalExpansion,
     _val3,
@@ -57,9 +56,10 @@ from rational_oracle import (
     default_truncation,
     expand_cubic,
     expand_rational,
+    vp_classify_p2_torsor,
+    vp_classify_rational_centre,
 )
 from test_analyzer import (
-    _clear_tail_records,
     _is_normal_form,
     _refused_by_the_cover_rule,
     _spec,
@@ -258,12 +258,13 @@ def test_frozen_p5_n1_expansion():
 
 
 def test_center_on_branch_locus():
-    """A centre 0 or 1 is refused by the closed form of a rational centre,
-    by its oracle and by the oracle's expansion of a cubic centre;
-    expand_disk refuses such a cubic centre as no case (iii) centre."""
+    """A centre 0 or 1 is refused by the reference certificate of a
+    rational centre, by the oracle's expansion of it and by the oracle's
+    expansion of a cubic centre; expand_disk refuses such a cubic centre
+    as no case (iii) centre."""
     spec = branch_signature(5, 1, 1, 1)
     for d in (Fraction(0), Fraction(1)):
-        for certify in (classify_rational_centre, expand_rational):
+        for certify in (vp_classify_rational_centre, expand_rational):
             with pytest.raises(CenterOnBranchLocus):
                 certify(spec, d, Fraction(5, 8))
     for d in (CubicCentre((0, 0, 0), 1, 3), CubicCentre((2, 0, 0), 2, 3)):
@@ -735,7 +736,7 @@ def test_large_n_covers_certify(monkeypatch, args, kind):
     calls = []
     monkeypatch.setattr(series, "tail_bound",
                         lambda *a: calls.append(a) or tail_bound(*a))
-    _clear_tail_records()
+    _case_record.cache_clear()
     assert certify_tail(branch_signature(*args)).kind == kind
     assert calls == []
     assert analyze(*args)["certified"] is True
@@ -834,15 +835,15 @@ def _rational_centre_covers():
 
 
 def test_closed_form_matches_the_integer_recurrence():
-    """certify_tail of a rational centre, in closed form, gives the verdict
-    of the integer recurrence to c_2p and its classification
+    """certify_tail of a rational centre, the shape's verdict, is the
+    verdict of the integer recurrence to c_2p and its classification
     (tests/rational_oracle.py), every field of it, on every
     rational-centre cover of the identity grid, of the large-n covers and
     of the p = 3, n = 1 covers, whose c_3 the closed form reads.  On
     doctored specs whose premises fail, which the cover rule refuses in
-    certify_tail, classify_rational_centre and the oracle's classifier
-    raise the same error at the centre a/(a+b), on stand-ins that no rule
-    checks."""
+    certify_tail, the reference certificate vp_classify_rational_centre
+    and the oracle's classifier raise the same error at the centre
+    a/(a+b), on stand-ins that no rule checks."""
     covers = 0
     for spec in _rational_centre_covers():
         got = _verdict_or_error(certify_tail, spec)
@@ -855,7 +856,7 @@ def test_closed_form_matches_the_integer_recurrence():
         spec = _stand_in(args, **fields)
         d, v_e = _doctored_locus(spec)
         closed = _verdict_or_error(
-            lambda sp: classify_rational_centre(sp, d, v_e), spec)
+            lambda sp: vp_classify_rational_centre(sp, d, v_e), spec)
         oracle = _verdict_or_error(
             lambda sp: classify_expansion(expand_rational(sp, d, v_e)), spec)
         assert closed == oracle == ("PrecisionExhausted", message), spec
@@ -954,10 +955,10 @@ def test_each_tail_premise_is_checked(args, fields, message):
     cover rule, and building it is refused with CertificationFailed naming
     the first fact it breaks, at a rational centre and at the cubic centre
     of case (iii), whose certificate derives its premises from the rule.
-    classify_rational_centre takes any rational centre and checks the
-    premises itself: at a/(a+b), on a stand-in that no rule checks, it
-    raises PrecisionExhausted naming the premise, each spec reaching its
-    own check, so leaving out any one of the checks fails this test."""
+    The reference certificate vp_classify_rational_centre takes any
+    rational centre and checks the premises itself: at a/(a+b), on a
+    stand-in that no rule checks, it raises PrecisionExhausted naming the
+    premise, each spec reaching its own check."""
     spec = _stand_in(args, **fields)
     key = (spec.p, spec.n, spec.a, spec.b, spec.s)
     with pytest.raises(CertificationFailed,
@@ -967,24 +968,25 @@ def test_each_tail_premise_is_checked(args, fields, message):
         return
     d, v_e = _doctored_locus(spec)
     with pytest.raises(PrecisionExhausted, match=rf"^{re.escape(message)}$"):
-        classify_rational_centre(spec, d, v_e)
+        vp_classify_rational_centre(spec, d, v_e)
     if message.endswith("v(b) = n - s"):
         assert (vp_rational(d, 5), vp_rational(d - 1, 5)) == \
             (0, spec.n - spec.s)
 
 
 def test_closed_form_names_each_failed_fact():
-    """classify_rational_centre refuses, naming the fact, a centre other
-    than a/(a+b) on which the premises still hold (h_1 != 0: the closed
-    forms of h_2 and h_3 need c_1 = 0), and a radius other than the
-    locus's (v(c_2) != tau).  certify_tail passes neither."""
+    """The reference certificate vp_classify_rational_centre refuses,
+    naming the fact, a centre other than a/(a+b) on which the premises
+    still hold (h_1 != 0: the closed forms of h_2 and h_3 need c_1 = 0),
+    and a radius other than the locus's (v(c_2) != tau).  Neither is the
+    new-tail disk of a cover, whose verdict is its shape's."""
     spec = branch_signature(5, 2, 3, 10)
     locus = new_tail_locus(spec)
     off = locus.d + 25  # v(d) = 0 and v(d - 1) = 1 = n - s still
     assert (vp_rational(off, 5), vp_rational(off - 1, 5)) == (0, 1)
-    assert classify_rational_centre(spec, off, locus.v_e) == \
+    assert vp_classify_rational_centre(spec, off, locus.v_e) == \
         ReductionVerdict("NotCertified", reason="h_1 != 0")
-    assert classify_rational_centre(
+    assert vp_classify_rational_centre(
         spec, locus.d, locus.v_e + Fraction(1, 8)) == \
         ReductionVerdict("NotCertified", reason="v(c_2) != n + 1/(p-1)")
 
@@ -1132,8 +1134,9 @@ def test_expand_disk_refuses_other_centres():
 
 def test_tail_premises_on_a_fraction_centre():
     """The premises v(d) = 0 and v(d - 1) = n - s are checked with v_p on a
-    Fraction centre, by the closed form and by the oracle's expansion, and
-    fail with the message the same centre gets in Q_p(pi) on the tower
+    Fraction centre, by the reference certificate
+    vp_classify_rational_centre and by the oracle's expansion, and fail
+    with the message the same centre gets in Q_p(pi) on the tower
     oracle."""
     def premises(certify, *args):
         # the message of a failed premise, None when they hold
@@ -1147,7 +1150,7 @@ def test_tail_premises_on_a_fraction_centre():
               Fraction(26, 25), Fraction(-4, 1)):
         want = premises(tower_expand_disk(spec, t.rational(d),
                                           t.gen(0) ** 13).check_tail_premises)
-        assert premises(classify_rational_centre, spec, d,
+        assert premises(vp_classify_rational_centre, spec, d,
                         Fraction(13, 8)) == want, d
         assert premises(expand_rational(spec, d, Fraction(13, 8))
                         .check_tail_premises) == want, d
@@ -1271,7 +1274,7 @@ def test_case_v_closed_form_matches_the_tower_path():
     assert seen == {"SplitsZ4", "IrreducibilityUnverified"}
     compared, refused = 0, 0
     for fields in _doctored_case_v_specs(32):
-        spec = _verdict_or_error(lambda f: CoverSpec(*f, ()), fields)
+        spec = _verdict_or_error(lambda f: CoverSpec(*f), fields)
         if not _is_normal_form(_spec(*fields)):
             assert _refused_by_the_cover_rule(spec), fields
             refused += 1
@@ -1326,28 +1329,32 @@ P2_NON_COVERS = [
 
 @pytest.mark.parametrize("spec,message", P2_NON_COVERS)
 def test_p2_certificate_refuses_a_non_cover(spec, message):
-    """classify_p2_torsor derives v(d) = 0 and v(d - 1) = n - s from the
-    cover rule and 1 <= s < n, which every CoverSpec meets: building a
-    spec that breaks either is refused, with CertificationFailed naming
-    what fails, and the certificate refuses a stand-in with its fields,
-    which is no CoverSpec, with TypeError."""
+    """The case (v) verdict rests on v(d) = 0 and v(d - 1) = n - s, which
+    the cover rule and 1 <= s < n give, and every CoverSpec meets them:
+    building a spec that breaks either is refused, with
+    CertificationFailed naming what fails, and certify_tail refuses a
+    stand-in with its fields, which is no CoverSpec, with TypeError."""
     with pytest.raises(CertificationFailed, match=rf"^{re.escape(message)}$"):
-        CoverSpec(*spec, ())
-    with pytest.raises(TypeError, match="^classify_p2_torsor takes a "
+        CoverSpec(*spec)
+    with pytest.raises(TypeError, match="^certify_tail takes a "
                                         "CoverSpec, not SimpleNamespace$"):
-        classify_p2_torsor(_spec(*spec), Fraction(3, 2))
+        certify_tail(_spec(*spec))
 
 
 @pytest.mark.parametrize("args", [(5, 2, 1, 1), (7, 3, 1, 49),
                                   (3, 3, 1, 9)])
 def test_p2_certificate_refuses_an_odd_p(args):
-    """classify_p2_torsor applies the closed forms of p = 2 only: a cover
-    of odd p, of case (i), (ii) or (iii), is refused with ValueError, as
-    classify_rational_centre refuses p = 2, and not classified."""
+    """The reference certificate vp_classify_p2_torsor applies the closed
+    forms of p = 2 only: a cover of odd p, of case (i), (ii) or (iii), is
+    refused with ValueError, as vp_classify_rational_centre refuses p = 2,
+    and not classified."""
     spec = branch_signature(*args)
     v_e = new_tail_locus(spec).v_e
     with pytest.raises(ValueError, match="^odd p torsors are classified by "):
-        classify_p2_torsor(spec, v_e)
+        vp_classify_p2_torsor(spec, v_e)
+    with pytest.raises(ValueError, match="^p = 2 torsors are classified by "):
+        vp_classify_rational_centre(branch_signature(2, 3, 1, 6),
+                                    Fraction(1, 7), Fraction(5, 2))
 
 
 def test_cubic_certificate_checks_the_cover_rule():
@@ -1358,7 +1365,7 @@ def test_cubic_certificate_checks_the_cover_rule():
     CoverSpec, so expand_disk refuses it even at the centre
     (1 + t)/10."""
     with pytest.raises(CertificationFailed, match=r"^v_p\(b\) = n - s fails$"):
-        CoverSpec(3, 2, 1, 9, 1, ())
+        CoverSpec(3, 2, 1, 9, 1)
     d = CubicCentre((1, 1, 0), 10, _cube_radicand(2, 1, 9))
     with pytest.raises(TypeError, match="takes a CoverSpec"):
         expand_disk(_spec(3, 2, 1, 9, 1), d, Fraction(7, 4))
@@ -1731,100 +1738,77 @@ def test_tail_check_on_the_locus_needs_no_per_l_bound(monkeypatch):
     calls = []
     monkeypatch.setattr(series, "tail_bound",
                         lambda *args: calls.append(args) or tail_bound(*args))
-    _clear_tail_records()
+    _case_record.cache_clear()
     for args in ((5, 1, 1, 1), (5, 2, 3, 10), (37, 1, 13, 57), (3, 2, 1, 3),
                  (2, 3, 1, 6), (7, 3, 2, 7)):
         certify_tail(branch_signature(*args))
     assert calls == []
 
 
-#: two covers of one shape for each classifier: rational centre (case ii),
-#: cubic centre (case iii) and case (v)
+#: two covers of one shape for each kind of centre: rational (case ii),
+#: cubic (case iii) and case (v)
 SHAPE_PAIRS = [((5, 2, 3, 10), (5, 2, 1, 5)), ((3, 2, 1, 3), (3, 2, 2, 3)),
                ((2, 3, 1, 6), (2, 3, 3, 2))]
 
 
 def _count_tail_checks(monkeypatch):
     """The list of the arguments past the spec of every check_tail_dominated
-    call the package makes from now on."""
-    import padic_sr.series as series
+    call the analyzer makes from now on."""
+    import padic_sr.analyzer as analyzer
     calls = []
-    monkeypatch.setattr(series, "check_tail_dominated",
+    monkeypatch.setattr(analyzer, "check_tail_dominated",
                         lambda *args, **kw: calls.append(args[1:]) or
                         check_tail_dominated(*args, **kw))
     return calls
 
 
 def test_one_tail_check_per_shape(monkeypatch):
-    """The tail check reads the shape and v(e) alone, so two covers of one
-    shape run it once, with the records cleared first, and share the
-    record's verdict."""
+    """The tail verdict is a fact of the shape: two covers of one shape,
+    with the case records cleared first, run the tail check once, at the
+    locus radius with the shape's L and threshold, and get the one verdict
+    object of the shape's record from certify_tail and its JSON from
+    analyze."""
     calls = _count_tail_checks(monkeypatch)
-    _clear_tail_records()
+    _case_record.cache_clear()
     for pair in SHAPE_PAIRS:
         first, second = (certify_tail(branch_signature(*args))
                          for args in pair)
         assert first.kind.startswith("Splits"), pair
         assert second is first, pair
-    assert len(calls) == len(SHAPE_PAIRS), calls
+        assert all(analyze(*args)["certificate"] == first.to_json()
+                   for args in pair), pair
+    assert calls == [(Fraction(13, 8), 2, Fraction(9, 4), True),
+                     (Fraction(7, 4), 3, Fraction(5, 2), True),
+                     (Fraction(5, 2), 2, Fraction(4), False)], calls
 
 
 def test_a_failing_tail_check_fails_alike_on_every_call(monkeypatch):
-    """A tail check that fails is run once and its PrecisionExhausted
-    raised again, with the same message, by every later call.  The
-    stand-in has s = 0, which no cover has: at its rational centre 1/26
-    the premises, h_1 = 0 and v(c_2) = tau hold, and the bound misses tau
-    at l = 5."""
-    spec = _spec(5, 2, 1, 25, 0)
-    d, v_e = Fraction(1, 26), Fraction(17, 8)
+    """No shape fails its tail check (series module docstring, "The
+    expansion length" and "The l >= 3 bound"), but one that did would be
+    refused: with the check doctored to fail, it runs once per shape, and
+    certify_tail and analyze raise its PrecisionExhausted, with its
+    message, on every call, at a rational centre, a cubic one and in
+    case (v)."""
+    import padic_sr.analyzer as analyzer
     message = "tail coefficient l=5: bound 13/8 does not clear threshold 9/4"
-    with pytest.raises(PrecisionExhausted, match=rf"^{re.escape(message)}$"):
-        check_tail_dominated(spec, v_e, 2, Fraction(9, 4))
-    calls = _count_tail_checks(monkeypatch)
-    _clear_tail_records()
-    for _ in range(2):
-        with pytest.raises(PrecisionExhausted,
-                           match=rf"^{re.escape(message)}$"):
-            classify_rational_centre(spec, d, v_e)
-    assert len(calls) == 1, calls
+    calls = []
 
+    def failing(*args, **kw):
+        calls.append(args)
+        raise PrecisionExhausted(message)
 
-def _tail_message(spec, v_e, L, threshold, strict):
-    """check_tail_dominated's PrecisionExhausted message, or None."""
+    monkeypatch.setattr(analyzer, "check_tail_dominated", failing)
+    _case_record.cache_clear()
+    analyzer._report_shape.cache_clear()
     try:
-        check_tail_dominated(spec, v_e, L, threshold, strict=strict)
-    except PrecisionExhausted as exc:
-        return str(exc)
-    return None
-
-
-def test_a_doctored_radius_gets_its_own_record():
-    """The shape records are keyed on p, n, s and both terms of v(e): a
-    radius with the locus's numerator over another denominator gets the
-    verdict of its own radius, v(c_2) != tau, between calls at the locus,
-    which certify; and case (v) covers of one n and three s, at radii on
-    and off the locus, each name the tail check's failure exactly when
-    check_tail_dominated fails on that spec."""
-    _clear_tail_records()
-    spec = branch_signature(5, 2, 3, 10)
-    locus = new_tail_locus(spec)
-    assert locus.v_e == Fraction(13, 8)
-    for den in (1, 2, 4, 16):
-        assert classify_rational_centre(spec, locus.d, locus.v_e).kind == \
-            "SplitsArtinSchreier"
-        assert classify_rational_centre(
-            spec, locus.d, Fraction(13, den)) == ReductionVerdict(
-                "NotCertified", reason="v(c_2) != n + 1/(p-1)"), den
-    named = 0
-    for b in (24, 12, 6):  # s = 1, 2, 3
-        spec = branch_signature(2, 4, 1, b)
-        for v_e in (new_tail_locus(spec).v_e, Fraction(5, 2), Fraction(3),
-                    Fraction(7, 2)):
-            want = _tail_message(spec, v_e, 2, Fraction(5), False)
-            verdict = classify_p2_torsor(spec, v_e)
-            reasons = verdict.reason.split("; ") if verdict.reason else []
-            assert [r for r in reasons if r != "v(c_2) != n"
-                    and not r.startswith("c_1^2/c_2")] == \
-                ([want] if want else []), (b, v_e)
-            named += want is not None
-    assert 0 < named < 12
+        for args in [first for first, _ in SHAPE_PAIRS] * 2:
+            with pytest.raises(PrecisionExhausted,
+                               match=rf"^{re.escape(message)}$"):
+                certify_tail(branch_signature(*args))
+            with pytest.raises(PrecisionExhausted,
+                               match=rf"^{re.escape(message)}$"):
+                analyze(*args)
+    finally:
+        _case_record.cache_clear()
+        analyzer._report_shape.cache_clear()
+    assert len(calls) == len(SHAPE_PAIRS), calls

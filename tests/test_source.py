@@ -471,9 +471,9 @@ def test_tower_arm_checker_reads_each_form():
 CASE_LABELS = {"i", "ii", "iii", "iv", "v"}
 
 #: the analyzer functions that may compare a case label: the case record,
-#: and the facts that depend on more than the shape (p, n, s) of a cover,
-#: the new-tail locus and analyze's tail certificate
-CASE_DISPATCHERS = {"_case_record", "new_tail_locus", "_tail_certificate"}
+#: and the one fact that depends on more than the shape (p, n, s) of a
+#: cover, the new-tail locus
+CASE_DISPATCHERS = {"_case_record", "new_tail_locus"}
 
 #: the readers of the case record, which compare no case label
 CASE_READERS = {"build_stable_graph", "inseparable_tails", "stab_field_tower",

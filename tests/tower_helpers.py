@@ -13,11 +13,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from padic_sr.errors import (
-    CenterOnBranchLocus,
-    IrreducibilityUnverified,
-    ZeroElement,
-)
+from padic_sr.errors import IrreducibilityUnverified, ZeroElement
 from padic_sr.jsonutil import parse_rat
 from padic_sr.ramification import cyclotomic_tower
 from padic_sr.series import _scaled
@@ -28,7 +24,11 @@ from padic_sr.tower import (
     vp_int,
     vp_rational,
 )
-from rational_oracle import _check_premises, default_truncation
+from rational_oracle import (
+    CenterOnBranchLocus,
+    _check_premises,
+    default_truncation,
+)
 
 
 def make_tower(p: int, steps) -> Tower:
