@@ -19,7 +19,6 @@ from .errors import (
     Disconnected,
     IrreducibilityUnverified,
     NotThreePoint,
-    PrecisionExhausted,
 )
 from .graph import (
     Component,
@@ -44,7 +43,6 @@ from .series import (
     ReductionVerdict,
     _SWAP_0_1,
     _SWAP_1_INF,
-    _Shape,
     _as_int,
     _cube_radicand,
     _require_cover,
@@ -102,17 +100,19 @@ def branch_signature(p: int, n: int, a: int, b: int) -> CoverSpec:
 # is an integer triple over a + b, valued in closed form (series module
 # docstring, "Cubic centres").  The cube roots of cases (iii) and (iv) are
 # certified from v_3 of their radicand, with constant conductors
-# (_case_record).  Case (v) centres are Gaussian rationals plus a square
+# (_shape_facts).  Case (v) centres are Gaussian rationals plus a square
 # root R of one, valued in closed form (series module docstring, "Case (v)
 # centres"), the step w^2 = u behind R is certified per cover from b' mod 8
 # (_certify_p2_step), and the square classes follow from the parity of
-# v_2(b) = n - s (_case_record).  Everything of the report but the spec and
+# v_2(b) = n - s (_shape_facts).  Everything of the report but the spec and
 # a and b (the tail certificate, the graph, its checks, the inseparable
 # tails, the field tower, the conductor certificate and the certified flag)
-# depends on (p, n, s) alone: it is computed once per shape from one case
-# record, and kept as a JSON report template, in an LRU of 256 shapes
-# (_report_shape, below), which each report copies; only callers that
-# repeat a shape gain from it.
+# depends on (p, n, s) alone: it is computed once per shape from the
+# shape's facts and pieces, and kept as a JSON report template, in an LRU
+# of 256 shapes (_report_shape, below), which each report copies; only
+# callers that repeat a shape gain from it.  It is the one shape cache: a
+# direct call of a public stage builds the facts it reads, and the pieces
+# only where it returns them.
 
 def _certify_p2_step(b_odd: int, c: int) -> None:
     """Certify the case (v) step w^2 = u = (-i)^c b' i, b' = b_odd, over
@@ -160,14 +160,15 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
     the step w^2 = u behind R is certified in integers, from b' mod 8
     (_certify_p2_step), and no field is built.  A spec that is no
     CoverSpec raises TypeError.  The case and v(e) are facts of the shape,
-    read off its case record; the centre reads a and b.
+    read off its facts (_shape_facts), and no piece is built; the centre
+    reads a and b.
 
     Neither certify_tail nor analyze reads it: each makes its own w step,
     and the tail verdict is the shape's."""
     _require_cover(spec, "new_tail_locus")
     p, n, s, a, b = spec.p, spec.n, spec.s, spec.a, spec.b
-    record = _case_record(p, n, s)
-    case, v_e = record.case, record.v_e
+    facts = _shape_facts(p, n, s)
+    case, v_e = facts.case, facts.v_e
     if case == "iii":
         return NewTailLocus(CubicCentre((a, 1, 0), a + b,
                                         _cube_radicand(n, s, b)), v_e)
@@ -181,22 +182,39 @@ def new_tail_locus(spec: CoverSpec) -> NewTailLocus:
 
 def certify_tail(spec: CoverSpec) -> ReductionVerdict:
     """The reduction on the new-tail disk: the verdict of the shape (p, n, s),
-    which every cover of the shape gets (_case_record, with the proofs in
+    which every cover of the shape gets (_shape_facts, with the proofs in
     the series module docstring), once the spec is a CoverSpec (any other
     spec raises TypeError) and, in case (v), once new_tail_locus's w step
-    passes, with the same error and message.  A failed tail check raises
-    PrecisionExhausted, which no shape does."""
+    passes, with the same error and message.  Each call builds the shape's
+    facts, no piece, and runs its tail check (_tail_verdict), whose
+    failure, which no shape has, raises PrecisionExhausted."""
     _require_cover(spec, "certify_tail")
     p, n, s = spec.p, spec.n, spec.s
     if p == 2:
         _certify_p2_step(spec.b // 2 ** (n - s), (2 * n - s) % 2)
-    return _tail_verdict(_case_record(p, n, s))
+    return _tail_verdict(_shape_facts(p, n, s))
 
 
-# -- the case record ---------------------------------------------------------
+# -- the facts and the pieces of a shape -------------------------------------
+
+class _ShapeFacts(NamedTuple):
+    """What every cover of one shape (p, n, s) gets but its pieces
+    (_shape_facts)."""
+    p: int
+    n: int
+    s: int
+    case: str
+    v_e: Fraction  # v(e) of the new-tail disk
+    tail: ReductionVerdict  # of every cover of the shape on that disk
+    tail_check: tuple  # (L, threshold, strict) of its tail check at v_e
+    steps: tuple  # TowerStep of the stable-model field over K_0
+    flag: str | None  # the graph's lower-confidence note, if any
+    conductor: ConductorValue  # of the stable-model field over K_0
+    detail: tuple  # the lines of the conductor certificate
+
 
 class _Piece(NamedTuple):
-    """One component of the stable model, as _case_record lists it."""
+    """One component of the stable model, as _pieces lists it."""
     id: str
     parent: str | None  # None at X0; a parent precedes its children
     inertia: int  # the component is a p^inertia-component
@@ -208,51 +226,31 @@ class _Piece(NamedTuple):
     upstairs: tuple  # (count, genus, conductor, note) of the curve over it
 
 
-class _CaseRecord(NamedTuple):
-    """What the case (i)-(v) of one shape (p, n, s) builds (_case_record)."""
-    p: int
-    n: int
-    s: int
-    case: str
-    pieces: tuple  # _Piece, from X0 outward
-    steps: tuple  # TowerStep of the stable-model field over K_0
-    flag: str | None  # the graph's lower-confidence note, if any
-    conductor: ConductorValue  # of the stable-model field over K_0
-    detail: tuple  # the lines of the conductor certificate
-    v_e: Fraction  # v(e) of the new-tail disk
-    tail: ReductionVerdict  # of every cover of the shape on that disk
-    tail_failure: str | None  # None, or the tail check's PrecisionExhausted
+def _tail_verdict(facts: _ShapeFacts) -> ReductionVerdict:
+    """The tail verdict of a shape, once its tail check passes: the check
+    raises its PrecisionExhausted otherwise, which no shape does (series
+    module docstring, "The expansion length" and "The l >= 3 bound")."""
+    check_tail_dominated(facts, facts.v_e, *facts.tail_check)
+    return facts.tail
 
 
-def _tail_verdict(record: _CaseRecord) -> ReductionVerdict:
-    """The tail verdict of a case record, or the PrecisionExhausted of its
-    tail check, which no shape fails (series module docstring, "The
-    expansion length" and "The l >= 3 bound")."""
-    if record.tail_failure is not None:
-        raise PrecisionExhausted(record.tail_failure)
-    return record.tail
-
-
-# Bounded like _report_shape, which reads through it on a miss.
-@lru_cache(maxsize=256)
-def _case_record(p: int, n: int, s: int) -> _CaseRecord:
+def _shape_facts(p: int, n: int, s: int) -> _ShapeFacts:
     """The case split of the stable model of a cover of shape (p, n, s), in
-    one place: every component from X0 outward with the curve over it, the
-    extra-tail centres, the field steps and the conductor certificate of
-    the field, with its proof beside each case, and the new-tail disk's
-    radius v(e) with the verdict every cover of the shape gets there, one
-    branch per kind of centre (its proofs are in the series module
-    docstring), and the outcome of the tail check, run here once.
-    build_stable_graph, inseparable_tails, stab_field_tower,
-    conductor_bound, new_tail_locus, certify_tail and _report_shape read
-    it, and nothing else dispatches on the case to build them.
+    one place with _pieces, which reads the case from it: the field steps
+    and the conductor certificate of the field, with its proof beside each
+    case, the graph's flag, and the new-tail disk's radius v(e) with the
+    verdict every cover of the shape gets there and the tail check that
+    verdict rests on (_tail_verdict), one branch per kind of centre (its
+    proofs are in the series module docstring).  certify_tail,
+    new_tail_locus, conductor_bound and stab_field_tower read it alone;
+    build_stable_graph, inseparable_tails and _report_shape read it with
+    the pieces; nothing else dispatches on the case to build them.
 
-    It is built once per shape and kept in an LRU of 256 shapes, so a
-    direct call of conductor_bound, stab_field_tower or certify_tail on a
-    shape seen before reads it without building it.  The record is
-    immutable, so its readers share it: NamedTuples of tuples, ints, strs
-    and Fractions, and the frozen dataclasses TowerStep, ConductorValue
-    and ReductionVerdict.
+    It is O(1) but for the O(s) steps and detail lines of case (v), runs
+    no tail check, and is built on each call: _report_shape, the one shape
+    cache, builds it once per shape.  The facts are immutable: a NamedTuple
+    of tuples, ints, strs and Fractions, and the frozen dataclasses
+    TowerStep, ConductorValue and ReductionVerdict.
 
     The stable model is defined over K_n = K_0(zeta_{p^n}), the Kummer
     steps below over it (d', d_j: the centres of the extra tails), and a
@@ -278,32 +276,8 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
     """
     case = _stable_case(p, n, s)
     q = Fraction(1, p - 1)
-    pieces, kummer = [], []
-    inertia_of = {}
+    kummer = []
     flag = None
-
-    def upstairs(i, has_larger_neighbor):
-        # (count, genus, conductor, note) over a p^i-component
-        if not has_larger_neighbor:
-            return p ** (n - i), 0, None, "radicial"
-        if case == "v":
-            if i == 0:
-                return (2 ** (n - 2), None, None,
-                        "mu_4-torsors, first upper jump 1")
-            return 2 ** (n - i - 1), None, None, "p = 2 covering structure"
-        cond = 1 if (case != "i" and i >= s) else 2
-        return p ** (n - i - 1), (cond - 1) * (p - 1) // 2, cond, ""
-
-    def piece(cid, parent, inertia, radius, tail_kind="none", centre="d",
-              definition=None, branch_points=()):
-        # inertia never rises outward from X0 (validate_structure checks
-        # it), so only the parent can be a neighbour of larger inertia
-        larger = parent is not None and inertia_of[parent] > inertia
-        inertia_of[cid] = inertia
-        pieces.append(_Piece(cid, parent, inertia, Fraction(radius), tail_kind,
-                             centre, definition, branch_points,
-                             upstairs(inertia, larger)))
-        return cid
 
     def step(exponent, radicand):
         kummer.append(TowerStep("kummer", exponent=exponent, radicand=radicand))
@@ -311,29 +285,6 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
     # K_n/K_0 is cyclotomic, with conductor n - 1
     detail = [f"K_{n}/K_0 is cyclotomic: conductor exactly {n - 1} < {n}"]
     parts, kind = [Fraction(n - 1)], "bound"
-
-    if case == "i":
-        # chain: X_i has inertia p^(n-i) at radius valuation (i + 1/(p-1))/2
-        prev = piece("X0", None, n, 0,
-                     branch_points=(("0", n), ("1", n), ("inf", n)))
-        for i in range(1, n + 1):
-            prev = piece(f"X{i}", prev, n - i, Fraction(i + q, 2),
-                         "new" if i == n else "none")
-    else:
-        prev = piece("X0", None, n, 0, branch_points=(("0", n), ("inf", n)))
-        for i in range(n - 1, s + 1 if case == "v" else s, -1):
-            prev = piece(f"X{n - i}", prev, i, n - i + q)
-        piece("Xstar", prev, s + 1, n - s)
-        # the x = 1 inseparable tail
-        piece("Xdagger", "Xstar", s, n - s + q, "primitive", "1",
-              branch_points=(("1", s),))
-        # the d-branch out to the new etale tail; at i = s, p odd, the
-        # quotient Y/Q_s argument fixes the disk
-        prev = "Xstar"
-        for i in range(s, -1, -1):
-            r = (n - s + q if i == s and case != "v"
-                 else Fraction(2 * n - s - i + q, 2))
-            prev = piece(f"X{n - i}", prev, i, r, "new" if i == 0 else "none")
 
     # Cases (iii) and (iv), p = 3 and s < n: v_3(b) = n - s >= 1, so b - 1
     # and b - 2 are units and the radicand rad = 3^(2(n-s)+3) C(b,3) has
@@ -369,8 +320,6 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
         step(3, "3^(2(n-s)+3) binom(b,3)  [gives d']")
         step(3 ** (n - s), "a/(a+b)")
         step(3 ** (n - s + 1), "(d')^a (d'-1)^b / (a^a b^b (a+b)^-(a+b))")
-        piece("Xdprime", f"X{n - s}", s - 1, n - s + Fraction(2, 3), "new",
-              "d'", "d' = a/(a+b) + cbrt(3^(2(n-s)+3) binom(b,3))/(a+b)")
         flag = ("p = 3 with 1 < s < n: graph shape beyond the certified "
                 "tails is lower-confidence")
         parts.append(Fraction(5, 2))
@@ -385,9 +334,6 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
         for j in range(1, s):
             step(2 ** (n - j), f"d_{j}")
             step(2 ** (s - j), f"d_{j} - 1")
-            piece(f"Xd{j}", f"X{n - j - 1}", j, Fraction(2 * n - s - j + 1, 2),
-                  "new", f"d_{j}",
-                  f"d_{j} = a/(a+b) + sqrt(2^(n-{j}) b i)/(a+b)^2")
         flag = ("p = 2: graph shape beyond the certified tails is "
                 "lower-confidence")
         # p = 2 and 1 <= s < n: v_2(b) = n - s and a, a + b are odd.  For
@@ -419,31 +365,95 @@ def _case_record(p: int, n: int, s: int) -> _CaseRecord:
     # The new-tail disk x = d + e t, v(e) = (2n - s + 1/(p-1))/2, and the
     # verdict every cover of the shape gets there: the cover rule fixes
     # each valuation the certificate reads (series module docstring,
-    # "Rational centres", "Cubic centres" and "Case (v) centres"), and the
-    # tail bound clears the threshold past c_L, checked once here.
+    # "Rational centres", "Cubic centres" and "Case (v) centres"), once the
+    # tail bound clears the threshold past c_L (_tail_verdict).
     v_e = Fraction(2 * n - s + q, 2)
     if case == "v":
         tail = ReductionVerdict("SplitsZ4", count=2 ** (n - 2), conductor=1,
                                 notes=("sqrt(c_2) adjoined on demand",
                                        "congruence holds with i -> +i"))
-        L, threshold, strict = 2, Fraction(n + 1), False
+        tail_check = (2, Fraction(n + 1), False)
     elif case == "iii":
         tail = ReductionVerdict("SplitsArtinSchreier", count=3 ** (n - 1),
                                 conductor=2, notes=("condition (ii)",))
-        L, threshold, strict = 3, n + q, True
+        tail_check = (3, n + q, True)
     else:
         # a rational centre: L = 3 where the bound misses tau at l = 3
         tail = ReductionVerdict("SplitsArtinSchreier", count=p ** (n - 1),
                                 conductor=2, notes=("condition (i)",))
-        L, threshold, strict = 3 if p == 3 and n == 1 else 2, n + q, True
-    try:
-        check_tail_dominated(_Shape(p, n, s), v_e, L, threshold, strict)
-        tail_failure = None
-    except PrecisionExhausted as exc:
-        tail_failure = str(exc)
-    return _CaseRecord(p, n, s, case, tuple(pieces), steps, flag,
+        tail_check = (3 if p == 3 and n == 1 else 2, n + q, True)
+    return _ShapeFacts(p, n, s, case, v_e, tail, tail_check, steps, flag,
                        ConductorValue(kind, compositum_conductor(parts)),
-                       tuple(detail), v_e, tail, tail_failure)
+                       tuple(detail))
+
+
+def _pieces(facts: _ShapeFacts) -> tuple:
+    """Every component of the stable model of a cover of the shape of
+    facts, from X0 outward, with the curve over it and the extra-tail
+    centres, for the case that _shape_facts gives (the table there): the
+    O(n) part of a shape, which only build_stable_graph,
+    inseparable_tails and _report_shape read."""
+    p, n, s, case = facts.p, facts.n, facts.s, facts.case
+    q = Fraction(1, p - 1)
+    pieces = []
+    inertia_of = {}
+
+    def upstairs(i, has_larger_neighbor):
+        # (count, genus, conductor, note) over a p^i-component
+        if not has_larger_neighbor:
+            return p ** (n - i), 0, None, "radicial"
+        if case == "v":
+            if i == 0:
+                return (2 ** (n - 2), None, None,
+                        "mu_4-torsors, first upper jump 1")
+            return 2 ** (n - i - 1), None, None, "p = 2 covering structure"
+        cond = 1 if (case != "i" and i >= s) else 2
+        return p ** (n - i - 1), (cond - 1) * (p - 1) // 2, cond, ""
+
+    def piece(cid, parent, inertia, radius, tail_kind="none", centre="d",
+              definition=None, branch_points=()):
+        # inertia never rises outward from X0 (validate_structure checks
+        # it), so only the parent can be a neighbour of larger inertia
+        larger = parent is not None and inertia_of[parent] > inertia
+        inertia_of[cid] = inertia
+        pieces.append(_Piece(cid, parent, inertia, Fraction(radius), tail_kind,
+                             centre, definition, branch_points,
+                             upstairs(inertia, larger)))
+        return cid
+
+    if case == "i":
+        # chain: X_i has inertia p^(n-i) at radius valuation (i + 1/(p-1))/2
+        prev = piece("X0", None, n, 0,
+                     branch_points=(("0", n), ("1", n), ("inf", n)))
+        for i in range(1, n + 1):
+            prev = piece(f"X{i}", prev, n - i, Fraction(i + q, 2),
+                         "new" if i == n else "none")
+    else:
+        prev = piece("X0", None, n, 0, branch_points=(("0", n), ("inf", n)))
+        for i in range(n - 1, s + 1 if case == "v" else s, -1):
+            prev = piece(f"X{n - i}", prev, i, n - i + q)
+        piece("Xstar", prev, s + 1, n - s)
+        # the x = 1 inseparable tail
+        piece("Xdagger", "Xstar", s, n - s + q, "primitive", "1",
+              branch_points=(("1", s),))
+        # the d-branch out to the new etale tail; at i = s, p odd, the
+        # quotient Y/Q_s argument fixes the disk
+        prev = "Xstar"
+        for i in range(s, -1, -1):
+            r = (n - s + q if i == s and case != "v"
+                 else Fraction(2 * n - s - i + q, 2))
+            prev = piece(f"X{n - i}", prev, i, r, "new" if i == 0 else "none")
+
+    if case == "iv":
+        # d', of v(d'' - 1) = n - s + 2/3 (_shape_facts, case (iv))
+        piece("Xdprime", f"X{n - s}", s - 1, n - s + Fraction(2, 3), "new",
+              "d'", "d' = a/(a+b) + cbrt(3^(2(n-s)+3) binom(b,3))/(a+b)")
+    elif case == "v":
+        for j in range(1, s):
+            piece(f"Xd{j}", f"X{n - j - 1}", j, Fraction(2 * n - s - j + 1, 2),
+                  "new", f"d_{j}",
+                  f"d_{j} = a/(a+b) + sqrt(2^(n-{j}) b i)/(a+b)^2")
+    return tuple(pieces)
 
 
 # -- inseparable tails -------------------------------------------------------
@@ -461,20 +471,21 @@ class InsepTail:
                 "tail_kind": self.tail_kind}
 
 
-def _tails(record: _CaseRecord) -> tuple:
-    """The tails of a case record with inertia > 0, each centre given by
-    its definition."""
+def _tails(pieces: tuple) -> tuple:
+    """The tails among the pieces of a shape with inertia > 0, each centre
+    given by its definition."""
     return tuple(InsepTail(c.inertia, c.definition or c.centre, c.radius,
                            c.tail_kind)
-                 for c in record.pieces
+                 for c in pieces
                  if c.tail_kind != "none" and c.inertia > 0)
 
 
 def inseparable_tails(spec: CoverSpec):
     """The inseparable tails forced by the structure results: the x = 1 tail
-    whenever s < n, plus the small-prime extra tails of _case_record.  A
-    function of (p, n, s) alone, like build_stable_graph."""
-    return list(_tails(_case_record(spec.p, spec.n, spec.s)))
+    whenever s < n, plus the small-prime extra tails of _pieces.  A
+    function of (p, n, s) alone, like build_stable_graph: each call builds
+    the shape's facts and pieces."""
+    return list(_tails(_pieces(_shape_facts(spec.p, spec.n, spec.s))))
 
 
 # -- the decorated graph -----------------------------------------------------
@@ -483,24 +494,25 @@ def inseparable_tails(spec: CoverSpec):
 _SIGMA_B = {"new": Fraction(2), "primitive": Fraction(1)}
 
 
-def _graph(record: _CaseRecord) -> DecoratedGraph:
-    """The decorated graph of a case record, in one pass (build_stable_graph).
+def _graph(facts: _ShapeFacts, pieces: tuple) -> DecoratedGraph:
+    """The decorated graph of a shape's facts and pieces, in one pass
+    (build_stable_graph).
 
     Each epaisseur is the child's radius valuation less its parent's.
     sigma_eff - 1 on the edge into a piece is the sum of sigma_b - 1 over
     the etale tails at-or-outward of it, less the wild branch points there
     (graph.sigma_eff_outward); one walk from the tails inward fills it.
     Every branch point is wild, of p-exponent n or s >= 1."""
-    n = record.n
-    radius = {c.id: c.radius for c in record.pieces}
+    n = facts.n
+    radius = {c.id: c.radius for c in pieces}
     below = dict.fromkeys(radius, Fraction(0))
-    for c in reversed(record.pieces):
+    for c in reversed(pieces):
         below[c.id] += ((_SIGMA_B[c.tail_kind] - 1 if c.inertia == 0 else 0)
                         - len(c.branch_points))
         if c.parent is not None:
             below[c.parent] += below[c.id]
     components, edges = [], []
-    for c in record.pieces:
+    for c in pieces:
         count, genus, cond, note = c.upstairs
         kind = ("original" if c.parent is None
                 else "interior" if c.tail_kind == "none" else "tail")
@@ -515,7 +527,7 @@ def _graph(record: _CaseRecord) -> DecoratedGraph:
                                    c.radius - radius[c.parent],
                                    1 + below[c.id]))
     # an augmented vertex on the piece each branch point specializes to
-    holder = {pt: c.id for c in record.pieces for pt, _ in c.branch_points}
+    holder = {pt: c.id for c in pieces for pt, _ in c.branch_points}
     for pt in ("0", "1", "inf"):
         components.append(Component(id=f"{pt}bar", kind="augmented",
                                     note="wild branch point"))
@@ -529,25 +541,27 @@ def _graph(record: _CaseRecord) -> DecoratedGraph:
         "component": "X0", "deformation": "multiplicative",
         "delta": "1", "levels": n,
     })
-    if record.flag:
-        signatures.append({"flag": record.flag})
-    return DecoratedGraph(record.p, n, components, edges, mG=1,
+    if facts.flag:
+        signatures.append({"flag": facts.flag})
+    return DecoratedGraph(facts.p, n, components, edges, mG=1,
                           signatures=signatures)
 
 
 def build_stable_graph(spec: CoverSpec) -> DecoratedGraph:
     """The decorated augmented dual graph of the stable reduction, built in
-    one pass from the case record of (p, n, s) (_case_record).
+    one pass from the facts and the pieces of (p, n, s) (_shape_facts,
+    _pieces).
 
     It is a function of (p, n, s) alone: only spec.p, spec.n and spec.s are
     read, so two covers of the same shape get equal graphs.  Each call
-    builds a new graph.
+    builds the facts, the pieces and a new graph.
 
     For p = 2, and for p = 3 with 1 < s < n, the shape beyond the
     certified tails follows the same template and is flagged
     lower-confidence in the signature table.
     """
-    return _graph(_case_record(spec.p, spec.n, spec.s))
+    facts = _shape_facts(spec.p, spec.n, spec.s)
+    return _graph(facts, _pieces(facts))
 
 
 def quotient_spec(spec: CoverSpec, j: int) -> CoverSpec:
@@ -559,31 +573,31 @@ def quotient_spec(spec: CoverSpec, j: int) -> CoverSpec:
 
 # -- stable-model field tower ------------------------------------------------
 
-def _field_tower(record: _CaseRecord, a, b) -> FieldTower:
-    """The tower of the steps of a case record, with the meta the report
+def _field_tower(facts: _ShapeFacts, a, b) -> FieldTower:
+    """The tower of the steps of a shape's facts, with the meta the report
     prints: a, b, the case, n and s."""
-    meta = (("a", a), ("b", b), ("case", record.case),
-            ("n", record.n), ("s", record.s))  # in key order
-    return FieldTower(record.p, record.steps, meta)
+    meta = (("a", a), ("b", b), ("case", facts.case),
+            ("n", facts.n), ("s", facts.s))  # in key order
+    return FieldTower(facts.p, facts.steps, meta)
 
 
 def stab_field_tower(spec: CoverSpec) -> FieldTower:
     """The field of definition of the stable model as a tower over K_0:
-    K_n = K_0(zeta_{p^n}), the Kummer steps that _case_record tabulates for
+    K_n = K_0(zeta_{p^n}), the Kummer steps that _shape_facts tabulates for
     the case of (p, n, s), then a tame step.  The steps depend on the shape
-    alone, and analyze takes the tower's JSON from its _report_shape entry,
-    filling in a and b.
+    alone: each call builds the shape's facts and no piece, and analyze
+    takes the tower's JSON from its _report_shape entry, filling in a and b.
     """
-    return _field_tower(_case_record(spec.p, spec.n, spec.s), spec.a, spec.b)
+    return _field_tower(_shape_facts(spec.p, spec.n, spec.s), spec.a, spec.b)
 
 
 # -- conductor certificate ---------------------------------------------------
 
-def _conductor_certificate(record: _CaseRecord) -> dict:
-    """The conductor certificate of a case record, as conductor_bound
+def _conductor_certificate(facts: _ShapeFacts) -> dict:
+    """The conductor certificate of a shape's facts, as conductor_bound
     returns it, in new containers."""
-    return {"vanishes_at_n": True, "conductor": record.conductor,
-            "detail": list(record.detail)}
+    return {"vanishes_at_n": True, "conductor": facts.conductor,
+            "detail": list(facts.detail)}
 
 
 def conductor_bound(spec: CoverSpec) -> dict:
@@ -597,9 +611,9 @@ def conductor_bound(spec: CoverSpec) -> dict:
     TypeError), so the cover rule a + b != 0, v_p(b) = n - s, v_p(a+b) = 0
     and v_p(a) = 0 holds.  Every valuation the detail quotes is derived
     from that rule, so the certificate is one of the shape (p, n, s), read
-    off its case record, where the proofs stand (_case_record).  Only the
-    w steps of case (v) read more than the rule: b' = b/2^(n-s) mod 8
-    (_certify_p2_step).
+    off its facts, where the proofs stand (_shape_facts); each call builds
+    them, and no piece.  Only the w steps of case (v) read more than the
+    rule: b' = b/2^(n-s) mod 8 (_certify_p2_step).
 
     The w step of R_j, j < s, depends on c = k mod 2 only, k = 2n - s - j,
     and b' is odd, so c = 0 never refuses.  At j = 0 and s = 1,
@@ -610,32 +624,36 @@ def conductor_bound(spec: CoverSpec) -> dict:
     n, s = spec.n, spec.s
     if spec.p == 2:
         _certify_p2_step(spec.b // 2 ** (n - s), 1)
-    return _conductor_certificate(_case_record(spec.p, n, s))
+    return _conductor_certificate(_shape_facts(spec.p, n, s))
 
 
 # -- the report template of a shape ------------------------------------------
 
-# Bounded: traffic that cycles through more shapes than an LRU keeps never
-# hits it, and the benchmark's odd_survey cycles through 50.
+# The one shape cache.  Bounded: traffic that cycles through more shapes
+# than an LRU keeps never hits it, and the benchmark's odd_survey cycles
+# through 50.
 @lru_cache(maxsize=256)
 def _report_shape(p: int, n: int, s: int) -> dict:
-    """The report template of (p, n, s), computed once per shape from one
-    case record, as the report prints it: the tail certificate, the graph,
-    its violations, the vanishing-cycles and local residuals, the
-    effective-different profile, the inseparable tails, the field tower,
-    the conductor certificate, the moduli note and certified, in report
-    key order.  The tower meta's a and b hold None; the spec, a and b are
-    left to analyze, which copies the template and never hands it out.  A
-    failed tail check raises its PrecisionExhausted before anything is
-    built (_tail_verdict).  The arguments are the plain ints
-    branch_signature makes, so equal shapes share one entry."""
-    record = _case_record(p, n, s)
-    verdict = _tail_verdict(record)
-    graph = _graph(record)
+    """The report template of (p, n, s), computed once per shape, as the
+    report prints it: the tail certificate, the graph, its violations, the
+    vanishing-cycles and local residuals, the effective-different profile,
+    the inseparable tails, the field tower, the conductor certificate, the
+    moduli note and certified, in report key order.  A miss builds the
+    shape's facts once and its pieces once (_shape_facts, _pieces).  The
+    tower meta's a and b hold None; the spec, a and b are left to analyze,
+    which copies the template and never hands it out.  A failed tail check
+    raises its PrecisionExhausted before any piece is built
+    (_tail_verdict), and the lru_cache keeps no entry for it.  The
+    arguments are the plain ints branch_signature makes, so equal shapes
+    share one entry."""
+    facts = _shape_facts(p, n, s)
+    verdict = _tail_verdict(facts)
+    pieces = _pieces(facts)
+    graph = _graph(facts, pieces)
     violations = validate_structure(graph) + tail_invariant_checks(graph)
     residual = check_vanishing_cycles(graph)
     local = check_local_vanishing(graph)
-    conductor = _conductor_certificate(record)
+    conductor = _conductor_certificate(facts)
     profile = effective_different_profile(graph)
     return {
         "certificate": verdict.to_json(),
@@ -644,8 +662,8 @@ def _report_shape(p: int, n: int, s: int) -> dict:
         "vanishing_cycles_residual": ratstr(residual),
         "local_vanishing_residuals": {k: ratstr(v) for k, v in local.items()},
         "effective_different": {k: ratstr(v) for k, v in profile.items()},
-        "inseparable_tails": [t.to_json() for t in _tails(record)],
-        "tower": _field_tower(record, None, None).to_json(),
+        "inseparable_tails": [t.to_json() for t in _tails(pieces)],
+        "tower": _field_tower(facts, None, None).to_json(),
         "conductor": {
             "vanishes_at_n": conductor["vanishes_at_n"],
             "conductor": conductor["conductor"].to_json(),

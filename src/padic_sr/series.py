@@ -26,11 +26,11 @@ The certificates below read c_1 .. c_L, L = 2 or 3, and the tail bound
 puts every later c_l strictly above tau ("The expansion length").  On
 the new-tail disk of a cover each fact they read follows from the cover
 rule, so the verdict is one of the shape (p, n, s), proved below for
-each kind of centre; analyzer._case_record holds it, with the tail
-check, the one fact it runs.  The general classifier of an expansion
-c_0 .. c_L, the recurrences that expand a disk to any L, and the
-certificates that check each fact per cover with v_p are the test
-oracles of these proofs (tests/rational_oracle.py).
+each kind of centre; analyzer._shape_facts holds it, with the tail
+check, the one fact that is run (analyzer._tail_verdict).  The general
+classifier of an expansion c_0 .. c_L, the recurrences that expand a
+disk to any L, and the certificates that check each fact per cover with
+v_p are the test oracles of these proofs (tests/rational_oracle.py).
 
 The cover rule.  A spec is a cover's normal form, the one
 branch_signature makes (totally ramified above 0 and infinity, of index
@@ -311,24 +311,26 @@ expansion length at all.
 Per shape and per cover.  The proofs above read only the cover rule,
 so on the new-tail disk of every cover of a shape (p, n, s) the
 certificate reaches one verdict, and each per-cover fact it once checked
-holds; analyzer._case_record builds that verdict once per shape, with
-the tail check at the locus radius, the one fact that is run, and
-certify_tail and analyze hand it out past their w steps.  A failed tail
-check, which no shape has, raises its PrecisionExhausted.  A warm cover
-reads no coefficient, valuation or power of p.  tests/test_tail_proofs.py
-checks each proof's identities with sympy, and tests/rational_oracle.py
-keeps the certificates that check each fact per cover with v_p
-(vp_classify_rational_centre, vp_classify_p2_torsor), the oracles of the
-verdict on every cover of the grids.
+holds; analyzer._shape_facts holds that verdict with the tail check at
+the locus radius, the one fact that is run (analyzer._tail_verdict):
+certify_tail runs it on each call, and analyze once per shape, on a miss
+of its report template, and both hand the verdict out past their w
+steps.  A failed tail check, which no shape has, raises its
+PrecisionExhausted.  A warm cover reads no coefficient, valuation or
+power of p.  tests/test_tail_proofs.py checks each proof's identities
+with sympy, and tests/rational_oracle.py keeps the certificates that
+check each fact per cover with v_p (vp_classify_rational_centre,
+vp_classify_p2_torsor), the oracles of the verdict on every cover of the
+grids.
 
 classify_torsor_reduction still classifies any case (iii) expansion of
 expand_disk, at any radius: its facts compare a valuation with a value
 that E, E v(e), E tau and the slope fix, so each is a divisibility test
 of a coordinate, v_3(x) = k exactly when 3^k divides x and 3^(k+1) does
 not, v_3(x) >= k (or x = 0) exactly when 3^k divides x.  _cubic_shape
-computes the exponents, their powers of 3, the tail check's outcome and
-the verdict of the shape and radius on each call; _cubic_verdict tests
-K_1, K_3, K_2 and Y in the order above, then reads the tail outcome.
+computes the exponents, their powers of 3 and the verdict from n, s and
+the radius on each call; _cubic_verdict tests K_1, K_3, K_2 and Y in the
+order above, then runs the tail check.
 """
 
 from __future__ import annotations
@@ -428,9 +430,10 @@ class CoverSpec:
 
 
 def _stable_case(p: int, n: int, s: int) -> str:
-    """The case (i)-(v) of a cover of shape (p, n, s).  _case_record lists
-    what each case builds, the conductor certificate and the tail verdict
-    included; only new_tail_locus, whose centre reads a and b, dispatches
+    """The case (i)-(v) of a cover of shape (p, n, s).  analyzer._shape_facts
+    lists what each case gives, the conductor certificate and the tail
+    verdict included, and analyzer._pieces the components it reads the
+    case for; only new_tail_locus, whose centre reads a and b, dispatches
     on the label besides.  It refuses a shape no cover has: an s outside
     1 <= s <= n, or s = n for p = 2, where the cover would have three
     totally ramified points (branch_signature never makes one)."""
@@ -654,32 +657,13 @@ def check_tail_dominated(spec, v_e, L, threshold, strict=True):
 
 # -- the shape facts of a certificate ---------------------------------------
 
-class _Shape(NamedTuple):
-    """A cover's shape, all that the tail bound reads of its spec."""
-    p: int
-    n: int
-    s: int
-
-
 class _TailShape(NamedTuple):
     """What classify_torsor_reduction reads of the shape (p, n, s) and the
     radius v(e) alone, and no a or b (module docstring, "Per shape and per
     cover")."""
     exponents: tuple  # the target exponent of each per-cover comparison
     powers: tuple  # p to those exponents, the divisors that decide them
-    failure: str | None  # None, or the tail check's PrecisionExhausted message
     verdict: ReductionVerdict  # of a cover that passes every per-cover check
-
-
-def _tail_outcome(shape: _Shape, v_e: Fraction, L: int, threshold: Fraction,
-                  strict: bool) -> str | None:
-    """None when check_tail_dominated certifies every c_l past c_L, else the
-    message of its PrecisionExhausted."""
-    try:
-        check_tail_dominated(shape, v_e, L, threshold, strict=strict)
-    except PrecisionExhausted as exc:
-        return str(exc)
-    return None
 
 
 def _exponents_above(bound: int, E: int, et: int) -> tuple:
@@ -689,16 +673,15 @@ def _exponents_above(bound: int, E: int, et: int) -> tuple:
     return tuple(max((bound - j * et) // E + 1, 0) for j in range(3))
 
 
-def _cubic_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
-    """The shape facts of classify_torsor_reduction at v(e) = num/den:
-    E = lcm(den, 6), tau = n + 1/2, L = 3, the tail check above tau past
-    c_3, and the exponents of 3 that the coordinates of K_1, K_3, K_2 and
-    Y must reach, a triple each, with the coordinate j of K_2 that must
-    meet tau and k_j + 1, and M = 2n + 1; the powers are 3 to each, the
-    pair (j, 3^(k_j + 1)), or (0, 1) when no coordinate can meet tau
-    (module docstring, "Valuations without coefficients")."""
-    v_e = Fraction(num, den)
-    E = lcm(den, 6)
+def _cubic_shape(n: int, s: int, v_e) -> _TailShape:
+    """The shape facts of classify_torsor_reduction at v(e) = v_e, an int
+    or a Fraction: E = lcm(den v_e, 6), tau = n + 1/2, and the exponents
+    of 3 that the coordinates of K_1, K_3, K_2 and Y must reach, a triple
+    each, with the coordinate j of K_2 that must meet tau and k_j + 1, and
+    M = 2n + 1; the powers are 3 to each, the pair (j, 3^(k_j + 1)), or
+    (0, 1) when no coordinate can meet tau (module docstring, "Valuations
+    without coefficients")."""
+    E = lcm(v_e.denominator, 6)
     ve, T = _scaled(v_e, E), E * n + E // 2
     et = E * n - E // 3  # v(t) = n - 1/3
     # E v(N e / (delta delta')), as v(N) = v(delta) = 0, v(delta') = n - s
@@ -715,8 +698,7 @@ def _cubic_shape(p: int, n: int, s: int, num: int, den: int) -> _TailShape:
     q1, q3, q2, qy = (tuple(3 ** k for k in ks) for ks in (k1, k3, k2, ky))
     powers = (q1, q3, q2, (exact[0], 3 ** exact[1]) if exact else (0, 1), qy,
               3 ** M)
-    failure = _tail_outcome(_Shape(p, n, s), v_e, 3, Fraction(T, E), True)
-    return _TailShape((k1, k3, k2, exact, ky, M), powers, failure,
+    return _TailShape((k1, k3, k2, exact, ky, M), powers,
                       ReductionVerdict("SplitsArtinSchreier",
                                        count=3 ** (n - 1), conductor=2,
                                        notes=("condition (ii)",)))
@@ -748,14 +730,13 @@ def _cubic_verdict(spec, m: int, r: int, ks: tuple, v_e) -> ReductionVerdict:
     at the case (iii) centre (a + t)/m, t^3 = r, of the cover spec, whose
     K_1, K_2 and K_3 are ks.
 
-    Of the shape and the radius: the tail check, the verdict and the
-    powers of 3 (_cubic_shape).  Of the disk, in that
-    order: each coordinate of K_1, then of K_3, is divisible by its power;
-    each of K_2 is, and its one coordinate j that can meet tau is not
-    divisible by 3^(k_j + 1); each of Y is divisible by its power; then
-    the tail check's outcome is read."""
-    _, powers, failure, verdict = _cubic_shape(
-        spec.p, spec.n, spec.s, v_e.numerator, v_e.denominator)
+    Of the shape and the radius: the verdict and the powers of 3
+    (_cubic_shape).  Of the disk, in that order: each coordinate of K_1,
+    then of K_3, is divisible by its power; each of K_2 is, and its one
+    coordinate j that can meet tau is not divisible by 3^(k_j + 1); each
+    of Y is divisible by its power; then the tail check above tau past
+    c_3 runs, and raises its PrecisionExhausted if it fails."""
+    _, powers, verdict = _cubic_shape(spec.n, spec.s, v_e)
     q1, q3, q2, (j, h2), qy, qM = powers
     k1, k2, k3 = ks
     if not _divisible(k1, q1):
@@ -770,6 +751,5 @@ def _cubic_verdict(spec, m: int, r: int, ks: tuple, v_e) -> ReductionVerdict:
         return ReductionVerdict(
             "NotCertified",
             reason="v(c_p - c_1^p / p^((p-1)n+1)) <= n + 1/(p-1)")
-    if failure is not None:
-        raise PrecisionExhausted(failure)
+    check_tail_dominated(spec, v_e, 3, spec.n + Fraction(1, 2))
     return verdict

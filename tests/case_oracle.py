@@ -1,12 +1,14 @@
 """The case split of the stable model as it was written out per builder,
-kept as the oracle of the case record (`analyzer._case_record`).
+kept as the oracle of a shape's facts and pieces (`analyzer._shape_facts`,
+`analyzer._pieces`).
 
 `inseparable_tails`, `_upstairs`, `build_stable_graph` and
 `stab_field_tower` below dispatch on the case (i)-(v) at each site, and
 `build_stable_graph` fills `sigma_eff` with one `sigma_eff_outward`
-subtree walk per edge, on a draft graph.  The package reads one record per
-(p, n, s) instead; `test_analyzer.test_case_record_matches_the_oracle`
-compares the two on every shape of a grid.
+subtree walk per edge, on a draft graph.  The package dispatches on the
+case in the two builders of a shape (p, n, s) instead;
+`test_analyzer.test_case_record_matches_the_oracle` compares the two on
+every shape of a grid.
 """
 
 from __future__ import annotations

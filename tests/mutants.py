@@ -88,6 +88,10 @@ MUTANTS = [
            'if c.tail_kind == "new" and c.sigma_b < 1 + Fraction(1, g.mG):',
            "if False:",
            (TG + "test_mutated_fixture_rejected",)),
+    Mutant("pieces-xdprime-radius", ANALYZER,
+           "s - 1, n - s + Fraction(2, 3), \"new\",",
+           "s - 1, n - s + Fraction(1, 3), \"new\",",
+           (TA + "test_case_record_matches_the_oracle",)),
     Mutant("upstairs-conductor", ANALYZER,
            'cond = 1 if (case != "i" and i >= s) else 2',
            'cond = 1 if (case != "i" and i > s) else 2',
@@ -178,18 +182,23 @@ MUTANTS = [
            "_exponents_above(T + E * M - 3 * slope + E, E, et)",
            (FORGED,)),
     Mutant("cubic-tail-length", SERIES,
-           "_tail_outcome(_Shape(p, n, s), v_e, 3, Fraction(T, E), True)",
-           "_tail_outcome(_Shape(p, n, s), v_e, 2, Fraction(T, E), True)",
+           "    check_tail_dominated(spec, v_e, 3, spec.n + Fraction(1, 2))",
+           "    check_tail_dominated(spec, v_e, 2, spec.n + Fraction(1, 2))",
            (TS + "test_verdict_p3_condition_ii",)),
-    # no verdict tells this one apart: past v(c_2) = tau an expansion of
+    # no verdict tells these apart: past v(c_2) = tau an expansion of
     # expand_disk has the locus radius, where the bound clears tau past c_3
-    # (series docstring, "The expansion length"); the test reads the
-    # record's tail outcome at doctored radii
+    # (series docstring, "The expansion length"); the test doctors the
+    # check to fail, and counts its calls
     Mutant("cubic-tail-deleted", SERIES,
-           "    failure = _tail_outcome(",
-           "    failure = None and _tail_outcome(",
-           (TD + "test_certificates_match_the_vp_oracle_on_doctored_radii",)),
-    # -- the new-tail verdict of a shape, in its case record ----------------
+           "    check_tail_dominated(spec, v_e, 3, spec.n + Fraction(1, 2))\n",
+           "",
+           (TS + "test_cubic_certificate_runs_the_tail_check_last",)),
+    Mutant("cubic-tail-first", SERIES,
+           "    _, powers, verdict = _cubic_shape(spec.n, spec.s, v_e)\n",
+           "    _, powers, verdict = _cubic_shape(spec.n, spec.s, v_e)\n"
+           "    check_tail_dominated(spec, v_e, 3, spec.n + Fraction(1, 2))\n",
+           (TS + "test_cubic_certificate_runs_the_tail_check_last",)),
+    # -- the new-tail verdict of a shape, in its facts -----------------------
     Mutant("verdict-count-exponent", ANALYZER,
            "count=p ** (n - 1),", "count=p ** n,",
            (TS + "test_rational_centre_cost_does_not_grow_in_p",)),
@@ -201,16 +210,19 @@ MUTANTS = [
     Mutant("verdict-rational-length", ANALYZER,
            "3 if p == 3 and n == 1 else 2", "2",
            (TS + "test_rational_centre_cost_does_not_grow_in_p",)),
-    # no shape fails its tail check; the test counts one check per shape,
-    # with its L, threshold and strictness
+    # no shape fails its tail check; the test counts one check per
+    # certify_tail call and per miss of the shape cache, with its L,
+    # threshold and strictness
     Mutant("verdict-tail-deleted", ANALYZER,
-           "        check_tail_dominated(_Shape(p, n, s), v_e, L, threshold, "
-           "strict)\n", "        pass\n",
+           "    check_tail_dominated(facts, facts.v_e, *facts.tail_check)\n",
+           "",
            (TS + "test_one_tail_check_per_shape",)),
-    Mutant("verdict-tail-raise", ANALYZER,
-           "        raise PrecisionExhausted(record.tail_failure)\n",
-           "        pass\n",
-           (TS + "test_a_failing_tail_check_fails_alike_on_every_call",)),
+    # strict, every case (v) shape of s = 1 fails: its bound meets n + 1 at
+    # l = 4; the test reads the strictness off the check's arguments
+    Mutant("verdict-case-v-strict", ANALYZER,
+           "        tail_check = (2, Fraction(n + 1), False)\n",
+           "        tail_check = (2, Fraction(n + 1), True)\n",
+           (TS + "test_one_tail_check_per_shape",)),
     # -- what the proofs of the verdict pin in the package -------------------
     Mutant("proof-rational-radius", ANALYZER,
            "    v_e = Fraction(2 * n - s + q, 2)\n",

@@ -17,10 +17,14 @@ import pytest
 
 from padic_sr.analyzer import (
     CoverSpec,
-    _case_record,
     _certify_p2_step,
+    _field_tower,
+    _graph,
+    _pieces,
     _report_shape,
+    _shape_facts,
     _stable_case,
+    _tails,
     analyze,
     branch_signature,
     build_stable_graph,
@@ -1162,13 +1166,12 @@ def test_seen_class_of_b_odd_runs_no_digit_search(monkeypatch):
 
 def test_p2_identity_grid_builds_no_field(monkeypatch):
     """analyze over every p = 2 cover of the identity grid, with the
-    analyzer's caches cleared first, builds no Tower and makes no q-th
+    shape cache cleared first, builds no Tower and makes no q-th
     power test: the refused covers included, every p = 2 fact is an
     integer rule.  analyze's own w step, the c = 1 call of
     conductor_bound, refuses all 124 before any tail certificate; called
     alone, new_tail_locus refuses the 64 with 2n - s odd."""
     _report_shape.cache_clear()
-    _case_record.cache_clear()
     calls = _count_field_work(monkeypatch)
     covers = [args for args in _identity_grid() if args[0] == 2]
     refused = [r[0] for r in map(_report_or_error, covers)
@@ -1319,14 +1322,13 @@ def _report_or_error(args):
 
 def test_shared_fields_carry_no_cover_state():
     """Analyzing a mixed grid forwards and then backwards, with the shape
-    caches, the analyzer's per-process state, reused between covers, gives
-    the reports (or errors) that each cover gives with both cleared.  The
+    cache, the analyzer's per-process state, reused between covers, gives
+    the reports (or errors) that each cover gives with it cleared.  The
     grid holds refused inputs of two kinds that no certificate decides, so
     a cover's error is checked for carried state too."""
     fresh = {}
     for args in MIXED_GRID:
         _report_shape.cache_clear()
-        _case_record.cache_clear()
         fresh[args] = _report_or_error(args)
     refused = Counter(r[0] for r in fresh.values() if isinstance(r, tuple))
     assert refused["NotThreePoint"] == refused["Disconnected"] == 1, refused
@@ -1493,25 +1495,29 @@ def _oracle_shapes():
 def test_case_record_matches_the_oracle():
     """On 210 shapes, past the n <= 4 (odd p) and n <= 5 (p = 2) of the
     identity grid, the graph, the inseparable tails and the field tower
-    read off the case record equal those of the case split written out per
-    builder (tests/case_oracle.py), uncached and through _report_shape.
-    Each _report_shape template holds the graph fields of the uncached
+    built from the shape's facts and pieces (_shape_facts, _pieces) equal
+    those of the case split written out per builder (tests/case_oracle.py),
+    directly, through the public stages and through _report_shape.  Each
+    _report_shape template holds the graph fields of the uncached
     computation, every field of the report but the spec and an empty slot
     for a and b of the tower's meta, and its certified flag is the
-    conjunct of the uncached checks.  The cached case record each reads is
-    hashable, so it holds no list or dict that a reader could change."""
+    conjunct of the uncached checks."""
     shapes = list(_oracle_shapes())
     assert len(shapes) == 210
     for p, n, s in shapes:
-        hash(_case_record(p, n, s))
         spec = branch_signature(p, n, 1, p ** (n - s))
         assert spec.s == s
         graph = case_oracle.build_stable_graph(spec).to_json()
         tails = [t.to_json() for t in case_oracle.inseparable_tails(spec)]
+        tower = case_oracle.stab_field_tower(spec).to_json()
+        facts = _shape_facts(p, n, s)
+        pieces = _pieces(facts)
+        assert _graph(facts, pieces).to_json() == graph
+        assert [t.to_json() for t in _tails(pieces)] == tails
+        assert _field_tower(facts, spec.a, spec.b).to_json() == tower
         assert build_stable_graph(spec).to_json() == graph
         assert [t.to_json() for t in inseparable_tails(spec)] == tails
-        assert (stab_field_tower(spec).to_json()
-                == case_oracle.stab_field_tower(spec).to_json())
+        assert stab_field_tower(spec).to_json() == tower
         doc = _template_graph_fields(p, n, s)
         assert doc["graph"] == graph
         assert doc["inseparable_tails"] == tails
@@ -1521,6 +1527,63 @@ def test_case_record_matches_the_oracle():
             not validate_structure(fresh) + tail_invariant_checks(fresh)
             and check_vanishing_cycles(fresh) == 0
             and all(v == 0 for v in check_local_vanishing(fresh).values()))
+
+
+#: one cover of each case (i)-(v), then covers of n = 800 in cases (iii)
+#: and (v), the second with s = 400
+FACTS_ONLY_COVERS = [(5, 2, 1, 1), (5, 2, 1, 5), (3, 3, 1, 9), (3, 4, 1, 9),
+                     (2, 4, 1, 6), (3, 800, 1, 3 ** 799),
+                     (2, 800, 1, 3 * 2 ** 400)]
+
+
+def test_stages_of_the_shape_facts_build_no_piece(monkeypatch):
+    """certify_tail, new_tail_locus, conductor_bound and stab_field_tower
+    read the shape's facts alone: with _pieces made to raise, each returns
+    what it returns with _pieces intact, on a cover of each case and on
+    covers of n = 800."""
+    import padic_sr.analyzer as analyzer
+    stages = (certify_tail, new_tail_locus, conductor_bound,
+              stab_field_tower)
+    specs = [branch_signature(*args) for args in FACTS_ONLY_COVERS]
+    assert [spec.s for spec in specs[-2:]] == [1, 400]
+    assert {_stable_case(spec.p, spec.n, spec.s) for spec in specs} == {
+        "i", "ii", "iii", "iv", "v"}
+    want = [[stage(spec) for stage in stages] for spec in specs]
+
+    def no_pieces(facts):
+        raise AssertionError(f"pieces built for {facts[:3]}")
+
+    monkeypatch.setattr(analyzer, "_pieces", no_pieces)
+    assert [[stage(spec) for stage in stages] for spec in specs] == want
+    with pytest.raises(AssertionError, match="pieces built"):
+        build_stable_graph(specs[0])
+
+
+def test_a_report_miss_builds_the_facts_and_the_pieces_once(monkeypatch):
+    """A _report_shape miss builds the shape's facts once and its pieces
+    once, on a cover of each case; a second cover of the same shape, and
+    the same cover again, build neither."""
+    import padic_sr.analyzer as analyzer
+    calls = []
+    for name in ("_shape_facts", "_pieces"):
+        def counted(*args, _name=name, _fn=getattr(analyzer, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(analyzer, name, counted)
+    pairs = [((5, 2, 1, 1), (5, 2, 2, 1)), ((5, 2, 1, 5), (5, 2, 2, 5)),
+             ((3, 3, 1, 9), (3, 3, 2, 9)), ((3, 4, 1, 9), (3, 4, 2, 9)),
+             ((2, 4, 1, 6), (2, 4, 3, -10))]
+    _report_shape.cache_clear()
+    try:
+        for first, second in pairs:
+            del calls[:]
+            analyze(*first)
+            assert calls == ["_shape_facts", "_pieces"], first
+            analyze(*second)
+            analyze(*first)
+            assert calls == ["_shape_facts", "_pieces"], second
+    finally:
+        _report_shape.cache_clear()
 
 
 def _oracle_covers(p, n, s):

@@ -1,9 +1,9 @@
-"""The tail verdict of every cover is its shape's (analyzer._case_record),
+"""The tail verdict of every cover is its shape's (analyzer._shape_facts),
 as the series module docstring proves; its oracles are the closed-form
 certificates that read every valuation with v_p and check each fact per
 cover (tests/rational_oracle.py), composed with new_tail_locus.  The case
 (iii) certificate classify_torsor_reduction still tests each of its facts
-by divisibility against powers of 3 of its record, with the same v_p
+by divisibility against powers of 3 (series._cubic_shape), with the same v_p
 oracle.  Every input gives the same verdict, every field of it, or the
 same exception class and message: the covers of the 8408-input grid,
 doctored radii of the case (iii) disk (whose targets may lie outside Z),
@@ -14,8 +14,8 @@ import random
 from fractions import Fraction
 
 from padic_sr.analyzer import (
-    _case_record,
     _certify_p2_step,
+    _shape_facts,
     analyze,
     branch_signature,
     certify_tail,
@@ -23,8 +23,6 @@ from padic_sr.analyzer import (
 )
 from padic_sr.errors import ArtifactError
 from padic_sr.series import (
-    _cubic_shape,
-    check_tail_dominated,
     classify_torsor_reduction,
     expand_disk,
 )
@@ -151,10 +149,10 @@ def test_certificates_match_the_vp_oracle_on_doctored_radii():
     named alike.  The verdict and each clause that reads a valuation
     occur, but not the Y check or the tail check: past v(c_2) = tau the
     radius is the locus's, where no cover fails either (series module
-    docstring, "Valuations without coefficients").  The record
-    (_cubic_shape) holds the outcome of check_tail_dominated at every
-    radius, failures included, which only a forged expansion reaches."""
-    per_shape, seen, failed = {}, set(), 0
+    docstring, "Valuations without coefficients");
+    tests/test_series.py::test_cubic_certificate_runs_the_tail_check_last
+    makes the tail check fail."""
+    per_shape, seen = {}, set()
     for spec in _grid_covers():
         shape = (spec.p, spec.n, spec.s)
         if not (spec.p == 3 and spec.s == 1 < spec.n) \
@@ -162,22 +160,16 @@ def test_certificates_match_the_vp_oracle_on_doctored_radii():
             continue
         per_shape[shape] = per_shape.get(shape, 0) + 1
         locus = new_tail_locus(spec)
-        assert locus.v_e == _case_record(*shape).v_e
+        assert locus.v_e == _shape_facts(*shape).v_e
         for off in OFFSETS:
             v_e = locus.v_e + off
-            tail = _outcome(check_tail_dominated, spec, v_e, 3,
-                            spec.n + Fraction(1, 2))
-            failure = _cubic_shape(3, spec.n, 1, v_e.numerator,
-                                   v_e.denominator).failure
-            assert failure == (tail and tail[1]), (spec, off)
-            failed += failure is not None
             disk = expand_disk(spec, locus.d, v_e)
             got = _outcome(classify_torsor_reduction, disk)
             assert got == _outcome(vp_classify_torsor_reduction, disk), \
                 (spec, off)
             seen.add(got[0] if isinstance(got, tuple)
                      else got.reason or got.kind)
-    assert len(per_shape) == 5 and failed, (per_shape, failed)
+    assert len(per_shape) == 5, per_shape
     assert {"SplitsArtinSchreier", "v(c_1) <= n", "v(c_p) <= n",
             "min over i != 1, p is not n + 1/(p-1)"} == seen, seen
 
@@ -251,7 +243,7 @@ def test_certificates_match_the_vp_oracle_at_large_n():
             _certify_p2_step, spec.b // 2 ** (spec.n - spec.s), 1)
         assert _analyze_certificate(args) == (refused or got.to_json()), args
         locus = new_tail_locus(spec)
-        assert locus.v_e == _case_record(spec.p, spec.n, spec.s).v_e
+        assert locus.v_e == _shape_facts(spec.p, spec.n, spec.s).v_e
         if isinstance(locus.d, Fraction):
             continue
         for off in (Fraction(-1, 4), Fraction(-1, 12), Fraction(1, 12),

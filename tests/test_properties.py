@@ -7,7 +7,12 @@ the disk; on bounded integer parameters, every CLI subcommand ends in exit
 import copy
 import functools
 import json
+import os
+import shutil
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 from click.testing import CliRunner
 from hypothesis import assume, given, settings
@@ -145,3 +150,34 @@ def test_cli_exits_cleanly(call):
     assert res.exception is None or isinstance(res.exception, SystemExit), (
         argv, res.output, "".join(traceback.format_exception(res.exception)))
     assert res.exit_code in (0, 1, 2), (argv, res.output)
+
+
+FAILING_PROPERTY = '''\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+'''
+
+
+def test_a_failing_property_test_fails_without_an_internal_error(tmp_path):
+    """Under the repository's pytest settings, which turn warnings into
+    errors, a failing hypothesis test is reported as one failure: pytest,
+    run on a file holding only such a test, ends with "1 failed" and no
+    INTERNALERROR.  Hypothesis's failure report imports libcst, whose
+    import warns DeprecationWarning on mypy_extensions.TypedDict; as an
+    error that warning stopped the session with an INTERNALERROR."""
+    root = Path(__file__).resolve().parent.parent
+    shutil.copy(root / "pyproject.toml", tmp_path / "pyproject.toml")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_fails.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_fails.py"], cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), timeout=300)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "INTERNALERROR" not in out, out
+    assert "1 failed" in out, out

@@ -21,7 +21,7 @@ import sympy as sp
 
 from padic_sr.analyzer import (
     CoverSpec,
-    _case_record,
+    _report_shape,
     analyze,
     branch_signature,
     certify_tail,
@@ -375,6 +375,33 @@ def test_verdict_p3_condition_ii():
     profile = CubicExpansion.of_disk(exp).profile()
     assert profile[1] == 2 + Fraction(5, 12)
     assert profile[3] == 2 + Fraction(1, 4)
+
+
+def test_cubic_certificate_runs_the_tail_check_last(monkeypatch):
+    """classify_torsor_reduction runs the tail check above tau past c_3
+    after its clauses.  On the case (iii) locus disk, where every clause
+    holds, it runs once, at v(e) with L = 3 and tau = n + 1/2, and a check
+    doctored to fail raises its PrecisionExhausted with its message.  On a
+    disk where a clause fails, NotCertified names it and the check does
+    not run."""
+    import padic_sr.series as series
+    message = "tail slope is not positive"
+    calls = []
+
+    def failing(*args, **kw):
+        calls.append(args[1:])
+        raise PrecisionExhausted(message)
+
+    spec = branch_signature(3, 3, 1, 9)
+    locus = new_tail_locus(spec)
+    monkeypatch.setattr(series, "check_tail_dominated", failing)
+    with pytest.raises(PrecisionExhausted, match=rf"^{re.escape(message)}$"):
+        classify_torsor_reduction(expand_disk(spec, locus.d, locus.v_e))
+    assert calls == [(locus.v_e, 3, Fraction(7, 2))], calls
+    verdict = classify_torsor_reduction(
+        expand_disk(spec, locus.d, locus.v_e - Fraction(1, 2)))
+    assert verdict.reason == "v(c_1) <= n"
+    assert len(calls) == 1
 
 
 def _crafted(spec, coeffs):
@@ -736,7 +763,6 @@ def test_large_n_covers_certify(monkeypatch, args, kind):
     calls = []
     monkeypatch.setattr(series, "tail_bound",
                         lambda *a: calls.append(a) or tail_bound(*a))
-    _case_record.cache_clear()
     assert certify_tail(branch_signature(*args)).kind == kind
     assert calls == []
     assert analyze(*args)["certified"] is True
@@ -1738,7 +1764,6 @@ def test_tail_check_on_the_locus_needs_no_per_l_bound(monkeypatch):
     calls = []
     monkeypatch.setattr(series, "tail_bound",
                         lambda *args: calls.append(args) or tail_bound(*args))
-    _case_record.cache_clear()
     for args in ((5, 1, 1, 1), (5, 2, 3, 10), (37, 1, 13, 57), (3, 2, 1, 3),
                  (2, 3, 1, 6), (7, 3, 2, 7)):
         certify_tail(branch_signature(*args))
@@ -1763,32 +1788,36 @@ def _count_tail_checks(monkeypatch):
 
 
 def test_one_tail_check_per_shape(monkeypatch):
-    """The tail verdict is a fact of the shape: two covers of one shape,
-    with the case records cleared first, run the tail check once, at the
-    locus radius with the shape's L and threshold, and get the one verdict
-    object of the shape's record from certify_tail and its JSON from
-    analyze."""
+    """The tail verdict is a fact of the shape: two covers of one shape get
+    equal verdicts from certify_tail and its JSON from analyze.  Each
+    certify_tail call runs the tail check once, and analyze once per miss
+    of the shape cache, cleared first: at the locus radius, with the
+    shape's L, threshold and strictness."""
     calls = _count_tail_checks(monkeypatch)
-    _case_record.cache_clear()
-    for pair in SHAPE_PAIRS:
+    _report_shape.cache_clear()
+    checks = [(Fraction(13, 8), 2, Fraction(9, 4), True),
+              (Fraction(7, 4), 3, Fraction(5, 2), True),
+              (Fraction(5, 2), 2, Fraction(4), False)]
+    for pair, check in zip(SHAPE_PAIRS, checks):
+        del calls[:]
         first, second = (certify_tail(branch_signature(*args))
                          for args in pair)
         assert first.kind.startswith("Splits"), pair
-        assert second is first, pair
+        assert second == first, pair
+        assert calls == [check] * 2, calls
         assert all(analyze(*args)["certificate"] == first.to_json()
                    for args in pair), pair
-    assert calls == [(Fraction(13, 8), 2, Fraction(9, 4), True),
-                     (Fraction(7, 4), 3, Fraction(5, 2), True),
-                     (Fraction(5, 2), 2, Fraction(4), False)], calls
+        assert calls == [check] * 3, calls
 
 
 def test_a_failing_tail_check_fails_alike_on_every_call(monkeypatch):
     """No shape fails its tail check (series module docstring, "The
     expansion length" and "The l >= 3 bound"), but one that did would be
-    refused: with the check doctored to fail, it runs once per shape, and
-    certify_tail and analyze raise its PrecisionExhausted, with its
-    message, on every call, at a rational centre, a cubic one and in
-    case (v)."""
+    refused: with the check doctored to fail, certify_tail and analyze
+    raise its PrecisionExhausted, with its message, on every call, at a
+    rational centre, a cubic one and in case (v).  Each call runs the
+    check once: certify_tail's, and analyze's miss of the shape cache,
+    which keeps no entry for a shape that raised."""
     import padic_sr.analyzer as analyzer
     message = "tail coefficient l=5: bound 13/8 does not clear threshold 9/4"
     calls = []
@@ -1798,17 +1827,17 @@ def test_a_failing_tail_check_fails_alike_on_every_call(monkeypatch):
         raise PrecisionExhausted(message)
 
     monkeypatch.setattr(analyzer, "check_tail_dominated", failing)
-    _case_record.cache_clear()
-    analyzer._report_shape.cache_clear()
+    _report_shape.cache_clear()
     try:
         for args in [first for first, _ in SHAPE_PAIRS] * 2:
             with pytest.raises(PrecisionExhausted,
                                match=rf"^{re.escape(message)}$"):
                 certify_tail(branch_signature(*args))
+            assert len(calls) % 2 == 1, calls
             with pytest.raises(PrecisionExhausted,
                                match=rf"^{re.escape(message)}$"):
                 analyze(*args)
+            assert len(calls) % 2 == 0, calls
     finally:
-        _case_record.cache_clear()
-        analyzer._report_shape.cache_clear()
-    assert len(calls) == len(SHAPE_PAIRS), calls
+        _report_shape.cache_clear()
+    assert len(calls) == 2 * 2 * len(SHAPE_PAIRS), calls

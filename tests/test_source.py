@@ -470,14 +470,15 @@ def test_tower_arm_checker_reads_each_form():
 #: the labels of the stable-model cases, as analyzer._stable_case returns them
 CASE_LABELS = {"i", "ii", "iii", "iv", "v"}
 
-#: the analyzer functions that may compare a case label: the case record,
-#: and the one fact that depends on more than the shape (p, n, s) of a
-#: cover, the new-tail locus
-CASE_DISPATCHERS = {"_case_record", "new_tail_locus"}
+#: the analyzer functions that may compare a case label: the builders of a
+#: shape's facts and of its pieces, which reads the case off the facts, and
+#: the one fact that depends on more than the shape (p, n, s) of a cover,
+#: the new-tail locus
+CASE_DISPATCHERS = {"_shape_facts", "_pieces", "new_tail_locus"}
 
-#: the readers of the case record, which compare no case label
-CASE_READERS = {"build_stable_graph", "inseparable_tails", "stab_field_tower",
-                "conductor_bound", "_report_shape"}
+#: the readers of the facts and the pieces, which compare no case label
+CASE_READERS = {"certify_tail", "build_stable_graph", "inseparable_tails",
+                "stab_field_tower", "conductor_bound", "_report_shape"}
 
 
 def _owners(tree):
@@ -507,10 +508,10 @@ def _label_comparisons(tree, labels=CASE_LABELS):
 
 
 def test_only_the_case_record_builds_by_case():
-    """The graph, the inseparable tails, the field steps and the conductor
-    certificate are read off _case_record: no reader of it compares a case
-    label, and only the case record and the facts that depend on a, b or a
-    component compare one."""
+    """The tail verdict, the graph, the inseparable tails, the field steps
+    and the conductor certificate are read off _shape_facts and _pieces: no
+    reader of them compares a case label, and only their builders and the
+    facts that depend on a, b or a component compare one."""
     path = next(path for path in SOURCES if path.name == "analyzer.py")
     tree = ast.parse(path.read_text(), str(path))
     sites = sorted(_label_comparisons(tree))
@@ -519,7 +520,7 @@ def test_only_the_case_record_builds_by_case():
     assert not found, "\n".join(found)
     # the names follow renames
     assert (CASE_READERS | CASE_DISPATCHERS) <= set(_functions(tree))
-    assert "_case_record" in {name for _, name in sites}
+    assert {"_shape_facts", "_pieces"} <= {name for _, name in sites}
 
 
 def test_label_checker_reads_each_form():

@@ -1,14 +1,15 @@
 """Proofs that every cover of a shape passes the per-cover checks of its
 new-tail certificate, so that the verdict is a fact of the shape (p, n, s)
-(analyzer._case_record).  Each test takes one certificate the package once
+(analyzer._shape_facts).  Each test takes one certificate the package once
 checked per cover, reduces each of its checks to an identity of rational
 functions in the cover's exponents that sympy verifies, and writes the
 valuation or parity step that finishes it beside it; the steps read only
 the cover rule a + b != 0, v_p(b) = n - s, v_p(a+b) = 0 and v_p(a) = 0.
 The symbols stand for every cover at once, so nothing is sampled; the
 residue checks run over every residue.  Each test then ties the proof to
-the package: the case record's radius and verdict, or the exponents that
-series._cubic_shape tests in case (iii), equal the closed forms proved.
+the package: the radius and verdict of the shape's facts, or the
+exponents that series._cubic_shape tests in case (iii), equal the closed
+forms proved.
 The reference certificates that made the checks per cover are in
 tests/rational_oracle.py."""
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from padic_sr.analyzer import _case_record
+from padic_sr.analyzer import _shape_facts, _tail_verdict
 from padic_sr.series import ReductionVerdict, _cubic_shape
 
 
@@ -60,10 +61,10 @@ def test_rational_centre_checks_hold_on_every_cover():
     # every shape of cases (i), (ii) and (iv) has this radius and verdict
     for p_, n_, s_ in [(3, 1, 1), (3, 3, 2), (3, 4, 4), (5, 1, 1), (5, 3, 1),
                        (7, 2, 2), (37, 2, 1), (101, 3, 2)]:
-        record = _case_record(p_, n_, s_)
-        assert record.case in ("i", "ii", "iv")
-        assert record.v_e == v_e.subs({p: p_, n: n_, s: s_})
-        assert record.tail == ReductionVerdict(
+        facts = _shape_facts(p_, n_, s_)
+        assert facts.case in ("i", "ii", "iv")
+        assert facts.v_e == v_e.subs({p: p_, n: n_, s: s_})
+        assert _tail_verdict(facts) == ReductionVerdict(
             "SplitsArtinSchreier", count=p_ ** (n_ - 1), conductor=2,
             notes=("condition (i)",)), (p_, n_, s_)
 
@@ -127,14 +128,14 @@ def test_cubic_centre_checks_hold_on_every_cover():
     assert ((2 * n + 1 + n - 1) - 2 * n).is_nonnegative
     # the package tests these exponents at the locus
     for n_ in range(2, 40):
-        shape = _cubic_shape(3, n_, 1, 4 * n_ - 1, 4)
+        shape = _cubic_shape(n_, 1, Fraction(4 * n_ - 1, 4))
         assert shape.exponents[:2] == ((n_, 0, 0), (n_ - 2, 0, 0)), n_
         assert shape.exponents[2:] == ((n_ - 1, 0, 0), (0, n_),
                                        (3 * n_, 2 * n_, n_), 2 * n_ + 1), n_
-        assert shape.failure is None
-        record = _case_record(3, n_, 1)
-        assert record.v_e == Fraction(4 * n_ - 1, 4)
-        assert record.tail == ReductionVerdict(
+        facts = _shape_facts(3, n_, 1)
+        assert facts.v_e == Fraction(4 * n_ - 1, 4)
+        assert facts.tail_check == (3, n_ + Fraction(1, 2), True)
+        assert _tail_verdict(facts) == shape.verdict == ReductionVerdict(
             "SplitsArtinSchreier", count=3 ** (n_ - 1), conductor=2,
             notes=("condition (ii)",)), n_
 
@@ -179,9 +180,9 @@ def test_case_v_checks_hold_on_every_cover():
     assert sp.simplify((4 * n + 4 - slope) - 2 * (2 * n - s + 1)) == 0
     for n_ in range(2, 30):
         for s_ in range(1, n_):
-            record = _case_record(2, n_, s_)
-            assert record.v_e == v_e.subs({n: n_, s: s_})
-            assert record.tail == ReductionVerdict(
+            facts = _shape_facts(2, n_, s_)
+            assert facts.v_e == v_e.subs({n: n_, s: s_})
+            assert _tail_verdict(facts) == ReductionVerdict(
                 "SplitsZ4", count=2 ** (n_ - 2), conductor=1,
                 notes=("sqrt(c_2) adjoined on demand",
                        "congruence holds with i -> +i")), (n_, s_)
