@@ -321,15 +321,14 @@ def validate_structure(g: DecoratedGraph):
         return [("tree", str(exc))]
 
     real = [c for c in g.components if c.kind != "augmented"]
-
-    def comp_neighbors(cid):
-        return [g.component(nb) for nb in g.neighbors(cid)
-                if g.component(nb).kind != "augmented"]
+    # the non-augmented neighbors of each real component
+    neighbors = {c.id: [nb for nb in map(g.component, g.neighbors(c.id))
+                        if nb.kind != "augmented"] for c in real}
 
     for c in real:
-        nbs = comp_neighbors(c.id)
-        # a tail is a non-original component meeting exactly one component
-        if c.kind == "tail" and (len(nbs) != 1 or c.kind == "original"):
+        nbs = neighbors[c.id]
+        # a tail meets exactly one component
+        if c.kind == "tail" and len(nbs) != 1:
             violations.append(
                 ("tail-degree", f"{c.id} marked tail but meets {len(nbs)}")
             )
@@ -369,7 +368,7 @@ def validate_structure(g: DecoratedGraph):
 
     if g.cyclic:
         for c in real:
-            for nb in comp_neighbors(c.id):
+            for nb in neighbors[c.id]:
                 if nb.inertia_exponent - c.inertia_exponent >= 2:
                     violations.append(
                         ("inertia-jump≥2",
@@ -379,7 +378,7 @@ def validate_structure(g: DecoratedGraph):
         for c in real:
             if c.branch_points:
                 continue
-            nbs = comp_neighbors(c.id)
+            nbs = neighbors[c.id]
             if any(nb.inertia_exponent > c.inertia_exponent for nb in nbs):
                 continue
             if len(nbs) < 3:

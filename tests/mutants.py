@@ -239,7 +239,7 @@ MUTANTS = [
     Mutant("w-step-new-tail-locus", ANALYZER,
            "        _certify_p2_step(b // 2 ** (n - s), (2 * n - s) % 2)\n",
            "        pass\n",
-           (TA + "test_p2_identity_grid_builds_no_field",)),
+           (TA + "test_p2_grid_builds_no_field",)),
     Mutant("w-step-certify-tail", ANALYZER,
            "        _certify_p2_step(spec.b // 2 ** (n - s), (2 * n - s) % 2)\n",
            "        pass\n",
@@ -251,7 +251,7 @@ MUTANTS = [
     Mutant("w-step-analyze", ANALYZER,
            "        _certify_p2_step(spec.b // 2 ** (spec.n - spec.s), 1)\n",
            "        pass\n",
-           (TA + "test_p2_identity_grid_builds_no_field",)),
+           (TA + "test_p2_grid_builds_no_field",)),
     # -- the report: the template's certificate, the cover's own fields ------
     Mutant("fill-meta", ANALYZER,
            '"meta": {**tower["meta"], "a": spec.a, "b": spec.b}},',

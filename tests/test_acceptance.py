@@ -2,10 +2,15 @@
 prints a single PASS/FAIL line (run with -s or look at the captured output).
 
 Sampling note: random (a, b) are drawn admissibly — a prime to p, b with
-v_p(b) = n - s, a + b nonzero and (for s = n) prime to p.  For p = 2 the
-quadratic radicand (-i)^(2n-s) b' i can be a genuine square of Q_2(i) for
-unlucky odd parts b'; those draws are locally reducible (the certified tower
-refuses them) and the sampler redraws, as documented in the package design.
+v_p(b) = n - s, a + b nonzero and (for s = n) prime to p — and every
+admissible draw is kept.  For p = 2 the case (v) w step refuses the covers
+whose w^2 = (-i)^c b' i splits in Q_2(i): b' = b/2^(n-s) = +-1 (mod 8) with
+b' != +-1, and c odd, where certify_tail takes c = 2n - s and
+conductor_bound c = 1.  That refusal is a known defect (ROADMAP item 1), so
+criteria 2 and 6 count their refusals, check that each one is of that
+kind, and name the count in their PASS line.  Criteria 3, 4 and 8 build
+only graphs, which make no w step, so each of their draws is checked in
+full.
 """
 
 import itertools
@@ -27,7 +32,11 @@ from padic_sr.analyzer import (
     new_tail_locus,
     quotient_spec,
 )
-from padic_sr.errors import IrreducibilityUnverified
+from padic_sr.errors import (
+    Disconnected,
+    IrreducibilityUnverified,
+    NotThreePoint,
+)
 from padic_sr.graph import (
     DecoratedGraph,
     check_local_vanishing,
@@ -59,8 +68,7 @@ def _report(num, title, ok):
 
 
 def _draw_pair(rng, p, n, s):
-    """Admissible (a, b) with v_p(b) = n - s, redrawing locally reducible
-    p = 2 radicands."""
+    """The spec of an admissible (a, b) with v_p(b) = n - s."""
     while True:
         a = rng.randint(1, 60)
         if a % p == 0:
@@ -75,16 +83,19 @@ def _draw_pair(rng, p, n, s):
             continue
         try:
             spec = branch_signature(p, n, a, b)
-        except Exception:
+        except (Disconnected, NotThreePoint):
             continue
         if spec.s != s:
             continue
-        if p == 2:
-            try:
-                new_tail_locus(spec)
-            except IrreducibilityUnverified:
-                continue
         return spec
+
+
+def _w_step_splits(spec, c):
+    """Whether the case (v) w step with parity c refuses spec: p = 2, c odd,
+    and b' = b/2^(n-s) = +-1 (mod 8) with b' != +-1."""
+    b_odd = spec.b // 2 ** (spec.n - spec.s)
+    return (spec.p == 2 and c % 2 == 1 and b_odd % 8 in (1, 7)
+            and b_odd not in (1, -1))
 
 
 GRID_ODD = [(p, n, s) for p in (5, 7, 11, 13) for n in (1, 2, 3)
@@ -112,6 +123,7 @@ def test_criterion_1_tail_certification_grid():
 def test_criterion_2_small_prime_cells():
     rng = random.Random(2)
     ok = True
+    refused = 0
     for p, n, s in GRID_SMALL:
         for _ in range(5):
             spec = _draw_pair(rng, p, n, s)
@@ -132,11 +144,17 @@ def test_criterion_2_small_prime_cells():
                     # certifies through condition (i), in closed form
                     ok = ok and "condition (i)" in v.notes
             else:
-                v = certify_tail(spec)
+                try:
+                    v = certify_tail(spec)
+                except IrreducibilityUnverified:
+                    refused += 1
+                    ok = ok and _w_step_splits(spec, 2 * n - s)
+                    continue
                 ok = ok and v.kind == "SplitsZ4" \
                     and v.count == 2 ** (n - 2) and v.conductor == 1
     _report(2, "p = 3 / p = 2 appendix cells (30 covers, condition (ii) "
-               "valuations and the mu_4 criterion)", ok)
+               "valuations and the mu_4 criterion; "
+               f"{refused} p = 2 covers refused at the split w step)", ok)
 
 
 def _representative_specs():
@@ -236,6 +254,8 @@ def test_criterion_5_ramification_oracles():
             ok = ok and cyclotomic_lower_filtration(p, n) == \
                 _cyclotomic_oracle(p, n)
             up = cyclotomic_filtration(p, n)
+            ok = ok and [j for j, _ in up.jumps] == \
+                [Fraction(k) for k in range(1 if p == 2 else 0, n)]
             ok = ok and up.conductor() == n - 1
             ok = ok and up.order_at(Fraction(n)) == 1
     rng = random.Random(5)
@@ -259,14 +279,21 @@ def test_criterion_5_ramification_oracles():
         h = compositum_conductor(hs)
         ok = ok and h == max(hs)
         ok = ok and compositum_conductor(hs + [h]) == h
-    _report(5, "cyclotomic brute-force oracle (p <= 13, n <= 4), 100 "
-               "Herbrand round-trips, 100 compositum instances", ok)
+    _report(5, "cyclotomic brute-force oracle and upper jumps (p <= 13, "
+               "n <= 4), 100 Herbrand round-trips, 100 compositum instances",
+            ok)
 
 
 def test_criterion_6_conductor_bounds():
     ok = True
+    refused = 0
     for spec in _representative_specs():
-        cb = conductor_bound(spec)
+        try:
+            cb = conductor_bound(spec)
+        except IrreducibilityUnverified:
+            refused += 1
+            ok = ok and _w_step_splits(spec, 1)
+            continue
         ok = ok and cb["vanishes_at_n"] is True
     # the case-(iii) radicand valuation 3n - 1, exactly
     from padic_sr.series import binom_falling
@@ -287,8 +314,8 @@ def test_criterion_6_conductor_bounds():
         ok = ok and r["di_square_K2"] and r["d_square_K3"] \
             and not r["d_square_K2"]
     _report(6, "conductor certificates vanish at n on the full grid; "
-               "3n-1 radicand valuation and the square-class table verified",
-            ok)
+               "3n-1 radicand valuation and the square-class table verified; "
+               f"{refused} p = 2 covers refused at the split w step", ok)
 
 
 def test_criterion_7_signature_solver():

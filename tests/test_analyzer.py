@@ -61,7 +61,6 @@ from padic_sr.tower import Tower, vp_int, vp_rational
 import case_oracle
 from p2_oracle import p2_center, tower_locus
 from grid_digest import grid
-from test_golden import _identity_grid
 from tower_helpers import (
     _k1,
     cubic_tower_disk,
@@ -636,7 +635,8 @@ def test_cover_spec_stays_a_frozen_dataclass():
 
 def test_cover_spec_derives_indices_and_original():
     """indices and original are facts of the cover and its swap: on every
-    input of the 8408-input grid that is a cover, the spec branch_signature
+    input of the grid of tests/grid_digest.py that is a cover, the spec
+    branch_signature
     makes has indices p^(n - v) for v the v_p, capped at n, of the a, b
     and a + b given, and original the (a, b) given, and CoverSpec builds
     the same spec from (p, n, a, b, s, swaps) alone.  Each of the three
@@ -1164,35 +1164,36 @@ def test_seen_class_of_b_odd_runs_no_digit_search(monkeypatch):
     assert calls == []
 
 
-def test_p2_identity_grid_builds_no_field(monkeypatch):
-    """analyze over every p = 2 cover of the identity grid, with the
-    shape cache cleared first, builds no Tower and makes no q-th
-    power test: the refused covers included, every p = 2 fact is an
-    integer rule.  analyze's own w step, the c = 1 call of
-    conductor_bound, refuses all 124 before any tail certificate; called
-    alone, new_tail_locus refuses the 64 with 2n - s odd."""
+def test_p2_grid_builds_no_field(monkeypatch):
+    """analyze over every p = 2 input of the grid, with the shape cache
+    cleared first, builds no Tower and makes no q-th power test: the
+    refused covers included, every p = 2 fact is an integer rule.
+    analyze's own w step, the c = 1 call of conductor_bound, refuses 136
+    covers before any tail certificate; called alone, new_tail_locus
+    refuses the 70 of them with 2n - s odd."""
     _report_shape.cache_clear()
     calls = _count_field_work(monkeypatch)
-    covers = [args for args in _identity_grid() if args[0] == 2]
+    covers = [args for args in grid() if args[0] == 2]
     refused = [r[0] for r in map(_report_or_error, covers)
                if isinstance(r, tuple)]
-    assert len(covers) == 1776
-    assert refused.count("IrreducibilityUnverified") == 124
+    assert len(covers) == 4020
+    assert refused.count("IrreducibilityUnverified") == 136
     at_locus = [_outcome(lambda args=args: new_tail_locus(
         branch_signature(*args))) for args in covers]
     assert sum(isinstance(r, tuple) and r[0] == "IrreducibilityUnverified"
-               for r in at_locus) == 64
+               for r in at_locus) == 70
     assert calls == []
 
 
-def test_p3_identity_grid_builds_no_tower(monkeypatch):
-    """analyze over every p = 3 cover of the identity grid, with the shape
+def test_p3_grid_builds_no_tower(monkeypatch):
+    """analyze over every p = 3 input of the grid, 1584, with the shape
     cache cleared first, builds no Tower and adjoins nothing: the case
     (iii) centre is a triple of Z[t]/(t^3 - r), and the cube roots of
     cases (iii) and (iv) are certified from v_3 of their radicand."""
     _report_shape.cache_clear()
     calls = _count_field_work(monkeypatch)
-    covers = [args for args in _identity_grid() if args[0] == 3]
+    covers = [args for args in grid() if args[0] == 3]
+    assert len(covers) == 1584
     reports = [r for r in map(_report_or_error, covers)
                if isinstance(r, dict)]
     assert {r["tower"]["meta"]["case"] for r in reports} == {"i", "iii",
@@ -1494,14 +1495,14 @@ def _oracle_shapes():
 
 def test_case_record_matches_the_oracle():
     """On 210 shapes, past the n <= 4 (odd p) and n <= 5 (p = 2) of the
-    identity grid, the graph, the inseparable tails and the field tower
-    built from the shape's facts and pieces (_shape_facts, _pieces) equal
-    those of the case split written out per builder (tests/case_oracle.py),
-    directly, through the public stages and through _report_shape.  Each
-    _report_shape template holds the graph fields of the uncached
-    computation, every field of the report but the spec and an empty slot
-    for a and b of the tower's meta, and its certified flag is the
-    conjunct of the uncached checks."""
+    identity block of tests/grid_digest.py, the graph, the inseparable
+    tails and the field tower built from the shape's facts and pieces
+    (_shape_facts, _pieces) equal those of the case split written out per
+    builder (tests/case_oracle.py), directly, through the public stages
+    and through _report_shape.  Each _report_shape template holds the
+    graph fields of the uncached computation, every field of the report
+    but the spec and an empty slot for a and b of the tower's meta, and
+    its certified flag is the conjunct of the uncached checks."""
     shapes = list(_oracle_shapes())
     assert len(shapes) == 210
     for p, n, s in shapes:

@@ -5,10 +5,10 @@ cover (tests/rational_oracle.py), composed with new_tail_locus.  The case
 (iii) certificate classify_torsor_reduction still tests each of its facts
 by divisibility against powers of 3 (series._cubic_shape), with the same v_p
 oracle.  Every input gives the same verdict, every field of it, or the
-same exception class and message: the covers of the 8408-input grid,
-doctored radii of the case (iii) disk (whose targets may lie outside Z),
-forged case (iii) triples, and covers of n = 200 and n = 800.  Inputs are
-drawn without filtering."""
+same exception class and message: the covers of the grid of
+tests/grid_digest.py, doctored radii of the case (iii) disk (whose targets
+may lie outside Z), forged case (iii) triples, and covers of n = 200 and
+n = 800.  Inputs are drawn without filtering."""
 
 import random
 from fractions import Fraction
@@ -28,7 +28,7 @@ from padic_sr.series import (
 )
 import p2_oracle
 import rational_oracle
-from grid_digest import grid
+from grid_digest import OUTCOMES, grid
 from rational_oracle import (
     vp_classify_p2_torsor,
     vp_classify_rational_centre,
@@ -73,43 +73,44 @@ def _grid_covers():
 
 def test_certificates_match_the_vp_oracle_on_the_grid():
     """certify_tail and the oracle's certify_tail agree on every cover of
-    the 8408-input grid, all 4736: 4728 certify, and 8 stop at the case (v)
-    w step of new_tail_locus (IrreducibilityUnverified) on both sides."""
+    the grid, all 5996: 5926 certify, and 70 stop at the case (v) w step
+    of new_tail_locus (IrreducibilityUnverified) on both sides."""
     kinds = {}
     for spec in _grid_covers():
         got = _outcome(certify_tail, spec)
         assert got == _outcome(_vp_certify_tail, spec), spec
         kind = got[0] if isinstance(got, tuple) else got.kind
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert kinds == {"SplitsArtinSchreier": 3528, "SplitsZ4": 1200,
-                     "IrreducibilityUnverified": 8}, kinds
+    assert kinds == {"SplitsArtinSchreier": 3996, "SplitsZ4": 1930,
+                     "IrreducibilityUnverified": 70}, kinds
 
 
 def test_tail_verdict_matches_the_expansion_oracles_on_the_grid():
-    """On every cover of the 8408-input grid, the shape's verdict that
-    certify_tail returns is the verdict, or the error, of the old paths
-    that expanded the disk: the recurrence to c_2p (c_3 at the cubic
-    centre) and the general classifier for odd p
-    (rational_oracle.certify_tail), and the expansion in Q_2(i)(w) and the
-    mu_4 classifier for p = 2 (p2_oracle.certify_tail), whose centre field
-    refuses the 8 covers that new_tail_locus's w step refuses."""
+    """On every cover of the grid, the shape's verdict that certify_tail
+    returns is the verdict, or the error, of the old paths that expanded
+    the disk: the recurrence to c_2p (c_3 at the cubic centre) and the
+    general classifier for odd p (rational_oracle.certify_tail), and the
+    expansion in Q_2(i)(w) and the mu_4 classifier for p = 2
+    (p2_oracle.certify_tail), whose centre field refuses the 70 covers
+    that new_tail_locus's w step refuses."""
     compared = 0
     for spec in _grid_covers():
         oracle = (p2_oracle.certify_tail if spec.p == 2
                   else rational_oracle.certify_tail)
         assert _outcome(certify_tail, spec) == _outcome(oracle, spec), spec
         compared += 1
-    assert compared == 4736
+    assert compared == 5996
 
 
 def test_analyze_path_matches_the_public_stages_on_the_grid():
-    """On every input of the 8408-input grid, the certificate analyze
-    reports is certify_tail's verdict and the oracle's: the shape's verdict
-    on 4720 covers.  analyze's one w step, the c = 1 call, refuses 16
-    covers with the error and message of conductor_bound's; new_tail_locus
-    and certify_tail, with c = (2n - s) mod 2, refuse 8 of them alike and
-    certify the other 8.  The other inputs are refused by branch_signature
-    before either path."""
+    """On every input of the grid, the certificate analyze reports is
+    certify_tail's verdict and the oracle's: the shape's verdict on 5860
+    covers.  analyze's one w step, the c = 1 call, refuses 136 covers with
+    the error and message of conductor_bound's; new_tail_locus and
+    certify_tail, with c = (2n - s) mod 2, refuse 70 of them alike and
+    certify the other 66.  The other inputs are refused by
+    branch_signature before either path.  The counts are the record's
+    outcome table."""
     kinds, certified_past_c1 = {}, 0
     for args in grid():
         try:
@@ -129,10 +130,8 @@ def test_analyze_path_matches_the_public_stages_on_the_grid():
             assert got == tail.to_json(), spec
             kind = got["kind"]
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert kinds == {"SplitsArtinSchreier": 3528, "SplitsZ4": 1192,
-                     "IrreducibilityUnverified": 16, "NotThreePoint": 2325,
-                     "Disconnected": 1347}, kinds
-    assert certified_past_c1 == 8
+    assert kinds == OUTCOMES, kinds
+    assert certified_past_c1 == 66
 
 
 #: offsets of the doctored radii from the locus's v(e): multiples of 1/24

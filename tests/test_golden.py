@@ -1,19 +1,20 @@
 """Golden `analyze` reports: the sha256 of the sorted-key JSON report of
 about thirty covers (every stable-model case (i)-(v), large p up to 197,
 and covers that raise), or the class and message of the exception a cover
-raises.  `test_identity_grid_digest` pins the reports of a 3656-input grid
-in one hash, and in a second one the key order of each report.
+raises.  A change of one of these reports fails here and prints the new
+report, so it is a reviewed edit of this table.
 
-A report change fails here and prints the new report, so every change of
-`analyze` output is a reviewed edit of this table.
+`test_grid_record` asserts the one record of `analyze` output over a whole
+grid, its digest and outcome table, which tests/grid_digest.py keeps; a
+report change edits them there.
 """
 
 import hashlib
 import json
-from collections import Counter
 
 import pytest
 
+import grid_digest
 from padic_sr import analyze
 
 GOLDEN = {
@@ -115,55 +116,10 @@ def test_analyze_report_is_golden(args):
     assert got == GOLDEN[args], f"analyze{args} changed; new report above"
 
 
-def _identity_grid():
-    """The 3656 inputs every report-preserving change is checked on: odd
-    p <= 13 with n <= 4, large p in {17, 23, 37} with n <= 2, and p = 2
-    with 2 <= n <= 5."""
-    for p in (3, 5, 7, 11, 13):
-        for n in range(1, 5):
-            for a in range(1, 5):
-                for b in range(-6, 13):
-                    yield p, n, a, b
-    for p in (17, 23, 37):
-        for n in (1, 2):
-            for a in (1, 2):
-                for b in range(-10, 20):
-                    yield p, n, a, b
-    for n in range(2, 6):
-        for a in range(1, 13):
-            for b in range(-12, 25):
-                yield 2, n, a, b
-
-
-#: sha256 over the identity grid, in order, of one line per input: the
-#: sorted-key JSON report, or `Class: message` of the exception
-IDENTITY_GRID_DIGEST = (
-    '5cdbcaf869349f265976352e646e0a277dd6a99b730e9281b2e41b6f8c2e392e')
-
-#: the same hash over the JSON report in the key order analyze builds, the
-#: order `padic-sr analyze` prints
-IDENTITY_GRID_ORDERED_DIGEST = (
-    'cbdf8570587eb2ece9397aec1fdc90ee464dfadcca02d13f328955da747d9bc0')
-
-
-def test_identity_grid_digest():
-    """Every report and every exception of the identity grid, pinned in one
-    hash, and again with the report's own key order; a report change
-    updates the digests as a reviewed edit."""
-    digest, ordered = hashlib.sha256(), hashlib.sha256()
-    outcomes = Counter()
-    for args in _identity_grid():
-        try:
-            report = analyze(*args)
-            line = json.dumps(report, sort_keys=True)
-            ordered_line = json.dumps(report)
-            outcomes["certified"] += 1
-        except Exception as exc:  # the class and message are pinned
-            line = ordered_line = f"{type(exc).__name__}: {exc}"
-            outcomes[type(exc).__name__] += 1
-        digest.update(line.encode() + b"\n")
-        ordered.update(ordered_line.encode() + b"\n")
-    assert outcomes == {"certified": 2487, "NotThreePoint": 561,
-                        "Disconnected": 484, "IrreducibilityUnverified": 124}
-    assert digest.hexdigest() == IDENTITY_GRID_DIGEST
-    assert ordered.hexdigest() == IDENTITY_GRID_ORDERED_DIGEST
+def test_grid_record():
+    """analyze over the grid of tests/grid_digest.py, every report and
+    every exception, is the one record kept there: its outcome table and
+    its digest, of each report in its own key order."""
+    lines, outcomes = grid_digest.record()
+    assert outcomes == grid_digest.OUTCOMES
+    assert grid_digest.digest(lines) == grid_digest.DIGEST

@@ -1,6 +1,7 @@
-"""Ramification filtrations: brute-force cyclotomic oracle, quadrature
-oracle for the Herbrand function, round-trips, composition laws, and the
-Kummer-step conductor facts."""
+"""Ramification filtrations: cyclotomic quotients, quadrature oracle for
+the Herbrand function, round-trips, composition laws, and the Kummer-step
+conductor facts.  The brute-force cyclotomic oracle is acceptance
+criterion 5 (tests/test_acceptance.py)."""
 
 import random
 from fractions import Fraction
@@ -30,59 +31,7 @@ from padic_sr.ramification import (
 from padic_sr.tower import Tower
 
 
-# -- brute-force cyclotomic oracle -------------------------------------------
-
-def _vp(x, p):
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _cyclotomic_lower_oracle(p, n):
-    """Lower filtration of (Z/p^n)^x from i_G(sigma_a) = p^t with
-    p^t || (a - 1), computed by direct enumeration."""
-    q = p ** n
-    units = [a for a in range(1, q) if a % p != 0]
-    i_of = {}
-    for a in units:
-        if a == 1:
-            continue
-        t = _vp(a - 1, p)
-        i_of[a] = p ** t
-    degree = len(units)
-
-    def order_lower(i):
-        # |G_i| = #{sigma : i_G(sigma) >= i + 1} (+ identity)
-        return 1 + sum(1 for v in i_of.values() if v >= i + 1)
-
-    # a jump at position i means |G_{i+1}| < |G_i|; the recorded order is the
-    # order just after the jump
-    jumps = []
-    cur = order_lower(0)
-    i = 0
-    while cur > 1:
-        nxt = order_lower(i + 1)
-        if nxt < cur:
-            jumps.append((Fraction(i), nxt))
-            cur = nxt
-        i += 1
-    return Filtration(tuple(jumps), degree, "lower")
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_cyclotomic_against_bruteforce(p, n):
-    assert cyclotomic_lower_filtration(p, n) == _cyclotomic_lower_oracle(p, n)
-    upper = cyclotomic_filtration(p, n)
-    lo = 1 if p == 2 else 0
-    assert [j for j, _ in upper.jumps] == [Fraction(k)
-                                           for k in range(lo, n)]
-    assert upper.conductor() == n - 1
-    # the n-th upper group vanishes
-    assert upper.order_at(Fraction(n)) == 1
-
+# -- cyclotomic quotients -----------------------------------------------------
 
 def test_cyclotomic_quotient_invariance():
     """Dropping the smallest subgroup of Gal(K_n/K_0) gives Gal(K_{n-1}/K_0):

@@ -46,6 +46,7 @@ from padic_sr.series import (
 from padic_sr.tower import Tower, TowerElement, vp_int, vp_rational
 import p2_oracle
 import rational_oracle
+from grid_digest import identity_block
 from p2_oracle import classify_p2, tower_locus
 from rational_oracle import (
     CenterOnBranchLocus,
@@ -563,29 +564,25 @@ def test_profile_matches_eager_valuations_off_locus():
     assert checked >= 15
 
 
-def _identity_grid_odd_covers():
-    """Every cover of the odd-p and large-p parts of the identity grid
+def _identity_block_odd_covers():
+    """Every cover of odd p in the identity block of tests/grid_digest.py
     whose new-tail locus is built: p in {3, 5, 7, 11, 13} with n <= 4,
     1 <= a <= 4 and -6 <= b <= 12; p in {17, 23, 37} with n <= 2, a <= 2
     and -10 <= b < 20."""
-    parts = [((3, 5, 7, 11, 13), range(1, 5), range(1, 5), range(-6, 13)),
-             ((17, 23, 37), range(1, 3), range(1, 3), range(-10, 20))]
-    for primes, ns, as_, bs in parts:
-        for p in primes:
-            for n in ns:
-                for a in as_:
-                    for b in bs:
-                        try:
-                            spec = branch_signature(p, n, a, b)
-                            locus = new_tail_locus(spec)
-                        except ArtifactError:
-                            continue
-                        yield spec, locus
+    for args in identity_block():
+        if args[0] == 2:
+            continue
+        try:
+            spec = branch_signature(*args)
+            locus = new_tail_locus(spec)
+        except ArtifactError:
+            continue
+        yield spec, locus
 
 
-def _identity_grid_rational_covers():
-    """The rational-centre covers of _identity_grid_odd_covers."""
-    for spec, locus in _identity_grid_odd_covers():
+def _identity_block_rational_covers():
+    """The rational-centre covers of _identity_block_odd_covers."""
+    for spec, locus in _identity_block_odd_covers():
         if isinstance(locus.d, Fraction):
             yield spec, locus
 
@@ -596,9 +593,9 @@ def test_rational_centre_matches_the_tower_path():
     e = pi^((2n-s)(p-1)+1), on the tower oracle: the oracle's integer
     recurrence gives the same K_l, v(e), scale, slope and scaled profile,
     and certify_tail, in closed form, the verdict of the Fraction reference
-    classifier, on every rational-centre cover of the identity grid."""
+    classifier, on every rational-centre cover of the identity block."""
     covers = 0
-    for spec, locus in _identity_grid_rational_covers():
+    for spec, locus in _identity_block_rational_covers():
         fast = expand_rational(spec, locus.d, locus.v_e)
         d, e = _tower_disk(spec, locus)
         slow = tower_expand_disk(spec, d, e)
@@ -723,13 +720,13 @@ def test_cubic_valuation_matches_the_norm():
 
 def test_no_truncation_changes_a_verdict():
     """Expanding past c_3 cannot change a verdict: on every odd-p cover
-    of the identity grid, the expansion to L = 3p and to L = 40 (where
+    of the identity block, the expansion to L = 3p and to L = 40 (where
     that is past 2p), built by the defining double sum and classified
     by the oracle's general classifier through the list constructor, gets
     certify_tail's verdict, every field of it: the closed form's at a
     rational centre and at a cubic one."""
     covers = 0
-    for spec, locus in _identity_grid_odd_covers():
+    for spec, locus in _identity_block_odd_covers():
         p = spec.p
         want = _outcome(certify_tail, spec)
         for L in (3 * p, 40):
@@ -851,9 +848,9 @@ def test_closed_forms_of_k1_k2_k3_sympy():
 
 
 def _rational_centre_covers():
-    """The rational-centre covers of the identity grid, of LARGE_N_COVERS
-    and of COSTLY_IN_P."""
-    yield from (spec for spec, _ in _identity_grid_rational_covers())
+    """The rational-centre covers of the identity block, of
+    LARGE_N_COVERS and of COSTLY_IN_P."""
+    yield from (spec for spec, _ in _identity_block_rational_covers())
     for args in [args for args, _ in LARGE_N_COVERS] + COSTLY_IN_P[3:]:
         spec = branch_signature(*args)
         if isinstance(new_tail_locus(spec).d, Fraction) and spec.p != 2:
@@ -864,7 +861,7 @@ def test_closed_form_matches_the_integer_recurrence():
     """certify_tail of a rational centre, the shape's verdict, is the
     verdict of the integer recurrence to c_2p and its classification
     (tests/rational_oracle.py), every field of it, on every
-    rational-centre cover of the identity grid, of the large-n covers and
+    rational-centre cover of the identity block, of the large-n covers and
     of the p = 3, n = 1 covers, whose c_3 the closed form reads.  On
     doctored specs whose premises fail, which the cover rule refuses in
     certify_tail, the reference certificate vp_classify_rational_centre
@@ -1214,14 +1211,11 @@ def test_rational_centre_needs_no_tower_arithmetic(monkeypatch, p, n, a, b):
 
 
 def _case_v_grid_and_draws(seed):
-    """The p = 2 covers of the identity grid (2 <= n <= 5, 1 <= a <= 12,
+    """The p = 2 inputs of the identity block (2 <= n <= 5, 1 <= a <= 12,
     -12 <= b <= 24), then seeded draws with 2 <= n <= 8, |a| <= 99 and
     |b'| <= 99, b' odd, taking the classes of b' mod 8 in turn and b' = +-1
     at every eighth draw.  Inadmissible inputs are skipped, nothing else."""
-    for n in range(2, 6):
-        for a in range(1, 13):
-            for b in range(-12, 25):
-                yield 2, n, a, b
+    yield from (args for args in identity_block() if args[0] == 2)
     rng = random.Random(seed)
     for draw in range(800):
         n = rng.randint(2, 8)
@@ -1281,7 +1275,7 @@ def test_case_v_closed_form_matches_the_tower_path():
     """certify_tail decides every case (v) spec in closed form as the tower
     path does (the centre in Q_2(i)(w), the expansion to c_L and its
     classifier, now p2_oracle.certify_tail): the same verdict, or the same
-    error type and message.  The inputs are the p = 2 identity grid, seeded
+    error type and message.  The inputs are the p = 2 identity block, seeded
     draws with every class of b' mod 8, and doctored specs whose premises
     may fail; there the tower path may also list "v(c_l) < n + 1", which
     the closed form cannot, and every other reason must agree.  Only the
